@@ -19,7 +19,7 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.engine import EventQueue
 from repro.ssd.retry_grid import RetryStepGrid
-from repro.workloads import generate_workload
+from repro.workloads import catalog_workload
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +95,9 @@ def test_bench_simulator_throughput(benchmark, bench_rpt):
     def run_simulation():
         simulator = SsdSimulator(config, policy="PnAR2", rpt=bench_rpt)
         simulator.precondition(pe_cycles=1000, retention_months=6.0)
-        requests = generate_workload("YCSB-C", 200, footprint, seed=1,
-                                     mean_interarrival_us=500.0)
+        requests = list(catalog_workload("YCSB-C", footprint, seed=1,
+                                         mean_interarrival_us=500.0)
+                        .iter_requests(200))
         return simulator.run(requests)
 
     # One warmup round: the first simulation of a process pays one-time
@@ -126,8 +127,9 @@ def test_bench_dftl_steady_state(benchmark, bench_rpt):
         simulator = SsdSimulator(config, policy="PnAR2", rpt=bench_rpt)
         simulator.precondition(pe_cycles=1000, retention_months=6.0,
                                fill_fraction=0.6)
-        requests = generate_workload("stg_0", 300, footprint, seed=1,
-                                     mean_interarrival_us=500.0)
+        requests = list(catalog_workload("stg_0", footprint, seed=1,
+                                         mean_interarrival_us=500.0)
+                        .iter_requests(300))
         return simulator.run(requests)
 
     result = benchmark.pedantic(run_simulation, iterations=1, rounds=5,

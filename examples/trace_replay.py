@@ -25,9 +25,9 @@ import tempfile
 from repro.sim import Simulation
 from repro.ssd.config import SsdConfig
 from repro.workloads import (
+    catalog_workload,
     iter_msrc_csv,
     iter_records_to_requests,
-    iter_workload,
     write_msrc_csv,
 )
 from repro.workloads.trace import TraceRecord
@@ -40,8 +40,9 @@ def synthesize_trace(path: str, num_requests: int, page_size: int) -> None:
                            offset_bytes=request.start_lpn * page_size,
                            size_bytes=request.page_count * page_size,
                            hostname="prn", disk_number=1)
-               for request in iter_workload("prn_1", num_requests,
-                                            footprint_pages=8192, seed=11))
+               for request in catalog_workload(
+                   "prn_1", footprint_pages=8192, seed=11
+               ).iter_requests(num_requests))
     write_msrc_csv(records, path)
 
 

@@ -20,7 +20,7 @@ from repro.core.extensions import get_extension_policy
 from repro.core.policies import get_policy
 from repro.core.rpt import ReadTimingParameterTable
 from repro.experiments.api import param, register_experiment
-from repro.experiments.common import default_experiment_config
+from repro.experiments.fig14 import default_experiment_config
 from repro.experiments.reporting import ExperimentResult
 from repro.sim.session import Simulation
 from repro.ssd.metrics import normalized_response_times

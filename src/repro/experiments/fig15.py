@@ -13,11 +13,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.common import (
+from repro.experiments.api import param, register_experiment
+from repro.experiments.fig14 import (
     DEFAULT_CONDITION_GRID,
     default_experiment_config,
 )
-from repro.experiments.api import param, register_experiment
 from repro.experiments.reporting import ExperimentResult
 from repro.sim.registry import default_registry
 from repro.sim.sweep import SweepRunner

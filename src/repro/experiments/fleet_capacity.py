@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.experiments.api import param, register_experiment
-from repro.experiments.common import default_experiment_config
+from repro.experiments.fig14 import default_experiment_config
 from repro.experiments.reporting import ExperimentResult
 from repro.sim.fleet import FleetRunner, FleetSpec, SloCapacitySearch
 from repro.sim.spec import Condition, WorkloadSpec

@@ -17,9 +17,6 @@ suite resumes where it stopped; independent experiments of a suite fan out
 over the same process pool the sweep runner uses
 (:func:`repro.sim.sweep.pool_map`), with parallel and cached runs producing
 byte-identical exports to serial fresh runs.
-
-The pre-registry interface (``repro-experiment fig14 --fast``) still works
-as a deprecated alias for ``run fig14 --profile fast``.
 """
 
 from __future__ import annotations
@@ -201,7 +198,6 @@ def run_all(fast: bool = True, jobs: int = 1,
 
 
 # -- CLI -----------------------------------------------------------------------
-_SUBCOMMANDS = ("list", "run", "export", "show")
 _EXPORTERS = {"json": lambda result: result.to_json(),
               "csv": lambda result: result.to_csv()}
 
@@ -412,28 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rewrite_legacy_argv(argv: List[str]) -> List[str]:
-    """Map the pre-registry CLI (``fig14 --fast``) onto ``run``."""
-    if not argv or argv[0] in _SUBCOMMANDS or argv[0].startswith("-"):
-        return argv
-    # The legacy CLI's "all" meant the 11 paper artifacts; the registry's
-    # "all" also includes the ablation studies, so map it to the paper tag.
-    target = "paper" if argv[0] == "all" else argv[0]
-    print(f"note: 'repro-experiment {argv[0]}' is deprecated; use "
-          f"'repro-experiment run {target}'", file=sys.stderr)
-    rewritten = ["run", target]
-    for argument in argv[1:]:
-        if argument == "--fast":
-            rewritten.extend(["--profile", "fast"])
-        else:
-            rewritten.append(argument)
-    return rewritten
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(_rewrite_legacy_argv(argv))
+    args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except (ExperimentLookupError, ParameterValueError,

@@ -9,9 +9,11 @@ reproduces the read-retry behaviour of a real characterized block
   scaled-down configuration for tests).
 * :mod:`repro.ssd.engine` — the discrete-event core (event queue, clock).
 * :mod:`repro.ssd.request` — host requests and flash transactions.
-* :mod:`repro.ssd.ftl` — page-level address mapping, block allocation and
-  wear-aware free-block selection.
-* :mod:`repro.ssd.gc` — greedy garbage collection.
+* :mod:`repro.ssd.ftl` — the ``Mapper`` protocol the controller drives, and
+  the block-mode FTL (``mapping="block"``): page-level address mapping,
+  wear-aware block allocation and greedy garbage collection.
+* :mod:`repro.ssd.gc` — ``GcOperation``, the flash work of one collected or
+  retired block, shared by both mappers.
 * :mod:`repro.ssd.dftl` — DFTL-class page-mapped FTL (``mapping="page"``):
   cached mapping table, on-flash translation pages and watermark-driven GC
   with real wear dynamics.

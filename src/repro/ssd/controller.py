@@ -10,13 +10,14 @@ paper's evaluation:
   (each simulated block behaves like a characterized block) and the active
   read-retry *policy* (Baseline / PR2 / AR2 / PnAR2 / NoRR / PSO) translates
   that into latency and die-occupancy numbers;
-* writes are absorbed by the write buffer and flushed to flash through the
-  page-mapping FTL, with greedy garbage collection keeping free blocks
-  available; with ``mapping="page"`` the DFTL mapper
-  (:mod:`repro.ssd.dftl`) replaces the flat table — CMT misses and dirty
+* writes are absorbed by the write buffer and flushed to flash through one
+  :class:`~repro.ssd.ftl.Mapper`, picked once from ``config.mapping``: the
+  flat-table FTL with greedy garbage collection (``"block"``), or the DFTL
+  mapper (:mod:`repro.ssd.dftl`, ``"page"``), whose CMT misses and dirty
   evictions inject translation-page reads/programs on the same dies as
-  host traffic, and GC runs with trigger/stop watermarks and batched
-  translation updates;
+  host traffic and whose GC runs with trigger/stop watermarks and batched
+  translation updates.  The controller schedules whatever flash work the
+  mapper returns and never branches on which mapper it holds;
 * response times and utilization are collected in
   :class:`repro.ssd.metrics.SimulationMetrics`.
 
@@ -55,8 +56,8 @@ from repro.ssd.dftl import DftlMapper, TranslationOp
 from repro.ssd.engine import EventQueue
 from repro.ssd.faults import FaultInjector, FaultPlan
 from repro.ssd.flash_backend import FlashBackend
-from repro.ssd.ftl import FlashTranslationLayer, PhysicalPage
-from repro.ssd.gc import GarbageCollector
+from repro.ssd.ftl import FlashTranslationLayer, Mapper, PhysicalPage, page_type_of
+from repro.ssd.gc import GcOperation
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import (
     FlashTransaction,
@@ -71,6 +72,9 @@ from repro.ssd.write_buffer import WriteBuffer
 #: simulation clock.  Large enough that the dies never starve waiting for
 #: the pump, small enough that the event queue stays O(window), not O(trace).
 DEFAULT_LOOKAHEAD_REQUESTS = 64
+
+#: The mapper class behind each ``SsdConfig.mapping`` value.
+MAPPERS = {"block": FlashTranslationLayer, "page": DftlMapper}
 
 
 @dataclass
@@ -134,7 +138,9 @@ class SsdSimulator:
         #: condition instead of per-page scalar walks.  Bitwise-neutral (the
         #: prepared value substitutes only for the identical scalar walk and
         #: is re-validated at service time), so the switch exists purely for
-        #: equivalence testing, not as a behaviour knob.
+        #: equivalence testing, not as a behaviour knob: ``False`` names the
+        #: scalar oracle.  Mappers whose reads cost translation traffic
+        #: always dispatch scalar.
         self.batch_read_dispatch = batch_read_dispatch
         #: When True, every completion is also recorded into a per-tenant
         #: histogram keyed by the request's ``queue_id``.  Off by default so
@@ -154,14 +160,7 @@ class SsdSimulator:
         self.events = EventQueue()
         # mapping="block" keeps the original flat page table + greedy GC;
         # mapping="page" swaps in the DFTL mapper (CMT/GTD/watermark GC).
-        if self.config.mapping == "page":
-            self.dftl: Optional[DftlMapper] = DftlMapper(self.config)
-            self.ftl = None
-            self.gc = None
-        else:
-            self.dftl = None
-            self.ftl = FlashTranslationLayer(self.config)
-            self.gc = GarbageCollector(self.ftl)
+        self.mapper: Mapper = MAPPERS[self.config.mapping](self.config)
         self.write_buffer = WriteBuffer(self.config.write_buffer_pages)
         self.backend = FlashBackend(self.config, rpt=shared_rpt)
         self.metrics = SimulationMetrics(record_samples=record_samples)
@@ -236,14 +235,9 @@ class SsdSimulator:
         if not 0.0 < fill_fraction <= 1.0:
             raise ValueError("fill_fraction must be in (0, 1]")
         pages_to_fill = int(self.config.logical_pages * fill_fraction)
-        if self.dftl is not None:
-            self.dftl.precondition_fill(pages_to_fill,
-                                        retention_months=retention_months,
-                                        pe_cycles=pe_cycles)
-        else:
-            self.ftl.precondition_fill(pages_to_fill,
-                                       retention_months=retention_months,
-                                       pe_cycles=pe_cycles)
+        self.mapper.precondition_fill(pages_to_fill,
+                                      retention_months=retention_months,
+                                      pe_cycles=pe_cycles)
         self._cold_retention_months = retention_months
         self._preconditioned_pe_cycles = pe_cycles
         # Most reads of the run see the cold preconditioned data; vectorize
@@ -263,8 +257,10 @@ class SsdSimulator:
         plan = FaultPlan.coerce(plan)
         if not plan:
             return
-        if self.dftl is None and any(spec.kind == "grown_bad_blocks"
-                                     for spec in plan.faults):
+        # The one place the mapping matters outside construction: only the
+        # DFTL can retire a block (DftlMapper.retire_block).
+        if self.config.mapping != "page" and any(
+                spec.kind == "grown_bad_blocks" for spec in plan.faults):
             raise ValueError(
                 "grown_bad_blocks faults require the page-mapped FTL "
                 '(SsdConfig(mapping="page"))')
@@ -272,19 +268,10 @@ class SsdSimulator:
 
     def retire_bad_block(self, plane_index: int, block_id: int) -> None:
         """Retire one grown-bad block, scheduling its remap flash traffic."""
-        operation = self.dftl.retire_block(plane_index, block_id,
-                                          self.events.now_us)
-        plane = self.dftl.planes[operation.plane_index]
-        for source, destination in zip(operation.relocations,
-                                       operation.destinations):
-            self._enqueue_gc_transaction(TransactionKind.GC_READ, source)
-            self._enqueue_gc_transaction(TransactionKind.GC_PROGRAM,
-                                         destination)
-            self.metrics.fault_remapped_pages += 1
-        self._issue_translation_ops(operation.translation_ops)
-        erase_target = PhysicalPage(plane.channel, plane.die, plane.plane,
-                                    operation.victim_block, 0)
-        self._enqueue_gc_transaction(TransactionKind.ERASE, erase_target)
+        operation = self.mapper.retire_block(plane_index, block_id,
+                                            self.events.now_us)
+        self._enqueue_block_work(operation)
+        self.metrics.fault_remapped_pages += operation.relocated_pages
         self.metrics.grown_bad_blocks += 1
 
     # -- running ----------------------------------------------------------------------
@@ -382,13 +369,12 @@ class SsdSimulator:
             self.metrics.record_die_busy(key, scheduler.total_busy_us)
         self.metrics.grid_hits = self.backend.grid_hits
         self.metrics.scalar_fallbacks = self.backend.scalar_fallbacks
-        if self.dftl is not None:
-            # Translation reads/writes are counted at enqueue time; the
-            # mapper-internal cache and GC counters are snapshotted here,
-            # mirroring the backend's grid counters.
-            self.metrics.mapping_cache_hits = self.dftl.cmt_hits
-            self.metrics.mapping_cache_misses = self.dftl.cmt_misses
-            self.metrics.gc_invocations = self.dftl.gc_invocations
+        # Translation reads/writes are counted at enqueue time; the
+        # mapper-internal cache and GC counters are snapshotted here,
+        # mirroring the backend's grid counters.
+        self.metrics.mapping_cache_hits = self.mapper.cmt_hits
+        self.metrics.mapping_cache_misses = self.mapper.cmt_misses
+        self.metrics.gc_invocations = self.mapper.gc_invocations
         return SimulationResult(
             policy_name=self.policy.name,
             config=self.config,
@@ -480,8 +466,10 @@ class SsdSimulator:
         if request.kind is RequestKind.DISCARD:
             self.metrics.control_discards += 1
             for lpn in request.lpns:
-                if self._discard_lpn(lpn % self.config.logical_pages):
+                lpn %= self.config.logical_pages
+                if self.mapper.is_mapped(lpn):
                     self.metrics.trimmed_pages += 1
+                self._issue_translation_ops(self.mapper.trim(lpn, now))
             self._run_gc_if_needed()
         elif request.kind is RequestKind.BARRIER:
             self.metrics.control_barriers += 1
@@ -494,15 +482,6 @@ class SsdSimulator:
         if self.on_request_complete is not None:
             self.on_request_complete(request, now)
         self._maybe_resume_after_barrier()
-
-    def _discard_lpn(self, lpn: int) -> bool:
-        """TRIM one logical page; True when it was actually mapped."""
-        if self.dftl is not None:
-            mapped = self.dftl.is_mapped(lpn)
-            ops = self.dftl.trim(lpn, self.events.now_us)
-            self._issue_translation_ops(ops)
-            return mapped
-        return self.ftl.trim(lpn)
 
     def _maybe_resume_after_barrier(self) -> None:
         if self._barrier_active and self._outstanding_requests == 0:
@@ -518,16 +497,20 @@ class SsdSimulator:
             progress = _ReadProgress(request.page_count)
         self._read_progress[request.request_id] = progress
         if (request.page_count > 1 and self.batch_read_dispatch
-                and self.dftl is None and self._fault_injector is None):
+                and not self.mapper.reads_need_translation
+                and self._fault_injector is None):
             self._start_read_request_batched(request)
             return
         now_us = self.events.now_us
         schedulers = self.schedulers
-        physical_for_read = self._physical_for_read
+        read_target = self.mapper.read_target
+        logical_pages = self.config.logical_pages
         read_kind = TransactionKind.READ
         for lpn in range(request.start_lpn,
                          request.start_lpn + request.page_count):
-            physical = physical_for_read(lpn)
+            physical, ops = read_target(lpn % logical_pages, now_us)
+            if ops:
+                self._issue_translation_ops(ops)
             transaction = FlashTransaction(
                 read_kind, lpn, physical.channel, physical.die,
                 physical.plane, physical.block, physical.page, now_us,
@@ -550,22 +533,21 @@ class SsdSimulator:
         computed under and re-validated against the block's metadata at
         service time, so a GC erase between dispatch and service simply
         voids the preparation (``_read_service_time`` falls back to the
-        normal path).  Excluded: DFTL (lookups inject translation traffic
-        between resolves) and armed fault injectors (penalties are
-        service-time state).
+        normal path).  Excluded: mappers whose reads need translation (DFTL
+        lookups inject translation traffic between resolves) and armed
+        fault injectors (penalties are service-time state).
         """
         now_us = self.events.now_us
-        ftl = self.ftl
+        mapper = self.mapper
+        logical_pages = self.config.logical_pages
         targets = []
         items = []
         for lpn in range(request.start_lpn,
                          request.start_lpn + request.page_count):
-            physical = self._physical_for_read(lpn)
-            metadata = ftl.block_metadata(physical)
-            pe_cycles = metadata.pe_cycles
-            retention = metadata.page_retention_months[physical.page]
+            physical, _ = mapper.read_target(lpn % logical_pages, now_us)
+            pe_cycles, retention = mapper.read_condition(physical, now_us)
             targets.append((lpn, physical, pe_cycles, retention))
-            items.append((physical, ftl.page_type_of(physical), pe_cycles,
+            items.append((physical, page_type_of(physical), pe_cycles,
                           retention))
         prepared, walks = self.backend.peek_read_batch(items)
         self.metrics.batch_dispatch_calls += walks
@@ -581,28 +563,6 @@ class SsdSimulator:
                 transaction.prepared_behaviour = (pe_cycles, retention,
                                                   behaviour)
             schedulers[(physical.channel, physical.die)].enqueue(transaction)
-
-    def _physical_for_read(self, lpn: int) -> PhysicalPage:
-        """Resolve a read target, lazily mapping never-written cold data."""
-        lpn = lpn % self.config.logical_pages
-        if self.dftl is not None:
-            physical, ops = self.dftl.lookup(lpn, self.events.now_us)
-            self._issue_translation_ops(ops)
-            if physical is None:
-                physical, _, more = self.dftl.write(
-                    lpn, retention_months=self._cold_retention_months,
-                    now_us=self.events.now_us)
-                self._issue_translation_ops(more)
-            return physical
-        physical = self.ftl.lookup(lpn)
-        if physical is None:
-            # The workload reads data that was written before the trace
-            # started; treat it as preconditioned cold data.
-            physical, _ = self.ftl.write(
-                lpn, retention_months=self._cold_retention_months)
-            self.ftl.block_metadata(physical).pe_cycles = (
-                self._preconditioned_pe_cycles)
-        return physical
 
     def _admit_or_defer_write(self, request: HostRequest) -> None:
         if self.write_buffer.try_admit(request.page_count):
@@ -626,12 +586,9 @@ class SsdSimulator:
         self._maybe_resume_after_barrier()
 
     def _issue_program(self, lpn: int, request: Optional[HostRequest]) -> None:
-        if self.dftl is not None:
-            physical, _, ops = self.dftl.write(
-                lpn, retention_months=0.0, now_us=self.events.now_us)
+        physical, ops = self.mapper.program(lpn, self.events.now_us)
+        if ops:
             self._issue_translation_ops(ops)
-        else:
-            physical, _ = self.ftl.write(lpn, retention_months=0.0)
         self.metrics.host_programs += 1
         transaction = FlashTransaction(
             kind=TransactionKind.PROGRAM, lpn=lpn,
@@ -649,13 +606,7 @@ class SsdSimulator:
             else:
                 kind = TransactionKind.TRANS_PROGRAM
                 self.metrics.translation_writes += 1
-            physical = op.physical
-            transaction = FlashTransaction(
-                kind=kind, lpn=None, channel=physical.channel,
-                die=physical.die, plane=physical.plane, block=physical.block,
-                page=physical.page, issue_us=self.events.now_us, request=None,
-                physical=physical)
-            self.schedulers[physical.die_key()].enqueue(transaction)
+            self._enqueue_internal(kind, op.physical)
 
     # -- flash service times -----------------------------------------------------------------
     def _service_time(self, transaction: FlashTransaction) -> float:
@@ -680,7 +631,7 @@ class SsdSimulator:
                 physical = PhysicalPage(transaction.channel, transaction.die,
                                         transaction.plane, transaction.block,
                                         transaction.page)
-            page_type = self.dftl.page_type_of(physical)
+            page_type = page_type_of(physical)
             return (timing.read.sensing_latency_us(page_type)
                     + timing.t_dma_page_us + timing.t_ecc_us)
         return self._read_service_time(transaction)
@@ -693,16 +644,9 @@ class SsdSimulator:
             physical = PhysicalPage(transaction.channel, transaction.die,
                                     transaction.plane, transaction.block,
                                     transaction.page)
-        if self.dftl is not None:
-            pe_cycles = self.dftl.pe_cycles_of(physical)
-            page_type = self.dftl.page_type_of(physical)
-            retention = self.dftl.retention_months_of(physical,
-                                                      self.events.now_us)
-        else:
-            metadata = self.ftl.block_metadata(physical)
-            pe_cycles = metadata.pe_cycles
-            page_type = self.ftl.page_type_of(physical)
-            retention = metadata.page_retention_months[transaction.page]
+        pe_cycles, retention = self.mapper.read_condition(physical,
+                                                          self.events.now_us)
+        page_type = page_type_of(physical)
         prepared = transaction.prepared_behaviour
         if prepared is not None and prepared[0] == pe_cycles \
                 and prepared[1] == retention:
@@ -826,90 +770,31 @@ class SsdSimulator:
 
     # -- garbage collection ------------------------------------------------------------------------
     def _run_gc_if_needed(self) -> None:
-        if self.dftl is not None:
-            self._run_dftl_gc_if_needed()
-            return
-        operations = self.gc.collect_if_needed()
-        for operation in operations:
-            plane = self.ftl.planes[operation.plane_index]
-            for source, destination in zip(operation.relocations,
-                                           operation.destinations):
-                self._enqueue_gc_transaction(TransactionKind.GC_READ, source)
-                self._enqueue_gc_transaction(TransactionKind.GC_PROGRAM,
-                                             destination)
-                self.metrics.gc_programs += 1
-            erase_target = PhysicalPage(plane.channel, plane.die, plane.plane,
-                                        operation.victim_block, 0)
-            self._enqueue_gc_transaction(TransactionKind.ERASE, erase_target)
+        for operation in self.mapper.collect_if_needed(self.events.now_us):
+            self._enqueue_block_work(operation)
+            self.metrics.gc_programs += operation.relocated_pages
             self.metrics.gc_erases += 1
 
-    def _run_dftl_gc_if_needed(self) -> None:
-        for operation in self.dftl.collect_if_needed(self.events.now_us):
-            plane = self.dftl.planes[operation.plane_index]
-            for source, destination in zip(operation.relocations,
-                                           operation.destinations):
-                self._enqueue_gc_transaction(TransactionKind.GC_READ, source)
-                self._enqueue_gc_transaction(TransactionKind.GC_PROGRAM,
-                                             destination)
-                self.metrics.gc_programs += 1
-            self._issue_translation_ops(operation.translation_ops)
-            erase_target = PhysicalPage(plane.channel, plane.die, plane.plane,
-                                        operation.victim_block, 0)
-            self._enqueue_gc_transaction(TransactionKind.ERASE, erase_target)
-            self.metrics.gc_erases += 1
+    def _enqueue_block_work(self, operation: GcOperation) -> None:
+        """Schedule a collected or retired block's flash work, in order:
+        each relocation's read and program, the batched translation
+        updates, then the victim's erase."""
+        for source, destination in zip(operation.relocations,
+                                       operation.destinations):
+            self._enqueue_internal(TransactionKind.GC_READ, source)
+            self._enqueue_internal(TransactionKind.GC_PROGRAM, destination)
+        self._issue_translation_ops(operation.translation_ops)
+        plane = self.mapper.planes[operation.plane_index]
+        erase_target = PhysicalPage(plane.channel, plane.die, plane.plane,
+                                    operation.victim_block, 0)
+        self._enqueue_internal(TransactionKind.ERASE, erase_target)
 
-    def _enqueue_gc_transaction(self, kind: TransactionKind,
-                                physical: PhysicalPage) -> None:
+    def _enqueue_internal(self, kind: TransactionKind,
+                          physical: PhysicalPage) -> None:
+        """Enqueue controller-internal flash work (GC, erase, translation)."""
         transaction = FlashTransaction(
             kind=kind, lpn=None, channel=physical.channel, die=physical.die,
             plane=physical.plane, block=physical.block, page=physical.page,
             issue_us=self.events.now_us, request=None, physical=physical)
         self.schedulers[physical.die_key()].enqueue(transaction)
 
-
-RequestSource = Union[Iterable[HostRequest],
-                      Callable[[], Iterable[HostRequest]]]
-
-
-def _policy_streams(requests: RequestSource) -> Callable[[], Iterable[HostRequest]]:
-    """Normalize a request source into a per-policy stream factory.
-
-    Sequences are replayed directly — the simulator no longer mutates
-    caller-owned requests, so the same objects can serve every policy.
-    A bare iterator/generator can only be consumed once, so it is drained
-    into a list first; pass a zero-argument factory instead to keep a
-    multi-policy comparison fully streaming.
-    """
-    if callable(requests):
-        return requests
-    if isinstance(requests, Sequence):
-        return lambda: requests
-    materialized = list(requests)
-    return lambda: materialized
-
-
-def simulate_policies(policies: Iterable[Union[str, ReadRetryPolicy]],
-                      requests: RequestSource,
-                      config: SsdConfig = None,
-                      pe_cycles: int = 0,
-                      retention_months: float = 0.0,
-                      rpt: ReadTimingParameterTable = None
-                      ) -> Dict[str, SimulationResult]:
-    """Run the same workload against several policies.
-
-    :param requests: the request stream — a sequence of
-        :class:`HostRequest` objects (replayed as-is for every policy; the
-        simulator does not mutate them), a zero-argument factory returning a
-        fresh iterable per policy (the fully streaming option for large
-        traces), or a one-shot iterator (materialized once, then replayed).
-    """
-    results: Dict[str, SimulationResult] = {}
-    stream_factory = _policy_streams(requests)
-    shared_rpt = rpt or ReadTimingParameterTable.default()
-    for policy in policies:
-        simulator = SsdSimulator(config=config, policy=policy, rpt=shared_rpt)
-        simulator.precondition(pe_cycles=pe_cycles,
-                               retention_months=retention_months)
-        result = simulator.run(stream_factory())
-        results[result.policy_name] = result
-    return results

@@ -21,13 +21,15 @@ what a production device does instead, following the DFTL design:
   page, a P/E-cycle count and a last-write timestamp that feeds the
   retention age of its data — and free-block allocation is wear-leveled.
 
-Timing versus state: like :mod:`repro.ssd.gc`, mapping state is updated
-eagerly (the simulator tracks placement and age, not data contents) while
-the generated flash operations are returned to the controller, which
-schedules them for die time.  Retention ages stay on the experiment's
-month-granular lattice: the aging a block accrues *during* a simulated run
-(microseconds to seconds) rounds to zero whole months, so the retry-step
-grid keeps serving discrete (P/E, retention) conditions.
+Like the block-mapped FTL, :class:`DftlMapper` implements the
+:class:`~repro.ssd.ftl.Mapper` protocol the controller drives.  Mapping
+state is updated eagerly (the simulator tracks placement and age, not data
+contents) while the generated flash operations — translation traffic and
+:class:`~repro.ssd.gc.GcOperation` records — are returned to the
+controller, which schedules them for die time.  Retention ages stay on the
+experiment's month-granular lattice: the aging a block accrues *during* a
+simulated run (microseconds to seconds) rounds to zero whole months, so the
+retry-step grid keeps serving discrete (P/E, retention) conditions.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import PhysicalPage
+from repro.ssd.gc import GcOperation
 
 #: Append-point streams.  Each plane keeps one active block per stream so
 #: host writes, GC relocations and translation pages never interleave
@@ -96,24 +98,6 @@ class DftlBlock:
     @property
     def invalid_count(self) -> int:
         return self.next_free_page - self.valid_count
-
-
-@dataclass
-class DftlGcOperation:
-    """The flash work generated by collecting one victim block."""
-
-    plane_index: int
-    victim_block: int
-    #: Valid pages read out of the victim, and where each landed.
-    relocations: List[PhysicalPage] = field(default_factory=list)
-    destinations: List[PhysicalPage] = field(default_factory=list)
-    #: Batched translation-page updates (one read-modify-write per distinct
-    #: translation page covering the relocated LPNs).
-    translation_ops: List[TranslationOp] = field(default_factory=list)
-
-    @property
-    def relocated_pages(self) -> int:
-        return len(self.relocations)
 
 
 class DftlPlane:
@@ -220,10 +204,6 @@ class DftlPlane:
     def is_retired(self, block_id: int) -> bool:
         return block_id in self._retired
 
-    @property
-    def retired_count(self) -> int:
-        return len(self._retired)
-
     # -- GC victim selection -------------------------------------------------
     def gc_victim(self) -> Optional[int]:
         """Greedy victim: the full block with the fewest valid pages.
@@ -257,6 +237,9 @@ class DftlMapper:
     returns the :class:`TranslationOp` list its caller must schedule.
     """
 
+    #: A CMT miss on the read path reads a translation page.
+    reads_need_translation = True
+
     def __init__(self, config: SsdConfig):
         self.config = config
         self.planes: List[DftlPlane] = []
@@ -272,14 +255,14 @@ class DftlMapper:
         self._cmt: "OrderedDict[int, bool]" = OrderedDict()
         self._next_plane = 0
         self._next_trans_plane = 0
+        #: Preconditioned retention age of never-written LPNs a read maps.
+        self._cold_retention_months = 0.0
         # Statistics the controller folds into SimulationMetrics.
         self.cmt_hits = 0
         self.cmt_misses = 0
         self.translation_reads = 0
         self.translation_writes = 0
         self.gc_invocations = 0
-        self.gc_relocated_pages = 0
-        self.gc_erased_blocks = 0
 
     # -- addressing helpers --------------------------------------------------
     def tvpn_of(self, lpn: int) -> int:
@@ -297,22 +280,16 @@ class DftlMapper:
         plane = self.planes[plane_index]
         return PhysicalPage(plane.channel, plane.die, plane.plane, block, page)
 
-    def page_type_of(self, physical: PhysicalPage) -> PageType:
-        return PAGE_TYPE_ORDER[physical.page % len(PAGE_TYPE_ORDER)]
-
     def block_at(self, physical: PhysicalPage) -> DftlBlock:
         return self.plane_for(physical).blocks[physical.block]
 
-    def pe_cycles_of(self, physical: PhysicalPage) -> int:
-        return self.block_at(physical).pe_cycles
-
-    def retention_months_of(self, physical: PhysicalPage, now_us: float) -> float:
-        """Stored retention age plus whole months elapsed since the block's
-        last write — month-granular, so short runs keep the condition
-        lattice discrete for the retry-step grid."""
+    def read_condition(self, physical: PhysicalPage, now_us: float) -> Tuple[int, float]:
+        """``(pe_cycles, retention_months)``; the stored retention age plus
+        whole months elapsed since the block's last write — month-granular,
+        so short runs keep the condition lattice discrete for the grid."""
         block = self.block_at(physical)
         elapsed_months = int(max(0.0, now_us - block.last_write_us) / US_PER_MONTH)
-        return block.page_retention_months[physical.page] + elapsed_months
+        return block.pe_cycles, block.page_retention_months[physical.page] + elapsed_months
 
     def lookup_direct(self, lpn: int) -> Optional[PhysicalPage]:
         """Mapping lookup without touching the CMT (no timing side effects)."""
@@ -386,12 +363,18 @@ class DftlMapper:
         ops = self._ensure_cached(lpn, now_us)
         return self.lookup_direct(lpn), ops
 
+    def read_target(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, List[TranslationOp]]:
+        """Translate a host read; a never-written LPN is mapped now as cold data."""
+        physical, ops = self.lookup(lpn, now_us)
+        if physical is None:
+            physical, _, more = self.write(
+                lpn, retention_months=self._cold_retention_months, now_us=now_us
+            )
+            ops.extend(more)
+        return physical, ops
+
     def write(
-        self,
-        lpn: int,
-        retention_months: float = 0.0,
-        now_us: float = 0.0,
-        plane_index: Optional[int] = None,
+        self, lpn: int, retention_months: float = 0.0, now_us: float = 0.0
     ) -> Tuple[PhysicalPage, Optional[PhysicalPage], List[TranslationOp]]:
         """Map ``lpn`` to a newly allocated host-stream page.
 
@@ -402,13 +385,17 @@ class DftlMapper:
         old_physical = self.lookup_direct(lpn)
         if old_physical is not None:
             self.plane_for(old_physical).invalidate(old_physical.block, old_physical.page)
-        if plane_index is None:
-            plane_index = self._next_plane
-            self._next_plane = (self._next_plane + 1) % len(self.planes)
+        plane_index = self._next_plane
+        self._next_plane = (self._next_plane + 1) % len(self.planes)
         physical = self.planes[plane_index].allocate(HOST_STREAM, lpn, retention_months, now_us)
         self._mapping[lpn] = (plane_index, physical.block, physical.page)
         self._cmt[lpn] = True
         return physical, old_physical, ops
+
+    def program(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, List[TranslationOp]]:
+        """Map a host write of ``lpn`` to a fresh host-stream page."""
+        physical, _, ops = self.write(lpn, now_us=now_us)
+        return physical, ops
 
     def trim(self, lpn: int, now_us: float = 0.0) -> List[TranslationOp]:
         """Unmap ``lpn``, invalidating its page and persisting the unmap."""
@@ -446,6 +433,7 @@ class DftlMapper:
             raise ValueError("pe_cycles must be non-negative")
         if pages > self.config.logical_pages:
             raise ValueError("cannot precondition beyond the logical space")
+        self._cold_retention_months = retention_months
         for lpn in range(pages):
             plane_index = self._next_plane
             self._next_plane = (self._next_plane + 1) % len(self.planes)
@@ -468,9 +456,9 @@ class DftlMapper:
             plane.set_pe_cycles(pe_cycles)
 
     # -- garbage collection --------------------------------------------------
-    def collect_if_needed(self, now_us: float = 0.0) -> List[DftlGcOperation]:
+    def collect_if_needed(self, now_us: float = 0.0) -> List[GcOperation]:
         """Collect every plane below its trigger watermark up to the stop one."""
-        operations: List[DftlGcOperation] = []
+        operations: List[GcOperation] = []
         for plane_index, plane in enumerate(self.planes):
             if not plane.needs_gc():
                 continue
@@ -479,24 +467,18 @@ class DftlMapper:
                 victim = plane.gc_victim()
                 if victim is None:
                     break
-                operations.append(self._collect_block(plane_index, victim, now_us))
+                operations.append(self.collect_block(plane_index, victim, now_us))
         return operations
 
-    def _collect_block(self, plane_index: int, victim: int, now_us: float) -> DftlGcOperation:
-        operation = self._relocate_block(plane_index, victim, now_us)
-        self.gc_relocated_pages += operation.relocated_pages
-        self.gc_erased_blocks += 1
-        return operation
-
-    def retire_block(self, plane_index: int, block_id: int, now_us: float = 0.0) -> DftlGcOperation:
+    def retire_block(self, plane_index: int, block_id: int, now_us: float = 0.0) -> GcOperation:
         """Retire a grown-bad block, relocating any valid data first.
 
         The block is taken out of service *before* the relocation so no
         relocated page (or freshly opened append block) can land back in
-        it; the resulting :class:`DftlGcOperation` carries the flash work
+        it; the resulting :class:`GcOperation` carries the flash work
         (reads, programs, translation updates, final erase) the controller
         must schedule for die time.  Fault accounting is the caller's —
-        this path deliberately leaves the GC counters untouched.
+        this path leaves ``gc_invocations`` untouched.
         """
         plane = self.planes[plane_index]
         if plane.free_block_count == 0:
@@ -505,12 +487,13 @@ class DftlMapper:
                 "free blocks to absorb a retirement relocation"
             )
         plane.retire(block_id)
-        return self._relocate_block(plane_index, block_id, now_us)
+        return self.collect_block(plane_index, block_id, now_us)
 
-    def _relocate_block(self, plane_index: int, victim: int, now_us: float) -> DftlGcOperation:
+    def collect_block(self, plane_index: int, victim: int, now_us: float) -> GcOperation:
+        """Relocate ``victim``'s valid pages within its plane, then erase it."""
         plane = self.planes[plane_index]
         block = plane.blocks[victim]
-        operation = DftlGcOperation(plane_index=plane_index, victim_block=victim)
+        operation = GcOperation(plane_index=plane_index, victim_block=victim)
         is_translation = block.stream == TRANS_STREAM
         touched_tvpns = set()
         for page, valid in enumerate(block.page_valid):
@@ -520,7 +503,7 @@ class DftlMapper:
             source = PhysicalPage(plane.channel, plane.die, plane.plane, victim, page)
             # Relocated data keeps its stored retention age — copying a page
             # does not refresh the host's perception of the data, so cold
-            # pages stay cold across GC (same convention as repro.ssd.gc).
+            # pages stay cold across GC (same convention as the block FTL).
             retention = block.page_retention_months[page]
             if is_translation:
                 destination = plane.allocate(TRANS_STREAM, lpn, retention, now_us)
@@ -538,8 +521,6 @@ class DftlMapper:
             operation.translation_ops.extend(self._write_translation_page(tvpn, now_us))
             self._mark_tvpn_clean(tvpn)
         plane.erase(victim)
-        self.gc_relocated_pages += operation.relocated_pages
-        self.gc_erased_blocks += 1
         return operation
 
     # -- invariants (exercised by the property-based tests) ------------------

@@ -334,21 +334,16 @@ class FaultInjector:
         not deadlock).  Attempts are bounded so a saturated device ends the
         fault instead of spinning.
         """
-        dftl = self.simulator.dftl
-        if dftl is None:
-            raise RuntimeError(
-                "grown_bad_blocks requires the page-mapped FTL "
-                '(SsdConfig(mapping="page")); the block-mapping FTL has no '
-                "remap machinery")
+        planes = self.simulator.mapper.planes
         config = self.simulator.config
         threshold = config.gc_free_block_threshold
         retired = 0
         for _ in range(max(16, 8 * spec.blocks)):
             if retired >= spec.blocks:
                 break
-            plane_index = int(self._rng.integers(len(dftl.planes)))
+            plane_index = int(self._rng.integers(len(planes)))
             block_id = int(self._rng.integers(config.blocks_per_plane))
-            plane = dftl.planes[plane_index]
+            plane = planes[plane_index]
             if plane.is_retired(block_id):
                 continue
             if plane.free_block_count <= threshold + 1:

@@ -9,18 +9,28 @@ opens the free block with the lowest P/E-cycle count.
 The FTL also keeps the per-block metadata the read-retry study needs: the
 block's P/E-cycle count and, per page, the retention age of the stored data
 (pages written during preconditioning carry the experiment's cold-data
-retention age; pages rewritten at run time are fresh).
+retention age; pages rewritten at run time are fresh), and it collects
+garbage greedily (:meth:`FlashTranslationLayer.collect_if_needed`).
+
+:class:`Mapper` is the contract the controller drives an FTL through.  This
+flat-table FTL (``mapping="block"``) and the DFTL of :mod:`repro.ssd.dftl`
+(``mapping="page"``) both implement it, so the simulator picks one at
+construction and never asks which it got.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.ssd.config import SsdConfig
+from repro.ssd.gc import GcOperation
+
+if TYPE_CHECKING:
+    from repro.ssd.dftl import TranslationOp
 
 
 class PhysicalPage:
@@ -60,6 +70,57 @@ class PhysicalPage:
         return (f"PhysicalPage(channel={self.channel!r}, die={self.die!r}, "
                 f"plane={self.plane!r}, block={self.block!r}, "
                 f"page={self.page!r})")
+
+
+def page_type_of(physical: PhysicalPage) -> PageType:
+    """The page type (LSB/CSB/MSB) of a page, from its position in its block."""
+    return PAGE_TYPE_ORDER[physical.page % len(PAGE_TYPE_ORDER)]
+
+
+class Mapper(Protocol):
+    """What the controller needs from an FTL, whichever mapping it uses.
+
+    Mapping state changes eagerly; every call that causes flash work
+    returns it for the controller to schedule: translation-page operations
+    (always empty in block mode) or :class:`GcOperation` records.  Only
+    :class:`~repro.ssd.dftl.DftlMapper` retires grown bad blocks
+    (``retire_block``), so ``SsdSimulator.install_faults`` admits that fault
+    in page mode alone.
+    """
+
+    #: Per-plane state (``channel``/``die``/``plane``), indexed like
+    #: :attr:`GcOperation.plane_index`.
+    planes: Sequence
+    #: Whether a read may cost translation traffic (a cache miss); batched
+    #: read dispatch resolves a request's pages before enqueueing any.
+    reads_need_translation: bool
+    #: Planes found below their GC trigger; mapping-cache hits and misses.
+    gc_invocations: int
+    cmt_hits: int
+    cmt_misses: int
+
+    def precondition_fill(
+        self, pages: int, retention_months: float = 0.0, pe_cycles: int = 0
+    ) -> None:
+        """Fill LPNs ``0..pages-1`` with cold data and age every block."""
+
+    def read_target(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, Sequence[TranslationOp]]:
+        """Where a host read goes; a never-written LPN is mapped as cold data."""
+
+    def program(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, Sequence[TranslationOp]]:
+        """Map a host write of ``lpn`` to a freshly allocated page."""
+
+    def is_mapped(self, lpn: int) -> bool:
+        """Whether ``lpn`` currently maps to a page."""
+
+    def trim(self, lpn: int, now_us: float = 0.0) -> Sequence[TranslationOp]:
+        """Unmap ``lpn`` (host TRIM/discard); unmapped LPNs are a no-op."""
+
+    def read_condition(self, physical: PhysicalPage, now_us: float) -> Tuple[int, float]:
+        """``(pe_cycles, retention_months)`` a read of ``physical`` sees at ``now_us``."""
+
+    def collect_if_needed(self, now_us: float = 0.0) -> List[GcOperation]:
+        """Collect victim blocks on every plane below its GC trigger."""
 
 
 @dataclass
@@ -178,7 +239,13 @@ class PlaneManager:
 
 
 class FlashTranslationLayer:
-    """Page-level mapping FTL with channel-first striping."""
+    """Page-level mapping FTL with channel-first striping (a :class:`Mapper`)."""
+
+    #: The whole table sits in controller DRAM: reads never cost translation
+    #: traffic, and there is no mapping cache to hit or miss.
+    reads_need_translation = False
+    cmt_hits = 0
+    cmt_misses = 0
 
     def __init__(self, config: SsdConfig):
         self.config = config
@@ -189,10 +256,16 @@ class FlashTranslationLayer:
                     self.planes.append(PlaneManager(config, channel, die, plane))
         self._mapping: Dict[int, Tuple[int, int, int]] = {}
         self._next_plane = 0
+        self._dies_per_channel = config.dies_per_channel
+        self._planes_per_die = config.planes_per_die
+        #: Preconditioned condition of never-written LPNs a read maps.
+        self._cold_retention_months = 0.0
+        self._cold_pe_cycles = 0
+        self.gc_invocations = 0
 
     # -- lookups -----------------------------------------------------------------------
     def plane_index(self, channel: int, die: int, plane: int) -> int:
-        return (channel * self.config.dies_per_channel + die) * self.config.planes_per_die + plane
+        return (channel * self._dies_per_channel + die) * self._planes_per_die + plane
 
     def plane_for(self, physical: PhysicalPage) -> PlaneManager:
         return self.planes[self.plane_index(physical.channel, physical.die, physical.plane)]
@@ -206,20 +279,29 @@ class FlashTranslationLayer:
         plane = self.planes[plane_index]
         return PhysicalPage(plane.channel, plane.die, plane.plane, block, page)
 
+    def read_target(self, lpn: int, now_us: float = 0.0) -> Tuple[PhysicalPage, tuple]:
+        """Where a host read of ``lpn`` goes; reads cost no translation traffic.
+
+        A never-written LPN holds data written before the trace started: it
+        is mapped now, as preconditioned cold data.
+        """
+        physical = self.lookup(lpn)
+        if physical is None:
+            physical, _ = self.write(lpn, retention_months=self._cold_retention_months)
+            self.block_metadata(physical).pe_cycles = self._cold_pe_cycles
+        return physical, ()
+
     def is_mapped(self, lpn: int) -> bool:
         return lpn in self._mapping
-
-    def page_type_of(self, physical: PhysicalPage) -> PageType:
-        return PAGE_TYPE_ORDER[physical.page % len(PAGE_TYPE_ORDER)]
 
     def block_metadata(self, physical: PhysicalPage) -> BlockMetadata:
         return self.plane_for(physical).blocks[physical.block]
 
-    def retention_months_of(self, physical: PhysicalPage) -> float:
-        return self.block_metadata(physical).page_retention_months[physical.page]
-
-    def pe_cycles_of(self, physical: PhysicalPage) -> int:
-        return self.block_metadata(physical).pe_cycles
+    def read_condition(self, physical: PhysicalPage, now_us: float = 0.0) -> Tuple[int, float]:
+        """``(pe_cycles, retention_months)`` of ``physical``; blocks never age in-run."""
+        index = (physical.channel * self._dies_per_channel + physical.die) * self._planes_per_die
+        block = self.planes[index + physical.plane].blocks[physical.block]
+        return block.pe_cycles, block.page_retention_months[physical.page]
 
     # -- updates -------------------------------------------------------------------------
     def write(
@@ -242,18 +324,18 @@ class FlashTranslationLayer:
         self._mapping[lpn] = (plane_index, physical.block, physical.page)
         return physical, old_physical
 
-    def trim(self, lpn: int) -> bool:
-        """Unmap ``lpn`` (host TRIM/discard), invalidating its page.
+    def program(self, lpn: int, now_us: float = 0.0) -> Tuple[PhysicalPage, tuple]:
+        """Map a host write of ``lpn`` to a fresh page (no translation traffic)."""
+        physical, _ = self.write(lpn)
+        return physical, ()
 
-        :return: whether the LPN was mapped (a trim of a never-written or
-            already-trimmed page is a no-op).
-        """
+    def trim(self, lpn: int, now_us: float = 0.0) -> tuple:
+        """Unmap ``lpn`` (host TRIM/discard); unmapped LPNs are a no-op."""
         entry = self._mapping.pop(lpn, None)
-        if entry is None:
-            return False
-        plane_index, block, page = entry
-        self.planes[plane_index].invalidate(block, page)
-        return True
+        if entry is not None:
+            plane_index, block, page = entry
+            self.planes[plane_index].invalidate(block, page)
+        return ()
 
     def set_uniform_pe_cycles(self, pe_cycles: int) -> None:
         """Install the experiment's P/E-cycle count on every block."""
@@ -282,6 +364,8 @@ class FlashTranslationLayer:
                              f"logical space of {self.config.logical_pages}")
         if pe_cycles < 0:
             raise ValueError("pe_cycles must be non-negative")
+        self._cold_retention_months = retention_months
+        self._cold_pe_cycles = pe_cycles
         fresh = (not self._mapping and self._next_plane == 0
                  and all(plane._active_block is None
                          and not plane._filled_blocks
@@ -331,13 +415,43 @@ class FlashTranslationLayer:
         self._next_plane = pages % plane_count
         self.set_uniform_pe_cycles(pe_cycles)
 
+    # -- garbage collection --------------------------------------------------------------
+    def collect_if_needed(self, now_us: float = 0.0) -> List[GcOperation]:
+        """Collect one greedy victim per plane below its free-block threshold;
+        each such plane counts one invocation, victim or not."""
+        operations = []
+        for plane_index, plane in enumerate(self.planes):
+            if not plane.needs_gc():
+                continue
+            self.gc_invocations += 1
+            victim = plane.gc_victim()
+            if victim is not None:
+                operations.append(self.collect_block(plane_index, victim))
+        return operations
+
+    def collect_block(self, plane_index: int, victim: int) -> GcOperation:
+        """Relocate ``victim``'s valid pages within its plane, then erase it."""
+        plane = self.planes[plane_index]
+        block = plane.blocks[victim]
+        operation = GcOperation(plane_index=plane_index, victim_block=victim)
+        for page, lpn in enumerate(block.page_lpns):
+            if lpn is None:
+                continue
+            source = PhysicalPage(plane.channel, plane.die, plane.plane, victim, page)
+            retention = block.page_retention_months[page]
+            # Relocated data keeps its retention age: copying a page does not
+            # refresh the host's perception of the data, and the paper's cold
+            # pages stay cold even if GC moves them.  (Strictly, a re-program
+            # resets the physical retention clock; modelling it as retained
+            # keeps cold pages cold, which is the conservative choice for
+            # read-retry behaviour and matches the paper's per-page aging.)
+            destination, _ = self.write(lpn, retention_months=retention, plane_index=plane_index)
+            operation.relocations.append(source)
+            operation.destinations.append(destination)
+        plane.erase(victim)
+        return operation
+
     # -- statistics ----------------------------------------------------------------------
     @property
     def mapped_pages(self) -> int:
         return len(self._mapping)
-
-    def total_free_blocks(self) -> int:
-        return sum(plane.free_block_count for plane in self.planes)
-
-    def planes_needing_gc(self) -> List[int]:
-        return [index for index, plane in enumerate(self.planes) if plane.needs_gc()]

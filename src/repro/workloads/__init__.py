@@ -22,9 +22,9 @@ subpackage provides:
 * :mod:`repro.workloads.scenarios` — the adversarial access-pattern suite
   (snake sweeps, hot/cold zones, burst trains, in-stream control events).
 
-The historical free-function entry points (``generate_workload``,
-``iter_workload``, ``make_msrc_workload``, ``make_ycsb_workload``) are
-deprecated shims over the protocol; they warn and forward.
+A named Table 2 stream is ``catalog_workload(name, footprint_pages,
+seed=...).iter_requests(n)``, or ``repro.sim.WorkloadSpec(name=...)`` when
+the footprint should follow the device's logical size.
 """
 
 from repro.workloads.trace import (
@@ -42,8 +42,6 @@ from repro.workloads.catalog import (
     WORKLOAD_CATALOG,
     WorkloadSpec,
     catalog_workload,
-    generate_workload,
-    iter_workload,
     workload_names,
 )
 from repro.workloads.source import (
@@ -96,8 +94,6 @@ __all__ = [
     "WORKLOAD_CATALOG",
     "workload_names",
     "catalog_workload",
-    "generate_workload",
-    "iter_workload",
     "as_workload_source",
     "is_workload_source",
     "register_source",

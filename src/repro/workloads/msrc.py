@@ -9,9 +9,7 @@ requests and no particular popularity skew beyond the hot/cold split.
 
 from __future__ import annotations
 
-import warnings
-
-from repro.workloads.synthetic import SyntheticWorkload, WorkloadShape
+from repro.workloads.synthetic import WorkloadShape
 
 
 def msrc_shape(
@@ -28,30 +26,4 @@ def msrc_shape(
         sequential_fraction=0.35,
         zipf_theta=0.0,
         cold_region_fraction=0.6,
-    )
-
-
-def make_msrc_workload(
-    read_ratio: float,
-    cold_ratio: float,
-    footprint_pages: int,
-    seed: int = 0,
-    mean_interarrival_us: float = 300.0,
-) -> SyntheticWorkload:
-    """A ready-to-generate MSRC-style workload.
-
-    .. deprecated:: construct ``SyntheticWorkload(msrc_shape(...), ...)``
-        directly, or go through the unified source API
-        (``repro.sim.WorkloadSpec`` / ``repro.workloads.source``).
-    """
-    warnings.warn(
-        "make_msrc_workload is deprecated; use "
-        "SyntheticWorkload(msrc_shape(...), ...) or repro.sim.WorkloadSpec instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return SyntheticWorkload(
-        msrc_shape(read_ratio, cold_ratio, mean_interarrival_us),
-        footprint_pages=footprint_pages,
-        seed=seed,
     )

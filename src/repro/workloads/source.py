@@ -1,9 +1,8 @@
 """The unified ``WorkloadSource`` protocol and its serialization registry.
 
-The workload layer grew seven construction idioms over the first PRs —
-``generate_workload``/``iter_workload``, ``make_ycsb_workload``/
-``make_msrc_workload``, ``WorkloadSpec.build``/``.iter_requests``,
-``TenantMix``, ``ClosedLoopSource`` — and every new consumer (fleet
+The workload layer grew several construction idioms —
+``WorkloadSpec.build``/``.iter_requests``, ``TenantMix``,
+``ClosedLoopSource``, the scenario patterns — and every new consumer (fleet
 sharding, manifests, scenario wrappers) had to special-case each one.  This
 module collapses them behind one duck-typed protocol:
 

@@ -391,21 +391,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             runner_main(["run", "figure-zero"])
 
-    def test_legacy_interface_still_works(self, capsys, tmp_path):
-        out_file = tmp_path / "t.txt"
-        assert runner_main(["table1", "--out", str(out_file),
-                            "--no-cache"]) == 0
-        assert out_file.read_text().startswith("Table 1")
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-
-    def test_legacy_all_maps_to_paper_suite(self):
-        from repro.experiments.runner import _rewrite_legacy_argv
-
-        # The pre-registry "all" was the 11 paper artifacts, not the
-        # ablation studies the registry's "all" now includes.
-        assert _rewrite_legacy_argv(["all", "--fast"]) == [
-            "run", "paper", "--profile", "fast"]
+    def test_bare_experiment_name_is_a_usage_error(self, capsys):
+        # Every invocation names a subcommand: `table1` alone is rejected.
+        with pytest.raises(SystemExit) as excinfo:
+            runner_main(["table1", "--no-cache"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_malformed_set_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

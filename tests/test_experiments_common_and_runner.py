@@ -5,14 +5,12 @@ import json
 import pytest
 
 import repro
-from repro.experiments.common import (
+from repro.experiments.fig14 import (
     DEFAULT_CONDITION_GRID,
-    compare_policies,
     default_experiment_config,
-    normalize_grid,
-    run_workload_grid,
 )
 from repro.experiments.runner import main as runner_main
+from repro.sim.sweep import SweepRunner
 from repro.ssd.config import SsdConfig
 
 
@@ -33,21 +31,25 @@ class TestDefaultConfig:
         assert config.blocks_per_plane == 10
 
 
-class TestRunWorkloadGrid:
-    @pytest.fixture(scope="class")
-    def grid(self, default_rpt):
-        config = SsdConfig.tiny()
-        return run_workload_grid(("Baseline", "NoRR"), ("usr_1",),
-                                 conditions=((1000, 6.0),), num_requests=60,
-                                 config=config, rpt=default_rpt)
+class TestSweepGrid:
+    @staticmethod
+    def _sweep(workloads, conditions, num_requests, rpt):
+        runner = SweepRunner(config=SsdConfig.tiny(), rpt=rpt)
+        return runner.run(policies=("Baseline", "NoRR"), workloads=workloads,
+                          conditions=conditions, num_requests=num_requests)
 
-    def test_grid_structure(self, grid):
+    @pytest.fixture(scope="class")
+    def sweep(self, default_rpt):
+        return self._sweep(("usr_1",), ((1000, 6.0),), 60, default_rpt)
+
+    def test_grid_structure(self, sweep):
+        grid = sweep.to_grid()
         assert set(grid) == {"usr_1"}
         assert set(grid["usr_1"]) == {(1000, 6.0)}
         assert set(grid["usr_1"][(1000, 6.0)]) == {"Baseline", "NoRR"}
 
-    def test_normalize_grid_rows(self, grid):
-        rows = list(normalize_grid(grid))
+    def test_normalized_rows(self, sweep):
+        rows = sweep.rows
         assert len(rows) == 2
         baseline = next(row for row in rows if row["policy"] == "Baseline")
         norr = next(row for row in rows if row["policy"] == "NoRR")
@@ -57,9 +59,7 @@ class TestRunWorkloadGrid:
 
     def test_unknown_workload_rejected(self, default_rpt):
         with pytest.raises(KeyError):
-            run_workload_grid(("Baseline",), ("not-a-workload",),
-                              conditions=((0, 0.0),), num_requests=10,
-                              config=SsdConfig.tiny(), rpt=default_rpt)
+            self._sweep(("not-a-workload",), ((0, 0.0),), 10, default_rpt)
 
     def test_default_condition_grid_shape(self):
         assert len(DEFAULT_CONDITION_GRID) == 9
@@ -67,14 +67,7 @@ class TestRunWorkloadGrid:
         assert (2000, 12.0) in DEFAULT_CONDITION_GRID
 
 
-class TestComparePolicies:
-    def test_compare_policies_returns_means(self, tiny_ssd_config):
-        result = compare_policies(policies=("Baseline", "NoRR"),
-                                  num_requests=60, pe_cycles=1000,
-                                  retention_months=6.0,
-                                  config=tiny_ssd_config)
-        assert result["NoRR"] < result["Baseline"]
-
+class TestQuickComparison:
     def test_quick_ssd_comparison_wrapper(self):
         result = repro.quick_ssd_comparison(num_requests=60, seed=1)
         assert set(result) == {"Baseline", "PR2", "AR2", "PnAR2", "NoRR"}

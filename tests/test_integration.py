@@ -7,10 +7,24 @@ from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.condition import OperatingCondition
 from repro.nand.chip import NandChip
 from repro.nand.geometry import ChipGeometry
+from repro.sim import Simulation
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import simulate_policies
 from repro.ssd.metrics import normalized_response_times
-from repro.workloads import generate_workload
+from repro.workloads import catalog_workload
+
+
+def _compare(policies, config, name, num_requests, seed,
+             mean_interarrival_us, pe_cycles, retention_months, rpt):
+    """Run one catalog stream against several policies on fresh devices."""
+    footprint = int(config.logical_pages * 0.5)
+    run = (Simulation(config).policies(*policies)
+           .stream(lambda: catalog_workload(
+               name, footprint, seed=seed,
+               mean_interarrival_us=mean_interarrival_us
+           ).iter_requests(num_requests))
+           .condition(pec=pe_cycles, months=retention_months)
+           .rpt(rpt).run())
+    return dict(run.results)
 
 
 class TestQuickComparison:
@@ -47,16 +61,9 @@ class TestCharacterizationFeedsTheSimulator:
         rpt = build_rpt(platform)
         assert isinstance(rpt, ReadTimingParameterTable)
 
-        config = SsdConfig.tiny()
-        footprint = int(config.logical_pages * 0.5)
-
-        def requests():
-            return generate_workload("mds_1", 120, footprint, seed=9,
-                                     mean_interarrival_us=800.0)
-
-        results = simulate_policies(["Baseline", "PnAR2", "NoRR"], requests,
-                                    config=config, pe_cycles=2000,
-                                    retention_months=12.0, rpt=rpt)
+        results = _compare(["Baseline", "PnAR2", "NoRR"], SsdConfig.tiny(),
+                           "mds_1", 120, seed=9, mean_interarrival_us=800.0,
+                           pe_cycles=2000, retention_months=12.0, rpt=rpt)
         normalized = normalized_response_times(
             {name: result.metrics for name, result in results.items()})
         assert normalized["NoRR"] < normalized["PnAR2"] < 1.0
@@ -66,19 +73,12 @@ class TestImprovementGrowsWithAging:
     def test_pnar2_gain_larger_under_worse_conditions(self, default_rpt):
         """Section 7.2, third observation: the worse the operating condition,
         the larger the benefit of the proposed techniques."""
-        config = SsdConfig.tiny()
-        footprint = int(config.logical_pages * 0.5)
-
-        def requests():
-            return generate_workload("usr_1", 150, footprint, seed=4,
-                                     mean_interarrival_us=800.0)
-
         gains = []
         for pec, months in ((0, 1.0), (1000, 6.0), (2000, 12.0)):
-            results = simulate_policies(["Baseline", "PnAR2"], requests,
-                                        config=config, pe_cycles=pec,
-                                        retention_months=months,
-                                        rpt=default_rpt)
+            results = _compare(["Baseline", "PnAR2"], SsdConfig.tiny(),
+                               "usr_1", 150, seed=4,
+                               mean_interarrival_us=800.0, pe_cycles=pec,
+                               retention_months=months, rpt=default_rpt)
             normalized = normalized_response_times(
                 {name: result.metrics for name, result in results.items()})
             gains.append(1.0 - normalized["PnAR2"])
@@ -90,16 +90,10 @@ class TestWriteDominantWorkloadStillBenefits:
     def test_stg0_sees_read_side_improvement(self, default_rpt):
         """Section 7.2: even stg_0 (read ratio 0.15) benefits because its
         reads still suffer read-retry."""
-        config = SsdConfig.tiny()
-        footprint = int(config.logical_pages * 0.5)
-
-        def requests():
-            return generate_workload("stg_0", 200, footprint, seed=5,
-                                     mean_interarrival_us=500.0)
-
-        results = simulate_policies(["Baseline", "PnAR2"], requests,
-                                    config=config, pe_cycles=2000,
-                                    retention_months=6.0, rpt=default_rpt)
+        results = _compare(["Baseline", "PnAR2"], SsdConfig.tiny(), "stg_0",
+                           200, seed=5, mean_interarrival_us=500.0,
+                           pe_cycles=2000, retention_months=6.0,
+                           rpt=default_rpt)
         baseline_read = results["Baseline"].metrics.mean_response_time_us("read")
         pnar2_read = results["PnAR2"].metrics.mean_response_time_us("read")
         assert pnar2_read < baseline_read

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.sim import Condition, Simulation, WorkloadSpec
-from repro.workloads.catalog import generate_workload
+from repro.ssd.controller import SsdSimulator
+from repro.workloads.catalog import catalog_workload
 from repro.workloads.synthetic import WorkloadShape
 
 
@@ -46,9 +47,9 @@ class TestValueObjects:
         spec = WorkloadSpec(name="usr_1", num_requests=30, seed=5,
                             mean_interarrival_us=700.0)
         built = spec.build_requests(tiny_ssd_config)
-        expected = generate_workload(
-            "usr_1", 30, spec.footprint_pages(tiny_ssd_config), seed=5,
-            mean_interarrival_us=700.0)
+        expected = catalog_workload(
+            "usr_1", spec.footprint_pages(tiny_ssd_config), seed=5,
+            mean_interarrival_us=700.0).iter_requests(30)
         assert [(r.arrival_us, r.kind, r.start_lpn, r.page_count)
                 for r in built] == \
                [(r.arrival_us, r.kind, r.start_lpn, r.page_count)
@@ -119,7 +120,8 @@ class TestSimulationBuilder:
             Simulation(tiny_ssd_config).policy("NoRR").run()
 
     def test_explicit_requests_are_not_mutated(self, tiny_ssd_config):
-        requests = generate_workload("usr_1", 30, 2000, seed=2)
+        requests = list(catalog_workload("usr_1", 2000,
+                                         seed=2).iter_requests(30))
         run = (Simulation(tiny_ssd_config)
                .policies("Baseline", "NoRR")
                .requests(requests)
@@ -136,17 +138,16 @@ class TestSimulationBuilder:
                .run())
         assert run.result.metrics.host_writes > 0
 
-    def test_matches_legacy_simulate_policies(self, tiny_ssd_config,
-                                              default_rpt):
-        from repro.ssd.controller import simulate_policies
-
-        def factory():
-            return generate_workload("usr_1", 40, int(
-                tiny_ssd_config.logical_pages * 0.8), seed=0)
-
-        legacy = simulate_policies(("Baseline", "PnAR2"), factory,
-                                   config=tiny_ssd_config, pe_cycles=1000,
-                                   retention_months=6.0, rpt=default_rpt)
+    def test_matches_direct_simulator_runs(self, tiny_ssd_config,
+                                           default_rpt):
+        footprint = int(tiny_ssd_config.logical_pages * 0.8)
+        direct = {}
+        for policy in ("Baseline", "PnAR2"):
+            simulator = SsdSimulator(tiny_ssd_config, policy=policy,
+                                     rpt=default_rpt)
+            simulator.precondition(pe_cycles=1000, retention_months=6.0)
+            direct[policy] = simulator.run(catalog_workload(
+                "usr_1", footprint, seed=0).iter_requests(40))
         new = (Simulation(tiny_ssd_config)
                .policies("Baseline", "PnAR2")
                .workload("usr_1", n=40, seed=0)
@@ -154,5 +155,5 @@ class TestSimulationBuilder:
                .rpt(default_rpt)
                .run())
         for policy in ("Baseline", "PnAR2"):
-            assert new[policy].mean_response_time_us == \
-                legacy[policy].mean_response_time_us
+            assert new[policy].metrics.summary() == \
+                direct[policy].metrics.summary()

@@ -169,30 +169,6 @@ class TestValidation:
         assert result.cell("usr_1", 0, 0.0)["NoRR"].metrics.host_reads > 0
 
 
-class TestLegacyShims:
-    def test_run_workload_grid_warns_and_matches(self, tiny_config,
-                                                 default_rpt):
-        from repro.experiments.common import normalize_grid, run_workload_grid
-
-        with pytest.warns(DeprecationWarning):
-            grid = run_workload_grid(("Baseline", "NoRR"), ("usr_1",),
-                                     conditions=((1000, 6.0),),
-                                     num_requests=40, config=tiny_config,
-                                     rpt=default_rpt)
-        assert set(grid["usr_1"][(1000, 6.0)]) == {"Baseline", "NoRR"}
-        with pytest.warns(DeprecationWarning):
-            rows = list(normalize_grid(grid))
-        assert {row["policy"] for row in rows} == {"Baseline", "NoRR"}
-
-    def test_compare_policies_warns(self, tiny_config):
-        from repro.experiments.common import compare_policies
-
-        with pytest.warns(DeprecationWarning):
-            result = compare_policies(policies=("Baseline", "NoRR"),
-                                      num_requests=40, config=tiny_config)
-        assert result["NoRR"] < result["Baseline"]
-
-
 class TestMainSmoke:
     def test_python_m_repro_entry_point(self, capsys):
         from repro.__main__ import main

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SsdSimulator, simulate_policies
+from repro.sim import Simulation
+from repro.ssd.controller import SsdSimulator
 from repro.ssd.request import HostRequest, RequestKind
 
 
@@ -88,26 +89,22 @@ class TestPolicyBehaviour:
         assert by_name.policy.name == by_instance.policy.name == "PR2"
 
     def test_pnar2_beats_baseline_under_aging(self, config, default_rpt):
-        def requests():
-            return [read(i * 400.0, 7 * i % 200) for i in range(40)]
-
-        results = simulate_policies(["Baseline", "PnAR2", "NoRR"], requests,
-                                    config=config, pe_cycles=1000,
-                                    retention_months=6.0, rpt=default_rpt)
+        results = (Simulation(config).policies("Baseline", "PnAR2", "NoRR")
+                   .requests([read(i * 400.0, 7 * i % 200)
+                              for i in range(40)])
+                   .condition(pec=1000, months=6.0).rpt(default_rpt).run())
         baseline = results["Baseline"].mean_response_time_us
         pnar2 = results["PnAR2"].mean_response_time_us
         norr = results["NoRR"].mean_response_time_us
         assert norr < pnar2 < baseline
 
     def test_all_policies_identical_on_fresh_ssd(self, config, default_rpt):
-        def requests():
-            return [read(i * 500.0, i) for i in range(20)]
-
-        results = simulate_policies(["Baseline", "PR2", "PnAR2", "NoRR"],
-                                    requests, config=config, pe_cycles=0,
-                                    retention_months=0.0, rpt=default_rpt)
+        results = (Simulation(config)
+                   .policies("Baseline", "PR2", "PnAR2", "NoRR")
+                   .requests([read(i * 500.0, i) for i in range(20)])
+                   .condition(pec=0, months=0.0).rpt(default_rpt).run())
         means = {name: round(result.mean_response_time_us, 3)
-                 for name, result in results.items()}
+                 for name, result in results}
         assert len(set(means.values())) == 1
 
     def test_result_summary_contains_policy(self, config, default_rpt):
@@ -134,3 +131,16 @@ class TestGcIntegration:
         assert result.metrics.gc_programs >= 0
         # The device never runs out of free blocks (the run completes).
         assert result.metrics.host_writes == 800
+
+    def test_block_mode_reports_gc_invocations(self, default_rpt):
+        # Block GC collects at most one victim per plane below its trigger,
+        # and each such plane counts one invocation: erases never outnumber
+        # invocations.
+        config = SsdConfig.tiny(write_buffer_pages=16,
+                                gc_free_block_threshold=6)
+        simulator = SsdSimulator(config, policy="Baseline", rpt=default_rpt)
+        simulator.precondition(fill_fraction=0.7)
+        requests = [write(i * 30.0, i % 40) for i in range(800)]
+        metrics = simulator.run(requests).metrics
+        assert 0 < metrics.gc_erases <= metrics.gc_invocations
+        assert metrics.summary()["gc_invocations"] == metrics.gc_invocations

@@ -20,7 +20,7 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SimulationResult, SsdSimulator
 from repro.ssd.dftl import GC_STREAM, HOST_STREAM, TRANS_STREAM, DftlMapper
 from repro.ssd.metrics import SimulationMetrics
-from repro.workloads import generate_workload
+from repro.workloads import catalog_workload
 
 
 def small_config(**overrides) -> SsdConfig:
@@ -132,17 +132,20 @@ class TestGarbageCollection:
         config = small_config()
         mapper = DftlMapper(config)
         # Overwrite a tiny working set until the plane crosses the trigger.
-        invoked = False
+        collected = []
         for step in range(200):
             mapper.write(step % 6)
             operations = mapper.collect_if_needed()
             if operations:
-                invoked = True
+                collected.extend(operations)
                 assert mapper.planes[0].free_block_count >= \
                     config.gc_stop_free_blocks
-        assert invoked
-        assert mapper.gc_invocations > 0
-        assert mapper.gc_erased_blocks > 0
+        assert collected
+        assert 0 < mapper.gc_invocations <= len(collected)
+        assert all(operation.plane_index == 0 for operation in collected)
+        # Each operation erased its victim once: one P/E cycle apiece.
+        assert sum(block.pe_cycles for block in mapper.planes[0].blocks) \
+            == len(collected)
         mapper.check_consistency()
 
     def test_victim_is_full_block_with_fewest_valid_pages(self):
@@ -172,11 +175,11 @@ class TestGarbageCollection:
             mapper.write(lpn)
         victim_block = mapper.lookup_direct(0).block
         mapper.write(1)  # invalidates the victim's copy of LPN 1
-        operation = mapper._collect_block(0, victim_block, now_us=0.0)
+        operation = mapper.collect_block(0, victim_block, now_us=0.0)
         assert operation.relocated_pages == 3
         moved = mapper.lookup_direct(0)
         assert moved.block != victim_block
-        assert mapper.retention_months_of(moved, now_us=0.0) == 6.0
+        assert mapper.read_condition(moved, now_us=0.0) == (0, 6.0)
         mapper.check_consistency()
 
     def test_gc_batches_translation_updates(self):
@@ -187,7 +190,7 @@ class TestGarbageCollection:
         victim_block = mapper.lookup_direct(0).block
         mapper.trim(3, now_us=0.0)  # one invalid page in the victim
         before = mapper.translation_writes
-        operation = mapper._collect_block(0, victim_block, now_us=0.0)
+        operation = mapper.collect_block(0, victim_block, now_us=0.0)
         assert operation.relocated_pages == 3
         assert mapper.translation_writes == before + 1
         mapper.check_consistency()
@@ -201,7 +204,7 @@ class TestGarbageCollection:
         assert block.stream == TRANS_STREAM
         # Rewriting translation page 1 invalidates its copy in the victim.
         mapper._write_translation_page(1, now_us=0.0)
-        mapper._collect_block(0, victim_block, now_us=0.0)
+        mapper.collect_block(0, victim_block, now_us=0.0)
         relocated = mapper._physical(mapper._gtd[0])
         assert relocated.block != victim_block
         assert mapper.block_at(relocated).stream == TRANS_STREAM
@@ -313,7 +316,7 @@ class TestDftlStorms:
             mapper.collect_if_needed()
         for lpn, age in ages.items():
             physical = mapper.lookup_direct(lpn)
-            assert mapper.retention_months_of(physical, now_us=0.0) == age
+            assert mapper.read_condition(physical, now_us=0.0)[1] == age
 
 
 @pytest.fixture(scope="module")
@@ -330,8 +333,9 @@ def page_mode_result():
     simulator.precondition(pe_cycles=1000, retention_months=6.0,
                            fill_fraction=0.6)
     footprint = int(config.logical_pages * 0.5)
-    requests = generate_workload("stg_0", 300, footprint, seed=1,
-                                 mean_interarrival_us=500.0)
+    requests = list(catalog_workload("stg_0", footprint, seed=1,
+                                     mean_interarrival_us=500.0)
+                    .iter_requests(300))
     result = simulator.run(requests)
     return simulator, result
 
@@ -367,7 +371,7 @@ class TestPageModeIntegration:
 
     def test_mapper_state_is_consistent_after_run(self, page_mode_result):
         simulator, _ = page_mode_result
-        simulator.dftl.check_consistency()
+        simulator.mapper.check_consistency()
 
     def test_summary_surfaces_wear_columns(self, page_mode_result):
         _, result = page_mode_result

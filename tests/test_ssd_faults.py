@@ -133,7 +133,7 @@ class TestFaultInjector:
         simulator.run(_pattern().iter_requests(PAGE_CONFIG))
         assert simulator.metrics.grown_bad_blocks == 2
         assert simulator.metrics.fault_remapped_pages > 0
-        simulator.dftl.check_consistency()
+        simulator.mapper.check_consistency()
 
     def test_grown_bad_blocks_skip_on_starved_planes(self):
         # A 0.85 fill parks the free pool at the retirement guard; the
@@ -143,7 +143,7 @@ class TestFaultInjector:
             grown_bad_blocks(at_us=60_000.0, blocks=2),), seed=0))
         simulator.run(_pattern().iter_requests(PAGE_CONFIG))
         assert simulator.metrics.grown_bad_blocks == 0
-        simulator.dftl.check_consistency()
+        simulator.mapper.check_consistency()
 
     def test_grown_bad_blocks_require_page_mapping(self):
         simulator = SsdSimulator(SsdConfig.tiny())
@@ -167,7 +167,7 @@ class TestFaultInjector:
     def test_remap_never_loses_a_valid_page(self, seed, blocks):
         """No LPN mapped before a grown-bad retirement loses its data."""
         simulator = _page_simulator()
-        dftl = simulator.dftl
+        dftl = simulator.mapper
         mapped_before = set(dftl._mapping)
         simulator.install_faults(FaultPlan(faults=(
             grown_bad_blocks(at_us=0.0, blocks=blocks),), seed=seed))

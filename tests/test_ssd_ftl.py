@@ -4,7 +4,7 @@ import pytest
 
 from repro.nand.geometry import PageType
 from repro.ssd.config import SsdConfig
-from repro.ssd.ftl import FlashTranslationLayer
+from repro.ssd.ftl import FlashTranslationLayer, page_type_of
 
 
 @pytest.fixture()
@@ -48,20 +48,20 @@ class TestMapping:
 
     def test_page_type_cycles(self, ftl):
         physical, _ = ftl.write(0, plane_index=0)
-        assert ftl.page_type_of(physical) in PageType
+        assert page_type_of(physical) in PageType
 
 
 class TestBlockMetadata:
     def test_retention_recorded_per_page(self, ftl):
         physical, _ = ftl.write(1, retention_months=9.0)
-        assert ftl.retention_months_of(physical) == 9.0
+        assert ftl.read_condition(physical) == (0, 9.0)
         fresh, _ = ftl.write(2, retention_months=0.0)
-        assert ftl.retention_months_of(fresh) == 0.0
+        assert ftl.read_condition(fresh) == (0, 0.0)
 
     def test_uniform_pe_cycles(self, ftl):
         ftl.set_uniform_pe_cycles(1500)
         physical, _ = ftl.write(0)
-        assert ftl.pe_cycles_of(physical) == 1500
+        assert ftl.read_condition(physical) == (1500, 0.0)
         with pytest.raises(ValueError):
             ftl.set_uniform_pe_cycles(-1)
 

@@ -7,48 +7,52 @@ from repro.nand.geometry import PageType
 from repro.ssd.config import SsdConfig
 from repro.ssd.flash_backend import FlashBackend
 from repro.ssd.ftl import FlashTranslationLayer, PhysicalPage
-from repro.ssd.gc import GarbageCollector
 from repro.ssd.write_buffer import WriteBuffer
 
 
-class TestGarbageCollector:
+class TestBlockGarbageCollection:
     @pytest.fixture()
     def ftl(self):
         return FlashTranslationLayer(SsdConfig.tiny())
 
     def test_collects_and_relocates_valid_pages(self, ftl):
-        gc = GarbageCollector(ftl)
         pages_per_block = ftl.config.pages_per_block
         for lpn in range(pages_per_block):
             ftl.write(lpn, plane_index=0, retention_months=6.0)
         # Invalidate half the block by rewriting elsewhere.
         for lpn in range(0, pages_per_block, 2):
             ftl.write(lpn, plane_index=1)
-        operation = gc.collect_plane(0)
-        assert operation is not None
+        plane = ftl.planes[0]
+        operation = ftl.collect_block(0, plane.gc_victim())
         assert operation.relocated_pages == pages_per_block // 2
+        assert operation.translation_ops == []
         # Relocated cold pages keep their retention age.
         for destination in operation.destinations:
-            assert ftl.retention_months_of(destination) == 6.0
+            assert ftl.read_condition(destination)[1] == 6.0
         # The victim block is free again.
-        plane = ftl.planes[0]
         assert plane.blocks[operation.victim_block].valid_count == 0
-        assert gc.stats.erased_blocks == 1
-        assert gc.stats.relocated_pages == operation.relocated_pages
 
-    def test_collect_plane_without_candidates(self, ftl):
-        gc = GarbageCollector(ftl)
-        assert gc.collect_plane(0) is None
+    def test_plane_without_candidates_has_no_victim(self, ftl):
+        assert ftl.planes[0].gc_victim() is None
 
     def test_collect_if_needed_only_when_below_threshold(self, ftl):
-        gc = GarbageCollector(ftl)
-        assert gc.collect_if_needed() == []
+        assert ftl.collect_if_needed() == []
+        assert ftl.gc_invocations == 0
 
-    def test_write_amplification(self, ftl):
-        gc = GarbageCollector(ftl)
-        assert gc.stats.write_amplification(0) == 1.0
-        gc.stats.relocated_pages = 50
-        assert gc.stats.write_amplification(100) == pytest.approx(1.5)
+    def test_each_plane_below_threshold_counts_one_invocation(self, ftl):
+        # Fill plane 0 until its free pool drops below the trigger, and
+        # rewrite its first block's data elsewhere: a fully invalid victim.
+        plane = ftl.planes[0]
+        lpn = 0
+        while not plane.needs_gc():
+            ftl.write(lpn, plane_index=0)
+            lpn += 1
+        for rewrite in range(ftl.config.pages_per_block):
+            ftl.write(rewrite, plane_index=1)
+        operations = ftl.collect_if_needed()
+        assert ftl.gc_invocations == 1
+        assert [operation.plane_index for operation in operations] == [0]
+        assert operations[0].relocated_pages == 0
 
 
 class TestWriteBuffer:

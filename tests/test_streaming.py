@@ -5,10 +5,9 @@ import pytest
 from repro.core.rpt import ReadTimingParameterTable
 from repro.sim import Simulation
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SsdSimulator, simulate_policies
+from repro.ssd.controller import SsdSimulator
 from repro.ssd.request import HostRequest, RequestKind
-from repro.workloads import generate_workload, iter_workload
-from repro.workloads.catalog import WORKLOAD_CATALOG
+from repro.workloads.catalog import WORKLOAD_CATALOG, catalog_workload
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +24,19 @@ def _footprint(config):
     return int(config.logical_pages * 0.5)
 
 
+def _stream(name, num_requests, footprint, seed=0,
+            mean_interarrival_us=None):
+    """A named Table 2 stream, drawn lazily."""
+    return catalog_workload(name, footprint, seed=seed,
+                            mean_interarrival_us=mean_interarrival_us
+                            ).iter_requests(num_requests)
+
+
+def _requests(*args, **kwargs):
+    """The same stream, materialized."""
+    return list(_stream(*args, **kwargs))
+
+
 def _run(config, rpt, requests, **kwargs):
     simulator = SsdSimulator(config, policy="PnAR2", rpt=rpt)
     simulator.precondition(pe_cycles=1000, retention_months=6.0)
@@ -36,18 +48,18 @@ class TestGeneratorInjection:
         footprint = _footprint(config)
         args = ("YCSB-C", 300, footprint)
         kwargs = {"seed": 1, "mean_interarrival_us": 500.0}
-        from_list = _run(config, rpt, generate_workload(*args, **kwargs))
-        from_generator = _run(config, rpt, iter_workload(*args, **kwargs))
+        from_list = _run(config, rpt, _requests(*args, **kwargs))
+        from_generator = _run(config, rpt, _stream(*args, **kwargs))
         assert from_list.metrics.summary() == from_generator.metrics.summary()
         assert from_list.metrics.read_latency == \
             from_generator.metrics.read_latency
         assert from_list.metrics.mean_response_time_us() == \
             from_generator.metrics.mean_response_time_us()
 
-    def test_iter_workload_draws_identical_requests(self, config):
+    def test_iter_requests_draws_identical_requests(self, config):
         footprint = _footprint(config)
-        generated = generate_workload("usr_1", 100, footprint, seed=7)
-        streamed = list(iter_workload("usr_1", 100, footprint, seed=7))
+        generated = catalog_workload("usr_1", footprint, seed=7).generate(100)
+        streamed = list(_stream("usr_1", 100, footprint, seed=7))
         assert [(r.arrival_us, r.kind, r.start_lpn, r.page_count)
                 for r in generated] == \
             [(r.arrival_us, r.kind, r.start_lpn, r.page_count)
@@ -56,7 +68,7 @@ class TestGeneratorInjection:
     def test_every_catalog_workload_streams(self, config):
         footprint = _footprint(config)
         for name in WORKLOAD_CATALOG:
-            first = next(iter_workload(name, 5, footprint, seed=0))
+            first = next(_stream(name, 5, footprint, seed=0))
             assert first.arrival_us >= 0.0
 
     def test_interleaved_iterators_stay_independent(self, config):
@@ -76,7 +88,7 @@ class TestGeneratorInjection:
         # The generator split keeps validation eager: errors surface where
         # the stream is built, not on first pull inside the pump.
         with pytest.raises(ValueError, match="num_requests"):
-            iter_workload("usr_1", 0, _footprint(config))
+            _stream("usr_1", 0, _footprint(config))
 
 
 class TestBoundedLookahead:
@@ -89,8 +101,8 @@ class TestBoundedLookahead:
         observed = {"max_scheduled": 0, "max_events": 0}
 
         def probed_stream():
-            for request in iter_workload("usr_1", 2000, footprint, seed=3,
-                                         mean_interarrival_us=300.0):
+            for request in _stream("usr_1", 2000, footprint, seed=3,
+                                   mean_interarrival_us=300.0):
                 observed["max_scheduled"] = max(
                     observed["max_scheduled"], simulator._scheduled_arrivals)
                 observed["max_events"] = max(observed["max_events"],
@@ -107,7 +119,7 @@ class TestBoundedLookahead:
 
     def test_unsorted_list_is_sorted_up_front(self, config, rpt):
         footprint = _footprint(config)
-        requests = generate_workload("usr_1", 50, footprint, seed=2)
+        requests = _requests("usr_1", 50, footprint, seed=2)
         shuffled = list(reversed(requests))
         from_sorted = _run(config, rpt, requests)
         from_shuffled = _run(config, rpt, shuffled)
@@ -149,7 +161,7 @@ class TestBoundedLookahead:
 class TestNoCallerMutation:
     def test_requests_unchanged_after_run(self, config, rpt):
         footprint = _footprint(config)
-        requests = generate_workload("usr_1", 60, footprint, seed=5)
+        requests = _requests("usr_1", 60, footprint, seed=5)
         before = [(r.arrival_us, r.kind, r.start_lpn, r.page_count,
                    r.completion_us, r.pending_pages) for r in requests]
         _run(config, rpt, requests)
@@ -159,50 +171,37 @@ class TestNoCallerMutation:
 
     def test_same_list_replays_identically(self, config, rpt):
         footprint = _footprint(config)
-        requests = generate_workload("YCSB-B", 80, footprint, seed=6)
+        requests = _requests("YCSB-B", 80, footprint, seed=6)
         first = _run(config, rpt, requests)
         second = _run(config, rpt, requests)
         assert first.metrics.summary() == second.metrics.summary()
 
-    def test_simulate_policies_accepts_plain_sequence(self, config, rpt):
+    def test_policies_replay_one_plain_sequence(self, config, rpt):
         footprint = _footprint(config)
-        requests = generate_workload("usr_1", 80, footprint, seed=4,
-                                     mean_interarrival_us=800.0)
-        results = simulate_policies(["Baseline", "PnAR2"], requests,
-                                    config=config, pe_cycles=1000,
-                                    retention_months=6.0, rpt=rpt)
-        assert results["PnAR2"].mean_response_time_us < \
-            results["Baseline"].mean_response_time_us
+        requests = _requests("usr_1", 80, footprint, seed=4,
+                             mean_interarrival_us=800.0)
+        run = (Simulation(config).policies("Baseline", "PnAR2")
+               .requests(requests).condition(pec=1000, months=6.0)
+               .rpt(rpt).run())
+        assert run["PnAR2"].mean_response_time_us < \
+            run["Baseline"].mean_response_time_us
 
-    def test_simulate_policies_factory_matches_sequence(self, config, rpt):
+    def test_multi_policy_factory_matches_sequence(self, config, rpt):
         footprint = _footprint(config)
 
         def factory():
-            return iter_workload("usr_1", 80, footprint, seed=4,
-                                 mean_interarrival_us=800.0)
+            return _stream("usr_1", 80, footprint, seed=4,
+                           mean_interarrival_us=800.0)
 
-        streaming = simulate_policies(["Baseline", "PnAR2"], factory,
-                                      config=config, pe_cycles=1000,
-                                      retention_months=6.0, rpt=rpt)
-        materialized = simulate_policies(
-            ["Baseline", "PnAR2"], list(factory()), config=config,
-            pe_cycles=1000, retention_months=6.0, rpt=rpt)
+        def run(simulation):
+            return (simulation.policies("Baseline", "PnAR2")
+                    .condition(pec=1000, months=6.0).rpt(rpt).run())
+
+        streaming = run(Simulation(config).stream(factory))
+        materialized = run(Simulation(config).requests(list(factory())))
         for policy in ("Baseline", "PnAR2"):
             assert streaming[policy].metrics.summary() == \
                 materialized[policy].metrics.summary()
-
-    def test_simulate_policies_materializes_bare_iterator(self, config, rpt):
-        footprint = _footprint(config)
-        iterator = iter_workload("usr_1", 60, footprint, seed=4,
-                                 mean_interarrival_us=800.0)
-        results = simulate_policies(["Baseline", "NoRR"], iterator,
-                                    config=config, pe_cycles=1000,
-                                    retention_months=6.0, rpt=rpt)
-        # Both policies saw the full stream even though the iterator is
-        # one-shot (it is drained once, then replayed).
-        reads = {name: result.metrics.host_reads
-                 for name, result in results.items()}
-        assert reads["Baseline"] == reads["NoRR"] > 0
 
 
 class TestSessionStreaming:
@@ -210,8 +209,8 @@ class TestSessionStreaming:
         footprint = _footprint(tiny_ssd_config)
 
         def factory():
-            return iter_workload("usr_1", 60, footprint, seed=1,
-                                 mean_interarrival_us=700.0)
+            return _stream("usr_1", 60, footprint, seed=1,
+                           mean_interarrival_us=700.0)
 
         streamed = (Simulation(tiny_ssd_config)
                     .policy("PnAR2")
@@ -233,7 +232,7 @@ class TestSessionStreaming:
 
     def test_shared_exhausted_iterator_rejected(self, tiny_ssd_config):
         footprint = _footprint(tiny_ssd_config)
-        shared = iter_workload("usr_1", 40, footprint, seed=1)
+        shared = _stream("usr_1", 40, footprint, seed=1)
         with pytest.raises(ValueError, match="same exhausted iterator"):
             (Simulation(tiny_ssd_config)
              .policies("Baseline", "NoRR")
@@ -242,7 +241,7 @@ class TestSessionStreaming:
 
     def test_rewrapped_shared_iterator_rejected(self, tiny_ssd_config):
         footprint = _footprint(tiny_ssd_config)
-        shared = iter_workload("usr_1", 40, footprint, seed=1)
+        shared = _stream("usr_1", 40, footprint, seed=1)
         # Each call returns a fresh generator object, defeating the identity
         # guard — the completed-count consistency check must still catch it.
         with pytest.raises(ValueError, match="different request counts"):

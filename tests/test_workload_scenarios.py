@@ -1,4 +1,4 @@
-"""Adversarial scenarios, the WorkloadSource protocol and deprecation shims."""
+"""Adversarial scenarios and the WorkloadSource protocol."""
 
 import warnings
 
@@ -6,12 +6,7 @@ import pytest
 
 from repro.ssd.config import SsdConfig
 from repro.ssd.request import RequestKind
-from repro.workloads.catalog import (
-    catalog_workload,
-    generate_workload,
-    iter_workload,
-)
-from repro.workloads.msrc import make_msrc_workload
+from repro.workloads.catalog import catalog_workload
 from repro.workloads.scenarios import (
     PATTERNS,
     BurstTrain,
@@ -30,7 +25,6 @@ from repro.workloads.source import (
     source_kinds,
     source_to_dict,
 )
-from repro.workloads.ycsb import make_ycsb_workload
 
 CONFIG = SsdConfig.tiny()
 
@@ -215,34 +209,8 @@ class TestSourceProtocol:
             as_workload_source(42)
 
 
-# -- deprecated entry points ---------------------------------------------------
-class TestDeprecatedShims:
-    def test_generate_workload_warns_and_matches_catalog_path(self):
-        with pytest.warns(DeprecationWarning, match="generate_workload"):
-            legacy = list(generate_workload("usr_1", num_requests=30,
-                                            footprint_pages=256, seed=2))
-        fresh = list(catalog_workload("usr_1", footprint_pages=256,
-                                      seed=2).iter_requests(30))
-        assert [_key(r) for r in legacy] == [_key(r) for r in fresh]
-
-    def test_iter_workload_warns(self):
-        with pytest.warns(DeprecationWarning, match="iter_workload"):
-            stream = list(iter_workload("usr_1", num_requests=10,
-                                        footprint_pages=128, seed=0))
-        assert len(stream) == 10
-
-    def test_make_ycsb_workload_warns(self):
-        with pytest.warns(DeprecationWarning, match="make_ycsb_workload"):
-            workload = make_ycsb_workload(0.5, 0.3, footprint_pages=128,
-                                          seed=0)
-        assert len(list(workload.iter_requests(5))) == 5
-
-    def test_make_msrc_workload_warns(self):
-        with pytest.warns(DeprecationWarning, match="make_msrc_workload"):
-            workload = make_msrc_workload(0.9, 0.5, footprint_pages=128,
-                                          seed=0)
-        assert len(list(workload.iter_requests(5))) == 5
-
+# -- catalog entry point -------------------------------------------------------
+class TestCatalogEntryPoint:
     def test_catalog_workload_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -9,7 +9,7 @@ from repro.workloads import (
     SyntheticWorkload,
     WORKLOAD_CATALOG,
     WorkloadShape,
-    generate_workload,
+    catalog_workload,
     read_msrc_csv,
     records_to_requests,
     workload_names,
@@ -146,8 +146,9 @@ class TestCatalog:
         assert not WORKLOAD_CATALOG["hm_0"].read_dominant
         assert WORKLOAD_CATALOG["prn_1"].read_dominant
 
-    def test_generate_workload(self):
-        requests = generate_workload("YCSB-B", 200, footprint_pages=4096, seed=1)
+    def test_catalog_workload(self):
+        requests = list(catalog_workload("YCSB-B", footprint_pages=4096,
+                                         seed=1).iter_requests(200))
         assert len(requests) == 200
         reads = sum(1 for request in requests
                     if request.kind is RequestKind.READ)
@@ -155,7 +156,7 @@ class TestCatalog:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
-            generate_workload("nope", 10, 4096)
+            catalog_workload("nope", 4096)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
