@@ -11,6 +11,10 @@ Wraps ``pytest-benchmark`` so that performance tracking is one command:
 * streams a 200k-request synthetic trace through the simulator in a child
   process and records its **peak RSS** alongside the wall time (the
   streaming core's fixed-memory promise, gated like a time regression),
+* times serial fleet runs of 8, 32 and 128 tiny devices with a fixed number
+  of requests per device in a child process and records the **per-device
+  cost** of each (the fleet scaling curve: flat when a fleet run costs
+  O(devices); recorded, not gated),
 * compares the hot-path means against a committed baseline
   (``benchmarks/baseline.json``) and exits non-zero when any benchmark
   regressed by more than ``--max-regression`` (CI's perf gate),
@@ -58,6 +62,10 @@ SUITES = {
 #: up as tens of MiB of extra RSS, small enough to finish in seconds.
 MEMORY_MICRO_REQUESTS = 200_000
 MEMORY_MICRO_NAME = "stream_synthetic_200k"
+
+#: Fleet sizes of the scaling curve, and the array requests per device.
+FLEET_SCALING_DEVICES = (8, 32, 128)
+FLEET_SCALING_REQUESTS_PER_DEVICE = 50
 
 
 def git_revision() -> str:
@@ -217,6 +225,67 @@ def run_memory_micro() -> dict:
     return json.loads(completed.stdout)
 
 
+def _fleet_scaling_child() -> int:
+    """Probe body: time one serial fleet run per size, print JSON to stdout.
+
+    Every size runs ``usr_1`` at a fixed number of requests per device on
+    half-full ``SsdConfig.tiny()`` devices, in-process, so the per-device
+    cost stays flat as the fleet grows unless something in a fleet run
+    scales with devices x requests.  An untimed run first fills the
+    process-wide retry-grid and RPT caches, which every size would
+    otherwise pay for differently.
+    """
+    import time
+
+    from repro.sim.fleet import FleetRunner, FleetSpec
+    from repro.sim.spec import Condition, WorkloadSpec
+    from repro.ssd.config import SsdConfig
+
+    def run(devices: int):
+        fleet = FleetSpec(
+            devices=devices,
+            config=SsdConfig.tiny(),
+            condition=Condition(pe_cycles=1000, retention_months=6.0, fill_fraction=0.5),
+        )
+        workload = WorkloadSpec(
+            name="usr_1", num_requests=FLEET_SCALING_REQUESTS_PER_DEVICE * devices, seed=0
+        )
+        started = time.perf_counter()
+        result = FleetRunner(fleet, processes=1).run(workload, policies="PnAR2").result
+        return time.perf_counter() - started, result.merged
+
+    run(FLEET_SCALING_DEVICES[0])
+    curve = {}
+    for devices in FLEET_SCALING_DEVICES:
+        wall_s, merged = run(devices)
+        curve[str(devices)] = {
+            "devices": devices,
+            "requests_per_device": FLEET_SCALING_REQUESTS_PER_DEVICE,
+            "wall_s": wall_s,
+            "per_device_ms": wall_s / devices * 1e3,
+            "sub_requests": merged.host_reads + merged.host_writes,
+        }
+    print(json.dumps(curve))
+    return 0
+
+
+def run_fleet_scaling() -> dict:
+    """Run the fleet scaling curve in a child process."""
+    completed = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--fleet-scaling-child"],
+        cwd=REPO_ROOT,
+        env=_subprocess_env(),
+        capture_output=True,
+        text=True,
+    )
+    if completed.returncode != 0:
+        raise SystemExit(
+            f"error: the fleet scaling curve failed (exit {completed.returncode}); "
+            f"its stderr follows:\n{completed.stderr}"
+        )
+    return json.loads(completed.stdout)
+
+
 def summarize(report: dict, suite: str) -> dict:
     """Reduce the pytest-benchmark report to the trajectory schema."""
     benchmarks = {}
@@ -346,6 +415,13 @@ def print_report(snapshot: dict, baseline: dict | None) -> None:
             f"{label.ljust(width)}  {peak_mib:9.1f}MiB  {delta:>12}  "
             f"({stats['requests']} requests in {stats['wall_s']:.1f}s"
             f"{grew_text})"
+        )
+    for point in sorted((snapshot.get("fleet_scaling") or {}).values(),
+                        key=lambda point: point["devices"]):
+        label = f"fleet_scaling:{point['devices']}"
+        print(
+            f"{label.ljust(width)}  {point['per_device_ms']:7.1f}ms/dev  {'not gated':>12}  "
+            f"({point['sub_requests']} sub-requests in {point['wall_s']:.2f}s)"
         )
 
 
@@ -496,6 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=argparse.SUPPRESS,  # internal: probe body run in a child process
     )
     parser.add_argument(
+        "--fleet-scaling-child",
+        action="store_true",
+        help=argparse.SUPPRESS,  # internal: scaling-curve body run in a child process
+    )
+    parser.add_argument(
         "--update-baseline",
         action="store_true",
         help="write the snapshot as the new baseline",
@@ -512,6 +593,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.memory_child:
         return _memory_child()
+    if args.fleet_scaling_child:
+        return _fleet_scaling_child()
 
     if not args.no_memory:
         # Fail fast, before the (minutes-long) pytest benchmark run, where
@@ -526,6 +609,11 @@ def main(argv=None) -> int:
             "the peak-memory micro ..."
         )
         snapshot["memory"] = {MEMORY_MICRO_NAME: run_memory_micro()}
+    print(
+        f"timing serial fleet runs of {'/'.join(map(str, FLEET_SCALING_DEVICES))} "
+        "devices for the fleet scaling curve ..."
+    )
+    snapshot["fleet_scaling"] = run_fleet_scaling()
 
     output = args.output
     if output is None:

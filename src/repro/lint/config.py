@@ -12,7 +12,8 @@ The linter is configured from the ``[tool.repro-lint]`` table of
 * ``experiments-doc`` / ``experiments-package`` — the documentation file and
   package the ``experiment-registration-sync`` rule keeps in sync;
 * ``pool-entry-points`` — callable names treated as process-pool fan-out
-  primitives by ``pickle-safe-pool``;
+  primitives by ``pickle-safe-pool`` and ``no-dict-order-across-pool``
+  (default ``pool_map`` and ``map``, the latter covering ``WorkerPool.map``);
 * per-rule ``[tool.repro-lint.rules.<rule>]`` tables with an ``allow`` list
   of paths where that one rule is skipped.
 
@@ -64,7 +65,7 @@ class LintConfig:
     rule_allow: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
     experiments_doc: str = "EXPERIMENTS.md"
     experiments_package: str = "src/repro/experiments"
-    pool_entry_points: Tuple[str, ...] = ("pool_map",)
+    pool_entry_points: Tuple[str, ...] = ("pool_map", "map")
 
     @classmethod
     def load(cls, root: Path, pyproject: Optional[Path] = None) -> "LintConfig":

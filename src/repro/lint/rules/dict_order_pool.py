@@ -19,9 +19,9 @@ worker's dict-typed parameters:
 
 A *worker* is any callable handed as the first argument to a configured pool
 entry point (``pool-entry-points`` in ``[tool.repro-lint]``, default
-``pool_map``), directly or through ``functools.partial``.  Wrapping the
-iteration in ``sorted(...)`` — or any other order-insensitive consumer —
-is the canonical fix and is not flagged.
+``pool_map`` and ``map``), directly or through ``functools.partial``.
+Wrapping the iteration in ``sorted(...)`` — or any other order-insensitive
+consumer — is the canonical fix and is not flagged.
 """
 
 from __future__ import annotations

@@ -12,11 +12,14 @@ the array sustain under a p99 SLO?".  This module answers both:
   heterogeneously aged fleets);
 * :class:`FleetRunner` — shards any array-level workload (a
   :class:`~repro.sim.spec.WorkloadSpec`, a multi-tenant
-  :class:`~repro.workloads.tenants.TenantMix`, or an explicit request list)
-  across per-device :class:`~repro.ssd.controller.SsdSimulator` instances
-  via the striping router.  Every device worker regenerates its own shard
-  from the spec, so nothing is materialized in the parent and
-  ``processes=N`` is bitwise-identical to serial;
+  :class:`~repro.workloads.tenants.TenantMix`, a registered workload source,
+  or an explicit request list) across per-device
+  :class:`~repro.ssd.controller.SsdSimulator` instances via the striping
+  router.  The parent generates the array stream once per shard of devices
+  and routes it in one pass into per-device sub-request lists; each device
+  worker simulates only its own list, so a shard costs one stream's
+  generation however many devices it holds, and ``processes=N`` is
+  bitwise-identical to serial;
 * :class:`FleetResult` — array-level metrics from
   :meth:`~repro.ssd.metrics.LatencyHistogram.merge`: overall and per-tenant
   p50/p99/p999, per-device utilization skew;
@@ -37,7 +40,9 @@ tractable):
 * **Sharded streaming execution** — devices are dispatched in bounded
   shards (``shard_devices``, default :data:`DEFAULT_SHARD_DEVICES`) and each
   device's metrics are folded into the running :class:`FleetResult` as they
-  land, so peak memory follows the shard size, not the fleet size.
+  land, so peak memory follows the shard size, not the fleet size: the
+  parent materializes one shard's routed sub-requests per dispatch, never
+  the whole trace.
   Per-shard wall-clock timings are recorded for later multi-host placement.
 * **Checkpoint/resume** — with a ``checkpoint`` store attached, every
   completed shard's per-device metric states (and every capacity-search
@@ -178,7 +183,9 @@ def _source_payload(source: FleetSource, num_requests: Optional[int], seed: Opti
     if is_workload_source(source):
         return {"source": source_to_dict(source)}
     if isinstance(source, Sequence):
-        return {"requests": list(source)}
+        # The single-device contract: pre-materialized sequences are sorted
+        # by arrival up front.
+        return {"requests": sorted(source, key=lambda request: request.arrival_us)}
     raise TypeError(
         f"cannot shard {source!r}; pass a workload name/spec, a TenantMix, "
         "a WorkloadSource, or a sequence of HostRequest objects"
@@ -186,7 +193,9 @@ def _source_payload(source: FleetSource, num_requests: Optional[int], seed: Opti
 
 
 def _source_stream(payload: dict, spec: FleetSpec) -> Iterable[HostRequest]:
-    """Rebuild the array-level stream a payload describes (in a worker)."""
+    """The array-level stream a source payload describes."""
+    if "requests" in payload:
+        return payload["requests"]
     pages = spec.array_logical_pages
     if "workload" in payload:
         workload = WorkloadSpec.from_dict(payload["workload"])
@@ -217,6 +226,33 @@ def _payload_tracks_tenants(payload: dict) -> bool:
     return False
 
 
+def _route_shard(spec: FleetSpec, payload: dict, devices: range) -> Dict[int, List[HostRequest]]:
+    """Generate the array stream once and split it into ``devices``' lists.
+
+    Raises ``ValueError`` for a sub-request that reaches past the device's
+    logical pages, which the controller would otherwise fold silently onto
+    another page.  It happens when the array footprint is not a whole number
+    of stripe groups: ``array_logical_pages`` counts whole device capacities,
+    so the last stripe group can overhang a device's end.
+    """
+    router = spec.router()
+    routed = router.route(_source_stream(payload, spec), devices)
+    local_pages = spec.config.logical_pages
+    for device, sub_requests in routed.items():
+        for sub_request in sub_requests:
+            if sub_request.start_lpn + sub_request.page_count > local_pages:
+                local = max(sub_request.start_lpn, local_pages)
+                raise ValueError(
+                    f"array LPN {router.array_lpn(device, local)} routes to device "
+                    f"{device} at local LPN {local}, outside its local range "
+                    f"[0, {local_pages}); geometry: {spec.devices} devices x "
+                    f"{local_pages} pages, stripe unit {spec.stripe_unit_pages} "
+                    f"pages, replication {spec.replication}, "
+                    f"{spec.array_logical_pages} array pages"
+                )
+    return routed
+
+
 def _requests_digest(requests: Sequence[HostRequest]) -> str:
     """Stable digest of an explicit request list (checkpoint identity).
 
@@ -233,7 +269,7 @@ def _requests_digest(requests: Sequence[HostRequest]) -> str:
 
 
 def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
-    """Simulate one device's shard — pure function of its payload.
+    """Simulate one device's sub-requests — pure function of its payload.
 
     The serial and parallel paths both execute exactly this function, which
     is what makes ``processes=N`` bitwise-identical to a serial run.
@@ -255,7 +291,7 @@ def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
         policy=policy,
         rpt=rpt,
         device_id=device,
-        track_tenants=_payload_tracks_tenants(payload),
+        track_tenants=payload["track_tenants"],
     )
     condition = spec.device_condition(device)
     simulator.precondition(
@@ -265,13 +301,12 @@ def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
     )
     if payload.get("faults"):
         simulator.install_faults(FaultPlan.from_dict(payload["faults"]))
-    if "device_requests" in payload:
-        # Explicit lists were sorted and sharded once in the parent; the
-        # payload already holds this device's own sub-requests.
-        shard: Iterable[HostRequest] = payload["device_requests"]
-    else:
-        shard = spec.router().shard(_source_stream(payload, spec), device)
-    result = simulator.run(shard, lookahead=payload.get("lookahead") or DEFAULT_LOOKAHEAD_REQUESTS)
+    # An iterator, not the list: run() sorts a sequence silently, while the
+    # admission pump rejects an out-of-order stream.
+    result = simulator.run(
+        iter(payload["device_requests"]),
+        lookahead=payload.get("lookahead") or DEFAULT_LOOKAHEAD_REQUESTS,
+    )
     return policy_name, device, result
 
 
@@ -554,16 +589,16 @@ class FleetRunner:
     ) -> FleetRunResult:
         """Shard ``source`` across the fleet for every policy.
 
-        Devices go through the worker pool in bounded shards; each worker
-        regenerates the array-level stream from its spec/mix payload and
-        filters it down to its own device, so the parent never materializes
-        a declarative trace and worker results are pure functions of their
-        payloads (serial == parallel, bitwise).  Explicit request lists —
-        already materialized by definition — are sorted and sharded once in
-        the parent, so each worker receives only its own device's
-        sub-requests.  With a checkpoint store attached, finished shards
-        are persisted and later runs fold them back in instead of
-        re-simulating.
+        Devices go through the worker pool in bounded shards.  For each
+        shard it simulates, the parent generates the array-level stream
+        once (an explicit request list is sorted once, up front) and routes
+        it in one pass into the sub-request lists of the shard's devices;
+        each device payload carries only its own list, so worker results
+        are pure functions of their payloads (serial == parallel, bitwise)
+        and the parent materializes one shard's sub-requests per dispatch,
+        never the whole trace.  With a checkpoint store attached, finished
+        shards are persisted and later runs fold them back in without
+        generating or simulating them.
         """
         if isinstance(policies, str):
             policies = (policies,)
@@ -573,18 +608,6 @@ class FleetRunner:
         source_payload = _source_payload(source, num_requests, seed)
         label = _source_label(source_payload)
         fault_plan = FaultPlan.coerce(faults) if faults is not None else None
-        if "requests" in source_payload:
-            # Keep the single-device contract ("pre-materialized sequences
-            # are sorted up front"), then split per device so payloads
-            # carry 1/N of the trace instead of devices x policies copies.
-            router = self.spec.router()
-            ordered = sorted(source_payload.pop("requests"), key=lambda request: request.arrival_us)
-            shards = {
-                device: list(router.shard(ordered, device)) for device in range(self.spec.devices)
-            }
-        else:
-            ordered = None
-            shards = None
         fleet_dict = self.spec.to_dict()
         manifest_source = {key: value for key, value in source_payload.items() if key != "requests"}
         tenant_names = None
@@ -606,8 +629,8 @@ class FleetRunner:
                 "faults": fault_plan.to_dict() if fault_plan else None,
                 "rpt": rpt_fingerprint(self.rpt) if self.rpt is not None else None,
             }
-            if ordered is not None:
-                base_params["requests_digest"] = _requests_digest(ordered)
+            if "requests" in source_payload:
+                base_params["requests_digest"] = _requests_digest(source_payload["requests"])
         checkpoint_hits = 0
         checkpoint_stored = 0
         segment, inline_slabs = self._slab_transport()
@@ -617,6 +640,14 @@ class FleetRunner:
             transport = {"grid_slabs": inline_slabs}
         else:
             transport = {}
+        device_payload = dict(
+            fleet=fleet_dict,
+            rpt=self.rpt,
+            lookahead=lookahead,
+            track_tenants=_payload_tracks_tenants(source_payload),
+            **({"faults": fault_plan.to_dict()} if fault_plan else {}),
+            **transport,
+        )
         shard_ranges = self._shard_ranges()
         try:
             with WorkerPool(self.processes) as pool:
@@ -649,21 +680,13 @@ class FleetRunner:
                                 device_range.stop - 1,
                             )
                         else:
+                            routed = _route_shard(self.spec, source_payload, device_range)
                             payloads = [
                                 dict(
-                                    source_payload,
-                                    fleet=fleet_dict,
+                                    device_payload,
                                     device=device,
                                     policy=policy,
-                                    rpt=self.rpt,
-                                    lookahead=lookahead,
-                                    **({"faults": fault_plan.to_dict()} if fault_plan else {}),
-                                    **(
-                                        {"device_requests": shards[device]}
-                                        if shards is not None
-                                        else {}
-                                    ),
-                                    **transport,
+                                    device_requests=routed[device],
                                 )
                                 for device in device_range
                             ]

@@ -16,11 +16,12 @@ devices with replication R therefore exposes ``N / R`` devices' worth of
 logical capacity, exactly like a real mirrored array.
 
 The router is a pure function of ``(devices, stripe_unit_pages,
-replication)`` and the request stream: :meth:`StripeRouter.shard` turns any
-streaming iterable of array-level :class:`~repro.ssd.request.HostRequest`
-objects into the lazily filtered sub-request stream of one device, which is
-what lets every device worker of a fleet run regenerate its own shard from
-the workload spec instead of shipping materialized traces between processes.
+replication)`` and the request stream.  :meth:`StripeRouter.route` splits an
+array-level stream of :class:`~repro.ssd.request.HostRequest` objects in one
+pass into the sub-request lists of a set of devices: a fleet run generates
+its array stream once per shard of devices and hands every device worker
+only its own list.  :meth:`StripeRouter.shard` is the lazy single-device
+filter of the same split; tests hold ``route`` to it as the reference.
 
 Sub-requests preserve the parent's arrival time and ``queue_id`` (the
 tenant tag), so per-device arrival order — and therefore the simulator's
@@ -30,7 +31,7 @@ bounded-lookahead pump contract — is preserved by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.ssd.request import HostRequest, RequestKind
 
@@ -59,6 +60,17 @@ class StripeRouter:
         device = (primary + copy) % self.devices
         local = (group * self.replication + copy) * self.stripe_unit_pages
         return device, local + offset
+
+    def array_lpn(self, device: int, local: int) -> int:
+        """The array-level page whose copy sits at ``local`` on ``device``.
+
+        The inverse of placement: it names the array page behind any
+        device-local address, replica slots included.
+        """
+        unit, offset = divmod(local, self.stripe_unit_pages)
+        group, copy = divmod(unit, self.replication)
+        primary = (device - copy) % self.devices
+        return (group * self.devices + primary) * self.stripe_unit_pages + offset
 
     def placement(self, lpn: int) -> Tuple[int, int]:
         """The (primary device, device-local lpn) of an array-level page."""
@@ -117,12 +129,37 @@ class StripeRouter:
             for device, local_start, page_count in runs
         ]
 
+    def _check_device(self, device: int) -> None:
+        if not 0 <= device < self.devices:
+            raise ValueError(f"device must be in [0, {self.devices})")
+
+    def route(
+        self, stream: Iterable[HostRequest], devices: Iterable[int]
+    ) -> Dict[int, List[HostRequest]]:
+        """Split an array-level stream, in one pass, into per-device lists.
+
+        Returns ``{device: sub-requests}`` for every device in ``devices``,
+        each list in stream order; sub-requests for other devices are
+        dropped.  ``route(stream, devices)[d]`` equals
+        ``list(shard(stream, d))``, but the stream is read once for all of
+        ``devices`` instead of once per device.
+        """
+        routed: Dict[int, List[HostRequest]] = {}
+        for device in devices:
+            self._check_device(device)
+            routed[device] = []
+        for request in stream:
+            for target, sub_request in self.split(request):
+                sub_requests = routed.get(target)
+                if sub_requests is not None:
+                    sub_requests.append(sub_request)
+        return routed
+
     def shard(
         self, stream: Iterable[HostRequest], device: int
     ) -> Iterator[HostRequest]:
         """Lazily filter an array-level stream down to one device's shard."""
-        if not 0 <= device < self.devices:
-            raise ValueError(f"device must be in [0, {self.devices})")
+        self._check_device(device)
         for request in stream:
             for target, sub_request in self.split(request):
                 if target == device:

@@ -8,6 +8,7 @@ from repro.sim.fleet import (
     FleetRunner,
     FleetSpec,
     SloCapacitySearch,
+    _requests_digest,
 )
 from repro.sim.spec import Condition, WorkloadSpec
 from repro.ssd.config import SsdConfig
@@ -100,6 +101,32 @@ class TestStripeRouter:
         router = StripeRouter(devices=2)
         with pytest.raises(ValueError):
             list(router.shard([], 2))
+        with pytest.raises(ValueError):
+            router.route([], range(1, 3))
+
+    @pytest.mark.parametrize("replication", [1, 2])
+    def test_route_equals_shard_for_every_device(self, replication):
+        router = StripeRouter(devices=3, stripe_unit_pages=4,
+                              replication=replication)
+        stream = [HostRequest(arrival_us=float(i),
+                              kind=(RequestKind.WRITE if i % 3 == 0
+                                    else RequestKind.READ),
+                              start_lpn=(i * 7) % 90, page_count=1 + i % 9,
+                              queue_id=i % 2)
+                  for i in range(80)]
+        routed = router.route(iter(stream), range(1, 3))
+        assert list(routed) == [1, 2]
+        for device, sub_requests in routed.items():
+            expected = list(router.shard(stream, device))
+            assert _requests_digest(sub_requests) == _requests_digest(expected)
+
+    @pytest.mark.parametrize("replication", [1, 2, 3])
+    def test_array_lpn_inverts_every_copy(self, replication):
+        router = StripeRouter(devices=3, stripe_unit_pages=4,
+                              replication=replication)
+        for lpn in range(200):
+            for device, local in router.replicas(lpn):
+                assert router.array_lpn(device, local) == lpn
 
 
 # -- TenantMix -----------------------------------------------------------------
@@ -237,6 +264,24 @@ class TestFleetRunner:
         result = FleetRunner(fleet_spec).run(requests, policies="Baseline")
         merged = result.result.merged
         assert merged.host_reads == 40
+
+    def test_placement_past_the_device_end_fails_loudly(self):
+        # 3 devices x 1428 pages at replication 2 expose 2142 array pages,
+        # but the last stripe group overhangs the devices' ends: array LPN
+        # 2139 is copy 1 of stripe group 89, device 1's local LPN 1435.
+        fleet_spec = FleetSpec(devices=3, replication=2, config=CONFIG)
+        read = HostRequest(arrival_us=0.0, kind=RequestKind.READ,
+                           start_lpn=2139, page_count=1)
+        with pytest.raises(ValueError, match=(
+                r"array LPN 2139 routes to device 1 at local LPN 1435, "
+                r"outside its local range \[0, 1428\)")):
+            FleetRunner(fleet_spec).run([read], policies="Baseline")
+        # A generated stream spanning the whole array reaches it as well.
+        with pytest.raises(ValueError, match="stripe unit 8 pages, replication 2"):
+            FleetRunner(fleet_spec).run(
+                WorkloadSpec(name="stg_0", num_requests=1500, seed=0,
+                             footprint_fraction=1.0),
+                policies="Baseline")
 
     def test_explicit_request_list_is_sorted_like_single_device(self):
         # The single-device contract sorts pre-materialized sequences up

@@ -5,8 +5,9 @@ device metrics and resume bitwise-identically; corrupted checkpoint entries
 are detected (payload digest) and recomputed rather than trusted; shared
 slab segments never outlive a run — normal exit and crashed-worker exit
 alike; stale worker attachments are invalidated by the descriptor's
-(epoch, fingerprint) pair; and a sharded parallel run matches the serial
-run row for row.
+(epoch, fingerprint) pair; a sharded parallel run matches the serial run
+row for row; and every shard routes its array stream once, handing each
+device exactly the sub-stream the router's per-device filter yields.
 """
 
 import glob
@@ -24,10 +25,15 @@ from repro.sim.fleet import (
     FleetRunner,
     FleetSpec,
     SloCapacitySearch,
+    _requests_digest,
 )
 from repro.sim.spec import Condition, WorkloadSpec
 from repro.ssd import slab_transport
 from repro.ssd.config import SsdConfig
+from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SsdSimulator
+from repro.ssd.request import HostRequest, RequestKind
+from repro.workloads.scenarios import HotColdZone
+from repro.workloads.tenants import TenantMix
 
 CONFIG = SsdConfig.tiny()
 
@@ -266,3 +272,118 @@ class TestExecutionEquivalence:
         assert len(coarse.result.shard_timings) == 1
         assert len(fine.result.shard_timings) == 4
         slab_transport.detach_all()
+
+
+# -- route once per shard ------------------------------------------------------
+def _explicit_requests():
+    """Unsorted mixed reads and writes, several pages each."""
+    return [
+        HostRequest(arrival_us=float((i * 37) % 90) * 400.0,
+                    kind=RequestKind.WRITE if i % 4 == 0 else RequestKind.READ,
+                    start_lpn=(i * 53) % 2700, page_count=1 + i % 6, queue_id=i % 3)
+        for i in range(90)
+    ]
+
+
+#: Factories for an array-level source of every kind the runner accepts.
+ROUTED_SOURCES = {
+    "workload_spec": lambda: _workload(90),
+    "tenant_mix": lambda: TenantMix(tenants=(_workload(45, seed=1), _workload(45, seed=2))),
+    "scenario": lambda: HotColdZone(num_requests=90, mean_interarrival_us=700.0, seed=4),
+    "explicit": _explicit_requests,
+}
+
+
+def _array_stream(source, fleet):
+    """The array-level stream a source describes for ``fleet``."""
+    if isinstance(source, list):
+        return sorted(source, key=lambda request: request.arrival_us)
+    return list(source.iter_requests(CONFIG, footprint_pages=fleet.array_logical_pages))
+
+
+def _record_device_streams(monkeypatch):
+    """Digest of every request stream a device simulator runs, by device."""
+    streams = {}
+    run = SsdSimulator.run
+
+    def recording_run(self, requests, lookahead=DEFAULT_LOOKAHEAD_REQUESTS):
+        requests = list(requests)
+        streams.setdefault(self.device_id, []).append(_requests_digest(requests))
+        return run(self, iter(requests), lookahead)
+
+    monkeypatch.setattr(SsdSimulator, "run", recording_run)
+    return streams
+
+
+class TestRouteOnce:
+    # A 2-page stripe unit divides a 1428-page device into whole stripe
+    # groups at replication 1 and 2, so every source may span the array.
+    @pytest.mark.parametrize("shard_devices", [1, 3, None])
+    @pytest.mark.parametrize("replication", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(ROUTED_SOURCES))
+    def test_device_streams_equal_the_router_shards(
+        self, monkeypatch, kind, replication, shard_devices
+    ):
+        fleet = FleetSpec(devices=4, stripe_unit_pages=2, replication=replication,
+                          config=CONFIG, condition=Condition(1000, 6.0))
+        source = ROUTED_SOURCES[kind]()
+        streams = _record_device_streams(monkeypatch)
+        FleetRunner(fleet, shard_devices=shard_devices).run(source, policies="Baseline")
+        stream = _array_stream(source, fleet)
+        router = fleet.router()
+        expected = {
+            device: [_requests_digest(list(router.shard(stream, device)))]
+            for device in range(fleet.devices)
+        }
+        assert streams == expected
+
+    def test_serial_parallel_and_resumed_runs_agree(self, tmp_path):
+        fleet = FleetSpec(devices=4, stripe_unit_pages=2, replication=2,
+                          config=CONFIG, condition=Condition(1000, 6.0))
+        mix = TenantMix(tenants=(_workload(60, seed=1), _workload(60, seed=2)),
+                        names=("kv", "log"))
+
+        def run(processes, store=None):
+            runner = FleetRunner(fleet, processes=processes, shard_devices=2, checkpoint=store)
+            return runner.run(mix, policies="PnAR2").result
+
+        serial = run(1)
+        parallel = run(2)
+        store = CheckpointStore(tmp_path)
+        run(1, store)
+        sorted(store.entries(FLEET_SHARD_KIND))[0].unlink()
+        resumed = run(1, store)
+        assert [timing.from_checkpoint for timing in resumed.shard_timings].count(True) == 1
+        assert "tenants" in serial.summary()
+        for other in (parallel, resumed):
+            assert other.device_rows() == serial.device_rows()
+            assert other.summary() == serial.summary()
+        slab_transport.detach_all()
+
+    def test_each_live_shard_generates_the_stream_once(self, tmp_path, monkeypatch):
+        workload = _workload(80)
+        length = len(list(workload.iter_requests(
+            CONFIG, footprint_pages=_fleet().array_logical_pages)))
+        generated = []
+        iter_requests = WorkloadSpec.iter_requests
+
+        def counting(self, *args, **kwargs):
+            for request in iter_requests(self, *args, **kwargs):
+                generated.append(request)
+                yield request
+
+        monkeypatch.setattr(WorkloadSpec, "iter_requests", counting)
+        store = CheckpointStore(tmp_path)
+
+        def generated_by_run():
+            generated.clear()
+            FleetRunner(_fleet(), shard_devices=2, checkpoint=store).run(
+                workload, policies=("Baseline", "PnAR2"))
+            return len(generated)
+
+        # 2 policies x 2 shards, each shard generating the stream once.
+        assert generated_by_run() == 2 * 2 * length
+        # Every shard served from checkpoint: nothing is generated.
+        assert generated_by_run() == 0
+        sorted(store.entries(FLEET_SHARD_KIND))[0].unlink()
+        assert generated_by_run() == length

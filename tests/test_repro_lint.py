@@ -274,10 +274,17 @@ class TestPickleSafePool:
         )
         assert rules_hit(engine, source) == ["pickle-safe-pool"]
 
+    def test_lambda_to_worker_pool_map_flagged(self, engine):
+        source = (
+            "from repro.sim.sweep import WorkerPool\n"
+            "r = WorkerPool(2).map(lambda p: p, [1])\n"
+        )
+        assert rules_hit(engine, source) == ["pickle-safe-pool"]
+
     def test_module_level_function_is_fine(self, engine):
         source = (
             "from functools import partial\n"
-            "from repro.sim.sweep import pool_map\n"
+            "from repro.sim.sweep import WorkerPool, pool_map\n"
             "\n"
             "def worker(payload, scale=1):\n"
             "    return payload * scale\n"
@@ -285,7 +292,9 @@ class TestPickleSafePool:
             "def run(payloads):\n"
             "    plain = pool_map(worker, payloads, 2)\n"
             "    bound = pool_map(partial(worker, scale=3), payloads, 2)\n"
-            "    return plain + bound\n"
+            "    with WorkerPool(2) as pool:\n"
+            "        pooled = pool.map(worker, payloads)\n"
+            "    return plain + bound + pooled\n"
         )
         assert lint(engine, source) == []
 
@@ -374,6 +383,19 @@ class TestNoDictOrderAcrossPool:
             "\n"
             "def run(payloads):\n"
             "    return pool_map(partial(worker, scale=3), payloads, 2)\n"
+        )
+        assert rules_hit(engine, source) == ["no-dict-order-across-pool"]
+
+    def test_worker_pool_map_worker_flagged(self, engine):
+        source = (
+            "from repro.sim.sweep import WorkerPool\n"
+            "\n"
+            "def worker(payload):\n"
+            "    return [value for key, value in payload.items()]\n"
+            "\n"
+            "def run(payloads):\n"
+            "    with WorkerPool(2) as pool:\n"
+            "        return pool.map(worker, payloads)\n"
         )
         assert rules_hit(engine, source) == ["no-dict-order-across-pool"]
 
@@ -568,6 +590,7 @@ class TestConfig:
         assert config.paths == ("src/repro",)
         assert config.sim_paths == ("src/repro",)
         assert config.experiments_doc == "EXPERIMENTS.md"
+        assert config.pool_entry_points == ("pool_map", "map")
 
     def test_load_from_pyproject(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
