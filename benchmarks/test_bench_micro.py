@@ -18,6 +18,7 @@ from repro.sim.spec import Condition
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.engine import EventQueue
+from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.retry_grid import RetryStepGrid
 from repro.workloads import catalog_workload
 
@@ -62,6 +63,35 @@ def test_bench_batch_walk_lattice(benchmark, model, bench_rpt):
     lattice = benchmark(batch.read_behaviour_lattice, condition, variation,
                         0.4)
     assert len(lattice) == len(PageType)
+
+
+def test_bench_batch_walk_lattice_fresh(benchmark, model):
+    """The lattice of freshly written data: every walk stops at step 0."""
+    grid = RetryStepGrid(SsdConfig.tiny())
+    batch = BatchErrorModel(model)
+    variation = grid.variation_arrays()
+    condition = OperatingCondition(1000, 0.0, 30.0)
+
+    lattice = benchmark(batch.read_behaviour_lattice, condition, variation,
+                        0.4)
+    assert all((behaviour.retry_steps == 0).all()
+               for behaviour in lattice.values())
+
+
+def test_bench_block_precondition_fill(benchmark):
+    """Closed-form 85% fill of a fresh block-mode FTL at the scaled size."""
+    config = SsdConfig.scaled()
+    pages = int(config.logical_pages * 0.85)
+
+    def fresh_ftl():
+        return (FlashTranslationLayer(config),), {}
+
+    def fill(ftl):
+        ftl.precondition_fill(pages, retention_months=6.0, pe_cycles=1000)
+        return ftl
+
+    ftl = benchmark.pedantic(fill, setup=fresh_ftl, iterations=1, rounds=20)
+    assert ftl.mapped_pages == pages
 
 
 def test_bench_grid_cold_build(benchmark, bench_rpt):

@@ -15,6 +15,9 @@ Wraps ``pytest-benchmark`` so that performance tracking is one command:
   of requests per device in a child process and records the **per-device
   cost** of each (the fleet scaling curve: flat when a fleet run costs
   O(devices); recorded, not gated),
+* runs the fast experiment suite (``run all --profile fast``, serial, no
+  artifact store) in a child process and records each experiment's **wall
+  seconds** as the snapshot's ``e2e`` section (recorded, not gated),
 * compares the hot-path means against a committed baseline
   (``benchmarks/baseline.json``) and exits non-zero when any benchmark
   regressed by more than ``--max-regression`` (CI's perf gate),
@@ -66,6 +69,16 @@ MEMORY_MICRO_NAME = "stream_synthetic_200k"
 #: Fleet sizes of the scaling curve, and the array requests per device.
 FLEET_SCALING_DEVICES = (8, 32, 128)
 FLEET_SCALING_REQUESTS_PER_DEVICE = 50
+
+#: Body of the end-to-end child: ``run all --profile fast`` with one job and
+#: no artifact store, so every experiment runs, in a fresh interpreter, so no
+#: process-wide cache serves it warm.  Prints ``{experiment: wall seconds}``.
+E2E_CHILD = """
+import json
+from repro.experiments.runner import run_suite
+runs = run_suite("all", profile="fast", jobs=1)
+print(json.dumps({run.name: run.seconds for run in runs}))
+"""
 
 
 def git_revision() -> str:
@@ -286,6 +299,24 @@ def run_fleet_scaling() -> dict:
     return json.loads(completed.stdout)
 
 
+def run_e2e() -> dict:
+    """Time each experiment of the fast suite in a child process."""
+    completed = subprocess.run(
+        [sys.executable, "-c", E2E_CHILD],
+        cwd=REPO_ROOT,
+        env=_subprocess_env(),
+        capture_output=True,
+        text=True,
+    )
+    if completed.returncode != 0:
+        raise SystemExit(
+            f"error: the end-to-end suite run failed (exit {completed.returncode}); "
+            f"its stderr follows:\n{completed.stderr}"
+        )
+    seconds = json.loads(completed.stdout.strip().splitlines()[-1])
+    return {name: {"wall_s": wall_s} for name, wall_s in seconds.items()}
+
+
 def summarize(report: dict, suite: str) -> dict:
     """Reduce the pytest-benchmark report to the trajectory schema."""
     benchmarks = {}
@@ -423,6 +454,9 @@ def print_report(snapshot: dict, baseline: dict | None) -> None:
             f"{label.ljust(width)}  {point['per_device_ms']:7.1f}ms/dev  {'not gated':>12}  "
             f"({point['sub_requests']} sub-requests in {point['wall_s']:.2f}s)"
         )
+    for name, entry in sorted((snapshot.get("e2e") or {}).items()):
+        label = f"e2e:{name}"
+        print(f"{label.ljust(width)}  {entry['wall_s']:11.3f}s  {'not gated':>12}")
 
 
 def write_job_summary(
@@ -614,6 +648,8 @@ def main(argv=None) -> int:
         "devices for the fleet scaling curve ..."
     )
     snapshot["fleet_scaling"] = run_fleet_scaling()
+    print("timing each experiment of 'run all --profile fast' (serial, uncached) ...")
+    snapshot["e2e"] = run_e2e()
 
     output = args.output
     if output is None:

@@ -20,20 +20,26 @@ identical** to the scalar code.  Exactness is achieved by construction:
   multiply, divide, min), which numpy evaluates exactly like Python floats,
   applied in the same order as the scalar code;
 * the complementary error function is evaluated elementwise through
-  ``math.erfc`` (via :func:`numpy.frompyfunc`), the exact function the
-  scalar path calls.
+  ``math.erfc`` (:func:`_erfc`), the exact function the scalar path calls.
 
-The payoff is structural, not transcendental: the scalar walk rebuilds the
-boundary distributions for each of up to 41 steps, while the batch kernel
-builds them once per (condition, corner) and reuses the per-boundary tail
-matrix across all three page types.
+The payoff is structural, not transcendental.  The scalar walk rebuilds the
+boundary distributions for each of up to 41 steps; the batch kernel builds
+them once per (condition, corner), and each page type evaluates only its own
+sensed boundaries.  The read-behaviour lattice also stops where the read
+does: like the scalar walk, it stops at the first retry step the ECC decodes.
+It evaluates the retry-table columns on a fixed chunk schedule (step 0
+alone, then six retry steps at a time), and each chunk covers only the
+(page type, corner) rows whose default walk, or whose reduced-timing walk,
+is still running.  Fresh data decodes at step 0, so its lattice costs one column
+instead of 41.  Stopping early never changes a value: every element is
+computed by the same operations whichever rows and columns share its chunk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +50,6 @@ from repro.errors.variation import VariationSample
 from repro.nand.geometry import PageType
 from repro.nand.voltage import (
     BOUNDARY_SHIFT_WEIGHTS,
-    NUM_BOUNDARIES,
     ReadRetryTable,
     default_read_references_mv,
     fresh_state_means_mv,
@@ -52,15 +57,48 @@ from repro.nand.voltage import (
 
 _SQRT2 = math.sqrt(2.0)
 
-#: Elementwise ``math.erfc``.  ``scipy.special.erfc`` and any polynomial
-#: approximation differ from ``math.erfc`` in the last ulp on this platform,
-#: which would break the bit-for-bit guarantee; ``frompyfunc`` keeps the C
-#: loop overhead low while calling the identical libm routine per element.
-_ERFC_UFUNC = np.frompyfunc(math.erfc, 1, 1)
+#: Retry steps per chunk of the lattice walk after step 0, which goes alone
+#: because fresh data stops there.  Aged data needs 7 to 30 steps; six-step
+#: chunks balance the steps computed past a corner's stop against the fixed
+#: cost of each chunk.
+_CHUNK_STEPS = 6
 
 
 def _erfc(values: np.ndarray) -> np.ndarray:
-    return _ERFC_UFUNC(values).astype(np.float64)
+    """Elementwise ``math.erfc``.
+
+    ``scipy.special.erfc`` and any polynomial approximation differ from
+    ``math.erfc`` in the last ulp on this platform, which would break the
+    bit-for-bit guarantee, so every element goes through the identical libm
+    routine the scalar path calls.
+    """
+    tails = map(math.erfc, values.ravel().tolist())
+    return np.fromiter(tails, dtype=np.float64, count=values.size).reshape(values.shape)
+
+
+def _step_chunks(columns: int) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` column ranges of the lattice walk, in order.
+
+    Column 0 is the default read and column ``s`` retry step ``s``.
+    """
+    yield 0, 1
+    for start in range(1, columns, _CHUNK_STEPS):
+        yield start, min(start + _CHUNK_STEPS, columns)
+
+
+def _table_shifts(table: ReadRetryTable) -> np.ndarray:
+    """V_REF shift of every walk column: 0 for the default read, then each retry step."""
+    return np.array([0.0] + [table.shift_for_step(step) for step in table.steps()])
+
+
+def _record_first(first: np.ndarray, rows: np.ndarray, success: np.ndarray, offset: int) -> None:
+    """Store the first successful column of each row of ``rows`` still at ``-1``.
+
+    ``success`` has one row per entry of ``rows``; its column ``c`` is
+    column ``offset + c`` of the walk.
+    """
+    found = success.any(axis=1) & (first[rows] < 0)
+    first[rows[found]] = offset + success[found].argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -156,6 +194,7 @@ class BatchErrorModel:
         self._model = model or CodewordErrorModel()
         self._fresh_means = np.asarray(fresh_state_means_mv(), dtype=float)
         self._default_refs = np.asarray(default_read_references_mv())
+        self._shift_weights = np.asarray(BOUNDARY_SHIFT_WEIGHTS)
 
     @property
     def model(self) -> CodewordErrorModel:
@@ -226,58 +265,38 @@ class BatchErrorModel:
         )
         return base_errors + temperature_extra
 
-    def _boundary_contributions(
+    def _page_errors(
         self,
-        condition: OperatingCondition,
-        shifts_mv: np.ndarray,
-        variation: VariationArrays,
-    ) -> np.ndarray:
-        """Per-boundary error contributions, shape ``(corners, steps, 7)``.
-
-        Entry ``[i, s, b]`` is ``cells_per_state * (low_tail + high_tail)``
-        of boundary ``b`` at V_REF shift ``shifts_mv[s]`` for corner ``i`` —
-        the term the scalar :meth:`CodewordErrorModel.expected_errors`
-        accumulates per sensed boundary.  Computing all seven boundaries
-        once lets the three page types share the heavy erfc work.
-        """
-        means, sigmas = self._boundary_parameters(condition, variation)
-        lower_mu, lower_sigma = means[:, :-1], sigmas[:, :-1]
-        upper_mu, upper_sigma = means[:, 1:], sigmas[:, 1:]
-        cells_per_state = self._model.cells_per_state
-
-        count, steps = len(variation), len(shifts_mv)
-        contributions = np.empty((count, steps, NUM_BOUNDARIES))
-        for boundary in range(NUM_BOUNDARIES):
-            voltage = self._default_refs[boundary] + shifts_mv * BOUNDARY_SHIFT_WEIGHTS[boundary]
-            voltages = voltage[None, :]
-            low_z = (voltages - lower_mu[:, boundary, None]) / lower_sigma[:, boundary, None]
-            low_tail = 0.5 * _erfc(low_z / _SQRT2)
-            high_z = (upper_mu[:, boundary, None] - voltages) / upper_sigma[:, boundary, None]
-            high_tail = 0.5 * _erfc(high_z / _SQRT2)
-            contributions[:, :, boundary] = cells_per_state * (low_tail + high_tail)
-        return contributions
-
-    def _sum_page_errors(
-        self,
-        contributions: np.ndarray,
         page_type: PageType,
+        shifts_mv: np.ndarray,
+        means: np.ndarray,
+        sigmas: np.ndarray,
         temperature_extra: float,
-        timing_extra: Optional[np.ndarray],
     ) -> np.ndarray:
-        """Fold boundary contributions into ``(corners, steps)`` error counts.
+        """Expected errors of one page type, shape ``(corners, shifts)``.
 
-        The sensed boundaries are accumulated in the scalar model's
-        iteration order, then the temperature and timing extras are added in
-        the scalar order, so every element reproduces the scalar float
-        exactly.
+        ``means``/``sigmas`` are rows of :meth:`_boundary_parameters`.  Each
+        sensed boundary adds ``cells_per_state * (low_tail + high_tail)`` at
+        every V_REF shift, in the scalar model's iteration order, and the
+        temperature extra comes last, so every element reproduces the scalar
+        :meth:`CodewordErrorModel.expected_errors` float exactly (timing
+        extras are the caller's to add).  Only the page type's own
+        boundaries are evaluated, both tails of all of them in one
+        :func:`_erfc` call.
         """
-        errors = np.zeros(contributions.shape[:2])
-        for boundary in page_type.sensed_boundaries:
-            errors = errors + contributions[:, :, boundary]
-        errors = errors + temperature_extra
-        if timing_extra is not None:
-            errors = errors + timing_extra[:, None]
-        return errors
+        boundaries = np.array(page_type.sensed_boundaries)
+        voltages = (
+            self._default_refs[boundaries, None]
+            + shifts_mv[None, :] * self._shift_weights[boundaries, None]
+        )
+        low_z = (voltages - means[:, boundaries, None]) / sigmas[:, boundaries, None]
+        high_z = (means[:, boundaries + 1, None] - voltages) / sigmas[:, boundaries + 1, None]
+        tails = 0.5 * _erfc(np.stack((low_z, high_z)) / _SQRT2)
+        contributions = self._model.cells_per_state * (tails[0] + tails[1])
+        errors = np.zeros((len(means), len(shifts_mv)))
+        for sensed in range(len(boundaries)):
+            errors = errors + contributions[:, sensed]
+        return errors + temperature_extra
 
     # -- public API -----------------------------------------------------------
     def expected_errors_grid(
@@ -295,10 +314,13 @@ class BatchErrorModel:
         :meth:`CodewordErrorModel.expected_errors` bit for bit.
         """
         shifts = np.asarray(shifts_mv, dtype=float)
-        contributions = self._boundary_contributions(condition, shifts, variation)
+        means, sigmas = self._boundary_parameters(condition, variation)
         temperature_extra = self._model.vth_model.temperature_extra_errors_per_kib(condition)
+        errors = self._page_errors(page_type, shifts, means, sigmas, temperature_extra)
         timing_extra = self._timing_extra(timing_reduction, condition, variation)
-        return self._sum_page_errors(contributions, page_type, temperature_extra, timing_extra)
+        if timing_extra is not None:
+            errors = errors + timing_extra[:, None]
+        return errors
 
     def expected_errors(
         self,
@@ -387,12 +409,12 @@ class BatchErrorModel:
         capability = capability if capability is not None else self._model.ecc_capability
         if retry_timing_reduction is None:
             retry_timing_reduction = timing_reduction
-        shifts = np.array([0.0] + [table.shift_for_step(step) for step in table.steps()])
-        contributions = self._boundary_contributions(condition, shifts, variation)
+        shifts = _table_shifts(table)
+        means, sigmas = self._boundary_parameters(condition, variation)
         temperature_extra = self._model.vth_model.temperature_extra_errors_per_kib(condition)
         initial_extra = self._timing_extra(timing_reduction, condition, variation)
         retry_extra = self._timing_extra(retry_timing_reduction, condition, variation)
-        base = self._sum_page_errors(contributions, page_type, temperature_extra, None)
+        base = self._page_errors(page_type, shifts, means, sigmas, temperature_extra)
         errors = base.copy()
         if initial_extra is not None:
             errors[:, 0] = base[:, 0] + initial_extra
@@ -430,20 +452,21 @@ class BatchErrorModel:
         table: ReadRetryTable = None,
         capability: int = None,
     ) -> Dict[PageType, BatchReadBehaviour]:
-        """The flash backend's read behaviour across a full corner lattice.
+        """The flash backend's read behaviour across a corner lattice.
 
         For each page type, reproduces
         :meth:`repro.ssd.flash_backend.FlashBackend.read_behaviour` for
         every corner in one pass: the default-timing walk, the RPT-reduced
-        retry walk (derived by adding the per-corner timing extra to the
-        shared step errors, exactly the scalar operation order) and the
-        reduced-timing fallback flag.  The seven per-boundary tail matrices
-        are computed once and shared by all page types.
+        retry walk (the per-corner timing extra added to the shared step
+        errors, exactly the scalar operation order) and the reduced-timing
+        fallback flag.  Like the scalar walks, it evaluates a corner's retry
+        steps only up to where its walks stop (see
+        :meth:`_first_decodable_steps`).
         """
         table = table or ReadRetryTable()
         capability = capability if capability is not None else self._model.ecc_capability
-        shifts = np.array([0.0] + [table.shift_for_step(step) for step in table.steps()])
-        contributions = self._boundary_contributions(condition, shifts, variation)
+        shifts = _table_shifts(table)
+        means, sigmas = self._boundary_parameters(condition, variation)
         temperature_extra = self._model.vth_model.temperature_extra_errors_per_kib(condition)
         timing_extra = None
         if pre_reduction > 0.0:
@@ -452,31 +475,64 @@ class BatchErrorModel:
 
         lattice: Dict[PageType, BatchReadBehaviour] = {}
         for page_type in page_types:
-            errors = self._sum_page_errors(contributions, page_type, temperature_extra, None)
-            success = errors <= capability
-            any_success = success.any(axis=1)
-            first = np.argmax(success, axis=1)
+            default_first, reduced_first = self._first_decodable_steps(
+                page_type, shifts, means, sigmas, temperature_extra, timing_extra, capability
+            )
             # A failed default walk charges the whole table (footnote 13).
-            default_steps = np.where(any_success, first, table.num_entries)
-
+            default_steps = np.where(default_first >= 0, default_first, table.num_entries)
             if timing_extra is not None:
-                reduced_errors = errors[:, 1:] + timing_extra[:, None]
-                reduced_success = reduced_errors <= capability
-                reduced_any = reduced_success.any(axis=1)
-                reduced_first = np.argmax(reduced_success, axis=1) + 1
                 needs_reduced = default_steps > 0
-                fallback = needs_reduced & ~reduced_any
-                reduced_steps = np.where(
-                    needs_reduced,
-                    np.where(reduced_any, reduced_first, default_steps),
-                    default_steps,
-                )
+                reduced_ok = reduced_first >= 0
+                fallback = needs_reduced & ~reduced_ok
+                reduced_steps = np.where(needs_reduced & reduced_ok, reduced_first, default_steps)
             else:
                 reduced_steps = default_steps.copy()
                 fallback = np.zeros(len(variation), dtype=bool)
             lattice[page_type] = BatchReadBehaviour(
-                retry_steps=default_steps.astype(np.int64),
-                retry_steps_reduced=reduced_steps.astype(np.int64),
+                retry_steps=default_steps,
+                retry_steps_reduced=reduced_steps,
                 reduced_timing_fallback=fallback,
             )
         return lattice
+
+    def _first_decodable_steps(
+        self,
+        page_type: PageType,
+        shifts: np.ndarray,
+        means: np.ndarray,
+        sigmas: np.ndarray,
+        temperature_extra: float,
+        timing_extra: Optional[np.ndarray],
+        capability: float,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """First decodable step per corner of the default and reduced walks.
+
+        ``-1`` marks a walk that exhausted the table.  The reduced-timing
+        walk (only with a ``timing_extra``) starts at retry step 1 and
+        matters only where step 0 failed.  The columns are evaluated chunk
+        by chunk (:func:`_step_chunks`); a corner leaves the walk once its
+        default walk decoded at step 0, or once every walk it needs decoded,
+        so a corner's later columns are never computed.
+        """
+        count = len(means)
+        default_first = np.full(count, -1, dtype=np.int64)
+        reduced_first = np.full(count, -1, dtype=np.int64)
+        walking = np.arange(count)
+        for start, stop in _step_chunks(len(shifts)):
+            errors = self._page_errors(
+                page_type, shifts[start:stop], means[walking], sigmas[walking], temperature_extra
+            )
+            _record_first(default_first, walking, errors <= capability, start)
+            default = default_first[walking]
+            keep = default < 0
+            if timing_extra is not None:
+                # The reduced-timing walk starts at retry step 1, which is
+                # where the second chunk starts.
+                if start:
+                    reduced = errors + timing_extra[walking, None]
+                    _record_first(reduced_first, walking, reduced <= capability, start)
+                keep |= (default > 0) & (reduced_first[walking] < 0)
+            walking = walking[keep]
+            if not walking.size:
+                break
+        return default_first, reduced_first

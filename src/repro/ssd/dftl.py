@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ssd.config import SsdConfig
-from repro.ssd.ftl import PhysicalPage
+from repro.ssd.ftl import PhysicalPage, check_lpn
 from repro.ssd.gc import GcOperation
 
 #: Append-point streams.  Each plane keeps one active block per stream so
@@ -297,6 +297,7 @@ class DftlMapper:
         return None if entry is None else self._physical(entry)
 
     def is_mapped(self, lpn: int) -> bool:
+        check_lpn(lpn, self.config.logical_pages)
         return lpn in self._mapping
 
     @property
@@ -359,7 +360,7 @@ class DftlMapper:
     # -- host-visible operations ---------------------------------------------
     def lookup(self, lpn: int, now_us: float) -> Tuple[Optional[PhysicalPage], List[TranslationOp]]:
         """Translate a host read (``None`` target = never-written LPN)."""
-        self._check_lpn(lpn)
+        check_lpn(lpn, self.config.logical_pages)
         ops = self._ensure_cached(lpn, now_us)
         return self.lookup_direct(lpn), ops
 
@@ -380,7 +381,7 @@ class DftlMapper:
 
         :return: ``(new_physical, invalidated_physical_or_None, trans_ops)``.
         """
-        self._check_lpn(lpn)
+        check_lpn(lpn, self.config.logical_pages)
         ops = self._ensure_cached(lpn, now_us)
         old_physical = self.lookup_direct(lpn)
         if old_physical is not None:
@@ -399,7 +400,7 @@ class DftlMapper:
 
     def trim(self, lpn: int, now_us: float = 0.0) -> List[TranslationOp]:
         """Unmap ``lpn``, invalidating its page and persisting the unmap."""
-        self._check_lpn(lpn)
+        check_lpn(lpn, self.config.logical_pages)
         entry = self._mapping.pop(lpn, None)
         self._cmt.pop(lpn, None)
         if entry is None:
@@ -412,10 +413,6 @@ class DftlMapper:
             ops.extend(self._write_translation_page(tvpn, now_us))
             self._mark_tvpn_clean(tvpn)
         return ops
-
-    def _check_lpn(self, lpn: int) -> None:
-        if lpn < 0 or lpn >= self.config.logical_pages:
-            raise ValueError(f"LPN {lpn} outside the logical space")
 
     # -- preconditioning -----------------------------------------------------
     def precondition_fill(

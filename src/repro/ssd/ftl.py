@@ -10,7 +10,9 @@ The FTL also keeps the per-block metadata the read-retry study needs: the
 block's P/E-cycle count and, per page, the retention age of the stored data
 (pages written during preconditioning carry the experiment's cold-data
 retention age; pages rewritten at run time are fresh), and it collects
-garbage greedily (:meth:`FlashTranslationLayer.collect_if_needed`).
+garbage greedily (:meth:`FlashTranslationLayer.collect_if_needed`).  The
+LPN-to-page map itself is one flat typed array of packed page indices, so
+preconditioning writes it with a single numpy assignment.
 
 :class:`Mapper` is the contract the controller drives an FTL through.  This
 flat-table FTL (``mapping="block"``) and the DFTL of :mod:`repro.ssd.dftl`
@@ -20,8 +22,9 @@ construction and never asks which it got.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +47,7 @@ class PhysicalPage:
 
     __slots__ = ("channel", "die", "plane", "block", "page")
 
-    def __init__(self, channel: int, die: int, plane: int, block: int,
-                 page: int):
+    def __init__(self, channel: int, die: int, plane: int, block: int, page: int):
         self.channel = channel
         self.die = die
         self.plane = plane
@@ -58,18 +60,23 @@ class PhysicalPage:
     def __eq__(self, other):
         if not isinstance(other, PhysicalPage):
             return NotImplemented
-        return (self.channel == other.channel and self.die == other.die
-                and self.plane == other.plane and self.block == other.block
-                and self.page == other.page)
+        return (
+            self.channel == other.channel
+            and self.die == other.die
+            and self.plane == other.plane
+            and self.block == other.block
+            and self.page == other.page
+        )
 
     def __hash__(self):
-        return hash((self.channel, self.die, self.plane, self.block,
-                     self.page))
+        return hash((self.channel, self.die, self.plane, self.block, self.page))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"PhysicalPage(channel={self.channel!r}, die={self.die!r}, "
-                f"plane={self.plane!r}, block={self.block!r}, "
-                f"page={self.page!r})")
+        return (
+            f"PhysicalPage(channel={self.channel!r}, die={self.die!r}, "
+            f"plane={self.plane!r}, block={self.block!r}, "
+            f"page={self.page!r})"
+        )
 
 
 def page_type_of(physical: PhysicalPage) -> PageType:
@@ -77,12 +84,25 @@ def page_type_of(physical: PhysicalPage) -> PageType:
     return PAGE_TYPE_ORDER[physical.page % len(PAGE_TYPE_ORDER)]
 
 
+def check_lpn(lpn: int, logical_pages: int) -> None:
+    """Raise ``ValueError`` unless ``0 <= lpn < logical_pages``.
+
+    Both mappers index per-LPN tables, where a negative LPN would silently
+    address the table's tail, so every mapper entry point that takes an LPN
+    checks it.  The controller folds host LPNs into range before calling.
+    """
+    if not 0 <= lpn < logical_pages:
+        raise ValueError(f"LPN {lpn} outside the logical space [0, {logical_pages})")
+
+
 class Mapper(Protocol):
     """What the controller needs from an FTL, whichever mapping it uses.
 
-    Mapping state changes eagerly; every call that causes flash work
-    returns it for the controller to schedule: translation-page operations
-    (always empty in block mode) or :class:`GcOperation` records.  Only
+    Every method that takes an LPN raises ``ValueError`` for one outside
+    ``[0, logical_pages)`` (:func:`check_lpn`).  Mapping state changes
+    eagerly; every call that causes flash work returns it for the
+    controller to schedule: translation-page operations (always empty in
+    block mode) or :class:`GcOperation` records.  Only
     :class:`~repro.ssd.dftl.DftlMapper` retires grown bad blocks
     (``retire_block``), so ``SsdSimulator.install_faults`` admits that fault
     in page mode alone.
@@ -238,6 +258,10 @@ class PlaneManager:
             block.pe_cycles = pe_cycles
 
 
+#: Map entry of an LPN that holds no data.
+_UNMAPPED = -1
+
+
 class FlashTranslationLayer:
     """Page-level mapping FTL with channel-first striping (a :class:`Mapper`)."""
 
@@ -254,7 +278,13 @@ class FlashTranslationLayer:
             for die in range(config.dies_per_channel):
                 for plane in range(config.planes_per_die):
                     self.planes.append(PlaneManager(config, channel, die, plane))
-        self._mapping: Dict[int, Tuple[int, int, int]] = {}
+        self._logical_pages = config.logical_pages
+        self._pages_per_block = config.pages_per_block
+        self._pages_per_plane = config.blocks_per_plane * config.pages_per_block
+        #: LPN -> packed physical page ``plane_index * pages_per_plane +
+        #: block * pages_per_block + page``, or ``_UNMAPPED``.
+        self._mapping = array("q", [_UNMAPPED]) * config.logical_pages
+        self._mapped_pages = 0
         self._next_plane = 0
         self._dies_per_channel = config.dies_per_channel
         self._planes_per_die = config.planes_per_die
@@ -272,10 +302,12 @@ class FlashTranslationLayer:
 
     def lookup(self, lpn: int) -> Optional[PhysicalPage]:
         """Physical location of a logical page (``None`` if never written)."""
-        entry = self._mapping.get(lpn)
-        if entry is None:
+        check_lpn(lpn, self._logical_pages)
+        packed = self._mapping[lpn]
+        if packed == _UNMAPPED:
             return None
-        plane_index, block, page = entry
+        plane_index, slot = divmod(packed, self._pages_per_plane)
+        block, page = divmod(slot, self._pages_per_block)
         plane = self.planes[plane_index]
         return PhysicalPage(plane.channel, plane.die, plane.plane, block, page)
 
@@ -292,7 +324,8 @@ class FlashTranslationLayer:
         return physical, ()
 
     def is_mapped(self, lpn: int) -> bool:
-        return lpn in self._mapping
+        check_lpn(lpn, self._logical_pages)
+        return self._mapping[lpn] != _UNMAPPED
 
     def block_metadata(self, physical: PhysicalPage) -> BlockMetadata:
         return self.plane_for(physical).blocks[physical.block]
@@ -311,17 +344,21 @@ class FlashTranslationLayer:
 
         :return: ``(new_physical_page, invalidated_physical_page_or_None)``.
         """
-        if lpn < 0 or lpn >= self.config.logical_pages:
-            raise ValueError(f"LPN {lpn} outside the logical space")
         old_physical = self.lookup(lpn)
-        if old_physical is not None:
+        if old_physical is None:
+            self._mapped_pages += 1
+        else:
             self.plane_for(old_physical).invalidate(old_physical.block, old_physical.page)
         if plane_index is None:
             plane_index = self._next_plane
             self._next_plane = (self._next_plane + 1) % len(self.planes)
         plane = self.planes[plane_index]
         physical = plane.allocate_page(lpn, retention_months)
-        self._mapping[lpn] = (plane_index, physical.block, physical.page)
+        self._mapping[lpn] = (
+            plane_index * self._pages_per_plane
+            + physical.block * self._pages_per_block
+            + physical.page
+        )
         return physical, old_physical
 
     def program(self, lpn: int, now_us: float = 0.0) -> Tuple[PhysicalPage, tuple]:
@@ -331,10 +368,11 @@ class FlashTranslationLayer:
 
     def trim(self, lpn: int, now_us: float = 0.0) -> tuple:
         """Unmap ``lpn`` (host TRIM/discard); unmapped LPNs are a no-op."""
-        entry = self._mapping.pop(lpn, None)
-        if entry is not None:
-            plane_index, block, page = entry
-            self.planes[plane_index].invalidate(block, page)
+        physical = self.lookup(lpn)
+        if physical is not None:
+            self._mapping[lpn] = _UNMAPPED
+            self._mapped_pages -= 1
+            self.plane_for(physical).invalidate(physical.block, physical.page)
         return ()
 
     def set_uniform_pe_cycles(self, pe_cycles: int) -> None:
@@ -344,8 +382,9 @@ class FlashTranslationLayer:
         for plane in self.planes:
             plane.set_pe_cycles(pe_cycles)
 
-    def precondition_fill(self, pages: int, retention_months: float = 0.0,
-                          pe_cycles: int = 0) -> None:
+    def precondition_fill(
+        self, pages: int, retention_months: float = 0.0, pe_cycles: int = 0
+    ) -> None:
         """Bulk preconditioning: fill LPNs 0..pages-1 and set a uniform wear.
 
         Produces the *exact* state that ``write(lpn, retention_months)`` for
@@ -354,64 +393,58 @@ class FlashTranslationLayer:
         as its ``n // planes``-th write), blocks opened in ascending id
         order (the wear-leveling sort is stable and every block starts at
         the same P/E count), pages filled sequentially.  The closed form
-        replaces ``pages`` allocator calls with per-block slice assignments,
+        slices each plane's LPN list into its blocks and writes the packed
+        map with one numpy assignment instead of ``pages`` allocator calls,
         which is what keeps simulator preconditioning off the hot-path
         profile.  A non-fresh FTL falls back to the per-page loop, whose
         allocator decisions depend on the existing state.
         """
-        if pages < 0 or pages > self.config.logical_pages:
-            raise ValueError(f"cannot precondition {pages} pages into a "
-                             f"logical space of {self.config.logical_pages}")
+        if pages < 0 or pages > self._logical_pages:
+            raise ValueError(
+                f"cannot precondition {pages} pages into a logical space of {self._logical_pages}"
+            )
         if pe_cycles < 0:
             raise ValueError("pe_cycles must be non-negative")
         self._cold_retention_months = retention_months
         self._cold_pe_cycles = pe_cycles
-        fresh = (not self._mapping and self._next_plane == 0
-                 and all(plane._active_block is None
-                         and not plane._filled_blocks
-                         for plane in self.planes))
+        fresh = (
+            self._mapped_pages == 0
+            and self._next_plane == 0
+            and all(
+                plane._active_block is None and not plane._filled_blocks for plane in self.planes
+            )
+        )
         if not fresh:
             for lpn in range(pages):
                 self.write(lpn, retention_months=retention_months)
             self.set_uniform_pe_cycles(pe_cycles)
             return
         plane_count = len(self.planes)
-        pages_per_block = self.config.pages_per_block
+        pages_per_block = self._pages_per_block
         for plane_index, plane in enumerate(self.planes):
-            writes = (pages - plane_index + plane_count - 1) // plane_count
-            if writes <= 0:
+            plane_lpns = list(range(plane_index, pages, plane_count))
+            if not plane_lpns:
                 continue
-            full_blocks, partial = divmod(writes, pages_per_block)
-            last_block = full_blocks if partial else full_blocks - 1
+            last_block = (len(plane_lpns) - 1) // pages_per_block
             for block_id in range(last_block + 1):
                 block = plane.blocks[block_id]
-                fill = partial if (block_id == last_block
-                                   and partial) else pages_per_block
                 base = block_id * pages_per_block
-                block.page_lpns[:fill] = [
-                    (base + page) * plane_count + plane_index
-                    for page in range(fill)
-                ]
+                lpns = plane_lpns[base : base + pages_per_block]
+                fill = len(lpns)
+                block.page_lpns[:fill] = lpns
                 block.page_retention_months[:fill] = [retention_months] * fill
                 block.next_free_page = fill
                 block.valid_count = fill
             plane._filled_blocks = list(range(last_block))
             plane._active_block = last_block
-            plane._free_blocks = list(
-                range(last_block + 1, self.config.blocks_per_plane))
+            plane._free_blocks = list(range(last_block + 1, self.config.blocks_per_plane))
         if pages:
-            # Build the mapping in one vectorized pass (ascending LPN order,
-            # matching the loop's insertion order).  ``tolist()`` matters:
-            # the mapping must hold Python ints, not numpy scalars, so that
-            # every PhysicalPage built from it stays identical to one the
-            # allocator would have produced.
-            lpns = np.arange(pages, dtype=np.int64)
-            slots, plane_indices = np.divmod(lpns, plane_count)
-            block_ids, page_indices = np.divmod(slots, pages_per_block)
-            self._mapping.update(zip(
-                range(pages),
-                zip(plane_indices.tolist(), block_ids.tolist(),
-                    page_indices.tolist())))
+            # LPN n is write n // planes of plane n % planes, and a plane's
+            # k-th write lands at packed offset k within the plane.
+            slots, plane_indices = np.divmod(np.arange(pages, dtype=np.int64), plane_count)
+            mapping = np.frombuffer(self._mapping, dtype=np.int64)
+            mapping[:pages] = plane_indices * self._pages_per_plane + slots
+        self._mapped_pages = pages
         self._next_plane = pages % plane_count
         self.set_uniform_pe_cycles(pe_cycles)
 
@@ -454,4 +487,4 @@ class FlashTranslationLayer:
     # -- statistics ----------------------------------------------------------------------
     @property
     def mapped_pages(self) -> int:
-        return len(self._mapping)
+        return self._mapped_pages

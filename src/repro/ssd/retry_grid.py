@@ -11,7 +11,10 @@ module replaces that with a *grid*:
   seed), so for any operating condition the behaviours of **all** corners
   and page types can be computed in one vectorized pass through
   :class:`repro.errors.batch.BatchErrorModel` — bit-for-bit equal to the
-  scalar walks;
+  scalar walks.  The pass costs what the reads need: like a read, each
+  corner's walk stops at the first retry step the ECC decodes (rounded up
+  to the walk's chunk of steps), so a fresh (P/E, 0) slab evaluates step 0
+  alone and an aged one never reaches the end of the table;
 * conditions are discovered at run time (the preconditioned condition, the
   fresh-write condition, and P/E levels GC creates), so the grid fills
   per-condition *slabs* lazily: the first few queries of a novel condition
@@ -354,8 +357,7 @@ class RetryStepGrid:
     ) -> List[ReadBehaviour]:
         interned = self._interned
         behaviours = []
-        for index in range(len(steps)):
-            signature = (int(steps[index]), int(reduced[index]), bool(fallback[index]))
+        for signature in zip(steps.tolist(), reduced.tolist(), fallback.tolist()):
             behaviour = interned.get(signature)
             if behaviour is None:
                 behaviour = ReadBehaviour(

@@ -11,15 +11,18 @@ cycles and retention, reduced-timing walks never finishing earlier).
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodewordErrorModel, OperatingCondition
+from repro.errors import batch as batch_module
 from repro.errors.batch import BatchErrorModel, VariationArrays
 from repro.errors.timing import TimingReduction
 from repro.errors.variation import ProcessVariation, VariationSample
 from repro.nand.geometry import PageType
 from repro.nand.voltage import ReadRetryTable
+from repro.ssd.config import SsdConfig
+from repro.ssd.retry_grid import RetryStepGrid
 
 _MODEL = CodewordErrorModel()
 _BATCH = BatchErrorModel(_MODEL)
@@ -144,21 +147,31 @@ class TestWalkEquivalence:
         assert (generous.retry_steps == 0).all()
 
 
+def _scalar_behaviour(condition, page_type, sample, pre_reduction,
+                      table=_TABLE, capability=None):
+    """The FlashBackend recipe, computed with the scalar model (the oracle)."""
+    walk = _MODEL.walk_retry_table(condition, page_type, table=table,
+                                   variation=sample, capability=capability)
+    default = (walk.retry_steps if walk.retry_steps is not None
+               else table.num_entries)
+    if pre_reduction > 0.0 and default > 0:
+        reduced_walk = _MODEL.walk_retry_table(
+            condition, page_type, table=table, variation=sample,
+            retry_timing_reduction=TimingReduction(pre=pre_reduction),
+            capability=capability)
+        if reduced_walk.retry_steps is None:
+            return default, default, True
+        return default, reduced_walk.retry_steps, False
+    return default, default, False
+
+
+def _lattice_entry(batch, index):
+    return (int(batch.retry_steps[index]),
+            int(batch.retry_steps_reduced[index]),
+            bool(batch.reduced_timing_fallback[index]))
+
+
 class TestReadBehaviourLattice:
-    def _scalar_behaviour(self, condition, page_type, sample, pre_reduction):
-        """The FlashBackend recipe, computed with the scalar model."""
-        walk = _MODEL.walk_retry_table(condition, page_type, table=_TABLE,
-                                       variation=sample)
-        default = (walk.retry_steps if walk.retry_steps is not None
-                   else _TABLE.num_entries)
-        if pre_reduction > 0.0 and default > 0:
-            reduced_walk = _MODEL.walk_retry_table(
-                condition, page_type, table=_TABLE, variation=sample,
-                retry_timing_reduction=TimingReduction(pre=pre_reduction))
-            if reduced_walk.retry_steps is None:
-                return default, default, True
-            return default, reduced_walk.retry_steps, False
-        return default, default, False
 
     @pytest.mark.parametrize("pre_reduction", [0.0, 0.35, 0.6])
     def test_matches_flash_backend_recipe(self, corners, pre_reduction):
@@ -169,13 +182,10 @@ class TestReadBehaviourLattice:
             for page_type in PageType:
                 batch = lattice[page_type]
                 for index in range(len(corners)):
-                    expected = self._scalar_behaviour(
+                    expected = _scalar_behaviour(
                         condition, page_type, corners.sample_at(index),
                         pre_reduction)
-                    got = (int(batch.retry_steps[index]),
-                           int(batch.retry_steps_reduced[index]),
-                           bool(batch.reduced_timing_fallback[index]))
-                    assert got == expected
+                    assert _lattice_entry(batch, index) == expected
 
     def test_reduced_walk_never_finishes_earlier(self, corners):
         condition = OperatingCondition(2000, 12.0, 30.0)
@@ -184,6 +194,95 @@ class TestReadBehaviourLattice:
         for behaviour in lattice.values():
             assert (behaviour.retry_steps_reduced
                     >= behaviour.retry_steps).all()
+
+    def test_fresh_lattice_evaluates_step_zero_only(self, monkeypatch):
+        """Fresh data decodes at step 0, so the walk stops there.
+
+        Each page type evaluates the two tails of its own sensed boundaries
+        at step 0: 2 x 7 tails per corner in all, where a walk over the
+        whole 40-step table would evaluate 41 times as many.
+        """
+        variation = RetryStepGrid(SsdConfig.tiny()).variation_arrays()
+        fed = []
+        erfc = batch_module._erfc
+
+        def counting_erfc(values):
+            fed.append(values.size)
+            return erfc(values)
+
+        monkeypatch.setattr(batch_module, "_erfc", counting_erfc)
+        condition = OperatingCondition(1000, 0.0, 30.0)
+        lattice = _BATCH.read_behaviour_lattice(condition, variation, 0.4,
+                                                table=_TABLE)
+        assert all((batch.retry_steps == 0).all()
+                   for batch in lattice.values())
+        assert sum(fed) <= 14 * len(variation)
+
+
+_LATTICE_CORNERS = VariationArrays.from_samples(
+    ProcessVariation(seed=11).block_sample(chip=chip, block=block)
+    for chip in range(4) for block in range(12))
+
+
+@st.composite
+def _lattice_queries(draw):
+    """A lattice query shaped like the grid's: a slab or a peek_batch group."""
+    condition = draw(st.builds(
+        OperatingCondition,
+        pe_cycles=st.integers(min_value=0, max_value=3000),
+        retention_months=st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=13.0)),
+        temperature_c=st.sampled_from([30.0, 55.0, 85.0])))
+    # peek_batch passes sorted distinct corners and page types in
+    # PageType order.
+    corner_indices = sorted(draw(st.sets(
+        st.integers(min_value=0, max_value=len(_LATTICE_CORNERS) - 1),
+        min_size=1, max_size=16)))
+    wanted = draw(st.sets(st.sampled_from(list(PageType)), min_size=1))
+    page_types = tuple(p for p in PageType if p in wanted)
+    pre_reduction = 0.0
+    if draw(st.booleans()):
+        pre_reduction = draw(st.floats(min_value=0.05, max_value=0.7))
+    table = draw(st.one_of(
+        st.just(_TABLE),
+        st.builds(ReadRetryTable,
+                  num_entries=st.integers(min_value=1, max_value=6))))
+    capability = draw(st.one_of(
+        st.none(), st.integers(min_value=1, max_value=150)))
+    return (condition, np.array(corner_indices), page_types, pre_reduction,
+            table, capability)
+
+
+class TestLatticeMatchesScalarRecipe:
+    """The early-exit lattice against the scalar recipe on any walk shape.
+
+    Short tables exhaust the default walk and force the reduced-timing
+    fallback; capability overrides move every stop step; corner and page
+    type subsets are what dispatch-time batches evaluate.
+    """
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(query=_lattice_queries())
+    # Aged data on a 4-step table: every walk exhausts, every reduced walk
+    # falls back.
+    @example(query=(OperatingCondition(2000, 12.0, 30.0), np.arange(16),
+                    tuple(PageType), 0.6, ReadRetryTable(num_entries=4), None))
+    def test_lattice_equals_scalar_recipe(self, query):
+        (condition, corner_indices, page_types, pre_reduction, table,
+         capability) = query
+        variation = _LATTICE_CORNERS.take(corner_indices)
+        lattice = _BATCH.read_behaviour_lattice(
+            condition, variation, pre_reduction, page_types=page_types,
+            table=table, capability=capability)
+        assert tuple(lattice) == page_types
+        for page_type, batch in lattice.items():
+            assert len(batch) == len(variation)
+            for index in range(len(variation)):
+                expected = _scalar_behaviour(
+                    condition, page_type, variation.sample_at(index),
+                    pre_reduction, table=table, capability=capability)
+                assert _lattice_entry(batch, index) == expected
 
 
 conditions = st.builds(

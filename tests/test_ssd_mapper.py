@@ -65,3 +65,25 @@ def test_read_translation_traffic_matches_the_declared_flag(mapping):
     _, ops = mapper.read_target(0, now_us=0.0)
     assert bool(ops) == mapper.reads_need_translation
     assert mapper.cmt_misses == (1 if mapper.reads_need_translation else 0)
+
+
+def test_out_of_range_lpns_raise(mapping):
+    # Flat per-LPN tables would read their tail for a negative index; every
+    # entry point refuses LPNs outside [0, logical_pages) instead.
+    mapper = _mapper(mapping)
+    logical_pages = mapper.config.logical_pages
+    entry_points = {
+        "read_target": lambda lpn: mapper.read_target(lpn, now_us=0.0),
+        "program": lambda lpn: mapper.program(lpn, now_us=0.0),
+        "trim": lambda lpn: mapper.trim(lpn, now_us=0.0),
+        "is_mapped": mapper.is_mapped,
+    }
+    if mapping == "block":
+        entry_points["lookup"] = mapper.lookup
+    for lpn in (-1, -logical_pages, logical_pages, logical_pages + 7):
+        for name, call in entry_points.items():
+            with pytest.raises(ValueError, match=rf"LPN {lpn} .*{logical_pages}\)"):
+                call(lpn)
+    assert mapper.mapped_pages == FILL
+    assert mapper.is_mapped(logical_pages - 1) is False
+    assert mapper.is_mapped(0)
