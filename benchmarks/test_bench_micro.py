@@ -193,6 +193,33 @@ def test_bench_fleet_throughput(benchmark, bench_rpt):
     assert result.device_count == 8
 
 
+def test_bench_fleet_multishard(benchmark, bench_rpt):
+    """Serial 32-device fleet in 8-device shards under two policies.
+
+    Four shards times two policies: a fleet run that generated and routed
+    its array stream per shard would do so eight times, so this number
+    tracks the routing a run shares across its shards and policies.  The
+    devices are half full, as in the fleet scaling curve, which keeps each
+    device's simulation cheap next to the routing.
+    """
+    spec = FleetSpec(devices=32, config=SsdConfig.tiny(),
+                     condition=Condition(pe_cycles=1000,
+                                         retention_months=6.0,
+                                         fill_fraction=0.5))
+    runner = FleetRunner(spec, processes=1, rpt=bench_rpt, shard_devices=8)
+
+    def run_fleet():
+        return runner.run("usr_1", policies=("Baseline", "PnAR2"),
+                          num_requests=50 * 32, seed=0)
+
+    run = benchmark.pedantic(run_fleet, iterations=1, rounds=5,
+                             warmup_rounds=1)
+    assert run.policies == ["Baseline", "PnAR2"]
+    for _, result in run:
+        assert result.device_count == 32
+        assert len(result.shard_timings) == 4
+
+
 def test_bench_fleet_sharded_resume(benchmark, bench_rpt, tmp_path):
     """Resume of a fully checkpointed sharded fleet run.
 

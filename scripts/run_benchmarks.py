@@ -11,10 +11,11 @@ Wraps ``pytest-benchmark`` so that performance tracking is one command:
 * streams a 200k-request synthetic trace through the simulator in a child
   process and records its **peak RSS** alongside the wall time (the
   streaming core's fixed-memory promise, gated like a time regression),
-* times serial fleet runs of 8, 32 and 128 tiny devices with a fixed number
-  of requests per device in a child process and records the **per-device
-  cost** of each (the fleet scaling curve: flat when a fleet run costs
-  O(devices); recorded, not gated),
+* times serial fleet runs of 8, 32 and 128 tiny devices in 16-device shards
+  (1, 2 and 8 shards) with a fixed number of requests per device in a child
+  process and records the **per-device cost** of each (the fleet scaling
+  curve: flat when a fleet run costs O(devices) however many shards it
+  spans; recorded, not gated),
 * runs the fast experiment suite (``run all --profile fast``, serial, no
   artifact store) in a child process and records each experiment's **wall
   seconds** as the snapshot's ``e2e`` section (recorded, not gated),
@@ -66,9 +67,12 @@ SUITES = {
 MEMORY_MICRO_REQUESTS = 200_000
 MEMORY_MICRO_NAME = "stream_synthetic_200k"
 
-#: Fleet sizes of the scaling curve, and the array requests per device.
+#: Fleet sizes of the scaling curve, the array requests per device, and the
+#: shard size: 16-device shards make the sizes span 1, 2 and 8 shards, so
+#: any per-shard cost shows in the curve.
 FLEET_SCALING_DEVICES = (8, 32, 128)
 FLEET_SCALING_REQUESTS_PER_DEVICE = 50
+FLEET_SCALING_SHARD_DEVICES = 16
 
 #: Body of the end-to-end child: ``run all --profile fast`` with one job and
 #: no artifact store, so every experiment runs, in a fresh interpreter, so no
@@ -242,11 +246,12 @@ def _fleet_scaling_child() -> int:
     """Probe body: time one serial fleet run per size, print JSON to stdout.
 
     Every size runs ``usr_1`` at a fixed number of requests per device on
-    half-full ``SsdConfig.tiny()`` devices, in-process, so the per-device
-    cost stays flat as the fleet grows unless something in a fleet run
-    scales with devices x requests.  An untimed run first fills the
-    process-wide retry-grid and RPT caches, which every size would
-    otherwise pay for differently.
+    half-full ``SsdConfig.tiny()`` devices, in shards of
+    :data:`FLEET_SCALING_SHARD_DEVICES`, in-process, so the per-device cost
+    stays flat as the fleet grows unless something in a fleet run scales
+    with devices x requests or shards x requests.  An untimed run first
+    fills the process-wide retry-grid and RPT caches, which every size
+    would otherwise pay for differently.
     """
     import time
 
@@ -263,16 +268,19 @@ def _fleet_scaling_child() -> int:
         workload = WorkloadSpec(
             name="usr_1", num_requests=FLEET_SCALING_REQUESTS_PER_DEVICE * devices, seed=0
         )
+        runner = FleetRunner(fleet, processes=1, shard_devices=FLEET_SCALING_SHARD_DEVICES)
         started = time.perf_counter()
-        result = FleetRunner(fleet, processes=1).run(workload, policies="PnAR2").result
-        return time.perf_counter() - started, result.merged
+        result = runner.run(workload, policies="PnAR2").result
+        return time.perf_counter() - started, result
 
     run(FLEET_SCALING_DEVICES[0])
     curve = {}
     for devices in FLEET_SCALING_DEVICES:
-        wall_s, merged = run(devices)
+        wall_s, result = run(devices)
+        merged = result.merged
         curve[str(devices)] = {
             "devices": devices,
+            "shards": len(result.shard_timings),
             "requests_per_device": FLEET_SCALING_REQUESTS_PER_DEVICE,
             "wall_s": wall_s,
             "per_device_ms": wall_s / devices * 1e3,
@@ -452,7 +460,8 @@ def print_report(snapshot: dict, baseline: dict | None) -> None:
         label = f"fleet_scaling:{point['devices']}"
         print(
             f"{label.ljust(width)}  {point['per_device_ms']:7.1f}ms/dev  {'not gated':>12}  "
-            f"({point['sub_requests']} sub-requests in {point['wall_s']:.2f}s)"
+            f"({point['sub_requests']} sub-requests, {point['shards']} shards, "
+            f"in {point['wall_s']:.2f}s)"
         )
     for name, entry in sorted((snapshot.get("e2e") or {}).items()):
         label = f"e2e:{name}"
@@ -645,7 +654,7 @@ def main(argv=None) -> int:
         snapshot["memory"] = {MEMORY_MICRO_NAME: run_memory_micro()}
     print(
         f"timing serial fleet runs of {'/'.join(map(str, FLEET_SCALING_DEVICES))} "
-        "devices for the fleet scaling curve ..."
+        f"devices in {FLEET_SCALING_SHARD_DEVICES}-device shards for the fleet scaling curve ..."
     )
     snapshot["fleet_scaling"] = run_fleet_scaling()
     print("timing each experiment of 'run all --profile fast' (serial, uncached) ...")

@@ -15,11 +15,12 @@ the array sustain under a p99 SLO?".  This module answers both:
   :class:`~repro.workloads.tenants.TenantMix`, a registered workload source,
   or an explicit request list) across per-device
   :class:`~repro.ssd.controller.SsdSimulator` instances via the striping
-  router.  The parent generates the array stream once per shard of devices
-  and routes it in one pass into per-device sub-request lists; each device
-  worker simulates only its own list, so a shard costs one stream's
-  generation however many devices it holds, and ``processes=N`` is
-  bitwise-identical to serial;
+  router.  The parent generates the array stream once per run and routes
+  it in one pass into a compact per-device
+  :class:`~repro.workloads.router.RequestSpool`; each device worker
+  simulates only its own spool, so a run costs one stream's generation
+  however many devices, shards and policies it holds, and ``processes=N``
+  is bitwise-identical to serial;
 * :class:`FleetResult` — array-level metrics from
   :meth:`~repro.ssd.metrics.LatencyHistogram.merge`: overall and per-tenant
   p50/p99/p999, per-device utilization skew;
@@ -40,9 +41,14 @@ tractable):
 * **Sharded streaming execution** — devices are dispatched in bounded
   shards (``shard_devices``, default :data:`DEFAULT_SHARD_DEVICES`) and each
   device's metrics are folded into the running :class:`FleetResult` as they
-  land, so peak memory follows the shard size, not the fleet size: the
-  parent materializes one shard's routed sub-requests per dispatch, never
-  the whole trace.
+  land, so the per-device simulation state in flight follows the shard
+  size, not the fleet size.  The array stream is generated and routed once
+  per run, at the first shard not served from checkpoint, and every later
+  shard and policy reuses that routing: the parent's peak memory follows
+  the run's sub-request count in compact form — typed spool columns of
+  about 35 B a row, so about 35 MB at 1M sub-requests — never the trace as
+  request objects, and each spool is dropped once the last policy has
+  dispatched its device.
   Per-shard wall-clock timings are recorded for later multi-host placement.
 * **Checkpoint/resume** — with a ``checkpoint`` store attached, every
   completed shard's per-device metric states (and every capacity-search
@@ -76,7 +82,7 @@ from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import HostRequest
 from repro.ssd.retry_grid import rpt_fingerprint, shared_grid
 from repro.ssd.slab_transport import payload_slabs, publish_slabs
-from repro.workloads.router import StripeRouter
+from repro.workloads.router import RequestSpool, StripeRouter
 from repro.workloads.source import is_workload_source, source_from_dict, source_to_dict
 from repro.workloads.tenants import TenantMix
 
@@ -226,22 +232,25 @@ def _payload_tracks_tenants(payload: dict) -> bool:
     return False
 
 
-def _route_shard(spec: FleetSpec, payload: dict, devices: range) -> Dict[int, List[HostRequest]]:
-    """Generate the array stream once and split it into ``devices``' lists.
+def _route(spec: FleetSpec, payload: dict) -> List[Optional[RequestSpool]]:
+    """Generate the array stream once and split it into every device's spool.
+
+    Returns the spools indexed by device.
 
     Raises ``ValueError`` for a sub-request that reaches past the device's
     logical pages, which the controller would otherwise fold silently onto
-    another page.  It happens when the array footprint is not a whole number
-    of stripe groups: ``array_logical_pages`` counts whole device capacities,
-    so the last stripe group can overhang a device's end.
+    another page, before any device is simulated.  It happens when the array
+    footprint is not a whole number of stripe groups: ``array_logical_pages``
+    counts whole device capacities, so the last stripe group can overhang a
+    device's end.
     """
     router = spec.router()
-    routed = router.route(_source_stream(payload, spec), devices)
+    routed = router.route(_source_stream(payload, spec), range(spec.devices))
     local_pages = spec.config.logical_pages
-    for device, sub_requests in routed.items():
-        for sub_request in sub_requests:
-            if sub_request.start_lpn + sub_request.page_count > local_pages:
-                local = max(sub_request.start_lpn, local_pages)
+    for device, spool in routed.items():
+        for start_lpn, page_count in spool.extents():
+            if start_lpn + page_count > local_pages:
+                local = max(start_lpn, local_pages)
                 raise ValueError(
                     f"array LPN {router.array_lpn(device, local)} routes to device "
                     f"{device} at local LPN {local}, outside its local range "
@@ -250,7 +259,7 @@ def _route_shard(spec: FleetSpec, payload: dict, devices: range) -> Dict[int, Li
                     f"pages, replication {spec.replication}, "
                     f"{spec.array_logical_pages} array pages"
                 )
-    return routed
+    return list(routed.values())
 
 
 def _requests_digest(requests: Sequence[HostRequest]) -> str:
@@ -269,7 +278,7 @@ def _requests_digest(requests: Sequence[HostRequest]) -> str:
 
 
 def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
-    """Simulate one device's sub-requests — pure function of its payload.
+    """Simulate one device's request spool — pure function of its payload.
 
     The serial and parallel paths both execute exactly this function, which
     is what makes ``processes=N`` bitwise-identical to a serial run.
@@ -301,7 +310,7 @@ def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
     )
     if payload.get("faults"):
         simulator.install_faults(FaultPlan.from_dict(payload["faults"]))
-    # An iterator, not the list: run() sorts a sequence silently, while the
+    # An iterator, not a sequence: run() sorts a sequence silently, while the
     # admission pump rejects an out-of-order stream.
     result = simulator.run(
         iter(payload["device_requests"]),
@@ -316,7 +325,8 @@ class FleetShardTiming:
 
     Recorded for later multi-host placement planning; deliberately kept out
     of checkpoints and result comparisons (timings are the one
-    non-deterministic output of a run).
+    non-deterministic output of a run).  The first shard not served from
+    checkpoint also carries the run's stream generation and routing.
     """
 
     index: int
@@ -589,22 +599,28 @@ class FleetRunner:
     ) -> FleetRunResult:
         """Shard ``source`` across the fleet for every policy.
 
-        Devices go through the worker pool in bounded shards.  For each
-        shard it simulates, the parent generates the array-level stream
-        once (an explicit request list is sorted once, up front) and routes
-        it in one pass into the sub-request lists of the shard's devices;
-        each device payload carries only its own list, so worker results
-        are pure functions of their payloads (serial == parallel, bitwise)
-        and the parent materializes one shard's sub-requests per dispatch,
-        never the whole trace.  With a checkpoint store attached, finished
+        Devices go through the worker pool in bounded shards.  At the first
+        shard not served from checkpoint, the parent generates the
+        array-level stream once (an explicit request list is sorted once, up
+        front) and routes it in one pass into one compact
+        :class:`~repro.workloads.router.RequestSpool` per device; every later
+        shard and policy of the run reuses that routing.  A sub-request past
+        a device's end fails the run right after routing, before any device
+        is simulated.  Each device payload carries only its own spool, so
+        worker results are pure functions of their payloads (serial ==
+        parallel, bitwise).  With a checkpoint store attached, finished
         shards are persisted and later runs fold them back in without
-        generating or simulating them.
+        simulating them; a run whose shards are all checkpointed generates
+        nothing.
         """
         if isinstance(policies, str):
             policies = (policies,)
         policy_names = tuple(self._registry.canonical_name(name) for name in policies)
         if not policy_names:
             raise ValueError("no policies given")
+        for index, name in enumerate(policy_names):
+            if name in policy_names[:index]:
+                raise ValueError(f"policy {name!r} is given more than once")
         source_payload = _source_payload(source, num_requests, seed)
         label = _source_label(source_payload)
         fault_plan = FaultPlan.coerce(faults) if faults is not None else None
@@ -649,6 +665,7 @@ class FleetRunner:
             **transport,
         )
         shard_ranges = self._shard_ranges()
+        routed: Optional[List[Optional[RequestSpool]]] = None
         try:
             with WorkerPool(self.processes) as pool:
                 for policy in policy_names:
@@ -680,7 +697,8 @@ class FleetRunner:
                                 device_range.stop - 1,
                             )
                         else:
-                            routed = _route_shard(self.spec, source_payload, device_range)
+                            if routed is None:
+                                routed = _route(self.spec, source_payload)
                             payloads = [
                                 dict(
                                     device_payload,
@@ -690,6 +708,12 @@ class FleetRunner:
                                 )
                                 for device in device_range
                             ]
+                            if policy == policy_names[-1]:
+                                # The last policy's dispatch is a spool's last
+                                # use; dropping it keeps the routing from adding
+                                # to the rows the result accumulates.
+                                for device in device_range:
+                                    routed[device] = None
                             devices: List[int] = []
                             states: List[dict] = []
                             for _, device, result in pool.map(_run_fleet_device, payloads):

@@ -18,10 +18,15 @@ logical capacity, exactly like a real mirrored array.
 The router is a pure function of ``(devices, stripe_unit_pages,
 replication)`` and the request stream.  :meth:`StripeRouter.route` splits an
 array-level stream of :class:`~repro.ssd.request.HostRequest` objects in one
-pass into the sub-request lists of a set of devices: a fleet run generates
-its array stream once per shard of devices and hands every device worker
-only its own list.  :meth:`StripeRouter.shard` is the lazy single-device
-filter of the same split; tests hold ``route`` to it as the reference.
+pass into one :class:`RequestSpool` per device: a fleet run generates its
+array stream once per run, however many shards and policies it simulates,
+and hands every device worker only its own spool.  A spool holds its
+sub-requests as typed columns (about 35 B a row against 130-190 B for a
+``HostRequest`` held in a list), so a fleet that keeps every device's
+spool across its shards and policies holds the run's sub-requests in
+compact form.  :meth:`StripeRouter.split` and ``route`` share one
+run-coalescing walk; :meth:`StripeRouter.shard` is the lazy single-device
+filter of the same split, and tests hold ``route`` to it as the reference.
 
 Sub-requests preserve the parent's arrival time and ``queue_id`` (the
 tenant tag), so per-device arrival order — and therefore the simulator's
@@ -30,10 +35,62 @@ bounded-lookahead pump contract — is preserved by construction.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.ssd.request import HostRequest, RequestKind
+
+#: Request kinds by their spool code, and the codes by kind.
+_KINDS = tuple(RequestKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+
+
+class RequestSpool:
+    """One device's routed sub-requests, stored as typed columns.
+
+    Each row is an arrival time (float64), a :class:`RequestKind` code, a
+    start LPN, a page count and a ``queue_id``.  Iterating yields a fresh
+    :class:`HostRequest` per row, in the order the rows were appended.  A
+    spool pickles as its column arrays.  A spool with no rows holds empty
+    tuples instead of arrays, because most devices of a large fleet fed a
+    short stream get no rows at all.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self) -> None:
+        self._columns: tuple = ((), (), (), (), ())
+
+    def append(
+        self,
+        arrival_us: float,
+        kind: RequestKind,
+        start_lpn: int,
+        page_count: int,
+        queue_id: int,
+    ) -> None:
+        columns = self._columns
+        if not columns[0]:
+            columns = self._columns = (array("d"), array("B"), array("q"), array("q"), array("q"))
+        arrivals, kind_codes, start_lpns, page_counts, queue_ids = columns
+        arrivals.append(arrival_us)
+        kind_codes.append(_KIND_CODES[kind])
+        start_lpns.append(start_lpn)
+        page_counts.append(page_count)
+        queue_ids.append(queue_id)
+
+    def extents(self) -> Iterator[Tuple[int, int]]:
+        """The ``(start_lpn, page_count)`` of every row, in order."""
+        return zip(self._columns[2], self._columns[3])
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[HostRequest]:
+        kinds = _KINDS
+        for arrival_us, code, start_lpn, page_count, queue_id in zip(*self._columns):
+            yield HostRequest(arrival_us, kinds[code], start_lpn, page_count, queue_id)
 
 
 @dataclass(frozen=True)
@@ -93,6 +150,39 @@ class StripeRouter:
         return self._locate(lpn, group % self.replication)
 
     # -- request splitting -----------------------------------------------------
+    def _runs(self, request: HostRequest) -> List[List[int]]:
+        """The coalesced ``[device, local_start, page_count]`` runs of a request.
+
+        Reads go to one replica per page; writes and control requests to
+        every replica.  Pages landing on the same device at consecutive
+        device-local addresses coalesce into one run, and runs come out in
+        the order their first page was placed.  The request is placed one
+        stripe-unit segment at a time, since a segment's pages sit at
+        consecutive addresses of each device it reaches.  Open runs are
+        indexed by (device, next local page), so a segment can only extend
+        a run on its own device; placement never maps two pages of a
+        request to one address, so at most one run qualifies, the same run
+        a page-by-page scan of every run would find.
+        """
+        unit = self.stripe_unit_pages
+        read = request.kind is RequestKind.READ
+        runs: List[List[int]] = []
+        open_runs: Dict[Tuple[int, int], List[int]] = {}
+        lpn = int(request.start_lpn)
+        end = lpn + request.page_count
+        while lpn < end:
+            pages = min(unit - lpn % unit, end - lpn)
+            for device, local in (self.read_placement(lpn),) if read else self.replicas(lpn):
+                run = open_runs.pop((device, local), None)
+                if run is None:
+                    run = [device, local, pages]
+                    runs.append(run)
+                else:
+                    run[2] += pages
+                open_runs[device, local + pages] = run
+            lpn += pages
+        return runs
+
     def split(self, request: HostRequest) -> List[Tuple[int, HostRequest]]:
         """Split one array-level request into per-device sub-requests.
 
@@ -102,19 +192,6 @@ class StripeRouter:
         array-level request of a full stripe group becomes one contiguous
         sub-request per device rather than one per page.
         """
-        runs: List[List[int]] = []  # [device, local_start, page_count]
-        for lpn in range(request.start_lpn, request.start_lpn + request.page_count):
-            if request.kind is RequestKind.READ:
-                targets = (self.read_placement(lpn),)
-            else:
-                targets = self.replicas(lpn)
-            for device, local in targets:
-                for run in runs:
-                    if run[0] == device and local == run[1] + run[2]:
-                        run[2] += 1
-                        break
-                else:
-                    runs.append([device, local, 1])
         return [
             (
                 device,
@@ -126,7 +203,7 @@ class StripeRouter:
                     queue_id=request.queue_id,
                 ),
             )
-            for device, local_start, page_count in runs
+            for device, local_start, page_count in self._runs(request)
         ]
 
     def _check_device(self, device: int) -> None:
@@ -135,25 +212,32 @@ class StripeRouter:
 
     def route(
         self, stream: Iterable[HostRequest], devices: Iterable[int]
-    ) -> Dict[int, List[HostRequest]]:
-        """Split an array-level stream, in one pass, into per-device lists.
+    ) -> Dict[int, RequestSpool]:
+        """Split an array-level stream, in one pass, into per-device spools.
 
-        Returns ``{device: sub-requests}`` for every device in ``devices``,
-        each list in stream order; sub-requests for other devices are
-        dropped.  ``route(stream, devices)[d]`` equals
-        ``list(shard(stream, d))``, but the stream is read once for all of
-        ``devices`` instead of once per device.
+        Returns ``{device: spool}`` for every device in ``devices``, each
+        spool in stream order; runs for other devices are dropped.  Each
+        coalesced run is written straight into its device's spool, with no
+        sub-request object built.  Iterating ``route(stream, devices)[d]``
+        yields the requests of ``shard(stream, d)``, but the stream is read
+        once for all of ``devices`` instead of once per device.
         """
-        routed: Dict[int, List[HostRequest]] = {}
+        spools: Dict[int, RequestSpool] = {}
         for device in devices:
             self._check_device(device)
-            routed[device] = []
+            spools[device] = RequestSpool()
         for request in stream:
-            for target, sub_request in self.split(request):
-                sub_requests = routed.get(target)
-                if sub_requests is not None:
-                    sub_requests.append(sub_request)
-        return routed
+            for device, local_start, page_count in self._runs(request):
+                spool = spools.get(device)
+                if spool is not None:
+                    spool.append(
+                        request.arrival_us,
+                        request.kind,
+                        local_start,
+                        page_count,
+                        request.queue_id,
+                    )
+        return spools
 
     def shard(
         self, stream: Iterable[HostRequest], device: int

@@ -1,6 +1,10 @@
 """Fleet layer: router, tenant mix, fleet runs, SLO capacity search."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulation
 from repro.sim.fleet import (
@@ -12,8 +16,9 @@ from repro.sim.fleet import (
 )
 from repro.sim.spec import Condition, WorkloadSpec
 from repro.ssd.config import SsdConfig
+from repro.ssd.controller import SsdSimulator
 from repro.ssd.request import HostRequest, RequestKind
-from repro.workloads.router import StripeRouter
+from repro.workloads.router import RequestSpool, StripeRouter
 from repro.workloads.tenants import TenantMix
 
 CONFIG = SsdConfig.tiny()
@@ -26,6 +31,54 @@ def _spec(n=120, seed=3, **kwargs):
 
 
 # -- StripeRouter --------------------------------------------------------------
+def _scan_split(router, request):
+    """Reference split: place page by page, scanning every run for each page.
+
+    ``StripeRouter.split`` places a stripe-unit segment at a time through an
+    index of open runs; it must return these runs in this order.
+    """
+    runs = []  # [device, local_start, page_count]
+    for lpn in range(request.start_lpn, request.start_lpn + request.page_count):
+        if request.kind is RequestKind.READ:
+            targets = (router.read_placement(lpn),)
+        else:
+            targets = router.replicas(lpn)
+        for device, local in targets:
+            for run in runs:
+                if run[0] == device and local == run[1] + run[2]:
+                    run[2] += 1
+                    break
+            else:
+                runs.append([device, local, 1])
+    return [tuple(run) for run in runs]
+
+
+@st.composite
+def _routed_streams(draw):
+    """A router, an array-level stream for it, and the devices to route."""
+    devices = draw(st.integers(min_value=1, max_value=5))
+    router = StripeRouter(
+        devices=devices,
+        stripe_unit_pages=draw(st.integers(min_value=1, max_value=8)),
+        replication=draw(st.integers(min_value=1, max_value=devices)),
+    )
+    # Arrivals are arbitrary doubles, not short decimals, so the float64
+    # column has to keep every bit.
+    arrivals = draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
+        max_size=24))
+    stream = [
+        HostRequest(arrival_us=arrival,
+                    kind=draw(st.sampled_from(list(RequestKind))),
+                    start_lpn=draw(st.integers(min_value=0, max_value=600)),
+                    page_count=draw(st.integers(min_value=1, max_value=64)),
+                    queue_id=draw(st.integers(min_value=0, max_value=1 << 40)))
+        for arrival in arrivals
+    ]
+    routed = draw(st.lists(st.integers(min_value=0, max_value=devices - 1), unique=True))
+    return router, stream, routed
+
+
 class TestStripeRouter:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -104,21 +157,42 @@ class TestStripeRouter:
         with pytest.raises(ValueError):
             router.route([], range(1, 3))
 
-    @pytest.mark.parametrize("replication", [1, 2])
-    def test_route_equals_shard_for_every_device(self, replication):
-        router = StripeRouter(devices=3, stripe_unit_pages=4,
-                              replication=replication)
-        stream = [HostRequest(arrival_us=float(i),
-                              kind=(RequestKind.WRITE if i % 3 == 0
-                                    else RequestKind.READ),
-                              start_lpn=(i * 7) % 90, page_count=1 + i % 9,
-                              queue_id=i % 2)
-                  for i in range(80)]
-        routed = router.route(iter(stream), range(1, 3))
-        assert list(routed) == [1, 2]
-        for device, sub_requests in routed.items():
-            expected = list(router.shard(stream, device))
-            assert _requests_digest(sub_requests) == _requests_digest(expected)
+    @settings(max_examples=150, deadline=None)
+    @given(_routed_streams())
+    def test_route_equals_shard_for_every_device(self, case):
+        router, stream, devices = case
+        routed = router.route(iter(stream), devices)
+        assert list(routed) == devices
+        for device, spool in routed.items():
+            expected = _requests_digest(list(router.shard(stream, device)))
+            assert _requests_digest(list(spool)) == expected
+            clone = pickle.loads(pickle.dumps(spool))
+            assert len(clone) == len(spool)
+            assert _requests_digest(list(clone)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_routed_streams())
+    def test_split_matches_the_page_by_page_scan(self, case):
+        router, stream, _ = case
+        for request in stream:
+            parts = router.split(request)
+            assert [(device, sub.start_lpn, sub.page_count)
+                    for device, sub in parts] == _scan_split(router, request)
+            for _, sub in parts:
+                assert (sub.arrival_us, sub.kind, sub.queue_id) == (
+                    request.arrival_us, request.kind, request.queue_id)
+
+    def test_spool_rows_survive_pickling_in_order(self):
+        spool = pickle.loads(pickle.dumps(RequestSpool()))
+        assert len(spool) == 0 and list(spool) == []
+        rows = [(0.1 + 0.2, RequestKind.DISCARD, 7, 3, 9),
+                (2.5, RequestKind.READ, 1 << 40, 64, 0)]
+        for row in rows:
+            spool.append(*row)
+        clone = pickle.loads(pickle.dumps(spool))
+        assert [(request.arrival_us, request.kind, request.start_lpn,
+                 request.page_count, request.queue_id)
+                for request in clone] == rows
 
     @pytest.mark.parametrize("replication", [1, 2, 3])
     def test_array_lpn_inverts_every_copy(self, replication):
@@ -282,6 +356,31 @@ class TestFleetRunner:
                 WorkloadSpec(name="stg_0", num_requests=1500, seed=0,
                              footprint_fraction=1.0),
                 policies="Baseline")
+
+    def test_an_overhang_fails_before_any_device_is_simulated(self, monkeypatch):
+        # Device 0's shard comes first and routes cleanly; the run must
+        # still fail on device 1's overhang before simulating anything.
+        simulated = []
+        run = SsdSimulator.run
+
+        def recording_run(self, *args, **kwargs):
+            simulated.append(self.device_id)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SsdSimulator, "run", recording_run)
+        fleet_spec = FleetSpec(devices=3, replication=2, config=CONFIG)
+        read = HostRequest(arrival_us=0.0, kind=RequestKind.READ,
+                           start_lpn=2139, page_count=1)
+        with pytest.raises(ValueError, match="array LPN 2139 routes to device 1"):
+            FleetRunner(fleet_spec, shard_devices=1).run([read], policies="Baseline")
+        assert simulated == []
+
+    def test_a_repeated_policy_is_refused(self):
+        # Both names canonicalize to PnAR2; folding it twice would absorb
+        # every device twice into one result.
+        fleet_spec = FleetSpec(devices=2, config=CONFIG)
+        with pytest.raises(ValueError, match="policy 'PnAR2' is given more than once"):
+            FleetRunner(fleet_spec).run(_spec(40), policies=("PnAR2", "pnar2"))
 
     def test_explicit_request_list_is_sorted_like_single_device(self):
         # The single-device contract sorts pre-materialized sequences up

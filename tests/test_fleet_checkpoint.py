@@ -6,7 +6,7 @@ are detected (payload digest) and recomputed rather than trusted; shared
 slab segments never outlive a run — normal exit and crashed-worker exit
 alike; stale worker attachments are invalidated by the descriptor's
 (epoch, fingerprint) pair; a sharded parallel run matches the serial run
-row for row; and every shard routes its array stream once, handing each
+row for row; and every run routes its array stream once, handing each
 device exactly the sub-stream the router's per-device filter yields.
 """
 
@@ -274,7 +274,7 @@ class TestExecutionEquivalence:
         slab_transport.detach_all()
 
 
-# -- route once per shard ------------------------------------------------------
+# -- route once per run --------------------------------------------------------
 def _explicit_requests():
     """Unsorted mixed reads and writes, several pages each."""
     return [
@@ -360,7 +360,7 @@ class TestRouteOnce:
             assert other.summary() == serial.summary()
         slab_transport.detach_all()
 
-    def test_each_live_shard_generates_the_stream_once(self, tmp_path, monkeypatch):
+    def test_a_run_generates_the_stream_once(self, tmp_path, monkeypatch):
         workload = _workload(80)
         length = len(list(workload.iter_requests(
             CONFIG, footprint_pages=_fleet().array_logical_pages)))
@@ -381,8 +381,8 @@ class TestRouteOnce:
                 workload, policies=("Baseline", "PnAR2"))
             return len(generated)
 
-        # 2 policies x 2 shards, each shard generating the stream once.
-        assert generated_by_run() == 2 * 2 * length
+        # 2 policies x 2 shards share one generation of the stream.
+        assert generated_by_run() == length
         # Every shard served from checkpoint: nothing is generated.
         assert generated_by_run() == 0
         sorted(store.entries(FLEET_SHARD_KIND))[0].unlink()
