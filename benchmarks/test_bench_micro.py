@@ -19,6 +19,7 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.engine import EventQueue
 from repro.ssd.ftl import FlashTranslationLayer
+from repro.ssd.request import HostRequest, RequestKind
 from repro.ssd.retry_grid import RetryStepGrid
 from repro.workloads import catalog_workload
 
@@ -136,6 +137,34 @@ def test_bench_simulator_throughput(benchmark, bench_rpt):
     result = benchmark.pedantic(run_simulation, iterations=1, rounds=5,
                                 warmup_rounds=1)
     assert result.metrics.host_reads > 150
+
+
+def test_bench_block_read_path(benchmark, bench_rpt):
+    """Multi-page reads of aged data on a block-mode ``scaled()`` device.
+
+    Times only ``SsdSimulator.run``: each page resolves to its packed index
+    and condition, is scheduled on its die and priced from the retry grid.
+    Building and preconditioning the device is per-round set-up.
+    """
+    config = SsdConfig.scaled()
+    filled = int(config.logical_pages * 0.85)
+    requests = [HostRequest(arrival_us=index * 300.0, kind=RequestKind.READ,
+                            start_lpn=(index * 7919) % (filled - 8),
+                            page_count=2 + index % 7)
+                for index in range(1000)]
+
+    def aged_device():
+        simulator = SsdSimulator(config, policy="PnAR2", rpt=bench_rpt)
+        simulator.precondition(pe_cycles=2000, retention_months=12.0)
+        return (simulator,), {}
+
+    def run(simulator):
+        return simulator.run(requests)
+
+    result = benchmark.pedantic(run, setup=aged_device, iterations=1,
+                                rounds=5, warmup_rounds=1)
+    assert result.metrics.host_reads == len(requests)
+    assert result.metrics.scalar_fallbacks == 0
 
 
 def test_bench_dftl_steady_state(benchmark, bench_rpt):

@@ -9,7 +9,12 @@ paper's evaluation:
 * read transactions ask the flash backend how many retry steps they need
   (each simulated block behaves like a characterized block) and the active
   read-retry *policy* (Baseline / PR2 / AR2 / PnAR2 / NoRR / PSO) translates
-  that into latency and die-occupancy numbers;
+  that into latency and die-occupancy numbers.  The read path handles one
+  address, the packed page index of :class:`~repro.ssd.ftl.PageAddressing`:
+  each mapper resolves a read to it and reports its block's condition from
+  it, and every transaction carries it with its die number, which indexes
+  the list of die schedulers.  The retry-grid corner and the page type are
+  one division and one remainder of it away;
 * writes are absorbed by the write buffer and flushed to flash through one
   :class:`~repro.ssd.ftl.Mapper`, picked once from ``config.mapping``: the
   flat-table FTL with greedy garbage collection (``"block"``), or the DFTL
@@ -46,17 +51,18 @@ documents this substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.core.policies import ReadRetryPolicy, get_policy
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.condition import OperatingCondition
+from repro.nand.geometry import PAGE_TYPE_ORDER
 from repro.ssd.config import SsdConfig
 from repro.ssd.dftl import DftlMapper, TranslationOp
 from repro.ssd.engine import EventQueue
 from repro.ssd.faults import FaultInjector, FaultPlan
 from repro.ssd.flash_backend import FlashBackend
-from repro.ssd.ftl import FlashTranslationLayer, Mapper, PhysicalPage, page_type_of
+from repro.ssd.ftl import FlashTranslationLayer, Mapper, PageAddressing, PhysicalPage
 from repro.ssd.gc import GcOperation
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import (
@@ -75,6 +81,14 @@ DEFAULT_LOOKAHEAD_REQUESTS = 64
 
 #: The mapper class behind each ``SsdConfig.mapping`` value.
 MAPPERS = {"block": FlashTranslationLayer, "page": DftlMapper}
+
+#: The read path inlines :class:`PageAddressing`'s derivations, one call
+#: fewer each: the die ``packed // pages_per_die``, the grid corner
+#: ``packed // pages_per_block`` and the page type ``packed %
+#: pages_per_block % _PAGE_TYPES``.
+_PAGE_TYPES = len(PAGE_TYPE_ORDER)
+_READ = TransactionKind.READ
+_GC_READ = TransactionKind.GC_READ
 
 
 @dataclass
@@ -164,14 +178,18 @@ class SsdSimulator:
         self.write_buffer = WriteBuffer(self.config.write_buffer_pages)
         self.backend = FlashBackend(self.config, rpt=shared_rpt)
         self.metrics = SimulationMetrics(record_samples=record_samples)
-        self.schedulers: Dict[tuple, DieScheduler] = {}
-        for channel in range(self.config.channels):
-            for die in range(self.config.dies_per_channel):
-                key = (channel, die)
-                self.schedulers[key] = DieScheduler(
-                    key, self.config, self.events,
-                    service_time_fn=self._service_time,
-                    on_complete=self._on_transaction_complete)
+        self._addressing = PageAddressing(self.config)
+        #: Die schedulers indexed by die number (``channel *
+        #: dies_per_channel + die``, what ``FlashTransaction.die`` holds);
+        #: ``schedulers`` maps each ``(channel, die)`` to the same object.
+        self._dies: List[DieScheduler] = [
+            DieScheduler((channel, die), self.config, self.events,
+                         service_time_fn=self._service_time,
+                         on_complete=self._on_transaction_complete)
+            for channel in range(self.config.channels)
+            for die in range(self.config.dies_per_channel)]
+        self.schedulers: Dict[tuple, DieScheduler] = {
+            scheduler.die_key: scheduler for scheduler in self._dies}
         self._cold_retention_months = 0.0
         self._preconditioned_pe_cycles = 0
         self._outstanding_requests = 0
@@ -502,20 +520,18 @@ class SsdSimulator:
             self._start_read_request_batched(request)
             return
         now_us = self.events.now_us
-        schedulers = self.schedulers
-        read_target = self.mapper.read_target
+        dies = self._dies
+        read_target = self.mapper.read_target_packed
         logical_pages = self.config.logical_pages
-        read_kind = TransactionKind.READ
+        pages_per_die = self._addressing.pages_per_die
         for lpn in range(request.start_lpn,
                          request.start_lpn + request.page_count):
-            physical, ops = read_target(lpn % logical_pages, now_us)
+            packed, ops = read_target(lpn % logical_pages, now_us)
             if ops:
                 self._issue_translation_ops(ops)
-            transaction = FlashTransaction(
-                read_kind, lpn, physical.channel, physical.die,
-                physical.plane, physical.block, physical.page, now_us,
-                request, None, physical)
-            schedulers[(physical.channel, physical.die)].enqueue(transaction)
+            die = packed // pages_per_die
+            dies[die].enqueue(
+                FlashTransaction(_READ, lpn, packed, die, now_us, request))
 
     def _start_read_request_batched(self, request: HostRequest) -> None:
         """Multi-page read dispatch through one batch retry-table walk.
@@ -538,31 +554,31 @@ class SsdSimulator:
         fault injectors (penalties are service-time state).
         """
         now_us = self.events.now_us
-        mapper = self.mapper
+        read_target = self.mapper.read_target_packed
+        read_condition = self.mapper.read_condition_packed
         logical_pages = self.config.logical_pages
-        targets = []
+        pages_per_block = self._addressing.pages_per_block
+        lpns = range(request.start_lpn, request.start_lpn + request.page_count)
+        pages = []
         items = []
-        for lpn in range(request.start_lpn,
-                         request.start_lpn + request.page_count):
-            physical, _ = mapper.read_target(lpn % logical_pages, now_us)
-            pe_cycles, retention = mapper.read_condition(physical, now_us)
-            targets.append((lpn, physical, pe_cycles, retention))
-            items.append((physical, page_type_of(physical), pe_cycles,
-                          retention))
+        for lpn in lpns:
+            packed, _ = read_target(lpn % logical_pages, now_us)
+            pe_cycles, retention = read_condition(packed, now_us)
+            pages.append(packed)
+            items.append((packed % pages_per_block % _PAGE_TYPES, pe_cycles,
+                          retention, packed // pages_per_block))
         prepared, walks = self.backend.peek_read_batch(items)
         self.metrics.batch_dispatch_calls += walks
-        schedulers = self.schedulers
-        read_kind = TransactionKind.READ
-        for (lpn, physical, pe_cycles, retention), behaviour in zip(
-                targets, prepared):
-            transaction = FlashTransaction(
-                read_kind, lpn, physical.channel, physical.die,
-                physical.plane, physical.block, physical.page, now_us,
-                request, None, physical)
+        dies = self._dies
+        pages_per_die = self._addressing.pages_per_die
+        for lpn, packed, item, behaviour in zip(lpns, pages, items, prepared):
+            die = packed // pages_per_die
+            transaction = FlashTransaction(_READ, lpn, packed, die, now_us,
+                                           request)
             if behaviour is not None:
-                transaction.prepared_behaviour = (pe_cycles, retention,
-                                                  behaviour)
-            schedulers[(physical.channel, physical.die)].enqueue(transaction)
+                # Keyed by the (P/E, retention) it was computed under.
+                transaction.prepared_behaviour = (item[1], item[2], behaviour)
+            dies[die].enqueue(transaction)
 
     def _admit_or_defer_write(self, request: HostRequest) -> None:
         if self.write_buffer.try_admit(request.page_count):
@@ -590,12 +606,7 @@ class SsdSimulator:
         if ops:
             self._issue_translation_ops(ops)
         self.metrics.host_programs += 1
-        transaction = FlashTransaction(
-            kind=TransactionKind.PROGRAM, lpn=lpn,
-            channel=physical.channel, die=physical.die, plane=physical.plane,
-            block=physical.block, page=physical.page,
-            issue_us=self.events.now_us, request=request, physical=physical)
-        self.schedulers[physical.die_key()].enqueue(transaction)
+        self._enqueue_page(TransactionKind.PROGRAM, physical, lpn, request)
 
     def _issue_translation_ops(self, ops: Sequence[TranslationOp]) -> None:
         """Schedule DFTL translation-page traffic as real flash transactions."""
@@ -606,66 +617,58 @@ class SsdSimulator:
             else:
                 kind = TransactionKind.TRANS_PROGRAM
                 self.metrics.translation_writes += 1
-            self._enqueue_internal(kind, op.physical)
+            self._enqueue_page(kind, op.physical)
 
     # -- flash service times -----------------------------------------------------------------
     def _service_time(self, transaction: FlashTransaction) -> float:
         kind = transaction.kind
         # Host and GC reads dominate every workload this simulator runs;
         # dispatch them before the rarer program/erase kinds.
-        if kind is TransactionKind.READ or kind is TransactionKind.GC_READ:
+        if kind is _READ or kind is _GC_READ:
             return self._read_service_time(transaction)
         timing = self.config.timing
-        if transaction.kind in (TransactionKind.PROGRAM,
-                                TransactionKind.GC_PROGRAM,
-                                TransactionKind.TRANS_PROGRAM):
+        if kind in (TransactionKind.PROGRAM, TransactionKind.GC_PROGRAM,
+                    TransactionKind.TRANS_PROGRAM):
             return timing.t_dma_page_us + timing.t_prog_us
-        if transaction.kind is TransactionKind.ERASE:
+        if kind is TransactionKind.ERASE:
             return timing.t_bers_us
-        if transaction.kind is TransactionKind.TRANS_READ:
+        if kind is TransactionKind.TRANS_READ:
             # Translation pages are hot, constantly rewritten metadata: they
             # read at default timing with no retry walk — one sensing pass
             # for the page type plus transfer and decode.
-            physical = transaction.physical
-            if physical is None:
-                physical = PhysicalPage(transaction.channel, transaction.die,
-                                        transaction.plane, transaction.block,
-                                        transaction.page)
-            page_type = page_type_of(physical)
+            page_type = PAGE_TYPE_ORDER[
+                self._addressing.page_type_index(transaction.packed)]
             return (timing.read.sensing_latency_us(page_type)
                     + timing.t_dma_page_us + timing.t_ecc_us)
         return self._read_service_time(transaction)
 
     def _read_service_time(self, transaction: FlashTransaction) -> float:
-        physical = transaction.physical
-        if physical is None:
-            # Synthetically constructed transactions (tests) may carry only
-            # the scalar address fields.
-            physical = PhysicalPage(transaction.channel, transaction.die,
-                                    transaction.plane, transaction.block,
-                                    transaction.page)
-        pe_cycles, retention = self.mapper.read_condition(physical,
-                                                          self.events.now_us)
-        page_type = page_type_of(physical)
+        packed = transaction.packed
+        now_us = self.events.now_us
+        pe_cycles, retention = self.mapper.read_condition_packed(packed,
+                                                                 now_us)
+        pages_per_block = self._addressing.pages_per_block
+        page_type = packed % pages_per_block % _PAGE_TYPES
+        corner = packed // pages_per_block
         prepared = transaction.prepared_behaviour
         if prepared is not None and prepared[0] == pe_cycles \
                 and prepared[1] == retention:
             # Dispatch-time batch preparation, still valid for the block's
             # current condition (GC did not erase it in between).
-            behaviour = self.backend.read_behaviour(
-                physical, page_type, pe_cycles, retention,
-                prepared=prepared[2])
+            behaviour = self.backend.behaviour_at(
+                page_type, pe_cycles, retention, corner, prepared[2])
             self.metrics.batched_completions += 1
         else:
-            behaviour = self.backend.read_behaviour(
-                physical, page_type, pe_cycles, retention)
+            behaviour = self.backend.behaviour_at(
+                page_type, pe_cycles, retention, corner)
         fault_extra = 0
         fault_factor = 1.0
         if self._fault_injector is not None:
+            physical = self._addressing.unpack(packed)
             self._fault_injector.record_read(physical)
-            self._fault_injector.poll(self.events.now_us)
+            self._fault_injector.poll(now_us)
             fault_extra, fault_factor = self._fault_injector.read_penalty(
-                physical, self.events.now_us)
+                physical, now_us)
             if fault_extra:
                 behaviour = behaviour.degraded(fault_extra)
         if self._uses_reduced_timing:
@@ -673,9 +676,9 @@ class SsdSimulator:
         else:
             steps = behaviour.retry_steps
         # Controller-local breakdown memo: temperature and policy are fixed
-        # per simulator, so (steps, page type, condition) keys the policy's
-        # own memoized breakdown exactly.  A first read under any new
-        # (P/E, retention) always misses here, so the condition-diversity
+        # per simulator, so (steps, page type index, condition) keys the
+        # policy's own memoized breakdown exactly.  A first read under any
+        # new (P/E, retention) always misses here, so the condition-diversity
         # counter (``len(self._condition_cache)``) still sees every
         # distinct condition.
         breakdown_key = (steps, page_type, pe_cycles, retention)
@@ -688,7 +691,8 @@ class SsdSimulator:
                     pe_cycles=pe_cycles, retention_months=retention,
                     temperature_c=self.config.temperature_c)
                 self._condition_cache[condition_key] = condition
-            breakdown = self.policy.breakdown_for(steps, page_type, condition)
+            breakdown = self.policy.breakdown_for(
+                steps, PAGE_TYPE_ORDER[page_type], condition)
             self._breakdown_cache[breakdown_key] = breakdown
         response_us = breakdown.response_us
         die_busy_us = breakdown.die_busy_us
@@ -698,7 +702,7 @@ class SsdSimulator:
             # falls back to a full default-timing read-retry operation
             # (Section 6.2).  Charge the failed attempt plus the fallback.
             fallback = self.policy.latency_model.baseline(
-                behaviour.retry_steps, page_type)
+                behaviour.retry_steps, PAGE_TYPE_ORDER[page_type])
             response_us += fallback.response_us
             die_busy_us += fallback.die_busy_us
             self.metrics.reduced_timing_fallbacks += 1
@@ -717,7 +721,7 @@ class SsdSimulator:
 
     # -- completions ----------------------------------------------------------------------------
     def _on_transaction_complete(self, transaction: FlashTransaction) -> None:
-        if transaction.kind is TransactionKind.READ:
+        if transaction.kind is _READ:
             self._complete_host_read_page(transaction)
         elif transaction.kind is TransactionKind.PROGRAM:
             self._complete_host_program_page(transaction)
@@ -781,20 +785,21 @@ class SsdSimulator:
         updates, then the victim's erase."""
         for source, destination in zip(operation.relocations,
                                        operation.destinations):
-            self._enqueue_internal(TransactionKind.GC_READ, source)
-            self._enqueue_internal(TransactionKind.GC_PROGRAM, destination)
+            self._enqueue_page(TransactionKind.GC_READ, source)
+            self._enqueue_page(TransactionKind.GC_PROGRAM, destination)
         self._issue_translation_ops(operation.translation_ops)
         plane = self.mapper.planes[operation.plane_index]
         erase_target = PhysicalPage(plane.channel, plane.die, plane.plane,
                                     operation.victim_block, 0)
-        self._enqueue_internal(TransactionKind.ERASE, erase_target)
+        self._enqueue_page(TransactionKind.ERASE, erase_target)
 
-    def _enqueue_internal(self, kind: TransactionKind,
-                          physical: PhysicalPage) -> None:
-        """Enqueue controller-internal flash work (GC, erase, translation)."""
-        transaction = FlashTransaction(
-            kind=kind, lpn=None, channel=physical.channel, die=physical.die,
-            plane=physical.plane, block=physical.block, page=physical.page,
-            issue_us=self.events.now_us, request=None, physical=physical)
-        self.schedulers[physical.die_key()].enqueue(transaction)
+    def _enqueue_page(self, kind: TransactionKind, physical: PhysicalPage,
+                      lpn: Optional[int] = None,
+                      request: Optional[HostRequest] = None) -> None:
+        """Enqueue flash work on a page a mapper returned: host programs,
+        GC relocations and erases, translation-page traffic."""
+        packed = self._addressing.pack(physical)
+        die = self._addressing.die_of(packed)
+        self._dies[die].enqueue(FlashTransaction(
+            kind, lpn, packed, die, self.events.now_us, request))
 

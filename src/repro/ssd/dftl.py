@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ssd.config import SsdConfig
-from repro.ssd.ftl import PhysicalPage, check_lpn
+from repro.ssd.ftl import PageAddressing, PhysicalPage, check_lpn
 from repro.ssd.gc import GcOperation
 
 #: Append-point streams.  Each plane keeps one active block per stream so
@@ -247,6 +247,11 @@ class DftlMapper:
             for die in range(config.dies_per_channel):
                 for plane in range(config.planes_per_die):
                     self.planes.append(DftlPlane(config, channel, die, plane))
+        self.addressing = PageAddressing(config)
+        #: Every block, indexed by its corner ``packed // pages_per_block``.
+        self._blocks = [block for plane in self.planes for block in plane.blocks]
+        self._pages_per_block = config.pages_per_block
+        self._pages_per_plane = config.blocks_per_plane * config.pages_per_block
         #: Authoritative mapping: lpn -> (plane_index, block, page).
         self._mapping: Dict[int, Tuple[int, int, int]] = {}
         #: Global translation directory: tvpn -> (plane_index, block, page).
@@ -283,13 +288,19 @@ class DftlMapper:
     def block_at(self, physical: PhysicalPage) -> DftlBlock:
         return self.plane_for(physical).blocks[physical.block]
 
-    def read_condition(self, physical: PhysicalPage, now_us: float) -> Tuple[int, float]:
-        """``(pe_cycles, retention_months)``; the stored retention age plus
-        whole months elapsed since the block's last write — month-granular,
-        so short runs keep the condition lattice discrete for the grid."""
-        block = self.block_at(physical)
+    def read_condition_packed(self, packed: int, now_us: float) -> Tuple[int, float]:
+        """``(pe_cycles, retention_months)`` of a packed page; the stored
+        retention age plus whole months elapsed since the block's last write
+        — month-granular, so short runs keep the condition lattice discrete
+        for the grid."""
+        block = self._blocks[packed // self._pages_per_block]
         elapsed_months = int(max(0.0, now_us - block.last_write_us) / US_PER_MONTH)
-        return block.pe_cycles, block.page_retention_months[physical.page] + elapsed_months
+        retention = block.page_retention_months[packed % self._pages_per_block]
+        return block.pe_cycles, retention + elapsed_months
+
+    def read_condition(self, physical: PhysicalPage, now_us: float) -> Tuple[int, float]:
+        """:meth:`read_condition_packed` of ``physical``."""
+        return self.read_condition_packed(self.addressing.pack(physical), now_us)
 
     def lookup_direct(self, lpn: int) -> Optional[PhysicalPage]:
         """Mapping lookup without touching the CMT (no timing side effects)."""
@@ -364,15 +375,26 @@ class DftlMapper:
         ops = self._ensure_cached(lpn, now_us)
         return self.lookup_direct(lpn), ops
 
-    def read_target(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, List[TranslationOp]]:
-        """Translate a host read; a never-written LPN is mapped now as cold data."""
-        physical, ops = self.lookup(lpn, now_us)
-        if physical is None:
-            physical, _, more = self.write(
+    def read_target_packed(self, lpn: int, now_us: float) -> Tuple[int, List[TranslationOp]]:
+        """Translate a host read to a packed page; a never-written LPN is
+        mapped now as cold data."""
+        check_lpn(lpn, self.config.logical_pages)
+        ops = self._ensure_cached(lpn, now_us)
+        entry = self._mapping.get(lpn)
+        if entry is None:
+            _, _, more = self.write(
                 lpn, retention_months=self._cold_retention_months, now_us=now_us
             )
             ops.extend(more)
-        return physical, ops
+            entry = self._mapping[lpn]
+        plane_index, block, page = entry
+        # The PageAddressing encoding of the mapping entry.
+        return plane_index * self._pages_per_plane + block * self._pages_per_block + page, ops
+
+    def read_target(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, List[TranslationOp]]:
+        """:meth:`read_target_packed` as a :class:`PhysicalPage`."""
+        packed, ops = self.read_target_packed(lpn, now_us)
+        return self.addressing.unpack(packed), ops
 
     def write(
         self, lpn: int, retention_months: float = 0.0, now_us: float = 0.0

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.rber import CodewordErrorModel
 from repro.errors.variation import ProcessVariation
-from repro.nand.geometry import PageType
+from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import PhysicalPage
@@ -126,47 +126,53 @@ class FlashBackend:
         return self._variation.block_sample(chip=chip, block=block)
 
     # -- main query --------------------------------------------------------------------
-    def read_behaviour(self, physical: PhysicalPage, page_type: PageType,
-                       pe_cycles: int, retention_months: float,
-                       prepared: ReadBehaviour = None) -> ReadBehaviour:
-        """Retry-step counts for a read of ``physical`` under its condition.
+    def behaviour_at(self, page_type: int, pe_cycles: int,
+                     retention_months: float, corner: int,
+                     prepared: ReadBehaviour = None) -> ReadBehaviour:
+        """Retry-step counts for one read under its condition.
 
+        ``page_type`` indexes ``PAGE_TYPE_ORDER`` and ``corner`` is the
+        block's variation corner, both as the read path derives them from a
+        packed page index (:class:`~repro.ssd.ftl.PageAddressing`).
         ``prepared`` optionally carries a dispatch-time batch-computed
         behaviour (see :meth:`peek_read_batch`); it substitutes only for the
         scalar walk the grid would otherwise run on a memo miss, so the
         result and the hit/fallback accounting are unchanged.
         """
-        chip = physical.channel * self.config.dies_per_channel + physical.die
-        block = physical.plane * self.config.blocks_per_plane + physical.block
-        behaviour, from_grid = self.grid.behaviour(
-            page_type, pe_cycles, retention_months, chip, block,
-            prepared=prepared)
+        grid = self._grid
+        if grid is None:
+            grid = self.grid
+        behaviour, from_grid = grid.behaviour_at(
+            page_type, pe_cycles, retention_months, corner, prepared)
         if from_grid:
             self.grid_hits += 1
         else:
             self.scalar_fallbacks += 1
         return behaviour
 
+    def read_behaviour(self, physical: PhysicalPage, page_type: PageType,
+                       pe_cycles: int, retention_months: float,
+                       prepared: ReadBehaviour = None) -> ReadBehaviour:
+        """:meth:`behaviour_at` of a :class:`PageType` read of ``physical``."""
+        chip = physical.channel * self.config.dies_per_channel + physical.die
+        block = physical.plane * self.config.blocks_per_plane + physical.block
+        return self.behaviour_at(PAGE_TYPE_ORDER.index(page_type), pe_cycles,
+                                 retention_months,
+                                 self.grid.corner_index(chip, block), prepared)
+
     def peek_read_batch(self, items):
         """Batch-prepare the behaviours of several upcoming reads, purely.
 
-        :param items: ``(physical, page_type, pe_cycles, retention_months)``
-            per read, in dispatch order.
+        :param items: ``(page_type, pe_cycles, retention_months, corner)``
+            per read, in dispatch order, keyed as in :meth:`behaviour_at`.
         :return: ``(prepared, batch_walks)`` — per-item behaviours (``None``
             where the grid will serve the read without a scalar walk) and
             the number of vectorized lattice walks issued.
 
         Counters are untouched: the query accounting happens when the reads
-        are actually serviced through :meth:`read_behaviour`.
+        are actually serviced through :meth:`behaviour_at`.
         """
-        dies_per_channel = self.config.dies_per_channel
-        blocks_per_plane = self.config.blocks_per_plane
-        return self.grid.peek_batch([
-            (page_type, pe_cycles, retention_months,
-             physical.channel * dies_per_channel + physical.die,
-             physical.plane * blocks_per_plane + physical.block)
-            for physical, page_type, pe_cycles, retention_months in items
-        ])
+        return self.grid.peek_batch(items)
 
     def prefill_conditions(self, conditions) -> None:
         """Vectorize the slabs of conditions known to be coming.

@@ -14,6 +14,13 @@ garbage greedily (:meth:`FlashTranslationLayer.collect_if_needed`).  The
 LPN-to-page map itself is one flat typed array of packed page indices, so
 preconditioning writes it with a single numpy assignment.
 
+A packed page index (:class:`PageAddressing`) is the one address the
+controller's read path handles: its die, its block's retry-grid corner and
+its page type are each one integer division or remainder away, so both
+mappers serve reads by packed index (``read_target_packed``,
+``read_condition_packed``).  :class:`PhysicalPage` stays at the API edge:
+the ``PhysicalPage``-keyed methods are thin adapters over the packed ones.
+
 :class:`Mapper` is the contract the controller drives an FTL through.  This
 flat-table FTL (``mapping="block"``) and the DFTL of :mod:`repro.ssd.dftl`
 (``mapping="page"``) both implement it, so the simulator picks one at
@@ -84,6 +91,56 @@ def page_type_of(physical: PhysicalPage) -> PageType:
     return PAGE_TYPE_ORDER[physical.page % len(PAGE_TYPE_ORDER)]
 
 
+class PageAddressing:
+    """The packed page index of one SSD geometry, and what it encodes.
+
+    ``packed = plane_index * pages_per_plane + block * pages_per_block + page``
+    with ``plane_index = (channel * dies_per_channel + die) * planes_per_die +
+    plane``: pages are numbered die by die, plane by plane, block by block.
+    So, with integer division,
+
+    * ``packed // pages_per_die`` is the die number ``channel *
+      dies_per_channel + die``, which indexes the controller's schedulers;
+    * ``packed // pages_per_block`` is the block's variation corner in the
+      retry grid, ``chip * blocks_per_chip + plane * blocks_per_plane +
+      block`` (:meth:`~repro.ssd.retry_grid.RetryStepGrid.corner_index`);
+    * ``packed % pages_per_block % 3`` indexes ``PAGE_TYPE_ORDER`` the way
+      :func:`page_type_of` does.
+
+    The hot paths inline these expressions over the radices below; the
+    methods are their definition.
+    """
+
+    def __init__(self, config: SsdConfig):
+        self.dies_per_channel = config.dies_per_channel
+        self.planes_per_die = config.planes_per_die
+        self.pages_per_block = config.pages_per_block
+        self.pages_per_plane = config.blocks_per_plane * config.pages_per_block
+        self.pages_per_die = config.planes_per_die * self.pages_per_plane
+
+    def pack(self, physical: PhysicalPage) -> int:
+        die_number = physical.channel * self.dies_per_channel + physical.die
+        plane_index = die_number * self.planes_per_die + physical.plane
+        slot = physical.block * self.pages_per_block + physical.page
+        return plane_index * self.pages_per_plane + slot
+
+    def unpack(self, packed: int) -> PhysicalPage:
+        plane_index, slot = divmod(packed, self.pages_per_plane)
+        block, page = divmod(slot, self.pages_per_block)
+        die_number, plane = divmod(plane_index, self.planes_per_die)
+        channel, die = divmod(die_number, self.dies_per_channel)
+        return PhysicalPage(channel, die, plane, block, page)
+
+    def die_of(self, packed: int) -> int:
+        return packed // self.pages_per_die
+
+    def corner_of(self, packed: int) -> int:
+        return packed // self.pages_per_block
+
+    def page_type_index(self, packed: int) -> int:
+        return packed % self.pages_per_block % len(PAGE_TYPE_ORDER)
+
+
 def check_lpn(lpn: int, logical_pages: int) -> None:
     """Raise ``ValueError`` unless ``0 <= lpn < logical_pages``.
 
@@ -127,6 +184,9 @@ class Mapper(Protocol):
     def read_target(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, Sequence[TranslationOp]]:
         """Where a host read goes; a never-written LPN is mapped as cold data."""
 
+    def read_target_packed(self, lpn: int, now_us: float) -> Tuple[int, Sequence[TranslationOp]]:
+        """:meth:`read_target` with the page as a packed index (the read path's form)."""
+
     def program(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, Sequence[TranslationOp]]:
         """Map a host write of ``lpn`` to a freshly allocated page."""
 
@@ -138,6 +198,9 @@ class Mapper(Protocol):
 
     def read_condition(self, physical: PhysicalPage, now_us: float) -> Tuple[int, float]:
         """``(pe_cycles, retention_months)`` a read of ``physical`` sees at ``now_us``."""
+
+    def read_condition_packed(self, packed: int, now_us: float) -> Tuple[int, float]:
+        """:meth:`read_condition` of the page at packed index ``packed``."""
 
     def collect_if_needed(self, now_us: float = 0.0) -> List[GcOperation]:
         """Collect victim blocks on every plane below its GC trigger."""
@@ -278,11 +341,13 @@ class FlashTranslationLayer:
             for die in range(config.dies_per_channel):
                 for plane in range(config.planes_per_die):
                     self.planes.append(PlaneManager(config, channel, die, plane))
+        self.addressing = PageAddressing(config)
+        #: Every block, indexed by its corner ``packed // pages_per_block``.
+        self._blocks = [block for plane in self.planes for block in plane.blocks]
         self._logical_pages = config.logical_pages
         self._pages_per_block = config.pages_per_block
         self._pages_per_plane = config.blocks_per_plane * config.pages_per_block
-        #: LPN -> packed physical page ``plane_index * pages_per_plane +
-        #: block * pages_per_block + page``, or ``_UNMAPPED``.
+        #: LPN -> packed physical page (:class:`PageAddressing`), or ``_UNMAPPED``.
         self._mapping = array("q", [_UNMAPPED]) * config.logical_pages
         self._mapped_pages = 0
         self._next_plane = 0
@@ -306,22 +371,26 @@ class FlashTranslationLayer:
         packed = self._mapping[lpn]
         if packed == _UNMAPPED:
             return None
-        plane_index, slot = divmod(packed, self._pages_per_plane)
-        block, page = divmod(slot, self._pages_per_block)
-        plane = self.planes[plane_index]
-        return PhysicalPage(plane.channel, plane.die, plane.plane, block, page)
+        return self.addressing.unpack(packed)
 
-    def read_target(self, lpn: int, now_us: float = 0.0) -> Tuple[PhysicalPage, tuple]:
-        """Where a host read of ``lpn`` goes; reads cost no translation traffic.
+    def read_target_packed(self, lpn: int, now_us: float = 0.0) -> Tuple[int, tuple]:
+        """Packed page a host read of ``lpn`` goes to; reads cost no translation traffic.
 
         A never-written LPN holds data written before the trace started: it
         is mapped now, as preconditioned cold data.
         """
-        physical = self.lookup(lpn)
-        if physical is None:
-            physical, _ = self.write(lpn, retention_months=self._cold_retention_months)
-            self.block_metadata(physical).pe_cycles = self._cold_pe_cycles
-        return physical, ()
+        check_lpn(lpn, self._logical_pages)
+        packed = self._mapping[lpn]
+        if packed == _UNMAPPED:
+            self.write(lpn, retention_months=self._cold_retention_months)
+            packed = self._mapping[lpn]
+            self._blocks[self.addressing.corner_of(packed)].pe_cycles = self._cold_pe_cycles
+        return packed, ()
+
+    def read_target(self, lpn: int, now_us: float = 0.0) -> Tuple[PhysicalPage, tuple]:
+        """:meth:`read_target_packed` as a :class:`PhysicalPage`."""
+        packed, ops = self.read_target_packed(lpn, now_us)
+        return self.addressing.unpack(packed), ops
 
     def is_mapped(self, lpn: int) -> bool:
         check_lpn(lpn, self._logical_pages)
@@ -330,11 +399,14 @@ class FlashTranslationLayer:
     def block_metadata(self, physical: PhysicalPage) -> BlockMetadata:
         return self.plane_for(physical).blocks[physical.block]
 
+    def read_condition_packed(self, packed: int, now_us: float = 0.0) -> Tuple[int, float]:
+        """``(pe_cycles, retention_months)`` of a packed page; blocks never age in-run."""
+        block = self._blocks[packed // self._pages_per_block]
+        return block.pe_cycles, block.page_retention_months[packed % self._pages_per_block]
+
     def read_condition(self, physical: PhysicalPage, now_us: float = 0.0) -> Tuple[int, float]:
-        """``(pe_cycles, retention_months)`` of ``physical``; blocks never age in-run."""
-        index = (physical.channel * self._dies_per_channel + physical.die) * self._planes_per_die
-        block = self.planes[index + physical.plane].blocks[physical.block]
-        return block.pe_cycles, block.page_retention_months[physical.page]
+        """:meth:`read_condition_packed` of ``physical``."""
+        return self.read_condition_packed(self.addressing.pack(physical), now_us)
 
     # -- updates -------------------------------------------------------------------------
     def write(

@@ -59,7 +59,7 @@ class TransactionKind(enum.Enum):
 
     @property
     def is_read(self) -> bool:
-        return self in _READ_TRANSACTION_KINDS
+        return self in (TransactionKind.READ, TransactionKind.GC_READ, TransactionKind.TRANS_READ)
 
     @property
     def is_background(self) -> bool:
@@ -71,13 +71,6 @@ class TransactionKind(enum.Enum):
             TransactionKind.TRANS_PROGRAM,
         )
 
-
-#: Read-class transaction kinds, as a set: the per-transaction ``is_read``
-#: checks in the die scheduler are hot enough that a linear tuple scan (and
-#: the nested enum-property call it sat behind) shows up in profiles.
-_READ_TRANSACTION_KINDS = frozenset(
-    (TransactionKind.READ, TransactionKind.GC_READ, TransactionKind.TRANS_READ)
-)
 
 _request_ids = itertools.count()
 _transaction_ids = itertools.count()
@@ -153,24 +146,26 @@ class HostRequest:
 class FlashTransaction:
     """One page-granularity operation dispatched to a die.
 
+    The page is addressed by its packed index ``packed``
+    (:class:`~repro.ssd.ftl.PageAddressing`), from which the controller
+    derives the block's condition, retry-grid corner and page type, and
+    ``die`` is the die number ``channel * dies_per_channel + die`` that
+    indexes the controller's die schedulers.
+
     ``remaining_service_us`` / ``was_suspended`` are written by the die
     scheduler when a program or erase is suspended; ``response_us`` and
     ``prepared_behaviour`` are written by the controller's read path (the
     latter carries a dispatch-time batch-prepared retry behaviour to the
-    service-time consumer, see ``SsdSimulator._start_read_request``).
+    service-time consumer, see ``SsdSimulator._start_read_request_batched``).
     """
 
     __slots__ = (
         "kind",
         "lpn",
-        "channel",
+        "packed",
         "die",
-        "plane",
-        "block",
-        "page",
         "issue_us",
         "request",
-        "physical",
         "transaction_id",
         "service_start_us",
         "completion_us",
@@ -185,29 +180,18 @@ class FlashTransaction:
         self,
         kind: TransactionKind,
         lpn: Optional[int],
-        channel: int,
+        packed: int,
         die: int,
-        plane: int,
-        block: int,
-        page: int,
         issue_us: float,
         request: Optional[HostRequest] = None,
         transaction_id: Optional[int] = None,
-        physical=None,
     ):
         self.kind = kind
         self.lpn = lpn
-        self.channel = channel
+        self.packed = packed
         self.die = die
-        self.plane = plane
-        self.block = block
-        self.page = page
         self.issue_us = issue_us
         self.request = request
-        # The resolved PhysicalPage, when the creator had one in hand —
-        # saves the service path from rebuilding it out of the scalar
-        # fields (a per-page frozen-dataclass construction otherwise).
-        self.physical = physical
         self.transaction_id = next(_transaction_ids) if transaction_id is None else transaction_id
         # Filled in when the transaction is serviced.
         self.service_start_us: Optional[float] = None
@@ -220,7 +204,7 @@ class FlashTransaction:
 
     @property
     def is_read(self) -> bool:
-        return self.kind in _READ_TRANSACTION_KINDS
+        return self.kind.is_read
 
     @property
     def waiting_time_us(self) -> Optional[float]:
@@ -228,13 +212,9 @@ class FlashTransaction:
             return None
         return self.service_start_us - self.issue_us
 
-    def die_key(self) -> tuple:
-        return (self.channel, self.die)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FlashTransaction(kind={self.kind!r}, lpn={self.lpn!r}, "
-            f"channel={self.channel!r}, die={self.die!r}, plane={self.plane!r}, "
-            f"block={self.block!r}, page={self.page!r}, issue_us={self.issue_us!r}, "
+            f"packed={self.packed!r}, die={self.die!r}, issue_us={self.issue_us!r}, "
             f"transaction_id={self.transaction_id!r})"
         )

@@ -44,13 +44,15 @@ from repro.errors.condition import OperatingCondition
 from repro.errors.rber import CodewordErrorModel
 from repro.errors.timing import TimingReduction
 from repro.errors.variation import ProcessVariation
-from repro.nand.geometry import PageType
+from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
 from repro.ssd.flash_backend import ReadBehaviour
 
-#: A slab: behaviours of every (page type, corner) under one condition.
-Slab = Dict[PageType, List[ReadBehaviour]]
+#: A slab: behaviours of every (page type, corner) under one condition,
+#: indexed ``slab[page_type][corner]`` by the page type's position in
+#: ``PAGE_TYPE_ORDER``.
+Slab = Tuple[List[ReadBehaviour], ...]
 
 
 def rpt_fingerprint(rpt: ReadTimingParameterTable) -> tuple:
@@ -108,7 +110,7 @@ class RetryStepGrid:
         self._slabs: "OrderedDict[tuple, Slab]" = OrderedDict()
         #: scalar queries seen per not-yet-promoted condition key.
         self._pending_queries: Dict[tuple, int] = {}
-        #: (condition key, page type, corner) -> ReadBehaviour
+        #: (condition key, page type index, corner) -> ReadBehaviour
         self._scalar_memo: "OrderedDict[tuple, ReadBehaviour]" = OrderedDict()
         #: (steps, reduced, fallback) -> the one shared ReadBehaviour object.
         self._interned: Dict[tuple, ReadBehaviour] = {}
@@ -176,21 +178,23 @@ class RetryStepGrid:
         return len(self._slabs) * per_slab + len(self._scalar_memo)
 
     # -- main query -----------------------------------------------------------
-    def behaviour(
+    def behaviour_at(
         self,
-        page_type: PageType,
+        page_type: int,
         pe_cycles: int,
         retention_months: float,
-        chip: int,
-        block: int,
+        corner: int,
         prepared: Optional[ReadBehaviour] = None,
     ) -> Tuple[ReadBehaviour, bool]:
         """Behaviour of one read; the flag reports a grid (slab) hit.
 
-        Slab lookups and scalar fallbacks are computed from the *exact*
-        per-block variation sample, so results are independent of query
-        order (the seed's rounded-key memo could alias two nearby corners
-        depending on which was read first).
+        ``page_type`` indexes ``PAGE_TYPE_ORDER`` and ``corner`` is the
+        block's variation corner (:meth:`corner_index`); the read path
+        derives both from a packed page index.  Slab lookups and scalar
+        fallbacks are computed from the *exact* per-block variation sample,
+        so results are independent of query order (the seed's rounded-key
+        memo could alias two nearby corners depending on which was read
+        first).
 
         ``prepared`` is a dispatch-time batch-computed behaviour for this
         exact (condition, page type, corner) — see :meth:`peek_batch`.  It
@@ -200,7 +204,6 @@ class RetryStepGrid:
         """
         key = (pe_cycles, retention_months)
         slab = self._slabs.get(key)
-        corner = chip * self.blocks_per_chip + block
         if slab is not None:
             # LRU touch: long GC-heavy runs create a stream of (pe, 0.0)
             # conditions, and without recency the hot preconditioned slab
@@ -220,21 +223,39 @@ class RetryStepGrid:
             if prepared is not None:
                 behaviour = prepared
             else:
-                behaviour = self._scalar_behaviour(key, page_type, chip, block)
+                behaviour = self._scalar_behaviour(key, page_type, corner)
             if len(self._scalar_memo) >= self.max_scalar_entries:
                 self._scalar_memo.popitem(last=False)
             self._scalar_memo[memo_key] = behaviour
         return behaviour, False
 
+    def behaviour(
+        self,
+        page_type: PageType,
+        pe_cycles: int,
+        retention_months: float,
+        chip: int,
+        block: int,
+        prepared: Optional[ReadBehaviour] = None,
+    ) -> Tuple[ReadBehaviour, bool]:
+        """:meth:`behaviour_at` of a :class:`PageType` on ``block`` of ``chip``."""
+        return self.behaviour_at(
+            PAGE_TYPE_ORDER.index(page_type),
+            pe_cycles,
+            retention_months,
+            self.corner_index(chip, block),
+            prepared,
+        )
+
     # -- dispatch-time batch preparation --------------------------------------
     def peek_batch(
         self,
-        items: Sequence[Tuple[PageType, int, float, int, int]],
+        items: Sequence[Tuple[int, int, float, int]],
     ) -> Tuple[List[Optional[ReadBehaviour]], int]:
         """Batch-compute the behaviours a group of reads will need, purely.
 
-        :param items: ``(page_type, pe_cycles, retention_months, chip,
-            block)`` per read, in dispatch order.
+        :param items: ``(page_type, pe_cycles, retention_months, corner)``
+            per read, in dispatch order, keyed as in :meth:`behaviour_at`.
         :return: per-item prepared behaviours (``None`` where the service-
             time query is predicted to be served from a slab or the scalar
             memo) and the number of vectorized lattice walks issued.
@@ -249,14 +270,14 @@ class RetryStepGrid:
         side effect is interning, which dedupes immutable value objects and
         is observability-neutral.  Predictions may go stale before service
         (GC can rebuild the block, interleaved queries can promote the
-        condition): a prepared value handed to :meth:`behaviour` is consumed
+        condition): a prepared value handed to :meth:`behaviour_at` is consumed
         only on the exact branch it precomputes, so a stale or superfluous
         prediction costs nothing but the preparation itself.
         """
         prepared: List[Optional[ReadBehaviour]] = [None] * len(items)
-        cold: "OrderedDict[tuple, List[Tuple[int, PageType, int]]]" = OrderedDict()
+        cold: "OrderedDict[tuple, List[Tuple[int, int, int]]]" = OrderedDict()
         batch_queries: Dict[tuple, int] = {}
-        for index, (page_type, pe_cycles, retention_months, chip, block) in enumerate(items):
+        for index, (page_type, pe_cycles, retention_months, corner) in enumerate(items):
             key = (pe_cycles, retention_months)
             if key in self._slabs:
                 continue
@@ -267,7 +288,6 @@ class RetryStepGrid:
             batch_queries[key] = seen + 1
             if self._pending_queries.get(key, 0) + seen + 1 >= self.promote_threshold:
                 continue
-            corner = chip * self.blocks_per_chip + block
             if (key, page_type, corner) in self._scalar_memo:
                 continue
             cold.setdefault(key, []).append((index, page_type, corner))
@@ -281,24 +301,19 @@ class RetryStepGrid:
             )
             entry = self.rpt.entry_for(pe_cycles, retention_months)
             corners = sorted({corner for _, _, corner in group})
-            needed = {page_type for _, page_type, _ in group}
-            page_types = tuple(p for p in PageType if p in needed)
+            page_types = sorted({page_type for _, page_type, _ in group})
             lattice = self._batch.read_behaviour_lattice(
                 condition,
                 self.variation_arrays().take(np.array(corners, dtype=np.intp)),
                 pre_reduction=entry.pre_reduction,
-                page_types=page_types,
+                page_types=tuple(PAGE_TYPE_ORDER[page_type] for page_type in page_types),
                 table=self.retry_table,
             )
             walks += 1
             position = {corner: offset for offset, corner in enumerate(corners)}
             behaviours = {
-                page_type: self._intern_lattice(
-                    batch.retry_steps,
-                    batch.retry_steps_reduced,
-                    batch.reduced_timing_fallback,
-                )
-                for page_type, batch in lattice.items()
+                page_type: self._intern_batch(lattice[PAGE_TYPE_ORDER[page_type]])
+                for page_type in page_types
             }
             for index, page_type, corner in group:
                 prepared[index] = behaviours[page_type][position[corner]]
@@ -331,14 +346,7 @@ class RetryStepGrid:
             pre_reduction=entry.pre_reduction,
             table=self.retry_table,
         )
-        slab = {
-            page_type: self._intern_lattice(
-                batch.retry_steps,
-                batch.retry_steps_reduced,
-                batch.reduced_timing_fallback,
-            )
-            for page_type, batch in lattice.items()
-        }
+        slab = tuple(self._intern_batch(lattice[page_type]) for page_type in PAGE_TYPE_ORDER)
         self._install_slab(key, slab)
         self.slab_builds += 1
         return slab
@@ -348,6 +356,12 @@ class RetryStepGrid:
             self._slabs.popitem(last=False)
         self._slabs[key] = slab
         self._pending_queries.pop(key, None)
+
+    def _intern_batch(self, batch) -> List[ReadBehaviour]:
+        """:meth:`_intern_lattice` of one page type's lattice pass."""
+        return self._intern_lattice(
+            batch.retry_steps, batch.retry_steps_reduced, batch.reduced_timing_fallback
+        )
 
     def _intern_lattice(
         self,
@@ -370,13 +384,7 @@ class RetryStepGrid:
         return behaviours
 
     # -- scalar fallback ------------------------------------------------------
-    def _scalar_behaviour(
-        self,
-        key: tuple,
-        page_type: PageType,
-        chip: int,
-        block: int,
-    ) -> ReadBehaviour:
+    def _scalar_behaviour(self, key: tuple, page_type: int, corner: int) -> ReadBehaviour:
         """One exact scalar evaluation (cold conditions, pre-promotion)."""
         pe_cycles, retention_months = key
         condition = OperatingCondition(
@@ -384,10 +392,12 @@ class RetryStepGrid:
             retention_months=retention_months,
             temperature_c=self.config.temperature_c,
         )
+        chip, block = divmod(corner, self.blocks_per_chip)
         variation = self._variation.block_sample(chip=chip, block=block)
+        page_kind = PAGE_TYPE_ORDER[page_type]
         default_walk = self.error_model.walk_retry_table(
             condition,
-            page_type,
+            page_kind,
             table=self.retry_table,
             variation=variation,
         )
@@ -401,7 +411,7 @@ class RetryStepGrid:
             reduction = TimingReduction(pre=entry.pre_reduction)
             reduced_walk = self.error_model.walk_retry_table(
                 condition,
-                page_type,
+                page_kind,
                 table=self.retry_table,
                 variation=variation,
                 retry_timing_reduction=reduction,
@@ -437,7 +447,7 @@ class RetryStepGrid:
                 "retention_months": retention_months,
                 "page_types": {},
             }
-            for page_type, behaviours in slab.items():
+            for page_type, behaviours in zip(PAGE_TYPE_ORDER, slab):
                 steps = np.array([b.retry_steps for b in behaviours], dtype=np.int16)
                 reduced = np.array([b.retry_steps_reduced for b in behaviours], dtype=np.int16)
                 fallback = np.array([b.reduced_timing_fallback for b in behaviours], dtype=bool)
@@ -456,16 +466,18 @@ class RetryStepGrid:
             key = (int(entry["pe_cycles"]), float(entry["retention_months"]))
             if key in self._slabs:
                 continue
-            slab = {}
-            for name, arrays in entry["page_types"].items():
-                slab[PageType[name]] = self._intern_lattice(
-                    arrays["retry_steps"],
-                    arrays["retry_steps_reduced"],
-                    arrays["reduced_timing_fallback"],
-                )
-            if len(slab) != len(PageType):
-                missing = sorted(p.name for p in PageType if p not in slab)
+            by_name = entry["page_types"]
+            missing = sorted(p.name for p in PAGE_TYPE_ORDER if p.name not in by_name)
+            if missing:
                 raise ValueError(f"slab for condition {key} misses page types: {missing}")
+            slab = tuple(
+                self._intern_lattice(
+                    by_name[p.name]["retry_steps"],
+                    by_name[p.name]["retry_steps_reduced"],
+                    by_name[p.name]["reduced_timing_fallback"],
+                )
+                for p in PAGE_TYPE_ORDER
+            )
             self._install_slab(key, slab)
             installed += 1
         return installed

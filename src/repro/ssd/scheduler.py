@@ -22,19 +22,15 @@ from typing import Callable, Deque, Optional
 
 from repro.ssd.config import SsdConfig
 from repro.ssd.engine import EventHandle, EventQueue
-from repro.ssd.request import (
-    _READ_TRANSACTION_KINDS,
-    FlashTransaction,
-    TransactionKind,
-)
+from repro.ssd.request import FlashTransaction, TransactionKind
 
-#: Kinds whose in-flight operation a read may suspend.  Only these need a
-#: cancellable completion event; read completions are scheduled through the
-#: engine's handle-free hot path.
-_SUSPENDABLE_KINDS = frozenset((TransactionKind.PROGRAM,
-                                TransactionKind.GC_PROGRAM,
-                                TransactionKind.TRANS_PROGRAM,
-                                TransactionKind.ERASE))
+# The read-class kinds, tested by identity: an enum in a set pays a
+# Python-level ``__hash__`` per transaction.  Every other kind (program,
+# erase) is one a read may suspend, and only those need a cancellable
+# completion event; read completions take the engine's handle-free path.
+_READ = TransactionKind.READ
+_GC_READ = TransactionKind.GC_READ
+_TRANS_READ = TransactionKind.TRANS_READ
 
 
 class _ActiveOperation:
@@ -77,7 +73,8 @@ class DieScheduler:
     # -- queueing -----------------------------------------------------------------
     def enqueue(self, transaction: FlashTransaction) -> None:
         """Add a transaction; may trigger immediate service or a suspension."""
-        is_read = transaction.kind in _READ_TRANSACTION_KINDS
+        kind = transaction.kind
+        is_read = kind is _READ or kind is _GC_READ or kind is _TRANS_READ
         if is_read and self._read_priority:
             self.read_queue.append(transaction)
         else:
@@ -103,7 +100,8 @@ class DieScheduler:
         active = self.current
         if active is None or active.suspended_before:
             return False
-        return active.transaction.kind in _SUSPENDABLE_KINDS
+        # ``_start`` gives exactly the suspendable operations a handle.
+        return active.handle is not None
 
     def _suspend_current(self) -> None:
         """Suspend the in-flight program/erase so a read can run first."""
@@ -125,20 +123,13 @@ class DieScheduler:
         self.suspensions += 1
 
     # -- dispatch ------------------------------------------------------------------
-    def _next_transaction(self) -> Optional[FlashTransaction]:
-        if self.read_queue:
-            return self.read_queue.popleft()
-        if self.write_queue:
-            return self.write_queue.popleft()
-        return None
-
     def _start_next(self) -> None:
         if self.current is not None:
             return
-        transaction = self._next_transaction()
-        if transaction is None:
-            return
-        self._start(transaction)
+        if self.read_queue:
+            self._start(self.read_queue.popleft())
+        elif self.write_queue:
+            self._start(self.write_queue.popleft())
 
     def _start(self, transaction: FlashTransaction) -> None:
         now = self.events.now_us
@@ -149,7 +140,8 @@ class DieScheduler:
             service = self.service_time_fn(transaction)
         if transaction.service_start_us is None:
             transaction.service_start_us = now
-        if self._suspension and transaction.kind in _SUSPENDABLE_KINDS:
+        kind = transaction.kind
+        if self._suspension and not (kind is _READ or kind is _GC_READ or kind is _TRANS_READ):
             # Only an operation a read may suspend needs a cancellable event.
             handle = self.events.schedule_call_after(
                 service, self._complete, transaction)

@@ -60,6 +60,11 @@ def iter_msrc_csv(source: Union[str, TextIO],
     Timestamps are rebased to the first row; rows ticked *before* it (head
     of a multi-disk capture merged slightly out of order) clamp to 0 us
     rather than producing negative arrivals no simulator accepts.
+
+    A row that cannot be a request raises ``ValueError`` naming its CSV
+    line: fewer than six fields, a non-integer timestamp, disk, offset or
+    size, a ``Type`` other than ``Read``/``Write`` (any case), or values
+    :class:`TraceRecord` refuses.
     """
     if isinstance(source, str):
         context = open(source, "r", newline="")
@@ -72,21 +77,39 @@ def iter_msrc_csv(source: Union[str, TextIO],
         for row in reader:
             if not row or row[0].startswith("#"):
                 continue
+            line = reader.line_num
             if len(row) < 6:
-                raise ValueError(f"malformed MSRC row: {row!r}")
-            ticks = int(row[0])
+                raise ValueError(f"malformed MSRC row on line {line}: {row!r}")
+            request_type = row[3].strip().lower()
+            if request_type not in ("read", "write"):
+                raise ValueError(
+                    f"MSRC row on line {line} has type {row[3]!r}; "
+                    "expected Read or Write")
+            try:
+                ticks = int(row[0])
+                disk_number = int(row[2])
+                offset_bytes = int(row[4])
+                size_bytes = int(row[5])
+            except ValueError as error:
+                raise ValueError(
+                    f"malformed MSRC row on line {line}: {error}") from None
             if base_ticks is None:
                 base_ticks = ticks
             timestamp_us = max(0.0,
                                (ticks - base_ticks) / TICKS_PER_MICROSECOND)
-            yield TraceRecord(
-                timestamp_us=timestamp_us,
-                hostname=row[1],
-                disk_number=int(row[2]),
-                is_read=row[3].strip().lower() == "read",
-                offset_bytes=int(row[4]),
-                size_bytes=int(row[5]),
-            )
+            try:
+                record = TraceRecord(
+                    timestamp_us=timestamp_us,
+                    hostname=row[1],
+                    disk_number=disk_number,
+                    is_read=request_type == "read",
+                    offset_bytes=offset_bytes,
+                    size_bytes=size_bytes,
+                )
+            except ValueError as error:
+                raise ValueError(
+                    f"invalid MSRC row on line {line}: {error}") from None
+            yield record
             yielded += 1
             if max_records is not None and yielded >= max_records:
                 return

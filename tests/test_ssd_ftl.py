@@ -1,10 +1,20 @@
 """Tests for the page-mapping FTL."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.nand.geometry import PageType
+from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.ssd.config import SsdConfig
-from repro.ssd.ftl import FlashTranslationLayer, page_type_of
+from repro.ssd.controller import SsdSimulator
+from repro.ssd.ftl import (
+    FlashTranslationLayer,
+    PageAddressing,
+    PhysicalPage,
+    page_type_of,
+)
+from repro.ssd.request import HostRequest, RequestKind, TransactionKind
+from repro.ssd.retry_grid import RetryStepGrid
 
 
 @pytest.fixture()
@@ -121,3 +131,92 @@ class TestPlaneManager:
     def test_needs_gc_threshold(self, ftl):
         plane = ftl.planes[0]
         assert not plane.needs_gc()
+
+
+geometries = st.builds(
+    lambda channels, dies, planes, blocks, pages: SsdConfig(
+        channels=channels, dies_per_channel=dies, planes_per_die=planes,
+        blocks_per_plane=blocks, pages_per_block=pages, write_buffer_pages=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=8),
+)
+
+
+class TestPageAddressing:
+    @given(geometries)
+    @settings(max_examples=60, deadline=None)
+    def test_packed_index_encodes_die_corner_and_page_type(self, config):
+        """Every page round-trips, and what the read path derives from its
+        packed index is what the scheduler list, the grid and
+        ``page_type_of`` say about the page."""
+        addressing = PageAddressing(config)
+        simulator = SsdSimulator(config)
+        grid = RetryStepGrid(config)
+        packed_indices = []
+        for channel in range(config.channels):
+            for die in range(config.dies_per_channel):
+                for plane in range(config.planes_per_die):
+                    for block in range(config.blocks_per_plane):
+                        for page in range(config.pages_per_block):
+                            physical = PhysicalPage(channel, die, plane,
+                                                    block, page)
+                            packed = addressing.pack(physical)
+                            packed_indices.append(packed)
+                            assert addressing.unpack(packed) == physical
+                            assert (simulator._dies[addressing.die_of(packed)]
+                                    is simulator.schedulers[(channel, die)])
+                            chip = channel * config.dies_per_channel + die
+                            assert addressing.corner_of(packed) == (
+                                grid.corner_index(
+                                    chip,
+                                    plane * config.blocks_per_plane + block))
+                            assert (PAGE_TYPE_ORDER[
+                                addressing.page_type_index(packed)]
+                                    is page_type_of(physical))
+        # Pages are numbered densely, in address order.
+        assert packed_indices == list(range(config.physical_pages))
+
+    @pytest.mark.parametrize("mapping", ["block", "page"])
+    def test_reads_are_served_where_their_page_lives(self, mapping,
+                                                     default_rpt):
+        """The read path's inline die, corner and page-type arithmetic
+        agrees with the mapper's ``PhysicalPage`` view of each read."""
+        config = SsdConfig(channels=2, dies_per_channel=3, planes_per_die=2,
+                           blocks_per_plane=8, pages_per_block=10,
+                           write_buffer_pages=8, mapping=mapping)
+        addressing = PageAddressing(config)
+        simulator = SsdSimulator(config, policy="PnAR2", rpt=default_rpt)
+        simulator.precondition(pe_cycles=1000, retention_months=6.0)
+        served = []
+        for key, scheduler in simulator.schedulers.items():
+            def start(transaction, key=key, original=scheduler._start):
+                served.append((key, transaction))
+                return original(transaction)
+            scheduler._start = start
+        behaviour_at = simulator.backend.behaviour_at
+        queried = []
+
+        def record(page_type, pe_cycles, retention, corner, prepared=None):
+            queried.append((page_type, corner))
+            return behaviour_at(page_type, pe_cycles, retention, corner,
+                                prepared)
+        simulator.backend.behaviour_at = record
+        requests = [HostRequest(index * 400.0, RequestKind.READ,
+                                (index * 37) % 300, page_count=1 + index % 5)
+                    for index in range(40)]
+        simulator.run(requests)
+        reads = [(key, transaction) for key, transaction in served
+                 if transaction.kind is TransactionKind.READ]
+        assert len(reads) == len(queried) == sum(r.page_count
+                                                  for r in requests)
+        for (key, transaction), (page_type, corner) in zip(reads, queried):
+            physical = addressing.unpack(transaction.packed)
+            assert physical == simulator.mapper.read_target(
+                transaction.lpn, simulator.events.now_us)[0]
+            assert key == physical.die_key()
+            assert transaction.die == addressing.die_of(transaction.packed)
+            assert corner == addressing.corner_of(transaction.packed)
+            assert PAGE_TYPE_ORDER[page_type] is page_type_of(physical)

@@ -10,7 +10,7 @@ import pytest
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.dftl import DftlMapper
-from repro.ssd.ftl import FlashTranslationLayer
+from repro.ssd.ftl import FlashTranslationLayer, PageAddressing
 
 MAPPERS = {"block": FlashTranslationLayer, "page": DftlMapper}
 #: LPNs 0..FILL-1 hold preconditioned cold data.
@@ -50,6 +50,20 @@ def test_program_maps_fresh_data(mapping):
     assert mapper.read_condition(physical, now_us=0.0) == (1000, 0.0)
 
 
+def test_packed_reads_agree_with_the_physical_page_view(mapping):
+    # Mapped and never-written LPNs: the read path's packed entry points
+    # and the PhysicalPage adapters over them name the same page and
+    # condition.
+    mapper = _mapper(mapping)
+    addressing = PageAddressing(mapper.config)
+    for lpn in (0, 5, FILL, FILL + 3):
+        packed, _ = mapper.read_target_packed(lpn, now_us=0.0)
+        physical, _ = mapper.read_target(lpn, now_us=0.0)
+        assert addressing.unpack(packed) == physical
+        assert (mapper.read_condition_packed(packed, now_us=0.0)
+                == mapper.read_condition(physical, now_us=0.0))
+
+
 def test_trim_unmaps_once(mapping):
     mapper = _mapper(mapping)
     assert mapper.is_mapped(5)
@@ -74,6 +88,7 @@ def test_out_of_range_lpns_raise(mapping):
     logical_pages = mapper.config.logical_pages
     entry_points = {
         "read_target": lambda lpn: mapper.read_target(lpn, now_us=0.0),
+        "read_target_packed": lambda lpn: mapper.read_target_packed(lpn, now_us=0.0),
         "program": lambda lpn: mapper.program(lpn, now_us=0.0),
         "trim": lambda lpn: mapper.trim(lpn, now_us=0.0),
         "is_mapped": mapper.is_mapped,

@@ -54,12 +54,11 @@ class TestFlashTransaction:
 
     def test_waiting_time(self):
         transaction = FlashTransaction(kind=TransactionKind.READ, lpn=1,
-                                       channel=0, die=0, plane=0, block=0,
-                                       page=0, issue_us=100.0)
+                                       packed=0, die=0, issue_us=100.0)
         assert transaction.waiting_time_us is None
         transaction.service_start_us = 160.0
         assert transaction.waiting_time_us == pytest.approx(60.0)
-        assert transaction.die_key() == (0, 0)
+        assert transaction.die == 0
 
 
 class TestReadFailurePath:

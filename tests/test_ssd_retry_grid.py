@@ -1,17 +1,20 @@
 """The retry-step grid: slab building, lazy promotion, eviction, sharing."""
 
 import pickle
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.rber import CodewordErrorModel
-from repro.nand.geometry import PageType
+from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.flash_backend import FlashBackend
-from repro.ssd.ftl import PhysicalPage
+from repro.ssd.ftl import PageAddressing, PhysicalPage
 from repro.ssd.request import HostRequest, RequestKind
 from repro.ssd.retry_grid import (
     RetryStepGrid,
@@ -94,6 +97,66 @@ class TestSlabLifecycle:
         for block in range(8):
             grid.behaviour(PageType.CSB, 1000, 6.0, 0, block)
         assert grid.scalar_memo_size <= 5
+
+
+class TestSlabRecency:
+    """Slab order is an LRU over every way of asking: the int-keyed core,
+    the PageType adapter and the backend's PhysicalPage adapter."""
+
+    CONDITIONS = [(100, 0.0), (500, 1.0), (1000, 6.0), (1500, 0.0),
+                  (2000, 12.0)]
+    PROMOTE = 2
+    MAX_CONDITIONS = 3
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=4),
+                              st.sampled_from(["core", "page_type",
+                                               "physical"]),
+                              st.integers(min_value=0, max_value=2),
+                              st.integers(min_value=0, max_value=63)),
+                    min_size=1, max_size=24))
+    @settings(max_examples=30, deadline=None)
+    def test_slab_order_follows_an_lru_model(self, default_rpt, queries):
+        config = SsdConfig.tiny()
+        grid = RetryStepGrid(config, rpt=default_rpt,
+                             promote_threshold=self.PROMOTE,
+                             max_conditions=self.MAX_CONDITIONS)
+        backend = FlashBackend(config, rpt=default_rpt, grid=grid)
+        addressing = PageAddressing(config)
+        model = OrderedDict()
+        pending = {}
+        builds = 0
+        for condition, route, page_type, corner in queries:
+            key = self.CONDITIONS[condition]
+            if route == "core":
+                grid.behaviour_at(page_type, *key, corner)
+            elif route == "page_type":
+                chip, block = divmod(corner, grid.blocks_per_chip)
+                grid.behaviour(PAGE_TYPE_ORDER[page_type], *key, chip, block)
+            else:
+                physical = addressing.unpack(
+                    corner * config.pages_per_block + page_type)
+                backend.read_behaviour(physical, PAGE_TYPE_ORDER[page_type],
+                                       *key)
+            # The model: a hit moves its condition to the recent end; the
+            # PROMOTE-th query of an uncached condition builds its slab,
+            # evicting the least recent one when the grid is full.
+            if key in model:
+                model.move_to_end(key)
+            else:
+                seen = pending.get(key, 0) + 1
+                if seen >= self.PROMOTE:
+                    pending.pop(key, None)
+                    if len(model) == self.MAX_CONDITIONS:
+                        model.popitem(last=False)
+                    model[key] = True
+                    builds += 1
+                else:
+                    pending[key] = seen
+            # Checked after every query, so recency and evictions both match.
+            assert list(grid._slabs) == list(model)
+        assert grid.slab_builds == builds
+        assert backend.grid_hits + backend.scalar_fallbacks == sum(
+            route == "physical" for _, route, _, _ in queries)
 
 
 class TestSlabSerialization:

@@ -9,8 +9,8 @@ from repro.ssd.scheduler import DieScheduler
 
 
 def make_transaction(kind, issue_us=0.0):
-    return FlashTransaction(kind=kind, lpn=0, channel=0, die=0, plane=0,
-                            block=0, page=0, issue_us=issue_us)
+    return FlashTransaction(kind=kind, lpn=0, packed=0, die=0,
+                            issue_us=issue_us)
 
 
 SERVICE_TIMES = {

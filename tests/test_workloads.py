@@ -47,6 +47,34 @@ class TestTraceFormat:
         with pytest.raises(ValueError):
             read_msrc_csv(io.StringIO("1,host,0,Read\n"))
 
+    # Every row error names the CSV line; the comment and the blank line
+    # still count, as they do in the file.
+    HEAD = "# Timestamp,Hostname,DiskNumber,Type,Offset,Size\n\n0,host,0,Read,0,4096\n"
+
+    def test_short_row_names_its_line(self):
+        with pytest.raises(ValueError, match=r"line 4: \['5', 'host', '0', 'Read'\]"):
+            read_msrc_csv(io.StringIO(self.HEAD + "5,host,0,Read\n"))
+
+    @pytest.mark.parametrize("row", ["x5,host,0,Read,0,4096", "5,host,d,Read,0,4096",
+                                     "5,host,0,Read,1.5,4096", "5,host,0,Read,0,"])
+    def test_non_integer_field_names_its_line(self, row):
+        with pytest.raises(ValueError, match=r"malformed MSRC row on line 4: invalid literal"):
+            read_msrc_csv(io.StringIO(self.HEAD + row + "\n"))
+
+    def test_record_validation_names_its_line(self):
+        with pytest.raises(ValueError, match=r"line 5: size_bytes must be positive"):
+            read_msrc_csv(io.StringIO(self.HEAD + "5,host,0,Write,0,4096\n"
+                                      "6,host,0,Read,0,0\n"))
+
+    def test_unknown_type_is_rejected(self):
+        with pytest.raises(ValueError, match=r"line 4 has type 'Trim'; expected Read or Write"):
+            read_msrc_csv(io.StringIO(self.HEAD + "5,host,0,Trim,0,4096\n"))
+
+    def test_type_is_case_insensitive(self):
+        records = read_msrc_csv(io.StringIO("0,host,0, READ ,0,4096\n"
+                                            "5,host,0,write,0,4096\n"))
+        assert [record.is_read for record in records] == [True, False]
+
     def test_records_to_requests_page_rounding(self):
         records = [TraceRecord(5.0, True, offset_bytes=10_000, size_bytes=20_000)]
         requests = records_to_requests(records, page_size_bytes=16 * 1024)
