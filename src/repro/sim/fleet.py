@@ -30,14 +30,9 @@ the array sustain under a p99 SLO?".  This module answers both:
   ``Simulation.fleet(n).slo(p99_us=...)`` and the ``fleet_capacity``
   experiment.
 
-Rack-scale mechanics (the three levers that keep 10k-device fleets
+Rack-scale mechanics (the two levers that keep 10k-device fleets
 tractable):
 
-* **Shared-memory slab transport** — the parent prefills the fleet's
-  retry-step slabs once and publishes them through
-  :mod:`repro.ssd.slab_transport`; worker payloads carry a tiny descriptor
-  instead of per-payload pickled arrays, with a transparent fallback to the
-  inline pickle path when shared memory is unavailable.
 * **Sharded streaming execution** — devices are dispatched in bounded
   shards (``shard_devices``, default :data:`DEFAULT_SHARD_DEVICES`) and each
   device's metrics are folded into the running :class:`FleetResult` as they
@@ -48,7 +43,11 @@ tractable):
   the run's sub-request count in compact form — typed spool columns of
   about 35 B a row, so about 35 MB at 1M sub-requests — never the trace as
   request objects, and each spool is dropped once the last policy has
-  dispatched its device.
+  dispatched its device.  Next to that one routing, the parent builds each
+  distinct device condition's retry-grid slabs
+  (:func:`~repro.ssd.slab_transport.prefill_device_slabs`) so forked
+  workers inherit them; each device worker calls the same helper first
+  thing, which builds them only where the worker started without them.
   Per-shard wall-clock timings are recorded for later multi-host placement.
 * **Checkpoint/resume** — with a ``checkpoint`` store attached, every
   completed shard's per-device metric states (and every capacity-search
@@ -74,14 +73,14 @@ from repro.core.rpt import ReadTimingParameterTable
 from repro.experiments.store import CheckpointStore
 from repro.sim.registry import default_registry
 from repro.sim.spec import Condition, WorkloadSpec
-from repro.sim.sweep import DEFAULT_MEAN_INTERARRIVAL_US, WorkerPool, _default_rpt
+from repro.sim.sweep import DEFAULT_MEAN_INTERARRIVAL_US, WorkerPool, _default_rpt, reject_repeats
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SimulationResult, SsdSimulator
 from repro.ssd.faults import FaultPlan
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import HostRequest
-from repro.ssd.retry_grid import rpt_fingerprint, shared_grid
-from repro.ssd.slab_transport import payload_slabs, publish_slabs
+from repro.ssd.retry_grid import rpt_fingerprint
+from repro.ssd.slab_transport import prefill_device_slabs
 from repro.workloads.router import RequestSpool, StripeRouter
 from repro.workloads.source import is_workload_source, source_from_dict, source_to_dict
 from repro.workloads.tenants import TenantMix
@@ -288,12 +287,8 @@ def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
     policy_name = payload["policy"]
     rpt = payload.get("rpt") or _default_rpt()
     config = spec.config
-    slabs = payload_slabs(payload)
-    if slabs:
-        # Install the parent-built retry-step slabs into this process's
-        # shared grid instead of recomputing them per worker (a fork-start
-        # worker usually inherited them already; install_slabs then no-ops).
-        shared_grid(config, rpt).install_slabs(slabs)
+    condition = spec.device_condition(device)
+    prefill_device_slabs(config, rpt, condition.pe_cycles, condition.retention_months)
     policy = default_registry().create(policy_name, timing=config.timing, rpt=rpt)
     simulator = SsdSimulator(
         config=config,
@@ -302,7 +297,6 @@ def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
         device_id=device,
         track_tenants=payload["track_tenants"],
     )
-    condition = spec.device_condition(device)
     simulator.precondition(
         pe_cycles=condition.pe_cycles,
         retention_months=condition.retention_months,
@@ -516,8 +510,6 @@ class FleetRunner:
         ``None`` means :data:`DEFAULT_SHARD_DEVICES`.
     :param checkpoint: a :class:`~repro.experiments.store.CheckpointStore`,
         a cache-root path for one, or ``None`` (no checkpointing).
-    :param use_shared_memory: publish parent-built retry-grid slabs through
-        shared memory (falls back to inline pickling when unavailable).
     """
 
     def __init__(
@@ -527,7 +519,6 @@ class FleetRunner:
         rpt: Optional[ReadTimingParameterTable] = None,
         shard_devices: Optional[int] = None,
         checkpoint: Union[CheckpointStore, str, None] = None,
-        use_shared_memory: bool = True,
     ):
         if processes < 1:
             raise ValueError("processes must be at least 1")
@@ -541,7 +532,6 @@ class FleetRunner:
             self.checkpoint = checkpoint
         else:
             self.checkpoint = CheckpointStore(checkpoint)
-        self.use_shared_memory = use_shared_memory
         self._registry = default_registry()
 
     # -- dispatch helpers ------------------------------------------------------
@@ -550,42 +540,6 @@ class FleetRunner:
             range(start, min(start + self.shard_devices, self.spec.devices))
             for start in range(0, self.spec.devices, self.shard_devices)
         ]
-
-    def _slab_transport(self):
-        """Prefill the fleet's retry-step slabs once and pick a transport.
-
-        Returns ``(segment, inline_slabs)``: a published
-        :class:`~repro.ssd.slab_transport.SlabSegment` (inline ``None``)
-        when shared memory works, else ``(None, exports)`` for the pickle
-        path.  Every device reads cold data at its condition and rewritten
-        data at (P/E, 0), so both pairs are prefilled per distinct
-        condition, in device order (deterministic slab layout).
-        """
-        rpt = self.rpt or _default_rpt()
-        grid = shared_grid(self.spec.config, rpt)
-        pairs: List[Tuple[int, float]] = []
-        seen = set()
-        for device in range(self.spec.devices):
-            condition = self.spec.device_condition(device)
-            for pair in (
-                (condition.pe_cycles, float(condition.retention_months)),
-                (condition.pe_cycles, 0.0),
-            ):
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-        exports = []
-        for pair in pairs:
-            # Export each slab immediately after its prefill: a fleet with
-            # more conditions than the grid's slab bound would otherwise
-            # evict early slabs before a batch export reads them.
-            grid.prefill([pair])
-            exports.extend(grid.export_slabs([pair]))
-        if self.use_shared_memory:
-            segment = publish_slabs(exports)
-            if segment is not None:
-                return segment, None
-        return None, exports
 
     # -- execution -------------------------------------------------------------
     def run(
@@ -618,9 +572,7 @@ class FleetRunner:
         policy_names = tuple(self._registry.canonical_name(name) for name in policies)
         if not policy_names:
             raise ValueError("no policies given")
-        for index, name in enumerate(policy_names):
-            if name in policy_names[:index]:
-                raise ValueError(f"policy {name!r} is given more than once")
+        reject_repeats("policy", policy_names)
         source_payload = _source_payload(source, num_requests, seed)
         label = _source_label(source_payload)
         fault_plan = FaultPlan.coerce(faults) if faults is not None else None
@@ -649,104 +601,101 @@ class FleetRunner:
                 base_params["requests_digest"] = _requests_digest(source_payload["requests"])
         checkpoint_hits = 0
         checkpoint_stored = 0
-        segment, inline_slabs = self._slab_transport()
-        if segment is not None:
-            transport = {"grid_segment": segment.descriptor}
-        elif inline_slabs:
-            transport = {"grid_slabs": inline_slabs}
-        else:
-            transport = {}
         device_payload = dict(
             fleet=fleet_dict,
             rpt=self.rpt,
             lookahead=lookahead,
             track_tenants=_payload_tracks_tenants(source_payload),
             **({"faults": fault_plan.to_dict()} if fault_plan else {}),
-            **transport,
         )
         shard_ranges = self._shard_ranges()
         routed: Optional[List[Optional[RequestSpool]]] = None
-        try:
-            with WorkerPool(self.processes) as pool:
-                for policy in policy_names:
-                    collector = results[policy]
-                    for shard_index, device_range in enumerate(shard_ranges):
-                        params = None
-                        restored = None
-                        if base_params is not None:
-                            params = dict(
-                                base_params,
-                                policy=policy,
-                                shard=shard_index,
-                                devices=[device_range.start, device_range.stop],
-                            )
-                            restored = self.checkpoint.load(FLEET_SHARD_KIND, params)
-                        started = time.perf_counter()  # repro-lint: disable=no-wall-clock
-                        if restored is not None:
-                            for device, state in zip(restored["devices"], restored["metrics"]):
-                                collector.absorb_device(
-                                    int(device), SimulationMetrics.from_state(state)
-                                )
-                            checkpoint_hits += 1
-                            logger.info(
-                                "fleet shard %d (policy %s, devices %d..%d) "
-                                "served from checkpoint",
-                                shard_index,
-                                policy,
-                                device_range.start,
-                                device_range.stop - 1,
-                            )
-                        else:
-                            if routed is None:
-                                routed = _route(self.spec, source_payload)
-                            payloads = [
-                                dict(
-                                    device_payload,
-                                    device=device,
-                                    policy=policy,
-                                    device_requests=routed[device],
-                                )
-                                for device in device_range
-                            ]
-                            if policy == policy_names[-1]:
-                                # The last policy's dispatch is a spool's last
-                                # use; dropping it keeps the routing from adding
-                                # to the rows the result accumulates.
-                                for device in device_range:
-                                    routed[device] = None
-                            devices: List[int] = []
-                            states: List[dict] = []
-                            for _, device, result in pool.map(_run_fleet_device, payloads):
-                                if params is not None:
-                                    devices.append(device)
-                                    states.append(result.metrics.to_state())
-                                collector.absorb_device(device, result.metrics)
-                            if params is not None:
-                                self.checkpoint.save(
-                                    FLEET_SHARD_KIND,
-                                    params,
-                                    {"devices": devices, "metrics": states},
-                                )
-                                checkpoint_stored += 1
-                        elapsed = time.perf_counter() - started  # repro-lint: disable=no-wall-clock
-                        collector.shard_timings.append(
-                            FleetShardTiming(
-                                index=shard_index,
-                                policy=policy,
-                                devices=len(device_range),
-                                elapsed_s=elapsed,
-                                from_checkpoint=restored is not None,
-                            )
+        with WorkerPool(self.processes) as pool:
+            for policy in policy_names:
+                collector = results[policy]
+                for shard_index, device_range in enumerate(shard_ranges):
+                    params = None
+                    restored = None
+                    if base_params is not None:
+                        params = dict(
+                            base_params,
+                            policy=policy,
+                            shard=shard_index,
+                            devices=[device_range.start, device_range.stop],
                         )
-        finally:
-            if segment is not None:
-                segment.close()
+                        restored = self.checkpoint.load(FLEET_SHARD_KIND, params)
+                    started = time.perf_counter()  # repro-lint: disable=no-wall-clock
+                    if restored is not None:
+                        for device, state in zip(restored["devices"], restored["metrics"]):
+                            collector.absorb_device(
+                                int(device), SimulationMetrics.from_state(state)
+                            )
+                        checkpoint_hits += 1
+                        logger.info(
+                            "fleet shard %d (policy %s, devices %d..%d) served from checkpoint",
+                            shard_index,
+                            policy,
+                            device_range.start,
+                            device_range.stop - 1,
+                        )
+                    else:
+                        if routed is None:
+                            routed = _route(self.spec, source_payload)
+                            # Before any device runs, so forked workers inherit
+                            # the slabs instead of each building them.
+                            rpt = self.rpt or _default_rpt()
+                            conditions = self.spec.device_conditions or (self.spec.condition,)
+                            for condition in dict.fromkeys(conditions):
+                                prefill_device_slabs(
+                                    self.spec.config,
+                                    rpt,
+                                    condition.pe_cycles,
+                                    condition.retention_months,
+                                )
+                        payloads = [
+                            dict(
+                                device_payload,
+                                device=device,
+                                policy=policy,
+                                device_requests=routed[device],
+                            )
+                            for device in device_range
+                        ]
+                        if policy == policy_names[-1]:
+                            # The last policy's dispatch is a spool's last
+                            # use; dropping it keeps the routing from adding
+                            # to the rows the result accumulates.
+                            for device in device_range:
+                                routed[device] = None
+                        devices: List[int] = []
+                        states: List[dict] = []
+                        for _, device, result in pool.map(_run_fleet_device, payloads):
+                            if params is not None:
+                                devices.append(device)
+                                states.append(result.metrics.to_state())
+                            collector.absorb_device(device, result.metrics)
+                        if params is not None:
+                            self.checkpoint.save(
+                                FLEET_SHARD_KIND,
+                                params,
+                                {"devices": devices, "metrics": states},
+                            )
+                            checkpoint_stored += 1
+                    elapsed = time.perf_counter() - started  # repro-lint: disable=no-wall-clock
+                    collector.shard_timings.append(
+                        FleetShardTiming(
+                            index=shard_index,
+                            policy=policy,
+                            devices=len(device_range),
+                            elapsed_s=elapsed,
+                            from_checkpoint=restored is not None,
+                        )
+                    )
         manifest = {
             "fleet": fleet_dict,
             "source": manifest_source,
             "policies": list(policy_names),
             "shard_devices": self.shard_devices,
-            "slab_transport": "shared_memory" if segment is not None else "inline",
         }
         if fault_plan:
             manifest["faults"] = fault_plan.to_dict()

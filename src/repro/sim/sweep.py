@@ -25,13 +25,12 @@ of regenerating the stream for every condition cell the way the seed's
 requests, the cache holds the :class:`HostRequest` objects themselves and
 every (condition, policy) cell replays them directly.
 
-Retry-step grids are likewise built once, not per worker: the parent
-vectorizes the slabs of every condition in the sweep and publishes them
-through :mod:`repro.ssd.slab_transport` (one shared-memory segment whose
-descriptor rides in every payload; inline pickled slabs when shared memory
-is unavailable), and workers install them into their process-shared
-:func:`repro.ssd.retry_grid.shared_grid` (a no-op under ``fork``, where the
-parent's grids are inherited) instead of recomputing behaviour lattices.
+Every cell reads its retry-step slabs from the process-shared
+:func:`repro.ssd.retry_grid.shared_grid`.  The parent builds each
+condition's slabs with :func:`repro.ssd.slab_transport.prefill_device_slabs`
+before the pool forks, so workers inherit them; each cell calls it again
+first thing, which builds them only in a worker that started without them
+(spawn) or after the grid's LRU bound evicted them.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SimulationResult, SsdSimulator
 from repro.ssd.metrics import normalized_response_times
 from repro.ssd.request import HostRequest
-from repro.ssd.retry_grid import shared_grid
-from repro.ssd.slab_transport import payload_slabs, publish_slabs
+from repro.ssd.slab_transport import prefill_device_slabs
 from repro.workloads.catalog import WORKLOAD_CATALOG
 
 #: Default mean inter-arrival time of generated streams; matches the seed's
@@ -75,53 +73,19 @@ def _default_rpt() -> ReadTimingParameterTable:
     return _DEFAULT_RPT[0]
 
 
-def pool_map(func, payloads: Sequence, processes: int, on_result=None) -> List:
-    """``[func(p) for p in payloads]``, optionally over a process pool.
+class WorkerPool:
+    """A reusable process pool that maps payloads in order.
 
-    The shared fan-out primitive of the sweep runner and the experiment
-    suite runner.  Prefers the ``fork`` start method so objects registered
+    The fan-out primitive of the sweep, fleet and suite runners.  One
+    pool stays alive across :meth:`map` calls, created lazily on the first
+    call that can use it, so a fleet streams all of its shards through the
+    same workers.  It prefers the ``fork`` start method so objects registered
     at runtime (policies, experiments) remain resolvable inside workers; on
     spawn-only platforms workers re-import the registering modules, so only
-    import-time registrations resolve.  Falls back to a serial map when a
-    pool would not help (one payload) or is impossible (already inside a
-    daemonic pool worker, which may not spawn children).
-
-    :param on_result: optional callback invoked in the parent, in payload
-        order, as each result arrives — results completed before a later
-        payload fails have already been delivered, which is what lets the
-        suite runner persist partial progress.
-    """
-    count = min(processes, len(payloads))
-    if count <= 1 or multiprocessing.current_process().daemon:
-        results = []
-        for payload in payloads:
-            result = func(payload)
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
-        return results
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with context.Pool(count) as pool:
-        if on_result is None:
-            return pool.map(func, payloads)
-        results = []
-        for result in pool.imap(func, payloads):
-            on_result(result)
-            results.append(result)
-        return results
-
-
-class WorkerPool:
-    """A reusable process pool with :func:`pool_map` semantics.
-
-    :func:`pool_map` spins a pool up and tears it down per call — fine for
-    one sweep grid, wasteful for a fleet streaming dozens of shards through
-    the same workers.  ``WorkerPool`` keeps one pool alive across
-    :meth:`map` calls (created lazily on the first call that can actually
-    use it) and mirrors ``pool_map``'s serial fallbacks, so results stay
-    bitwise-identical to a serial run.  Use as a context manager; on a
-    clean exit the pool is closed and joined, on an exception it is
+    import-time registrations resolve.  A call maps serially when a pool
+    would not help (one payload) or is impossible (already inside a daemonic
+    pool worker, which may not spawn children).  Use as a context manager;
+    on a clean exit the pool is closed and joined, on an exception it is
     terminated.
     """
 
@@ -131,15 +95,28 @@ class WorkerPool:
         self.processes = processes
         self._pool = None
 
-    def map(self, func, payloads: Sequence) -> List:
-        count = min(self.processes, len(payloads))
-        if count <= 1 or multiprocessing.current_process().daemon:
-            return [func(payload) for payload in payloads]
-        if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context("fork" if "fork" in methods else None)
-            self._pool = context.Pool(self.processes)
-        return self._pool.map(func, payloads)
+    def map(self, func, payloads: Sequence, on_result=None) -> List:
+        """``[func(p) for p in payloads]``, over the pool where it helps.
+
+        :param on_result: optional callback invoked in the parent, in payload
+            order, as each result arrives.  Results completed before a later
+            payload fails have already been delivered, which is what lets the
+            suite runner persist partial progress.
+        """
+        if min(self.processes, len(payloads)) <= 1 or multiprocessing.current_process().daemon:
+            results = (func(payload) for payload in payloads)
+        else:
+            if self._pool is None:
+                methods = multiprocessing.get_all_start_methods()
+                context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+                self._pool = context.Pool(self.processes)
+            results = self._pool.imap(func, payloads)
+        collected = []
+        for result in results:
+            if on_result is not None:
+                on_result(result)
+            collected.append(result)
+        return collected
 
     def close(self, terminate: bool = False) -> None:
         if self._pool is None:
@@ -156,6 +133,19 @@ class WorkerPool:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(terminate=exc_type is not None)
+
+
+def pool_map(func, payloads: Sequence, processes: int, on_result=None) -> List:
+    """One :meth:`WorkerPool.map` over a pool of ``processes`` workers at most."""
+    with WorkerPool(max(1, min(processes, len(payloads)))) as pool:
+        return pool.map(func, payloads, on_result)
+
+
+def reject_repeats(kind: str, values: Sequence) -> None:
+    """Raise ``ValueError`` for the first value ``values`` repeats."""
+    for index, value in enumerate(values):
+        if value in values[:index]:
+            raise ValueError(f"{kind} {value!r} is given more than once")
 
 
 def _cached_stream(spec: WorkloadSpec, config: SsdConfig) -> List[HostRequest]:
@@ -180,12 +170,7 @@ def _run_cell(payload: dict) -> Tuple[str, Tuple[int, float], Dict[str, Simulati
     spec = WorkloadSpec.from_dict(payload["workload"])
     condition = Condition.from_dict(payload["condition"])
     rpt = payload.get("rpt") or _default_rpt()
-    slabs = payload_slabs(payload)
-    if slabs:
-        # Install the parent-built retry-step slabs into this process's
-        # shared grid instead of recomputing them per worker (a fork-start
-        # worker usually inherited them already; install_slabs then no-ops).
-        shared_grid(config, rpt).install_slabs(slabs)
+    prefill_device_slabs(config, rpt, condition.pe_cycles, condition.retention_months)
     registry = default_registry()
     stream = _cached_stream(spec, config)
     results: Dict[str, SimulationResult] = {}
@@ -193,7 +178,9 @@ def _run_cell(payload: dict) -> Tuple[str, Tuple[int, float], Dict[str, Simulati
         policy = registry.create(name, timing=config.timing, rpt=rpt)
         simulator = SsdSimulator(config=config, policy=policy, rpt=rpt)
         simulator.precondition(
-            pe_cycles=condition.pe_cycles, retention_months=condition.retention_months
+            pe_cycles=condition.pe_cycles,
+            retention_months=condition.retention_months,
+            fill_fraction=condition.fill_fraction,
         )
         result = simulator.run(stream)
         results[result.policy_name] = result
@@ -322,7 +309,6 @@ class SweepRunner:
         mean_interarrival_us: float = DEFAULT_MEAN_INTERARRIVAL_US,
         footprint_fraction: float = 0.8,
         per_cell_seeds: bool = False,
-        use_shared_memory: bool = True,
     ):
         if processes < 1:
             raise ValueError("processes must be at least 1")
@@ -332,7 +318,6 @@ class SweepRunner:
         self.mean_interarrival_us = mean_interarrival_us
         self.footprint_fraction = footprint_fraction
         self.per_cell_seeds = per_cell_seeds
-        self.use_shared_memory = use_shared_memory
         self._registry = default_registry()
 
     # -- grid construction ----------------------------------------------------
@@ -383,47 +368,6 @@ class SweepRunner:
                 )
         return payloads
 
-    def _attach_grid_slabs(self, payloads, conditions):
-        """Precompute retry-step slabs once and ship them with each cell.
-
-        Every cell reads cold data at its condition and rewritten data at
-        (P/E, 0); building those slabs in the parent means workers install
-        the grid instead of each recomputing it (the point of sharing — one
-        vectorized pass serves the whole sweep).  The slabs travel through
-        shared memory when available (payloads then carry only the
-        segment's descriptor); otherwise each payload gets its own cell's
-        slabs inline, exactly the old pickle path.  Returns the published
-        :class:`~repro.ssd.slab_transport.SlabSegment` (or ``None``); the
-        caller must ``close()`` it after the map.
-        """
-        grid = shared_grid(self.config, self.rpt or _default_rpt())
-        pairs = set()
-        for condition in conditions:
-            pairs.add((condition.pe_cycles, float(condition.retention_months)))
-            pairs.add((condition.pe_cycles, 0.0))
-        exports = {}
-        for pair in sorted(pairs):
-            # Export each slab immediately after its prefill: a sweep with
-            # more conditions than the grid's slab bound would otherwise
-            # evict early slabs before the batch export reads them.
-            grid.prefill([pair])
-            exports[pair] = grid.export_slabs([pair])[0]
-        segment = None
-        if self.use_shared_memory:
-            segment = publish_slabs([exports[pair] for pair in sorted(exports)])
-        if segment is not None:
-            for payload in payloads:
-                payload["grid_segment"] = segment.descriptor
-            return segment
-        for payload in payloads:
-            cell = payload["condition"]
-            cell_pairs = [
-                (cell["pe_cycles"], float(cell["retention_months"])),
-                (cell["pe_cycles"], 0.0),
-            ]
-            payload["grid_slabs"] = [exports[pair] for pair in dict.fromkeys(cell_pairs)]
-        return None
-
     # -- execution ------------------------------------------------------------
     def run(
         self,
@@ -445,6 +389,9 @@ class SweepRunner:
             self._registry.canonical_name(name)
             for name in (policies if policies is not None else self._registry.names())
         )
+        if not policy_names:
+            raise ValueError("no policies given")
+        reject_repeats("policy", policy_names)
         specs = self._coerce_workloads(workloads, num_requests, seed)
         if not specs:
             raise ValueError("no workloads given")
@@ -457,18 +404,17 @@ class SweepRunner:
         condition_objs = [Condition.coerce(condition) for condition in conditions]
         if not condition_objs:
             raise ValueError("no conditions given")
+        reject_repeats("condition", [condition.as_tuple() for condition in condition_objs])
         if baseline not in policy_names:
             # Normalizing needs a reference that actually ran; fall back to
             # the first policy (its rows then read exactly 1.0).
             baseline = policy_names[0]
         payloads = self._payloads(specs, condition_objs, policy_names)
-        segment = self._attach_grid_slabs(payloads, condition_objs)
-        try:
-            outcomes = pool_map(_run_cell, payloads, self.processes)
-        finally:
-            if segment is not None:
-                segment.close()
-
+        # Before the pool forks, so workers inherit the slabs.
+        rpt = self.rpt or _default_rpt()
+        for condition in condition_objs:
+            prefill_device_slabs(self.config, rpt, condition.pe_cycles, condition.retention_months)
+        outcomes = pool_map(_run_cell, payloads, self.processes)
         cells = {(label, pec, months): results for label, (pec, months), results in outcomes}
         return SweepResult(
             workloads=specs,

@@ -21,9 +21,7 @@ module replaces that with a *grid*:
   are served by exact scalar walks, and once a condition proves hot its
   whole slab is built vectorized;
 * slabs and the scalar memo are bounded with **explicit** eviction policies
-  (LRU slabs, FIFO scalar memo — no silent stop-caching cliff), and slabs
-  can be serialized so sweep/suite workers install a parent-built grid
-  instead of recomputing.
+  (LRU slabs, FIFO scalar memo — no silent stop-caching cliff).
 
 Grids are shared process-wide per (geometry, seed, temperature, RPT): every
 simulator with default error models gets the same grid, so repeated runs —
@@ -347,31 +345,23 @@ class RetryStepGrid:
             table=self.retry_table,
         )
         slab = tuple(self._intern_batch(lattice[page_type]) for page_type in PAGE_TYPE_ORDER)
-        self._install_slab(key, slab)
-        self.slab_builds += 1
-        return slab
-
-    def _install_slab(self, key: tuple, slab: Slab) -> None:
         while len(self._slabs) >= self.max_conditions:
             self._slabs.popitem(last=False)
         self._slabs[key] = slab
         self._pending_queries.pop(key, None)
+        self.slab_builds += 1
+        return slab
 
     def _intern_batch(self, batch) -> List[ReadBehaviour]:
-        """:meth:`_intern_lattice` of one page type's lattice pass."""
-        return self._intern_lattice(
-            batch.retry_steps, batch.retry_steps_reduced, batch.reduced_timing_fallback
-        )
-
-    def _intern_lattice(
-        self,
-        steps: np.ndarray,
-        reduced: np.ndarray,
-        fallback: np.ndarray,
-    ) -> List[ReadBehaviour]:
+        """One page type's lattice pass as shared :class:`ReadBehaviour` objects."""
         interned = self._interned
         behaviours = []
-        for signature in zip(steps.tolist(), reduced.tolist(), fallback.tolist()):
+        signatures = zip(
+            batch.retry_steps.tolist(),
+            batch.retry_steps_reduced.tolist(),
+            batch.reduced_timing_fallback.tolist(),
+        )
+        for signature in signatures:
             behaviour = interned.get(signature)
             if behaviour is None:
                 behaviour = ReadBehaviour(
@@ -427,60 +417,6 @@ class RetryStepGrid:
             behaviour = ReadBehaviour(*signature)
             self._interned[signature] = behaviour
         return behaviour
-
-    # -- worker hand-off ------------------------------------------------------
-    def export_slabs(self, conditions: Iterable[Tuple[int, float]] = None) -> List[dict]:
-        """Serialize cached slabs (compact arrays, pickle-friendly).
-
-        :param conditions: restrict the export to these (P/E, retention)
-            keys; conditions without a cached slab are skipped.
-        """
-        if conditions is None:
-            selected = list(self._slabs.items())
-        else:
-            keys = [(int(pe), float(ret)) for pe, ret in conditions]
-            selected = [(key, self._slabs[key]) for key in keys if key in self._slabs]
-        payload = []
-        for (pe_cycles, retention_months), slab in selected:
-            entry = {
-                "pe_cycles": pe_cycles,
-                "retention_months": retention_months,
-                "page_types": {},
-            }
-            for page_type, behaviours in zip(PAGE_TYPE_ORDER, slab):
-                steps = np.array([b.retry_steps for b in behaviours], dtype=np.int16)
-                reduced = np.array([b.retry_steps_reduced for b in behaviours], dtype=np.int16)
-                fallback = np.array([b.reduced_timing_fallback for b in behaviours], dtype=bool)
-                entry["page_types"][page_type.name] = {
-                    "retry_steps": steps,
-                    "retry_steps_reduced": reduced,
-                    "reduced_timing_fallback": fallback,
-                }
-            payload.append(entry)
-        return payload
-
-    def install_slabs(self, payload: Sequence[dict]) -> int:
-        """Install serialized slabs; returns how many were new."""
-        installed = 0
-        for entry in payload:
-            key = (int(entry["pe_cycles"]), float(entry["retention_months"]))
-            if key in self._slabs:
-                continue
-            by_name = entry["page_types"]
-            missing = sorted(p.name for p in PAGE_TYPE_ORDER if p.name not in by_name)
-            if missing:
-                raise ValueError(f"slab for condition {key} misses page types: {missing}")
-            slab = tuple(
-                self._intern_lattice(
-                    by_name[p.name]["retry_steps"],
-                    by_name[p.name]["retry_steps_reduced"],
-                    by_name[p.name]["reduced_timing_fallback"],
-                )
-                for p in PAGE_TYPE_ORDER
-            )
-            self._install_slab(key, slab)
-            installed += 1
-        return installed
 
 
 # -- process-wide sharing -----------------------------------------------------

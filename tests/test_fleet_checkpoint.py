@@ -1,21 +1,17 @@
-"""Fleet checkpoint/resume, shared-slab transport, and /dev/shm hygiene.
+"""Fleet checkpoint/resume and sharded execution.
 
 Covers the rack-scale execution path: sharded runs checkpoint per-shard
 device metrics and resume bitwise-identically; corrupted checkpoint entries
-are detected (payload digest) and recomputed rather than trusted; shared
-slab segments never outlive a run — normal exit and crashed-worker exit
-alike; stale worker attachments are invalidated by the descriptor's
-(epoch, fingerprint) pair; a sharded parallel run matches the serial run
-row for row; and every run routes its array stream once, handing each
-device exactly the sub-stream the router's per-device filter yields.
+are detected (payload digest) and recomputed rather than trusted; a sharded
+parallel run matches the serial run row for row, and a failing device
+worker fails the run; and every run routes its array stream once, handing
+each device exactly the sub-stream the router's per-device filter yields,
+while a run whose shards are all checkpointed builds no retry-grid slab.
 """
 
-import glob
 import json
 import logging
-import os
 
-import numpy as np
 import pytest
 
 from repro.experiments.store import CheckpointStore
@@ -28,10 +24,10 @@ from repro.sim.fleet import (
     _requests_digest,
 )
 from repro.sim.spec import Condition, WorkloadSpec
-from repro.ssd import slab_transport
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SsdSimulator
 from repro.ssd.request import HostRequest, RequestKind
+from repro.ssd.retry_grid import RetryStepGrid, clear_shared_grids
 from repro.workloads.scenarios import HotColdZone
 from repro.workloads.tenants import TenantMix
 
@@ -148,113 +144,6 @@ class TestCapacitySearchResume:
         assert store.entries(PROBE_TRAIL_KIND)
 
 
-# -- shared-memory hygiene -----------------------------------------------------
-def _leaked_segments():
-    return glob.glob(f"/dev/shm/repro_slab_{os.getpid()}_*")
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform")
-class TestSharedMemoryHygiene:
-    def test_normal_run_leaves_no_segments(self):
-        result = FleetRunner(_fleet(2), shard_devices=2).run(_workload(60))
-        assert result.manifest["slab_transport"] == "shared_memory"
-        slab_transport.detach_all()
-        assert _leaked_segments() == []
-
-    def test_crashed_worker_still_unlinks_the_segment(self, monkeypatch):
-        def boom(payload):
-            raise RuntimeError("worker crashed mid-shard")
-
-        monkeypatch.setattr("repro.sim.fleet._run_fleet_device", boom)
-        with pytest.raises(RuntimeError, match="worker crashed"):
-            FleetRunner(_fleet(2), shard_devices=2).run(_workload(60))
-        slab_transport.detach_all()
-        assert _leaked_segments() == []
-
-    def test_shared_memory_off_matches_shared_memory_on(self):
-        on = FleetRunner(_fleet(2), shard_devices=2, use_shared_memory=True).run(_workload(60))
-        off = FleetRunner(_fleet(2), shard_devices=2, use_shared_memory=False).run(_workload(60))
-        assert on.manifest["slab_transport"] == "shared_memory"
-        assert off.manifest["slab_transport"] == "inline"
-        assert _rows(on) == _rows(off)
-        slab_transport.detach_all()
-
-
-# -- slab transport: stale-attachment invalidation -----------------------------
-def _exports(fill):
-    return [{
-        "pe_cycles": 1000,
-        "retention_months": 6.0,
-        "page_types": {
-            "LSB": {
-                "retry_steps": np.full(8, fill, dtype=np.int16),
-                "retry_steps_reduced": np.full(8, fill + 1, dtype=np.int16),
-                "reduced_timing_fallback": np.zeros(8, dtype=bool),
-            },
-        },
-    }]
-
-
-class TestSlabTransport:
-    def teardown_method(self):
-        slab_transport.detach_all()
-
-    def test_publish_attach_roundtrip(self):
-        segment = slab_transport.publish_slabs(_exports(3))
-        assert segment is not None
-        try:
-            attached = slab_transport.attach_slabs(segment.descriptor)
-            arrays = attached[0]["page_types"]["LSB"]
-            assert attached[0]["pe_cycles"] == 1000
-            assert list(arrays["retry_steps"]) == [3] * 8
-            assert list(arrays["retry_steps_reduced"]) == [4] * 8
-            assert not arrays["retry_steps"].flags.writeable
-        finally:
-            slab_transport.detach_all()
-            segment.close()
-
-    def test_stale_attachment_is_invalidated_by_epoch(self, monkeypatch):
-        # Force both publications onto one segment name, the way a
-        # long-lived worker sees a recycled name across runs.
-        name = f"repro_slab_stale_{os.getpid()}"
-        monkeypatch.setattr(slab_transport, "_next_segment_name", lambda: name)
-        first = slab_transport.publish_slabs(_exports(3))
-        attached = slab_transport.attach_slabs(first.descriptor)
-        assert attached[0]["page_types"]["LSB"]["retry_steps"][0] == 3
-        first.close()
-        second = slab_transport.publish_slabs(_exports(9))
-        try:
-            assert second.descriptor["epoch"] > first.descriptor["epoch"]
-            fresh = slab_transport.attach_slabs(second.descriptor)
-            # Without the (epoch, fingerprint) check the cached mapping of
-            # the first segment would serve the old values here.
-            assert fresh[0]["page_types"]["LSB"]["retry_steps"][0] == 9
-        finally:
-            slab_transport.detach_all()
-            second.close()
-
-    def test_foreign_segment_content_is_rejected(self):
-        segment = slab_transport.publish_slabs(_exports(5))
-        try:
-            forged = dict(segment.descriptor,
-                          epoch=segment.descriptor["epoch"] + 1,
-                          fingerprint="0" * 16)
-            with pytest.raises(slab_transport.SlabTransportError):
-                slab_transport.attach_slabs(forged)
-        finally:
-            slab_transport.detach_all()
-            segment.close()
-
-    def test_payload_falls_back_to_inline_slabs(self):
-        segment = slab_transport.publish_slabs(_exports(4))
-        segment.close()  # the publishing run is gone
-        payload = {"grid_segment": segment.descriptor, "grid_slabs": "inline-marker"}
-        assert slab_transport.payload_slabs(payload) == "inline-marker"
-
-    def test_empty_exports_publish_nothing(self):
-        assert slab_transport.publish_slabs([]) is None
-
-
 # -- serial == sharded parallel ------------------------------------------------
 class TestExecutionEquivalence:
     def test_serial_matches_sharded_parallel(self):
@@ -263,7 +152,6 @@ class TestExecutionEquivalence:
         assert _rows(serial) == _rows(parallel)
         assert serial.result.p99() == parallel.result.p99()
         assert serial.result.mean_response_us() == parallel.result.mean_response_us()
-        slab_transport.detach_all()
 
     def test_shard_size_does_not_change_results(self):
         coarse = FleetRunner(_fleet(), shard_devices=64).run(_workload())
@@ -271,7 +159,14 @@ class TestExecutionEquivalence:
         assert _rows(coarse) == _rows(fine)
         assert len(coarse.result.shard_timings) == 1
         assert len(fine.result.shard_timings) == 4
-        slab_transport.detach_all()
+
+    def test_a_failing_device_worker_fails_the_run(self, monkeypatch):
+        def boom(payload):
+            raise RuntimeError("worker crashed mid-shard")
+
+        monkeypatch.setattr("repro.sim.fleet._run_fleet_device", boom)
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            FleetRunner(_fleet(2), shard_devices=2).run(_workload(60))
 
 
 # -- route once per run --------------------------------------------------------
@@ -358,7 +253,6 @@ class TestRouteOnce:
         for other in (parallel, resumed):
             assert other.device_rows() == serial.device_rows()
             assert other.summary() == serial.summary()
-        slab_transport.detach_all()
 
     def test_a_run_generates_the_stream_once(self, tmp_path, monkeypatch):
         workload = _workload(80)
@@ -373,6 +267,14 @@ class TestRouteOnce:
                 yield request
 
         monkeypatch.setattr(WorkloadSpec, "iter_requests", counting)
+        built = []
+        build_slab = RetryStepGrid._build_slab
+
+        def recording_build(self, key):
+            built.append(key)
+            return build_slab(self, key)
+
+        monkeypatch.setattr(RetryStepGrid, "_build_slab", recording_build)
         store = CheckpointStore(tmp_path)
 
         def generated_by_run():
@@ -383,7 +285,12 @@ class TestRouteOnce:
 
         # 2 policies x 2 shards share one generation of the stream.
         assert generated_by_run() == length
-        # Every shard served from checkpoint: nothing is generated.
+        # Every shard served from checkpoint: nothing is generated, and no
+        # retry-grid slab is built, even in a process that holds none.
+        clear_shared_grids()
+        built.clear()
         assert generated_by_run() == 0
+        assert built == []
         sorted(store.entries(FLEET_SHARD_KIND))[0].unlink()
         assert generated_by_run() == length
+        assert built

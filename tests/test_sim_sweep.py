@@ -1,10 +1,15 @@
-"""Tests for the parallel sweep runner and the legacy grid shims."""
+"""Tests for the parallel sweep runner and its worker pool."""
+
+import multiprocessing
 
 import pytest
 
 from repro.sim import Condition, SweepRunner, WorkloadSpec
 from repro.sim import sweep as sweep_module
+from repro.sim.fleet import FleetRunner, FleetSpec
+from repro.sim.sweep import WorkerPool, pool_map
 from repro.ssd.config import SsdConfig
+from repro.ssd.controller import SsdSimulator
 
 POLICIES = ("Baseline", "PnAR2", "NoRR")
 WORKLOADS = ("usr_1", "stg_0")
@@ -79,6 +84,38 @@ class TestParallelEquality:
                     result.metrics.read_latency
                 assert other.metrics.summary() == result.metrics.summary()
 
+    def test_spawned_workers_match_a_serial_run_of_either_runner(self, monkeypatch):
+        # A spawned worker starts without the parent's retry-grid slabs and
+        # must build the ones its condition reads, or its reads of rewritten
+        # data fall back to scalar walks and the grid counters in summary()
+        # drift from the serial run's.  A scaled() grid builds a slab only
+        # after several queries, so a missing prefill shows; a tiny() grid
+        # builds on the first query.
+        config = SsdConfig.scaled()
+        conditions = (Condition(1000, 6.0), Condition(2000, 12.0))
+        policies = ("Baseline", "PnAR2")
+        # A 5-page stripe unit divides a scaled() device into whole groups.
+        fleet = FleetSpec(devices=2, stripe_unit_pages=5, config=config,
+                          device_conditions=conditions)
+        workload = WorkloadSpec(name="usr_1", num_requests=120, seed=3,
+                                mean_interarrival_us=700.0)
+
+        def summaries(processes):
+            sweep = SweepRunner(config=config, processes=processes).run(
+                policies=policies, workloads=("usr_1",), conditions=conditions,
+                num_requests=60)
+            run = FleetRunner(fleet, processes=processes).run(workload, policies=policies)
+            return (
+                {key: {name: result.summary() for name, result in cell.items()}
+                 for key, cell in sweep.cells.items()},
+                {name: (result.merged.summary(), result.summary(), result.device_rows())
+                 for name, result in run},
+            )
+
+        serial = summaries(1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert summaries(2) == serial
+
     def test_rows_carry_tail_latency_columns(self, serial_result):
         for row in serial_result.rows:
             assert row["p999_response_us"] >= row["p99_response_us"] >= 0.0
@@ -118,6 +155,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             runner.run(policies=POLICIES, workloads=("usr_1",),
                        conditions=())
+        with pytest.raises(ValueError, match="no policies"):
+            runner.run(policies=(), workloads=("usr_1",))
 
     def test_rejects_unknown_workload(self, tiny_config):
         with pytest.raises(KeyError):
@@ -127,6 +166,38 @@ class TestValidation:
     def test_rejects_bad_process_count(self):
         with pytest.raises(ValueError):
             SweepRunner(processes=0)
+
+    def test_repeated_condition_rejected(self, tiny_config):
+        with pytest.raises(ValueError, match="given more than once"):
+            SweepRunner(config=tiny_config).run(
+                policies=("Baseline", "NoRR"), workloads=("usr_1",),
+                conditions=[(1000, 6), (1000, 6.0)], num_requests=30)
+
+    def test_repeated_policy_rejected(self, tiny_config):
+        with pytest.raises(ValueError, match="given more than once"):
+            SweepRunner(config=tiny_config).run(
+                policies=("PnAR2", "pnar2"), workloads=("usr_1",),
+                conditions=((0, 0.0),), num_requests=30)
+
+    def test_cells_precondition_with_the_condition_fill(self, tiny_config, monkeypatch):
+        fills = []
+        precondition = SsdSimulator.precondition
+
+        def recording(self, *args, **kwargs):
+            fills.append(kwargs["fill_fraction"])
+            return precondition(self, *args, **kwargs)
+
+        monkeypatch.setattr(SsdSimulator, "precondition", recording)
+
+        def rows(condition):
+            return SweepRunner(config=tiny_config).run(
+                policies=("Baseline",), workloads=("usr_1",),
+                conditions=(condition,), num_requests=60).rows
+
+        sparse = rows(Condition(1000, 6.0, fill_fraction=0.3))
+        assert fills == [0.3]
+        assert sparse != rows(Condition(1000, 6.0))
+        assert fills == [0.3, 0.85]
 
     def test_duplicate_workload_labels_rejected(self, tiny_config):
         with pytest.raises(ValueError, match="collide"):
@@ -167,6 +238,28 @@ class TestValidation:
             policies=("NoRR",), workloads=(spec,),
             conditions=(Condition(0, 0.0),))
         assert result.cell("usr_1", 0, 0.0)["NoRR"].metrics.host_reads > 0
+
+
+def _square(value):
+    return value * value
+
+
+class TestWorkerPool:
+    def test_one_pool_serves_every_map_in_payload_order(self):
+        delivered = []
+        with WorkerPool(2) as pool:
+            first = pool.map(_square, [3, 1, 2], on_result=delivered.append)
+            pool_process = pool._pool
+            second = pool.map(_square, [4, 5])
+            assert pool._pool is pool_process
+        assert first == delivered == [9, 1, 4]
+        assert second == [16, 25]
+
+    def test_pool_map_maps_nothing_and_one_payload_serially(self):
+        assert pool_map(_square, [], 4) == []
+        delivered = []
+        assert pool_map(_square, [7], 4, on_result=delivered.append) == [49]
+        assert delivered == [49]
 
 
 class TestMainSmoke:

@@ -159,39 +159,6 @@ class TestSlabRecency:
             route == "physical" for _, route, _, _ in queries)
 
 
-class TestSlabSerialization:
-    def test_export_install_roundtrip(self, config, default_rpt):
-        source = RetryStepGrid(config, rpt=default_rpt)
-        source.prefill([(1000, 6.0), (1000, 0.0)])
-        payload = pickle.loads(pickle.dumps(source.export_slabs()))
-
-        target = RetryStepGrid(config, rpt=default_rpt)
-        assert target.install_slabs(payload) == 2
-        assert target.slab_builds == 0
-        for page_type in PageType:
-            for block in (0, 9):
-                original, _ = source.behaviour(page_type, 1000, 6.0, 1, block)
-                installed, from_grid = target.behaviour(page_type, 1000, 6.0,
-                                                        1, block)
-                assert from_grid
-                assert installed == original
-
-    def test_install_skips_existing_conditions(self, config, default_rpt):
-        source = RetryStepGrid(config, rpt=default_rpt)
-        source.prefill([(500, 1.0)])
-        payload = source.export_slabs()
-        target = RetryStepGrid(config, rpt=default_rpt)
-        target.prefill([(500, 1.0)])
-        assert target.install_slabs(payload) == 0
-
-    def test_export_filter(self, config, default_rpt):
-        grid_obj = RetryStepGrid(config, rpt=default_rpt)
-        grid_obj.prefill([(100, 0.0), (200, 0.0)])
-        only = grid_obj.export_slabs([(200, 0.0)])
-        assert len(only) == 1
-        assert only[0]["pe_cycles"] == 200
-
-
 class TestSharedGrids:
     def test_same_config_and_rpt_share_a_grid(self, config, default_rpt):
         clear_shared_grids()
