@@ -5,11 +5,13 @@ import multiprocessing
 import pytest
 
 from repro.sim import Condition, SweepRunner, WorkloadSpec
+from repro.sim import fleet as fleet_module
 from repro.sim import sweep as sweep_module
 from repro.sim.fleet import FleetRunner, FleetSpec
 from repro.sim.sweep import WorkerPool, pool_map
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
+from repro.ssd.retry_grid import clear_shared_grids, shared_grid
 
 POLICIES = ("Baseline", "PnAR2", "NoRR")
 WORKLOADS = ("usr_1", "stg_0")
@@ -238,6 +240,97 @@ class TestValidation:
             policies=("NoRR",), workloads=(spec,),
             conditions=(Condition(0, 0.0),))
         assert result.cell("usr_1", 0, 0.0)["NoRR"].metrics.host_reads > 0
+
+
+class TestSlabPrefill:
+    """Both runners build every device's slabs in the parent before any
+    device runs, so forked workers inherit them; a worker that starts
+    without them (spawn, or an LRU eviction) builds its own."""
+
+    CONDITIONS = (Condition(1000, 6.0), Condition(2000, 12.0))
+    COLD_AND_REWRITTEN = [{(1000, 6.0), (1000, 0.0)}, {(2000, 12.0), (2000, 0.0)}]
+
+    @pytest.fixture(autouse=True)
+    def _no_shared_grids(self):
+        clear_shared_grids()
+        yield
+        clear_shared_grids()
+
+    @staticmethod
+    def _slabs(config):
+        return set(shared_grid(config, sweep_module._default_rpt())._slabs)
+
+    @staticmethod
+    def _record_slabs_at_precondition(monkeypatch):
+        recorded = []
+        precondition = SsdSimulator.precondition
+
+        def recording(self, *args, **kwargs):
+            recorded.append(set(self.backend.grid._slabs))
+            return precondition(self, *args, **kwargs)
+
+        monkeypatch.setattr(SsdSimulator, "precondition", recording)
+        return recorded
+
+    def _fleet(self, config):
+        return FleetSpec(devices=2, stripe_unit_pages=2, config=config,
+                         device_conditions=self.CONDITIONS)
+
+    def test_the_sweep_parent_builds_every_slab_before_the_pool_maps(
+            self, tiny_config, monkeypatch):
+        seen = []
+        run_pool = sweep_module.pool_map
+
+        def recording(*args, **kwargs):
+            seen.append(self._slabs(tiny_config))
+            return run_pool(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "pool_map", recording)
+        SweepRunner(config=tiny_config, processes=2).run(
+            policies=("Baseline",), workloads=("usr_1",),
+            conditions=self.CONDITIONS, num_requests=30)
+        assert seen == [set.union(*self.COLD_AND_REWRITTEN)]
+
+    def test_the_fleet_parent_builds_every_slab_before_a_device_runs(
+            self, tiny_config, monkeypatch):
+        seen = []
+        run_device = fleet_module._run_fleet_device
+
+        def recording(payload):
+            seen.append(self._slabs(tiny_config))
+            return run_device(payload)
+
+        monkeypatch.setattr(fleet_module, "_run_fleet_device", recording)
+        FleetRunner(self._fleet(tiny_config)).run(
+            WorkloadSpec(name="usr_1", num_requests=40, seed=3), policies="Baseline")
+        assert seen[0] == set.union(*self.COLD_AND_REWRITTEN)
+
+    def test_a_sweep_cell_without_slabs_builds_its_own(self, tiny_config, monkeypatch):
+        run_cell = sweep_module._run_cell
+
+        def in_an_empty_process(payload):
+            clear_shared_grids()
+            return run_cell(payload)
+
+        monkeypatch.setattr(sweep_module, "_run_cell", in_an_empty_process)
+        recorded = self._record_slabs_at_precondition(monkeypatch)
+        SweepRunner(config=tiny_config).run(
+            policies=("Baseline",), workloads=("usr_1",),
+            conditions=self.CONDITIONS, num_requests=30)
+        assert recorded == self.COLD_AND_REWRITTEN
+
+    def test_a_fleet_device_without_slabs_builds_its_own(self, tiny_config, monkeypatch):
+        run_device = fleet_module._run_fleet_device
+
+        def in_an_empty_process(payload):
+            clear_shared_grids()
+            return run_device(payload)
+
+        monkeypatch.setattr(fleet_module, "_run_fleet_device", in_an_empty_process)
+        recorded = self._record_slabs_at_precondition(monkeypatch)
+        FleetRunner(self._fleet(tiny_config)).run(
+            WorkloadSpec(name="usr_1", num_requests=40, seed=3), policies="Baseline")
+        assert recorded == self.COLD_AND_REWRITTEN
 
 
 def _square(value):

@@ -22,6 +22,7 @@ from repro.ssd.retry_grid import (
     rpt_fingerprint,
     shared_grid,
 )
+from repro.ssd.slab_transport import prefill_device_slabs
 
 
 @pytest.fixture()
@@ -189,6 +190,54 @@ class TestSharedGrids:
             assert other.grid is not default.grid
         finally:
             clear_shared_grids()
+
+
+class TestDeviceSlabPrefill:
+    """prefill_device_slabs builds a device's two slabs in the shared grid."""
+
+    @pytest.fixture(autouse=True)
+    def _no_shared_grids(self):
+        clear_shared_grids()
+        yield
+        clear_shared_grids()
+
+    def test_builds_the_cold_and_rewritten_slabs(self, config, default_rpt):
+        prefill_device_slabs(config, default_rpt, 1000, 6.0)
+        grid = shared_grid(config, default_rpt)
+        assert list(grid._slabs) == [(1000, 6.0), (1000, 0.0)]
+        assert grid.slab_builds == 2
+        for retention_months in (6.0, 0.0):
+            _, from_grid = grid.behaviour(PageType.MSB, 1000, retention_months, 1, 4)
+            assert from_grid
+
+    def test_a_second_call_builds_nothing(self, config, default_rpt):
+        prefill_device_slabs(config, default_rpt, 1000, 6.0)
+        grid = shared_grid(config, default_rpt)
+        slabs = dict(grid._slabs)
+        prefill_device_slabs(config, default_rpt, 1000, 6.0)
+        assert grid.slab_builds == 2
+        assert all(grid._slabs[key] is slab for key, slab in slabs.items())
+
+    def test_fresh_data_reads_one_slab(self, config, default_rpt):
+        prefill_device_slabs(config, default_rpt, 2000, 0)
+        grid = shared_grid(config, default_rpt)
+        assert list(grid._slabs) == [(2000, 0.0)]
+        assert grid.slab_builds == 1
+
+    def test_rebuilds_the_slabs_the_lru_evicted(self, config, default_rpt):
+        grid = shared_grid(config, default_rpt)
+        grid.max_conditions = 2
+        prefill_device_slabs(config, default_rpt, 1000, 6.0)
+        prefill_device_slabs(config, default_rpt, 2000, 12.0)
+        assert list(grid._slabs) == [(2000, 12.0), (2000, 0.0)]
+        prefill_device_slabs(config, default_rpt, 1000, 6.0)
+        assert list(grid._slabs) == [(1000, 6.0), (1000, 0.0)]
+        assert grid.slab_builds == 6
+
+    def test_an_unpickled_rpt_fills_the_same_grid(self, config, default_rpt):
+        # Worker payloads carry an unpickled copy of the runner's RPT.
+        prefill_device_slabs(config, pickle.loads(pickle.dumps(default_rpt)), 1000, 6.0)
+        assert shared_grid(config, default_rpt).cached_conditions == 2
 
 
 class TestSimulatorIntegration:
