@@ -68,14 +68,12 @@ def _suite_worker(payload: dict) -> Tuple[dict, float]:
 
 
 def run_experiment(name: str, profile: Optional[str] = None,
-                   fast: bool = False,
                    store: Optional[ArtifactStore] = None,
                    **overrides) -> ExperimentResult:
     """Run one experiment by name and return its result.
 
     :param profile: parameter profile (``full``/``fast``/``smoke``);
         defaults to ``full``.
-    :param fast: legacy alias for ``profile="fast"``.
     :param store: optional :class:`ArtifactStore`; when given, a cached
         result for the same resolved parameters is returned instead of
         re-running, and fresh results are persisted.
@@ -85,7 +83,7 @@ def run_experiment(name: str, profile: Optional[str] = None,
     :raises UnknownParameterError: for an override the experiment lacks.
     """
     entry = default_experiment_registry().entry(name)
-    profile = profile or ("fast" if fast else "full")
+    profile = profile or "full"
     params = entry.resolve_params(profile=profile, overrides=overrides)
     if store is not None:
         cached = store.load(entry.name, entry.params.cache_params(params))
@@ -187,14 +185,6 @@ def run_suite(targets: Targets = "all", profile: str = "fast",
                      cached=True, seconds=0.0)
             if payload["cached"] is not None else fresh_runs[payload["name"]]
             for payload in plan]
-
-
-def run_all(fast: bool = True, jobs: int = 1,
-            store: Optional[ArtifactStore] = None) -> List[ExperimentResult]:
-    """Run the full paper-artifact suite (fast parameters by default)."""
-    runs = run_suite(targets="paper", profile="fast" if fast else "full",
-                     jobs=jobs, store=store)
-    return [run.result for run in runs]
 
 
 # -- CLI -----------------------------------------------------------------------

@@ -17,20 +17,23 @@ page-mapped DFTL subsystem (``mapping="page"``, :mod:`repro.ssd.dftl`):
 Headline numbers are per-policy merged p99/p999 response times plus write
 amplification — the tail under wear dynamics, next to the cost of the
 internal traffic that produced it.
+
+The grid runs through :class:`~repro.sim.sweep.SweepRunner`: one
+(workload, condition) cell per workload at a single preconditioned
+condition, every policy on its own device, with ``processes`` fanning the
+cells out over the sweep's pool.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
-from repro.core.rpt import ReadTimingParameterTable
 from repro.experiments.api import param, register_experiment
 from repro.experiments.reporting import ExperimentResult
 from repro.sim.registry import default_registry
-from repro.sim.spec import WorkloadSpec
-from repro.sim.sweep import pool_map
+from repro.sim.spec import Condition, WorkloadSpec
+from repro.sim.sweep import SweepRunner
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SsdSimulator
 from repro.ssd.metrics import SimulationMetrics
 
 #: Fraction of the logical space preconditioned as cold data.  Low enough
@@ -58,26 +61,6 @@ def _wear_config(cmt_capacity_entries: int) -> SsdConfig:
                      cmt_capacity_entries=cmt_capacity_entries,
                      translation_entries_per_page=64,
                      gc_free_block_threshold=3, gc_stop_free_blocks=5)
-
-
-def _run_workload(payload: dict) -> Tuple[str, Dict[str, tuple]]:
-    """Run one workload against every policy (pure function of its payload)."""
-    config = SsdConfig.from_dict(payload["config"])
-    spec = WorkloadSpec.from_dict(payload["workload"])
-    rpt = ReadTimingParameterTable.default()
-    registry = default_registry()
-    requests = spec.build_requests(config)
-    cell: Dict[str, tuple] = {}
-    for name in payload["policies"]:
-        policy = registry.create(name, timing=config.timing, rpt=rpt)
-        simulator = SsdSimulator(config=config, policy=policy, rpt=rpt)
-        simulator.precondition(pe_cycles=payload["pe_cycles"],
-                               retention_months=payload["retention_months"],
-                               fill_fraction=FILL_FRACTION)
-        result = simulator.run(requests)
-        cell[result.policy_name] = (result,
-                                    simulator.distinct_read_conditions)
-    return spec.label, cell
 
 
 @register_experiment(
@@ -111,37 +94,33 @@ def run(workloads: Sequence[str] = ("stg_0", "hm_0", "YCSB-A", "usr_1"),
         processes: int = 1) -> ExperimentResult:
     """Per-policy tails and write amplification with GC and mapping traffic."""
     workloads = list(workloads)
-    config = _wear_config(cmt_capacity_entries)
     policies = default_registry().names(tag="fig14")
-    payloads = []
-    for name in workloads:
-        spec = WorkloadSpec.coerce(
+    specs = [
+        WorkloadSpec.coerce(
             name, num_requests=num_requests, seed=seed,
             mean_interarrival_us=mean_interarrival_us,
             footprint_fraction=FOOTPRINT_FRACTION)
-        payloads.append({
-            "config": config.to_dict(),
-            "workload": spec.to_dict(),
-            "policies": tuple(policies),
-            "pe_cycles": pe_cycles,
-            "retention_months": retention_months,
-        })
-    outcomes = pool_map(_run_workload, payloads, processes)
+        for name in workloads]
+    condition = Condition(pe_cycles, retention_months, FILL_FRACTION)
+    sweep = SweepRunner(config=_wear_config(cmt_capacity_entries),
+                        processes=processes).run(
+        policies=policies, workloads=specs, conditions=(condition,))
 
     rows = []
     merged = {policy: SimulationMetrics() for policy in policies}
-    for label, cell in outcomes:
+    for spec in specs:
+        cell = sweep.cell(spec.label, pe_cycles, retention_months)
         reference = cell.get("Baseline", cell[policies[0]])
-        baseline_mean = reference[0].metrics.mean_response_time_us()
+        baseline_mean = reference.metrics.mean_response_time_us()
         for policy in policies:
-            result, conditions_seen = cell[policy]
+            result = cell[policy]
             metrics = result.metrics
             merged[policy].merge(metrics)
             combined = metrics.latency("all")
             normalized = (metrics.mean_response_time_us() / baseline_mean
                           if baseline_mean > 0 else 1.0)
             rows.append({
-                "workload": label,
+                "workload": spec.label,
                 "policy": policy,
                 "normalized_response_time": round(normalized, 4),
                 "mean_response_us": round(
@@ -157,7 +136,7 @@ def run(workloads: Sequence[str] = ("stg_0", "hm_0", "YCSB-A", "usr_1"),
                 "gc_erases": metrics.gc_erases,
                 "translation_reads": metrics.translation_reads,
                 "translation_writes": metrics.translation_writes,
-                "distinct_read_conditions": conditions_seen,
+                "distinct_read_conditions": result.distinct_read_conditions,
             })
 
     headline = {}

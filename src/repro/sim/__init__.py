@@ -7,7 +7,9 @@ simulator:
   third-party read-retry policies register into by name
   (:func:`register_policy`);
 * :mod:`repro.sim.spec` — :class:`WorkloadSpec` and :class:`Condition`
-  value objects replacing ad-hoc ``requests_factory`` closures;
+  value objects replacing ad-hoc ``requests_factory`` closures, and
+  ``preconditioned_simulator``, through which every runner below builds
+  its simulated devices;
 * :mod:`repro.sim.session` — the fluent :class:`Simulation` builder
   (``Simulation(config).policy("PnAR2").workload("ycsb-a", n=800)``
   ``.condition(pec=2000, months=6).run()``);

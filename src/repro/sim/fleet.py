@@ -10,13 +10,16 @@ the array sustain under a p99 SLO?".  This module answers both:
   factor, the per-device :class:`~repro.ssd.config.SsdConfig` and operating
   :class:`~repro.sim.spec.Condition` (optionally per device, for
   heterogeneously aged fleets);
-* :class:`FleetRunner` — shards any array-level workload (a
-  :class:`~repro.sim.spec.WorkloadSpec`, a multi-tenant
-  :class:`~repro.workloads.tenants.TenantMix`, a registered workload source,
-  or an explicit request list) across per-device
-  :class:`~repro.ssd.controller.SsdSimulator` instances via the striping
-  router.  The parent generates the array stream once per run and routes
-  it in one pass into a compact per-device
+* :class:`FleetRunner` — shards any array-level workload across per-device
+  simulators, each built by :func:`~repro.sim.spec.preconditioned_simulator`,
+  via the striping router.  The workload is anything
+  :func:`~repro.workloads.source.as_workload_source` resolves (a catalog
+  name, a :class:`~repro.sim.spec.WorkloadSpec`, a multi-tenant
+  :class:`~repro.workloads.tenants.TenantMix`, any registered source or its
+  ``kind``-tagged dict), or an explicit request list; the run takes its
+  label, tenant tracking and array stream from that one source object.
+  The parent generates the array stream once per run and routes it in one
+  pass into a compact per-device
   :class:`~repro.workloads.router.RequestSpool`; each device worker
   simulates only its own spool, so a run costs one stream's generation
   however many devices, shards and policies it holds, and ``processes=N``
@@ -53,9 +56,11 @@ tractable):
   completed shard's per-device metric states (and every capacity-search
   probe) are persisted to the
   :class:`~repro.experiments.store.CheckpointStore`, keyed by (schema
-  version, fleet spec, source, policy, shard index).  A killed run resumes
-  mid-fleet — checkpointed shards are folded back in the original device
-  order, which makes the resumed result *bitwise-identical* to an
+  version, fleet spec, source in its
+  :func:`~repro.workloads.source.source_to_dict` form, policy, shard
+  index).  A killed run resumes mid-fleet — checkpointed shards are
+  folded back in the original device order, which makes the resumed
+  result *bitwise-identical* to an
   uninterrupted run (the fold is Neumaier-compensated and therefore not
   associative, so shards are never pre-merged).
 """
@@ -72,17 +77,17 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.core.rpt import ReadTimingParameterTable
 from repro.experiments.store import CheckpointStore
 from repro.sim.registry import default_registry
-from repro.sim.spec import Condition, WorkloadSpec
-from repro.sim.sweep import DEFAULT_MEAN_INTERARRIVAL_US, WorkerPool, _default_rpt, reject_repeats
+from repro.sim.spec import Condition, WorkloadSpec, preconditioned_simulator
+from repro.sim.sweep import DEFAULT_MEAN_INTERARRIVAL_US, WorkerPool, reject_repeats
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SimulationResult, SsdSimulator
+from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SimulationResult
 from repro.ssd.faults import FaultPlan
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import HostRequest
 from repro.ssd.retry_grid import rpt_fingerprint
 from repro.ssd.slab_transport import prefill_device_slabs
 from repro.workloads.router import RequestSpool, StripeRouter
-from repro.workloads.source import is_workload_source, source_from_dict, source_to_dict
+from repro.workloads.source import as_workload_source, source_to_dict
 from repro.workloads.tenants import TenantMix
 
 logger = logging.getLogger("repro.sim.fleet")
@@ -172,67 +177,17 @@ class FleetSpec:
         return cls(**payload)
 
 
-def _source_payload(source: FleetSource, num_requests: Optional[int], seed: Optional[int]) -> dict:
-    """Normalize an array-level request source into a picklable payload."""
-    if isinstance(source, TenantMix):
-        return {"tenant_mix": source.to_dict()}
-    if isinstance(source, dict) and "tenants" in source:
-        return {"tenant_mix": TenantMix.from_dict(source).to_dict()}
-    if isinstance(source, dict) and "kind" in source:
-        # Normalize through the registry so malformed payloads fail here,
-        # in the parent, not inside a pool worker.
-        return {"source": source_to_dict(source_from_dict(source))}
-    if isinstance(source, (str, WorkloadSpec, dict)):
-        spec = WorkloadSpec.coerce(source, num_requests=num_requests, seed=seed)
-        return {"workload": spec.to_dict()}
-    if is_workload_source(source):
-        return {"source": source_to_dict(source)}
-    if isinstance(source, Sequence):
+def _resolve_source(source: FleetSource, num_requests: Optional[int], seed: Optional[int]):
+    """The run's workload source, or an explicit request list sorted by arrival."""
+    if isinstance(source, Sequence) and not isinstance(source, str):
         # The single-device contract: pre-materialized sequences are sorted
         # by arrival up front.
-        return {"requests": sorted(source, key=lambda request: request.arrival_us)}
-    raise TypeError(
-        f"cannot shard {source!r}; pass a workload name/spec, a TenantMix, "
-        "a WorkloadSource, or a sequence of HostRequest objects"
-    )
+        return sorted(source, key=lambda request: request.arrival_us)
+    return as_workload_source(source, num_requests=num_requests, seed=seed)
 
 
-def _source_stream(payload: dict, spec: FleetSpec) -> Iterable[HostRequest]:
-    """The array-level stream a source payload describes."""
-    if "requests" in payload:
-        return payload["requests"]
-    pages = spec.array_logical_pages
-    if "workload" in payload:
-        workload = WorkloadSpec.from_dict(payload["workload"])
-        return workload.iter_requests(spec.config, footprint_pages=pages)
-    if "source" in payload:
-        source = source_from_dict(payload["source"])
-        return source.iter_requests(spec.config, footprint_pages=pages)
-    mix = TenantMix.from_dict(payload["tenant_mix"])
-    return mix.iter_requests(spec.config, footprint_pages=pages)
-
-
-def _source_label(payload: dict) -> str:
-    if "workload" in payload:
-        return WorkloadSpec.from_dict(payload["workload"]).label
-    if "source" in payload:
-        return source_from_dict(payload["source"]).label
-    if "tenant_mix" in payload:
-        return TenantMix.from_dict(payload["tenant_mix"]).label
-    return f"explicit-{len(payload['requests'])}"
-
-
-def _payload_tracks_tenants(payload: dict) -> bool:
-    if "tenant_mix" in payload:
-        return True
-    if "source" in payload:
-        source = source_from_dict(payload["source"])
-        return bool(getattr(source, "tracks_tenants", False))
-    return False
-
-
-def _route(spec: FleetSpec, payload: dict) -> List[Optional[RequestSpool]]:
-    """Generate the array stream once and split it into every device's spool.
+def _route(spec: FleetSpec, stream: Iterable[HostRequest]) -> List[Optional[RequestSpool]]:
+    """Split the array stream, in one pass, into every device's spool.
 
     Returns the spools indexed by device.
 
@@ -244,7 +199,7 @@ def _route(spec: FleetSpec, payload: dict) -> List[Optional[RequestSpool]]:
     device's end.
     """
     router = spec.router()
-    routed = router.route(_source_stream(payload, spec), range(spec.devices))
+    routed = router.route(stream, range(spec.devices))
     local_pages = spec.config.logical_pages
     for device, spool in routed.items():
         for start_lpn, page_count in spool.extents():
@@ -284,33 +239,26 @@ def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
     """
     spec = FleetSpec.from_dict(payload["fleet"])
     device = payload["device"]
-    policy_name = payload["policy"]
-    rpt = payload.get("rpt") or _default_rpt()
-    config = spec.config
+    policy = payload["policy"]
+    rpt = payload["rpt"] or ReadTimingParameterTable.default()
     condition = spec.device_condition(device)
-    prefill_device_slabs(config, rpt, condition.pe_cycles, condition.retention_months)
-    policy = default_registry().create(policy_name, timing=config.timing, rpt=rpt)
-    simulator = SsdSimulator(
-        config=config,
-        policy=policy,
+    prefill_device_slabs(spec.config, rpt, condition.pe_cycles, condition.retention_months)
+    simulator = preconditioned_simulator(
+        spec.config,
+        policy,
+        condition,
         rpt=rpt,
-        device_id=device,
+        faults=payload["faults"],
         track_tenants=payload["track_tenants"],
+        device_id=device,
     )
-    simulator.precondition(
-        pe_cycles=condition.pe_cycles,
-        retention_months=condition.retention_months,
-        fill_fraction=condition.fill_fraction,
-    )
-    if payload.get("faults"):
-        simulator.install_faults(FaultPlan.from_dict(payload["faults"]))
     # An iterator, not a sequence: run() sorts a sequence silently, while the
     # admission pump rejects an out-of-order stream.
     result = simulator.run(
         iter(payload["device_requests"]),
-        lookahead=payload.get("lookahead") or DEFAULT_LOOKAHEAD_REQUESTS,
+        lookahead=payload["lookahead"] or DEFAULT_LOOKAHEAD_REQUESTS,
     )
-    return policy_name, device, result
+    return policy, device, result
 
 
 @dataclass(frozen=True)
@@ -346,15 +294,13 @@ class FleetResult:
     metrics in as it lands (:meth:`absorb_device`), so the result holds one
     merged :class:`~repro.ssd.metrics.SimulationMetrics` plus a tidy report
     row per device — never the per-device result objects — and a 10k-device
-    run costs shard-sized, not fleet-sized, memory.  Constructing with
-    ``device_results`` folds them immediately (the pre-streaming API).
+    run costs shard-sized, not fleet-sized, memory.
     """
 
     def __init__(
         self,
         spec: FleetSpec,
         policy: str,
-        device_results: Optional[Iterable[SimulationResult]] = None,
         workload_label: str = "",
         tenant_names: Optional[Tuple[str, ...]] = None,
     ):
@@ -369,8 +315,6 @@ class FleetResult:
         self.device_count = 0
         self._rows: List[dict] = []
         self._utilizations: List[float] = []
-        for result in device_results or ():
-            self.absorb_device(result.device_id, result.metrics)
 
     # -- streaming aggregation -------------------------------------------------
     def absorb_device(self, device: int, metrics: SimulationMetrics) -> None:
@@ -553,10 +497,13 @@ class FleetRunner:
     ) -> FleetRunResult:
         """Shard ``source`` across the fleet for every policy.
 
-        Devices go through the worker pool in bounded shards.  At the first
-        shard not served from checkpoint, the parent generates the
-        array-level stream once (an explicit request list is sorted once, up
-        front) and routes it in one pass into one compact
+        ``source`` is resolved once, through
+        :func:`~repro.workloads.source.as_workload_source` (``num_requests``
+        and ``seed`` override a spec's own), unless it is an explicit
+        request list.  Devices go through the worker pool in bounded
+        shards.  At the first shard not served from checkpoint, the parent
+        generates the array-level stream once (an explicit request list is
+        sorted once, up front) and routes it in one pass into one compact
         :class:`~repro.workloads.router.RequestSpool` per device; every later
         shard and policy of the run reuses that routing.  A sub-request past
         a device's end fails the run right after routing, before any device
@@ -573,14 +520,17 @@ class FleetRunner:
         if not policy_names:
             raise ValueError("no policies given")
         reject_repeats("policy", policy_names)
-        source_payload = _source_payload(source, num_requests, seed)
-        label = _source_label(source_payload)
+        source = _resolve_source(source, num_requests, seed)
+        explicit = isinstance(source, list)
+        if explicit:
+            label = f"explicit-{len(source)}"
+            manifest_source = {"explicit_requests": len(source)}
+        else:
+            label = source.label
+            manifest_source = source_to_dict(source)
+        tenant_names = source.tenant_names() if isinstance(source, TenantMix) else None
         fault_plan = FaultPlan.coerce(faults) if faults is not None else None
         fleet_dict = self.spec.to_dict()
-        manifest_source = {key: value for key, value in source_payload.items() if key != "requests"}
-        tenant_names = None
-        if "tenant_mix" in source_payload:
-            tenant_names = TenantMix.from_dict(source_payload["tenant_mix"]).tenant_names()
         results = {
             name: FleetResult(
                 spec=self.spec, policy=name, workload_label=label, tenant_names=tenant_names
@@ -597,16 +547,16 @@ class FleetRunner:
                 "faults": fault_plan.to_dict() if fault_plan else None,
                 "rpt": rpt_fingerprint(self.rpt) if self.rpt is not None else None,
             }
-            if "requests" in source_payload:
-                base_params["requests_digest"] = _requests_digest(source_payload["requests"])
+            if explicit:
+                base_params["requests_digest"] = _requests_digest(source)
         checkpoint_hits = 0
         checkpoint_stored = 0
         device_payload = dict(
             fleet=fleet_dict,
             rpt=self.rpt,
             lookahead=lookahead,
-            track_tenants=_payload_tracks_tenants(source_payload),
-            **({"faults": fault_plan.to_dict()} if fault_plan else {}),
+            faults=fault_plan,
+            track_tenants=bool(getattr(source, "tracks_tenants", False)),
         )
         shard_ranges = self._shard_ranges()
         routed: Optional[List[Optional[RequestSpool]]] = None
@@ -640,10 +590,15 @@ class FleetRunner:
                         )
                     else:
                         if routed is None:
-                            routed = _route(self.spec, source_payload)
+                            stream = source
+                            if not explicit:
+                                stream = source.iter_requests(
+                                    self.spec.config, footprint_pages=self.spec.array_logical_pages
+                                )
+                            routed = _route(self.spec, stream)
                             # Before any device runs, so forked workers inherit
                             # the slabs instead of each building them.
-                            rpt = self.rpt or _default_rpt()
+                            rpt = self.rpt or ReadTimingParameterTable.default()
                             conditions = self.spec.device_conditions or (self.spec.condition,)
                             for condition in dict.fromkeys(conditions):
                                 prefill_device_slabs(
@@ -843,14 +798,7 @@ class SloCapacitySearch:
         start_rate_rps: Optional[float] = None,
     ) -> CapacityResult:
         """Run the search for one policy and return its capacity."""
-        if isinstance(source, str) or isinstance(source, dict):
-            source = (
-                TenantMix.from_dict(source)
-                if isinstance(source, dict) and "tenants" in source
-                else WorkloadSpec.coerce(source, num_requests=num_requests, seed=seed)
-            )
-        elif isinstance(source, WorkloadSpec):
-            source = WorkloadSpec.coerce(source, num_requests=num_requests, seed=seed)
+        source = as_workload_source(source, num_requests=num_requests, seed=seed)
         canonical = self.runner._registry.canonical_name(policy)
         checkpoint = self.runner.checkpoint
         trail_params = None

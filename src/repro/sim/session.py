@@ -16,6 +16,11 @@ per-policy :class:`~repro.ssd.controller.SimulationResult` objects plus a
 JSON-able manifest describing the run exactly.  Workload specs and stream
 factories feed the simulator's bounded-lookahead pump lazily, so session
 runs never materialize the trace.
+
+Open-loop, tenant-mix and closed-loop runs share one device loop, which
+builds each policy's SSD with :func:`repro.sim.spec.preconditioned_simulator`
+and drops it before building the next; ``fleet()`` and ``slo()`` runs hand
+over to :mod:`repro.sim.fleet`.  A policy named twice is rejected.
 """
 
 from __future__ import annotations
@@ -25,12 +30,19 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.rpt import ReadTimingParameterTable
 from repro.sim.registry import default_registry
-from repro.sim.spec import DEFAULT_FILL_FRACTION, Condition, WorkloadSpec
+from repro.sim.spec import (
+    DEFAULT_FILL_FRACTION,
+    Condition,
+    WorkloadSpec,
+    preconditioned_simulator,
+)
+from repro.sim.sweep import reject_repeats
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SimulationResult, SsdSimulator
+from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SimulationResult
 from repro.ssd.faults import FaultPlan
 from repro.ssd.metrics import normalized_response_times
 from repro.ssd.request import HostRequest
+from repro.workloads.closed_loop import ClosedLoopSource
 from repro.workloads.source import as_workload_source, source_to_dict
 from repro.workloads.synthetic import WorkloadShape
 from repro.workloads.tenants import TenantMix
@@ -379,15 +391,18 @@ class Simulation:
         return self
 
     # -- execution ------------------------------------------------------------
+    def _policy_names(self) -> List[str]:
+        return [
+            policy if isinstance(policy, str) else getattr(policy, "name", repr(policy))
+            for policy in self._policies
+        ]
+
     def manifest(self) -> dict:
         """JSON-able description of the run (config, workload, condition)."""
         manifest = {
             "config": self._config.to_dict(),
             "condition": self._condition.to_dict(),
-            "policies": [
-                policy if isinstance(policy, str) else getattr(policy, "name", repr(policy))
-                for policy in self._policies
-            ],
+            "policies": self._policy_names(),
         }
         if self._source is not None:
             manifest["workload"] = source_to_dict(self._source)
@@ -441,25 +456,13 @@ class Simulation:
     def _fleet_spec(self):
         from repro.sim.fleet import FleetSpec
 
-        params = self._fleet_params or {
-            "devices": 1,
-            "stripe_unit_pages": 8,
-            "replication": 1,
-            "device_conditions": None,
-            "processes": 1,
-        }
-        device_conditions = params["device_conditions"]
-        if device_conditions is not None:
-            device_conditions = tuple(
-                Condition.coerce(condition) for condition in device_conditions
-            )
+        # slo() without fleet() searches a single device.
+        params = self._fleet_params or {"devices": 1}
+        fields = ("devices", "stripe_unit_pages", "replication", "device_conditions")
         return FleetSpec(
-            devices=params["devices"],
-            stripe_unit_pages=params["stripe_unit_pages"],
-            replication=params["replication"],
             config=self._config,
             condition=self._condition,
-            device_conditions=device_conditions,
+            **{key: params[key] for key in fields if key in params},
         )
 
     def _fleet_source(self):
@@ -525,50 +528,6 @@ class Simulation:
         result.manifest = dict(result.manifest, session=self.manifest())
         return result
 
-    def _run_closed_loop(self) -> RunResult:
-        from repro.workloads.closed_loop import ClosedLoopSource
-
-        if not isinstance(self._source, WorkloadSpec):
-            raise ValueError(
-                "closed_loop() draws request contents from a workload "
-                "spec; call .workload() or .synthetic() first"
-            )
-        spec = self._source
-        shared_rpt = self._rpt or ReadTimingParameterTable.default()
-        params = self._closed_loop_params
-        results: Dict[str, SimulationResult] = {}
-        for entry in self._policies:
-            if isinstance(entry, str):
-                policy = self._registry.create(entry, timing=self._config.timing, rpt=shared_rpt)
-            else:
-                policy = entry
-            simulator = SsdSimulator(config=self._config, policy=policy, rpt=shared_rpt)
-            simulator.precondition(
-                pe_cycles=self._condition.pe_cycles,
-                retention_months=self._condition.retention_months,
-                fill_fraction=self._condition.fill_fraction,
-            )
-            if self._fault_plan is not None:
-                simulator.install_faults(self._fault_plan)
-            source = ClosedLoopSource(
-                spec,
-                config=self._config,
-                clients=params["clients"],
-                queue_depth=params["queue_depth"],
-                total_requests=params["total_requests"],
-                think_time_us=params["think_time_us"],
-                seed=spec.seed,
-            )
-            result = simulator.run_closed_loop(source)
-            results[result.policy_name] = result
-        return RunResult(
-            config=self._config,
-            condition=self._condition,
-            results=results,
-            workload=spec,
-            manifest=self.manifest(),
-        )
-
     def run(self):
         """Execute the configured run and collect the results.
 
@@ -578,89 +537,67 @@ class Simulation:
         """
         if not self._policies:
             raise ValueError("no policy configured; call .policy(name) first")
-        if self._closed_loop_params is not None:
-            if self._fleet_params is not None or self._slo_params is not None:
+        reject_repeats("policy", self._policy_names())
+        if self._fleet_params is not None or self._slo_params is not None:
+            if self._closed_loop_params is not None:
                 raise ValueError(
                     "closed_loop() drives a single device; it cannot be "
                     "combined with fleet() or slo()"
                 )
-            return self._run_closed_loop()
-        if self._fleet_params is not None or self._slo_params is not None:
             return self._run_fleet()
-        if getattr(self._source, "tracks_tenants", False):
-            return self._run_tenant_device()
         return self._run_device()
 
-    def _run_tenant_device(self) -> RunResult:
-        """A tenant-tracking source on a single device: stream the merge."""
-        mix = self._source
-        shared_rpt = self._rpt or ReadTimingParameterTable.default()
-        results: Dict[str, SimulationResult] = {}
-        for entry in self._policies:
-            if isinstance(entry, str):
-                policy = self._registry.create(entry, timing=self._config.timing, rpt=shared_rpt)
-            else:
-                policy = entry
-            simulator = SsdSimulator(
-                config=self._config, policy=policy, rpt=shared_rpt, track_tenants=True
-            )
-            simulator.precondition(
-                pe_cycles=self._condition.pe_cycles,
-                retention_months=self._condition.retention_months,
-                fill_fraction=self._condition.fill_fraction,
-            )
-            if self._fault_plan is not None:
-                simulator.install_faults(self._fault_plan)
-            stream = mix.iter_requests(self._config)
-            if self._lookahead is not None:
-                result = simulator.run(stream, lookahead=self._lookahead)
-            else:
-                result = simulator.run(stream)
-            results[result.policy_name] = result
-        return RunResult(
-            config=self._config,
-            condition=self._condition,
-            results=results,
-            workload=None,
-            manifest=self.manifest(),
-        )
-
     def _run_device(self) -> RunResult:
-        shared_rpt = self._rpt or ReadTimingParameterTable.default()
+        """Run every policy on its own preconditioned device, one at a time.
+
+        Open-loop, tenant-mix and closed-loop runs share this loop; a
+        closed loop and a tenant-tracking source record per-tenant
+        histograms.
+        """
+        closed_loop = self._closed_loop_params
+        if closed_loop is not None and not isinstance(self._source, WorkloadSpec):
+            raise ValueError(
+                "closed_loop() draws request contents from a workload "
+                "spec; call .workload() or .synthetic() first"
+            )
+        track_tenants = closed_loop is not None or getattr(self._source, "tracks_tenants", False)
+        lookahead = self._lookahead or DEFAULT_LOOKAHEAD_REQUESTS
         results: Dict[str, SimulationResult] = {}
         previous_stream = None
-        for entry in self._policies:
-            if isinstance(entry, str):
-                policy = self._registry.create(entry, timing=self._config.timing, rpt=shared_rpt)
-            else:
-                policy = entry
-            simulator = SsdSimulator(config=self._config, policy=policy, rpt=shared_rpt)
-            simulator.precondition(
-                pe_cycles=self._condition.pe_cycles,
-                retention_months=self._condition.retention_months,
-                fill_fraction=self._condition.fill_fraction,
+        for policy in self._policies:
+            simulator = preconditioned_simulator(
+                self._config,
+                policy,
+                self._condition,
+                rpt=self._rpt,
+                faults=self._fault_plan,
+                track_tenants=track_tenants,
             )
-            if self._fault_plan is not None:
-                simulator.install_faults(self._fault_plan)
-            stream = self._policy_stream()
-            if (
-                self._stream is not None
-                and stream is previous_stream
-                and hasattr(stream, "__next__")
-            ):
-                # The factory handed back the very same iterator: the first
-                # policy consumed it, so every later policy would silently
-                # simulate zero requests and win every comparison.
-                raise ValueError(
-                    "stream() factory returned the same exhausted iterator "
-                    "for a second policy; it must build a fresh iterable "
-                    "per call"
+            if closed_loop is not None:
+                source = ClosedLoopSource(
+                    self._source, config=self._config, seed=self._source.seed, **closed_loop
                 )
-            previous_stream = stream
-            if self._lookahead is not None:
-                result = simulator.run(stream, lookahead=self._lookahead)
+                result = simulator.run_closed_loop(source)
             else:
-                result = simulator.run(stream)
+                stream = self._policy_stream()
+                if (
+                    self._stream is not None
+                    and stream is previous_stream
+                    and hasattr(stream, "__next__")
+                ):
+                    # The factory handed back the very same iterator: the
+                    # first policy consumed it, so every later policy would
+                    # silently simulate zero requests and win every comparison.
+                    raise ValueError(
+                        "stream() factory returned the same exhausted iterator "
+                        "for a second policy; it must build a fresh iterable "
+                        "per call"
+                    )
+                previous_stream = stream
+                result = simulator.run(stream, lookahead=lookahead)
+            # A finished simulator sits in reference cycles until a garbage
+            # collection; no local may keep it alive while the next is built.
+            del simulator
             results[result.policy_name] = result
         if self._stream is not None and len(results) > 1:
             # Every policy replays the same stream, so the completed-request

@@ -1,4 +1,4 @@
-"""Value objects of the session API: workload and operating-condition specs.
+"""Value objects of the session API, and the one builder of a simulated device.
 
 The seed's harnesses passed ``requests_factory`` closures around, which made
 run manifests impossible to serialize and forced every caller to re-derive
@@ -8,15 +8,25 @@ name or synthetic shape, request count, seed, arrival rate) and a
 :class:`Condition` says *how aged the SSD is* (P/E cycles, retention age).
 Both round-trip through plain dicts so a run manifest is one
 ``json.dumps`` away.
+
+:func:`preconditioned_simulator` is the paper's evaluation set-up
+(Section 7.1) written once: a device preconditioned to a :class:`Condition`
+that runs one policy.  ``Simulation``, ``SweepRunner``, ``FleetRunner`` and
+the ``wear_dynamics`` experiment build every device through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 from zlib import crc32
 
+from repro.core.policies import ReadRetryPolicy
+from repro.core.rpt import ReadTimingParameterTable
+from repro.sim.registry import default_registry
 from repro.ssd.config import SsdConfig
+from repro.ssd.controller import SsdSimulator
+from repro.ssd.faults import FaultPlan
 from repro.ssd.request import HostRequest
 from repro.workloads.catalog import WORKLOAD_CATALOG, catalog_workload
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadShape
@@ -228,3 +238,41 @@ class Condition:
                 pe_cycles=int(value[0]), retention_months=float(value[1]), fill_fraction=fill
             )
         raise TypeError(f"cannot build a Condition from {value!r}")
+
+
+def preconditioned_simulator(
+    config: SsdConfig,
+    policy: Union[str, ReadRetryPolicy],
+    condition: Condition,
+    *,
+    rpt: Optional[ReadTimingParameterTable] = None,
+    faults: Optional[FaultPlan] = None,
+    track_tenants: bool = False,
+    device_id: int = 0,
+) -> SsdSimulator:
+    """A simulator running ``policy``, preconditioned to ``condition``.
+
+    A policy given by name is created from the default registry; a policy
+    instance is used as it is.  ``rpt`` defaults to
+    :meth:`ReadTimingParameterTable.default`.  The device is preconditioned
+    with the condition's P/E cycles, retention age and fill fraction, and a
+    non-empty fault plan is armed after that.  It builds no retry-grid slab
+    beyond the cold-data one ``precondition`` builds; the runners that fan
+    devices out over a pool prefill a condition's slabs with
+    :func:`repro.ssd.slab_transport.prefill_device_slabs`.
+    """
+    if rpt is None:
+        rpt = ReadTimingParameterTable.default()
+    if isinstance(policy, str):
+        policy = default_registry().create(policy, timing=config.timing, rpt=rpt)
+    simulator = SsdSimulator(
+        config=config, policy=policy, rpt=rpt, device_id=device_id, track_tenants=track_tenants
+    )
+    simulator.precondition(
+        pe_cycles=condition.pe_cycles,
+        retention_months=condition.retention_months,
+        fill_fraction=condition.fill_fraction,
+    )
+    if faults:
+        simulator.install_faults(faults)
+    return simulator

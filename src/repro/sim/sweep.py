@@ -25,7 +25,10 @@ of regenerating the stream for every condition cell the way the seed's
 requests, the cache holds the :class:`HostRequest` objects themselves and
 every (condition, policy) cell replays them directly.
 
-Every cell reads its retry-step slabs from the process-shared
+Every cell builds one device per policy with
+:func:`repro.sim.spec.preconditioned_simulator`, the builder every runner
+shares, and runs it to completion before the next device is built.  Its
+reads take their retry-step slabs from the process-shared
 :func:`repro.ssd.retry_grid.shared_grid`.  The parent builds each
 condition's slabs with :func:`repro.ssd.slab_transport.prefill_device_slabs`
 before the pool forks, so workers inherit them; each cell calls it again
@@ -38,13 +41,12 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
-from zlib import crc32
 
 from repro.core.rpt import ReadTimingParameterTable
 from repro.sim.registry import default_registry
-from repro.sim.spec import Condition, WorkloadSpec
+from repro.sim.spec import Condition, WorkloadSpec, preconditioned_simulator
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SimulationResult, SsdSimulator
+from repro.ssd.controller import SimulationResult
 from repro.ssd.metrics import normalized_response_times
 from repro.ssd.request import HostRequest
 from repro.ssd.slab_transport import prefill_device_slabs
@@ -62,15 +64,6 @@ DEFAULT_MEAN_INTERARRIVAL_US = 700.0
 #: executes — the requests themselves are shared, not copied.
 _STREAM_CACHE: Dict[tuple, List[HostRequest]] = {}
 _STREAM_CACHE_STATS = {"hits": 0, "misses": 0}
-
-#: Lazily built default RPT, shared by every cell a process executes.
-_DEFAULT_RPT: List[Optional[ReadTimingParameterTable]] = [None]
-
-
-def _default_rpt() -> ReadTimingParameterTable:
-    if _DEFAULT_RPT[0] is None:
-        _DEFAULT_RPT[0] = ReadTimingParameterTable.default()
-    return _DEFAULT_RPT[0]
 
 
 class WorkerPool:
@@ -169,20 +162,14 @@ def _run_cell(payload: dict) -> Tuple[str, Tuple[int, float], Dict[str, Simulati
     config = SsdConfig.from_dict(payload["config"])
     spec = WorkloadSpec.from_dict(payload["workload"])
     condition = Condition.from_dict(payload["condition"])
-    rpt = payload.get("rpt") or _default_rpt()
+    rpt = payload["rpt"] or ReadTimingParameterTable.default()
     prefill_device_slabs(config, rpt, condition.pe_cycles, condition.retention_months)
-    registry = default_registry()
     stream = _cached_stream(spec, config)
     results: Dict[str, SimulationResult] = {}
     for name in payload["policies"]:
-        policy = registry.create(name, timing=config.timing, rpt=rpt)
-        simulator = SsdSimulator(config=config, policy=policy, rpt=rpt)
-        simulator.precondition(
-            pe_cycles=condition.pe_cycles,
-            retention_months=condition.retention_months,
-            fill_fraction=condition.fill_fraction,
-        )
-        result = simulator.run(stream)
+        # Built and run in one expression, so no local holds a finished
+        # simulator (which sits in reference cycles) while the next is built.
+        result = preconditioned_simulator(config, name, condition, rpt=rpt).run(stream)
         results[result.policy_name] = result
     return spec.label, condition.as_tuple(), results
 
@@ -295,10 +282,6 @@ class SweepRunner:
     """Executes a (workload x condition x policy) grid, optionally in parallel.
 
     :param processes: worker-process count; 1 (default) runs in-process.
-    :param per_cell_seeds: derive an independent stream seed per (workload,
-        condition) cell instead of sharing the workload's seed across
-        conditions.  Defaults to False, which matches the seed harnesses'
-        semantics and lets the stream cache serve every condition cell.
     """
 
     def __init__(
@@ -308,7 +291,6 @@ class SweepRunner:
         rpt: Optional[ReadTimingParameterTable] = None,
         mean_interarrival_us: float = DEFAULT_MEAN_INTERARRIVAL_US,
         footprint_fraction: float = 0.8,
-        per_cell_seeds: bool = False,
     ):
         if processes < 1:
             raise ValueError("processes must be at least 1")
@@ -317,7 +299,6 @@ class SweepRunner:
         self.rpt = rpt
         self.mean_interarrival_us = mean_interarrival_us
         self.footprint_fraction = footprint_fraction
-        self.per_cell_seeds = per_cell_seeds
         self._registry = default_registry()
 
     # -- grid construction ----------------------------------------------------
@@ -340,33 +321,19 @@ class SweepRunner:
                 )
         return specs
 
-    def _cell_seed(self, spec: WorkloadSpec, condition: Condition) -> int:
-        if not self.per_cell_seeds:
-            return spec.seed
-        digest = crc32(
-            f"{spec.label}|{condition.pe_cycles}|{condition.retention_months:g}".encode()
-        )
-        return (spec.seed * 1_000_003 + digest) % (2**31)
-
     def _payloads(self, specs, conditions, policies):
         config_dict = self.config.to_dict()
-        payloads = []
-        for spec in specs:
-            for condition in conditions:
-                cell_spec = spec
-                cell_seed = self._cell_seed(spec, condition)
-                if cell_seed != spec.seed:
-                    cell_spec = WorkloadSpec.coerce(spec, seed=cell_seed)
-                payloads.append(
-                    {
-                        "config": config_dict,
-                        "workload": cell_spec.to_dict(),
-                        "condition": condition.to_dict(),
-                        "policies": tuple(policies),
-                        "rpt": self.rpt,
-                    }
-                )
-        return payloads
+        return [
+            {
+                "config": config_dict,
+                "workload": spec.to_dict(),
+                "condition": condition.to_dict(),
+                "policies": tuple(policies),
+                "rpt": self.rpt,
+            }
+            for spec in specs
+            for condition in conditions
+        ]
 
     # -- execution ------------------------------------------------------------
     def run(
@@ -411,7 +378,7 @@ class SweepRunner:
             baseline = policy_names[0]
         payloads = self._payloads(specs, condition_objs, policy_names)
         # Before the pool forks, so workers inherit the slabs.
-        rpt = self.rpt or _default_rpt()
+        rpt = self.rpt or ReadTimingParameterTable.default()
         for condition in condition_objs:
             prefill_device_slabs(self.config, rpt, condition.pe_cycles, condition.retention_months)
         outcomes = pool_map(_run_cell, payloads, self.processes)

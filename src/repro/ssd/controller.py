@@ -102,6 +102,8 @@ class SimulationResult:
     preconditioned_retention_months: float
     #: Which device of a fleet produced this result (0 for standalone runs).
     device_id: int = 0
+    #: :attr:`SsdSimulator.distinct_read_conditions` when the run finished.
+    distinct_read_conditions: int = 0
 
     @property
     def mean_response_time_us(self) -> float:
@@ -399,7 +401,8 @@ class SsdSimulator:
             metrics=self.metrics,
             preconditioned_pe_cycles=self._preconditioned_pe_cycles,
             preconditioned_retention_months=self._cold_retention_months,
-            device_id=self.device_id)
+            device_id=self.device_id,
+            distinct_read_conditions=self.distinct_read_conditions)
 
     def _pump(self) -> None:
         """Admit arrivals from the source until the lookahead window is full.

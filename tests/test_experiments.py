@@ -61,12 +61,12 @@ class TestRunner:
             run_experiment("fig99")
 
     def test_run_experiment_fast_characterization(self):
-        result = run_experiment("fig11", fast=True)
+        result = run_experiment("fig11", profile="fast")
         assert result.name == "fig11"
         assert result.headline["smallest safe tPRE reduction [%]"] >= 40.0
 
     def test_run_experiment_overrides(self):
-        result = run_experiment("fig05", fast=True, num_chips=2)
+        result = run_experiment("fig05", profile="fast", num_chips=2)
         assert result.rows
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.policies import get_policy
 from repro.sim import Condition, Simulation, WorkloadSpec
 from repro.ssd.controller import SsdSimulator
 from repro.workloads.catalog import catalog_workload
@@ -112,6 +113,15 @@ class TestSimulationBuilder:
                .workload("YCSB-C", n=30)
                .run())
         assert run.result.policy_name == "NoRR"
+
+    def test_repeated_policy_rejected(self, tiny_ssd_config):
+        with pytest.raises(ValueError, match="given more than once"):
+            (Simulation(tiny_ssd_config).policies("PnAR2", "pnar2")
+             .workload("usr_1", n=30).run())
+        # A policy instance counts by its name.
+        with pytest.raises(ValueError, match="given more than once"):
+            (Simulation(tiny_ssd_config).policy("PnAR2").policy(get_policy("PnAR2"))
+             .workload("usr_1", n=30).run())
 
     def test_run_without_policy_or_workload_raises(self, tiny_ssd_config):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import multiprocessing
 
 import pytest
 
+from repro.core.rpt import ReadTimingParameterTable
 from repro.sim import Condition, SweepRunner, WorkloadSpec
 from repro.sim import fleet as fleet_module
 from repro.sim import sweep as sweep_module
@@ -139,15 +140,6 @@ class TestStreamCache:
         assert stats["misses"] - before["misses"] == 1
         assert stats["hits"] - before["hits"] == 2
 
-    def test_per_cell_seeds_vary_streams(self, tiny_config):
-        runner = SweepRunner(config=tiny_config, per_cell_seeds=True)
-        result = runner.run(policies=("NoRR",), workloads=("usr_1",),
-                            conditions=((0, 0.0), (1000, 6.0)),
-                            num_requests=30)
-        first = result.cell("usr_1", 0, 0.0)["NoRR"]
-        second = result.cell("usr_1", 1000, 6.0)["NoRR"]
-        assert first.metrics.read_latency != second.metrics.read_latency
-
 
 class TestValidation:
     def test_rejects_empty_grid(self, tiny_config):
@@ -258,7 +250,7 @@ class TestSlabPrefill:
 
     @staticmethod
     def _slabs(config):
-        return set(shared_grid(config, sweep_module._default_rpt())._slabs)
+        return set(shared_grid(config, ReadTimingParameterTable.default())._slabs)
 
     @staticmethod
     def _record_slabs_at_precondition(monkeypatch):

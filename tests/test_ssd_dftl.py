@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.rpt import ReadTimingParameterTable
 from repro.sim.fleet import FleetResult, FleetSpec
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SimulationResult, SsdSimulator
+from repro.ssd.controller import SsdSimulator
 from repro.ssd.dftl import GC_STREAM, HOST_STREAM, TRANS_STREAM, DftlMapper
 from repro.ssd.metrics import SimulationMetrics
 from repro.workloads import catalog_workload
@@ -437,14 +437,11 @@ class TestFleetAggregation:
             metrics.host_programs = programs
             metrics.gc_programs = programs // 2
             metrics.gc_invocations = 1
-            return SimulationResult(
-                policy_name="Baseline", config=SsdConfig.tiny(),
-                metrics=metrics, preconditioned_pe_cycles=0,
-                preconditioned_retention_months=0.0)
+            return metrics
 
-        fleet = FleetResult(spec=FleetSpec(devices=2), policy="Baseline",
-                            device_results=[device(10, 4, 6, 100),
-                                            device(30, 6, 14, 300)])
+        fleet = FleetResult(spec=FleetSpec(devices=2), policy="Baseline")
+        fleet.absorb_device(0, device(10, 4, 6, 100))
+        fleet.absorb_device(1, device(30, 6, 14, 300))
         merged = fleet.merged
         assert merged.translation_reads == 40
         assert merged.translation_writes == 10
