@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Run the repository benchmark on two checkouts in alternating pairs.
+
+Run from anywhere::
+
+    python3 scripts/perf_pairs.py PARENT_DIR CHANGE_DIR --workload aged_read_sweep \\
+        --pairs 10 --seconds 30 --seed 900
+
+Pair ``i`` runs the benchmark command of CHANGE_DIR's ``BENCHMARK.json``
+(``python3 perfbench/run.py``) with ``--workload W --seed S0+i --seconds S
+--trace 0`` in both checkouts.  The parent runs first in even pairs and the
+change first in odd ones, so a machine that speeds up or slows down during
+the run weighs on both sides alike.  The end-to-end metrics, and whether
+each is better higher or lower, also come from CHANGE_DIR's
+``BENCHMARK.json``.
+
+The script prints one line per pair and then, per metric, each side's
+median and quartiles (``statistics.quantiles(n=4)``), the ratio of the
+change's median to the parent's and the number of pairs the change won.  A
+tie counts for neither side.  It exits 1 when any pass reports
+``correct: false`` or failed passes, or prints no report.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_pass(checkout: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``checkout``; its JSON report, or a failed one."""
+    arguments = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    completed = subprocess.run(
+        command + arguments + ["--trace", "0"],
+        cwd=checkout,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    lines = completed.stdout.strip().splitlines()
+    try:
+        report = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        report = None
+    if not isinstance(report, dict):
+        return {"correct": False, "failed": None, "metrics": {}}
+    return report
+
+
+def passed(report: dict) -> bool:
+    return report.get("correct") is True and report.get("failed") == 0
+
+
+def quartiles(values: list) -> tuple:
+    """``(q1, median, q3)`` of ``values``; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def change_wins(parent: list, change: list, better: str) -> int:
+    """Pairs in which the change reads strictly better; ties count for neither."""
+    if better == "higher":
+        return sum(after > before for before, after in zip(parent, change))
+    return sum(after < before for before, after in zip(parent, change))
+
+
+def metric_value(report: dict, name: str):
+    return report.get("metrics", {}).get(name, {}).get("value")
+
+
+def run_pairs(args, command: list, metrics: list) -> list:
+    """Run every pair, printing each as it finishes."""
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    pairs = []
+    for index in range(args.pairs):
+        seed = args.seed + index
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_pass(checkouts[side], command, args.workload, seed, args.seconds)
+        pairs.append(pair)
+        print(pair_line(index, pair, metrics), flush=True)
+    return pairs
+
+
+def pair_line(index: int, pair: dict, metrics: list) -> str:
+    parts = [f"pair {index:2d}  seed {pair['seed']}  {pair['first']} first"]
+    for name, _ in metrics:
+        before = metric_value(pair["parent"], name)
+        after = metric_value(pair["change"], name)
+        if None in (before, after):
+            parts.append(f"{name} missing")
+        else:
+            parts.append(f"{name} {before:.6g} -> {after:.6g}")
+    for side in SIDES:
+        if not passed(pair[side]):
+            parts.append(f"{side} FAILED")
+    return "  ".join(parts)
+
+
+def summary_row(name, better, parent, change, ratio, wins) -> str:
+    return f"{name:16} {better:6}  {parent:32}  {change:32}  {ratio:>7}  {wins}"
+
+
+def summary_lines(pairs: list, metrics: list) -> list:
+    header = ("metric", "better", "parent median [q1, q3]", "change median [q1, q3]")
+    lines = [summary_row(*header, "ratio", "wins")]
+    for name, better in metrics:
+        values = {side: [] for side in SIDES}
+        for pair in pairs:
+            before = metric_value(pair["parent"], name)
+            after = metric_value(pair["change"], name)
+            if None not in (before, after):
+                values["parent"].append(before)
+                values["change"].append(after)
+        if not values["parent"]:
+            lines.append(f"{name:16} {better:6}  no pair reported it")
+            continue
+        cells = []
+        for side in SIDES:
+            low, middle, high = quartiles(values[side])
+            cells.append(f"{middle:.6g} [{low:.6g}, {high:.6g}]")
+        ratio = statistics.median(values["change"]) / statistics.median(values["parent"])
+        wins = change_wins(values["parent"], values["change"], better)
+        counted = len(values["parent"])
+        lines.append(summary_row(name, better, *cells, f"{ratio:.4f}", f"{wins}/{counted}"))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, required=True, help="seed of pair 0")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = [(metric["name"], metric["better"]) for metric in spec["end_to_end"]]
+    pairs = run_pairs(args, spec["command"], metrics)
+    print()
+    print(f"{args.workload}: {len(pairs)} pairs, seeds {args.seed}-{args.seed + len(pairs) - 1}")
+    for line in summary_lines(pairs, metrics):
+        print(line)
+    failed = [(pair["seed"], side) for pair in pairs for side in SIDES if not passed(pair[side])]
+    for seed, side in failed:
+        print(f"perf_pairs: the {side} pass of seed {seed} failed", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -138,26 +138,22 @@ class _ReadProgress:
 
 
 class SsdSimulator:
-    """An event-driven SSD with a pluggable read-retry policy."""
+    """An event-driven SSD with a pluggable read-retry policy.
+
+    Every host read takes one path: each of its pages becomes a
+    :class:`~repro.ssd.request.FlashTransaction` on its die, and the die
+    prices the page when it starts it, from the block's condition at that
+    moment and one retry-grid query (:meth:`_read_service_time`).
+    """
 
     def __init__(self, config: SsdConfig = None,
                  policy: Union[str, ReadRetryPolicy] = "Baseline",
                  rpt: ReadTimingParameterTable = None,
                  record_samples: bool = False,
                  device_id: int = 0,
-                 track_tenants: bool = False,
-                 batch_read_dispatch: bool = True):
+                 track_tenants: bool = False):
         self.config = config or SsdConfig.scaled()
         self.device_id = device_id
-        #: Batched same-die read dispatch: multi-page reads resolve their
-        #: retry behaviours through one vectorized lattice walk per cold
-        #: condition instead of per-page scalar walks.  Bitwise-neutral (the
-        #: prepared value substitutes only for the identical scalar walk and
-        #: is re-validated at service time), so the switch exists purely for
-        #: equivalence testing, not as a behaviour knob: ``False`` names the
-        #: scalar oracle.  Mappers whose reads cost translation traffic
-        #: always dispatch scalar.
-        self.batch_read_dispatch = batch_read_dispatch
         #: When True, every completion is also recorded into a per-tenant
         #: histogram keyed by the request's ``queue_id``.  Off by default so
         #: plain runs pay nothing and keep ``metrics.tenant_latency`` empty;
@@ -385,8 +381,10 @@ class SsdSimulator:
 
     def _finalize_run(self) -> SimulationResult:
         self.metrics.simulated_time_us = self.events.now_us
+        # Each scheduler's busy time is cumulative over every run of this
+        # simulator, as the clock is: store it, do not add it again.
         for key, scheduler in self.schedulers.items():
-            self.metrics.record_die_busy(key, scheduler.total_busy_us)
+            self.metrics.die_busy_us[key] = scheduler.total_busy_us
         self.metrics.grid_hits = self.backend.grid_hits
         self.metrics.scalar_fallbacks = self.backend.scalar_fallbacks
         # Translation reads/writes are counted at enqueue time; the
@@ -517,11 +515,6 @@ class SsdSimulator:
         else:
             progress = _ReadProgress(request.page_count)
         self._read_progress[request.request_id] = progress
-        if (request.page_count > 1 and self.batch_read_dispatch
-                and not self.mapper.reads_need_translation
-                and self._fault_injector is None):
-            self._start_read_request_batched(request)
-            return
         now_us = self.events.now_us
         dies = self._dies
         read_target = self.mapper.read_target_packed
@@ -535,53 +528,6 @@ class SsdSimulator:
             die = packed // pages_per_die
             dies[die].enqueue(
                 FlashTransaction(_READ, lpn, packed, die, now_us, request))
-
-    def _start_read_request_batched(self, request: HostRequest) -> None:
-        """Multi-page read dispatch through one batch retry-table walk.
-
-        The pages of a multi-page request that resolve cold walk the retry
-        table together: their conditions are collected here, at dispatch,
-        and handed to the vectorized grid in one
-        :meth:`~repro.ssd.flash_backend.FlashBackend.peek_read_batch` call
-        instead of N scalar walks at service time.  Bitwise equivalence
-        with scalar dispatch rests on three properties: targets resolve in
-        LPN order before any enqueue (cold-map FTL writes happen in the
-        same order as the scalar loop, and enqueues never touch the FTL);
-        the peek is pure, so the grid's state trajectory is untouched; and
-        each prepared behaviour is keyed by the (P/E, retention) it was
-        computed under and re-validated against the block's metadata at
-        service time, so a GC erase between dispatch and service simply
-        voids the preparation (``_read_service_time`` falls back to the
-        normal path).  Excluded: mappers whose reads need translation (DFTL
-        lookups inject translation traffic between resolves) and armed
-        fault injectors (penalties are service-time state).
-        """
-        now_us = self.events.now_us
-        read_target = self.mapper.read_target_packed
-        read_condition = self.mapper.read_condition_packed
-        logical_pages = self.config.logical_pages
-        pages_per_block = self._addressing.pages_per_block
-        lpns = range(request.start_lpn, request.start_lpn + request.page_count)
-        pages = []
-        items = []
-        for lpn in lpns:
-            packed, _ = read_target(lpn % logical_pages, now_us)
-            pe_cycles, retention = read_condition(packed, now_us)
-            pages.append(packed)
-            items.append((packed % pages_per_block % _PAGE_TYPES, pe_cycles,
-                          retention, packed // pages_per_block))
-        prepared, walks = self.backend.peek_read_batch(items)
-        self.metrics.batch_dispatch_calls += walks
-        dies = self._dies
-        pages_per_die = self._addressing.pages_per_die
-        for lpn, packed, item, behaviour in zip(lpns, pages, items, prepared):
-            die = packed // pages_per_die
-            transaction = FlashTransaction(_READ, lpn, packed, die, now_us,
-                                           request)
-            if behaviour is not None:
-                # Keyed by the (P/E, retention) it was computed under.
-                transaction.prepared_behaviour = (item[1], item[2], behaviour)
-            dies[die].enqueue(transaction)
 
     def _admit_or_defer_write(self, request: HostRequest) -> None:
         if self.write_buffer.try_admit(request.page_count):
@@ -652,18 +598,8 @@ class SsdSimulator:
                                                                  now_us)
         pages_per_block = self._addressing.pages_per_block
         page_type = packed % pages_per_block % _PAGE_TYPES
-        corner = packed // pages_per_block
-        prepared = transaction.prepared_behaviour
-        if prepared is not None and prepared[0] == pe_cycles \
-                and prepared[1] == retention:
-            # Dispatch-time batch preparation, still valid for the block's
-            # current condition (GC did not erase it in between).
-            behaviour = self.backend.behaviour_at(
-                page_type, pe_cycles, retention, corner, prepared[2])
-            self.metrics.batched_completions += 1
-        else:
-            behaviour = self.backend.behaviour_at(
-                page_type, pe_cycles, retention, corner)
+        behaviour = self.backend.behaviour_at(
+            page_type, pe_cycles, retention, packed // pages_per_block)
         fault_extra = 0
         fault_factor = 1.0
         if self._fault_injector is not None:

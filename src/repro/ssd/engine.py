@@ -79,7 +79,10 @@ class EventQueue:
         #: Heap of ``(time_us, sequence, slot)`` tuples.
         self._heap: List[Tuple[float, int, int]] = []
         self._next_sequence = 0
-        self._now_us = 0.0
+        #: Current simulation time in microseconds.  A plain attribute, not
+        #: a property: the read path reads it several times per transaction,
+        #: and only :meth:`run` and :meth:`step` advance it.
+        self.now_us = 0.0
         # Live (non-cancelled, not-yet-run) event count, maintained on
         # schedule/cancel/pop so __len__ is O(1) instead of a heap scan.
         self._live = 0
@@ -89,11 +92,6 @@ class EventQueue:
         self._slot_callback: List[Optional[Callable]] = []
         self._slot_argument: List[object] = []
         self._free_slots: List[int] = []
-
-    @property
-    def now_us(self) -> float:
-        """Current simulation time in microseconds."""
-        return self._now_us
 
     def __len__(self) -> int:
         return self._live
@@ -118,8 +116,8 @@ class EventQueue:
     # -- scheduling -----------------------------------------------------------
     def schedule(self, time_us: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run at ``time_us`` (must not be in the past)."""
-        if time_us < self._now_us - 1e-9:
-            raise ValueError(f"cannot schedule event at {time_us} before now ({self._now_us})")
+        if time_us < self.now_us - 1e-9:
+            raise ValueError(f"cannot schedule event at {time_us} before now ({self.now_us})")
         slot, sequence = self._acquire_slot(callback, _NO_ARG)
         heapq.heappush(self._heap, (time_us, sequence, slot))
         self._live += 1
@@ -128,7 +126,7 @@ class EventQueue:
     def schedule_after(self, delay_us: float, callback: Callable[[], None]) -> EventHandle:
         if delay_us < 0:
             raise ValueError("delay_us must be non-negative")
-        return self.schedule(self._now_us + delay_us, callback)
+        return self.schedule(self.now_us + delay_us, callback)
 
     def schedule_call(self, time_us: float, callback: Callable, argument) -> None:
         """Hot-path scheduling of ``callback(argument)``: no handle, no closure.
@@ -137,8 +135,8 @@ class EventQueue:
         dispatch paths used to allocate; callers that may need to cancel
         must use :meth:`schedule` / :meth:`schedule_call_after` instead.
         """
-        if time_us < self._now_us - 1e-9:
-            raise ValueError(f"cannot schedule event at {time_us} before now ({self._now_us})")
+        if time_us < self.now_us - 1e-9:
+            raise ValueError(f"cannot schedule event at {time_us} before now ({self.now_us})")
         slot, sequence = self._acquire_slot(callback, argument)
         heapq.heappush(self._heap, (time_us, sequence, slot))
         self._live += 1
@@ -147,7 +145,7 @@ class EventQueue:
         """Cancellable counterpart of :meth:`schedule_call` (relative time)."""
         if delay_us < 0:
             raise ValueError("delay_us must be non-negative")
-        time_us = self._now_us + delay_us
+        time_us = self.now_us + delay_us
         slot, sequence = self._acquire_slot(callback, argument)
         heapq.heappush(self._heap, (time_us, sequence, slot))
         self._live += 1
@@ -164,11 +162,11 @@ class EventQueue:
         because the heap entries are totally ordered tuples.
         """
         heap = self._heap
-        floor_us = self._now_us - 1e-9
+        floor_us = self.now_us - 1e-9
         entries = []
         for time_us, argument in timed_arguments:
             if time_us < floor_us:
-                raise ValueError(f"cannot schedule event at {time_us} before now ({self._now_us})")
+                raise ValueError(f"cannot schedule event at {time_us} before now ({self.now_us})")
             slot, sequence = self._acquire_slot(callback, argument)
             entries.append((time_us, sequence, slot))
         if not entries:
@@ -201,7 +199,7 @@ class EventQueue:
             self._slot_argument[slot] = None
             self._free_slots.append(slot)
             self._live -= 1
-            self._now_us = time_us
+            self.now_us = time_us
             if argument is _NO_ARG:
                 callback()
             else:
@@ -239,7 +237,7 @@ class EventQueue:
             slot_argument[slot] = None
             free_slots.append(slot)
             self._live -= 1
-            self._now_us = time_us
+            self.now_us = time_us
             if argument is _NO_ARG:
                 callback()
             else:

@@ -127,23 +127,20 @@ class FlashBackend:
 
     # -- main query --------------------------------------------------------------------
     def behaviour_at(self, page_type: int, pe_cycles: int,
-                     retention_months: float, corner: int,
-                     prepared: ReadBehaviour = None) -> ReadBehaviour:
+                     retention_months: float, corner: int) -> ReadBehaviour:
         """Retry-step counts for one read under its condition.
 
         ``page_type`` indexes ``PAGE_TYPE_ORDER`` and ``corner`` is the
         block's variation corner, both as the read path derives them from a
-        packed page index (:class:`~repro.ssd.ftl.PageAddressing`).
-        ``prepared`` optionally carries a dispatch-time batch-computed
-        behaviour (see :meth:`peek_read_batch`); it substitutes only for the
-        scalar walk the grid would otherwise run on a memo miss, so the
-        result and the hit/fallback accounting are unchanged.
+        packed page index (:class:`~repro.ssd.ftl.PageAddressing`).  The
+        simulator asks once per page read, when the die starts it, and the
+        answer is counted as a grid hit or a scalar fallback.
         """
         grid = self._grid
         if grid is None:
             grid = self.grid
         behaviour, from_grid = grid.behaviour_at(
-            page_type, pe_cycles, retention_months, corner, prepared)
+            page_type, pe_cycles, retention_months, corner)
         if from_grid:
             self.grid_hits += 1
         else:
@@ -151,28 +148,14 @@ class FlashBackend:
         return behaviour
 
     def read_behaviour(self, physical: PhysicalPage, page_type: PageType,
-                       pe_cycles: int, retention_months: float,
-                       prepared: ReadBehaviour = None) -> ReadBehaviour:
+                       pe_cycles: int,
+                       retention_months: float) -> ReadBehaviour:
         """:meth:`behaviour_at` of a :class:`PageType` read of ``physical``."""
         chip = physical.channel * self.config.dies_per_channel + physical.die
         block = physical.plane * self.config.blocks_per_plane + physical.block
         return self.behaviour_at(PAGE_TYPE_ORDER.index(page_type), pe_cycles,
                                  retention_months,
-                                 self.grid.corner_index(chip, block), prepared)
-
-    def peek_read_batch(self, items):
-        """Batch-prepare the behaviours of several upcoming reads, purely.
-
-        :param items: ``(page_type, pe_cycles, retention_months, corner)``
-            per read, in dispatch order, keyed as in :meth:`behaviour_at`.
-        :return: ``(prepared, batch_walks)`` — per-item behaviours (``None``
-            where the grid will serve the read without a scalar walk) and
-            the number of vectorized lattice walks issued.
-
-        Counters are untouched: the query accounting happens when the reads
-        are actually serviced through :meth:`behaviour_at`.
-        """
-        return self.grid.peek_batch(items)
+                                 self.grid.corner_index(chip, block))
 
     def prefill_conditions(self, conditions) -> None:
         """Vectorize the slabs of conditions known to be coming.

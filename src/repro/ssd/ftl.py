@@ -168,8 +168,7 @@ class Mapper(Protocol):
     #: Per-plane state (``channel``/``die``/``plane``), indexed like
     #: :attr:`GcOperation.plane_index`.
     planes: Sequence
-    #: Whether a read may cost translation traffic (a cache miss); batched
-    #: read dispatch resolves a request's pages before enqueueing any.
+    #: Whether a read may cost translation traffic (a cache miss).
     reads_need_translation: bool
     #: Planes found below their GC trigger; mapping-cache hits and misses.
     gc_invocations: int

@@ -300,8 +300,6 @@ class SimulationMetrics:
         "reduced_timing_fallbacks",
         "grid_hits",
         "scalar_fallbacks",
-        "batched_completions",
-        "batch_dispatch_calls",
         "control_barriers",
         "control_marks",
         "control_discards",
@@ -343,11 +341,6 @@ class SimulationMetrics:
         self.grid_hits = 0
         #: Reads that needed an exact scalar walk (cold condition).
         self.scalar_fallbacks = 0
-        #: Page reads whose retry behaviour was consumed from a dispatch-time
-        #: batch preparation, and the vectorized lattice walks those
-        #: preparations issued (batched same-die completion).
-        self.batched_completions = 0
-        self.batch_dispatch_calls = 0
         #: In-stream control events (``RequestKind.BARRIER``/``MARK``/
         #: ``DISCARD``) seen by the controller, and logical pages actually
         #: unmapped by discards; all stay zero on control-free streams.
@@ -623,8 +616,9 @@ class SimulationMetrics:
             "reduced_timing_fallbacks": self.reduced_timing_fallbacks,
             "grid_hits": self.grid_hits,
             "scalar_fallbacks": self.scalar_fallbacks,
-            "batched_completions": self.batched_completions,
-            "batch_dispatch_calls": self.batch_dispatch_calls,
+            # Retired, held at 0 so perfbench digests and goldens stay valid.
+            "batched_completions": 0,
+            "batch_dispatch_calls": 0,
             "control_barriers": self.control_barriers,
             "control_marks": self.control_marks,
             "control_discards": self.control_discards,

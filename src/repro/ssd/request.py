@@ -153,10 +153,9 @@ class FlashTransaction:
     indexes the controller's die schedulers.
 
     ``remaining_service_us`` / ``was_suspended`` are written by the die
-    scheduler when a program or erase is suspended; ``response_us`` and
-    ``prepared_behaviour`` are written by the controller's read path (the
-    latter carries a dispatch-time batch-prepared retry behaviour to the
-    service-time consumer, see ``SsdSimulator._start_read_request_batched``).
+    scheduler when a program or erase is suspended; ``retry_steps`` and
+    ``response_us`` are written by the controller's read path when the die
+    starts the read, which is when its retry behaviour is looked up.
     """
 
     __slots__ = (
@@ -173,7 +172,6 @@ class FlashTransaction:
         "response_us",
         "remaining_service_us",
         "was_suspended",
-        "prepared_behaviour",
     )
 
     def __init__(
@@ -200,7 +198,6 @@ class FlashTransaction:
         self.response_us: Optional[float] = None
         self.remaining_service_us: Optional[float] = None
         self.was_suspended = False
-        self.prepared_behaviour = None
 
     @property
     def is_read(self) -> bool:

@@ -32,9 +32,7 @@ pay the precompute once.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.batch import BatchErrorModel, VariationArrays
@@ -182,7 +180,6 @@ class RetryStepGrid:
         pe_cycles: int,
         retention_months: float,
         corner: int,
-        prepared: Optional[ReadBehaviour] = None,
     ) -> Tuple[ReadBehaviour, bool]:
         """Behaviour of one read; the flag reports a grid (slab) hit.
 
@@ -192,13 +189,9 @@ class RetryStepGrid:
         fallbacks are computed from the *exact* per-block variation sample,
         so results are independent of query order (the seed's rounded-key
         memo could alias two nearby corners depending on which was read
-        first).
-
-        ``prepared`` is a dispatch-time batch-computed behaviour for this
-        exact (condition, page type, corner) — see :meth:`peek_batch`.  It
-        substitutes only for the scalar walk on a memo miss; slab lookups,
-        promotion, pending counts and memo maintenance are untouched, so the
-        grid's state trajectory is identical with and without it.
+        first).  The simulator calls this once per page read, when the die
+        starts the read, so the query order, and with it promotion and
+        eviction, follows service order.
         """
         key = (pe_cycles, retention_months)
         slab = self._slabs.get(key)
@@ -218,10 +211,7 @@ class RetryStepGrid:
         memo_key = (key, page_type, corner)
         behaviour = self._scalar_memo.get(memo_key)
         if behaviour is None:
-            if prepared is not None:
-                behaviour = prepared
-            else:
-                behaviour = self._scalar_behaviour(key, page_type, corner)
+            behaviour = self._scalar_behaviour(key, page_type, corner)
             if len(self._scalar_memo) >= self.max_scalar_entries:
                 self._scalar_memo.popitem(last=False)
             self._scalar_memo[memo_key] = behaviour
@@ -234,7 +224,6 @@ class RetryStepGrid:
         retention_months: float,
         chip: int,
         block: int,
-        prepared: Optional[ReadBehaviour] = None,
     ) -> Tuple[ReadBehaviour, bool]:
         """:meth:`behaviour_at` of a :class:`PageType` on ``block`` of ``chip``."""
         return self.behaviour_at(
@@ -242,80 +231,7 @@ class RetryStepGrid:
             pe_cycles,
             retention_months,
             self.corner_index(chip, block),
-            prepared,
         )
-
-    # -- dispatch-time batch preparation --------------------------------------
-    def peek_batch(
-        self,
-        items: Sequence[Tuple[int, int, float, int]],
-    ) -> Tuple[List[Optional[ReadBehaviour]], int]:
-        """Batch-compute the behaviours a group of reads will need, purely.
-
-        :param items: ``(page_type, pe_cycles, retention_months, corner)``
-            per read, in dispatch order, keyed as in :meth:`behaviour_at`.
-        :return: per-item prepared behaviours (``None`` where the service-
-            time query is predicted to be served from a slab or the scalar
-            memo) and the number of vectorized lattice walks issued.
-
-        This is the read-side of batched same-die completion: instead of N
-        scalar retry-table walks when N reads of a request resolve cold, the
-        distinct cold conditions are each walked once through the vectorized
-        :class:`~repro.errors.batch.BatchErrorModel` restricted to the
-        corners and page types actually referenced.  The method inspects the
-        slab/memo/pending state WITHOUT mutating it (``OrderedDict.get``
-        does not reorder, so LRU/FIFO trajectories are unaffected); the only
-        side effect is interning, which dedupes immutable value objects and
-        is observability-neutral.  Predictions may go stale before service
-        (GC can rebuild the block, interleaved queries can promote the
-        condition): a prepared value handed to :meth:`behaviour_at` is consumed
-        only on the exact branch it precomputes, so a stale or superfluous
-        prediction costs nothing but the preparation itself.
-        """
-        prepared: List[Optional[ReadBehaviour]] = [None] * len(items)
-        cold: "OrderedDict[tuple, List[Tuple[int, int, int]]]" = OrderedDict()
-        batch_queries: Dict[tuple, int] = {}
-        for index, (page_type, pe_cycles, retention_months, corner) in enumerate(items):
-            key = (pe_cycles, retention_months)
-            if key in self._slabs:
-                continue
-            # Count this batch's earlier same-condition queries: each one
-            # bumps the pending counter at service time, so a condition that
-            # crosses the promote threshold mid-batch slab-serves the rest.
-            seen = batch_queries.get(key, 0)
-            batch_queries[key] = seen + 1
-            if self._pending_queries.get(key, 0) + seen + 1 >= self.promote_threshold:
-                continue
-            if (key, page_type, corner) in self._scalar_memo:
-                continue
-            cold.setdefault(key, []).append((index, page_type, corner))
-        walks = 0
-        for key, group in cold.items():
-            pe_cycles, retention_months = key
-            condition = OperatingCondition(
-                pe_cycles=pe_cycles,
-                retention_months=retention_months,
-                temperature_c=self.config.temperature_c,
-            )
-            entry = self.rpt.entry_for(pe_cycles, retention_months)
-            corners = sorted({corner for _, _, corner in group})
-            page_types = sorted({page_type for _, page_type, _ in group})
-            lattice = self._batch.read_behaviour_lattice(
-                condition,
-                self.variation_arrays().take(np.array(corners, dtype=np.intp)),
-                pre_reduction=entry.pre_reduction,
-                page_types=tuple(PAGE_TYPE_ORDER[page_type] for page_type in page_types),
-                table=self.retry_table,
-            )
-            walks += 1
-            position = {corner: offset for offset, corner in enumerate(corners)}
-            behaviours = {
-                page_type: self._intern_batch(lattice[PAGE_TYPE_ORDER[page_type]])
-                for page_type in page_types
-            }
-            for index, page_type, corner in group:
-                prepared[index] = behaviours[page_type][position[corner]]
-        return prepared, walks
 
     # -- slab construction ----------------------------------------------------
     def prefill(self, conditions: Iterable[Tuple[int, float]]) -> None:

@@ -33,22 +33,6 @@ _GC_READ = TransactionKind.GC_READ
 _TRANS_READ = TransactionKind.TRANS_READ
 
 
-class _ActiveOperation:
-    """The transaction a die is currently executing."""
-
-    __slots__ = ("transaction", "start_us", "service_us", "handle",
-                 "suspended_before")
-
-    def __init__(self, transaction: FlashTransaction, start_us: float,
-                 service_us: float, handle: Optional[EventHandle],
-                 suspended_before: bool = False):
-        self.transaction = transaction
-        self.start_us = start_us
-        self.service_us = service_us
-        self.handle = handle
-        self.suspended_before = suspended_before
-
-
 class DieScheduler:
     """Schedules the transactions of one die."""
 
@@ -65,7 +49,15 @@ class DieScheduler:
         self._suspension = config.suspension
         self.read_queue: Deque[FlashTransaction] = deque()
         self.write_queue: Deque[FlashTransaction] = deque()
-        self.current: Optional[_ActiveOperation] = None
+        #: The transaction the die is executing, or ``None`` when it is idle.
+        #: The three slots below describe it and are meaningful only while
+        #: it is set: when it started, how long it occupies the die, and
+        #: the handle that cancels its completion (``None`` for the reads,
+        #: which nothing suspends).
+        self.current: Optional[FlashTransaction] = None
+        self._current_start_us = 0.0
+        self._current_service_us = 0.0
+        self._current_handle: Optional[EventHandle] = None
         self.total_busy_us = 0.0
         self.completed_transactions = 0
         self.suspensions = 0
@@ -73,6 +65,14 @@ class DieScheduler:
     # -- queueing -----------------------------------------------------------------
     def enqueue(self, transaction: FlashTransaction) -> None:
         """Add a transaction; may trigger immediate service or a suspension."""
+        if (self.current is None and not self.read_queue
+                and not self.write_queue):
+            # An idle die with nothing queued serves the newcomer at once.
+            # Queued work on an idle die (a completion callback enqueueing
+            # before the die restarts) must go first, so it takes the
+            # queue path below.
+            self._start(transaction)
+            return
         kind = transaction.kind
         is_read = kind is _READ or kind is _GC_READ or kind is _TRANS_READ
         if is_read and self._read_priority:
@@ -83,7 +83,8 @@ class DieScheduler:
         if self.current is None:
             self._start_next()
         elif (is_read and self._suspension
-              and self._current_is_suspendable()):
+              and self._current_handle is not None):
+            # ``_start`` gives exactly the suspendable operations a handle.
             self._suspend_current()
             self._start_next()
 
@@ -96,25 +97,17 @@ class DieScheduler:
         return self.current is None and self.queue_depth == 0
 
     # -- suspension ---------------------------------------------------------------
-    def _current_is_suspendable(self) -> bool:
-        active = self.current
-        if active is None or active.suspended_before:
-            return False
-        # ``_start`` gives exactly the suspendable operations a handle.
-        return active.handle is not None
-
     def _suspend_current(self) -> None:
         """Suspend the in-flight program/erase so a read can run first."""
-        active = self.current
-        active.handle.cancel()
+        transaction = self.current
+        self._current_handle.cancel()
         now = self.events.now_us
-        elapsed = max(0.0, now - active.start_us)
-        remaining = max(0.0, active.service_us - elapsed)
-        if active.transaction.kind is TransactionKind.ERASE:
+        elapsed = max(0.0, now - self._current_start_us)
+        remaining = max(0.0, self._current_service_us - elapsed)
+        if transaction.kind is TransactionKind.ERASE:
             overhead = self.config.timing.erase_suspend_us
         else:
             overhead = self.config.timing.program_suspend_us
-        transaction = active.transaction
         transaction.remaining_service_us = remaining + overhead
         transaction.was_suspended = True
         self.total_busy_us += elapsed
@@ -132,7 +125,8 @@ class DieScheduler:
             self._start(self.write_queue.popleft())
 
     def _start(self, transaction: FlashTransaction) -> None:
-        now = self.events.now_us
+        events = self.events
+        now = events.now_us
         remaining = transaction.remaining_service_us
         if remaining is not None:
             service = remaining
@@ -143,22 +137,26 @@ class DieScheduler:
         kind = transaction.kind
         if self._suspension and not (kind is _READ or kind is _GC_READ or kind is _TRANS_READ):
             # Only an operation a read may suspend needs a cancellable event.
-            handle = self.events.schedule_call_after(
-                service, self._complete, transaction)
+            handle = events.schedule_call_after(service, self._complete,
+                                                transaction)
         else:
-            self.events.schedule_call(now + service, self._complete,
-                                      transaction)
+            events.schedule_call(now + service, self._complete, transaction)
             handle = None
-        self.current = _ActiveOperation(transaction, now, service, handle)
+        # Set only now.  A fault that the service-time callback activates
+        # may retire a block and enqueue onto this die while it reads idle,
+        # starting a second transaction that this one then displaces: a
+        # known defect, whose fix changes the outputs of such fault runs.
+        self.current = transaction
+        self._current_start_us = now
+        self._current_service_us = service
+        self._current_handle = handle
 
     def _complete(self, transaction: FlashTransaction) -> None:
-        active = self.current
-        if active is None or active.transaction is not transaction:
+        if self.current is not transaction:
             # A stale completion (the operation was suspended); ignore it.
             return
-        now = self.events.now_us
-        self.total_busy_us += active.service_us
-        transaction.completion_us = now
+        self.total_busy_us += self._current_service_us
+        transaction.completion_us = self.events.now_us
         self.current = None
         self.completed_transactions += 1
         self.on_complete(transaction)

@@ -226,15 +226,15 @@ _LATTICE_CORNERS = VariationArrays.from_samples(
 
 @st.composite
 def _lattice_queries(draw):
-    """A lattice query shaped like the grid's: a slab or a peek_batch group."""
+    """A lattice query: a slab's shape or a subset of corners and page types."""
     condition = draw(st.builds(
         OperatingCondition,
         pe_cycles=st.integers(min_value=0, max_value=3000),
         retention_months=st.one_of(
             st.just(0.0), st.floats(min_value=0.0, max_value=13.0)),
         temperature_c=st.sampled_from([30.0, 55.0, 85.0])))
-    # peek_batch passes sorted distinct corners and page types in
-    # PageType order.
+    # Subsets come as sorted distinct corners and page types in PageType
+    # order.
     corner_indices = sorted(draw(st.sets(
         st.integers(min_value=0, max_value=len(_LATTICE_CORNERS) - 1),
         min_size=1, max_size=16)))

@@ -144,3 +144,24 @@ class TestGcIntegration:
         metrics = simulator.run(requests).metrics
         assert 0 < metrics.gc_erases <= metrics.gc_invocations
         assert metrics.summary()["gc_invocations"] == metrics.gc_invocations
+
+
+class TestRepeatedRuns:
+    def test_second_run_does_not_recount_die_busy_time(self, config,
+                                                        default_rpt):
+        # Schedulers keep their busy time across runs, as the event clock
+        # keeps its time; the metrics must hold it once, not once per run.
+        simulator = SsdSimulator(config, policy="PnAR2", rpt=default_rpt)
+        simulator.precondition(pe_cycles=1000, retention_months=6.0,
+                               fill_fraction=0.5)
+        simulator.run([read(i * 100.0, i) for i in range(50)])
+        start_us = simulator.events.now_us
+        metrics = simulator.run(
+            [read(start_us + i * 100.0, 50 + i) for i in range(50)]).metrics
+        assert metrics.host_reads == 100
+        assert metrics.die_busy_us == {
+            key: scheduler.total_busy_us
+            for key, scheduler in simulator.schedulers.items()}
+        busy_us = sum(metrics.die_busy_us.values()) / len(metrics.die_busy_us)
+        assert busy_us < metrics.simulated_time_us
+        assert metrics.die_utilization() == busy_us / metrics.simulated_time_us

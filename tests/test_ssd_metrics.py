@@ -95,6 +95,18 @@ class TestRecording:
         assert "p999_response_us" in summary
         assert "p99_read_response_us" in summary
 
+    def test_retired_batch_keys_stay_at_zero(self):
+        # The batched read dispatch is gone; its two keys keep their place
+        # in the summary, at 0, so stored digests of summaries still match.
+        summary = SimulationMetrics().summary()
+        keys = list(summary)
+        position = keys.index("scalar_fallbacks")
+        assert keys[position + 1:position + 3] == [
+            "batched_completions", "batch_dispatch_calls"]
+        for name in ("batched_completions", "batch_dispatch_calls"):
+            assert summary[name] == 0
+            assert name not in SimulationMetrics.COUNTER_FIELDS
+
     def test_zero_latency_writes_supported(self):
         # Buffered write hits complete in exactly 0.0 us; the floor bucket
         # must absorb them without distorting mean or percentile.
@@ -267,6 +279,20 @@ class TestMerge:
         second.record_die_busy((0, 0), 600.0)
         first.merge(second)
         assert first.die_utilization() == pytest.approx(0.6)
+
+    def test_state_with_retired_counters_still_loads(self):
+        # Fleet checkpoints written while the batched read dispatch existed
+        # carry its two counters; restoring one ignores them.
+        metrics = make_metrics([100.0, 300.0], [10.0])
+        metrics.grid_hits = 7
+        metrics.record_die_busy((0, 1), 250.0)
+        metrics.simulated_time_us = 900.0
+        state = metrics.to_state()
+        state["counters"].update(batched_completions=3,
+                                 batch_dispatch_calls=1)
+        restored = SimulationMetrics.from_state(state)
+        assert restored.to_state() == metrics.to_state()
+        assert restored.summary() == metrics.summary()
 
 
 class TestNormalization:

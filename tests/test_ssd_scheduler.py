@@ -1,6 +1,10 @@
 """Tests for per-die scheduling: read priority and program/erase suspension."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ssd.config import SsdConfig
 from repro.ssd.engine import EventQueue
@@ -137,3 +141,120 @@ class TestSuspension:
         events.run()
         assert second.service_start_us == pytest.approx(100.0)
         assert scheduler.suspensions == 0
+
+
+class TestDirectStart:
+    def test_idle_die_starts_a_newcomer_without_queueing_it(self):
+        scheduler, events, _ = build_scheduler()
+        program = make_transaction(TransactionKind.PROGRAM)
+        scheduler.enqueue(program)
+        assert scheduler.current is program
+        assert scheduler.queue_depth == 0
+        assert program.service_start_us == 0.0
+
+    def test_callback_enqueue_waits_behind_queued_work(self):
+        # A completion callback enqueues onto its own die while another
+        # transaction waits there: the die is idle but not empty, and the
+        # waiting transaction must start first.
+        events = EventQueue()
+        first, waiting, late = (make_transaction(TransactionKind.READ)
+                                for _ in range(3))
+        started = []
+
+        def service_time(transaction):
+            started.append(transaction)
+            return 100.0
+
+        def on_complete(transaction):
+            if transaction is first:
+                scheduler.enqueue(late)
+
+        scheduler = DieScheduler((0, 0), SsdConfig.tiny(), events,
+                                 service_time_fn=service_time,
+                                 on_complete=on_complete)
+        scheduler.enqueue(first)
+        scheduler.enqueue(waiting)
+        events.run()
+        assert started == [first, waiting, late]
+        assert waiting.service_start_us == 100.0
+        assert late.service_start_us == 200.0
+
+
+class _QueueFirstScheduler(DieScheduler):
+    """Oracle: every transaction passes through the queues before it
+    starts, even on an idle die with both queues empty."""
+
+    def enqueue(self, transaction):
+        is_read = transaction.kind.is_read
+        if is_read and self._read_priority:
+            self.read_queue.append(transaction)
+        else:
+            self.write_queue.append(transaction)
+        if self.current is None:
+            self._start_next()
+        elif (is_read and self._suspension
+              and self._current_handle is not None):
+            self._suspend_current()
+            self._start_next()
+
+
+_KINDS = st.sampled_from(list(TransactionKind))
+_SERVICE_US = st.sampled_from([50.0, 100.0, 700.0, 5000.0])
+
+
+def _replay(scheduler_class, config, arrivals):
+    """Run one die over drawn arrivals; each arrival may enqueue follow-ups
+    onto the same die from its completion callback."""
+    events = EventQueue()
+    service_us = {}
+    followups = {}
+    finished = []
+    # Follow-ups are numbered as they are created, so two runs that
+    # schedule alike number them alike.
+    followup_ids = itertools.count(len(arrivals))
+
+    def transaction_of(kind, issue_us, transaction_id, service):
+        transaction = FlashTransaction(kind, 0, 0, 0, issue_us,
+                                       transaction_id=transaction_id)
+        service_us[transaction] = service
+        return transaction
+
+    def on_complete(transaction):
+        finished.append(transaction)
+        for kind, service in followups.pop(transaction, ()):
+            scheduler.enqueue(transaction_of(kind, events.now_us,
+                                             next(followup_ids), service))
+
+    scheduler = scheduler_class((0, 0), config, events,
+                                service_time_fn=service_us.__getitem__,
+                                on_complete=on_complete)
+    time_us = 0.0
+    for index, (gap_us, kind, service, children) in enumerate(arrivals):
+        time_us += gap_us
+        transaction = transaction_of(kind, time_us, index, service)
+        followups[transaction] = children
+        events.schedule_call(time_us, scheduler.enqueue, transaction)
+    events.run()
+    return ([(transaction.transaction_id, transaction.service_start_us,
+              transaction.completion_us) for transaction in finished],
+            scheduler.total_busy_us, scheduler.suspensions,
+            scheduler.completed_transactions)
+
+
+class TestDirectStartMatchesQueueFirst:
+    # Zero gaps, drawn twice as often, make simultaneous arrivals common.
+    @given(st.booleans(), st.booleans(), st.lists(
+        st.tuples(st.sampled_from([0.0, 0.0, 25.0, 100.0, 650.0]), _KINDS,
+                  _SERVICE_US,
+                  st.lists(st.tuples(_KINDS, _SERVICE_US), max_size=2)),
+        min_size=1, max_size=20))
+    @settings(max_examples=80, deadline=None)
+    def test_same_schedule_as_the_oracle(self, read_priority, suspension,
+                                         arrivals):
+        config = SsdConfig.tiny(read_priority=read_priority,
+                                suspension=suspension)
+        direct = _replay(DieScheduler, config, arrivals)
+        assert direct == _replay(_QueueFirstScheduler, config, arrivals)
+        assert direct[3] == len(arrivals) + sum(
+            len(children) for *_, children in arrivals)
+
