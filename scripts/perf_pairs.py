@@ -19,9 +19,20 @@ median and quartiles (``statistics.quantiles(n=4)``), the ratio of the
 change's median to the parent's and the number of pairs the change won.  A
 tie counts for neither side.  It exits 1 when any pass reports
 ``correct: false`` or failed passes, or prints no report.
+
+``--claim METRIC`` then tests a claimed gain on METRIC by the rule a
+benchmark gate applies, and exits 1 when the claim fails:
+
+* the change is better in at least 9 of 10 pairs (ties count for neither);
+* the change's median beats the parent's by more than the distance between
+  the parent's quartiles;
+* no other end-to-end metric's change median is worse than the parent's
+  by more than the fraction of the parent's median that its ``bound`` in
+  ``BENCHMARK.json`` allows.
 """
 
 import argparse
+import math
 import json
 import statistics
 import subprocess
@@ -29,6 +40,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+#: The share of the pairs a claimed gain must win.
+CLAIM_WIN_SHARE = 0.9
 
 
 def run_pass(checkout: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
@@ -106,17 +119,23 @@ def summary_row(name, better, parent, change, ratio, wins) -> str:
     return f"{name:16} {better:6}  {parent:32}  {change:32}  {ratio:>7}  {wins}"
 
 
+def paired_values(pairs: list, name: str) -> dict:
+    """Each side's values of ``name``, over the pairs where both reported it."""
+    values = {side: [] for side in SIDES}
+    for pair in pairs:
+        before = metric_value(pair["parent"], name)
+        after = metric_value(pair["change"], name)
+        if None not in (before, after):
+            values["parent"].append(before)
+            values["change"].append(after)
+    return values
+
+
 def summary_lines(pairs: list, metrics: list) -> list:
     header = ("metric", "better", "parent median [q1, q3]", "change median [q1, q3]")
     lines = [summary_row(*header, "ratio", "wins")]
     for name, better in metrics:
-        values = {side: [] for side in SIDES}
-        for pair in pairs:
-            before = metric_value(pair["parent"], name)
-            after = metric_value(pair["change"], name)
-            if None not in (before, after):
-                values["parent"].append(before)
-                values["change"].append(after)
+        values = paired_values(pairs, name)
         if not values["parent"]:
             lines.append(f"{name:16} {better:6}  no pair reported it")
             continue
@@ -131,6 +150,51 @@ def summary_lines(pairs: list, metrics: list) -> list:
     return lines
 
 
+def gain(parent: float, change: float, better: str) -> float:
+    """How much better ``change`` reads than ``parent`` (negative when worse)."""
+    return change - parent if better == "higher" else parent - change
+
+
+def claim_lines(pairs: list, metrics: list, claim: str) -> tuple:
+    """``(lines, holds)``: whether the change's gain on ``claim`` holds.
+
+    ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``.
+    """
+    lines = []
+    holds = True
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
+        values = paired_values(pairs, name)
+        if not values["parent"]:
+            lines.append(f"{name}: no pair reported it")
+            holds = holds and name != claim
+            continue
+        low, parent_median, high = quartiles(values["parent"])
+        change_median = statistics.median(values["change"])
+        if name == claim:
+            counted = len(values["parent"])
+            wins = change_wins(values["parent"], values["change"], better)
+            needed = math.ceil(CLAIM_WIN_SHARE * counted)
+            gap = gain(parent_median, change_median, better)
+            won, cleared = wins >= needed, gap > high - low
+            lines.append(f"claim {name}: change won {wins}/{counted} >= {needed} pairs: {won}")
+            lines.append(
+                f"claim {name}: median gap {gap:.6g} > parent quartile distance {high - low:.6g}: "
+                f"{cleared}"
+            )
+            holds = holds and won and cleared
+        elif "bound" in metric:
+            worse = -gain(parent_median, change_median, better) / parent_median
+            within = worse <= metric["bound"]
+            lines.append(
+                f"bound {name}: change median worse by {worse:+.2%} <= {metric['bound']:.0%}: "
+                f"{within}"
+            )
+            holds = holds and within
+    lines.append(f"claim {claim}: " + ("holds" if holds else "FAILS"))
+    return lines, holds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -139,20 +203,31 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, required=True, help="seed of pair 0")
+    parser.add_argument(
+        "--claim", metavar="METRIC", help="end-to-end metric whose claimed gain to test"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = [(metric["name"], metric["better"]) for metric in spec["end_to_end"]]
+    if args.claim is not None and args.claim not in dict(metrics):
+        parser.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
     pairs = run_pairs(args, spec["command"], metrics)
     print()
     print(f"{args.workload}: {len(pairs)} pairs, seeds {args.seed}-{args.seed + len(pairs) - 1}")
     for line in summary_lines(pairs, metrics):
         print(line)
+    holds = True
+    if args.claim is not None:
+        print()
+        lines, holds = claim_lines(pairs, spec["end_to_end"], args.claim)
+        for line in lines:
+            print(line)
     failed = [(pair["seed"], side) for pair in pairs for side in SIDES if not passed(pair[side])]
     for seed, side in failed:
         print(f"perf_pairs: the {side} pass of seed {seed} failed", file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if failed or not holds else 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,12 @@ paper's evaluation:
   evictions inject translation-page reads/programs on the same dies as
   host traffic and whose GC runs with trigger/stop watermarks and batched
   translation updates.  The controller schedules whatever flash work the
-  mapper returns and never branches on which mapper it holds;
+  mapper returns and never branches on which mapper it holds.  That work
+  arrives as packed page indices too: ``program`` returns one, a
+  translation op is a ``(TransactionKind, packed)`` pair and a
+  :class:`~repro.ssd.gc.GcOperation` lists them, so every transaction is
+  built straight from an int.  Program, erase and translation-read service
+  times are fixed per device and computed once at construction;
 * response times and utilization are collected in
   :class:`repro.ssd.metrics.SimulationMetrics`.
 
@@ -62,7 +67,7 @@ from repro.ssd.dftl import DftlMapper, TranslationOp
 from repro.ssd.engine import EventQueue
 from repro.ssd.faults import FaultInjector, FaultPlan
 from repro.ssd.flash_backend import FlashBackend
-from repro.ssd.ftl import FlashTranslationLayer, Mapper, PageAddressing, PhysicalPage
+from repro.ssd.ftl import FlashTranslationLayer, Mapper, PageAddressing
 from repro.ssd.gc import GcOperation
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import (
@@ -89,6 +94,10 @@ MAPPERS = {"block": FlashTranslationLayer, "page": DftlMapper}
 _PAGE_TYPES = len(PAGE_TYPE_ORDER)
 _READ = TransactionKind.READ
 _GC_READ = TransactionKind.GC_READ
+_TRANS_READ = TransactionKind.TRANS_READ
+_PROGRAM = TransactionKind.PROGRAM
+_GC_PROGRAM = TransactionKind.GC_PROGRAM
+_ERASE = TransactionKind.ERASE
 
 
 @dataclass
@@ -152,6 +161,10 @@ class SsdSimulator:
                  record_samples: bool = False,
                  device_id: int = 0,
                  track_tenants: bool = False):
+        # At most 29 instance attributes (``tests/test_ssd_controller.py``):
+        # CPython 3.11 keeps that many in the class's shared-key table, and
+        # one more gives every simulator a plain ``__dict__``, which slows
+        # each ``self.`` load on the per-page paths.
         self.config = config or SsdConfig.scaled()
         self.device_id = device_id
         #: When True, every completion is also recorded into a per-tenant
@@ -177,19 +190,27 @@ class SsdSimulator:
         self.backend = FlashBackend(self.config, rpt=shared_rpt)
         self.metrics = SimulationMetrics(record_samples=record_samples)
         self._addressing = PageAddressing(self.config)
+        # Non-read service times depend on the timing parameters alone.
+        # Translation pages are hot, constantly rewritten metadata: they
+        # read at default timing with no retry walk — one sensing pass for
+        # the page type plus transfer and decode.
+        timing = self.config.timing
+        self._program_us = timing.t_dma_page_us + timing.t_prog_us
+        self._erase_us = timing.t_bers_us
+        self._trans_read_us = tuple(
+            timing.read.sensing_latency_us(page_type) + timing.t_dma_page_us
+            + timing.t_ecc_us
+            for page_type in PAGE_TYPE_ORDER)
         #: Die schedulers indexed by die number (``channel *
-        #: dies_per_channel + die``, what ``FlashTransaction.die`` holds);
-        #: ``schedulers`` maps each ``(channel, die)`` to the same object.
+        #: dies_per_channel + die``, what ``FlashTransaction.die`` holds).
         self._dies: List[DieScheduler] = [
             DieScheduler((channel, die), self.config, self.events,
                          service_time_fn=self._service_time,
                          on_complete=self._on_transaction_complete)
             for channel in range(self.config.channels)
             for die in range(self.config.dies_per_channel)]
-        self.schedulers: Dict[tuple, DieScheduler] = {
-            scheduler.die_key: scheduler for scheduler in self._dies}
-        self._cold_retention_months = 0.0
-        self._preconditioned_pe_cycles = 0
+        #: The preconditioned ``(pe_cycles, retention_months)``.
+        self._precondition = (0, 0.0)
         self._outstanding_requests = 0
         #: Installed by :meth:`install_faults`; ``None`` keeps the read path
         #: and the admission pump byte-for-byte on their fault-free code.
@@ -226,6 +247,11 @@ class SsdSimulator:
             Callable[[HostRequest, float], None]] = None
 
     @property
+    def schedulers(self) -> Dict[tuple, DieScheduler]:
+        """The die schedulers, keyed by ``(channel, die)``."""
+        return {scheduler.die_key: scheduler for scheduler in self._dies}
+
+    @property
     def distinct_read_conditions(self) -> int:
         """How many distinct (P/E, retention) conditions reads have seen.
 
@@ -254,13 +280,12 @@ class SsdSimulator:
         self.mapper.precondition_fill(pages_to_fill,
                                       retention_months=retention_months,
                                       pe_cycles=pe_cycles)
-        self._cold_retention_months = retention_months
-        self._preconditioned_pe_cycles = pe_cycles
+        self._precondition = (pe_cycles, retention_months)
         # Most reads of the run see the cold preconditioned data; vectorize
         # its retry-step slab up front so the read hot path serves from the
         # grid immediately.  The fresh-write condition and GC-created P/E
         # levels fill lazily once their reads actually appear.
-        self.backend.prefill_conditions([(pe_cycles, retention_months)])
+        self.backend.prefill_conditions([self._precondition])
 
     # -- fault injection ------------------------------------------------------------
     def install_faults(self, plan) -> None:
@@ -383,8 +408,9 @@ class SsdSimulator:
         self.metrics.simulated_time_us = self.events.now_us
         # Each scheduler's busy time is cumulative over every run of this
         # simulator, as the clock is: store it, do not add it again.
-        for key, scheduler in self.schedulers.items():
-            self.metrics.die_busy_us[key] = scheduler.total_busy_us
+        for scheduler in self._dies:
+            self.metrics.die_busy_us[scheduler.die_key] = (
+                scheduler.total_busy_us)
         self.metrics.grid_hits = self.backend.grid_hits
         self.metrics.scalar_fallbacks = self.backend.scalar_fallbacks
         # Translation reads/writes are counted at enqueue time; the
@@ -397,8 +423,8 @@ class SsdSimulator:
             policy_name=self.policy.name,
             config=self.config,
             metrics=self.metrics,
-            preconditioned_pe_cycles=self._preconditioned_pe_cycles,
-            preconditioned_retention_months=self._cold_retention_months,
+            preconditioned_pe_cycles=self._precondition[0],
+            preconditioned_retention_months=self._precondition[1],
             device_id=self.device_id,
             distinct_read_conditions=self.distinct_read_conditions)
 
@@ -551,45 +577,45 @@ class SsdSimulator:
         self._maybe_resume_after_barrier()
 
     def _issue_program(self, lpn: int, request: Optional[HostRequest]) -> None:
-        physical, ops = self.mapper.program(lpn, self.events.now_us)
+        now_us = self.events.now_us
+        packed, ops = self.mapper.program(lpn, now_us)
         if ops:
             self._issue_translation_ops(ops)
         self.metrics.host_programs += 1
-        self._enqueue_page(TransactionKind.PROGRAM, physical, lpn, request)
+        die = packed // self._addressing.pages_per_die
+        self._dies[die].enqueue(
+            FlashTransaction(_PROGRAM, lpn, packed, die, now_us, request))
 
     def _issue_translation_ops(self, ops: Sequence[TranslationOp]) -> None:
         """Schedule DFTL translation-page traffic as real flash transactions."""
-        for op in ops:
-            if op.kind == "read":
-                kind = TransactionKind.TRANS_READ
-                self.metrics.translation_reads += 1
+        now_us = self.events.now_us
+        dies = self._dies
+        pages_per_die = self._addressing.pages_per_die
+        metrics = self.metrics
+        for kind, packed in ops:
+            if kind is _TRANS_READ:
+                metrics.translation_reads += 1
             else:
-                kind = TransactionKind.TRANS_PROGRAM
-                self.metrics.translation_writes += 1
-            self._enqueue_page(kind, op.physical)
+                metrics.translation_writes += 1
+            die = packed // pages_per_die
+            dies[die].enqueue(
+                FlashTransaction(kind, None, packed, die, now_us, None))
 
     # -- flash service times -----------------------------------------------------------------
     def _service_time(self, transaction: FlashTransaction) -> float:
         kind = transaction.kind
         # Host and GC reads dominate every workload this simulator runs;
-        # dispatch them before the rarer program/erase kinds.
+        # dispatch them before the rarer kinds.  What is left after
+        # translation reads and erases is a host, GC or translation program.
         if kind is _READ or kind is _GC_READ:
             return self._read_service_time(transaction)
-        timing = self.config.timing
-        if kind in (TransactionKind.PROGRAM, TransactionKind.GC_PROGRAM,
-                    TransactionKind.TRANS_PROGRAM):
-            return timing.t_dma_page_us + timing.t_prog_us
-        if kind is TransactionKind.ERASE:
-            return timing.t_bers_us
-        if kind is TransactionKind.TRANS_READ:
-            # Translation pages are hot, constantly rewritten metadata: they
-            # read at default timing with no retry walk — one sensing pass
-            # for the page type plus transfer and decode.
-            page_type = PAGE_TYPE_ORDER[
-                self._addressing.page_type_index(transaction.packed)]
-            return (timing.read.sensing_latency_us(page_type)
-                    + timing.t_dma_page_us + timing.t_ecc_us)
-        return self._read_service_time(transaction)
+        if kind is _TRANS_READ:
+            page_type = (transaction.packed % self._addressing.pages_per_block
+                         % _PAGE_TYPES)
+            return self._trans_read_us[page_type]
+        if kind is _ERASE:
+            return self._erase_us
+        return self._program_us
 
     def _read_service_time(self, transaction: FlashTransaction) -> float:
         packed = transaction.packed
@@ -662,7 +688,7 @@ class SsdSimulator:
     def _on_transaction_complete(self, transaction: FlashTransaction) -> None:
         if transaction.kind is _READ:
             self._complete_host_read_page(transaction)
-        elif transaction.kind is TransactionKind.PROGRAM:
+        elif transaction.kind is _PROGRAM:
             self._complete_host_program_page(transaction)
         # GC reads/programs and erases need no per-completion bookkeeping
         # beyond the die-busy accounting the scheduler already did.
@@ -722,23 +748,20 @@ class SsdSimulator:
         """Schedule a collected or retired block's flash work, in order:
         each relocation's read and program, the batched translation
         updates, then the victim's erase."""
+        now_us = self.events.now_us
+        dies = self._dies
+        pages_per_die = self._addressing.pages_per_die
         for source, destination in zip(operation.relocations,
                                        operation.destinations):
-            self._enqueue_page(TransactionKind.GC_READ, source)
-            self._enqueue_page(TransactionKind.GC_PROGRAM, destination)
+            die = source // pages_per_die
+            dies[die].enqueue(
+                FlashTransaction(_GC_READ, None, source, die, now_us, None))
+            die = destination // pages_per_die
+            dies[die].enqueue(FlashTransaction(
+                _GC_PROGRAM, None, destination, die, now_us, None))
         self._issue_translation_ops(operation.translation_ops)
-        plane = self.mapper.planes[operation.plane_index]
-        erase_target = PhysicalPage(plane.channel, plane.die, plane.plane,
-                                    operation.victim_block, 0)
-        self._enqueue_page(TransactionKind.ERASE, erase_target)
-
-    def _enqueue_page(self, kind: TransactionKind, physical: PhysicalPage,
-                      lpn: Optional[int] = None,
-                      request: Optional[HostRequest] = None) -> None:
-        """Enqueue flash work on a page a mapper returned: host programs,
-        GC relocations and erases, translation-page traffic."""
-        packed = self._addressing.pack(physical)
-        die = self._addressing.die_of(packed)
-        self._dies[die].enqueue(FlashTransaction(
-            kind, lpn, packed, die, self.events.now_us, request))
+        erase_target = operation.erase_target
+        die = erase_target // pages_per_die
+        dies[die].enqueue(
+            FlashTransaction(_ERASE, None, erase_target, die, now_us, None))
 

@@ -11,7 +11,7 @@ what a production device does instead, following the DFTL design:
 * a **global translation directory** (GTD) locates each translation page;
   a CMT miss reads one translation page, evicting a dirty entry writes one
   back (read-modify-write), and both are surfaced as
-  :class:`TranslationOp` records the controller injects as real flash
+  :data:`TranslationOp` pairs the controller injects as real flash
   traffic on the same dies as host I/O;
 * a **garbage collector** with its own append point per plane reclaims
   space greedily (victim = fewest valid pages), batching the translation
@@ -30,17 +30,31 @@ controller, which schedules them for die time.  Retention ages stay on the
 experiment's month-granular lattice: the aging a block accrues *during* a
 simulated run (microseconds to seconds) rounds to zero whole months, so the
 retry-step grid keeps serving discrete (P/E, retention) conditions.
+
+Every address this module stores or returns is a packed page index
+(:class:`~repro.ssd.ftl.PageAddressing`): the map and the GTD hold them,
+each plane's allocator returns one (the plane's ``base`` plus its block and
+page offset), and invalidation finds a page's block in the corner-ordered
+block list at ``packed // pages_per_block``.  The :class:`PhysicalPage`
+forms (:meth:`DftlMapper.write`, :meth:`DftlMapper.lookup`,
+:meth:`DftlMapper.read_target`) are adapters for tests and callers at the
+API edge.  Two indexes keep per-event work off whole-table scans: the CMT's
+dirty entries are indexed by translation page, so persisting one clears
+just its entries, and the mapper keeps the set of planes below their GC
+trigger, so :meth:`DftlMapper.collect_if_needed` returns at once while it is
+empty.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import PageAddressing, PhysicalPage, check_lpn
 from repro.ssd.gc import GcOperation
+from repro.ssd.request import TransactionKind
 
 #: Append-point streams.  Each plane keeps one active block per stream so
 #: host writes, GC relocations and translation pages never interleave
@@ -53,13 +67,11 @@ TRANS_STREAM = "trans"
 #: a block's last-write timestamp into whole months of in-run aging.
 US_PER_MONTH = 30.44 * 24.0 * 3600.0 * 1e6
 
-
-@dataclass(frozen=True)
-class TranslationOp:
-    """One translation-page flash operation (``kind`` is ``read``/``program``)."""
-
-    kind: str
-    physical: PhysicalPage
+#: One translation-page flash operation: ``(TransactionKind.TRANS_READ or
+#: TransactionKind.TRANS_PROGRAM, packed page index)``.
+TranslationOp = Tuple[TransactionKind, int]
+_TRANS_READ = TransactionKind.TRANS_READ
+_TRANS_PROGRAM = TransactionKind.TRANS_PROGRAM
 
 
 @dataclass
@@ -101,13 +113,33 @@ class DftlBlock:
 
 
 class DftlPlane:
-    """Free-block pool, per-stream append points and OOB state of one plane."""
+    """Free-block pool, per-stream append points and OOB state of one plane.
 
-    def __init__(self, config: SsdConfig, channel: int, die: int, plane: int):
+    ``below_trigger`` is the mapper's set of planes below the GC trigger
+    (:attr:`DftlMapper.planes_below_trigger`); every change to the plane's
+    free-block list (opening an append block, an erase, a retirement)
+    re-tests the trigger and keeps the plane's index there in step.
+    """
+
+    def __init__(
+        self,
+        config: SsdConfig,
+        plane_index: int,
+        channel: int,
+        die: int,
+        plane: int,
+        below_trigger: Set[int],
+    ):
         self.config = config
         self.channel = channel
         self.die = die
         self.plane = plane
+        self._index = plane_index
+        self._below_trigger = below_trigger
+        self._pages_per_block = config.pages_per_block
+        #: Packed index of the plane's first page; its pages follow block
+        #: by block (:class:`PageAddressing`).
+        self.base = plane_index * config.blocks_per_plane * config.pages_per_block
         self.blocks: List[DftlBlock] = []
         for block_id in range(config.blocks_per_plane):
             block = DftlBlock(block_id=block_id)
@@ -122,6 +154,7 @@ class DftlPlane:
         #: Grown-bad blocks: permanently out of service, never re-enter the
         #: free pool and are never opened as append blocks again.
         self._retired: set = set()
+        self._free_blocks_changed()
 
     # -- free-block pool -----------------------------------------------------
     @property
@@ -135,6 +168,13 @@ class DftlPlane:
     def gc_satisfied(self) -> bool:
         return len(self._free_blocks) >= self.config.gc_stop_free_blocks
 
+    def _free_blocks_changed(self) -> None:
+        """Re-test the GC trigger after the free-block list changed."""
+        if self.needs_gc():
+            self._below_trigger.add(self._index)
+        else:
+            self._below_trigger.discard(self._index)
+
     def _open_active_block(self, stream: str) -> int:
         if not self._free_blocks:
             raise RuntimeError(
@@ -144,17 +184,17 @@ class DftlPlane:
         # Wear leveling: open the free block with the lowest P/E count.
         self._free_blocks.sort(key=lambda block_id: (self.blocks[block_id].pe_cycles, block_id))
         block_id = self._free_blocks.pop(0)
+        self._free_blocks_changed()
         self.blocks[block_id].stream = stream
         self._active[stream] = block_id
         return block_id
 
     # -- page allocation -----------------------------------------------------
-    def allocate(
-        self, stream: str, lpn: int, retention_months: float, now_us: float
-    ) -> PhysicalPage:
-        """Program the next free page of ``stream``'s append block."""
+    def allocate(self, stream: str, lpn: int, retention_months: float, now_us: float) -> int:
+        """Program the next free page of ``stream``'s append block; its packed index."""
         active = self._active[stream]
-        if active is None or self.blocks[active].is_full:
+        # ``is_full``, inlined: one allocation per page written.
+        if active is None or self.blocks[active].next_free_page >= self._pages_per_block:
             active = self._open_active_block(stream)
         block = self.blocks[active]
         page = block.next_free_page
@@ -164,14 +204,7 @@ class DftlPlane:
         block.next_free_page += 1
         block.valid_count += 1
         block.last_write_us = now_us
-        return PhysicalPage(self.channel, self.die, self.plane, active, page)
-
-    def invalidate(self, block_id: int, page: int) -> None:
-        block = self.blocks[block_id]
-        if not block.page_valid[page]:
-            return
-        block.page_valid[page] = False
-        block.valid_count -= 1
+        return self.base + active * self._pages_per_block + page
 
     def erase(self, block_id: int) -> None:
         """Erase a block and return it to the free pool (unless retired)."""
@@ -183,6 +216,7 @@ class DftlPlane:
                 self._active[stream] = None
         if block_id not in self._free_blocks and block_id not in self._retired:
             self._free_blocks.append(block_id)
+            self._free_blocks_changed()
 
     def retire(self, block_id: int) -> None:
         """Take a block out of service permanently (grown bad block).
@@ -197,6 +231,7 @@ class DftlPlane:
         self._retired.add(block_id)
         if block_id in self._free_blocks:
             self._free_blocks.remove(block_id)
+            self._free_blocks_changed()
         for stream, active in self._active.items():
             if active == block_id:
                 self._active[stream] = None
@@ -234,30 +269,36 @@ class DftlMapper:
     The authoritative LPN-to-PPN table (what the translation pages on flash
     collectively hold) is kept in ``_mapping``; the CMT on top of it decides
     *when* translation-page flash traffic happens.  Every public mutator
-    returns the :class:`TranslationOp` list its caller must schedule.
+    returns the :data:`TranslationOp` list its caller must schedule.
     """
-
-    #: A CMT miss on the read path reads a translation page.
-    reads_need_translation = True
 
     def __init__(self, config: SsdConfig):
         self.config = config
+        #: Indices of the planes whose free pool is below the GC trigger;
+        #: each plane keeps its own in step (:class:`DftlPlane`).
+        self.planes_below_trigger: Set[int] = set()
         self.planes: List[DftlPlane] = []
         for channel in range(config.channels):
             for die in range(config.dies_per_channel):
                 for plane in range(config.planes_per_die):
-                    self.planes.append(DftlPlane(config, channel, die, plane))
+                    self.planes.append(
+                        DftlPlane(
+                            config, len(self.planes), channel, die, plane, self.planes_below_trigger
+                        )
+                    )
         self.addressing = PageAddressing(config)
         #: Every block, indexed by its corner ``packed // pages_per_block``.
         self._blocks = [block for plane in self.planes for block in plane.blocks]
         self._pages_per_block = config.pages_per_block
-        self._pages_per_plane = config.blocks_per_plane * config.pages_per_block
-        #: Authoritative mapping: lpn -> (plane_index, block, page).
-        self._mapping: Dict[int, Tuple[int, int, int]] = {}
-        #: Global translation directory: tvpn -> (plane_index, block, page).
-        self._gtd: Dict[int, Tuple[int, int, int]] = {}
+        self._entries_per_page = config.translation_entries_per_page
+        #: Authoritative mapping: lpn -> packed page index.
+        self._mapping: Dict[int, int] = {}
+        #: Global translation directory: tvpn -> packed page index.
+        self._gtd: Dict[int, int] = {}
         #: Cached mapping table: lpn -> dirty flag, in LRU order.
         self._cmt: "OrderedDict[int, bool]" = OrderedDict()
+        #: The CMT's dirty entries by translation page: tvpn -> LPNs.
+        self._dirty: Dict[int, Set[int]] = defaultdict(set)
         self._next_plane = 0
         self._next_trans_plane = 0
         #: Preconditioned retention age of never-written LPNs a read maps.
@@ -272,21 +313,10 @@ class DftlMapper:
     # -- addressing helpers --------------------------------------------------
     def tvpn_of(self, lpn: int) -> int:
         """The translation page (virtual number) holding ``lpn``'s entry."""
-        return lpn // self.config.translation_entries_per_page
-
-    def plane_index(self, channel: int, die: int, plane: int) -> int:
-        return (channel * self.config.dies_per_channel + die) * self.config.planes_per_die + plane
-
-    def plane_for(self, physical: PhysicalPage) -> DftlPlane:
-        return self.planes[self.plane_index(physical.channel, physical.die, physical.plane)]
-
-    def _physical(self, entry: Tuple[int, int, int]) -> PhysicalPage:
-        plane_index, block, page = entry
-        plane = self.planes[plane_index]
-        return PhysicalPage(plane.channel, plane.die, plane.plane, block, page)
+        return lpn // self._entries_per_page
 
     def block_at(self, physical: PhysicalPage) -> DftlBlock:
-        return self.plane_for(physical).blocks[physical.block]
+        return self._blocks[self.addressing.pack(physical) // self._pages_per_block]
 
     def read_condition_packed(self, packed: int, now_us: float) -> Tuple[int, float]:
         """``(pe_cycles, retention_months)`` of a packed page; the stored
@@ -304,8 +334,8 @@ class DftlMapper:
 
     def lookup_direct(self, lpn: int) -> Optional[PhysicalPage]:
         """Mapping lookup without touching the CMT (no timing side effects)."""
-        entry = self._mapping.get(lpn)
-        return None if entry is None else self._physical(entry)
+        packed = self._mapping.get(lpn)
+        return None if packed is None else self.addressing.unpack(packed)
 
     def is_mapped(self, lpn: int) -> bool:
         check_lpn(lpn, self.config.logical_pages)
@@ -319,54 +349,83 @@ class DftlMapper:
     def cached_entries(self) -> int:
         return len(self._cmt)
 
+    def _invalidate(self, packed: int) -> None:
+        """Clear the valid bit of the page at packed index ``packed``."""
+        block = self._blocks[packed // self._pages_per_block]
+        page = packed % self._pages_per_block
+        if block.page_valid[page]:
+            block.page_valid[page] = False
+            block.valid_count -= 1
+
     # -- CMT / GTD machinery -------------------------------------------------
     def _write_translation_page(self, tvpn: int, now_us: float) -> List[TranslationOp]:
         """Persist ``tvpn``'s entries: read-modify-write its translation page."""
         ops: List[TranslationOp] = []
-        entry = self._gtd.get(tvpn)
-        if entry is not None:
+        old = self._gtd.get(tvpn)
+        if old is not None:
             self.translation_reads += 1
-            ops.append(TranslationOp("read", self._physical(entry)))
-            plane_index, block, page = entry
-            self.planes[plane_index].invalidate(block, page)
+            ops.append((_TRANS_READ, old))
+            self._invalidate(old)
         plane_index = self._next_trans_plane
-        self._next_trans_plane = (self._next_trans_plane + 1) % len(self.planes)
+        self._next_trans_plane = (plane_index + 1) % len(self.planes)
         destination = self.planes[plane_index].allocate(TRANS_STREAM, tvpn, 0.0, now_us)
-        self._gtd[tvpn] = (plane_index, destination.block, destination.page)
+        self._gtd[tvpn] = destination
         self.translation_writes += 1
-        ops.append(TranslationOp("program", destination))
+        ops.append((_TRANS_PROGRAM, destination))
+        self._mark_tvpn_clean(tvpn)
         return ops
 
     def _mark_tvpn_clean(self, tvpn: int) -> None:
         """Batch update: a freshly written translation page persists every
-        cached entry it covers, not just the one that triggered it."""
-        for lpn, dirty in self._cmt.items():
-            if dirty and self.tvpn_of(lpn) == tvpn:
-                self._cmt[lpn] = False
+        cached entry it covers, not just the one that triggered it.  Only
+        flags flip, so the CMT's LRU order stays as it is."""
+        lpns = self._dirty.pop(tvpn, None)
+        if lpns:
+            cmt = self._cmt
+            for lpn in lpns:
+                cmt[lpn] = False
 
     def _ensure_cached(self, lpn: int, now_us: float) -> List[TranslationOp]:
         """Bring ``lpn``'s mapping entry into the CMT (LRU, demand-paged)."""
-        if lpn in self._cmt:
+        cmt = self._cmt
+        if lpn in cmt:
             self.cmt_hits += 1
-            self._cmt.move_to_end(lpn)
+            cmt.move_to_end(lpn)
             return []
         self.cmt_misses += 1
         ops: List[TranslationOp] = []
-        while len(self._cmt) >= self.config.cmt_capacity_entries:
-            victim_lpn, dirty = self._cmt.popitem(last=False)
+        while len(cmt) >= self.config.cmt_capacity_entries:
+            victim_lpn, dirty = cmt.popitem(last=False)
             if dirty:
-                victim_tvpn = self.tvpn_of(victim_lpn)
+                victim_tvpn = victim_lpn // self._entries_per_page
+                self._dirty[victim_tvpn].discard(victim_lpn)
                 ops.extend(self._write_translation_page(victim_tvpn, now_us))
-                self._mark_tvpn_clean(victim_tvpn)
-        entry = self._gtd.get(self.tvpn_of(lpn))
+        entry = self._gtd.get(lpn // self._entries_per_page)
         if entry is not None:
             # The translation page exists on flash; fetch it.  An absent
             # directory entry means the region was never persisted, which
             # the directory itself answers without flash traffic.
             self.translation_reads += 1
-            ops.append(TranslationOp("read", self._physical(entry)))
-        self._cmt[lpn] = False
+            ops.append((_TRANS_READ, entry))
+        cmt[lpn] = False
         return ops
+
+    def _place(
+        self, lpn: int, retention_months: float, now_us: float
+    ) -> Tuple[int, List[TranslationOp]]:
+        """Map ``lpn`` to a newly allocated host-stream page (LPN checked by
+        the caller); its packed index and the translation traffic."""
+        ops = self._ensure_cached(lpn, now_us)
+        old = self._mapping.get(lpn)
+        if old is not None:
+            self._invalidate(old)
+        plane_index = self._next_plane
+        self._next_plane = (plane_index + 1) % len(self.planes)
+        packed = self.planes[plane_index].allocate(HOST_STREAM, lpn, retention_months, now_us)
+        self._mapping[lpn] = packed
+        self._cmt[lpn] = True
+        self._dirty[lpn // self._entries_per_page].add(lpn)
+        return packed, ops
 
     # -- host-visible operations ---------------------------------------------
     def lookup(self, lpn: int, now_us: float) -> Tuple[Optional[PhysicalPage], List[TranslationOp]]:
@@ -380,16 +439,11 @@ class DftlMapper:
         mapped now as cold data."""
         check_lpn(lpn, self.config.logical_pages)
         ops = self._ensure_cached(lpn, now_us)
-        entry = self._mapping.get(lpn)
-        if entry is None:
-            _, _, more = self.write(
-                lpn, retention_months=self._cold_retention_months, now_us=now_us
-            )
+        packed = self._mapping.get(lpn)
+        if packed is None:
+            packed, more = self._place(lpn, self._cold_retention_months, now_us)
             ops.extend(more)
-            entry = self._mapping[lpn]
-        plane_index, block, page = entry
-        # The PageAddressing encoding of the mapping entry.
-        return plane_index * self._pages_per_plane + block * self._pages_per_block + page, ops
+        return packed, ops
 
     def read_target(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, List[TranslationOp]]:
         """:meth:`read_target_packed` as a :class:`PhysicalPage`."""
@@ -404,37 +458,28 @@ class DftlMapper:
         :return: ``(new_physical, invalidated_physical_or_None, trans_ops)``.
         """
         check_lpn(lpn, self.config.logical_pages)
-        ops = self._ensure_cached(lpn, now_us)
         old_physical = self.lookup_direct(lpn)
-        if old_physical is not None:
-            self.plane_for(old_physical).invalidate(old_physical.block, old_physical.page)
-        plane_index = self._next_plane
-        self._next_plane = (self._next_plane + 1) % len(self.planes)
-        physical = self.planes[plane_index].allocate(HOST_STREAM, lpn, retention_months, now_us)
-        self._mapping[lpn] = (plane_index, physical.block, physical.page)
-        self._cmt[lpn] = True
-        return physical, old_physical, ops
+        packed, ops = self._place(lpn, retention_months, now_us)
+        return self.addressing.unpack(packed), old_physical, ops
 
-    def program(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, List[TranslationOp]]:
-        """Map a host write of ``lpn`` to a fresh host-stream page."""
-        physical, _, ops = self.write(lpn, now_us=now_us)
-        return physical, ops
+    def program(self, lpn: int, now_us: float) -> Tuple[int, List[TranslationOp]]:
+        """Map a host write of ``lpn`` to a fresh host-stream page; its packed index."""
+        check_lpn(lpn, self.config.logical_pages)
+        return self._place(lpn, 0.0, now_us)
 
     def trim(self, lpn: int, now_us: float = 0.0) -> List[TranslationOp]:
         """Unmap ``lpn``, invalidating its page and persisting the unmap."""
         check_lpn(lpn, self.config.logical_pages)
-        entry = self._mapping.pop(lpn, None)
-        self._cmt.pop(lpn, None)
-        if entry is None:
+        packed = self._mapping.pop(lpn, None)
+        tvpn = lpn // self._entries_per_page
+        if self._cmt.pop(lpn, False):
+            self._dirty[tvpn].discard(lpn)
+        if packed is None:
             return []
-        plane_index, block, page = entry
-        self.planes[plane_index].invalidate(block, page)
-        ops: List[TranslationOp] = []
-        tvpn = self.tvpn_of(lpn)
+        self._invalidate(packed)
         if tvpn in self._gtd:
-            ops.extend(self._write_translation_page(tvpn, now_us))
-            self._mark_tvpn_clean(tvpn)
-        return ops
+            return self._write_translation_page(tvpn, now_us)
+        return []
 
     # -- preconditioning -----------------------------------------------------
     def precondition_fill(
@@ -456,16 +501,14 @@ class DftlMapper:
         for lpn in range(pages):
             plane_index = self._next_plane
             self._next_plane = (self._next_plane + 1) % len(self.planes)
-            physical = self.planes[plane_index].allocate(
+            self._mapping[lpn] = self.planes[plane_index].allocate(
                 HOST_STREAM, lpn, retention_months, 0.0
             )
-            self._mapping[lpn] = (plane_index, physical.block, physical.page)
         if pages > 0:
             for tvpn in range(self.tvpn_of(pages - 1) + 1):
                 plane_index = self._next_trans_plane
                 self._next_trans_plane = (self._next_trans_plane + 1) % len(self.planes)
-                destination = self.planes[plane_index].allocate(TRANS_STREAM, tvpn, 0.0, 0.0)
-                self._gtd[tvpn] = (plane_index, destination.block, destination.page)
+                self._gtd[tvpn] = self.planes[plane_index].allocate(TRANS_STREAM, tvpn, 0.0, 0.0)
         self.set_uniform_pe_cycles(pe_cycles)
 
     def set_uniform_pe_cycles(self, pe_cycles: int) -> None:
@@ -477,6 +520,8 @@ class DftlMapper:
     # -- garbage collection --------------------------------------------------
     def collect_if_needed(self, now_us: float = 0.0) -> List[GcOperation]:
         """Collect every plane below its trigger watermark up to the stop one."""
+        if not self.planes_below_trigger:
+            return []
         operations: List[GcOperation] = []
         for plane_index, plane in enumerate(self.planes):
             if not plane.needs_gc():
@@ -512,62 +557,77 @@ class DftlMapper:
         """Relocate ``victim``'s valid pages within its plane, then erase it."""
         plane = self.planes[plane_index]
         block = plane.blocks[victim]
-        operation = GcOperation(plane_index=plane_index, victim_block=victim)
+        first = plane.base + victim * self._pages_per_block
+        operation = GcOperation(plane_index=plane_index, victim_block=victim, erase_target=first)
         is_translation = block.stream == TRANS_STREAM
         touched_tvpns = set()
         for page, valid in enumerate(block.page_valid):
             if not valid:
                 continue
             lpn = block.page_lpns[page]
-            source = PhysicalPage(plane.channel, plane.die, plane.plane, victim, page)
             # Relocated data keeps its stored retention age — copying a page
             # does not refresh the host's perception of the data, so cold
             # pages stay cold across GC (same convention as the block FTL).
             retention = block.page_retention_months[page]
             if is_translation:
                 destination = plane.allocate(TRANS_STREAM, lpn, retention, now_us)
-                self._gtd[lpn] = (plane_index, destination.block, destination.page)
+                self._gtd[lpn] = destination
             else:
                 destination = plane.allocate(GC_STREAM, lpn, retention, now_us)
-                self._mapping[lpn] = (plane_index, destination.block, destination.page)
-                touched_tvpns.add(self.tvpn_of(lpn))
-            operation.relocations.append(source)
+                self._mapping[lpn] = destination
+                touched_tvpns.add(lpn // self._entries_per_page)
+            operation.relocations.append(first + page)
             operation.destinations.append(destination)
         # DFTL batch update: one translation-page read-modify-write per
         # distinct translation page covering the relocated LPNs, instead of
         # one per page; cached entries it covers become clean.
         for tvpn in sorted(touched_tvpns):
             operation.translation_ops.extend(self._write_translation_page(tvpn, now_us))
-            self._mark_tvpn_clean(tvpn)
         plane.erase(victim)
         return operation
 
     # -- invariants (exercised by the property-based tests) ------------------
     def check_consistency(self) -> None:
-        """Assert the mapping, GTD and OOB state agree; raises on violation."""
-        for lpn, entry in self._mapping.items():
-            plane_index, block_id, page = entry
-            block = self.planes[plane_index].blocks[block_id]
+        """Assert the mapping, GTD, OOB state and both indexes agree; raises
+        on violation."""
+        pages_per_block = self._pages_per_block
+        for lpn, packed in self._mapping.items():
+            block = self._blocks[packed // pages_per_block]
+            page = packed % pages_per_block
             if not block.page_valid[page] or block.page_lpns[page] != lpn:
                 raise AssertionError(
-                    f"mapping for LPN {lpn} points at plane {plane_index} "
-                    f"block {block_id} page {page}, whose OOB disagrees"
+                    f"mapping for LPN {lpn} points at packed page {packed}, whose OOB disagrees"
                 )
-        for tvpn, entry in self._gtd.items():
-            plane_index, block_id, page = entry
-            block = self.planes[plane_index].blocks[block_id]
+        for tvpn, packed in self._gtd.items():
+            block = self._blocks[packed // pages_per_block]
+            page = packed % pages_per_block
             if not block.page_valid[page] or block.page_lpns[page] != tvpn:
                 raise AssertionError(f"GTD entry for translation page {tvpn} is stale")
         expected_valid = len(self._mapping) + len(self._gtd)
-        total_valid = sum(block.valid_count for plane in self.planes for block in plane.blocks)
+        total_valid = sum(block.valid_count for block in self._blocks)
         if total_valid != expected_valid:
             raise AssertionError(
                 f"{total_valid} valid pages on flash, but mapping+GTD hold "
                 f"{expected_valid} entries"
             )
-        for plane in self.planes:
-            for block in plane.blocks:
-                if block.valid_count != sum(block.page_valid):
-                    raise AssertionError(
-                        f"block {block.block_id} valid_count disagrees with its bitmap"
-                    )
+        for block in self._blocks:
+            if block.valid_count != sum(block.page_valid):
+                raise AssertionError(
+                    f"block {block.block_id} valid_count disagrees with its bitmap"
+                )
+        dirty = {lpn for lpn, flag in self._cmt.items() if flag}
+        indexed = set()
+        for tvpn, lpns in self._dirty.items():
+            if any(lpn // self._entries_per_page != tvpn for lpn in lpns):
+                raise AssertionError(f"dirty index of translation page {tvpn} holds another's LPN")
+            indexed |= lpns
+        if indexed != dirty:
+            raise AssertionError(
+                f"dirty index holds {sorted(indexed)}, the CMT's dirty entries are {sorted(dirty)}"
+            )
+        below = {index for index, plane in enumerate(self.planes) if plane.needs_gc()}
+        if self.planes_below_trigger != below:
+            raise AssertionError(
+                f"planes_below_trigger is {sorted(self.planes_below_trigger)}, "
+                f"but planes {sorted(below)} are below the GC trigger"
+            )

@@ -15,11 +15,19 @@ LPN-to-page map itself is one flat typed array of packed page indices, so
 preconditioning writes it with a single numpy assignment.
 
 A packed page index (:class:`PageAddressing`) is the one address the
-controller's read path handles: its die, its block's retry-grid corner and
-its page type are each one integer division or remainder away, so both
-mappers serve reads by packed index (``read_target_packed``,
-``read_condition_packed``).  :class:`PhysicalPage` stays at the API edge:
-the ``PhysicalPage``-keyed methods are thin adapters over the packed ones.
+controller handles: its die, its block's retry-grid corner and its page
+type are each one integer division or remainder away.  Both mappers serve
+reads by packed index (``read_target_packed``, ``read_condition_packed``)
+and hand out writes the same way: each plane's allocator returns the packed
+index of the page it programs (the plane's ``base`` plus the block and page
+offset), ``Mapper.program`` returns it, and every page of a
+:class:`~repro.ssd.gc.GcOperation` is one.  :class:`PhysicalPage` stays at
+the API edge: the ``PhysicalPage``-keyed methods (``lookup``, ``write``,
+``read_target``, ``read_condition``) are thin adapters over the packed ones.
+Each mapper also keeps the set of its planes below the GC trigger, kept in
+step by the planes whenever their free-block list changes, so
+``collect_if_needed`` on a device with free space to spare returns without
+visiting a plane.
 
 :class:`Mapper` is the contract the controller drives an FTL through.  This
 flat-table FTL (``mapping="block"``) and the DFTL of :mod:`repro.ssd.dftl`
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -168,8 +176,6 @@ class Mapper(Protocol):
     #: Per-plane state (``channel``/``die``/``plane``), indexed like
     #: :attr:`GcOperation.plane_index`.
     planes: Sequence
-    #: Whether a read may cost translation traffic (a cache miss).
-    reads_need_translation: bool
     #: Planes found below their GC trigger; mapping-cache hits and misses.
     gc_invocations: int
     cmt_hits: int
@@ -186,8 +192,8 @@ class Mapper(Protocol):
     def read_target_packed(self, lpn: int, now_us: float) -> Tuple[int, Sequence[TranslationOp]]:
         """:meth:`read_target` with the page as a packed index (the read path's form)."""
 
-    def program(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, Sequence[TranslationOp]]:
-        """Map a host write of ``lpn`` to a freshly allocated page."""
+    def program(self, lpn: int, now_us: float) -> Tuple[int, Sequence[TranslationOp]]:
+        """Map a host write of ``lpn`` to a freshly allocated page; its packed index."""
 
     def is_mapped(self, lpn: int) -> bool:
         """Whether ``lpn`` currently maps to a page."""
@@ -234,13 +240,33 @@ class BlockMetadata:
 
 
 class PlaneManager:
-    """Free-block pool, active block and block metadata of one plane."""
+    """Free-block pool, active block and block metadata of one plane.
 
-    def __init__(self, config: SsdConfig, channel: int, die: int, plane: int):
+    ``below_trigger`` is the FTL's set of planes below the GC trigger
+    (:attr:`FlashTranslationLayer.planes_below_trigger`); every change to the
+    plane's free-block list re-tests the trigger and keeps its index there in
+    step.  A shared set rather than a reference to the FTL, so a dropped FTL
+    holds no reference cycle and is freed at once.
+    """
+
+    def __init__(
+        self,
+        config: SsdConfig,
+        plane_index: int,
+        channel: int,
+        die: int,
+        plane: int,
+        below_trigger: Set[int],
+    ):
         self.config = config
         self.channel = channel
         self.die = die
         self.plane = plane
+        self._index = plane_index
+        self._below_trigger = below_trigger
+        self._pages_per_block = config.pages_per_block
+        #: Packed index of the plane's first page (:class:`PageAddressing`).
+        self.base = plane_index * config.blocks_per_plane * config.pages_per_block
         self.blocks: List[BlockMetadata] = []
         for block_id in range(config.blocks_per_plane):
             metadata = BlockMetadata(block_id=block_id)
@@ -249,6 +275,7 @@ class PlaneManager:
         self._free_blocks: List[int] = list(range(config.blocks_per_plane))
         self._active_block: Optional[int] = None
         self._filled_blocks: List[int] = []
+        self._free_blocks_changed()
 
     # -- free-block pool ----------------------------------------------------------
     @property
@@ -261,6 +288,13 @@ class PlaneManager:
     def needs_gc(self) -> bool:
         return len(self._free_blocks) < self.config.gc_free_block_threshold
 
+    def _free_blocks_changed(self) -> None:
+        """Re-test the GC trigger after the free-block list changed."""
+        if self.needs_gc():
+            self._below_trigger.add(self._index)
+        else:
+            self._below_trigger.discard(self._index)
+
     def _open_new_active_block(self) -> None:
         if not self._free_blocks:
             raise RuntimeError(
@@ -270,28 +304,25 @@ class PlaneManager:
         # Wear leveling: pick the free block with the lowest P/E-cycle count.
         self._free_blocks.sort(key=lambda block_id: self.blocks[block_id].pe_cycles)
         self._active_block = self._free_blocks.pop(0)
+        self._free_blocks_changed()
 
     # -- page allocation -----------------------------------------------------------
-    def allocate_page(self, lpn: int, retention_months: float = 0.0) -> PhysicalPage:
-        """Allocate the next free page of the active block for ``lpn``."""
-        if self._active_block is None or self.blocks[self._active_block].is_full:
-            if self._active_block is not None:
-                self._filled_blocks.append(self._active_block)
+    def allocate_page(self, lpn: int, retention_months: float = 0.0) -> int:
+        """Allocate the next free page of the active block for ``lpn``; its packed index."""
+        active = self._active_block
+        # ``is_full``, inlined: one allocation per page written.
+        if active is None or self.blocks[active].next_free_page >= self._pages_per_block:
+            if active is not None:
+                self._filled_blocks.append(active)
             self._open_new_active_block()
-        block = self.blocks[self._active_block]
+            active = self._active_block
+        block = self.blocks[active]
         page = block.next_free_page
         block.page_lpns[page] = lpn
         block.page_retention_months[page] = retention_months
         block.next_free_page += 1
         block.valid_count += 1
-        return PhysicalPage(self.channel, self.die, self.plane, self._active_block, page)
-
-    def invalidate(self, block_id: int, page: int) -> None:
-        block = self.blocks[block_id]
-        if block.page_lpns[page] is None:
-            return
-        block.page_lpns[page] = None
-        block.valid_count -= 1
+        return self.base + active * self._pages_per_block + page
 
     def erase(self, block_id: int) -> None:
         """Erase a block and return it to the free pool."""
@@ -304,6 +335,7 @@ class PlaneManager:
             self._active_block = None
         if block_id not in self._free_blocks:
             self._free_blocks.append(block_id)
+            self._free_blocks_changed()
 
     # -- GC victim selection ------------------------------------------------------------
     def gc_victim(self) -> Optional[int]:
@@ -329,17 +361,23 @@ class FlashTranslationLayer:
 
     #: The whole table sits in controller DRAM: reads never cost translation
     #: traffic, and there is no mapping cache to hit or miss.
-    reads_need_translation = False
     cmt_hits = 0
     cmt_misses = 0
 
     def __init__(self, config: SsdConfig):
         self.config = config
+        #: Indices of the planes whose free pool is below the GC trigger;
+        #: each plane keeps its own in step (:class:`PlaneManager`).
+        self.planes_below_trigger: Set[int] = set()
         self.planes: List[PlaneManager] = []
         for channel in range(config.channels):
             for die in range(config.dies_per_channel):
                 for plane in range(config.planes_per_die):
-                    self.planes.append(PlaneManager(config, channel, die, plane))
+                    self.planes.append(
+                        PlaneManager(
+                            config, len(self.planes), channel, die, plane, self.planes_below_trigger
+                        )
+                    )
         self.addressing = PageAddressing(config)
         #: Every block, indexed by its corner ``packed // pages_per_block``.
         self._blocks = [block for plane in self.planes for block in plane.blocks]
@@ -381,9 +419,8 @@ class FlashTranslationLayer:
         check_lpn(lpn, self._logical_pages)
         packed = self._mapping[lpn]
         if packed == _UNMAPPED:
-            self.write(lpn, retention_months=self._cold_retention_months)
-            packed = self._mapping[lpn]
-            self._blocks[self.addressing.corner_of(packed)].pe_cycles = self._cold_pe_cycles
+            packed = self._place(lpn, self._cold_retention_months)
+            self._blocks[packed // self._pages_per_block].pe_cycles = self._cold_pe_cycles
         return packed, ()
 
     def read_target(self, lpn: int, now_us: float = 0.0) -> Tuple[PhysicalPage, tuple]:
@@ -408,6 +445,28 @@ class FlashTranslationLayer:
         return self.read_condition_packed(self.addressing.pack(physical), now_us)
 
     # -- updates -------------------------------------------------------------------------
+    def _invalidate(self, packed: int) -> None:
+        """Drop the data of the page at packed index ``packed``, if it holds any."""
+        block = self._blocks[packed // self._pages_per_block]
+        page = packed % self._pages_per_block
+        if block.page_lpns[page] is not None:
+            block.page_lpns[page] = None
+            block.valid_count -= 1
+
+    def _place(self, lpn: int, retention_months: float = 0.0, plane_index: int = None) -> int:
+        """Map ``lpn`` (checked by the caller) to a newly allocated page; its packed index."""
+        old = self._mapping[lpn]
+        if old == _UNMAPPED:
+            self._mapped_pages += 1
+        else:
+            self._invalidate(old)
+        if plane_index is None:
+            plane_index = self._next_plane
+            self._next_plane = (plane_index + 1) % len(self.planes)
+        packed = self.planes[plane_index].allocate_page(lpn, retention_months)
+        self._mapping[lpn] = packed
+        return packed
+
     def write(
         self, lpn: int, retention_months: float = 0.0, plane_index: int = None
     ) -> Tuple[PhysicalPage, Optional[PhysicalPage]]:
@@ -416,34 +475,23 @@ class FlashTranslationLayer:
         :return: ``(new_physical_page, invalidated_physical_page_or_None)``.
         """
         old_physical = self.lookup(lpn)
-        if old_physical is None:
-            self._mapped_pages += 1
-        else:
-            self.plane_for(old_physical).invalidate(old_physical.block, old_physical.page)
-        if plane_index is None:
-            plane_index = self._next_plane
-            self._next_plane = (self._next_plane + 1) % len(self.planes)
-        plane = self.planes[plane_index]
-        physical = plane.allocate_page(lpn, retention_months)
-        self._mapping[lpn] = (
-            plane_index * self._pages_per_plane
-            + physical.block * self._pages_per_block
-            + physical.page
-        )
-        return physical, old_physical
+        packed = self._place(lpn, retention_months, plane_index)
+        return self.addressing.unpack(packed), old_physical
 
-    def program(self, lpn: int, now_us: float = 0.0) -> Tuple[PhysicalPage, tuple]:
-        """Map a host write of ``lpn`` to a fresh page (no translation traffic)."""
-        physical, _ = self.write(lpn)
-        return physical, ()
+    def program(self, lpn: int, now_us: float = 0.0) -> Tuple[int, tuple]:
+        """Map a host write of ``lpn`` to a fresh page; its packed index and no
+        translation traffic."""
+        check_lpn(lpn, self._logical_pages)
+        return self._place(lpn), ()
 
     def trim(self, lpn: int, now_us: float = 0.0) -> tuple:
         """Unmap ``lpn`` (host TRIM/discard); unmapped LPNs are a no-op."""
-        physical = self.lookup(lpn)
-        if physical is not None:
+        check_lpn(lpn, self._logical_pages)
+        packed = self._mapping[lpn]
+        if packed != _UNMAPPED:
             self._mapping[lpn] = _UNMAPPED
             self._mapped_pages -= 1
-            self.plane_for(physical).invalidate(physical.block, physical.page)
+            self._invalidate(packed)
         return ()
 
     def set_uniform_pe_cycles(self, pe_cycles: int) -> None:
@@ -487,7 +535,7 @@ class FlashTranslationLayer:
         )
         if not fresh:
             for lpn in range(pages):
-                self.write(lpn, retention_months=retention_months)
+                self._place(lpn, retention_months)
             self.set_uniform_pe_cycles(pe_cycles)
             return
         plane_count = len(self.planes)
@@ -509,6 +557,7 @@ class FlashTranslationLayer:
             plane._filled_blocks = list(range(last_block))
             plane._active_block = last_block
             plane._free_blocks = list(range(last_block + 1, self.config.blocks_per_plane))
+            plane._free_blocks_changed()
         if pages:
             # LPN n is write n // planes of plane n % planes, and a plane's
             # k-th write lands at packed offset k within the plane.
@@ -523,6 +572,8 @@ class FlashTranslationLayer:
     def collect_if_needed(self, now_us: float = 0.0) -> List[GcOperation]:
         """Collect one greedy victim per plane below its free-block threshold;
         each such plane counts one invocation, victim or not."""
+        if not self.planes_below_trigger:
+            return []
         operations = []
         for plane_index, plane in enumerate(self.planes):
             if not plane.needs_gc():
@@ -537,11 +588,11 @@ class FlashTranslationLayer:
         """Relocate ``victim``'s valid pages within its plane, then erase it."""
         plane = self.planes[plane_index]
         block = plane.blocks[victim]
-        operation = GcOperation(plane_index=plane_index, victim_block=victim)
+        first = plane.base + victim * self._pages_per_block
+        operation = GcOperation(plane_index=plane_index, victim_block=victim, erase_target=first)
         for page, lpn in enumerate(block.page_lpns):
             if lpn is None:
                 continue
-            source = PhysicalPage(plane.channel, plane.die, plane.plane, victim, page)
             retention = block.page_retention_months[page]
             # Relocated data keeps its retention age: copying a page does not
             # refresh the host's perception of the data, and the paper's cold
@@ -549,9 +600,8 @@ class FlashTranslationLayer:
             # resets the physical retention clock; modelling it as retained
             # keeps cold pages cold, which is the conservative choice for
             # read-retry behaviour and matches the paper's per-page aging.)
-            destination, _ = self.write(lpn, retention_months=retention, plane_index=plane_index)
-            operation.relocations.append(source)
-            operation.destinations.append(destination)
+            operation.relocations.append(first + page)
+            operation.destinations.append(self._place(lpn, retention, plane_index))
         plane.erase(victim)
         return operation
 

@@ -8,6 +8,11 @@ itself is performed eagerly — the simulator does not track data contents,
 only timing — and the controller schedules the recorded flash work as
 internal transactions that compete with host traffic for die time, which is
 how GC pressure shows up in response times.
+
+Every page in a record is a packed page index
+(:class:`~repro.ssd.ftl.PageAddressing`), the one address the controller
+enqueues flash work by; ``PageAddressing.unpack`` gives the
+:class:`~repro.ssd.ftl.PhysicalPage` view.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:
     from repro.ssd.dftl import TranslationOp
-    from repro.ssd.ftl import PhysicalPage
 
 
 @dataclass
@@ -26,9 +30,12 @@ class GcOperation:
 
     plane_index: int
     victim_block: int
-    #: Valid pages read out of the victim, and where each landed.
-    relocations: List[PhysicalPage] = field(default_factory=list)
-    destinations: List[PhysicalPage] = field(default_factory=list)
+    #: Packed index of the victim's first page, which its erase addresses.
+    erase_target: int
+    #: Packed indices of the valid pages read out of the victim, and of
+    #: where each landed.
+    relocations: List[int] = field(default_factory=list)
+    destinations: List[int] = field(default_factory=list)
     #: Batched translation-page updates for the relocated data (page mode:
     #: one read-modify-write per distinct translation page; block mode keeps
     #: its table in DRAM and leaves this empty).

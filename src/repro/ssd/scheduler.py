@@ -125,6 +125,13 @@ class DieScheduler:
             self._start(self.write_queue.popleft())
 
     def _start(self, transaction: FlashTransaction) -> None:
+        # The die is busy before the transaction is priced.  Pricing a read
+        # polls the fault injector, and a fault it activates may retire a
+        # block and enqueue the relocation onto this die: that work must
+        # queue behind this transaction, not start and be displaced.  With
+        # no handle yet, such a read does not try to suspend it either.
+        self.current = transaction
+        self._current_handle = None
         events = self.events
         now = events.now_us
         remaining = transaction.remaining_service_us
@@ -137,19 +144,12 @@ class DieScheduler:
         kind = transaction.kind
         if self._suspension and not (kind is _READ or kind is _GC_READ or kind is _TRANS_READ):
             # Only an operation a read may suspend needs a cancellable event.
-            handle = events.schedule_call_after(service, self._complete,
-                                                transaction)
+            self._current_handle = events.schedule_call_after(
+                service, self._complete, transaction)
         else:
             events.schedule_call(now + service, self._complete, transaction)
-            handle = None
-        # Set only now.  A fault that the service-time callback activates
-        # may retire a block and enqueue onto this die while it reads idle,
-        # starting a second transaction that this one then displaces: a
-        # known defect, whose fix changes the outputs of such fault runs.
-        self.current = transaction
         self._current_start_us = now
         self._current_service_us = service
-        self._current_handle = handle
 
     def _complete(self, transaction: FlashTransaction) -> None:
         if self.current is not transaction:

@@ -138,3 +138,101 @@ def test_a_pass_without_a_report_is_a_failed_pass(perf_pairs, tmp_path,
     outcome = perf_pairs.run_pass(tmp_path, command, "aged_read_sweep", 0,
                                   0.0)
     assert not perf_pairs.passed(outcome)
+
+
+def claim_reports(parent_rate, change_rate, parent_wall=1.0, change_wall=1.0):
+    """One report per side and seed 0..len-1 from per-pair values."""
+    reports = {}
+    for seed, (before, after) in enumerate(zip(parent_rate, change_rate)):
+        reports["parent", seed] = report(parent_wall, before)
+        reports["change", seed] = report(change_wall, after)
+    return reports
+
+
+def claim_run(perf_pairs, checkouts, monkeypatch, capsys, reports):
+    _, sides = stub(perf_pairs, monkeypatch, reports)
+    pairs = str(len(reports) // 2)
+    status = main(perf_pairs, checkouts, sides, "--pairs", pairs, "--seed",
+                  "0", "--claim", "requests_per_s")
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith(("claim", "bound"))]
+    return status, lines
+
+
+PARENT_RATES = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0,
+                101.0]
+
+
+def test_a_claim_that_wins_every_pair_by_a_clear_gap_holds(
+        perf_pairs, checkouts, monkeypatch, capsys):
+    reports = claim_reports(PARENT_RATES, [rate * 1.2 for rate in PARENT_RATES])
+    status, lines = claim_run(perf_pairs, checkouts, monkeypatch, capsys,
+                              reports)
+    assert status == 0
+    assert "claim requests_per_s: change won 10/10 >= 9 pairs: True" in lines
+    assert lines[-1] == "claim requests_per_s: holds"
+    assert any(line.startswith("bound wall_s:") and line.endswith("True")
+               for line in lines)
+
+
+def test_nine_wins_and_a_tie_hold_but_eight_wins_do_not(
+        perf_pairs, checkouts, monkeypatch, capsys):
+    # Ties count for neither side: 9 wins and a tie clear 9/10.
+    tied = [rate * 1.2 for rate in PARENT_RATES[:9]] + PARENT_RATES[9:]
+    status, lines = claim_run(perf_pairs, checkouts, monkeypatch, capsys,
+                              claim_reports(PARENT_RATES, tied))
+    assert status == 0
+    assert "claim requests_per_s: change won 9/10 >= 9 pairs: True" in lines
+    lost = [rate * 1.2 for rate in PARENT_RATES[:8]] + [
+        rate * 0.99 for rate in PARENT_RATES[8:]]
+    status, lines = claim_run(perf_pairs, checkouts, monkeypatch, capsys,
+                              claim_reports(PARENT_RATES, lost))
+    assert status == 1
+    assert "claim requests_per_s: change won 8/10 >= 9 pairs: False" in lines
+    assert lines[-1] == "claim requests_per_s: FAILS"
+
+
+def test_a_gain_inside_the_parents_quartiles_fails(
+        perf_pairs, checkouts, monkeypatch, capsys):
+    # The change wins every pair by 1 %, but the parent's quartiles are
+    # 2.5 apart: the median gap of 1 does not clear them.
+    reports = claim_reports(PARENT_RATES,
+                            [rate * 1.01 for rate in PARENT_RATES])
+    status, lines = claim_run(perf_pairs, checkouts, monkeypatch, capsys,
+                              reports)
+    assert status == 1
+    assert "claim requests_per_s: change won 10/10 >= 9 pairs: True" in lines
+    assert any(line.startswith("claim requests_per_s: median gap")
+               and line.endswith("False") for line in lines)
+    assert lines[-1] == "claim requests_per_s: FAILS"
+
+
+def test_another_metric_past_its_bound_fails_the_claim(
+        perf_pairs, checkouts, monkeypatch, capsys):
+    # requests_per_s wins clearly, but wall_s is 30 % worse (bound 24 %).
+    reports = claim_reports(PARENT_RATES, [rate * 1.2 for rate in PARENT_RATES],
+                            parent_wall=1.0, change_wall=1.3)
+    status, lines = claim_run(perf_pairs, checkouts, monkeypatch, capsys,
+                              reports)
+    assert status == 1
+    assert "bound wall_s: change median worse by +30.00% <= 24%: False" in lines
+    assert lines[-1] == "claim requests_per_s: FAILS"
+
+
+def test_a_claim_must_name_an_end_to_end_metric(perf_pairs, checkouts,
+                                                monkeypatch):
+    _, sides = stub(perf_pairs, monkeypatch, {})
+    with pytest.raises(SystemExit) as raised:
+        main(perf_pairs, checkouts, sides, "--seed", "0", "--claim",
+             "dftl.self_s")
+    assert raised.value.code == 2
+
+
+def test_without_a_claim_no_verdict_is_printed(perf_pairs, checkouts,
+                                              monkeypatch, capsys):
+    reports = claim_reports(PARENT_RATES[:2], PARENT_RATES[:2])
+    _, sides = stub(perf_pairs, monkeypatch, reports)
+    assert main(perf_pairs, checkouts, sides, "--pairs", "2", "--seed",
+                "0") == 0
+    out = capsys.readouterr().out
+    assert "claim" not in out and "bound " not in out

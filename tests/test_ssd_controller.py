@@ -146,6 +146,22 @@ class TestGcIntegration:
         assert metrics.summary()["gc_invocations"] == metrics.gc_invocations
 
 
+class TestAttributeBudget:
+    @pytest.mark.parametrize("mapping", ["block", "page"])
+    def test_a_simulator_fits_the_shared_key_table(self, mapping,
+                                                   default_rpt):
+        # CPython 3.11 shares one key table among a class's instances for
+        # at most 29 attributes.  A 30th gives every simulator a plain
+        # __dict__, and each self.attribute load on the per-page paths
+        # becomes a hashed lookup instead of an indexed one.
+        simulator = SsdSimulator(SsdConfig.tiny(mapping=mapping),
+                                 policy="PnAR2", rpt=default_rpt)
+        simulator.precondition(pe_cycles=1000, retention_months=6.0)
+        simulator.run([HostRequest(0.0, RequestKind.WRITE, 3),
+                       HostRequest(10.0, RequestKind.READ, 3, page_count=2)])
+        assert len(vars(simulator)) <= 29
+
+
 class TestRepeatedRuns:
     def test_second_run_does_not_recount_die_busy_time(self, config,
                                                         default_rpt):

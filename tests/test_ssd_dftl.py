@@ -20,7 +20,11 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.dftl import GC_STREAM, HOST_STREAM, TRANS_STREAM, DftlMapper
 from repro.ssd.metrics import SimulationMetrics
+from repro.ssd.request import TransactionKind
 from repro.workloads import catalog_workload
+
+TRANS_READ = TransactionKind.TRANS_READ
+TRANS_PROGRAM = TransactionKind.TRANS_PROGRAM
 
 
 def small_config(**overrides) -> SsdConfig:
@@ -51,7 +55,7 @@ class TestCachedMappingTable:
         assert mapper.cached_entries == 0  # CMT starts cold
         physical, ops = mapper.lookup(0, now_us=0.0)
         assert physical is not None
-        assert [op.kind for op in ops] == ["read"]
+        assert [kind for kind, _ in ops] == [TRANS_READ]
         assert mapper.translation_reads == 1
 
     def test_lru_eviction_writes_back_dirty_entry(self):
@@ -61,7 +65,7 @@ class TestCachedMappingTable:
         # Caching a third entry evicts LPN 0 (least recently used) and must
         # persist it: a fresh translation page is programmed.
         _, ops = mapper.lookup(2, now_us=0.0)
-        assert "program" in [op.kind for op in ops]
+        assert TRANS_PROGRAM in [kind for kind, _ in ops]
         assert mapper.translation_writes == 1
         assert 0 not in mapper._cmt and 1 in mapper._cmt
 
@@ -78,7 +82,7 @@ class TestCachedMappingTable:
         mapper.precondition_fill(pages=8)
         mapper.lookup(0, now_us=0.0)  # cached clean
         _, ops = mapper.lookup(1, now_us=0.0)  # evicts clean LPN 0
-        assert [op.kind for op in ops] == ["read"]  # only the demand fetch
+        assert [kind for kind, _ in ops] == [TRANS_READ]  # only the demand fetch
         assert mapper.translation_writes == 0
 
     def test_dirty_writeback_batches_same_translation_page(self):
@@ -101,15 +105,15 @@ class TestGtdAndTrim:
         mapper.write(5)  # evicts dirty 0 -> persists translation page 0
         tvpn = mapper.tvpn_of(0)
         assert tvpn in mapper._gtd
-        physical = mapper._physical(mapper._gtd[tvpn])
+        physical = mapper.addressing.unpack(mapper._gtd[tvpn])
         assert mapper.block_at(physical).page_lpns[physical.page] == tvpn
 
     def test_translation_rewrite_invalidates_old_page(self):
         mapper = DftlMapper(small_config())
         mapper.precondition_fill(pages=4)
-        old = mapper._physical(mapper._gtd[0])
+        old = mapper.addressing.unpack(mapper._gtd[0])
         ops = mapper.trim(0, now_us=0.0)  # forces a read-modify-write
-        assert [op.kind for op in ops] == ["read", "program"]
+        assert [kind for kind, _ in ops] == [TRANS_READ, TRANS_PROGRAM]
         assert not mapper.block_at(old).page_valid[old.page]
         mapper.check_consistency()
 
@@ -157,9 +161,9 @@ class TestGarbageCollection:
             mapper.write(lpn)
         first = mapper.lookup_direct(0).block
         second = mapper.lookup_direct(4).block
-        plane.invalidate(first, 0)
-        for page in range(3):
-            plane.invalidate(second, page)
+        assert first != second
+        for lpn in (0, 4, 5, 6):
+            mapper._invalidate(mapper._mapping[lpn])
         assert plane.gc_victim() == second
 
     def test_fully_valid_blocks_are_not_victims(self):
@@ -198,16 +202,24 @@ class TestGarbageCollection:
     def test_gc_relocates_translation_blocks_via_gtd(self):
         mapper = DftlMapper(small_config())
         mapper.precondition_fill(pages=16)
-        trans_physical = mapper._physical(mapper._gtd[0])
+        trans_physical = mapper.addressing.unpack(mapper._gtd[0])
         victim_block = trans_physical.block
         block = mapper.planes[0].blocks[victim_block]
         assert block.stream == TRANS_STREAM
         # Rewriting translation page 1 invalidates its copy in the victim.
         mapper._write_translation_page(1, now_us=0.0)
         mapper.collect_block(0, victim_block, now_us=0.0)
-        relocated = mapper._physical(mapper._gtd[0])
+        relocated = mapper.addressing.unpack(mapper._gtd[0])
         assert relocated.block != victim_block
         assert mapper.block_at(relocated).stream == TRANS_STREAM
+        mapper.check_consistency()
+
+    def test_retired_free_blocks_count_toward_the_gc_trigger(self):
+        mapper = DftlMapper(small_config())
+        plane = mapper.planes[0]
+        while not plane.needs_gc():
+            plane.retire(plane._free_blocks[-1])
+        assert mapper.planes_below_trigger == {0}
         mapper.check_consistency()
 
     def test_erase_increments_pe_cycles(self):

@@ -177,6 +177,28 @@ class TestFaultInjector:
         assert simulator.metrics.grown_bad_blocks == blocks
 
 
+def test_every_fast_adversarial_device_run_completes_every_request(
+        monkeypatch):
+    # A block retired while a die started a read once let the relocation
+    # start a second transaction on that die, which the read then
+    # displaced: its host read never completed.
+    from repro.experiments import adversarial_scenarios
+    from repro.experiments.api import default_experiment_registry
+
+    left_over = []
+    finalize = SsdSimulator._finalize_run
+
+    def recording(self):
+        left_over.append((self._outstanding_requests, len(self._read_progress)))
+        return finalize(self)
+
+    monkeypatch.setattr(SsdSimulator, "_finalize_run", recording)
+    registration = default_experiment_registry().entry("adversarial_scenarios")
+    adversarial_scenarios.run(**registration.resolve_params("fast"))
+    assert len(left_over) == 20
+    assert left_over == [(0, 0)] * len(left_over)
+
+
 # -- metrics merge across shards -----------------------------------------------
 class TestFaultCounterMerge:
     FAULT_COUNTERS = ("fault_injections", "faulted_reads",

@@ -232,6 +232,9 @@ def _loop_preconditioned(config, pages, retention_months, pe_cycles):
 
 def _assert_ftl_state_equal(filled, looped):
     assert filled._mapping == looped._mapping
+    below = {index for index, plane in enumerate(filled.planes)
+             if plane.needs_gc()}
+    assert filled.planes_below_trigger == looped.planes_below_trigger == below
     # Mapping *insertion order* feeds iteration downstream; compare it too.
     assert list(filled._mapping) == list(looped._mapping)
     assert filled._next_plane == looped._next_plane

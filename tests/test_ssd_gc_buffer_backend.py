@@ -1,5 +1,7 @@
 """Tests for garbage collection, the write buffer and the flash backend."""
 
+import random
+
 import pytest
 
 from repro.core.rpt import ReadTimingParameterTable
@@ -8,6 +10,12 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.flash_backend import FlashBackend
 from repro.ssd.ftl import FlashTranslationLayer, PhysicalPage
 from repro.ssd.write_buffer import WriteBuffer
+
+
+def assert_trigger_set(ftl):
+    """The FTL's set of planes below the GC trigger, recounted."""
+    assert ftl.planes_below_trigger == {
+        index for index, plane in enumerate(ftl.planes) if plane.needs_gc()}
 
 
 class TestBlockGarbageCollection:
@@ -24,11 +32,12 @@ class TestBlockGarbageCollection:
             ftl.write(lpn, plane_index=1)
         plane = ftl.planes[0]
         operation = ftl.collect_block(0, plane.gc_victim())
+        assert_trigger_set(ftl)
         assert operation.relocated_pages == pages_per_block // 2
         assert operation.translation_ops == []
         # Relocated cold pages keep their retention age.
         for destination in operation.destinations:
-            assert ftl.read_condition(destination)[1] == 6.0
+            assert ftl.read_condition_packed(destination)[1] == 6.0
         # The victim block is free again.
         assert plane.blocks[operation.victim_block].valid_count == 0
 
@@ -38,6 +47,7 @@ class TestBlockGarbageCollection:
     def test_collect_if_needed_only_when_below_threshold(self, ftl):
         assert ftl.collect_if_needed() == []
         assert ftl.gc_invocations == 0
+        assert_trigger_set(ftl)
 
     def test_each_plane_below_threshold_counts_one_invocation(self, ftl):
         # Fill plane 0 until its free pool drops below the trigger, and
@@ -49,10 +59,24 @@ class TestBlockGarbageCollection:
             lpn += 1
         for rewrite in range(ftl.config.pages_per_block):
             ftl.write(rewrite, plane_index=1)
+        assert ftl.planes_below_trigger == {0}
+        assert_trigger_set(ftl)
         operations = ftl.collect_if_needed()
         assert ftl.gc_invocations == 1
         assert [operation.plane_index for operation in operations] == [0]
         assert operations[0].relocated_pages == 0
+        # The erase gave the plane back the block that lifts it over the
+        # trigger.
+        assert ftl.planes_below_trigger == set()
+        assert_trigger_set(ftl)
+
+    def test_trigger_set_follows_a_write_storm(self, ftl):
+        rng = random.Random(3)
+        for _ in range(3000):
+            ftl.program(rng.randrange(ftl.config.logical_pages * 3 // 4))
+            ftl.collect_if_needed()
+            assert_trigger_set(ftl)
+        assert ftl.gc_invocations > 0
 
 
 class TestWriteBuffer:

@@ -5,12 +5,21 @@ only through :class:`repro.ssd.ftl.Mapper`; each test here runs once per
 mapping.
 """
 
+import ast
+import gc
+import pathlib
+import random
+import weakref
+
 import pytest
 
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.dftl import DftlMapper
-from repro.ssd.ftl import FlashTranslationLayer, PageAddressing
+from repro.ssd.ftl import FlashTranslationLayer, PageAddressing, PhysicalPage
+from repro.ssd.request import TransactionKind
+
+SSD = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro" / "ssd"
 
 MAPPERS = {"block": FlashTranslationLayer, "page": DftlMapper}
 #: LPNs 0..FILL-1 hold preconditioned cold data.
@@ -45,9 +54,9 @@ def test_read_of_unwritten_lpn_maps_cold_data(mapping):
 
 def test_program_maps_fresh_data(mapping):
     mapper = _mapper(mapping)
-    physical, _ = mapper.program(3, now_us=0.0)
-    assert mapper.read_target(3, now_us=0.0)[0] == physical
-    assert mapper.read_condition(physical, now_us=0.0) == (1000, 0.0)
+    packed, _ = mapper.program(3, now_us=0.0)
+    assert mapper.read_target_packed(3, now_us=0.0)[0] == packed
+    assert mapper.read_condition_packed(packed, now_us=0.0) == (1000, 0.0)
 
 
 def test_packed_reads_agree_with_the_physical_page_view(mapping):
@@ -64,6 +73,94 @@ def test_packed_reads_agree_with_the_physical_page_view(mapping):
                 == mapper.read_condition(physical, now_us=0.0))
 
 
+def test_packed_programs_agree_with_the_physical_page_view(mapping):
+    # Overwrites and a never-written LPN: the packed index program returns
+    # is the page the PhysicalPage adapters then read the LPN from.
+    mapper = _mapper(mapping)
+    addressing = PageAddressing(mapper.config)
+    for lpn in (3, 3, FILL + 1):
+        packed, _ = mapper.program(lpn, now_us=0.0)
+        physical, _ = mapper.read_target(lpn, now_us=0.0)
+        assert addressing.unpack(packed) == physical
+        assert mapper.read_condition(physical, now_us=0.0) == (1000, 0.0)
+
+
+def _collect_with_relocations(mapper):
+    """Write seeded-random LPNs over half the logical space, collecting
+    after each write, until a collection relocates pages; the OOB LPNs of
+    every page just before that collection, and its GC records."""
+    rng = random.Random(7)
+    for _ in range(20000):
+        mapper.program(rng.randrange(mapper.config.logical_pages // 2), now_us=0.0)
+        before = [[list(block.page_lpns) for block in plane.blocks] for plane in mapper.planes]
+        operations = mapper.collect_if_needed(now_us=0.0)
+        if any(operation.relocated_pages for operation in operations):
+            return before, operations
+    raise AssertionError("no collection relocated a page")
+
+
+def test_packed_gc_records_agree_with_the_physical_page_view(mapping):
+    # Every page of a GC record is a packed index: the erase target is the
+    # victim's first page, each relocation a page of the victim, and each
+    # destination a page of the same plane that now holds what the
+    # relocated page held.
+    mapper = _mapper(mapping)
+    addressing = PageAddressing(mapper.config)
+    before, operations = _collect_with_relocations(mapper)
+    for operation in operations:
+        plane = mapper.planes[operation.plane_index]
+        where = (plane.channel, plane.die, plane.plane)
+        victim = operation.victim_block
+        assert addressing.unpack(operation.erase_target) == PhysicalPage(*where, victim, 0)
+        assert len(operation.destinations) == operation.relocated_pages
+        for source, destination in zip(operation.relocations, operation.destinations):
+            read_from = addressing.unpack(source)
+            written_to = addressing.unpack(destination)
+            assert (read_from.channel, read_from.die, read_from.plane) == where
+            assert (written_to.channel, written_to.die, written_to.plane) == where
+            assert read_from.block == victim != written_to.block
+            moved = before[operation.plane_index][victim][read_from.page]
+            assert moved is not None
+            assert plane.blocks[written_to.block].page_lpns[written_to.page] == moved
+
+
+def test_controller_and_dftl_build_no_physical_page():
+    # The write, GC and translation paths hand packed indices to the
+    # controller; PhysicalPage is built only by the adapters in ftl.py.
+    for name in ("controller.py", "dftl.py"):
+        path = SSD / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert called != "PhysicalPage", f"{name}:{node.lineno} builds a PhysicalPage"
+
+
+def test_planes_that_start_below_the_gc_trigger_are_counted(mapping):
+    # Three blocks per plane, under the default trigger of four free ones:
+    # every plane is below it from the start, and each call counts one
+    # invocation per plane.
+    mapper = MAPPERS[mapping](SsdConfig.tiny(mapping=mapping, blocks_per_plane=3))
+    assert mapper.planes_below_trigger == set(range(len(mapper.planes)))
+    assert mapper.collect_if_needed(now_us=0.0) == []
+    mapper.collect_if_needed(now_us=0.0)
+    assert mapper.gc_invocations == 2 * len(mapper.planes)
+
+
+def test_a_dropped_mapper_needs_no_cycle_collection(mapping):
+    # Planes share the trigger set with their mapper instead of pointing
+    # back at it, so a dropped mapper is freed at once, not whenever the
+    # cyclic garbage collector next runs over all its blocks.
+    gc.disable()
+    try:
+        mapper = _mapper(mapping)
+        dropped = weakref.ref(mapper)
+        del mapper
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 def test_trim_unmaps_once(mapping):
     mapper = _mapper(mapping)
     assert mapper.is_mapped(5)
@@ -72,13 +169,17 @@ def test_trim_unmaps_once(mapping):
     assert list(mapper.trim(5, now_us=0.0)) == []
 
 
-def test_read_translation_traffic_matches_the_declared_flag(mapping):
+def test_only_a_page_mode_read_miss_costs_translation_traffic(mapping):
     # Block mode keeps its table in DRAM; the DFTL's cold cache misses and
     # fetches the translation page.
     mapper = _mapper(mapping)
     _, ops = mapper.read_target(0, now_us=0.0)
-    assert bool(ops) == mapper.reads_need_translation
-    assert mapper.cmt_misses == (1 if mapper.reads_need_translation else 0)
+    if mapping == "page":
+        assert [kind for kind, _ in ops] == [TransactionKind.TRANS_READ]
+        assert mapper.cmt_misses == 1
+    else:
+        assert list(ops) == []
+        assert mapper.cmt_misses == 0
 
 
 def test_out_of_range_lpns_raise(mapping):

@@ -180,6 +180,45 @@ class TestDirectStart:
         assert late.service_start_us == 200.0
 
 
+class TestReentrantStart:
+    @pytest.mark.parametrize("waiting_reads", [0, 2])
+    def test_work_enqueued_while_a_read_is_priced_waits_for_it(
+            self, waiting_reads):
+        # Pricing a read polls the fault injector, and a grown-bad-block
+        # fault it activates enqueues relocation work onto the same die.
+        # That work must wait for the read being started, whether the die
+        # has other reads waiting or none: every transaction completes, and
+        # the die never runs two at once.
+        events = EventQueue()
+        opener, first = (make_transaction(TransactionKind.READ)
+                         for _ in range(2))
+        waiting = [make_transaction(TransactionKind.READ)
+                   for _ in range(waiting_reads)]
+        relocation = make_transaction(TransactionKind.GC_READ)
+        completed = []
+
+        def service_time(transaction):
+            if transaction is first:
+                scheduler.enqueue(relocation)
+            return 100.0
+
+        scheduler = DieScheduler((0, 0), SsdConfig.tiny(), events,
+                                 service_time_fn=service_time,
+                                 on_complete=completed.append)
+        for transaction in [opener, first, *waiting]:
+            scheduler.enqueue(transaction)
+        events.run()
+        everything = [opener, first, *waiting, relocation]
+        assert sorted(map(id, completed)) == sorted(map(id, everything))
+        spans = sorted((transaction.service_start_us,
+                        transaction.completion_us)
+                       for transaction in completed)
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert start >= end
+        assert scheduler.completed_transactions == len(everything)
+        assert scheduler.is_idle
+
+
 class _QueueFirstScheduler(DieScheduler):
     """Oracle: every transaction passes through the queues before it
     starts, even on an idle die with both queues empty."""
