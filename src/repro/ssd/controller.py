@@ -5,16 +5,25 @@ paper's evaluation:
 
 * host requests arrive at their trace timestamps, are split into page-sized
   flash transactions, and are scheduled per die with read priority and
-  program/erase suspension (:mod:`repro.ssd.scheduler`);
-* read transactions ask the flash backend how many retry steps they need
-  (each simulated block behaves like a characterized block) and the active
-  read-retry *policy* (Baseline / PR2 / AR2 / PnAR2 / NoRR / PSO) translates
-  that into latency and die-occupancy numbers.  The read path handles one
-  address, the packed page index of :class:`~repro.ssd.ftl.PageAddressing`:
-  each mapper resolves a read to it and reports its block's condition from
-  it, and every transaction carries it with its die number, which indexes
-  the list of die schedulers.  The retry-grid corner and the page type are
-  one division and one remainder of it away;
+  program/erase suspension.  The simulator runs each transaction's
+  lifecycle itself, one frame per step, over the per-die records of
+  :mod:`repro.ssd.scheduler`: ``_enqueue`` queues it and may start it or
+  suspend the die's running program or erase, ``_start`` prices it and
+  pushes ``(time, sequence, _complete, transaction)`` straight onto the
+  event heap (:mod:`repro.ssd.engine`), and ``_complete`` does its
+  bookkeeping and starts the die's next transaction.  A suspended program
+  or erase is cancelled by its completion's sequence number;
+* read transactions query the backend's retry-step grid for how many retry
+  steps they need (each simulated block behaves like a characterized
+  block), counting grid hits and scalar fallbacks into the metrics, and
+  the active read-retry *policy* (Baseline / PR2 / AR2 / PnAR2 / NoRR /
+  PSO) translates that into latency and die-occupancy numbers.  The read
+  path handles one address, the packed page index of
+  :class:`~repro.ssd.ftl.PageAddressing`: each mapper resolves a read to it
+  and reports its block's condition from it, and every transaction carries
+  it with its die number, which indexes the list of per-die records.  The
+  retry-grid corner and the page type are one division and one remainder
+  of it away;
 * writes are absorbed by the write buffer and flushed to flash through one
   :class:`~repro.ssd.ftl.Mapper`, picked once from ``config.mapping``: the
   flat-table FTL with greedy garbage collection (``"block"``), or the DFTL
@@ -30,6 +39,14 @@ paper's evaluation:
   times are fixed per device and computed once at construction;
 * response times and utilization are collected in
   :class:`repro.ssd.metrics.SimulationMetrics`.
+
+Nothing the simulator owns points back at it once a run has drained the
+event heap: the per-die records hold no callbacks and the fault injector
+takes the simulator as an argument, so a finished simulator is freed by
+reference counting alone, never left to the cyclic collector.  A run
+either completes every admitted request or raises: a write larger than the
+write buffer is refused when it arrives, and a run whose event queue
+drains with requests still outstanding raises ``RuntimeError``.
 
 Request injection is *streaming*: :meth:`SsdSimulator.run` accepts any
 iterable of :class:`~repro.ssd.request.HostRequest` objects — including
@@ -56,6 +73,7 @@ documents this substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.core.policies import ReadRetryPolicy, get_policy
@@ -76,7 +94,7 @@ from repro.ssd.request import (
     RequestKind,
     TransactionKind,
 )
-from repro.ssd.scheduler import DieScheduler
+from repro.ssd.scheduler import DieState
 from repro.ssd.write_buffer import WriteBuffer
 
 #: How many future arrivals the admission pump keeps scheduled ahead of the
@@ -143,16 +161,17 @@ class _ReadProgress:
 
     def __init__(self, pending_pages: int):
         self.pending_pages = pending_pages
-        self.last_page_ready_us: Optional[float] = None
+        self.last_page_ready_us = 0.0
 
 
 class SsdSimulator:
     """An event-driven SSD with a pluggable read-retry policy.
 
     Every host read takes one path: each of its pages becomes a
-    :class:`~repro.ssd.request.FlashTransaction` on its die, and the die
-    prices the page when it starts it, from the block's condition at that
-    moment and one retry-grid query (:meth:`_read_service_time`).
+    :class:`~repro.ssd.request.FlashTransaction` on its die, and the
+    simulator prices the page when the die starts it, from the block's
+    condition at that moment and one retry-grid query
+    (:meth:`_read_service_time`).
     """
 
     def __init__(self, config: SsdConfig = None,
@@ -201,14 +220,13 @@ class SsdSimulator:
             timing.read.sensing_latency_us(page_type) + timing.t_dma_page_us
             + timing.t_ecc_us
             for page_type in PAGE_TYPE_ORDER)
-        #: Die schedulers indexed by die number (``channel *
+        #: Per-die state indexed by die number (``channel *
         #: dies_per_channel + die``, what ``FlashTransaction.die`` holds).
-        self._dies: List[DieScheduler] = [
-            DieScheduler((channel, die), self.config, self.events,
-                         service_time_fn=self._service_time,
-                         on_complete=self._on_transaction_complete)
-            for channel in range(self.config.channels)
-            for die in range(self.config.dies_per_channel)]
+        #: The records hold no callback, so nothing the simulator owns
+        #: points back at it once the event heap has drained.
+        self._dies: List[DieState] = [
+            DieState() for _ in range(self.config.channels
+                                      * self.config.dies_per_channel)]
         #: The preconditioned ``(pe_cycles, retention_months)``.
         self._precondition = (0, 0.0)
         self._outstanding_requests = 0
@@ -247,9 +265,11 @@ class SsdSimulator:
             Callable[[HostRequest, float], None]] = None
 
     @property
-    def schedulers(self) -> Dict[tuple, DieScheduler]:
-        """The die schedulers, keyed by ``(channel, die)``."""
-        return {scheduler.die_key: scheduler for scheduler in self._dies}
+    def schedulers(self) -> Dict[tuple, DieState]:
+        """The per-die records, keyed by ``(channel, die)``."""
+        dies_per_channel = self.config.dies_per_channel
+        return {divmod(index, dies_per_channel): die
+                for index, die in enumerate(self._dies)}
 
     @property
     def distinct_read_conditions(self) -> int:
@@ -305,7 +325,7 @@ class SsdSimulator:
             raise ValueError(
                 "grown_bad_blocks faults require the page-mapped FTL "
                 '(SsdConfig(mapping="page"))')
-        self._fault_injector = FaultInjector(plan, self)
+        self._fault_injector = FaultInjector(plan, self.config)
 
     def retire_bad_block(self, plane_index: int, block_id: int) -> None:
         """Retire one grown-bad block, scheduling its remap flash traffic."""
@@ -343,6 +363,7 @@ class SsdSimulator:
         try:
             self._pump()
             self.events.run()
+            self._check_drained()
         finally:
             # Release generator-backed sources deterministically even when
             # the run aborts mid-stream (e.g. an out-of-order trace): a
@@ -379,9 +400,24 @@ class SsdSimulator:
             for request in initial:
                 self.inject(request)
             self.events.run()
+            self._check_drained()
         finally:
             self.on_request_complete = None
         return self._finalize_run()
+
+    def _check_drained(self) -> None:
+        """Raise unless every admitted request completed.
+
+        Nothing is left to run once the event queue drains, so a request
+        still outstanding then would never complete: a read whose page was
+        lost, or a write the buffer never admits.
+        """
+        if self._outstanding_requests:
+            raise RuntimeError(
+                "the event queue drained with "
+                f"{self._outstanding_requests} admitted requests still "
+                f"outstanding: {len(self._read_progress)} in-flight reads, "
+                f"{self.write_buffer.waiting_count} waiting writes")
 
     def inject(self, request: HostRequest) -> None:
         """Schedule one host request's arrival directly (closed-loop path).
@@ -406,16 +442,13 @@ class SsdSimulator:
 
     def _finalize_run(self) -> SimulationResult:
         self.metrics.simulated_time_us = self.events.now_us
-        # Each scheduler's busy time is cumulative over every run of this
+        # Each die's busy time is cumulative over every run of this
         # simulator, as the clock is: store it, do not add it again.
-        for scheduler in self._dies:
-            self.metrics.die_busy_us[scheduler.die_key] = (
-                scheduler.total_busy_us)
-        self.metrics.grid_hits = self.backend.grid_hits
-        self.metrics.scalar_fallbacks = self.backend.scalar_fallbacks
-        # Translation reads/writes are counted at enqueue time; the
-        # mapper-internal cache and GC counters are snapshotted here,
-        # mirroring the backend's grid counters.
+        for key, die in self.schedulers.items():
+            self.metrics.die_busy_us[key] = die.total_busy_us
+        # Translation reads/writes and grid hits are counted as they
+        # happen; the mapper-internal cache and GC counters are
+        # snapshotted here.
         self.metrics.mapping_cache_hits = self.mapper.cmt_hits
         self.metrics.mapping_cache_misses = self.mapper.cmt_misses
         self.metrics.gc_invocations = self.mapper.gc_invocations
@@ -492,7 +525,7 @@ class SsdSimulator:
         self._scheduled_arrivals -= 1
         self._pump()
         if self._fault_injector is not None:
-            self._fault_injector.poll(self.events.now_us)
+            self._fault_injector.poll(self, self.events.now_us)
         if request.kind is RequestKind.READ:
             self._start_read_request(request)
         elif request.kind is RequestKind.WRITE:
@@ -537,12 +570,12 @@ class SsdSimulator:
         if self._progress_pool:
             progress = self._progress_pool.pop()
             progress.pending_pages = request.page_count
-            progress.last_page_ready_us = None
+            progress.last_page_ready_us = 0.0
         else:
             progress = _ReadProgress(request.page_count)
         self._read_progress[request.request_id] = progress
         now_us = self.events.now_us
-        dies = self._dies
+        enqueue = self._enqueue
         read_target = self.mapper.read_target_packed
         logical_pages = self.config.logical_pages
         pages_per_die = self._addressing.pages_per_die
@@ -551,13 +584,19 @@ class SsdSimulator:
             packed, ops = read_target(lpn % logical_pages, now_us)
             if ops:
                 self._issue_translation_ops(ops)
-            die = packed // pages_per_die
-            dies[die].enqueue(
-                FlashTransaction(_READ, lpn, packed, die, now_us, request))
+            enqueue(FlashTransaction(_READ, lpn, packed,
+                                     packed // pages_per_die, now_us,
+                                     request))
 
     def _admit_or_defer_write(self, request: HostRequest) -> None:
         if self.write_buffer.try_admit(request.page_count):
             self._complete_write_admission(request)
+        elif request.page_count > self.write_buffer.capacity_pages:
+            # It could wait only forever, and every write behind it too.
+            raise ValueError(
+                f"write request {request.request_id} of "
+                f"{request.page_count} pages can never fit the "
+                f"{self.write_buffer.capacity_pages}-page write buffer")
         else:
             self.write_buffer.enqueue_waiter(request)
 
@@ -582,14 +621,14 @@ class SsdSimulator:
         if ops:
             self._issue_translation_ops(ops)
         self.metrics.host_programs += 1
-        die = packed // self._addressing.pages_per_die
-        self._dies[die].enqueue(
-            FlashTransaction(_PROGRAM, lpn, packed, die, now_us, request))
+        self._enqueue(FlashTransaction(
+            _PROGRAM, lpn, packed, packed // self._addressing.pages_per_die,
+            now_us, request))
 
     def _issue_translation_ops(self, ops: Sequence[TranslationOp]) -> None:
         """Schedule DFTL translation-page traffic as real flash transactions."""
         now_us = self.events.now_us
-        dies = self._dies
+        enqueue = self._enqueue
         pages_per_die = self._addressing.pages_per_die
         metrics = self.metrics
         for kind, packed in ops:
@@ -597,41 +636,154 @@ class SsdSimulator:
                 metrics.translation_reads += 1
             else:
                 metrics.translation_writes += 1
-            die = packed // pages_per_die
-            dies[die].enqueue(
-                FlashTransaction(kind, None, packed, die, now_us, None))
+            enqueue(FlashTransaction(kind, None, packed,
+                                     packed // pages_per_die, now_us, None))
+
+    # -- the flash-transaction lifecycle ----------------------------------------------------
+    def _enqueue(self, transaction: FlashTransaction) -> None:
+        """Queue ``transaction`` on its die; it may start at once or
+        suspend the die's running program or erase."""
+        die = self._dies[transaction.die]
+        if (die.running is None and not die.read_queue
+                and not die.write_queue):
+            # An idle die with nothing queued serves the newcomer at once.
+            # Queued work on an idle die (a completion enqueueing before
+            # the die restarts) must go first, so it takes the queue path.
+            self._start(die, transaction)
+            return
+        kind = transaction.kind
+        is_read = kind is _READ or kind is _GC_READ or kind is _TRANS_READ
+        if is_read and self.config.read_priority:
+            die.read_queue.append(transaction)
+        else:
+            die.write_queue.append(transaction)
+        if die.running is not None:
+            if not is_read or die.completion is None:
+                return
+            # Only a suspendable program or erase has a completion sequence.
+            self._suspend(die)
+        self._start(die, (die.read_queue or die.write_queue).popleft())
+
+    def _suspend(self, die: DieState) -> None:
+        """Suspend the die's running program or erase so a read runs first."""
+        transaction = die.running
+        events = self.events
+        events.cancelled.add(die.completion)
+        elapsed = max(0.0, events.now_us - die.start_us)
+        remaining = max(0.0, die.service_us - elapsed)
+        timing = self.config.timing
+        if transaction.kind is _ERASE:
+            overhead = timing.erase_suspend_us
+        else:
+            overhead = timing.program_suspend_us
+        transaction.remaining_service_us = remaining + overhead
+        transaction.was_suspended = True
+        die.total_busy_us += elapsed
+        die.write_queue.appendleft(transaction)
+        die.running = None
+        die.suspensions += 1
+
+    def _start(self, die: DieState, transaction: FlashTransaction) -> None:
+        """Price ``transaction`` and push its completion onto the heap."""
+        # The die is busy before the transaction is priced.  Pricing a read
+        # polls the fault injector, and a fault it activates may retire a
+        # block and enqueue the relocation onto this die: that work must
+        # queue behind this transaction, not start and be displaced.  With
+        # no completion sequence yet, such a read does not try to suspend
+        # it either.
+        die.running = transaction
+        die.completion = None
+        events = self.events
+        now = events.now_us
+        kind = transaction.kind
+        # A suspended program or erase resumes with what it has left.
+        service = transaction.remaining_service_us
+        if service is None:
+            # Host and GC reads dominate every workload; what is left after
+            # translation reads and erases is a host, GC or translation
+            # program.
+            if kind is _READ or kind is _GC_READ:
+                service = self._read_service_time(transaction)
+            elif kind is _TRANS_READ:
+                service = self._trans_read_us[
+                    transaction.packed % self._addressing.pages_per_block
+                    % _PAGE_TYPES]
+            elif kind is _ERASE:
+                service = self._erase_us
+            else:
+                service = self._program_us
+        if transaction.service_start_us is None:
+            transaction.service_start_us = now
+        # The sequence is drawn after pricing, which may schedule events.
+        sequence = next(events.sequence)
+        if (kind is not _READ and kind is not _GC_READ
+                and kind is not _TRANS_READ and self.config.suspension):
+            # Only an operation a read may suspend needs to be cancellable.
+            die.completion = sequence
+        heappush(events.heap, (now + service, sequence, self._complete,
+                               transaction))
+        die.start_us = now
+        die.service_us = service
+
+    def _complete(self, transaction: FlashTransaction) -> None:
+        """Finish ``transaction`` and start its die's next one."""
+        die = self._dies[transaction.die]
+        die.total_busy_us += die.service_us
+        transaction.completion_us = self.events.now_us
+        die.running = None
+        die.completed_transactions += 1
+        kind = transaction.kind
+        if kind is _READ:
+            steps = transaction.retry_steps
+            metrics = self.metrics
+            if metrics.record_samples:
+                metrics.record_retry_steps(steps)
+            else:
+                counts = metrics.retry_step_counts
+                counts[steps] = counts.get(steps, 0) + 1
+                metrics.pages_read += 1
+            request = transaction.request
+            if request is not None:
+                progress = self._read_progress[request.request_id]
+                page_ready_us = (transaction.service_start_us
+                                 + transaction.response_us)
+                if page_ready_us > progress.last_page_ready_us:
+                    progress.last_page_ready_us = page_ready_us
+                progress.pending_pages -= 1
+                if progress.pending_pages == 0:
+                    self._finish_read(request, progress)
+        elif kind is _PROGRAM:
+            self._release_host_program()
+        # GC reads/programs, erases and translation traffic need no
+        # bookkeeping beyond the die's own.  The bookkeeping above may
+        # have started new work on this die already.
+        if die.running is None:
+            queue = die.read_queue or die.write_queue
+            if queue:
+                self._start(die, queue.popleft())
 
     # -- flash service times -----------------------------------------------------------------
-    def _service_time(self, transaction: FlashTransaction) -> float:
-        kind = transaction.kind
-        # Host and GC reads dominate every workload this simulator runs;
-        # dispatch them before the rarer kinds.  What is left after
-        # translation reads and erases is a host, GC or translation program.
-        if kind is _READ or kind is _GC_READ:
-            return self._read_service_time(transaction)
-        if kind is _TRANS_READ:
-            page_type = (transaction.packed % self._addressing.pages_per_block
-                         % _PAGE_TYPES)
-            return self._trans_read_us[page_type]
-        if kind is _ERASE:
-            return self._erase_us
-        return self._program_us
-
     def _read_service_time(self, transaction: FlashTransaction) -> float:
+        """Price one host or GC page read: set its retry steps and
+        response time, and return how long it occupies the die."""
         packed = transaction.packed
         now_us = self.events.now_us
         pe_cycles, retention = self.mapper.read_condition_packed(packed,
                                                                  now_us)
         pages_per_block = self._addressing.pages_per_block
         page_type = packed % pages_per_block % _PAGE_TYPES
-        behaviour = self.backend.behaviour_at(
+        behaviour, from_grid = self.backend.grid.behaviour_at(
             page_type, pe_cycles, retention, packed // pages_per_block)
+        if from_grid:
+            self.metrics.grid_hits += 1
+        else:
+            self.metrics.scalar_fallbacks += 1
         fault_extra = 0
         fault_factor = 1.0
         if self._fault_injector is not None:
             physical = self._addressing.unpack(packed)
             self._fault_injector.record_read(physical)
-            self._fault_injector.poll(now_us)
+            self._fault_injector.poll(self, now_us)
             fault_extra, fault_factor = self._fault_injector.read_penalty(
                 physical, now_us)
             if fault_extra:
@@ -685,43 +837,21 @@ class SsdSimulator:
         return die_busy_us
 
     # -- completions ----------------------------------------------------------------------------
-    def _on_transaction_complete(self, transaction: FlashTransaction) -> None:
-        if transaction.kind is _READ:
-            self._complete_host_read_page(transaction)
-        elif transaction.kind is _PROGRAM:
-            self._complete_host_program_page(transaction)
-        # GC reads/programs and erases need no per-completion bookkeeping
-        # beyond the die-busy accounting the scheduler already did.
+    def _finish_read(self, request: HostRequest,
+                     progress: _ReadProgress) -> None:
+        """Complete a host read whose last page is ready."""
+        del self._read_progress[request.request_id]
+        self._progress_pool.append(progress)
+        self.metrics.record_read(
+            progress.last_page_ready_us - request.arrival_us,
+            tenant=request.queue_id if self.track_tenants else None)
+        self._outstanding_requests -= 1
+        if self.on_request_complete is not None:
+            self.on_request_complete(request, self.events.now_us)
+        self._maybe_resume_after_barrier()
 
-    def _complete_host_read_page(self, transaction: FlashTransaction) -> None:
-        request = transaction.request
-        response_us = transaction.response_us
-        if response_us is None:
-            # Only synthetically constructed transactions get here; the
-            # read service path always stamps response_us.
-            response_us = (transaction.completion_us
-                           - transaction.service_start_us)
-        page_ready_us = transaction.service_start_us + response_us
-        self.metrics.record_retry_steps(transaction.retry_steps)
-        if request is None:
-            return
-        progress = self._read_progress[request.request_id]
-        if (progress.last_page_ready_us is None
-                or page_ready_us > progress.last_page_ready_us):
-            progress.last_page_ready_us = page_ready_us
-        progress.pending_pages -= 1
-        if progress.pending_pages == 0:
-            del self._read_progress[request.request_id]
-            self._progress_pool.append(progress)
-            self.metrics.record_read(
-                progress.last_page_ready_us - request.arrival_us,
-                tenant=request.queue_id if self.track_tenants else None)
-            self._outstanding_requests -= 1
-            if self.on_request_complete is not None:
-                self.on_request_complete(request, self.events.now_us)
-            self._maybe_resume_after_barrier()
-
-    def _complete_host_program_page(self, transaction: FlashTransaction) -> None:
+    def _release_host_program(self) -> None:
+        """A host page is on flash: free its buffer slot for waiting writes."""
         self.write_buffer.release(1)
         self._admit_waiting_writes()
         self._run_gc_if_needed()
@@ -749,19 +879,16 @@ class SsdSimulator:
         each relocation's read and program, the batched translation
         updates, then the victim's erase."""
         now_us = self.events.now_us
-        dies = self._dies
+        enqueue = self._enqueue
         pages_per_die = self._addressing.pages_per_die
         for source, destination in zip(operation.relocations,
                                        operation.destinations):
-            die = source // pages_per_die
-            dies[die].enqueue(
-                FlashTransaction(_GC_READ, None, source, die, now_us, None))
-            die = destination // pages_per_die
-            dies[die].enqueue(FlashTransaction(
-                _GC_PROGRAM, None, destination, die, now_us, None))
+            enqueue(FlashTransaction(_GC_READ, None, source,
+                                     source // pages_per_die, now_us, None))
+            enqueue(FlashTransaction(_GC_PROGRAM, None, destination,
+                                     destination // pages_per_die, now_us,
+                                     None))
         self._issue_translation_ops(operation.translation_ops)
         erase_target = operation.erase_target
-        die = erase_target // pages_per_die
-        dies[die].enqueue(
-            FlashTransaction(_ERASE, None, erase_target, die, now_us, None))
-
+        enqueue(FlashTransaction(_ERASE, None, erase_target,
+                                 erase_target // pages_per_die, now_us, None))

@@ -26,8 +26,11 @@ reproducible bit for bit:
 Faults are described by frozen :class:`FaultSpec` values collected in a
 :class:`FaultPlan` (JSON round-trip for manifests); the mutable
 :class:`FaultInjector` holds the per-run state and is installed on a
-simulator via :meth:`SsdSimulator.install_faults`.  Every effect is
-counted on :class:`~repro.ssd.metrics.SimulationMetrics`
+simulator via :meth:`SsdSimulator.install_faults`.  The injector keeps no
+reference to its simulator: the simulator passes itself to
+:meth:`FaultInjector.poll`, so a finished simulator is freed at once rather
+than left to the cyclic collector.  Every effect is counted on
+:class:`~repro.ssd.metrics.SimulationMetrics`
 (``fault_injections``, ``faulted_reads``, ``grown_bad_blocks``,
 ``fault_remapped_pages``), all registered in ``COUNTER_FIELDS`` so fleet
 merges carry them.
@@ -229,17 +232,17 @@ class _ActivePenalty:
 class FaultInjector:
     """Per-run fault state: pending schedule, active penalties, hot blocks.
 
-    The injector is pull-driven by the simulator: ``poll(now)`` activates
-    due faults (in schedule order, so the seeded victim selection is
-    deterministic), ``record_read``/``read_penalty`` sit on the read path.
-    A simulator without an injector takes none of these calls — the
+    The injector is pull-driven by the simulator: ``poll(simulator, now)``
+    activates due faults (in schedule order, so the seeded victim selection
+    is deterministic), ``record_read``/``read_penalty`` sit on the read
+    path.  A simulator without an injector takes none of these calls — the
     fault-free path is byte-for-byte the code that ran before faults
     existed.
     """
 
-    def __init__(self, plan: FaultPlan, simulator) -> None:
+    def __init__(self, plan: FaultPlan, config) -> None:
         self.plan = plan
-        self.simulator = simulator
+        self.config = config
         self._rng = np.random.default_rng(plan.seed)
         #: Still-inactive specs, soonest first (stable on ties).
         self._pending: List[FaultSpec] = sorted(
@@ -279,14 +282,14 @@ class FaultInjector:
         return extra, factor
 
     # -- activation -----------------------------------------------------------
-    def poll(self, now_us: float) -> None:
-        """Activate every pending fault whose time has come."""
+    def poll(self, simulator, now_us: float) -> None:
+        """Activate every pending fault of ``simulator`` whose time has come."""
         while self._pending and self._pending[0].at_us <= now_us:
             spec = self._pending.pop(0)
-            self._activate(spec)
-            self.simulator.metrics.fault_injections += 1
+            self._activate(spec, simulator)
+            simulator.metrics.fault_injections += 1
 
-    def _activate(self, spec: FaultSpec) -> None:
+    def _activate(self, spec: FaultSpec, simulator) -> None:
         ends = (None if spec.duration_us is None
                 else spec.at_us + spec.duration_us)
         if spec.kind == "die_failure":
@@ -301,7 +304,7 @@ class FaultInjector:
                 self._block_penalties[key] = _ActivePenalty(
                     ends, spec.extra_retry_steps, spec.latency_factor)
         else:  # grown_bad_blocks
-            self._grow_bad_blocks(spec)
+            self._grow_bad_blocks(spec, simulator)
 
     def _hottest_blocks(self, count: int) -> List[tuple]:
         """The ``count`` most-read blocks so far (ties broken by address).
@@ -313,7 +316,7 @@ class FaultInjector:
                         key=lambda key: (-self._read_counts[key], key))
         chosen = ranked[:count]
         if len(chosen) < count:
-            config = self.simulator.config
+            config = self.config
             for channel in range(config.channels):
                 for die in range(config.dies_per_channel):
                     for plane in range(config.planes_per_die):
@@ -325,7 +328,7 @@ class FaultInjector:
                                 return chosen
         return chosen
 
-    def _grow_bad_blocks(self, spec: FaultSpec) -> None:
+    def _grow_bad_blocks(self, spec: FaultSpec, simulator) -> None:
         """Retire ``spec.blocks`` seeded-random blocks via the DFTL remap.
 
         Victims are drawn plane-by-plane; a draw is skipped when the plane
@@ -334,8 +337,8 @@ class FaultInjector:
         not deadlock).  Attempts are bounded so a saturated device ends the
         fault instead of spinning.
         """
-        planes = self.simulator.mapper.planes
-        config = self.simulator.config
+        planes = simulator.mapper.planes
+        config = self.config
         threshold = config.gc_free_block_threshold
         retired = 0
         for _ in range(max(16, 8 * spec.blocks)):
@@ -348,5 +351,5 @@ class FaultInjector:
                 continue
             if plane.free_block_count <= threshold + 1:
                 continue
-            self.simulator.retire_bad_block(plane_index, block_id)
+            simulator.retire_bad_block(plane_index, block_id)
             retired += 1

@@ -22,14 +22,17 @@ model:
 The seed kept an unbounded per-backend dict memo that silently stopped
 caching at 500k entries; the grid replaces it with bounded, explicitly
 evicted storage that is shared across simulators of the same configuration.
-The backend tracks how its queries were served (``grid_hits`` versus
-``scalar_fallbacks``) and the simulator surfaces both counters through
+The simulator's read path queries :attr:`FlashBackend.grid` itself
+(:meth:`~repro.ssd.retry_grid.RetryStepGrid.behaviour_at`, once per page
+read) and counts how each query was served (``grid_hits`` versus
+``scalar_fallbacks``) straight into
 :class:`repro.ssd.metrics.SimulationMetrics`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.rber import CodewordErrorModel
@@ -82,11 +85,8 @@ class FlashBackend:
         self.retry_table = retry_table or ReadRetryTable()
         self._rpt = rpt
         self._variation = ProcessVariation(seed=config.seed)
-        self._grid = grid
-        #: Reads answered from a precomputed grid slab.
-        self.grid_hits = 0
-        #: Reads answered by an exact scalar walk (cold condition).
-        self.scalar_fallbacks = 0
+        if grid is not None:
+            self.grid = grid
 
     @property
     def rpt(self) -> ReadTimingParameterTable:
@@ -94,24 +94,23 @@ class FlashBackend:
             self._rpt = ReadTimingParameterTable.default()
         return self._rpt
 
-    @property
+    @cached_property
     def grid(self):
         """The retry-step grid serving this backend (built on first use).
 
         Backends with default error models share the process-wide grid of
         their configuration; a custom error model or retry table gets a
-        private grid so it cannot pollute the shared one.
+        private grid so it cannot pollute the shared one.  Once built, the
+        grid is a plain instance attribute, so the per-read query pays no
+        property call.
         """
-        if self._grid is None:
-            from repro.ssd.retry_grid import RetryStepGrid, shared_grid
+        from repro.ssd.retry_grid import RetryStepGrid, shared_grid
 
-            if self._custom_models:
-                self._grid = RetryStepGrid(self.config, rpt=self.rpt,
-                                           error_model=self.error_model,
-                                           retry_table=self.retry_table)
-            else:
-                self._grid = shared_grid(self.config, self.rpt)
-        return self._grid
+        if self._custom_models:
+            return RetryStepGrid(self.config, rpt=self.rpt,
+                                 error_model=self.error_model,
+                                 retry_table=self.retry_table)
+        return shared_grid(self.config, self.rpt)
 
     # -- per-block identity ----------------------------------------------------------
     def block_variation(self, physical: PhysicalPage):
@@ -125,37 +124,18 @@ class FlashBackend:
         block = physical.plane * self.config.blocks_per_plane + physical.block
         return self._variation.block_sample(chip=chip, block=block)
 
-    # -- main query --------------------------------------------------------------------
-    def behaviour_at(self, page_type: int, pe_cycles: int,
-                     retention_months: float, corner: int) -> ReadBehaviour:
-        """Retry-step counts for one read under its condition.
-
-        ``page_type`` indexes ``PAGE_TYPE_ORDER`` and ``corner`` is the
-        block's variation corner, both as the read path derives them from a
-        packed page index (:class:`~repro.ssd.ftl.PageAddressing`).  The
-        simulator asks once per page read, when the die starts it, and the
-        answer is counted as a grid hit or a scalar fallback.
-        """
-        grid = self._grid
-        if grid is None:
-            grid = self.grid
-        behaviour, from_grid = grid.behaviour_at(
-            page_type, pe_cycles, retention_months, corner)
-        if from_grid:
-            self.grid_hits += 1
-        else:
-            self.scalar_fallbacks += 1
-        return behaviour
-
+    # -- adapters --------------------------------------------------------------------
     def read_behaviour(self, physical: PhysicalPage, page_type: PageType,
                        pe_cycles: int,
                        retention_months: float) -> ReadBehaviour:
-        """:meth:`behaviour_at` of a :class:`PageType` read of ``physical``."""
+        """The grid's behaviour for a :class:`PageType` read of ``physical``."""
         chip = physical.channel * self.config.dies_per_channel + physical.die
         block = physical.plane * self.config.blocks_per_plane + physical.block
-        return self.behaviour_at(PAGE_TYPE_ORDER.index(page_type), pe_cycles,
-                                 retention_months,
-                                 self.grid.corner_index(chip, block))
+        grid = self.grid
+        behaviour, _ = grid.behaviour_at(
+            PAGE_TYPE_ORDER.index(page_type), pe_cycles, retention_months,
+            grid.corner_index(chip, block))
+        return behaviour
 
     def prefill_conditions(self, conditions) -> None:
         """Vectorize the slabs of conditions known to be coming.

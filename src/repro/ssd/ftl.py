@@ -404,7 +404,8 @@ class FlashTranslationLayer:
 
     def lookup(self, lpn: int) -> Optional[PhysicalPage]:
         """Physical location of a logical page (``None`` if never written)."""
-        check_lpn(lpn, self._logical_pages)
+        if not 0 <= lpn < self._logical_pages:
+            check_lpn(lpn, self._logical_pages)  # raises, with the one message
         packed = self._mapping[lpn]
         if packed == _UNMAPPED:
             return None
@@ -416,7 +417,8 @@ class FlashTranslationLayer:
         A never-written LPN holds data written before the trace started: it
         is mapped now, as preconditioned cold data.
         """
-        check_lpn(lpn, self._logical_pages)
+        if not 0 <= lpn < self._logical_pages:
+            check_lpn(lpn, self._logical_pages)  # raises, with the one message
         packed = self._mapping[lpn]
         if packed == _UNMAPPED:
             packed = self._place(lpn, self._cold_retention_months)

@@ -1,11 +1,16 @@
 """Tests for the end-to-end SSD simulator."""
 
+import gc
+
 import pytest
 
 from repro.ssd.config import SsdConfig
 from repro.sim import Simulation
 from repro.ssd.controller import SsdSimulator
+from repro.ssd.faults import FaultPlan, die_failure, grown_bad_blocks, read_disturb
 from repro.ssd.request import HostRequest, RequestKind
+from repro.workloads.catalog import catalog_workload
+from repro.workloads.closed_loop import ClosedLoopSource
 
 
 def read(arrival, lpn, pages=1):
@@ -160,6 +165,104 @@ class TestAttributeBudget:
         simulator.run([HostRequest(0.0, RequestKind.WRITE, 3),
                        HostRequest(10.0, RequestKind.READ, 3, page_count=2)])
         assert len(vars(simulator)) <= 29
+
+
+class TestNoReferenceCycles:
+    FAULTS = FaultPlan(faults=(
+        die_failure(at_us=2000.0, channel=0, die=1),
+        read_disturb(at_us=4000.0, duration_us=20000.0),
+        grown_bad_blocks(at_us=6000.0, blocks=2)), seed=3)
+
+    @pytest.mark.parametrize("mapping, faults, closed_loop", [
+        ("block", False, False),
+        ("page", False, False),
+        ("page", True, False),
+        ("block", False, True),
+    ], ids=["block", "page", "page-faults", "closed-loop"])
+    def test_a_finished_run_leaves_nothing_for_the_collector(
+            self, mapping, faults, closed_loop, default_rpt):
+        # No per-die record or fault injector points back at the simulator,
+        # so a finished one is freed by reference counting alone: a fleet's
+        # peak memory does not wait for the cyclic collector.
+        config = SsdConfig.tiny(mapping=mapping)
+        gc.collect()
+        gc.disable()
+        try:
+            simulator = SsdSimulator(config, policy="PnAR2", rpt=default_rpt)
+            simulator.precondition(pe_cycles=1000, retention_months=6.0,
+                                   fill_fraction=0.5)
+            if faults:
+                simulator.install_faults(self.FAULTS)
+            if closed_loop:
+                result = simulator.run_closed_loop(ClosedLoopSource(
+                    "ycsb-c", config=config, clients=3, queue_depth=2,
+                    total_requests=200, seed=1))
+            else:
+                result = simulator.run(list(catalog_workload(
+                    "stg_0", config.logical_pages // 2, seed=1,
+                    mean_interarrival_us=300.0).iter_requests(200)))
+            assert result.metrics.host_reads + result.metrics.host_writes == 200
+            if faults:
+                assert result.metrics.fault_injections == 3
+                assert result.metrics.grown_bad_blocks == 2
+            del simulator, result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestNoRequestLeftBehind:
+    def test_a_write_larger_than_the_buffer_is_refused_on_arrival(
+            self, default_rpt):
+        # It could never be admitted: the run would end with it, and any
+        # write queued behind it, silently outstanding.
+        simulator = SsdSimulator(SsdConfig.tiny(), policy="Baseline",
+                                 rpt=default_rpt)
+        simulator.precondition(pe_cycles=1000, retention_months=6.0)
+        oversized = write(0.0, 0, pages=40)
+        with pytest.raises(ValueError, match=(
+                f"write request {oversized.request_id} of 40 pages can never "
+                "fit the 32-page write buffer")):
+            simulator.run([oversized, write(10.0, 50), read(20.0, 60)])
+
+    @pytest.mark.parametrize("closed_loop", [False, True])
+    def test_a_drained_queue_with_requests_outstanding_raises(
+            self, closed_loop, default_rpt):
+        # A write buffer that never frees a slot strands every write that
+        # does not fit, and a page read that is lost strands its request:
+        # the run must say so instead of returning short.
+        config = SsdConfig.tiny(write_buffer_pages=2)
+        simulator = SsdSimulator(config, policy="Baseline", rpt=default_rpt)
+        simulator.precondition(pe_cycles=1000, retention_months=6.0)
+        simulator.write_buffer.release = lambda pages=1: None
+        enqueue = simulator._enqueue
+
+        def lose_lpn_7(transaction):
+            if transaction.lpn != 7 or transaction.kind.is_background:
+                enqueue(transaction)
+        simulator._enqueue = lose_lpn_7
+        requests = [write(0.0, 0), write(1.0, 1), write(2.0, 2),
+                    read(3.0, 7), write(4.0, 3), read(5.0, 8)]
+        message = (r"the event queue drained with 3 admitted requests still "
+                   r"outstanding: 1 in-flight reads, 2 waiting writes")
+        with pytest.raises(RuntimeError, match=message):
+            if closed_loop:
+                simulator.run_closed_loop(_Replay(requests))
+            else:
+                simulator.run(requests)
+
+
+class _Replay:
+    """A closed-loop source that issues a fixed list of requests at once."""
+
+    def __init__(self, requests):
+        self.requests = requests
+
+    def start(self):
+        return list(self.requests)
+
+    def on_complete(self, request, now_us):
+        return []
 
 
 class TestRepeatedRuns:

@@ -12,7 +12,7 @@ class TestEventQueue:
         queue.schedule(5.0, lambda: order.append("b"))
         queue.schedule(1.0, lambda: order.append("a"))
         queue.schedule(9.0, lambda: order.append("c"))
-        queue.run()
+        assert queue.run() == 3
         assert order == ["a", "b", "c"]
         assert queue.now_us == 9.0
 
@@ -24,22 +24,31 @@ class TestEventQueue:
         queue.run()
         assert order == ["first", "second"]
 
-    def test_schedule_after(self):
+    @pytest.mark.parametrize("batch", [3, 40])
+    def test_every_site_draws_from_one_sequence(self, batch):
+        # Small batches are pushed entry by entry and large ones heapified;
+        # either way ties break in scheduling order across all three ways
+        # of scheduling, and the controller's own pushes share the counter.
         queue = EventQueue()
-        seen = []
-        queue.schedule(3.0, lambda: queue.schedule_after(2.0, lambda: seen.append(queue.now_us)))
+        order = []
+        queue.schedule(1.0, lambda: order.append("schedule"))
+        queue.schedule_call(1.0, order.append, "call")
+        queue.schedule_batch(order.append, [(1.0, index) for index in range(batch)])
+        queue.schedule_call(1.0, order.append, "after")
+        assert queue.schedule(0.0, lambda: None) == batch + 3
+        assert next(queue.sequence) == batch + 4
         queue.run()
-        assert seen == [5.0]
+        assert order == ["schedule", "call", *range(batch), "after"]
 
     def test_cancelled_events_do_not_run(self):
         queue = EventQueue()
         seen = []
-        handle = queue.schedule(1.0, lambda: seen.append("cancelled"))
+        sequence = queue.schedule_call(1.0, seen.append, "cancelled")
         queue.schedule(2.0, lambda: seen.append("kept"))
-        handle.cancel()
-        assert handle.cancelled
-        queue.run()
+        queue.cancel(sequence)
+        assert queue.run() == 1
         assert seen == ["kept"]
+        assert not queue.cancelled
 
     def test_cannot_schedule_in_the_past(self):
         queue = EventQueue()
@@ -48,54 +57,17 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             queue.schedule(1.0, lambda: None)
         with pytest.raises(ValueError):
-            queue.schedule_after(-1.0, lambda: None)
+            queue.schedule_call(1.0, print, None)
+        with pytest.raises(ValueError):
+            queue.schedule_batch(print, [(6.0, None), (1.0, None)])
 
-    def test_run_until_time_limit(self):
+    def test_len_counts_pending_events_only(self):
         queue = EventQueue()
-        seen = []
-        for time in (1.0, 2.0, 3.0, 4.0):
-            queue.schedule(time, lambda t=time: seen.append(t))
-        executed = queue.run(until_us=2.5)
-        assert executed == 2
-        assert seen == [1.0, 2.0]
-        queue.run()
-        assert seen == [1.0, 2.0, 3.0, 4.0]
-
-    def test_run_with_event_budget(self):
-        queue = EventQueue()
-        for time in range(10):
-            queue.schedule(float(time), lambda: None)
-        assert queue.run(max_events=4) == 4
-        assert len(queue) == 6
-
-    def test_step_on_empty_queue(self):
-        assert EventQueue().step() is False
-
-    def test_len_ignores_cancelled(self):
-        queue = EventQueue()
-        handle = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        handle.cancel()
-        assert len(queue) == 1
-
-    def test_len_is_live_counter(self):
-        queue = EventQueue()
-        handles = [queue.schedule(float(t), lambda: None) for t in range(4)]
+        sequences = [queue.schedule(float(time), lambda: None) for time in range(4)]
         assert len(queue) == 4
-        handles[0].cancel()
-        handles[0].cancel()  # double-cancel must not decrement twice
+        queue.cancel(sequences[0])
+        queue.cancel(sequences[0])  # cancelling twice counts once
         assert len(queue) == 3
-        queue.step()  # pops the cancelled event, then runs t=1
-        assert len(queue) == 2
         queue.run()
         assert len(queue) == 0
-
-    def test_cancel_after_run_is_noop(self):
-        queue = EventQueue()
-        handle = queue.schedule(1.0, lambda: None)
-        queue.schedule(2.0, lambda: None)
-        queue.step()
-        handle.cancel()  # the event already executed
-        assert len(queue) == 1
-        queue.run()
-        assert len(queue) == 0
+        assert not queue.heap and not queue.cancelled

@@ -171,7 +171,7 @@ class TestFaultInjector:
         mapped_before = set(dftl._mapping)
         simulator.install_faults(FaultPlan(faults=(
             grown_bad_blocks(at_us=0.0, blocks=blocks),), seed=seed))
-        simulator._fault_injector.poll(0.0)
+        simulator._fault_injector.poll(simulator, 0.0)
         assert set(dftl._mapping) == mapped_before
         dftl.check_consistency()
         assert simulator.metrics.grown_bad_blocks == blocks

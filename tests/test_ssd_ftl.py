@@ -181,7 +181,8 @@ class TestPageAddressing:
 
     @pytest.mark.parametrize("mapping", ["block", "page"])
     def test_reads_are_served_where_their_page_lives(self, mapping,
-                                                     default_rpt):
+                                                     default_rpt,
+                                                     monkeypatch):
         """The read path's inline die, corner and page-type arithmetic
         agrees with the mapper's ``PhysicalPage`` view of each read."""
         config = SsdConfig(channels=2, dies_per_channel=3, planes_per_die=2,
@@ -190,19 +191,21 @@ class TestPageAddressing:
         addressing = PageAddressing(config)
         simulator = SsdSimulator(config, policy="PnAR2", rpt=default_rpt)
         simulator.precondition(pe_cycles=1000, retention_months=6.0)
+        keys = {id(die): key for key, die in simulator.schedulers.items()}
         served = []
-        for key, scheduler in simulator.schedulers.items():
-            def start(transaction, key=key, original=scheduler._start):
-                served.append((key, transaction))
-                return original(transaction)
-            scheduler._start = start
-        behaviour_at = simulator.backend.behaviour_at
+        start = simulator._start
+
+        def record_start(die, transaction):
+            served.append((keys[id(die)], transaction))
+            return start(die, transaction)
+        simulator._start = record_start
+        behaviour_at = RetryStepGrid.behaviour_at
         queried = []
 
-        def record(page_type, pe_cycles, retention, corner):
+        def record(grid, page_type, pe_cycles, retention, corner):
             queried.append((page_type, corner))
-            return behaviour_at(page_type, pe_cycles, retention, corner)
-        simulator.backend.behaviour_at = record
+            return behaviour_at(grid, page_type, pe_cycles, retention, corner)
+        monkeypatch.setattr(RetryStepGrid, "behaviour_at", record)
         requests = [HostRequest(index * 400.0, RequestKind.READ,
                                 (index * 37) % 300, page_count=1 + index % 5)
                     for index in range(40)]

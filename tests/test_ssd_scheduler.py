@@ -1,183 +1,239 @@
-"""Tests for per-die scheduling: read priority and program/erase suspension."""
+"""Tests for the per-die transaction lifecycle: read priority and
+program/erase suspension.
+
+The controller runs every die itself (``SsdSimulator._enqueue``,
+``_start``, ``_suspend`` and ``_complete`` over
+:class:`repro.ssd.scheduler.DieState` records).  These tests drive that
+lifecycle on die 0 of a simulator whose read pricing is stubbed, and keep
+:class:`DieScheduler`, the callback-driven scheduler the lifecycle
+replaced, as the reference oracle of the hypothesis property at the end.
+"""
 
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ssd.config import SsdConfig
+from repro.ssd.controller import SsdSimulator
 from repro.ssd.engine import EventQueue
 from repro.ssd.request import FlashTransaction, TransactionKind
-from repro.ssd.scheduler import DieScheduler
+
+READ = TransactionKind.READ
+GC_READ = TransactionKind.GC_READ
+PROGRAM = TransactionKind.PROGRAM
+GC_PROGRAM = TransactionKind.GC_PROGRAM
+ERASE = TransactionKind.ERASE
+
+READ_US = 100.0
+PROGRAM_US = 700.0
+ERASE_US = 5000.0
 
 
-def make_transaction(kind, issue_us=0.0):
+def idle(die):
+    return die.running is None and not die.read_queue and not die.write_queue
+
+
+def make_transaction(kind, issue_us=0.0, transaction_id=None):
     return FlashTransaction(kind=kind, lpn=0, packed=0, die=0,
-                            issue_us=issue_us)
+                            issue_us=issue_us, transaction_id=transaction_id)
 
 
-SERVICE_TIMES = {
-    TransactionKind.READ: 100.0,
-    TransactionKind.GC_READ: 100.0,
-    TransactionKind.PROGRAM: 700.0,
-    TransactionKind.GC_PROGRAM: 700.0,
-    TransactionKind.ERASE: 5000.0,
-}
+class Lifecycle:
+    """Die 0 of a simulator, its read pricing stubbed out.
 
+    Reads and GC reads cost ``read_us(transaction)``; programs, erases and
+    translation reads cost the controller's constants, set here.
+    ``completed`` lists transactions as they complete, and
+    ``on_program_complete(transaction)`` runs where a host program's
+    completion releases its write-buffer slot, the one completion that
+    enqueues flash work directly (waiting writes and garbage collection).
+    """
 
-def build_scheduler(config=None, completed=None):
-    config = config or SsdConfig.tiny()
-    events = EventQueue()
-    completed = completed if completed is not None else []
-    scheduler = DieScheduler(
-        (0, 0), config, events,
-        service_time_fn=lambda txn: SERVICE_TIMES[txn.kind],
-        on_complete=completed.append)
-    return scheduler, events, completed
+    def __init__(self, config=None, read_us=None, on_program_complete=None,
+                 program_us=PROGRAM_US, erase_us=ERASE_US,
+                 trans_read_us=READ_US):
+        simulator = SsdSimulator(config or SsdConfig.tiny())
+        simulator._program_us = program_us
+        simulator._erase_us = erase_us
+        simulator._trans_read_us = (trans_read_us,) * 3
+        simulator._read_service_time = read_us or (lambda transaction: READ_US)
+        self.completed = []
+        complete = simulator._complete
+
+        def record(transaction):
+            self.completed.append(transaction)
+            complete(transaction)
+
+        def release():
+            if on_program_complete is not None:
+                on_program_complete(self.completed[-1])
+
+        simulator._complete = record
+        simulator._release_host_program = release
+        self.simulator = simulator
+        self.events = simulator.events
+        self.die = simulator._dies[0]
+
+    def enqueue(self, transaction):
+        self.simulator._enqueue(transaction)
+
+    def enqueue_at(self, time_us, transaction):
+        self.events.schedule_call(time_us, self.simulator._enqueue, transaction)
+
+    def run(self):
+        self.events.run()
 
 
 class TestBasicScheduling:
     def test_single_transaction_completes(self):
-        scheduler, events, completed = build_scheduler()
-        read = make_transaction(TransactionKind.READ)
-        scheduler.enqueue(read)
-        events.run()
-        assert completed == [read]
+        die = Lifecycle()
+        read = make_transaction(READ)
+        die.enqueue(read)
+        die.run()
+        assert die.completed == [read]
         assert read.service_start_us == 0.0
-        assert read.completion_us == pytest.approx(100.0)
-        assert scheduler.is_idle
+        assert read.completion_us == pytest.approx(READ_US)
+        assert idle(die.die)
 
     def test_reads_overtake_queued_programs(self):
         # Out-of-order I/O scheduling: a read enqueued behind programs is
         # served as soon as the die becomes free, before the programs.
-        scheduler, events, completed = build_scheduler()
-        first_program = make_transaction(TransactionKind.PROGRAM)
-        second_program = make_transaction(TransactionKind.PROGRAM)
-        read = make_transaction(TransactionKind.READ)
-        scheduler.enqueue(first_program)
-        scheduler.enqueue(second_program)
-        events.schedule(10.0, lambda: scheduler.enqueue(read))
-        events.run()
-        assert completed.index(read) < completed.index(second_program)
+        die = Lifecycle(SsdConfig.tiny(suspension=False))
+        first_program = make_transaction(PROGRAM)
+        second_program = make_transaction(PROGRAM)
+        read = make_transaction(READ)
+        die.enqueue(first_program)
+        die.enqueue(second_program)
+        die.enqueue_at(10.0, read)
+        die.run()
+        assert die.completed == [first_program, read, second_program]
 
     def test_fifo_without_read_priority(self):
-        config = SsdConfig.tiny(read_priority=False, suspension=False)
-        scheduler, events, completed = build_scheduler(config)
-        program = make_transaction(TransactionKind.PROGRAM)
-        read = make_transaction(TransactionKind.READ)
-        scheduler.enqueue(program)
-        scheduler.enqueue(read)
-        events.run()
-        assert completed == [program, read]
+        die = Lifecycle(SsdConfig.tiny(read_priority=False, suspension=False))
+        first_program = make_transaction(PROGRAM)
+        second_program = make_transaction(PROGRAM)
+        read = make_transaction(READ)
+        die.enqueue(first_program)
+        die.enqueue(second_program)
+        die.enqueue_at(10.0, read)
+        die.run()
+        assert die.completed == [first_program, second_program, read]
 
     def test_busy_time_accounting(self):
-        scheduler, events, _ = build_scheduler()
-        scheduler.enqueue(make_transaction(TransactionKind.READ))
-        scheduler.enqueue(make_transaction(TransactionKind.READ))
-        events.run()
-        assert scheduler.total_busy_us == pytest.approx(200.0)
-        assert scheduler.completed_transactions == 2
+        die = Lifecycle()
+        die.enqueue(make_transaction(READ))
+        die.enqueue(make_transaction(READ))
+        die.enqueue(make_transaction(TransactionKind.TRANS_READ))
+        die.run()
+        assert die.die.total_busy_us == pytest.approx(3 * READ_US)
+        assert die.die.completed_transactions == 3
+        assert die.simulator.schedulers[(0, 0)] is die.die
 
 
 class TestSuspension:
-    def test_read_suspends_inflight_program(self):
-        scheduler, events, completed = build_scheduler()
-        program = make_transaction(TransactionKind.PROGRAM)
-        read = make_transaction(TransactionKind.READ)
-        scheduler.enqueue(program)
-        events.schedule(200.0, lambda: scheduler.enqueue(read))
-        events.run()
-        # The read finishes long before the program would have (at 700 us).
+    @pytest.mark.parametrize("kind", [PROGRAM, GC_PROGRAM])
+    def test_read_suspends_inflight_program(self, kind):
+        die = Lifecycle()
+        program = make_transaction(kind)
+        read = make_transaction(READ)
+        die.enqueue(program)
+        die.enqueue_at(200.0, read)
+        die.run()
+        # The read finishes long before the program would have (at 700 us),
+        # and the program's first completion never runs.
+        assert die.completed == [read, program]
         assert read.completion_us == pytest.approx(300.0)
         # The program pays the remaining time plus the suspension overhead.
-        config = SsdConfig.tiny()
-        expected_program_end = (300.0 + (700.0 - 200.0)
-                                + config.timing.program_suspend_us)
-        assert program.completion_us == pytest.approx(expected_program_end)
-        assert scheduler.suspensions == 1
+        overhead = SsdConfig.tiny().timing.program_suspend_us
+        assert program.completion_us == pytest.approx(
+            300.0 + (PROGRAM_US - 200.0) + overhead)
+        assert program.was_suspended
+        assert die.die.suspensions == 1
+        assert die.die.total_busy_us == pytest.approx(
+            PROGRAM_US + READ_US + overhead)
+        assert not die.events.heap and not die.events.cancelled
 
     def test_erase_suspension_uses_erase_overhead(self):
-        scheduler, events, _ = build_scheduler()
-        erase = make_transaction(TransactionKind.ERASE)
-        read = make_transaction(TransactionKind.READ)
-        scheduler.enqueue(erase)
-        events.schedule(1000.0, lambda: scheduler.enqueue(read))
-        events.run()
-        config = SsdConfig.tiny()
-        expected = 1000.0 + 100.0 + 4000.0 + config.timing.erase_suspend_us
+        die = Lifecycle()
+        erase = make_transaction(ERASE)
+        read = make_transaction(READ)
+        die.enqueue(erase)
+        die.enqueue_at(1000.0, read)
+        die.run()
+        expected = (1000.0 + READ_US + (ERASE_US - 1000.0)
+                    + SsdConfig.tiny().timing.erase_suspend_us)
         assert erase.completion_us == pytest.approx(expected)
+        assert die.completed == [read, erase]
 
     def test_program_suspended_only_once(self):
-        scheduler, events, completed = build_scheduler()
-        program = make_transaction(TransactionKind.PROGRAM)
-        scheduler.enqueue(program)
-        events.schedule(100.0, lambda: scheduler.enqueue(
-            make_transaction(TransactionKind.READ)))
-        events.schedule(150.0, lambda: scheduler.enqueue(
-            make_transaction(TransactionKind.READ)))
-        events.run()
-        assert scheduler.suspensions == 1
-        assert len(completed) == 3
+        die = Lifecycle()
+        program = make_transaction(PROGRAM)
+        die.enqueue(program)
+        die.enqueue_at(100.0, make_transaction(READ))
+        die.enqueue_at(150.0, make_transaction(READ))
+        die.run()
+        assert die.die.suspensions == 1
+        assert len(die.completed) == 3
+        assert die.completed[-1] is program
 
     def test_no_suspension_when_disabled(self):
-        config = SsdConfig.tiny(suspension=False)
-        scheduler, events, _ = build_scheduler(config)
-        program = make_transaction(TransactionKind.PROGRAM)
-        read = make_transaction(TransactionKind.READ)
-        scheduler.enqueue(program)
-        events.schedule(100.0, lambda: scheduler.enqueue(read))
-        events.run()
+        die = Lifecycle(SsdConfig.tiny(suspension=False))
+        program = make_transaction(PROGRAM)
+        read = make_transaction(READ)
+        die.enqueue(program)
+        die.enqueue_at(100.0, read)
+        die.run()
         # The read waits for the full program.
-        assert read.service_start_us == pytest.approx(700.0)
-        assert scheduler.suspensions == 0
+        assert read.service_start_us == pytest.approx(PROGRAM_US)
+        assert die.die.suspensions == 0
 
     def test_read_does_not_suspend_read(self):
-        scheduler, events, _ = build_scheduler()
-        first = make_transaction(TransactionKind.READ)
-        second = make_transaction(TransactionKind.READ)
-        scheduler.enqueue(first)
-        events.schedule(10.0, lambda: scheduler.enqueue(second))
-        events.run()
-        assert second.service_start_us == pytest.approx(100.0)
-        assert scheduler.suspensions == 0
+        die = Lifecycle()
+        first = make_transaction(READ)
+        second = make_transaction(READ)
+        die.enqueue(first)
+        die.enqueue_at(10.0, second)
+        die.run()
+        assert second.service_start_us == pytest.approx(READ_US)
+        assert die.die.suspensions == 0
 
 
 class TestDirectStart:
     def test_idle_die_starts_a_newcomer_without_queueing_it(self):
-        scheduler, events, _ = build_scheduler()
-        program = make_transaction(TransactionKind.PROGRAM)
-        scheduler.enqueue(program)
-        assert scheduler.current is program
-        assert scheduler.queue_depth == 0
+        die = Lifecycle()
+        program = make_transaction(PROGRAM)
+        die.enqueue(program)
+        assert die.die.running is program
+        assert not die.die.read_queue and not die.die.write_queue
         assert program.service_start_us == 0.0
 
-    def test_callback_enqueue_waits_behind_queued_work(self):
-        # A completion callback enqueues onto its own die while another
-        # transaction waits there: the die is idle but not empty, and the
-        # waiting transaction must start first.
-        events = EventQueue()
-        first, waiting, late = (make_transaction(TransactionKind.READ)
-                                for _ in range(3))
+    def test_completion_enqueue_waits_behind_queued_work(self):
+        # A host program's completion enqueues onto its own die while
+        # another transaction waits there: the die is idle but not empty,
+        # and the waiting transaction must start first.
+        first = make_transaction(PROGRAM)
+        waiting, late = make_transaction(READ), make_transaction(READ)
         started = []
 
-        def service_time(transaction):
+        def read_us(transaction):
             started.append(transaction)
-            return 100.0
+            return READ_US
 
-        def on_complete(transaction):
+        def on_program_complete(transaction):
             if transaction is first:
-                scheduler.enqueue(late)
+                die.enqueue(late)
 
-        scheduler = DieScheduler((0, 0), SsdConfig.tiny(), events,
-                                 service_time_fn=service_time,
-                                 on_complete=on_complete)
-        scheduler.enqueue(first)
-        scheduler.enqueue(waiting)
-        events.run()
-        assert started == [first, waiting, late]
-        assert waiting.service_start_us == 100.0
-        assert late.service_start_us == 200.0
+        die = Lifecycle(SsdConfig.tiny(suspension=False), read_us=read_us,
+                        on_program_complete=on_program_complete)
+        die.enqueue(first)
+        die.enqueue(waiting)
+        die.run()
+        assert started == [waiting, late]
+        assert waiting.service_start_us == PROGRAM_US
+        assert late.service_start_us == PROGRAM_US + READ_US
 
 
 class TestReentrantStart:
@@ -189,62 +245,130 @@ class TestReentrantStart:
         # That work must wait for the read being started, whether the die
         # has other reads waiting or none: every transaction completes, and
         # the die never runs two at once.
-        events = EventQueue()
-        opener, first = (make_transaction(TransactionKind.READ)
-                         for _ in range(2))
-        waiting = [make_transaction(TransactionKind.READ)
-                   for _ in range(waiting_reads)]
-        relocation = make_transaction(TransactionKind.GC_READ)
-        completed = []
+        opener, first = make_transaction(READ), make_transaction(READ)
+        waiting = [make_transaction(READ) for _ in range(waiting_reads)]
+        relocation = make_transaction(GC_READ)
 
-        def service_time(transaction):
+        def read_us(transaction):
             if transaction is first:
-                scheduler.enqueue(relocation)
-            return 100.0
+                die.enqueue(relocation)
+            return READ_US
 
-        scheduler = DieScheduler((0, 0), SsdConfig.tiny(), events,
-                                 service_time_fn=service_time,
-                                 on_complete=completed.append)
+        die = Lifecycle(read_us=read_us)
         for transaction in [opener, first, *waiting]:
-            scheduler.enqueue(transaction)
-        events.run()
+            die.enqueue(transaction)
+        die.run()
         everything = [opener, first, *waiting, relocation]
-        assert sorted(map(id, completed)) == sorted(map(id, everything))
+        assert sorted(map(id, die.completed)) == sorted(map(id, everything))
         spans = sorted((transaction.service_start_us,
                         transaction.completion_us)
-                       for transaction in completed)
+                       for transaction in die.completed)
         for (_, end), (start, _) in zip(spans, spans[1:]):
             assert start >= end
-        assert scheduler.completed_transactions == len(everything)
-        assert scheduler.is_idle
+        assert die.die.completed_transactions == len(everything)
+        assert idle(die.die)
 
 
-class _QueueFirstScheduler(DieScheduler):
-    """Oracle: every transaction passes through the queues before it
+class DieScheduler:
+    """Oracle: the callback-driven scheduler of one die, kept from before
+    the controller ran its dies itself.  It asks ``service_time_fn`` for
+    every transaction's service time and reports each completion to
+    ``on_complete``; every transaction passes through the queues before it
     starts, even on an idle die with both queues empty."""
+
+    def __init__(self, config, events, service_time_fn, on_complete):
+        self.events = events
+        self.service_time_fn = service_time_fn
+        self.on_complete = on_complete
+        self.timing = config.timing
+        self.read_priority = config.read_priority
+        self.suspension = config.suspension
+        self.read_queue = deque()
+        self.write_queue = deque()
+        self.current = None
+        self.current_start_us = 0.0
+        self.current_service_us = 0.0
+        self.current_sequence = None
+        self.total_busy_us = 0.0
+        self.completed_transactions = 0
+        self.suspensions = 0
 
     def enqueue(self, transaction):
         is_read = transaction.kind.is_read
-        if is_read and self._read_priority:
+        if is_read and self.read_priority:
             self.read_queue.append(transaction)
         else:
             self.write_queue.append(transaction)
         if self.current is None:
             self._start_next()
-        elif (is_read and self._suspension
-              and self._current_handle is not None):
+        elif is_read and self.current_sequence is not None:
             self._suspend_current()
             self._start_next()
+
+    def _suspend_current(self):
+        transaction = self.current
+        self.events.cancel(self.current_sequence)
+        elapsed = max(0.0, self.events.now_us - self.current_start_us)
+        remaining = max(0.0, self.current_service_us - elapsed)
+        if transaction.kind is ERASE:
+            overhead = self.timing.erase_suspend_us
+        else:
+            overhead = self.timing.program_suspend_us
+        transaction.remaining_service_us = remaining + overhead
+        transaction.was_suspended = True
+        self.total_busy_us += elapsed
+        self.write_queue.appendleft(transaction)
+        self.current = None
+        self.suspensions += 1
+
+    def _start_next(self):
+        if self.current is not None:
+            return
+        if self.read_queue:
+            self._start(self.read_queue.popleft())
+        elif self.write_queue:
+            self._start(self.write_queue.popleft())
+
+    def _start(self, transaction):
+        self.current = transaction
+        self.current_sequence = None
+        now = self.events.now_us
+        remaining = transaction.remaining_service_us
+        if remaining is not None:
+            service = remaining
+        else:
+            service = self.service_time_fn(transaction)
+        if transaction.service_start_us is None:
+            transaction.service_start_us = now
+        sequence = self.events.schedule_call(now + service, self._complete,
+                                             transaction)
+        if self.suspension and not transaction.kind.is_read:
+            self.current_sequence = sequence
+        self.current_start_us = now
+        self.current_service_us = service
+
+    def _complete(self, transaction):
+        self.total_busy_us += self.current_service_us
+        transaction.completion_us = self.events.now_us
+        self.current = None
+        self.completed_transactions += 1
+        self.on_complete(transaction)
+        self._start_next()
 
 
 _KINDS = st.sampled_from(list(TransactionKind))
 _SERVICE_US = st.sampled_from([50.0, 100.0, 700.0, 5000.0])
 
 
-def _replay(scheduler_class, config, arrivals):
-    """Run one die over drawn arrivals; each arrival may enqueue follow-ups
-    onto the same die from its completion callback."""
-    events = EventQueue()
+def _replay(config, arrivals, constants, oracle):
+    """Run die 0 over drawn arrivals, through the controller or the
+    oracle.  A host program's completion may enqueue drawn follow-ups onto
+    the same die, as admitting waiting writes or collecting garbage does.
+
+    Reads and GC reads cost their drawn service time; every other kind
+    costs the controller's constant for it, as the controller prices it.
+    """
+    program_us, erase_us, trans_read_us = constants
     service_us = {}
     followups = {}
     finished = []
@@ -252,48 +376,67 @@ def _replay(scheduler_class, config, arrivals):
     # schedule alike number them alike.
     followup_ids = itertools.count(len(arrivals))
 
-    def transaction_of(kind, issue_us, transaction_id, service):
-        transaction = FlashTransaction(kind, 0, 0, 0, issue_us,
-                                       transaction_id=transaction_id)
-        service_us[transaction] = service
-        return transaction
+    def service_of(transaction):
+        kind = transaction.kind
+        if kind is READ or kind is GC_READ:
+            return service_us[transaction]
+        if kind is TransactionKind.TRANS_READ:
+            return trans_read_us
+        return erase_us if kind is ERASE else program_us
 
-    def on_complete(transaction):
-        finished.append(transaction)
+    def enqueue_followups(transaction):
         for kind, service in followups.pop(transaction, ()):
-            scheduler.enqueue(transaction_of(kind, events.now_us,
-                                             next(followup_ids), service))
+            child = make_transaction(kind, events.now_us, next(followup_ids))
+            service_us[child] = service
+            enqueue(child)
 
-    scheduler = scheduler_class((0, 0), config, events,
-                                service_time_fn=service_us.__getitem__,
-                                on_complete=on_complete)
+    if oracle:
+        events = EventQueue()
+
+        def on_complete(transaction):
+            finished.append(transaction)
+            if transaction.kind is PROGRAM:
+                enqueue_followups(transaction)
+
+        die = DieScheduler(config, events, service_of, on_complete)
+        enqueue = die.enqueue
+    else:
+        lifecycle = Lifecycle(config, read_us=service_of,
+                              on_program_complete=enqueue_followups,
+                              program_us=program_us, erase_us=erase_us,
+                              trans_read_us=trans_read_us)
+        events = lifecycle.events
+        finished = lifecycle.completed
+        enqueue = lifecycle.enqueue
+        die = lifecycle.die
     time_us = 0.0
     for index, (gap_us, kind, service, children) in enumerate(arrivals):
         time_us += gap_us
-        transaction = transaction_of(kind, time_us, index, service)
+        transaction = make_transaction(kind, time_us, index)
+        service_us[transaction] = service
         followups[transaction] = children
-        events.schedule_call(time_us, scheduler.enqueue, transaction)
+        events.schedule_call(time_us, enqueue, transaction)
     events.run()
     return ([(transaction.transaction_id, transaction.service_start_us,
               transaction.completion_us) for transaction in finished],
-            scheduler.total_busy_us, scheduler.suspensions,
-            scheduler.completed_transactions)
+            die.total_busy_us, die.suspensions, die.completed_transactions)
 
 
-class TestDirectStartMatchesQueueFirst:
+class TestLifecycleMatchesTheOracle:
     # Zero gaps, drawn twice as often, make simultaneous arrivals common.
-    @given(st.booleans(), st.booleans(), st.lists(
-        st.tuples(st.sampled_from([0.0, 0.0, 25.0, 100.0, 650.0]), _KINDS,
-                  _SERVICE_US,
-                  st.lists(st.tuples(_KINDS, _SERVICE_US), max_size=2)),
-        min_size=1, max_size=20))
+    @given(st.booleans(), st.booleans(),
+           st.tuples(_SERVICE_US, _SERVICE_US, _SERVICE_US),
+           st.lists(
+               st.tuples(st.sampled_from([0.0, 0.0, 25.0, 100.0, 650.0]),
+                         _KINDS, _SERVICE_US,
+                         st.lists(st.tuples(_KINDS, _SERVICE_US),
+                                  max_size=2)),
+               min_size=1, max_size=20))
     @settings(max_examples=80, deadline=None)
     def test_same_schedule_as_the_oracle(self, read_priority, suspension,
-                                         arrivals):
+                                         constants, arrivals):
         config = SsdConfig.tiny(read_priority=read_priority,
                                 suspension=suspension)
-        direct = _replay(DieScheduler, config, arrivals)
-        assert direct == _replay(_QueueFirstScheduler, config, arrivals)
-        assert direct[3] == len(arrivals) + sum(
-            len(children) for *_, children in arrivals)
-
+        lifecycle = _replay(config, arrivals, constants, oracle=False)
+        assert lifecycle == _replay(config, arrivals, constants, oracle=True)
+        assert lifecycle[3] == len(lifecycle[0])
