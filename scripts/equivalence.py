@@ -287,8 +287,13 @@ def corpus(workdir: str) -> dict:
             "block-read-disturb": partial(
                 device, hot_cold, faults=[read_disturb(20000.0, 40000.0, blocks=3)]
             ),
+            # Dense reads, so blocks retire while a die prices a read (a re-entrant start).
             "page-grown-bad-blocks": partial(
-                device, mixed, "page", fill=0.5, faults=[grown_bad_blocks(15000.0, blocks=2)]
+                device,
+                spec(interarrival_us=300.0),
+                "page",
+                fill=0.5,
+                faults=[grown_bad_blocks(20000.0, blocks=4)],
             ),
             "page-all-faults": partial(
                 device,
