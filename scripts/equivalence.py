@@ -4,6 +4,7 @@
 Run from anywhere::
 
     python3 scripts/equivalence.py PARENT_DIR CHANGE_DIR [--expect-change NAME ...]
+                                   [--expect-listed]
 
 The corpus is :func:`corpus`: about 40 small scenarios on ``SsdConfig.tiny()`` devices.  It
 covers both mappings, the paper's retry policies, garbage-collection storms, every fault kind, a
@@ -21,7 +22,9 @@ The parent is the oracle, so there is no fixture to refresh.  For every scenario
 the script prints its first difference; for a request, that is its arrival index, kind, LPN and
 both completion times.  It exits 1 when a scenario raises on either side, and unless the
 scenarios that differ are exactly those named by ``--expect-change``, which a change that moves
-outputs on purpose uses to name what it moves.
+outputs on purpose uses to name what it moves.  ``--expect-listed`` adds the names the change
+lists in ``scripts/equivalence_expected.txt``, but only where its copy of that file differs from
+the parent's: a list counts for the change that writes it, and the next change inherits none.
 """
 
 import argparse
@@ -34,6 +37,9 @@ import tempfile
 import time
 from functools import partial
 from pathlib import Path
+
+#: Where a change lists the scenarios it moves on purpose, one name a line (``#`` comments).
+EXPECTED_LIST = Path("scripts") / "equivalence_expected.txt"
 
 #: The retry policies every mapping runs under.
 PAPER_POLICIES = ("Baseline", "PR2", "AR2", "PnAR2")
@@ -405,6 +411,18 @@ def errors(records: dict) -> dict:
     return {name: record["error"] for name, record in records.items() if "error" in record}
 
 
+def listed_changes(parent: Path, change: Path) -> list:
+    """The names in the change's :data:`EXPECTED_LIST`, or none if it reads as the parent's."""
+    texts = []
+    for checkout in (parent, change):
+        path = checkout / EXPECTED_LIST
+        texts.append(path.read_text() if path.is_file() else "")
+    if texts[0] == texts[1]:
+        return []
+    names = (line.split("#", 1)[0].strip() for line in texts[1].splitlines())
+    return [name for name in names if name]
+
+
 def run_checkout(checkout: Path) -> dict:
     """Run the corpus in a fresh interpreter on ``checkout``'s sources."""
     environment = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
@@ -423,6 +441,11 @@ def main(argv=None) -> int:
     parser.add_argument("parent", nargs="?", type=Path, help="the parent checkout (the oracle)")
     parser.add_argument("change", nargs="?", type=Path, help="the changed checkout")
     parser.add_argument("--expect-change", nargs="+", default=[], metavar="NAME")
+    parser.add_argument(
+        "--expect-listed",
+        action="store_true",
+        help=f"also expect the names the change writes into its {EXPECTED_LIST}",
+    )
     parser.add_argument("--emit", nargs="*", metavar="NAME", help=argparse.SUPPRESS)
     options = parser.parse_args(argv)
     if options.emit is not None:
@@ -430,6 +453,11 @@ def main(argv=None) -> int:
         return 0
     if options.parent is None or options.change is None:
         parser.error("PARENT_DIR and CHANGE_DIR are required")
+    expected = set(options.expect_change)
+    if options.expect_listed:
+        listed = listed_changes(options.parent, options.change)
+        print(f"{EXPECTED_LIST} expects a change in: {' '.join(listed) or 'nothing'}")
+        expected.update(listed)
     records = {}
     for side, checkout in (("parent", options.parent), ("change", options.change)):
         started = time.perf_counter()
@@ -444,10 +472,10 @@ def main(argv=None) -> int:
     differences = compare(records["parent"], records["change"])
     for name, difference in differences.items():
         print(f"DIFFERS {name}: {difference}")
-    for name in sorted(set(options.expect_change) - set(differences)):
+    for name in sorted(expected - set(differences)):
         print(f"expected a change in {name}, but it is identical")
     # A scenario that raises on both sides is equal, but it shows nothing.
-    passed = not raised and set(differences) == set(options.expect_change)
+    passed = not raised and set(differences) == expected
     print("equivalence: " + ("holds" if passed else "FAILS"))
     return 0 if passed else 1
 

@@ -668,7 +668,7 @@ class SsdSimulator:
         """Suspend the die's running program or erase so a read runs first."""
         transaction = die.running
         events = self.events
-        events.cancelled.add(die.completion)
+        events.cancel(die.completion)
         elapsed = max(0.0, events.now_us - die.start_us)
         remaining = max(0.0, die.service_us - elapsed)
         timing = self.config.timing

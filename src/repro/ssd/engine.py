@@ -10,21 +10,22 @@ in scheduling order and the comparison never reaches the callback.
 
 The controller pushes its flash-transaction completions straight onto
 :attr:`EventQueue.heap`, drawing their sequence from the same counter.  A
-program or erase that a read suspends is cancelled by its sequence number:
-the number goes into :attr:`EventQueue.cancelled`, and :meth:`run` skips
-and forgets the entry when it pops it.  Only a pending event is ever
+program or erase that a read suspends is cancelled by its sequence number
+through :meth:`EventQueue.cancel`: the number goes into
+:attr:`EventQueue.cancelled`, and :meth:`run` skips and forgets the entry
+when it pops it.  Only a pending event is ever
 cancelled, so ``len(events)`` is exactly ``len(heap) - len(cancelled)``.
 
 :meth:`EventQueue.schedule` keeps the no-argument form ``callback()`` for
-tests and benchmarks: it pushes ``operator.call`` as the callback and the
-no-argument callable as the argument, so only those events pay for it.
+tests and benchmarks: it pushes the :func:`_call` trampoline as the
+callback and the no-argument callable as the argument, so only those
+events pay for the extra frame.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from operator import call
 from typing import Callable, Iterable, List, Set, Tuple
 
 #: Batch size beyond which a bulk push re-heapifies instead of sifting each
@@ -32,6 +33,11 @@ from typing import Callable, Iterable, List, Set, Tuple
 #: the admission pump's 64-request windows the crossover sits well below a
 #: full-window refill and well above the steady-state single admission.
 _HEAPIFY_THRESHOLD = 16
+
+
+def _call(callback: Callable[[], None]) -> None:
+    """Run a no-argument event (``operator.call`` needs Python 3.11)."""
+    callback()
 
 
 class EventQueue:
@@ -53,7 +59,7 @@ class EventQueue:
     # -- scheduling -----------------------------------------------------------
     def schedule(self, time_us: float, callback: Callable[[], None]) -> int:
         """Schedule ``callback()`` at ``time_us``; returns the event's sequence."""
-        return self.schedule_call(time_us, call, callback)
+        return self.schedule_call(time_us, _call, callback)
 
     def schedule_call(self, time_us: float, callback: Callable, argument) -> int:
         """Schedule ``callback(argument)`` at ``time_us``; returns the event's sequence."""
@@ -89,7 +95,12 @@ class EventQueue:
                 heapq.heappush(heap, entry)
 
     def cancel(self, sequence: int) -> None:
-        """Stop the pending event ``sequence`` from running."""
+        """Stop the pending event ``sequence`` from running.
+
+        The event must still be pending: a cancelled sequence stays in
+        :attr:`cancelled` until :meth:`run` pops its entry, and ``len``
+        counts it out of the heap.
+        """
         self.cancelled.add(sequence)
 
     # -- execution ------------------------------------------------------------

@@ -404,8 +404,7 @@ class FlashTranslationLayer:
 
     def lookup(self, lpn: int) -> Optional[PhysicalPage]:
         """Physical location of a logical page (``None`` if never written)."""
-        if not 0 <= lpn < self._logical_pages:
-            check_lpn(lpn, self._logical_pages)  # raises, with the one message
+        check_lpn(lpn, self._logical_pages)
         packed = self._mapping[lpn]
         if packed == _UNMAPPED:
             return None

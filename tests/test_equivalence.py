@@ -68,6 +68,36 @@ def test_expect_change_passes_when_exactly_those_differ(
                            else "equivalence: FAILS\n")
 
 
+def test_a_list_counts_only_where_the_change_rewrote_it(equivalence,
+                                                        tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (change / "scripts").mkdir(parents=True)
+    (parent / "scripts").mkdir(parents=True)
+    listed = change / equivalence.EXPECTED_LIST
+    assert equivalence.listed_changes(parent, change) == []
+    listed.write_text("# moved on purpose\npage-discard  # the fix\n\n")
+    assert equivalence.listed_changes(parent, change) == ["page-discard"]
+    # A list inherited unchanged from the parent expects nothing.
+    (parent / equivalence.EXPECTED_LIST).write_text(listed.read_text())
+    assert equivalence.listed_changes(parent, change) == []
+
+
+def test_expect_listed_passes_the_listed_change(equivalence, records,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+    change_records = copy.deepcopy(records)
+    change_records["page-discard"]["summary"]["host_reads"] += 1
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (change / "scripts").mkdir(parents=True)
+    (change / equivalence.EXPECTED_LIST).write_text("page-discard\n")
+    sides = {parent: records, change: change_records}
+    monkeypatch.setattr(equivalence, "run_checkout", sides.__getitem__)
+    assert equivalence.main([str(parent), str(change)]) == 1
+    assert equivalence.main([str(parent), str(change), "--expect-listed"]) == 0
+    assert "expects a change in: page-discard" in capsys.readouterr().out
+
+
 def test_a_scenario_that_raises_fails_the_check(equivalence, records,
                                                  monkeypatch, capsys):
     broken = {name: {"error": "RuntimeError: lost"} for name in records}

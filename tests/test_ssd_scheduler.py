@@ -439,4 +439,8 @@ class TestLifecycleMatchesTheOracle:
                                 suspension=suspension)
         lifecycle = _replay(config, arrivals, constants, oracle=False)
         assert lifecycle == _replay(config, arrivals, constants, oracle=True)
-        assert lifecycle[3] == len(lifecycle[0])
+        # Every arrival completes, and so does every follow-up of a host
+        # program, the one kind whose completion enqueues them.
+        assert lifecycle[3] == len(arrivals) + sum(
+            len(children) for _, kind, _, children in arrivals
+            if kind is PROGRAM)
