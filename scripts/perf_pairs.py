@@ -14,6 +14,13 @@ the run weighs on both sides alike.  The end-to-end metrics, and whether
 each is better higher or lower, also come from CHANGE_DIR's
 ``BENCHMARK.json``.
 
+Both sides start from the same bytecode state: each side's passes import
+through their own bytecode cache, a fresh temporary directory made once per
+invocation and named by ``PYTHONPYCACHEPREFIX``, so neither side reads a
+``__pycache__`` its checkout happens to hold, and each compiles once, in
+pair 0.  ``PYTHONDONTWRITEBYTECODE`` is dropped from the passes'
+environment, or the caches would stay empty.
+
 The script prints one line per pair and then, per metric, each side's
 median and quartiles (``statistics.quantiles(n=4)``), the ratio of the
 change's median to the parent's and the number of pairs the change won.  A
@@ -32,11 +39,13 @@ benchmark gate applies, and exits 1 when the claim fails:
 """
 
 import argparse
-import math
 import json
+import math
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -44,12 +53,18 @@ SIDES = ("parent", "change")
 CLAIM_WIN_SHARE = 0.9
 
 
-def run_pass(checkout: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``checkout``; its JSON report, or a failed one."""
+def run_pass(
+    checkout: Path, command: list, workload: str, seed: int, seconds: float, pycache_prefix: Path
+) -> dict:
+    """One benchmark run in ``checkout`` with its bytecode cache under
+    ``pycache_prefix``; its JSON report, or a failed one."""
     arguments = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    environment = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache_prefix))
+    environment.pop("PYTHONDONTWRITEBYTECODE", None)
     completed = subprocess.run(
         command + arguments + ["--trace", "0"],
         cwd=checkout,
+        env=environment,
         stdout=subprocess.PIPE,
         text=True,
     )
@@ -86,17 +101,22 @@ def metric_value(report: dict, name: str):
 
 
 def run_pairs(args, command: list, metrics: list) -> list:
-    """Run every pair, printing each as it finishes."""
+    """Run every pair, printing each as it finishes; each side keeps one
+    bytecode cache, in a temporary directory, for all its passes."""
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
-    for index in range(args.pairs):
-        seed = args.seed + index
-        order = SIDES if index % 2 == 0 else SIDES[::-1]
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_pass(checkouts[side], command, args.workload, seed, args.seconds)
-        pairs.append(pair)
-        print(pair_line(index, pair, metrics), flush=True)
+    with tempfile.TemporaryDirectory(prefix="perf_pairs-") as caches:
+        prefixes = {side: Path(caches) / side for side in SIDES}
+        for index in range(args.pairs):
+            seed = args.seed + index
+            order = SIDES if index % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_pass(
+                    checkouts[side], command, args.workload, seed, args.seconds, prefixes[side]
+                )
+            pairs.append(pair)
+            print(pair_line(index, pair, metrics), flush=True)
     return pairs
 
 

@@ -172,7 +172,7 @@ class BatchRetryOutcome:
 
 @dataclass(frozen=True)
 class BatchReadBehaviour:
-    """Structure-of-arrays counterpart of the flash backend's behaviours.
+    """Structure-of-arrays counterpart of the retry grid's behaviours.
 
     Mirrors :class:`repro.ssd.flash_backend.ReadBehaviour` across a lattice
     of variation corners: retry steps with default timings, retry steps with
@@ -452,11 +452,11 @@ class BatchErrorModel:
         table: ReadRetryTable = None,
         capability: int = None,
     ) -> Dict[PageType, BatchReadBehaviour]:
-        """The flash backend's read behaviour across a corner lattice.
+        """The retry grid's read behaviour across a corner lattice.
 
-        For each page type, reproduces
-        :meth:`repro.ssd.flash_backend.FlashBackend.read_behaviour` for
-        every corner in one pass: the default-timing walk, the RPT-reduced
+        For each page type, reproduces the scalar walks of
+        :meth:`repro.ssd.retry_grid.RetryStepGrid.behaviour_at` for every
+        corner in one pass: the default-timing walk, the RPT-reduced
         retry walk (the per-corner timing extra added to the shared step
         errors, exactly the scalar operation order) and the reduced-timing
         fallback flag.  Like the scalar walks, it evaluates a corner's retry

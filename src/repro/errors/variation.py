@@ -103,7 +103,7 @@ class ProcessVariation:
         return sample
 
     def block_sample(self, chip: int, block: int) -> VariationSample:
-        """Variation averaged over a block (used by the SSD flash backend)."""
+        """Variation averaged over a block (used by the SSD retry grid)."""
         return self.sample(chip=chip, block=block, wordline=0)
 
     # -- internals -----------------------------------------------------------

@@ -30,7 +30,10 @@ from typing import Iterable, Mapping, Optional, Tuple
 try:
     import tomllib
 except ImportError:  # pragma: no cover - Python < 3.11
-    tomllib = None
+    try:
+        import tomli as tomllib  # the same parser, installed with pytest on 3.9 and 3.10
+    except ImportError:
+        tomllib = None
 
 
 class LintConfigError(ValueError):
@@ -80,7 +83,8 @@ class LintConfig:
         if pyproject.is_file():
             if tomllib is None:  # pragma: no cover - Python < 3.11
                 raise LintConfigError(
-                    "reading pyproject.toml requires the tomllib module (Python >= 3.11)"
+                    "reading pyproject.toml requires the tomllib module (Python >= 3.11) "
+                    "or the tomli package"
                 )
             with open(pyproject, "rb") as handle:
                 table = tomllib.load(handle).get("tool", {}).get("repro-lint", {})

@@ -71,7 +71,7 @@ class SsdConfig:
     #: Ambient temperature the SSD operates at.
     temperature_c: float = 30.0
 
-    #: Seed of the per-block process variation of the flash backend.
+    #: Seed of the per-block process variation of the retry grid.
     seed: int = 0
 
     def __post_init__(self) -> None:

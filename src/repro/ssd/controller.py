@@ -13,7 +13,8 @@ paper's evaluation:
   event heap (:mod:`repro.ssd.engine`), and ``_complete`` does its
   bookkeeping and starts the die's next transaction.  A suspended program
   or erase is cancelled by its completion's sequence number;
-* read transactions query the backend's retry-step grid for how many retry
+* read transactions query the simulator's retry-step grid
+  (:func:`~repro.ssd.retry_grid.shared_grid`) for how many retry
   steps they need (each simulated block behaves like a characterized
   block), counting grid hits and scalar fallbacks into the metrics, and
   the active read-retry *policy* (Baseline / PR2 / AR2 / PnAR2 / NoRR /
@@ -23,7 +24,7 @@ paper's evaluation:
   and reports its block's condition from it, and every transaction carries
   it with its die number, which indexes the list of per-die records.  The
   retry-grid corner and the page type are one division and one remainder
-  of it away;
+  of it away, and the fault injector keys its scopes by such divisions;
 * writes are absorbed by the write buffer and flushed to flash through one
   :class:`~repro.ssd.ftl.Mapper`, picked once from ``config.mapping``: the
   flat-table FTL with greedy garbage collection (``"block"``), or the DFTL
@@ -84,7 +85,6 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.dftl import DftlMapper, TranslationOp
 from repro.ssd.engine import EventQueue
 from repro.ssd.faults import FaultInjector, FaultPlan
-from repro.ssd.flash_backend import FlashBackend
 from repro.ssd.ftl import FlashTranslationLayer, Mapper, PageAddressing
 from repro.ssd.gc import GcOperation
 from repro.ssd.metrics import SimulationMetrics
@@ -94,6 +94,7 @@ from repro.ssd.request import (
     RequestKind,
     TransactionKind,
 )
+from repro.ssd.retry_grid import shared_grid
 from repro.ssd.scheduler import DieState
 from repro.ssd.write_buffer import WriteBuffer
 
@@ -137,10 +138,6 @@ class SimulationResult:
         return self.metrics.mean_response_time_us()
 
     @property
-    def mean_read_response_time_us(self) -> float:
-        return self.metrics.mean_response_time_us("read")
-
-    @property
     def p99_response_time_us(self) -> float:
         return self.metrics.p99_response_time_us()
 
@@ -177,7 +174,6 @@ class SsdSimulator:
     def __init__(self, config: SsdConfig = None,
                  policy: Union[str, ReadRetryPolicy] = "Baseline",
                  rpt: ReadTimingParameterTable = None,
-                 record_samples: bool = False,
                  device_id: int = 0,
                  track_tenants: bool = False):
         # At most 29 instance attributes (``tests/test_ssd_controller.py``):
@@ -198,16 +194,18 @@ class SsdSimulator:
         # Property-call hoisting for the per-page read path (the policy is
         # fixed for the simulator's lifetime).
         self._uses_reduced_timing = self.policy.uses_reduced_timing
-        shared_rpt = rpt
-        if shared_rpt is None and self.policy.uses_reduced_timing:
-            shared_rpt = self.policy.rpt
+        if rpt is None:
+            rpt = (self.policy.rpt if self._uses_reduced_timing
+                   else ReadTimingParameterTable.default())
         self.events = EventQueue()
         # mapping="block" keeps the original flat page table + greedy GC;
         # mapping="page" swaps in the DFTL mapper (CMT/GTD/watermark GC).
         self.mapper: Mapper = MAPPERS[self.config.mapping](self.config)
         self.write_buffer = WriteBuffer(self.config.write_buffer_pages)
-        self.backend = FlashBackend(self.config, rpt=shared_rpt)
-        self.metrics = SimulationMetrics(record_samples=record_samples)
+        #: The retry-step grid every page read queries (one per
+        #: configuration and RPT, shared process-wide).
+        self.grid = shared_grid(self.config, rpt)
+        self.metrics = SimulationMetrics()
         self._addressing = PageAddressing(self.config)
         # Non-read service times depend on the timing parameters alone.
         # Translation pages are hot, constantly rewritten metadata: they
@@ -305,7 +303,7 @@ class SsdSimulator:
         # its retry-step slab up front so the read hot path serves from the
         # grid immediately.  The fresh-write condition and GC-created P/E
         # levels fill lazily once their reads actually appear.
-        self.backend.prefill_conditions([self._precondition])
+        self.grid.prefill([self._precondition])
 
     # -- fault injection ------------------------------------------------------------
     def install_faults(self, plan) -> None:
@@ -736,12 +734,9 @@ class SsdSimulator:
         if kind is _READ:
             steps = transaction.retry_steps
             metrics = self.metrics
-            if metrics.record_samples:
-                metrics.record_retry_steps(steps)
-            else:
-                counts = metrics.retry_step_counts
-                counts[steps] = counts.get(steps, 0) + 1
-                metrics.pages_read += 1
+            counts = metrics.retry_step_counts
+            counts[steps] = counts.get(steps, 0) + 1
+            metrics.pages_read += 1
             request = transaction.request
             if request is not None:
                 progress = self._read_progress[request.request_id]
@@ -772,7 +767,7 @@ class SsdSimulator:
                                                                  now_us)
         pages_per_block = self._addressing.pages_per_block
         page_type = packed % pages_per_block % _PAGE_TYPES
-        behaviour, from_grid = self.backend.grid.behaviour_at(
+        behaviour, from_grid = self.grid.behaviour_at(
             page_type, pe_cycles, retention, packed // pages_per_block)
         if from_grid:
             self.metrics.grid_hits += 1
@@ -781,11 +776,10 @@ class SsdSimulator:
         fault_extra = 0
         fault_factor = 1.0
         if self._fault_injector is not None:
-            physical = self._addressing.unpack(packed)
-            self._fault_injector.record_read(physical)
+            self._fault_injector.record_read(packed)
             self._fault_injector.poll(self, now_us)
             fault_extra, fault_factor = self._fault_injector.read_penalty(
-                physical, now_us)
+                packed, now_us)
             if fault_extra:
                 behaviour = behaviour.degraded(fault_extra)
         if self._uses_reduced_timing:

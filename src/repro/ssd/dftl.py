@@ -35,14 +35,12 @@ Every address this module stores or returns is a packed page index
 (:class:`~repro.ssd.ftl.PageAddressing`): the map and the GTD hold them,
 each plane's allocator returns one (the plane's ``base`` plus its block and
 page offset), and invalidation finds a page's block in the corner-ordered
-block list at ``packed // pages_per_block``.  The :class:`PhysicalPage`
-forms (:meth:`DftlMapper.write`, :meth:`DftlMapper.lookup`,
-:meth:`DftlMapper.read_target`) are adapters for tests and callers at the
-API edge.  Two indexes keep per-event work off whole-table scans: the CMT's
-dirty entries are indexed by translation page, so persisting one clears
-just its entries, and the mapper keeps the set of planes below their GC
-trigger, so :meth:`DftlMapper.collect_if_needed` returns at once while it is
-empty.
+block list at ``packed // pages_per_block``; no method takes any other
+form of page address.  Two indexes keep per-event work off whole-table
+scans: the CMT's dirty entries are indexed by translation page, so
+persisting one clears just its entries, and the mapper keeps the set of
+planes below their GC trigger, so :meth:`DftlMapper.collect_if_needed`
+returns at once while it is empty.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ssd.config import SsdConfig
-from repro.ssd.ftl import PageAddressing, PhysicalPage, check_lpn
+from repro.ssd.ftl import check_lpn
 from repro.ssd.gc import GcOperation
 from repro.ssd.request import TransactionKind
 
@@ -286,7 +284,6 @@ class DftlMapper:
                             config, len(self.planes), channel, die, plane, self.planes_below_trigger
                         )
                     )
-        self.addressing = PageAddressing(config)
         #: Every block, indexed by its corner ``packed // pages_per_block``.
         self._blocks = [block for plane in self.planes for block in plane.blocks]
         self._pages_per_block = config.pages_per_block
@@ -315,9 +312,6 @@ class DftlMapper:
         """The translation page (virtual number) holding ``lpn``'s entry."""
         return lpn // self._entries_per_page
 
-    def block_at(self, physical: PhysicalPage) -> DftlBlock:
-        return self._blocks[self.addressing.pack(physical) // self._pages_per_block]
-
     def read_condition_packed(self, packed: int, now_us: float) -> Tuple[int, float]:
         """``(pe_cycles, retention_months)`` of a packed page; the stored
         retention age plus whole months elapsed since the block's last write
@@ -327,15 +321,6 @@ class DftlMapper:
         elapsed_months = int(max(0.0, now_us - block.last_write_us) / US_PER_MONTH)
         retention = block.page_retention_months[packed % self._pages_per_block]
         return block.pe_cycles, retention + elapsed_months
-
-    def read_condition(self, physical: PhysicalPage, now_us: float) -> Tuple[int, float]:
-        """:meth:`read_condition_packed` of ``physical``."""
-        return self.read_condition_packed(self.addressing.pack(physical), now_us)
-
-    def lookup_direct(self, lpn: int) -> Optional[PhysicalPage]:
-        """Mapping lookup without touching the CMT (no timing side effects)."""
-        packed = self._mapping.get(lpn)
-        return None if packed is None else self.addressing.unpack(packed)
 
     def is_mapped(self, lpn: int) -> bool:
         check_lpn(lpn, self.config.logical_pages)
@@ -428,12 +413,6 @@ class DftlMapper:
         return packed, ops
 
     # -- host-visible operations ---------------------------------------------
-    def lookup(self, lpn: int, now_us: float) -> Tuple[Optional[PhysicalPage], List[TranslationOp]]:
-        """Translate a host read (``None`` target = never-written LPN)."""
-        check_lpn(lpn, self.config.logical_pages)
-        ops = self._ensure_cached(lpn, now_us)
-        return self.lookup_direct(lpn), ops
-
     def read_target_packed(self, lpn: int, now_us: float) -> Tuple[int, List[TranslationOp]]:
         """Translate a host read to a packed page; a never-written LPN is
         mapped now as cold data."""
@@ -444,23 +423,6 @@ class DftlMapper:
             packed, more = self._place(lpn, self._cold_retention_months, now_us)
             ops.extend(more)
         return packed, ops
-
-    def read_target(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, List[TranslationOp]]:
-        """:meth:`read_target_packed` as a :class:`PhysicalPage`."""
-        packed, ops = self.read_target_packed(lpn, now_us)
-        return self.addressing.unpack(packed), ops
-
-    def write(
-        self, lpn: int, retention_months: float = 0.0, now_us: float = 0.0
-    ) -> Tuple[PhysicalPage, Optional[PhysicalPage], List[TranslationOp]]:
-        """Map ``lpn`` to a newly allocated host-stream page.
-
-        :return: ``(new_physical, invalidated_physical_or_None, trans_ops)``.
-        """
-        check_lpn(lpn, self.config.logical_pages)
-        old_physical = self.lookup_direct(lpn)
-        packed, ops = self._place(lpn, retention_months, now_us)
-        return self.addressing.unpack(packed), old_physical, ops
 
     def program(self, lpn: int, now_us: float) -> Tuple[int, List[TranslationOp]]:
         """Map a host write of ``lpn`` to a fresh host-stream page; its packed index."""

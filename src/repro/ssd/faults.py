@@ -1,4 +1,4 @@
-"""Deterministic, seeded fault injection at the flash backend.
+"""Deterministic, seeded fault injection on the flash read path.
 
 The paper evaluates retry policies on a healthy device; a production fleet
 cares at least as much about how each policy degrades when the device
@@ -14,7 +14,7 @@ reproducible bit for bit:
   internal recovery;
 * **read-disturb storm** — at ``at_us`` the storm settles on the hottest
   blocks observed so far (deterministic read counting, ties broken by
-  address) and reads of those blocks need ``extra_retry_steps`` more
+  block number) and reads of those blocks need ``extra_retry_steps`` more
   retry steps until the storm passes;
 * **grown bad blocks** — at ``at_us``, ``blocks`` seeded-random blocks are
   retired for good: the DFTL relocates their valid pages (real GC-stream
@@ -26,7 +26,13 @@ reproducible bit for bit:
 Faults are described by frozen :class:`FaultSpec` values collected in a
 :class:`FaultPlan` (JSON round-trip for manifests); the mutable
 :class:`FaultInjector` holds the per-run state and is installed on a
-simulator via :meth:`SsdSimulator.install_faults`.  The injector keeps no
+simulator via :meth:`SsdSimulator.install_faults`.  The injector sees a read
+as its packed page index (:class:`~repro.ssd.ftl.PageAddressing`) and keys
+every scope by a number that index yields with one division: the die
+``packed // pages_per_die``, the plane ``packed // pages_per_plane`` and the
+block ``packed // pages_per_block`` (numbered in ``(channel, die, plane,
+block)`` order).  A spec's ``(channel, die[, plane])`` becomes its die or
+plane number once, when the fault activates.  The injector keeps no
 reference to its simulator: the simulator passes itself to
 :meth:`FaultInjector.poll`, so a finished simulator is freed at once rather
 than left to the cyclic collector.  Every effect is counted on
@@ -42,6 +48,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.ssd.ftl import PageAddressing
 
 #: The recognized fault families.
 FAULT_KINDS = ("die_failure", "plane_failure", "read_disturb",
@@ -247,30 +255,31 @@ class FaultInjector:
         #: Still-inactive specs, soonest first (stable on ties).
         self._pending: List[FaultSpec] = sorted(
             plan.faults, key=lambda spec: spec.at_us)
-        #: Active penalties keyed by scope: (ch, die) for die failures,
-        #: (ch, die, plane) for plane failures, (ch, die, plane, block) for
-        #: read-disturb storms.
-        self._die_penalties: Dict[tuple, _ActivePenalty] = {}
-        self._plane_penalties: Dict[tuple, _ActivePenalty] = {}
-        self._block_penalties: Dict[tuple, _ActivePenalty] = {}
+        addressing = PageAddressing(config)
+        self._pages_per_die = addressing.pages_per_die
+        self._pages_per_plane = addressing.pages_per_plane
+        self._pages_per_block = addressing.pages_per_block
+        #: Active penalties keyed by die, plane and block number.
+        self._die_penalties: Dict[int, _ActivePenalty] = {}
+        self._plane_penalties: Dict[int, _ActivePenalty] = {}
+        self._block_penalties: Dict[int, _ActivePenalty] = {}
         #: Deterministic per-block read counts feeding hot-block selection.
-        self._read_counts: Dict[tuple, int] = {}
+        self._read_counts: Dict[int, int] = {}
 
     # -- read-path hooks ------------------------------------------------------
-    def record_read(self, physical) -> None:
-        key = (physical.channel, physical.die, physical.plane, physical.block)
-        self._read_counts[key] = self._read_counts.get(key, 0) + 1
+    def record_read(self, packed: int) -> None:
+        block = packed // self._pages_per_block
+        self._read_counts[block] = self._read_counts.get(block, 0) + 1
 
-    def read_penalty(self, physical, now_us: float) -> Tuple[int, float]:
-        """``(extra_retry_steps, latency_factor)`` for a read at ``now_us``."""
+    def read_penalty(self, packed: int, now_us: float) -> Tuple[int, float]:
+        """``(extra_retry_steps, latency_factor)`` for a read of packed
+        page ``packed`` at ``now_us``."""
         extra = 0
         factor = 1.0
-        die_key = (physical.channel, physical.die)
-        plane_key = die_key + (physical.plane,)
-        block_key = plane_key + (physical.block,)
-        for table, key in ((self._die_penalties, die_key),
-                           (self._plane_penalties, plane_key),
-                           (self._block_penalties, block_key)):
+        for table, key in (
+                (self._die_penalties, packed // self._pages_per_die),
+                (self._plane_penalties, packed // self._pages_per_plane),
+                (self._block_penalties, packed // self._pages_per_block)):
             penalty = table.get(key)
             if penalty is None:
                 continue
@@ -292,40 +301,54 @@ class FaultInjector:
     def _activate(self, spec: FaultSpec, simulator) -> None:
         ends = (None if spec.duration_us is None
                 else spec.at_us + spec.duration_us)
-        if spec.kind == "die_failure":
-            self._die_penalties[(spec.channel, spec.die)] = _ActivePenalty(
-                ends, spec.extra_retry_steps, spec.latency_factor)
-        elif spec.kind == "plane_failure":
-            key = (spec.channel, spec.die, spec.plane)
-            self._plane_penalties[key] = _ActivePenalty(
-                ends, spec.extra_retry_steps, spec.latency_factor)
+        if spec.kind in ("die_failure", "plane_failure"):
+            number = self._scope_number(spec)
+            if number is not None:
+                table = (self._die_penalties if spec.kind == "die_failure"
+                         else self._plane_penalties)
+                table[number] = _ActivePenalty(
+                    ends, spec.extra_retry_steps, spec.latency_factor)
         elif spec.kind == "read_disturb":
-            for key in self._hottest_blocks(spec.blocks):
-                self._block_penalties[key] = _ActivePenalty(
+            for block in self._hottest_blocks(spec.blocks):
+                self._block_penalties[block] = _ActivePenalty(
                     ends, spec.extra_retry_steps, spec.latency_factor)
         else:  # grown_bad_blocks
             self._grow_bad_blocks(spec, simulator)
 
-    def _hottest_blocks(self, count: int) -> List[tuple]:
-        """The ``count`` most-read blocks so far (ties broken by address).
+    def _scope_number(self, spec: FaultSpec) -> Optional[int]:
+        """The die number (``channel * dies_per_channel + die``) of a die
+        failure, or the plane number (``die_number * planes_per_die +
+        plane``) of a plane failure; ``None`` for a scope outside the
+        device, which no read reaches."""
+        config = self.config
+        digits = [(spec.channel, config.channels),
+                  (spec.die, config.dies_per_channel)]
+        if spec.kind == "plane_failure":
+            digits.append((spec.plane, config.planes_per_die))
+        number = 0
+        for digit, radix in digits:
+            if not 0 <= digit < radix:
+                return None
+            number = number * radix + digit
+        return number
 
-        A storm arriving before any read lands on the lowest-addressed
+    def _hottest_blocks(self, count: int) -> List[int]:
+        """The numbers of the ``count`` most-read blocks so far (ties broken
+        by block number, which is ``(channel, die, plane, block)`` order).
+
+        A storm arriving before any read lands on the lowest-numbered
         blocks — still deterministic, and a storm somewhere beats no storm.
         """
         ranked = sorted(self._read_counts,
-                        key=lambda key: (-self._read_counts[key], key))
+                        key=lambda block: (-self._read_counts[block], block))
         chosen = ranked[:count]
         if len(chosen) < count:
             config = self.config
-            for channel in range(config.channels):
-                for die in range(config.dies_per_channel):
-                    for plane in range(config.planes_per_die):
-                        for block in range(config.blocks_per_plane):
-                            key = (channel, die, plane, block)
-                            if key not in chosen:
-                                chosen.append(key)
-                            if len(chosen) == count:
-                                return chosen
+            for block in range(config.num_planes * config.blocks_per_plane):
+                if block not in chosen:
+                    chosen.append(block)
+                if len(chosen) == count:
+                    return chosen
         return chosen
 
     def _grow_bad_blocks(self, spec: FaultSpec, simulator) -> None:

@@ -15,15 +15,15 @@ LPN-to-page map itself is one flat typed array of packed page indices, so
 preconditioning writes it with a single numpy assignment.
 
 A packed page index (:class:`PageAddressing`) is the one address the
-controller handles: its die, its block's retry-grid corner and its page
+simulator core handles: its die, its block's retry-grid corner and its page
 type are each one integer division or remainder away.  Both mappers serve
 reads by packed index (``read_target_packed``, ``read_condition_packed``)
 and hand out writes the same way: each plane's allocator returns the packed
 index of the page it programs (the plane's ``base`` plus the block and page
 offset), ``Mapper.program`` returns it, and every page of a
-:class:`~repro.ssd.gc.GcOperation` is one.  :class:`PhysicalPage` stays at
-the API edge: the ``PhysicalPage``-keyed methods (``lookup``, ``write``,
-``read_target``, ``read_condition``) are thin adapters over the packed ones.
+:class:`~repro.ssd.gc.GcOperation` is one.  No mapper, retry-grid or fault
+method takes a :class:`PhysicalPage`; it is only the tuple
+:meth:`PageAddressing.unpack` returns, for tests and for reading an address.
 Each mapper also keeps the set of its planes below the GC trigger, kept in
 step by the planes whenever their free-block list changes, so
 ``collect_if_needed`` on a device with free space to spare returns without
@@ -39,11 +39,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Protocol, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.ssd.config import SsdConfig
 from repro.ssd.gc import GcOperation
 
@@ -51,52 +50,14 @@ if TYPE_CHECKING:
     from repro.ssd.dftl import TranslationOp
 
 
-class PhysicalPage:
-    """Physical location of one page.
+class PhysicalPage(NamedTuple):
+    """Physical location of one page, as :meth:`PageAddressing.unpack` gives it."""
 
-    A hand-written ``__slots__`` value class rather than a frozen dataclass:
-    one is built per mapping lookup and per page allocation, so construction
-    cost is hot-path cost (a frozen dataclass pays five ``object.__setattr__``
-    calls per instance).  Treated as immutable by convention everywhere.
-    """
-
-    __slots__ = ("channel", "die", "plane", "block", "page")
-
-    def __init__(self, channel: int, die: int, plane: int, block: int, page: int):
-        self.channel = channel
-        self.die = die
-        self.plane = plane
-        self.block = block
-        self.page = page
-
-    def die_key(self) -> Tuple[int, int]:
-        return (self.channel, self.die)
-
-    def __eq__(self, other):
-        if not isinstance(other, PhysicalPage):
-            return NotImplemented
-        return (
-            self.channel == other.channel
-            and self.die == other.die
-            and self.plane == other.plane
-            and self.block == other.block
-            and self.page == other.page
-        )
-
-    def __hash__(self):
-        return hash((self.channel, self.die, self.plane, self.block, self.page))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PhysicalPage(channel={self.channel!r}, die={self.die!r}, "
-            f"plane={self.plane!r}, block={self.block!r}, "
-            f"page={self.page!r})"
-        )
-
-
-def page_type_of(physical: PhysicalPage) -> PageType:
-    """The page type (LSB/CSB/MSB) of a page, from its position in its block."""
-    return PAGE_TYPE_ORDER[physical.page % len(PAGE_TYPE_ORDER)]
+    channel: int
+    die: int
+    plane: int
+    block: int
+    page: int
 
 
 class PageAddressing:
@@ -112,11 +73,11 @@ class PageAddressing:
     * ``packed // pages_per_block`` is the block's variation corner in the
       retry grid, ``chip * blocks_per_chip + plane * blocks_per_plane +
       block`` (:meth:`~repro.ssd.retry_grid.RetryStepGrid.corner_index`);
-    * ``packed % pages_per_block % 3`` indexes ``PAGE_TYPE_ORDER`` the way
-      :func:`page_type_of` does.
+    * ``packed % pages_per_block % 3`` is the page type's index in
+      ``PAGE_TYPE_ORDER`` (LSB, CSB, MSB in turn within a block).
 
-    The hot paths inline these expressions over the radices below; the
-    methods are their definition.
+    The hot paths inline these expressions over the radices below;
+    :meth:`pack` and :meth:`unpack` define the format.
     """
 
     def __init__(self, config: SsdConfig):
@@ -138,15 +99,6 @@ class PageAddressing:
         die_number, plane = divmod(plane_index, self.planes_per_die)
         channel, die = divmod(die_number, self.dies_per_channel)
         return PhysicalPage(channel, die, plane, block, page)
-
-    def die_of(self, packed: int) -> int:
-        return packed // self.pages_per_die
-
-    def corner_of(self, packed: int) -> int:
-        return packed // self.pages_per_block
-
-    def page_type_index(self, packed: int) -> int:
-        return packed % self.pages_per_block % len(PAGE_TYPE_ORDER)
 
 
 def check_lpn(lpn: int, logical_pages: int) -> None:
@@ -186,11 +138,8 @@ class Mapper(Protocol):
     ) -> None:
         """Fill LPNs ``0..pages-1`` with cold data and age every block."""
 
-    def read_target(self, lpn: int, now_us: float) -> Tuple[PhysicalPage, Sequence[TranslationOp]]:
-        """Where a host read goes; a never-written LPN is mapped as cold data."""
-
     def read_target_packed(self, lpn: int, now_us: float) -> Tuple[int, Sequence[TranslationOp]]:
-        """:meth:`read_target` with the page as a packed index (the read path's form)."""
+        """The packed page a host read goes to; a never-written LPN is mapped as cold data."""
 
     def program(self, lpn: int, now_us: float) -> Tuple[int, Sequence[TranslationOp]]:
         """Map a host write of ``lpn`` to a freshly allocated page; its packed index."""
@@ -201,11 +150,8 @@ class Mapper(Protocol):
     def trim(self, lpn: int, now_us: float = 0.0) -> Sequence[TranslationOp]:
         """Unmap ``lpn`` (host TRIM/discard); unmapped LPNs are a no-op."""
 
-    def read_condition(self, physical: PhysicalPage, now_us: float) -> Tuple[int, float]:
-        """``(pe_cycles, retention_months)`` a read of ``physical`` sees at ``now_us``."""
-
     def read_condition_packed(self, packed: int, now_us: float) -> Tuple[int, float]:
-        """:meth:`read_condition` of the page at packed index ``packed``."""
+        """``(pe_cycles, retention_months)`` a read of packed page ``packed`` sees at ``now_us``."""
 
     def collect_if_needed(self, now_us: float = 0.0) -> List[GcOperation]:
         """Collect victim blocks on every plane below its GC trigger."""
@@ -378,7 +324,6 @@ class FlashTranslationLayer:
                             config, len(self.planes), channel, die, plane, self.planes_below_trigger
                         )
                     )
-        self.addressing = PageAddressing(config)
         #: Every block, indexed by its corner ``packed // pages_per_block``.
         self._blocks = [block for plane in self.planes for block in plane.blocks]
         self._logical_pages = config.logical_pages
@@ -388,28 +333,12 @@ class FlashTranslationLayer:
         self._mapping = array("q", [_UNMAPPED]) * config.logical_pages
         self._mapped_pages = 0
         self._next_plane = 0
-        self._dies_per_channel = config.dies_per_channel
-        self._planes_per_die = config.planes_per_die
         #: Preconditioned condition of never-written LPNs a read maps.
         self._cold_retention_months = 0.0
         self._cold_pe_cycles = 0
         self.gc_invocations = 0
 
     # -- lookups -----------------------------------------------------------------------
-    def plane_index(self, channel: int, die: int, plane: int) -> int:
-        return (channel * self._dies_per_channel + die) * self._planes_per_die + plane
-
-    def plane_for(self, physical: PhysicalPage) -> PlaneManager:
-        return self.planes[self.plane_index(physical.channel, physical.die, physical.plane)]
-
-    def lookup(self, lpn: int) -> Optional[PhysicalPage]:
-        """Physical location of a logical page (``None`` if never written)."""
-        check_lpn(lpn, self._logical_pages)
-        packed = self._mapping[lpn]
-        if packed == _UNMAPPED:
-            return None
-        return self.addressing.unpack(packed)
-
     def read_target_packed(self, lpn: int, now_us: float = 0.0) -> Tuple[int, tuple]:
         """Packed page a host read of ``lpn`` goes to; reads cost no translation traffic.
 
@@ -424,26 +353,14 @@ class FlashTranslationLayer:
             self._blocks[packed // self._pages_per_block].pe_cycles = self._cold_pe_cycles
         return packed, ()
 
-    def read_target(self, lpn: int, now_us: float = 0.0) -> Tuple[PhysicalPage, tuple]:
-        """:meth:`read_target_packed` as a :class:`PhysicalPage`."""
-        packed, ops = self.read_target_packed(lpn, now_us)
-        return self.addressing.unpack(packed), ops
-
     def is_mapped(self, lpn: int) -> bool:
         check_lpn(lpn, self._logical_pages)
         return self._mapping[lpn] != _UNMAPPED
-
-    def block_metadata(self, physical: PhysicalPage) -> BlockMetadata:
-        return self.plane_for(physical).blocks[physical.block]
 
     def read_condition_packed(self, packed: int, now_us: float = 0.0) -> Tuple[int, float]:
         """``(pe_cycles, retention_months)`` of a packed page; blocks never age in-run."""
         block = self._blocks[packed // self._pages_per_block]
         return block.pe_cycles, block.page_retention_months[packed % self._pages_per_block]
-
-    def read_condition(self, physical: PhysicalPage, now_us: float = 0.0) -> Tuple[int, float]:
-        """:meth:`read_condition_packed` of ``physical``."""
-        return self.read_condition_packed(self.addressing.pack(physical), now_us)
 
     # -- updates -------------------------------------------------------------------------
     def _invalidate(self, packed: int) -> None:
@@ -467,17 +384,6 @@ class FlashTranslationLayer:
         packed = self.planes[plane_index].allocate_page(lpn, retention_months)
         self._mapping[lpn] = packed
         return packed
-
-    def write(
-        self, lpn: int, retention_months: float = 0.0, plane_index: int = None
-    ) -> Tuple[PhysicalPage, Optional[PhysicalPage]]:
-        """Map ``lpn`` to a newly allocated page.
-
-        :return: ``(new_physical_page, invalidated_physical_page_or_None)``.
-        """
-        old_physical = self.lookup(lpn)
-        packed = self._place(lpn, retention_months, plane_index)
-        return self.addressing.unpack(packed), old_physical
 
     def program(self, lpn: int, now_us: float = 0.0) -> Tuple[int, tuple]:
         """Map a host write of ``lpn`` to a fresh page; its packed index and no
@@ -507,7 +413,7 @@ class FlashTranslationLayer:
     ) -> None:
         """Bulk preconditioning: fill LPNs 0..pages-1 and set a uniform wear.
 
-        Produces the *exact* state that ``write(lpn, retention_months)`` for
+        Produces the *exact* state that ``_place(lpn, retention_months)`` for
         every LPN in order followed by :meth:`set_uniform_pe_cycles` would:
         round-robin plane striping (LPN ``n`` lands on plane ``n % planes``
         as its ``n // planes``-th write), blocks opened in ascending id

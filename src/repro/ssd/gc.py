@@ -11,8 +11,7 @@ how GC pressure shows up in response times.
 
 Every page in a record is a packed page index
 (:class:`~repro.ssd.ftl.PageAddressing`), the one address the controller
-enqueues flash work by; ``PageAddressing.unpack`` gives the
-:class:`~repro.ssd.ftl.PhysicalPage` view.
+enqueues flash work by.
 """
 
 from __future__ import annotations

@@ -19,16 +19,13 @@ Exactness guarantees:
   :data:`SUBBUCKETS_PER_OCTAVE` = 64 sub-buckets per power of two, at most
   about 1.6%.
 
-Raw per-request samples are kept only when a collector is created with
-``record_samples=True`` (a debug mode for tests and one-off analysis); the
-list-returning compatibility properties raise otherwise, so nothing can
-silently depend on unbounded memory again.
+No per-request sample is kept, so nothing can depend on unbounded memory.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: Sub-buckets per power of two.  The relative width of one bucket is
 #: ``1/SUBBUCKETS_PER_OCTAVE`` of its octave, bounding the percentile
@@ -274,10 +271,7 @@ class SimulationMetrics:
 
     Response times are held in two :class:`LatencyHistogram` instances
     (reads and writes) and retry steps in an exact per-step counter, so the
-    collector's memory does not grow with the trace.  Pass
-    ``record_samples=True`` to additionally keep the raw per-request lists
-    (``read_response_times_us`` and friends) for debugging; without it those
-    compatibility properties raise.
+    collector's memory does not grow with the trace.
     """
 
     #: Every scalar counter :meth:`merge` folds by summation — fleet and
@@ -310,8 +304,7 @@ class SimulationMetrics:
         "fault_remapped_pages",
     )
 
-    def __init__(self, record_samples: bool = False):
-        self.record_samples = record_samples
+    def __init__(self):
         self.read_latency = LatencyHistogram()
         self.write_latency = LatencyHistogram()
         #: Per-tenant response-time histograms, keyed by the requests'
@@ -355,9 +348,6 @@ class SimulationMetrics:
         self.faulted_reads = 0
         self.grown_bad_blocks = 0
         self.fault_remapped_pages = 0
-        self._read_samples: List[float] = []
-        self._write_samples: List[float] = []
-        self._retry_step_samples: List[int] = []
 
     # -- recording ------------------------------------------------------------
     def record_read(self, response_us: float,
@@ -376,8 +366,6 @@ class SimulationMetrics:
         self.host_reads += 1
         if tenant is not None:
             self._tenant_histogram(tenant).record(response_us)
-        if self.record_samples:
-            self._read_samples.append(response_us)
         if retry_steps is not None:
             self.record_retry_steps(retry_steps)
 
@@ -387,8 +375,6 @@ class SimulationMetrics:
             raise ValueError("steps must be non-negative")
         self.retry_step_counts[steps] = self.retry_step_counts.get(steps, 0) + 1
         self.pages_read += 1
-        if self.record_samples:
-            self._retry_step_samples.append(steps)
 
     def record_write(self, response_us: float,
                      tenant: Optional[int] = None) -> None:
@@ -398,8 +384,6 @@ class SimulationMetrics:
         self.host_writes += 1
         if tenant is not None:
             self._tenant_histogram(tenant).record(response_us)
-        if self.record_samples:
-            self._write_samples.append(response_us)
 
     def _tenant_histogram(self, tenant: int) -> LatencyHistogram:
         histogram = self.tenant_latency.get(tenant)
@@ -412,14 +396,6 @@ class SimulationMetrics:
 
     def merge(self, other: "SimulationMetrics") -> "SimulationMetrics":
         """Fold another collector into this one (for sweep aggregation)."""
-        if self.record_samples and not other.record_samples:
-            # Folding sample-free counts into a sample-keeping collector
-            # would leave the debug lists silently covering a fraction of
-            # the merged totals.
-            raise ValueError(
-                "cannot merge a collector without record_samples into one "
-                "that keeps raw samples; merge into a default collector or "
-                "record both sides with record_samples=True")
         self.read_latency.merge(other.read_latency)
         self.write_latency.merge(other.write_latency)
         for tenant, histogram in other.tenant_latency.items():
@@ -435,10 +411,6 @@ class SimulationMetrics:
         # Summed, matching the summed die_busy_us, so die_utilization() of a
         # merged collector is the time-weighted average across the runs.
         self.simulated_time_us += other.simulated_time_us
-        if self.record_samples and other.record_samples:
-            self._read_samples.extend(other._read_samples)
-            self._write_samples.extend(other._write_samples)
-            self._retry_step_samples.extend(other._retry_step_samples)
         return self
 
     # -- exact checkpoint round-trip ------------------------------------------
@@ -448,15 +420,8 @@ class SimulationMetrics:
         Every dict is serialized in *insertion order* (``die_utilization``
         sums ``die_busy_us`` values and :meth:`merge` folds dicts in
         iteration order, so restoring them sorted would change float
-        summation order).  Raw debug samples are deliberately not carried:
-        checkpointing is a production-path feature and fleet workers never
-        record samples.
+        summation order).
         """
-        if self.record_samples:
-            raise ValueError(
-                "collectors with record_samples=True hold unbounded raw "
-                "sample lists; only default (fixed-memory) collectors are "
-                "checkpointable")
         return {
             "read_latency": self.read_latency.to_state(),
             "write_latency": self.write_latency.to_state(),
@@ -492,28 +457,6 @@ class SimulationMetrics:
             setattr(metrics, name, int(state["counters"][name]))
         metrics.simulated_time_us = float(state["simulated_time_us"])
         return metrics
-
-    # -- sample compatibility (debug mode only) -------------------------------
-    def _samples(self, name: str, samples: List) -> List:
-        if not self.record_samples:
-            raise RuntimeError(
-                f"{name} keeps raw per-request samples only when the metrics "
-                "collector is created with record_samples=True (a debug "
-                "mode); the default collector records fixed-memory "
-                "histograms — use mean/percentile/summary instead")
-        return samples
-
-    @property
-    def read_response_times_us(self) -> List[float]:
-        return self._samples("read_response_times_us", self._read_samples)
-
-    @property
-    def write_response_times_us(self) -> List[float]:
-        return self._samples("write_response_times_us", self._write_samples)
-
-    @property
-    def retry_steps_per_read(self) -> List[int]:
-        return self._samples("retry_steps_per_read", self._retry_step_samples)
 
     # -- aggregate views ------------------------------------------------------
     def latency(self, kind: str = "all") -> LatencyHistogram:

@@ -24,9 +24,9 @@ module replaces that with a *grid*:
   (LRU slabs, FIFO scalar memo — no silent stop-caching cliff).
 
 Grids are shared process-wide per (geometry, seed, temperature, RPT): every
-simulator with default error models gets the same grid, so repeated runs —
-benchmark rounds, per-policy runs of one sweep cell, suite experiments —
-pay the precompute once.
+simulator of one configuration and RPT holds the same grid
+(:func:`shared_grid`), so repeated runs — benchmark rounds, per-policy runs
+of one sweep cell, suite experiments — pay the precompute once.
 """
 
 from __future__ import annotations
@@ -217,22 +217,6 @@ class RetryStepGrid:
             self._scalar_memo[memo_key] = behaviour
         return behaviour, False
 
-    def behaviour(
-        self,
-        page_type: PageType,
-        pe_cycles: int,
-        retention_months: float,
-        chip: int,
-        block: int,
-    ) -> Tuple[ReadBehaviour, bool]:
-        """:meth:`behaviour_at` of a :class:`PageType` on ``block`` of ``chip``."""
-        return self.behaviour_at(
-            PAGE_TYPE_ORDER.index(page_type),
-            pe_cycles,
-            retention_months,
-            self.corner_index(chip, block),
-        )
-
     # -- slab construction ----------------------------------------------------
     def prefill(self, conditions: Iterable[Tuple[int, float]]) -> None:
         """Vectorize the slabs of known-upcoming conditions eagerly.
@@ -355,10 +339,11 @@ def _config_key(config: SsdConfig) -> tuple:
 def shared_grid(config: SsdConfig, rpt: ReadTimingParameterTable) -> RetryStepGrid:
     """The process-wide grid for a (geometry, seed, temperature, RPT).
 
-    Simulators with default error models share one grid per configuration,
-    so per-policy runs, benchmark rounds and suite experiments reuse each
-    other's slabs.  Custom error models or retry tables get private grids
-    (see :class:`repro.ssd.flash_backend.FlashBackend`).
+    Every simulator holds the grid of its configuration and RPT
+    (``SsdSimulator.grid``), so per-policy runs, benchmark rounds and suite
+    experiments reuse each other's slabs.  A grid over a custom error model
+    or retry table is built directly (``RetryStepGrid(config,
+    error_model=..., retry_table=...)``) and never shared.
     """
     key = (_config_key(config), rpt_fingerprint(rpt))
     grid = _SHARED_GRIDS.get(key)

@@ -10,17 +10,7 @@ in the response time of write-heavy workloads such as ``stg_0``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Optional
-
-
-@dataclass
-class BufferedWrite:
-    """One page-sized write held in the buffer until its flash program ends."""
-
-    lpn: int
-    request_id: int
-    admitted_us: float
 
 
 class WriteBuffer:

@@ -1,5 +1,6 @@
 """Tests for ``scripts/perf_pairs.py``, with the benchmark pass stubbed out."""
 
+import argparse
 import importlib.util
 import json
 import sys
@@ -47,7 +48,7 @@ def stub(perf_pairs, monkeypatch, reports):
     calls = []
     sides = {}
 
-    def run_pass(checkout, command, workload, seed, seconds):
+    def run_pass(checkout, command, workload, seed, seconds, pycache_prefix):
         side = sides[checkout]
         calls.append((side, seed, workload, seconds, command))
         return reports[side, seed]
@@ -136,8 +137,39 @@ def test_a_pass_without_a_report_is_a_failed_pass(perf_pairs, tmp_path,
     # pass of the workload succeeded) counts as failed.
     command = [sys.executable, "-c", f"print({last_line!r})"]
     outcome = perf_pairs.run_pass(tmp_path, command, "aged_read_sweep", 0,
-                                  0.0)
+                                  0.0, tmp_path / "bytecode")
     assert not perf_pairs.passed(outcome)
+
+
+#: A "benchmark" whose report is its interpreter's bytecode-cache state.
+PYCACHE_REPORT = (
+    "import json, sys; print(json.dumps({'correct': True, 'failed': 0, "
+    "'metrics': {}, 'prefix': sys.pycache_prefix, "
+    "'writes': not sys.dont_write_bytecode}))")
+
+
+def test_each_side_keeps_its_own_bytecode_cache(perf_pairs, checkouts,
+                                                monkeypatch):
+    # Neither side may import through a __pycache__ of its checkout, so
+    # both start from the same bytecode state, and each compiles once.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    parent, change = checkouts
+    args = argparse.Namespace(parent=parent, change=change, pairs=3, seed=0,
+                              workload="aged_read_sweep", seconds=0.0)
+    pairs = perf_pairs.run_pairs(args, [sys.executable, "-c", PYCACHE_REPORT],
+                                 [])
+    prefixes = {side: {pair[side]["prefix"] for pair in pairs}
+                for side in ("parent", "change")}
+    assert all(len(seen) == 1 and None not in seen
+               for seen in prefixes.values())
+    (parent_prefix,), (change_prefix,) = prefixes.values()
+    assert parent_prefix != change_prefix
+    for prefix in (parent_prefix, change_prefix):
+        for checkout in checkouts:
+            assert not Path(prefix).resolve().is_relative_to(
+                checkout.resolve())
+    assert all(pair[side]["writes"] for pair in pairs
+               for side in ("parent", "change"))
 
 
 def claim_reports(parent_rate, change_rate, parent_wall=1.0, change_wall=1.0):

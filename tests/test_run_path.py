@@ -19,6 +19,7 @@ from repro.sim.registry import default_registry
 from repro.sim.spec import Condition, preconditioned_simulator
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.faults import FaultInjector, FaultPlan, die_failure
+from repro.ssd.retry_grid import shared_grid
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -36,11 +37,12 @@ class TestBuilder:
     def test_the_default_rpt_is_the_cached_default_table(self, tiny_ssd_config):
         simulator = preconditioned_simulator(tiny_ssd_config, "PnAR2", Condition())
         default = ReadTimingParameterTable.default()
-        assert simulator.backend.rpt is default
+        assert simulator.grid is shared_grid(tiny_ssd_config, default)
         assert simulator.policy.rpt is default
         custom = ReadTimingParameterTable.conservative()
         simulator = preconditioned_simulator(tiny_ssd_config, "PnAR2", Condition(), rpt=custom)
-        assert simulator.backend.rpt is custom
+        assert simulator.grid is shared_grid(tiny_ssd_config, custom)
+        assert simulator.grid is not shared_grid(tiny_ssd_config, default)
         assert simulator.policy.rpt is custom
 
     def test_preconditions_with_the_whole_condition(self, tiny_ssd_config, monkeypatch):

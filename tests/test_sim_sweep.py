@@ -258,7 +258,7 @@ class TestSlabPrefill:
         precondition = SsdSimulator.precondition
 
         def recording(self, *args, **kwargs):
-            recorded.append(set(self.backend.grid._slabs))
+            recorded.append(set(self.grid._slabs))
             return precondition(self, *args, **kwargs)
 
         monkeypatch.setattr(SsdSimulator, "precondition", recording)

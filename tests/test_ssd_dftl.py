@@ -19,6 +19,7 @@ from repro.sim.fleet import FleetResult, FleetSpec
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.dftl import GC_STREAM, HOST_STREAM, TRANS_STREAM, DftlMapper
+from repro.ssd.ftl import PageAddressing
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import TransactionKind
 from repro.workloads import catalog_workload
@@ -39,13 +40,24 @@ def small_config(**overrides) -> SsdConfig:
     return SsdConfig(**parameters)
 
 
+def oob(mapper, packed):
+    """The OOB state of packed page ``packed``: its block and page offset."""
+    pages_per_block = mapper.config.pages_per_block
+    return mapper._blocks[packed // pages_per_block], packed % pages_per_block
+
+
+def block_number(mapper, lpn):
+    """The block, within its plane, holding ``lpn``'s data."""
+    return PageAddressing(mapper.config).unpack(mapper._mapping[lpn]).block
+
+
 class TestCachedMappingTable:
     def test_miss_then_hit(self):
         mapper = DftlMapper(small_config())
-        mapper.write(0)
+        written, _ = mapper.program(0, now_us=0.0)
         assert (mapper.cmt_hits, mapper.cmt_misses) == (0, 1)
-        physical, ops = mapper.lookup(0, now_us=0.0)
-        assert physical is not None
+        packed, ops = mapper.read_target_packed(0, now_us=0.0)
+        assert packed == written
         assert ops == []
         assert (mapper.cmt_hits, mapper.cmt_misses) == (1, 1)
 
@@ -53,35 +65,35 @@ class TestCachedMappingTable:
         mapper = DftlMapper(small_config())
         mapper.precondition_fill(pages=8)
         assert mapper.cached_entries == 0  # CMT starts cold
-        physical, ops = mapper.lookup(0, now_us=0.0)
-        assert physical is not None
+        packed, ops = mapper.read_target_packed(0, now_us=0.0)
+        assert packed == mapper._mapping[0]
         assert [kind for kind, _ in ops] == [TRANS_READ]
         assert mapper.translation_reads == 1
 
     def test_lru_eviction_writes_back_dirty_entry(self):
         mapper = DftlMapper(small_config(cmt_capacity_entries=2))
-        mapper.write(0)  # dirty
-        mapper.write(1)  # dirty
+        mapper.program(0, now_us=0.0)  # dirty
+        mapper.program(1, now_us=0.0)  # dirty
         # Caching a third entry evicts LPN 0 (least recently used) and must
         # persist it: a fresh translation page is programmed.
-        _, ops = mapper.lookup(2, now_us=0.0)
+        ops = mapper._ensure_cached(2, now_us=0.0)
         assert TRANS_PROGRAM in [kind for kind, _ in ops]
         assert mapper.translation_writes == 1
         assert 0 not in mapper._cmt and 1 in mapper._cmt
 
     def test_lru_order_follows_recency(self):
         mapper = DftlMapper(small_config(cmt_capacity_entries=2))
-        mapper.write(0)
-        mapper.write(1)
-        mapper.lookup(0, now_us=0.0)  # 0 becomes most recent
-        mapper.lookup(2, now_us=0.0)  # evicts 1, not 0
+        mapper.program(0, now_us=0.0)
+        mapper.program(1, now_us=0.0)
+        mapper.read_target_packed(0, now_us=0.0)  # 0 becomes most recent
+        mapper._ensure_cached(2, now_us=0.0)  # evicts 1, not 0
         assert 0 in mapper._cmt and 1 not in mapper._cmt
 
     def test_clean_eviction_is_free(self):
         mapper = DftlMapper(small_config(cmt_capacity_entries=1))
         mapper.precondition_fill(pages=8)
-        mapper.lookup(0, now_us=0.0)  # cached clean
-        _, ops = mapper.lookup(1, now_us=0.0)  # evicts clean LPN 0
+        mapper.read_target_packed(0, now_us=0.0)  # cached clean
+        _, ops = mapper.read_target_packed(1, now_us=0.0)  # evicts clean LPN 0
         assert [kind for kind, _ in ops] == [TRANS_READ]  # only the demand fetch
         assert mapper.translation_writes == 0
 
@@ -90,40 +102,40 @@ class TestCachedMappingTable:
         # persisting one must mark the other clean: its later eviction
         # generates no second program.
         mapper = DftlMapper(small_config(cmt_capacity_entries=2))
-        mapper.write(0)
-        mapper.write(1)
-        mapper.lookup(2, now_us=0.0)  # evicts dirty 0, persists the page
+        mapper.program(0, now_us=0.0)
+        mapper.program(1, now_us=0.0)
+        mapper._ensure_cached(2, now_us=0.0)  # evicts dirty 0, persists the page
         assert mapper.translation_writes == 1
-        mapper.lookup(3, now_us=0.0)  # evicts 1 — now clean, no write-back
+        mapper._ensure_cached(3, now_us=0.0)  # evicts 1 — now clean, no write-back
         assert mapper.translation_writes == 1
 
 
 class TestGtdAndTrim:
     def test_gtd_locates_written_translation_pages(self):
         mapper = DftlMapper(small_config(cmt_capacity_entries=1))
-        mapper.write(0)
-        mapper.write(5)  # evicts dirty 0 -> persists translation page 0
+        mapper.program(0, now_us=0.0)
+        mapper.program(5, now_us=0.0)  # evicts dirty 0 -> persists translation page 0
         tvpn = mapper.tvpn_of(0)
         assert tvpn in mapper._gtd
-        physical = mapper.addressing.unpack(mapper._gtd[tvpn])
-        assert mapper.block_at(physical).page_lpns[physical.page] == tvpn
+        block, page = oob(mapper, mapper._gtd[tvpn])
+        assert block.page_lpns[page] == tvpn
 
     def test_translation_rewrite_invalidates_old_page(self):
         mapper = DftlMapper(small_config())
         mapper.precondition_fill(pages=4)
-        old = mapper.addressing.unpack(mapper._gtd[0])
+        old_block, old_page = oob(mapper, mapper._gtd[0])
         ops = mapper.trim(0, now_us=0.0)  # forces a read-modify-write
         assert [kind for kind, _ in ops] == [TRANS_READ, TRANS_PROGRAM]
-        assert not mapper.block_at(old).page_valid[old.page]
+        assert not old_block.page_valid[old_page]
         mapper.check_consistency()
 
     def test_trim_unmaps_and_invalidates(self):
         mapper = DftlMapper(small_config())
-        mapper.write(3)
-        physical = mapper.lookup_direct(3)
+        packed, _ = mapper.program(3, now_us=0.0)
         mapper.trim(3, now_us=0.0)
         assert not mapper.is_mapped(3)
-        assert not mapper.block_at(physical).page_valid[physical.page]
+        block, page = oob(mapper, packed)
+        assert not block.page_valid[page]
         mapper.check_consistency()
 
     def test_trim_of_unwritten_lpn_is_a_noop(self):
@@ -138,7 +150,7 @@ class TestGarbageCollection:
         # Overwrite a tiny working set until the plane crosses the trigger.
         collected = []
         for step in range(200):
-            mapper.write(step % 6)
+            mapper.program(step % 6, now_us=0.0)
             operations = mapper.collect_if_needed()
             if operations:
                 collected.extend(operations)
@@ -158,9 +170,9 @@ class TestGarbageCollection:
         # Fill two blocks through the host stream, then invalidate more
         # pages in the second: the greedy victim must be the second.
         for lpn in range(8):
-            mapper.write(lpn)
-        first = mapper.lookup_direct(0).block
-        second = mapper.lookup_direct(4).block
+            mapper.program(lpn, now_us=0.0)
+        first = block_number(mapper, 0)
+        second = block_number(mapper, 4)
         assert first != second
         for lpn in (0, 4, 5, 6):
             mapper._invalidate(mapper._mapping[lpn])
@@ -169,21 +181,20 @@ class TestGarbageCollection:
     def test_fully_valid_blocks_are_not_victims(self):
         mapper = DftlMapper(small_config())
         for lpn in range(4):
-            mapper.write(lpn)
+            mapper.program(lpn, now_us=0.0)
         assert mapper.planes[0].gc_victim() is None
 
     def test_gc_preserves_mapping_and_retention(self):
         mapper = DftlMapper(small_config())
-        mapper.write(0, retention_months=6.0)
+        mapper._place(0, 6.0, now_us=0.0)
         for lpn in range(1, 4):
-            mapper.write(lpn)
-        victim_block = mapper.lookup_direct(0).block
-        mapper.write(1)  # invalidates the victim's copy of LPN 1
+            mapper.program(lpn, now_us=0.0)
+        victim_block = block_number(mapper, 0)
+        mapper.program(1, now_us=0.0)  # invalidates the victim's copy of LPN 1
         operation = mapper.collect_block(0, victim_block, now_us=0.0)
         assert operation.relocated_pages == 3
-        moved = mapper.lookup_direct(0)
-        assert moved.block != victim_block
-        assert mapper.read_condition(moved, now_us=0.0) == (0, 6.0)
+        assert block_number(mapper, 0) != victim_block
+        assert mapper.read_condition_packed(mapper._mapping[0], now_us=0.0) == (0, 6.0)
         mapper.check_consistency()
 
     def test_gc_batches_translation_updates(self):
@@ -191,7 +202,7 @@ class TestGarbageCollection:
         # read-modify-write, not three.
         mapper = DftlMapper(small_config(cmt_capacity_entries=8))
         mapper.precondition_fill(pages=4)
-        victim_block = mapper.lookup_direct(0).block
+        victim_block = block_number(mapper, 0)
         mapper.trim(3, now_us=0.0)  # one invalid page in the victim
         before = mapper.translation_writes
         operation = mapper.collect_block(0, victim_block, now_us=0.0)
@@ -202,16 +213,15 @@ class TestGarbageCollection:
     def test_gc_relocates_translation_blocks_via_gtd(self):
         mapper = DftlMapper(small_config())
         mapper.precondition_fill(pages=16)
-        trans_physical = mapper.addressing.unpack(mapper._gtd[0])
-        victim_block = trans_physical.block
+        addressing = PageAddressing(mapper.config)
+        victim_block = addressing.unpack(mapper._gtd[0]).block
         block = mapper.planes[0].blocks[victim_block]
         assert block.stream == TRANS_STREAM
         # Rewriting translation page 1 invalidates its copy in the victim.
         mapper._write_translation_page(1, now_us=0.0)
         mapper.collect_block(0, victim_block, now_us=0.0)
-        relocated = mapper.addressing.unpack(mapper._gtd[0])
-        assert relocated.block != victim_block
-        assert mapper.block_at(relocated).stream == TRANS_STREAM
+        assert addressing.unpack(mapper._gtd[0]).block != victim_block
+        assert oob(mapper, mapper._gtd[0])[0].stream == TRANS_STREAM
         mapper.check_consistency()
 
     def test_retired_free_blocks_count_toward_the_gc_trigger(self):
@@ -244,7 +254,7 @@ class TestGarbageCollection:
         mapper = DftlMapper(small_config())
         mapper.precondition_fill(pages=8)
         for lpn in range(8):
-            mapper.write(lpn)
+            mapper.program(lpn, now_us=0.0)
             mapper.collect_if_needed()
         for plane in mapper.planes:
             for block in plane.blocks:
@@ -262,10 +272,13 @@ storm_settings = settings(max_examples=40, deadline=None,
 
 
 class TestDftlStorms:
-    """Randomized write/trim storms with GC running after every step."""
+    """Randomized write/trim/read storms with GC running after every step.
+
+    A read of a never-written LPN maps it as cold data (unaged here: no
+    precondition), so it makes the LPN live like a write does."""
 
     operations = st.lists(
-        st.tuples(st.sampled_from(["write", "trim", "lookup"]),
+        st.tuples(st.sampled_from(["write", "trim", "read"]),
                   st.integers(min_value=0, max_value=11)),
         min_size=1, max_size=120)
 
@@ -276,21 +289,21 @@ class TestDftlStorms:
         live = set()
         for kind, lpn in steps:
             if kind == "write":
-                mapper.write(lpn)
+                mapper.program(lpn, now_us=0.0)
                 live.add(lpn)
             elif kind == "trim":
                 mapper.trim(lpn)
                 live.discard(lpn)
             else:
-                mapper.lookup(lpn, now_us=0.0)
+                mapper.read_target_packed(lpn, now_us=0.0)
+                live.add(lpn)
             mapper.collect_if_needed()
         mapper.check_consistency()
         for lpn in live:
-            physical = mapper.lookup_direct(lpn)
-            assert physical is not None, f"live LPN {lpn} lost its mapping"
-            block = mapper.block_at(physical)
-            assert block.page_valid[physical.page]
-            assert block.page_lpns[physical.page] == lpn
+            assert mapper.is_mapped(lpn), f"live LPN {lpn} lost its mapping"
+            block, page = oob(mapper, mapper._mapping[lpn])
+            assert block.page_valid[page]
+            assert block.page_lpns[page] == lpn
         assert mapper.mapped_pages == len(live)
 
     @storm_settings
@@ -300,11 +313,11 @@ class TestDftlStorms:
         watermark = [block.pe_cycles for block in mapper.planes[0].blocks]
         for kind, lpn in steps:
             if kind == "write":
-                mapper.write(lpn)
+                mapper.program(lpn, now_us=0.0)
             elif kind == "trim":
                 mapper.trim(lpn)
             else:
-                mapper.lookup(lpn, now_us=0.0)
+                mapper.read_target_packed(lpn, now_us=0.0)
             mapper.collect_if_needed()
             for block_id, block in enumerate(mapper.planes[0].blocks):
                 assert block.pe_cycles >= watermark[block_id]
@@ -318,17 +331,18 @@ class TestDftlStorms:
         for index, (kind, lpn) in enumerate(steps):
             if kind == "write":
                 age = float(index % 3) * 6.0
-                mapper.write(lpn, retention_months=age)
+                mapper._place(lpn, age, now_us=0.0)
                 ages[lpn] = age
             elif kind == "trim":
                 mapper.trim(lpn)
                 ages.pop(lpn, None)
             else:
-                mapper.lookup(lpn, now_us=0.0)
+                mapper.read_target_packed(lpn, now_us=0.0)
+                ages.setdefault(lpn, 0.0)
             mapper.collect_if_needed()
         for lpn, age in ages.items():
-            physical = mapper.lookup_direct(lpn)
-            assert mapper.read_condition(physical, now_us=0.0)[1] == age
+            packed = mapper._mapping[lpn]
+            assert mapper.read_condition_packed(packed, now_us=0.0)[1] == age
 
 
 @pytest.fixture(scope="module")

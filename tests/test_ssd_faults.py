@@ -9,6 +9,7 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.faults import (
     FAULT_KINDS,
+    FaultInjector,
     FaultPlan,
     FaultSpec,
     die_failure,
@@ -16,6 +17,7 @@ from repro.ssd.faults import (
     plane_failure,
     read_disturb,
 )
+from repro.ssd.ftl import PageAddressing, PhysicalPage
 from repro.ssd.metrics import SimulationMetrics
 from repro.workloads.scenarios import HotColdZone, make_pattern
 
@@ -175,6 +177,90 @@ class TestFaultInjector:
         assert set(dftl._mapping) == mapped_before
         dftl.check_consistency()
         assert simulator.metrics.grown_bad_blocks == blocks
+
+
+# -- fault scopes over packed page indices -------------------------------------
+#: Two of everything above the block, so no scope number coincides with
+#: another scope's number by accident.
+SCOPE_CONFIG = SsdConfig(channels=2, dies_per_channel=2, planes_per_die=2,
+                         blocks_per_plane=3, pages_per_block=4,
+                         write_buffer_pages=4)
+SCOPE_ADDRESSING = PageAddressing(SCOPE_CONFIG)
+
+
+def _armed(spec, reads=()):
+    """An injector whose ``spec`` is active, after ``reads`` (packed pages)."""
+    injector = FaultInjector(FaultPlan(faults=(spec,)), SCOPE_CONFIG)
+    for packed in reads:
+        injector.record_read(packed)
+    injector.poll(SsdSimulator(SCOPE_CONFIG), spec.at_us)
+    return injector
+
+
+def _penalised(injector):
+    """The ``(channel, die, plane, block)`` of every penalised block, read
+    through the unpacked view of each page."""
+    hit = set()
+    for packed in range(SCOPE_CONFIG.physical_pages):
+        extra, factor = injector.read_penalty(packed, 1.0)
+        if extra or factor != 1.0:
+            hit.add(SCOPE_ADDRESSING.unpack(packed)[:4])
+    return hit
+
+
+def _blocks(channel=None, die=None, plane=None):
+    """Every block inside the given scope, as ``(channel, die, plane, block)``."""
+    return {physical[:4] for physical in map(SCOPE_ADDRESSING.unpack,
+                                             range(SCOPE_CONFIG.physical_pages))
+            if channel in (None, physical.channel)
+            and die in (None, physical.die)
+            and plane in (None, physical.plane)}
+
+
+def _page_of(channel, die, plane, block):
+    return SCOPE_ADDRESSING.pack(PhysicalPage(channel, die, plane, block, 1))
+
+
+class TestFaultScopes:
+    """Each fault penalises a read exactly when ``unpack(packed)`` lies in
+    its scope, although the injector only ever divides packed indices."""
+
+    def test_die_failures_cover_their_die(self):
+        for channel in range(SCOPE_CONFIG.channels):
+            for die in range(SCOPE_CONFIG.dies_per_channel):
+                injector = _armed(die_failure(0.0, channel, die))
+                assert _penalised(injector) == _blocks(channel, die)
+
+    def test_plane_failures_cover_their_plane(self):
+        for channel in range(SCOPE_CONFIG.channels):
+            for die in range(SCOPE_CONFIG.dies_per_channel):
+                for plane in range(SCOPE_CONFIG.planes_per_die):
+                    injector = _armed(plane_failure(0.0, channel, die, plane))
+                    assert _penalised(injector) == _blocks(channel, die, plane)
+
+    def test_a_scope_outside_the_device_penalises_nothing(self):
+        for spec in (die_failure(0.0, 2, 0), die_failure(0.0, 0, 2),
+                     plane_failure(0.0, 0, 0, 2), plane_failure(0.0, 0, -1, 0)):
+            assert _penalised(_armed(spec)) == set()
+
+    def test_a_storm_covers_the_hottest_blocks_ties_by_address(self):
+        # The last block of the device is the hottest; four blocks tie
+        # behind it, and the storm takes the two lowest-addressed of them.
+        hottest = (1, 1, 1, 2)
+        tied = [(1, 0, 1, 0), (0, 1, 0, 2), (1, 1, 0, 0), (0, 0, 1, 1)]
+        reads = [_page_of(*hottest)] * 3 + [_page_of(*block) for block in tied] * 2
+        injector = _armed(read_disturb(0.0, 10.0, blocks=3), reads)
+        assert _penalised(injector) == {hottest, (0, 0, 1, 1), (0, 1, 0, 2)}
+
+    def test_a_storm_before_any_read_lands_on_the_lowest_numbered_blocks(self):
+        # Block numbers run block by block within a plane, then plane by
+        # plane: the first five are plane 0's three and two of plane 1.
+        injector = _armed(read_disturb(0.0, 10.0, blocks=5))
+        assert _penalised(injector) == {(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2),
+                                        (0, 0, 1, 0), (0, 0, 1, 1)}
+        # Blocks already read come first; the lowest-numbered others fill up.
+        injector = _armed(read_disturb(0.0, 10.0, blocks=3), [_page_of(1, 0, 0, 2)])
+        assert _penalised(injector) == {(1, 0, 0, 2), (0, 0, 0, 0), (0, 0, 0, 1)}
 
 
 def test_every_fast_adversarial_device_run_completes_every_request(

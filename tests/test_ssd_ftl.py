@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
-from repro.ssd.ftl import (
-    FlashTranslationLayer,
-    PageAddressing,
-    PhysicalPage,
-    page_type_of,
-)
+from repro.ssd.ftl import FlashTranslationLayer, PageAddressing, PhysicalPage
 from repro.ssd.request import HostRequest, RequestKind, TransactionKind
 from repro.ssd.retry_grid import RetryStepGrid
 
@@ -22,64 +17,79 @@ def ftl():
     return FlashTranslationLayer(SsdConfig.tiny())
 
 
-class TestMapping:
-    def test_unmapped_lookup_returns_none(self, ftl):
-        assert ftl.lookup(0) is None
-        assert not ftl.is_mapped(0)
+def unpack(ftl, packed):
+    return PageAddressing(ftl.config).unpack(packed)
 
-    def test_write_then_lookup(self, ftl):
-        physical, old = ftl.write(7)
-        assert old is None
-        assert ftl.lookup(7) == physical
+
+def block_of(ftl, packed):
+    """The metadata of the block holding packed page ``packed``."""
+    return ftl._blocks[packed // ftl.config.pages_per_block]
+
+
+class TestMapping:
+    def test_unwritten_lpn_is_unmapped(self, ftl):
+        assert not ftl.is_mapped(0)
+        assert ftl.mapped_pages == 0
+
+    def test_program_then_read_target(self, ftl):
+        packed, ops = ftl.program(7)
+        assert ops == ()
+        assert ftl.read_target_packed(7) == (packed, ())
         assert ftl.is_mapped(7)
 
     def test_overwrite_invalidates_old_page(self, ftl):
-        first, _ = ftl.write(7)
-        second, invalidated = ftl.write(7)
-        assert invalidated == first
+        first, _ = ftl.program(7)
+        second, _ = ftl.program(7)
         assert second != first
-        old_block = ftl.plane_for(first).blocks[first.block]
-        assert old_block.page_lpns[first.page] is None
+        pages_per_block = ftl.config.pages_per_block
+        assert block_of(ftl, first).page_lpns[first % pages_per_block] is None
+        assert block_of(ftl, second).page_lpns[second % pages_per_block] == 7
 
     def test_writes_stripe_across_planes(self, ftl):
-        locations = [ftl.write(lpn)[0] for lpn in range(8)]
-        die_keys = {physical.die_key() for physical in locations}
+        locations = [unpack(ftl, ftl.program(lpn)[0]) for lpn in range(8)]
+        die_keys = {(physical.channel, physical.die) for physical in locations}
         assert len(die_keys) > 1
 
     def test_lpn_out_of_range_rejected(self, ftl):
         with pytest.raises(ValueError):
-            ftl.write(ftl.config.logical_pages)
+            ftl.program(ftl.config.logical_pages)
 
     def test_mapped_pages_counter(self, ftl):
         for lpn in range(10):
-            ftl.write(lpn)
-        ftl.write(3)
+            ftl.program(lpn)
+        ftl.program(3)
         assert ftl.mapped_pages == 10
 
     def test_page_type_cycles(self, ftl):
-        physical, _ = ftl.write(0, plane_index=0)
-        assert page_type_of(physical) in PageType
+        # A block's pages are LSB, CSB and MSB in turn; the packed index
+        # gives the page type as its offset in the block, modulo three.
+        pages = [ftl._place(lpn, plane_index=0) for lpn in range(4)]
+        pages_per_block = ftl.config.pages_per_block
+        kinds = [PAGE_TYPE_ORDER[packed % pages_per_block % len(PAGE_TYPE_ORDER)]
+                 for packed in pages]
+        assert kinds == [PageType.LSB, PageType.CSB, PageType.MSB,
+                         PageType.LSB]
 
 
 class TestBlockMetadata:
     def test_retention_recorded_per_page(self, ftl):
-        physical, _ = ftl.write(1, retention_months=9.0)
-        assert ftl.read_condition(physical) == (0, 9.0)
-        fresh, _ = ftl.write(2, retention_months=0.0)
-        assert ftl.read_condition(fresh) == (0, 0.0)
+        aged = ftl._place(1, retention_months=9.0)
+        assert ftl.read_condition_packed(aged) == (0, 9.0)
+        fresh = ftl._place(2, retention_months=0.0)
+        assert ftl.read_condition_packed(fresh) == (0, 0.0)
 
     def test_uniform_pe_cycles(self, ftl):
         ftl.set_uniform_pe_cycles(1500)
-        physical, _ = ftl.write(0)
-        assert ftl.read_condition(physical) == (1500, 0.0)
+        packed, _ = ftl.program(0)
+        assert ftl.read_condition_packed(packed) == (1500, 0.0)
         with pytest.raises(ValueError):
             ftl.set_uniform_pe_cycles(-1)
 
     def test_valid_counts_track_overwrites(self, ftl):
-        physical, _ = ftl.write(5)
-        block = ftl.block_metadata(physical)
+        packed, _ = ftl.program(5)
+        block = block_of(ftl, packed)
         assert block.valid_count == 1
-        ftl.write(5)
+        ftl.program(5)
         assert block.valid_count == 0
         assert block.invalid_count == 1
 
@@ -89,9 +99,9 @@ class TestPlaneManager:
         plane = ftl.planes[0]
         pages_per_block = ftl.config.pages_per_block
         for lpn in range(pages_per_block + 1):
-            ftl.write(lpn, plane_index=0)
-        used_blocks = {entry for entry in (ftl.lookup(lpn).block
-                                           for lpn in range(pages_per_block + 1))}
+            ftl._place(lpn, plane_index=0)
+        used_blocks = {unpack(ftl, ftl.read_target_packed(lpn)[0]).block
+                       for lpn in range(pages_per_block + 1)}
         assert len(used_blocks) == 2
         # One block is completely full; the newly opened active block still
         # counts toward the free pool.
@@ -100,7 +110,7 @@ class TestPlaneManager:
     def test_erase_returns_block_to_free_pool(self, ftl):
         plane = ftl.planes[0]
         before = plane.free_block_count
-        physical, _ = ftl.write(0, plane_index=0)
+        physical = unpack(ftl, ftl._place(0, plane_index=0))
         pe_before = plane.blocks[physical.block].pe_cycles
         plane.erase(physical.block)
         assert plane.blocks[physical.block].pe_cycles == pe_before + 1
@@ -111,9 +121,9 @@ class TestPlaneManager:
         pages_per_block = ftl.config.pages_per_block
         # Fill two blocks on plane 0, then invalidate most of the first one.
         for lpn in range(2 * pages_per_block):
-            ftl.write(lpn, plane_index=0)
+            ftl._place(lpn, plane_index=0)
         for lpn in range(pages_per_block - 2):
-            ftl.write(lpn, plane_index=1)  # rewrite elsewhere -> invalidate
+            ftl._place(lpn, plane_index=1)  # rewrite elsewhere -> invalidate
         victim = plane.gc_victim()
         assert victim is not None
         assert plane.blocks[victim].invalid_count >= pages_per_block - 2
@@ -125,8 +135,7 @@ class TestPlaneManager:
         for block in plane.blocks:
             block.pe_cycles = 100
         plane.blocks[5].pe_cycles = 1
-        physical, _ = ftl.write(0, plane_index=0)
-        assert physical.block == 5
+        assert unpack(ftl, ftl._place(0, plane_index=0)).block == 5
 
     def test_needs_gc_threshold(self, ftl):
         plane = ftl.planes[0]
@@ -150,8 +159,8 @@ class TestPageAddressing:
     @settings(max_examples=60, deadline=None)
     def test_packed_index_encodes_die_corner_and_page_type(self, config):
         """Every page round-trips, and what the read path derives from its
-        packed index is what the scheduler list, the grid and
-        ``page_type_of`` say about the page."""
+        packed index is what the scheduler list and the grid say about the
+        page, and its page type is its offset in the block modulo three."""
         addressing = PageAddressing(config)
         simulator = SsdSimulator(config)
         grid = RetryStepGrid(config)
@@ -166,16 +175,17 @@ class TestPageAddressing:
                             packed = addressing.pack(physical)
                             packed_indices.append(packed)
                             assert addressing.unpack(packed) == physical
-                            assert (simulator._dies[addressing.die_of(packed)]
+                            die_number = packed // addressing.pages_per_die
+                            assert (simulator._dies[die_number]
                                     is simulator.schedulers[(channel, die)])
                             chip = channel * config.dies_per_channel + die
-                            assert addressing.corner_of(packed) == (
+                            assert packed // addressing.pages_per_block == (
                                 grid.corner_index(
                                     chip,
                                     plane * config.blocks_per_plane + block))
-                            assert (PAGE_TYPE_ORDER[
-                                addressing.page_type_index(packed)]
-                                    is page_type_of(physical))
+                            assert (packed % addressing.pages_per_block
+                                    % len(PAGE_TYPE_ORDER)
+                                    == page % len(PAGE_TYPE_ORDER))
         # Pages are numbered densely, in address order.
         assert packed_indices == list(range(config.physical_pages))
 
@@ -184,7 +194,7 @@ class TestPageAddressing:
                                                      default_rpt,
                                                      monkeypatch):
         """The read path's inline die, corner and page-type arithmetic
-        agrees with the mapper's ``PhysicalPage`` view of each read."""
+        agrees with ``PageAddressing.unpack`` of each read's page."""
         config = SsdConfig(channels=2, dies_per_channel=3, planes_per_die=2,
                            blocks_per_plane=8, pages_per_block=10,
                            write_buffer_pages=8, mapping=mapping)
@@ -215,20 +225,22 @@ class TestPageAddressing:
         assert len(reads) == len(queried) == sum(r.page_count
                                                   for r in requests)
         for (key, transaction), (page_type, corner) in zip(reads, queried):
-            physical = addressing.unpack(transaction.packed)
-            assert physical == simulator.mapper.read_target(
+            assert transaction.packed == simulator.mapper.read_target_packed(
                 transaction.lpn, simulator.events.now_us)[0]
-            assert key == physical.die_key()
-            assert transaction.die == addressing.die_of(transaction.packed)
-            assert corner == addressing.corner_of(transaction.packed)
-            assert PAGE_TYPE_ORDER[page_type] is page_type_of(physical)
+            physical = addressing.unpack(transaction.packed)
+            chip = physical.channel * config.dies_per_channel + physical.die
+            assert key == (physical.channel, physical.die)
+            assert transaction.die == chip
+            assert corner == simulator.grid.corner_index(
+                chip, physical.plane * config.blocks_per_plane + physical.block)
+            assert page_type == physical.page % len(PAGE_TYPE_ORDER)
 
 
 def _loop_preconditioned(config, pages, retention_months, pe_cycles):
     """The per-LPN reference: write each LPN in order, then age uniformly."""
     ftl = FlashTranslationLayer(config)
     for lpn in range(pages):
-        ftl.write(lpn, retention_months=retention_months)
+        ftl._place(lpn, retention_months)
     ftl.set_uniform_pe_cycles(pe_cycles)
     return ftl
 
@@ -273,11 +285,11 @@ class TestPreconditionFillEquivalence:
     def test_non_fresh_ftl_falls_back_to_loop(self):
         config = SsdConfig.tiny()
         filled = FlashTranslationLayer(config)
-        filled.write(3)  # any prior write voids the closed form
+        filled.program(3)  # any prior write voids the closed form
         filled.precondition_fill(16, retention_months=6.0, pe_cycles=500)
         looped = FlashTranslationLayer(config)
-        looped.write(3)
+        looped.program(3)
         for lpn in range(16):
-            looped.write(lpn, retention_months=6.0)
+            looped._place(lpn, 6.0)
         looped.set_uniform_pe_cycles(500)
         _assert_ftl_state_equal(filled, looped)

@@ -1,14 +1,14 @@
-"""Tests for garbage collection, the write buffer and the flash backend."""
+"""Tests for garbage collection, the write buffer and the retry grid's reads."""
 
 import random
 
 import pytest
 
 from repro.core.rpt import ReadTimingParameterTable
-from repro.nand.geometry import PageType
+from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.ssd.config import SsdConfig
-from repro.ssd.flash_backend import FlashBackend
-from repro.ssd.ftl import FlashTranslationLayer, PhysicalPage
+from repro.ssd.ftl import FlashTranslationLayer, PageAddressing, PhysicalPage
+from repro.ssd.retry_grid import RetryStepGrid
 from repro.ssd.write_buffer import WriteBuffer
 
 
@@ -26,10 +26,10 @@ class TestBlockGarbageCollection:
     def test_collects_and_relocates_valid_pages(self, ftl):
         pages_per_block = ftl.config.pages_per_block
         for lpn in range(pages_per_block):
-            ftl.write(lpn, plane_index=0, retention_months=6.0)
+            ftl._place(lpn, 6.0, plane_index=0)
         # Invalidate half the block by rewriting elsewhere.
         for lpn in range(0, pages_per_block, 2):
-            ftl.write(lpn, plane_index=1)
+            ftl._place(lpn, plane_index=1)
         plane = ftl.planes[0]
         operation = ftl.collect_block(0, plane.gc_victim())
         assert_trigger_set(ftl)
@@ -55,10 +55,10 @@ class TestBlockGarbageCollection:
         plane = ftl.planes[0]
         lpn = 0
         while not plane.needs_gc():
-            ftl.write(lpn, plane_index=0)
+            ftl._place(lpn, plane_index=0)
             lpn += 1
         for rewrite in range(ftl.config.pages_per_block):
-            ftl.write(rewrite, plane_index=1)
+            ftl._place(rewrite, plane_index=1)
         assert ftl.planes_below_trigger == {0}
         assert_trigger_set(ftl)
         operations = ftl.collect_if_needed()
@@ -124,47 +124,64 @@ class TestWriteBuffer:
         assert buffer.total_admitted == 5
 
 
-class TestFlashBackend:
+class TestRetryGridReads:
+    """What the grid answers for one page read: its page type and corner
+    come from the page's packed index, as on the simulator's read path."""
+
     @pytest.fixture(scope="class")
-    def backend(self, default_rpt):
-        return FlashBackend(SsdConfig.tiny(), rpt=default_rpt)
+    def grid(self, default_rpt):
+        return RetryStepGrid(SsdConfig.tiny(), rpt=default_rpt)
+
+    @staticmethod
+    def read(grid, physical, page_type, pe_cycles, retention_months):
+        pages_per_block = grid.config.pages_per_block
+        packed = PageAddressing(grid.config).pack(physical)
+        behaviour, _ = grid.behaviour_at(PAGE_TYPE_ORDER.index(page_type),
+                                         pe_cycles, retention_months,
+                                         packed // pages_per_block)
+        return behaviour
 
     @pytest.fixture(scope="class")
     def physical(self):
         return PhysicalPage(channel=0, die=1, plane=0, block=3, page=7)
 
-    def test_fresh_read_needs_no_retry(self, backend, physical):
-        behaviour = backend.read_behaviour(physical, PageType.CSB,
-                                           pe_cycles=0, retention_months=0.0)
+    def test_fresh_read_needs_no_retry(self, grid, physical):
+        behaviour = self.read(grid, physical, PageType.CSB,
+                              pe_cycles=0, retention_months=0.0)
         assert behaviour.retry_steps == 0
         assert behaviour.retry_steps_reduced == 0
         assert not behaviour.reduced_timing_fallback
 
-    def test_aged_read_needs_many_steps(self, backend, physical):
-        behaviour = backend.read_behaviour(physical, PageType.CSB,
-                                           pe_cycles=2000, retention_months=12.0)
+    def test_aged_read_needs_many_steps(self, grid, physical):
+        behaviour = self.read(grid, physical, PageType.CSB,
+                              pe_cycles=2000, retention_months=12.0)
         assert behaviour.retry_steps >= 15
         # AR2's reduced timing never loses more than a couple of extra steps.
         assert behaviour.retry_steps_reduced >= behaviour.retry_steps
         assert behaviour.retry_steps_reduced <= behaviour.retry_steps + 3
 
-    def test_results_are_cached(self, backend, physical):
-        first = backend.read_behaviour(physical, PageType.LSB, 1000, 6.0)
-        size_after_first = backend.cache_size
-        second = backend.read_behaviour(physical, PageType.LSB, 1000, 6.0)
+    def test_results_are_cached(self, grid, physical):
+        first = self.read(grid, physical, PageType.LSB, 1000, 6.0)
+        size_after_first = grid.cache_size
+        second = self.read(grid, physical, PageType.LSB, 1000, 6.0)
         assert first == second
-        assert backend.cache_size == size_after_first
+        assert grid.cache_size == size_after_first
 
-    def test_blocks_differ_by_process_variation(self, backend):
-        first = backend.block_variation(PhysicalPage(0, 0, 0, 1, 0))
-        second = backend.block_variation(PhysicalPage(1, 2, 1, 7, 0))
+    def test_blocks_differ_by_process_variation(self, grid):
+        addressing = PageAddressing(grid.config)
+        pages_per_block = grid.config.pages_per_block
+        arrays = grid.variation_arrays()
+        first = arrays.sample_at(
+            addressing.pack(PhysicalPage(0, 0, 0, 1, 0)) // pages_per_block)
+        second = arrays.sample_at(
+            addressing.pack(PhysicalPage(1, 1, 0, 7, 0)) // pages_per_block)
         assert first != second
 
-    def test_monotonic_in_retention(self, backend, physical):
-        steps = [backend.read_behaviour(physical, PageType.CSB, 1000, months).retry_steps
+    def test_monotonic_in_retention(self, grid, physical):
+        steps = [self.read(grid, physical, PageType.CSB, 1000, months).retry_steps
                  for months in (0.0, 3.0, 6.0, 12.0)]
         assert steps == sorted(steps)
 
     def test_default_rpt_is_lazily_built(self):
-        backend = FlashBackend(SsdConfig.tiny())
-        assert isinstance(backend.rpt, ReadTimingParameterTable)
+        grid = RetryStepGrid(SsdConfig.tiny())
+        assert isinstance(grid.rpt, ReadTimingParameterTable)

@@ -47,9 +47,9 @@ def test_simulator_builds_the_configured_mapper(mapping):
 def test_read_of_unwritten_lpn_maps_cold_data(mapping):
     mapper = _mapper(mapping)
     assert not mapper.is_mapped(FILL)
-    physical, _ = mapper.read_target(FILL, now_us=0.0)
+    packed, _ = mapper.read_target_packed(FILL, now_us=0.0)
     assert mapper.is_mapped(FILL)
-    assert mapper.read_condition(physical, now_us=0.0) == (1000, 6.0)
+    assert mapper.read_condition_packed(packed, now_us=0.0) == (1000, 6.0)
 
 
 def test_program_maps_fresh_data(mapping):
@@ -57,32 +57,6 @@ def test_program_maps_fresh_data(mapping):
     packed, _ = mapper.program(3, now_us=0.0)
     assert mapper.read_target_packed(3, now_us=0.0)[0] == packed
     assert mapper.read_condition_packed(packed, now_us=0.0) == (1000, 0.0)
-
-
-def test_packed_reads_agree_with_the_physical_page_view(mapping):
-    # Mapped and never-written LPNs: the read path's packed entry points
-    # and the PhysicalPage adapters over them name the same page and
-    # condition.
-    mapper = _mapper(mapping)
-    addressing = PageAddressing(mapper.config)
-    for lpn in (0, 5, FILL, FILL + 3):
-        packed, _ = mapper.read_target_packed(lpn, now_us=0.0)
-        physical, _ = mapper.read_target(lpn, now_us=0.0)
-        assert addressing.unpack(packed) == physical
-        assert (mapper.read_condition_packed(packed, now_us=0.0)
-                == mapper.read_condition(physical, now_us=0.0))
-
-
-def test_packed_programs_agree_with_the_physical_page_view(mapping):
-    # Overwrites and a never-written LPN: the packed index program returns
-    # is the page the PhysicalPage adapters then read the LPN from.
-    mapper = _mapper(mapping)
-    addressing = PageAddressing(mapper.config)
-    for lpn in (3, 3, FILL + 1):
-        packed, _ = mapper.program(lpn, now_us=0.0)
-        physical, _ = mapper.read_target(lpn, now_us=0.0)
-        assert addressing.unpack(packed) == physical
-        assert mapper.read_condition(physical, now_us=0.0) == (1000, 0.0)
 
 
 def _collect_with_relocations(mapper):
@@ -126,7 +100,7 @@ def test_packed_gc_records_agree_with_the_physical_page_view(mapping):
 
 def test_controller_and_dftl_build_no_physical_page():
     # The write, GC and translation paths hand packed indices to the
-    # controller; PhysicalPage is built only by the adapters in ftl.py.
+    # controller; PhysicalPage is built only by PageAddressing.unpack.
     for name in ("controller.py", "dftl.py"):
         path = SSD / name
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -134,6 +108,33 @@ def test_controller_and_dftl_build_no_physical_page():
                 func = node.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 assert called != "PhysicalPage", f"{name}:{node.lineno} builds a PhysicalPage"
+
+
+def test_only_the_ftl_module_names_a_physical_page_or_packs_one():
+    # One page address in the simulator core: the mappers, the retry grid,
+    # the fault injector and the controller divide packed indices, and only
+    # ssd/ftl.py, which defines the format, names PhysicalPage or calls
+    # PageAddressing.pack/unpack (no other pack/unpack exists in src/repro).
+    src = SSD.parent
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        where = path.relative_to(src).as_posix()
+        if where == "ssd/ftl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+                if node.attr in ("pack", "unpack"):
+                    offenders.append(f"{where}:{node.lineno} calls .{node.attr}")
+            else:
+                continue
+            if "PhysicalPage" in names:
+                offenders.append(f"{where}:{node.lineno} names PhysicalPage")
+    assert offenders == []
 
 
 def test_planes_that_start_below_the_gc_trigger_are_counted(mapping):
@@ -173,7 +174,7 @@ def test_only_a_page_mode_read_miss_costs_translation_traffic(mapping):
     # Block mode keeps its table in DRAM; the DFTL's cold cache misses and
     # fetches the translation page.
     mapper = _mapper(mapping)
-    _, ops = mapper.read_target(0, now_us=0.0)
+    _, ops = mapper.read_target_packed(0, now_us=0.0)
     if mapping == "page":
         assert [kind for kind, _ in ops] == [TransactionKind.TRANS_READ]
         assert mapper.cmt_misses == 1
@@ -188,14 +189,11 @@ def test_out_of_range_lpns_raise(mapping):
     mapper = _mapper(mapping)
     logical_pages = mapper.config.logical_pages
     entry_points = {
-        "read_target": lambda lpn: mapper.read_target(lpn, now_us=0.0),
         "read_target_packed": lambda lpn: mapper.read_target_packed(lpn, now_us=0.0),
         "program": lambda lpn: mapper.program(lpn, now_us=0.0),
         "trim": lambda lpn: mapper.trim(lpn, now_us=0.0),
         "is_mapped": mapper.is_mapped,
     }
-    if mapping == "block":
-        entry_points["lookup"] = mapper.lookup
     for lpn in (-1, -logical_pages, logical_pages, logical_pages + 7):
         for name, call in entry_points.items():
             with pytest.raises(ValueError, match=rf"LPN {lpn} .*{logical_pages}\)"):

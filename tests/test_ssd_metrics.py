@@ -18,8 +18,8 @@ from repro.ssd.metrics import (
 BUCKET_TOLERANCE = 2.0 / SUBBUCKETS_PER_OCTAVE
 
 
-def make_metrics(read_times, write_times=(), record_samples=False):
-    metrics = SimulationMetrics(record_samples=record_samples)
+def make_metrics(read_times, write_times=()):
+    metrics = SimulationMetrics()
     for value in read_times:
         metrics.record_read(value, retry_steps=2)
     for value in write_times:
@@ -116,19 +116,6 @@ class TestRecording:
 
 
 class TestFixedMemoryContract:
-    def test_samples_unavailable_by_default(self):
-        metrics = make_metrics([1.0, 2.0], [3.0])
-        for name in ("read_response_times_us", "write_response_times_us",
-                     "retry_steps_per_read"):
-            with pytest.raises(RuntimeError, match="record_samples=True"):
-                getattr(metrics, name)
-
-    def test_record_samples_debug_mode(self):
-        metrics = make_metrics([1.0, 2.0], [3.0], record_samples=True)
-        assert metrics.read_response_times_us == [1.0, 2.0]
-        assert metrics.write_response_times_us == [3.0]
-        assert metrics.retry_steps_per_read == [2, 2]
-
     def test_bucket_count_independent_of_sample_count(self):
         rng = np.random.default_rng(0)
         histogram = LatencyHistogram()
@@ -240,18 +227,6 @@ class TestMerge:
         for percentile in (50.0, 99.0, 99.9):
             assert left_first.percentile(percentile) == \
                 right_first.percentile(percentile)
-
-    def test_merge_into_sample_keeping_collector_rejected(self):
-        keeper = make_metrics([1.0], record_samples=True)
-        plain = make_metrics([2.0])
-        with pytest.raises(ValueError, match="record_samples"):
-            keeper.merge(plain)
-        # The safe directions still work.
-        plain.merge(keeper)
-        assert plain.host_reads == 2
-        other_keeper = make_metrics([3.0], record_samples=True)
-        keeper.merge(other_keeper)
-        assert keeper.read_response_times_us == [1.0, 3.0]
 
     def test_metrics_merge_folds_counters(self):
         first = make_metrics([100.0], [10.0])

@@ -5,15 +5,14 @@ import pytest
 from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
-from repro.ssd.flash_backend import FlashBackend
-from repro.ssd.ftl import PhysicalPage
+from repro.ssd.ftl import PageAddressing, PhysicalPage
 from repro.ssd.request import (
     FlashTransaction,
     HostRequest,
     RequestKind,
     TransactionKind,
 )
-from repro.nand.geometry import PageType
+from repro.ssd.retry_grid import RetryStepGrid
 
 
 class TestHostRequest:
@@ -63,23 +62,24 @@ class TestFlashTransaction:
 
 class TestReadFailurePath:
     """A retry table too short for the V_TH shift: the read fails outright
-    (footnote 13) and the backend charges the full table walk."""
+    (footnote 13) and the grid charges the full table walk."""
 
-    def test_backend_charges_full_table_on_failure(self, default_rpt):
+    def test_grid_charges_full_table_on_failure(self, default_rpt):
         config = SsdConfig.tiny()
         tiny_table = ReadRetryTable(num_entries=4)
-        backend = FlashBackend(config, rpt=default_rpt, retry_table=tiny_table)
-        behaviour = backend.read_behaviour(
-            PhysicalPage(0, 0, 0, 1, 3), PageType.CSB,
-            pe_cycles=2000, retention_months=12.0)
+        grid = RetryStepGrid(config, rpt=default_rpt, retry_table=tiny_table)
+        packed = PageAddressing(config).pack(PhysicalPage(0, 0, 0, 1, 4))
+        behaviour, _ = grid.behaviour_at(
+            packed % config.pages_per_block % 3, 2000, 12.0,
+            packed // config.pages_per_block)
         assert behaviour.retry_steps == tiny_table.num_entries
 
     def test_simulation_survives_unreadable_pages(self, default_rpt):
         config = SsdConfig.tiny()
         simulator = SsdSimulator(config, policy="Baseline", rpt=default_rpt)
-        # A custom retry table gives the backend a private grid, so the
-        # shortened table cannot pollute the process-shared one.
-        simulator.backend = FlashBackend(
+        # A private grid over the shortened table, so it cannot pollute the
+        # process-shared grid of this configuration.
+        simulator.grid = RetryStepGrid(
             config, rpt=default_rpt, retry_table=ReadRetryTable(num_entries=4))
         simulator.precondition(pe_cycles=2000, retention_months=12.0)
         requests = [HostRequest(i * 200.0, RequestKind.READ, i)

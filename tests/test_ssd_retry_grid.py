@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.rpt import ReadTimingParameterTable
-from repro.errors.rber import CodewordErrorModel
+from repro.errors.variation import ProcessVariation
 from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
-from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
-from repro.ssd.flash_backend import FlashBackend
 from repro.ssd.ftl import PageAddressing, PhysicalPage
 from repro.ssd.request import HostRequest, RequestKind
 from repro.ssd.retry_grid import (
@@ -35,20 +33,29 @@ def grid(config, default_rpt) -> RetryStepGrid:
     return RetryStepGrid(config, rpt=default_rpt)
 
 
+def behaviour(grid, page_type, pe_cycles, retention_months, chip, block):
+    """:meth:`RetryStepGrid.behaviour_at` of a :class:`PageType` read of
+    ``block`` of ``chip``."""
+    return grid.behaviour_at(PAGE_TYPE_ORDER.index(page_type), pe_cycles,
+                             retention_months, grid.corner_index(chip, block))
+
+
 class TestGridGeometry:
     def test_one_corner_per_physical_block(self, grid, config):
         assert grid.corner_count == (config.channels * config.dies_per_channel
                                      * config.planes_per_die
                                      * config.blocks_per_plane)
 
-    def test_corner_variation_matches_backend(self, grid, config, default_rpt):
-        backend = FlashBackend(config, rpt=default_rpt)
+    def test_corner_variation_matches_the_scalar_sample(self, grid, config):
+        # The (channel, die) pair is the chip and the (plane, block) pair the
+        # block within it, so blocks of one die share a chip-level corner.
         physical = PhysicalPage(channel=1, die=0, plane=0, block=5, page=0)
+        corner = PageAddressing(config).pack(physical) // config.pages_per_block
         chip = physical.channel * config.dies_per_channel + physical.die
         block = physical.plane * config.blocks_per_plane + physical.block
-        arrays = grid.variation_arrays()
-        sample = arrays.sample_at(grid.corner_index(chip, block))
-        assert sample == backend.block_variation(physical)
+        sample = grid.variation_arrays().sample_at(corner)
+        assert sample == ProcessVariation(seed=config.seed).block_sample(
+            chip=chip, block=block)
 
 
 class TestSlabLifecycle:
@@ -56,9 +63,9 @@ class TestSlabLifecycle:
         grid.prefill([(1000, 6.0)])
         assert grid.cached_conditions == 1
         assert grid.slab_builds == 1
-        behaviour, from_grid = grid.behaviour(PageType.CSB, 1000, 6.0, 0, 3)
+        read, from_grid = behaviour(grid, PageType.CSB, 1000, 6.0, 0, 3)
         assert from_grid
-        assert behaviour.retry_steps > 0
+        assert read.retry_steps > 0
 
     def test_grid_matches_scalar_fallback(self, config, default_rpt):
         """The slab and the scalar path must agree behaviour-for-behaviour."""
@@ -68,20 +75,20 @@ class TestSlabLifecycle:
         for page_type in PageType:
             for chip in range(eager.chips):
                 for block in (0, 7, 15):
-                    fast, from_grid = eager.behaviour(page_type, 2000, 12.0,
-                                                      chip, block)
-                    slow, from_slab = lazy.behaviour(page_type, 2000, 12.0,
-                                                     chip, block)
+                    fast, from_grid = behaviour(eager, page_type, 2000, 12.0,
+                                                chip, block)
+                    slow, from_slab = behaviour(lazy, page_type, 2000, 12.0,
+                                                chip, block)
                     assert from_grid and not from_slab
                     assert fast == slow
 
     def test_promotion_after_threshold(self, config, default_rpt):
         grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=3)
         for query in range(2):
-            _, from_grid = grid.behaviour(PageType.LSB, 500, 3.0, 0, query)
+            _, from_grid = behaviour(grid, PageType.LSB, 500, 3.0, 0, query)
             assert not from_grid
         assert grid.cached_conditions == 0
-        _, from_grid = grid.behaviour(PageType.LSB, 500, 3.0, 0, 2)
+        _, from_grid = behaviour(grid, PageType.LSB, 500, 3.0, 0, 2)
         assert from_grid
         assert grid.cached_conditions == 1
 
@@ -89,20 +96,19 @@ class TestSlabLifecycle:
         grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=1,
                              max_conditions=2)
         for pe_cycles in (100, 200, 300, 400):
-            grid.behaviour(PageType.CSB, pe_cycles, 0.0, 0, 0)
+            behaviour(grid, PageType.CSB, pe_cycles, 0.0, 0, 0)
         assert grid.cached_conditions == 2
 
     def test_scalar_memo_eviction_is_bounded(self, config, default_rpt):
         grid = RetryStepGrid(config, rpt=default_rpt,
                              promote_threshold=10_000, max_scalar_entries=5)
         for block in range(8):
-            grid.behaviour(PageType.CSB, 1000, 6.0, 0, block)
+            behaviour(grid, PageType.CSB, 1000, 6.0, 0, block)
         assert grid.scalar_memo_size <= 5
 
 
 class TestSlabRecency:
-    """Slab order is an LRU over every way of asking: the int-keyed core,
-    the PageType adapter and the backend's PhysicalPage adapter."""
+    """Slab order is an LRU over the queries, promotions and evictions."""
 
     CONDITIONS = [(100, 0.0), (500, 1.0), (1000, 6.0), (1500, 0.0),
                   (2000, 12.0)]
@@ -110,8 +116,6 @@ class TestSlabRecency:
     MAX_CONDITIONS = 3
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=4),
-                              st.sampled_from(["core", "page_type",
-                                               "physical"]),
                               st.integers(min_value=0, max_value=2),
                               st.integers(min_value=0, max_value=63)),
                     min_size=1, max_size=24))
@@ -121,23 +125,12 @@ class TestSlabRecency:
         grid = RetryStepGrid(config, rpt=default_rpt,
                              promote_threshold=self.PROMOTE,
                              max_conditions=self.MAX_CONDITIONS)
-        backend = FlashBackend(config, rpt=default_rpt, grid=grid)
-        addressing = PageAddressing(config)
         model = OrderedDict()
         pending = {}
         builds = 0
-        for condition, route, page_type, corner in queries:
+        for condition, page_type, corner in queries:
             key = self.CONDITIONS[condition]
-            if route == "core":
-                grid.behaviour_at(page_type, *key, corner)
-            elif route == "page_type":
-                chip, block = divmod(corner, grid.blocks_per_chip)
-                grid.behaviour(PAGE_TYPE_ORDER[page_type], *key, chip, block)
-            else:
-                physical = addressing.unpack(
-                    corner * config.pages_per_block + page_type)
-                backend.read_behaviour(physical, PAGE_TYPE_ORDER[page_type],
-                                       *key)
+            grid.behaviour_at(page_type, *key, corner)
             # The model: a hit moves its condition to the recent end; the
             # PROMOTE-th query of an uncached condition builds its slab,
             # evicting the least recent one when the grid is full.
@@ -175,20 +168,6 @@ class TestSharedGrids:
         assert (rpt_fingerprint(ReadTimingParameterTable.conservative())
                 != rpt_fingerprint(default_rpt))
 
-    def test_custom_models_get_private_grids(self, config, default_rpt):
-        clear_shared_grids()
-        try:
-            custom = FlashBackend(config, rpt=default_rpt,
-                                  retry_table=ReadRetryTable(num_entries=4))
-            default = FlashBackend(config, rpt=default_rpt)
-            assert custom.grid is not default.grid
-            assert custom.grid is not shared_grid(config, default_rpt)
-            other = FlashBackend(config, rpt=default_rpt,
-                                 error_model=CodewordErrorModel())
-            assert other.grid is not default.grid
-        finally:
-            clear_shared_grids()
-
 
 class TestDeviceSlabPrefill:
     """prefill_device_slabs builds a device's two slabs in the shared grid."""
@@ -205,7 +184,7 @@ class TestDeviceSlabPrefill:
         assert list(grid._slabs) == [(1000, 6.0), (1000, 0.0)]
         assert grid.slab_builds == 2
         for retention_months in (6.0, 0.0):
-            _, from_grid = grid.behaviour(PageType.MSB, 1000, retention_months, 1, 4)
+            _, from_grid = behaviour(grid, PageType.MSB, 1000, retention_months, 1, 4)
             assert from_grid
 
     def test_a_second_call_builds_nothing(self, config, default_rpt):
