@@ -262,6 +262,40 @@ class TestFaultScopes:
         injector = _armed(read_disturb(0.0, 10.0, blocks=3), [_page_of(1, 0, 0, 2)])
         assert _penalised(injector) == {(1, 0, 0, 2), (0, 0, 0, 0), (0, 0, 0, 1)}
 
+    def test_overlapping_scopes_stack_until_each_ends(self):
+        # A permanent die failure, a plane failure inside it that ends at
+        # 50 us and a storm that ends at 20 us on one block inside that
+        # plane and one elsewhere: a read pays the sum of the extra steps
+        # and the product of the factors of every active fault whose scope
+        # holds its page.
+        die = die_failure(0.0, 1, 0, latency_factor=2.0, extra_retry_steps=1)
+        plane = plane_failure(0.0, 1, 0, 1, duration_us=50.0,
+                              latency_factor=3.0, extra_retry_steps=2)
+        storm = read_disturb(0.0, 20.0, blocks=2, extra_retry_steps=4)
+        stormed = {(1, 0, 1, 2), (0, 0, 0, 1)}
+        injector = FaultInjector(FaultPlan(faults=(die, plane, storm)),
+                                 SCOPE_CONFIG)
+        for block in sorted(stormed):
+            injector.record_read(_page_of(*block))
+        injector.poll(SsdSimulator(SCOPE_CONFIG), 0.0)
+        for now_us in (10.0, 35.0, 80.0):
+            for packed in range(SCOPE_CONFIG.physical_pages):
+                physical = SCOPE_ADDRESSING.unpack(packed)
+                covering = []
+                if physical[:2] == (1, 0):
+                    covering.append(die)
+                if physical[:3] == (1, 0, 1) and now_us <= 50.0:
+                    covering.append(plane)
+                if physical[:4] in stormed and now_us <= 20.0:
+                    covering.append(storm)
+                factor = 1.0
+                for spec in covering:
+                    factor *= spec.latency_factor
+                expected = (sum(spec.extra_retry_steps for spec in covering),
+                            factor)
+                assert injector.read_penalty(packed, now_us) == expected, (
+                    now_us, physical)
+
 
 def test_every_fast_adversarial_device_run_completes_every_request(
         monkeypatch):

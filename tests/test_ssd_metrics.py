@@ -131,6 +131,30 @@ class TestFixedMemoryContract:
         assert histogram.bucket_count < 1500  # hard structural bound: 3265
         assert histogram.count == 101_000
 
+    def test_collector_state_does_not_grow_with_the_trace(self):
+        # Repeating the same samples 500 times changes counts, never the
+        # shape of what the collector holds: no container keeps an entry
+        # per request.
+        def shape(value):
+            if isinstance(value, LatencyHistogram):
+                value = value.__getstate__()
+            if isinstance(value, dict):
+                return {key: shape(item) for key, item in value.items()}
+            if isinstance(value, (list, tuple, set, frozenset)):
+                return [shape(item) for item in value]
+            return type(value).__name__
+
+        def collector(repeats):
+            metrics = SimulationMetrics()
+            for _ in range(repeats):
+                for step, value in enumerate((12.0, 80.0, 950.0, 4000.0)):
+                    metrics.record_read(value, retry_steps=step, tenant=step % 2)
+                    metrics.record_write(value / 2, tenant=step % 2)
+                    metrics.record_die_busy((0, step % 2), value)
+            return metrics
+
+        assert shape(vars(collector(500))) == shape(vars(collector(1)))
+
     def test_histogram_pickles(self):
         histogram = LatencyHistogram()
         for value in (1.0, 50.0, 5000.0):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.variation import ProcessVariation
 from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
+from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.ftl import PageAddressing, PhysicalPage
@@ -167,6 +168,32 @@ class TestSharedGrids:
         assert rpt_fingerprint(rebuilt) == rpt_fingerprint(default_rpt)
         assert (rpt_fingerprint(ReadTimingParameterTable.conservative())
                 != rpt_fingerprint(default_rpt))
+
+    def test_a_private_grid_leaves_the_shared_grid_alone(self, config,
+                                                         default_rpt):
+        # A grid over a custom retry table is built directly and handed to
+        # a simulator: its prefill and reads never reach the shared grid of
+        # the same configuration and RPT.
+        clear_shared_grids()
+        try:
+            simulator = SsdSimulator(config, policy="Baseline",
+                                     rpt=default_rpt)
+            shared = simulator.grid
+            assert shared is shared_grid(config, default_rpt)
+            private = RetryStepGrid(config, rpt=default_rpt,
+                                    retry_table=ReadRetryTable(num_entries=4))
+            simulator.grid = private
+            simulator.precondition(pe_cycles=2000, retention_months=12.0)
+            result = simulator.run([HostRequest(i * 200.0, RequestKind.READ, i)
+                                    for i in range(10)])
+            assert result.metrics.pages_read == 10
+            assert private.cached_conditions == 1
+            assert (shared.slab_builds, shared.cached_conditions,
+                    shared.scalar_memo_size) == (0, 0, 0)
+            assert shared_grid(config, default_rpt) is shared
+            assert shared.retry_table == ReadRetryTable()
+        finally:
+            clear_shared_grids()
 
 
 class TestDeviceSlabPrefill:
