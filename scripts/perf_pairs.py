@@ -27,15 +27,18 @@ change's median to the parent's and the number of pairs the change won.  A
 tie counts for neither side.  It exits 1 when any pass reports
 ``correct: false`` or failed passes, or prints no report.
 
-``--claim METRIC`` then tests a claimed gain on METRIC by the rule a
+``--no-regress`` then applies every end-to-end metric's ``bound`` in
+``BENCHMARK.json``: it prints one ``bound`` line per metric and exits 1 when
+any change median is worse than the parent's by more than that fraction of
+the parent's median.
+
+``--claim METRIC`` instead tests a claimed gain on METRIC by the rule a
 benchmark gate applies, and exits 1 when the claim fails:
 
 * the change is better in at least 9 of 10 pairs (ties count for neither);
 * the change's median beats the parent's by more than the distance between
   the parent's quartiles;
-* no other end-to-end metric's change median is worse than the parent's
-  by more than the fraction of the parent's median that its ``bound`` in
-  ``BENCHMARK.json`` allows.
+* no other end-to-end metric is past its bound, as ``--no-regress`` tests.
 """
 
 import argparse
@@ -175,6 +178,36 @@ def gain(parent: float, change: float, better: str) -> float:
     return change - parent if better == "higher" else parent - change
 
 
+def bound_line(pairs: list, metric: dict) -> tuple:
+    """``(line, within)``: whether the change's median of ``metric`` is worse
+    than the parent's by no more than its ``bound`` allows (a fraction of the
+    parent's median); ``within`` is None when no pair reported the metric."""
+    name, better = metric["name"], metric["better"]
+    values = paired_values(pairs, name)
+    if not values["parent"]:
+        return f"{name}: no pair reported it", None
+    parent_median = statistics.median(values["parent"])
+    change_median = statistics.median(values["change"])
+    worse = gain(change_median, parent_median, better) / parent_median
+    bound = metric["bound"]
+    within = worse <= bound
+    return f"bound {name}: change median worse by {worse:+.2%} <= {bound:.0%}: {within}", within
+
+
+def no_regress_lines(pairs: list, metrics: list) -> tuple:
+    """``(lines, holds)``: every bounded end-to-end metric reported and
+    within its bound."""
+    lines = []
+    holds = True
+    for metric in metrics:
+        if "bound" in metric:
+            line, within = bound_line(pairs, metric)
+            lines.append(line)
+            holds = holds and within is True
+    lines.append("no-regress: " + ("holds" if holds else "FAILS"))
+    return lines, holds
+
+
 def claim_lines(pairs: list, metrics: list, claim: str) -> tuple:
     """``(lines, holds)``: whether the change's gain on ``claim`` holds.
 
@@ -184,33 +217,30 @@ def claim_lines(pairs: list, metrics: list, claim: str) -> tuple:
     holds = True
     for metric in metrics:
         name, better = metric["name"], metric["better"]
+        if name != claim:
+            if "bound" in metric:
+                line, within = bound_line(pairs, metric)
+                lines.append(line)
+                holds = holds and within is not False
+            continue
         values = paired_values(pairs, name)
         if not values["parent"]:
             lines.append(f"{name}: no pair reported it")
-            holds = holds and name != claim
+            holds = False
             continue
         low, parent_median, high = quartiles(values["parent"])
         change_median = statistics.median(values["change"])
-        if name == claim:
-            counted = len(values["parent"])
-            wins = change_wins(values["parent"], values["change"], better)
-            needed = math.ceil(CLAIM_WIN_SHARE * counted)
-            gap = gain(parent_median, change_median, better)
-            won, cleared = wins >= needed, gap > high - low
-            lines.append(f"claim {name}: change won {wins}/{counted} >= {needed} pairs: {won}")
-            lines.append(
-                f"claim {name}: median gap {gap:.6g} > parent quartile distance {high - low:.6g}: "
-                f"{cleared}"
-            )
-            holds = holds and won and cleared
-        elif "bound" in metric:
-            worse = -gain(parent_median, change_median, better) / parent_median
-            within = worse <= metric["bound"]
-            lines.append(
-                f"bound {name}: change median worse by {worse:+.2%} <= {metric['bound']:.0%}: "
-                f"{within}"
-            )
-            holds = holds and within
+        counted = len(values["parent"])
+        wins = change_wins(values["parent"], values["change"], better)
+        needed = math.ceil(CLAIM_WIN_SHARE * counted)
+        gap = gain(parent_median, change_median, better)
+        won, cleared = wins >= needed, gap > high - low
+        lines.append(f"claim {name}: change won {wins}/{counted} >= {needed} pairs: {won}")
+        lines.append(
+            f"claim {name}: median gap {gap:.6g} > parent quartile distance {high - low:.6g}: "
+            f"{cleared}"
+        )
+        holds = holds and won and cleared
     lines.append(f"claim {claim}: " + ("holds" if holds else "FAILS"))
     return lines, holds
 
@@ -223,8 +253,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, required=True, help="seed of pair 0")
-    parser.add_argument(
+    verdict = parser.add_mutually_exclusive_group()
+    verdict.add_argument(
         "--claim", metavar="METRIC", help="end-to-end metric whose claimed gain to test"
+    )
+    verdict.add_argument(
+        "--no-regress",
+        action="store_true",
+        help="fail when any end-to-end metric is worse than its BENCHMARK.json bound allows",
     )
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -239,9 +275,12 @@ def main(argv=None) -> int:
     for line in summary_lines(pairs, metrics):
         print(line)
     holds = True
-    if args.claim is not None:
+    if args.claim is not None or args.no_regress:
         print()
-        lines, holds = claim_lines(pairs, spec["end_to_end"], args.claim)
+        if args.claim is not None:
+            lines, holds = claim_lines(pairs, spec["end_to_end"], args.claim)
+        else:
+            lines, holds = no_regress_lines(pairs, spec["end_to_end"])
         for line in lines:
             print(line)
     failed = [(pair["seed"], side) for pair in pairs for side in SIDES if not passed(pair[side])]

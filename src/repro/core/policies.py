@@ -35,16 +35,11 @@ class ReadRetryPolicy(abc.ABC):
     #: Short identifier used in experiment tables (overridden by subclasses).
     name: str = "abstract"
 
-    #: Bound on the per-policy breakdown memo (distinct (steps, page type,
-    #: condition) triples; a simulation run sees at most a few hundred).
-    _BREAKDOWN_CACHE_LIMIT = 65_536
-
     def __init__(self, timing: TimingParameters = None,
                  rpt: ReadTimingParameterTable = None):
         self.timing = timing or TimingParameters()
         self.latency_model = ReadLatencyModel(self.timing)
         self._rpt = rpt
-        self._breakdown_cache: Dict[tuple, ReadLatencyBreakdown] = {}
 
     # -- behaviour ---------------------------------------------------------------
     def effective_retry_steps(self, required_steps: int,
@@ -61,25 +56,6 @@ class ReadRetryPolicy(abc.ABC):
     def read_breakdown(self, required_steps: int, page_type: PageType,
                        condition: OperatingCondition) -> ReadLatencyBreakdown:
         """Latency/occupancy breakdown of one read under this policy."""
-
-    def breakdown_for(self, required_steps: int, page_type: PageType,
-                      condition: OperatingCondition) -> ReadLatencyBreakdown:
-        """Memoized :meth:`read_breakdown` (the simulator's hot path).
-
-        A breakdown is a pure function of its arguments, and a simulation
-        run only ever sees a handful of distinct (steps, page type,
-        condition) triples, so the simulator calls this wrapper instead of
-        recomputing the latency model per read.
-        """
-        key = (required_steps, page_type, condition.pe_cycles,
-               condition.retention_months, condition.temperature_c)
-        breakdown = self._breakdown_cache.get(key)
-        if breakdown is None:
-            breakdown = self.read_breakdown(required_steps, page_type,
-                                            condition)
-            if len(self._breakdown_cache) < self._BREAKDOWN_CACHE_LIMIT:
-                self._breakdown_cache[key] = breakdown
-        return breakdown
 
     # -- AR2 helpers ----------------------------------------------------------------
     @property

@@ -9,14 +9,17 @@ reproduces the read-retry behaviour of a real characterized block
   scaled-down configuration for tests).
 * :mod:`repro.ssd.engine` — the discrete-event core (event queue, clock).
 * :mod:`repro.ssd.request` — host requests and flash transactions.
-* :mod:`repro.ssd.ftl` — the ``Mapper`` protocol the controller drives, and
-  the block-mode FTL (``mapping="block"``): page-level address mapping,
-  wear-aware block allocation and greedy garbage collection.
+* :mod:`repro.ssd.ftl` — the ``Mapper`` protocol the controller drives; the
+  ``BlockStore`` both mappers are, whose flat per-device sequences hold every
+  block's and page's state, and its ``Plane`` (free pool, append blocks,
+  wear-aware open, erase and retire); and the block-mode FTL
+  (``mapping="block"``): that store written through one stream, with greedy
+  garbage collection.
 * :mod:`repro.ssd.gc` — ``GcOperation``, the flash work of one collected or
   retired block, shared by both mappers.
 * :mod:`repro.ssd.dftl` — DFTL-class page-mapped FTL (``mapping="page"``):
-  cached mapping table, on-flash translation pages and watermark-driven GC
-  with real wear dynamics.
+  the same block store with a cached mapping table, on-flash translation
+  pages and watermark-driven GC with real wear dynamics.
 * :mod:`repro.ssd.write_buffer` — the controller's write cache.
 * :mod:`repro.ssd.flash_backend` — ``ReadBehaviour``, the retry steps one
   read needs, and the description of the per-block device model ("each

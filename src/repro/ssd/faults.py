@@ -32,7 +32,9 @@ every scope by a number that index yields with one division: the die
 ``packed // pages_per_die``, the plane ``packed // pages_per_plane`` and the
 block ``packed // pages_per_block`` (numbered in ``(channel, die, plane,
 block)`` order).  A spec's ``(channel, die[, plane])`` becomes its die or
-plane number once, when the fault activates.  The injector keeps no
+plane number once, when the fault activates; a scope outside the device is
+refused with ``ValueError`` when the plan is installed, since no read could
+reach it and the run would silently be fault-free.  The injector keeps no
 reference to its simulator: the simulator passes itself to
 :meth:`FaultInjector.poll`, so a finished simulator is freed at once rather
 than left to the cyclic collector.  Every effect is counted on
@@ -265,6 +267,13 @@ class FaultInjector:
         self._block_penalties: Dict[int, _ActivePenalty] = {}
         #: Deterministic per-block read counts feeding hot-block selection.
         self._read_counts: Dict[int, int] = {}
+        for spec in self._pending:
+            if spec.kind in ("die_failure", "plane_failure") and not all(
+                    0 <= digit < radix for digit, radix in self._scope_digits(spec)):
+                raise ValueError(
+                    f"{spec.kind} {spec.to_dict()} lies outside the device "
+                    f"({config.channels} channels x {config.dies_per_channel} "
+                    f"dies x {config.planes_per_die} planes)")
 
     # -- read-path hooks ------------------------------------------------------
     def record_read(self, packed: int) -> None:
@@ -302,12 +311,10 @@ class FaultInjector:
         ends = (None if spec.duration_us is None
                 else spec.at_us + spec.duration_us)
         if spec.kind in ("die_failure", "plane_failure"):
-            number = self._scope_number(spec)
-            if number is not None:
-                table = (self._die_penalties if spec.kind == "die_failure"
-                         else self._plane_penalties)
-                table[number] = _ActivePenalty(
-                    ends, spec.extra_retry_steps, spec.latency_factor)
+            table = (self._die_penalties if spec.kind == "die_failure"
+                     else self._plane_penalties)
+            table[self._scope_number(spec)] = _ActivePenalty(
+                ends, spec.extra_retry_steps, spec.latency_factor)
         elif spec.kind == "read_disturb":
             for block in self._hottest_blocks(spec.blocks):
                 self._block_penalties[block] = _ActivePenalty(
@@ -315,20 +322,23 @@ class FaultInjector:
         else:  # grown_bad_blocks
             self._grow_bad_blocks(spec, simulator)
 
-    def _scope_number(self, spec: FaultSpec) -> Optional[int]:
-        """The die number (``channel * dies_per_channel + die``) of a die
-        failure, or the plane number (``die_number * planes_per_die +
-        plane``) of a plane failure; ``None`` for a scope outside the
-        device, which no read reaches."""
+    def _scope_digits(self, spec: FaultSpec) -> List[Tuple[int, int]]:
+        """A die or plane failure's ``(channel, die[, plane])``, each with
+        its radix in the device geometry."""
         config = self.config
         digits = [(spec.channel, config.channels),
                   (spec.die, config.dies_per_channel)]
         if spec.kind == "plane_failure":
             digits.append((spec.plane, config.planes_per_die))
+        return digits
+
+    def _scope_number(self, spec: FaultSpec) -> int:
+        """The die number (``channel * dies_per_channel + die``) of a die
+        failure, or the plane number (``die_number * planes_per_die +
+        plane``) of a plane failure; the constructor refused every scope
+        outside the device."""
         number = 0
-        for digit, radix in digits:
-            if not 0 <= digit < radix:
-                return None
+        for digit, radix in self._scope_digits(spec):
             number = number * radix + digit
         return number
 

@@ -268,3 +268,53 @@ def test_without_a_claim_no_verdict_is_printed(perf_pairs, checkouts,
                 "0") == 0
     out = capsys.readouterr().out
     assert "claim" not in out and "bound " not in out
+
+
+def no_regress_run(perf_pairs, checkouts, monkeypatch, capsys, reports):
+    _, sides = stub(perf_pairs, monkeypatch, reports)
+    pairs = str(len(reports) // 2)
+    status = main(perf_pairs, checkouts, sides, "--pairs", pairs, "--seed",
+                  "0", "--no-regress")
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith(("bound", "no-regress", "claim"))]
+    return status, lines
+
+
+def test_no_regress_passes_a_change_within_every_bound(
+        perf_pairs, checkouts, monkeypatch, capsys):
+    # 20 % slower and 20 % fewer requests per second: inside both 24 %
+    # bounds.
+    reports = claim_reports(PARENT_RATES, [rate * 0.8 for rate in PARENT_RATES],
+                            parent_wall=1.0, change_wall=1.2)
+    status, lines = no_regress_run(perf_pairs, checkouts, monkeypatch, capsys,
+                                   reports)
+    assert status == 0
+    assert lines == [
+        "bound wall_s: change median worse by +20.00% <= 24%: True",
+        "bound requests_per_s: change median worse by +20.00% <= 24%: True",
+        "no-regress: holds",
+    ]
+
+
+def test_no_regress_fails_a_change_past_a_bound(perf_pairs, checkouts,
+                                                monkeypatch, capsys):
+    # requests_per_s is 25 % worse (bound 24 %), wall_s unchanged.
+    reports = claim_reports(PARENT_RATES,
+                            [rate * 0.75 for rate in PARENT_RATES])
+    status, lines = no_regress_run(perf_pairs, checkouts, monkeypatch, capsys,
+                                   reports)
+    assert status == 1
+    assert lines == [
+        "bound wall_s: change median worse by +0.00% <= 24%: True",
+        "bound requests_per_s: change median worse by +25.00% <= 24%: False",
+        "no-regress: FAILS",
+    ]
+
+
+def test_no_regress_and_a_claim_exclude_each_other(perf_pairs, checkouts,
+                                                   monkeypatch):
+    _, sides = stub(perf_pairs, monkeypatch, {})
+    with pytest.raises(SystemExit) as raised:
+        main(perf_pairs, checkouts, sides, "--seed", "0", "--no-regress",
+             "--claim", "wall_s")
+    assert raised.value.code == 2

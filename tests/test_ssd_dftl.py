@@ -18,8 +18,9 @@ from repro.core.rpt import ReadTimingParameterTable
 from repro.sim.fleet import FleetResult, FleetSpec
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
-from repro.ssd.dftl import GC_STREAM, HOST_STREAM, TRANS_STREAM, DftlMapper
-from repro.ssd.ftl import PageAddressing
+from repro.ssd.dftl import DftlMapper
+from repro.ssd.ftl import (GC_STREAM, HOST_STREAM, NO_STREAM, TRANS_STREAM,
+                           PageAddressing)
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import TransactionKind
 from repro.workloads import catalog_workload
@@ -40,10 +41,9 @@ def small_config(**overrides) -> SsdConfig:
     return SsdConfig(**parameters)
 
 
-def oob(mapper, packed):
-    """The OOB state of packed page ``packed``: its block and page offset."""
-    pages_per_block = mapper.config.pages_per_block
-    return mapper._blocks[packed // pages_per_block], packed % pages_per_block
+def stream_of(mapper, packed):
+    """The write stream owning the block of packed page ``packed``."""
+    return mapper.stream[packed // mapper.config.pages_per_block]
 
 
 def block_number(mapper, lpn):
@@ -117,16 +117,15 @@ class TestGtdAndTrim:
         mapper.program(5, now_us=0.0)  # evicts dirty 0 -> persists translation page 0
         tvpn = mapper.tvpn_of(0)
         assert tvpn in mapper._gtd
-        block, page = oob(mapper, mapper._gtd[tvpn])
-        assert block.page_lpns[page] == tvpn
+        assert mapper.page_lpn[mapper._gtd[tvpn]] == tvpn
 
     def test_translation_rewrite_invalidates_old_page(self):
         mapper = DftlMapper(small_config())
         mapper.precondition_fill(pages=4)
-        old_block, old_page = oob(mapper, mapper._gtd[0])
+        old = mapper._gtd[0]
         ops = mapper.trim(0, now_us=0.0)  # forces a read-modify-write
         assert [kind for kind, _ in ops] == [TRANS_READ, TRANS_PROGRAM]
-        assert not old_block.page_valid[old_page]
+        assert not mapper.page_valid[old]
         mapper.check_consistency()
 
     def test_trim_unmaps_and_invalidates(self):
@@ -134,8 +133,7 @@ class TestGtdAndTrim:
         packed, _ = mapper.program(3, now_us=0.0)
         mapper.trim(3, now_us=0.0)
         assert not mapper.is_mapped(3)
-        block, page = oob(mapper, packed)
-        assert not block.page_valid[page]
+        assert not mapper.page_valid[packed]
         mapper.check_consistency()
 
     def test_trim_of_unwritten_lpn_is_a_noop(self):
@@ -160,13 +158,11 @@ class TestGarbageCollection:
         assert 0 < mapper.gc_invocations <= len(collected)
         assert all(operation.plane_index == 0 for operation in collected)
         # Each operation erased its victim once: one P/E cycle apiece.
-        assert sum(block.pe_cycles for block in mapper.planes[0].blocks) \
-            == len(collected)
+        assert sum(mapper.pe_cycles) == len(collected)
         mapper.check_consistency()
 
     def test_victim_is_full_block_with_fewest_valid_pages(self):
         mapper = DftlMapper(small_config())
-        plane = mapper.planes[0]
         # Fill two blocks through the host stream, then invalidate more
         # pages in the second: the greedy victim must be the second.
         for lpn in range(8):
@@ -176,13 +172,13 @@ class TestGarbageCollection:
         assert first != second
         for lpn in (0, 4, 5, 6):
             mapper._invalidate(mapper._mapping[lpn])
-        assert plane.gc_victim() == second
+        assert mapper.gc_victim(0) == second
 
     def test_fully_valid_blocks_are_not_victims(self):
         mapper = DftlMapper(small_config())
         for lpn in range(4):
             mapper.program(lpn, now_us=0.0)
-        assert mapper.planes[0].gc_victim() is None
+        assert mapper.gc_victim(0) is None
 
     def test_gc_preserves_mapping_and_retention(self):
         mapper = DftlMapper(small_config())
@@ -215,40 +211,41 @@ class TestGarbageCollection:
         mapper.precondition_fill(pages=16)
         addressing = PageAddressing(mapper.config)
         victim_block = addressing.unpack(mapper._gtd[0]).block
-        block = mapper.planes[0].blocks[victim_block]
-        assert block.stream == TRANS_STREAM
+        assert stream_of(mapper, mapper._gtd[0]) == TRANS_STREAM
         # Rewriting translation page 1 invalidates its copy in the victim.
         mapper._write_translation_page(1, now_us=0.0)
         mapper.collect_block(0, victim_block, now_us=0.0)
         assert addressing.unpack(mapper._gtd[0]).block != victim_block
-        assert oob(mapper, mapper._gtd[0])[0].stream == TRANS_STREAM
+        assert stream_of(mapper, mapper._gtd[0]) == TRANS_STREAM
         mapper.check_consistency()
 
     def test_retired_free_blocks_count_toward_the_gc_trigger(self):
         mapper = DftlMapper(small_config())
         plane = mapper.planes[0]
         while not plane.needs_gc():
-            plane.retire(plane._free_blocks[-1])
+            plane.retire(plane.free[-1])
         assert mapper.planes_below_trigger == {0}
         mapper.check_consistency()
 
     def test_erase_increments_pe_cycles(self):
         mapper = DftlMapper(small_config())
         plane = mapper.planes[0]
-        before = plane.blocks[0].pe_cycles
-        plane.blocks[0].stream = HOST_STREAM
+        mapper.program(0, now_us=0.0)
+        before = mapper.pe_cycles[0]
+        assert mapper.stream[0] == HOST_STREAM
         plane.erase(0)
-        assert plane.blocks[0].pe_cycles == before + 1
-        assert plane.blocks[0].stream is None
+        assert mapper.pe_cycles[0] == before + 1
+        assert mapper.stream[0] == NO_STREAM
+        assert plane.active[HOST_STREAM] is None
 
     def test_wear_leveling_opens_least_worn_free_block(self):
         mapper = DftlMapper(small_config())
         plane = mapper.planes[0]
-        for block in plane.blocks:
-            block.pe_cycles = 10
-        plane.blocks[7].pe_cycles = 2
-        opened = plane._open_active_block(GC_STREAM)
+        mapper.set_uniform_pe_cycles(10)
+        mapper.pe_cycles[7] = 2
+        opened = plane._open(GC_STREAM)
         assert opened == 7
+        assert mapper.stream[7] == GC_STREAM
 
     def test_streams_never_share_blocks(self):
         mapper = DftlMapper(small_config())
@@ -256,15 +253,18 @@ class TestGarbageCollection:
         for lpn in range(8):
             mapper.program(lpn, now_us=0.0)
             mapper.collect_if_needed()
+        # Every written block belongs to exactly one stream, each stream's
+        # append block is its own, and no append block is shared.
+        for corner, written in enumerate(mapper.next_free_page):
+            expected = (HOST_STREAM, GC_STREAM, TRANS_STREAM) if written \
+                else (NO_STREAM,)
+            assert mapper.stream[corner] in expected
         for plane in mapper.planes:
-            for block in plane.blocks:
-                streams = {HOST_STREAM if block.page_lpns[page] is not None
-                           else None
-                           for page in range(block.next_free_page)}
-                # Programmed pages all came through one append stream.
-                assert block.stream in (None, HOST_STREAM, GC_STREAM,
-                                        TRANS_STREAM)
-                assert len(streams - {None}) <= 1
+            open_blocks = [block for block in plane.active if block is not None]
+            assert len(open_blocks) == len(set(open_blocks))
+            for stream, block in enumerate(plane.active):
+                if block is not None:
+                    assert mapper.stream[plane.first + block] == stream
 
 
 storm_settings = settings(max_examples=40, deadline=None,
@@ -301,16 +301,16 @@ class TestDftlStorms:
         mapper.check_consistency()
         for lpn in live:
             assert mapper.is_mapped(lpn), f"live LPN {lpn} lost its mapping"
-            block, page = oob(mapper, mapper._mapping[lpn])
-            assert block.page_valid[page]
-            assert block.page_lpns[page] == lpn
+            packed = mapper._mapping[lpn]
+            assert mapper.page_valid[packed]
+            assert mapper.page_lpn[packed] == lpn
         assert mapper.mapped_pages == len(live)
 
     @storm_settings
     @given(operations)
     def test_pe_cycles_grow_monotonically(self, steps):
         mapper = DftlMapper(small_config())
-        watermark = [block.pe_cycles for block in mapper.planes[0].blocks]
+        watermark = list(mapper.pe_cycles)
         for kind, lpn in steps:
             if kind == "write":
                 mapper.program(lpn, now_us=0.0)
@@ -319,9 +319,9 @@ class TestDftlStorms:
             else:
                 mapper.read_target_packed(lpn, now_us=0.0)
             mapper.collect_if_needed()
-            for block_id, block in enumerate(mapper.planes[0].blocks):
-                assert block.pe_cycles >= watermark[block_id]
-                watermark[block_id] = block.pe_cycles
+            for corner, pe_cycles in enumerate(mapper.pe_cycles):
+                assert pe_cycles >= watermark[corner]
+                watermark[corner] = pe_cycles
 
     @storm_settings
     @given(operations)

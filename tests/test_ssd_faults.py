@@ -170,11 +170,15 @@ class TestFaultInjector:
         """No LPN mapped before a grown-bad retirement loses its data."""
         simulator = _page_simulator()
         dftl = simulator.mapper
-        mapped_before = set(dftl._mapping)
+
+        def mapped():
+            return {lpn for lpn, packed in enumerate(dftl._mapping)
+                    if packed >= 0}
+        mapped_before = mapped()
         simulator.install_faults(FaultPlan(faults=(
             grown_bad_blocks(at_us=0.0, blocks=blocks),), seed=seed))
         simulator._fault_injector.poll(simulator, 0.0)
-        assert set(dftl._mapping) == mapped_before
+        assert mapped() == mapped_before
         dftl.check_consistency()
         assert simulator.metrics.grown_bad_blocks == blocks
 
@@ -238,10 +242,17 @@ class TestFaultScopes:
                     injector = _armed(plane_failure(0.0, channel, die, plane))
                     assert _penalised(injector) == _blocks(channel, die, plane)
 
-    def test_a_scope_outside_the_device_penalises_nothing(self):
-        for spec in (die_failure(0.0, 2, 0), die_failure(0.0, 0, 2),
-                     plane_failure(0.0, 0, 0, 2), plane_failure(0.0, 0, -1, 0)):
-            assert _penalised(_armed(spec)) == set()
+    @pytest.mark.parametrize("spec", [
+        die_failure(0.0, 2, 0), die_failure(0.0, 0, 2),
+        plane_failure(0.0, 0, 0, 2), plane_failure(0.0, 0, -1, 0)])
+    def test_a_scope_outside_the_device_is_refused(self, spec):
+        # No read could reach such a scope, so installing it would run a
+        # fault-free experiment without a word.
+        simulator = SsdSimulator(SCOPE_CONFIG)
+        with pytest.raises(ValueError, match=rf"{spec.kind} .*outside the device "
+                           r"\(2 channels x 2 dies x 2 planes\)"):
+            simulator.install_faults(FaultPlan(faults=(spec,)))
+        assert simulator._fault_injector is None
 
     def test_a_storm_covers_the_hottest_blocks_ties_by_address(self):
         # The last block of the device is the hottest; four blocks tie

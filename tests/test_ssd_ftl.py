@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
-from repro.ssd.ftl import FlashTranslationLayer, PageAddressing, PhysicalPage
+from repro.ssd.dftl import DftlMapper
+from repro.ssd.ftl import BlockStore, FlashTranslationLayer, PageAddressing, PhysicalPage
 from repro.ssd.request import HostRequest, RequestKind, TransactionKind
 from repro.ssd.retry_grid import RetryStepGrid
 
@@ -19,11 +20,6 @@ def ftl():
 
 def unpack(ftl, packed):
     return PageAddressing(ftl.config).unpack(packed)
-
-
-def block_of(ftl, packed):
-    """The metadata of the block holding packed page ``packed``."""
-    return ftl._blocks[packed // ftl.config.pages_per_block]
 
 
 class TestMapping:
@@ -41,9 +37,9 @@ class TestMapping:
         first, _ = ftl.program(7)
         second, _ = ftl.program(7)
         assert second != first
-        pages_per_block = ftl.config.pages_per_block
-        assert block_of(ftl, first).page_lpns[first % pages_per_block] is None
-        assert block_of(ftl, second).page_lpns[second % pages_per_block] == 7
+        assert not ftl.page_valid[first]
+        assert ftl.page_valid[second]
+        assert ftl.page_lpn[second] == 7
 
     def test_writes_stripe_across_planes(self, ftl):
         locations = [unpack(ftl, ftl.program(lpn)[0]) for lpn in range(8)]
@@ -63,7 +59,7 @@ class TestMapping:
     def test_page_type_cycles(self, ftl):
         # A block's pages are LSB, CSB and MSB in turn; the packed index
         # gives the page type as its offset in the block, modulo three.
-        pages = [ftl._place(lpn, plane_index=0) for lpn in range(4)]
+        pages = [ftl._write(lpn, plane_index=0) for lpn in range(4)]
         pages_per_block = ftl.config.pages_per_block
         kinds = [PAGE_TYPE_ORDER[packed % pages_per_block % len(PAGE_TYPE_ORDER)]
                  for packed in pages]
@@ -71,11 +67,11 @@ class TestMapping:
                          PageType.LSB]
 
 
-class TestBlockMetadata:
+class TestBlockState:
     def test_retention_recorded_per_page(self, ftl):
-        aged = ftl._place(1, retention_months=9.0)
+        aged = ftl._write(1, retention_months=9.0)
         assert ftl.read_condition_packed(aged) == (0, 9.0)
-        fresh = ftl._place(2, retention_months=0.0)
+        fresh = ftl._write(2, retention_months=0.0)
         assert ftl.read_condition_packed(fresh) == (0, 0.0)
 
     def test_uniform_pe_cycles(self, ftl):
@@ -87,55 +83,60 @@ class TestBlockMetadata:
 
     def test_valid_counts_track_overwrites(self, ftl):
         packed, _ = ftl.program(5)
-        block = block_of(ftl, packed)
-        assert block.valid_count == 1
+        corner = packed // ftl.config.pages_per_block
+        assert ftl.valid_count[corner] == 1
         ftl.program(5)
-        assert block.valid_count == 0
-        assert block.invalid_count == 1
+        assert ftl.valid_count[corner] == 0
+        assert ftl.next_free_page[corner] - ftl.valid_count[corner] == 1
 
 
-class TestPlaneManager:
+class TestPlane:
     def test_active_block_rolls_over_when_full(self, ftl):
         plane = ftl.planes[0]
         pages_per_block = ftl.config.pages_per_block
         for lpn in range(pages_per_block + 1):
-            ftl._place(lpn, plane_index=0)
+            ftl._write(lpn, plane_index=0)
         used_blocks = {unpack(ftl, ftl.read_target_packed(lpn)[0]).block
                        for lpn in range(pages_per_block + 1)}
         assert len(used_blocks) == 2
-        # One block is completely full; the newly opened active block still
-        # counts toward the free pool.
-        assert plane.free_block_count == ftl.config.blocks_per_plane - 1
+        # One block is full and the next is open; neither is free.
+        assert plane.opened == sorted(used_blocks)
+        assert plane.free_block_count == ftl.config.blocks_per_plane - 2
 
     def test_erase_returns_block_to_free_pool(self, ftl):
         plane = ftl.planes[0]
         before = plane.free_block_count
-        physical = unpack(ftl, ftl._place(0, plane_index=0))
-        pe_before = plane.blocks[physical.block].pe_cycles
+        physical = unpack(ftl, ftl._write(0, plane_index=0))
+        corner = plane.first + physical.block
+        assert plane.free_block_count == before - 1
+        pe_before = ftl.pe_cycles[corner]
         plane.erase(physical.block)
-        assert plane.blocks[physical.block].pe_cycles == pe_before + 1
+        assert ftl.pe_cycles[corner] == pe_before + 1
         assert plane.free_block_count == before
+        assert plane.free[-1] == physical.block
 
     def test_gc_victim_prefers_most_invalid(self, ftl):
         plane = ftl.planes[0]
         pages_per_block = ftl.config.pages_per_block
         # Fill two blocks on plane 0, then invalidate most of the first one.
         for lpn in range(2 * pages_per_block):
-            ftl._place(lpn, plane_index=0)
+            ftl._write(lpn, plane_index=0)
         for lpn in range(pages_per_block - 2):
-            ftl._place(lpn, plane_index=1)  # rewrite elsewhere -> invalidate
-        victim = plane.gc_victim()
+            ftl._write(lpn, plane_index=1)  # rewrite elsewhere -> invalidate
+        victim = ftl.gc_victim(0)
         assert victim is not None
-        assert plane.blocks[victim].invalid_count >= pages_per_block - 2
+        corner = plane.first + victim
+        assert (ftl.next_free_page[corner] - ftl.valid_count[corner]
+                >= pages_per_block - 2)
 
     def test_wear_leveling_prefers_low_pe_blocks(self, ftl):
         plane = ftl.planes[0]
         # Artificially wear every block except block 5; the next block the
         # allocator opens must be the least-worn one.
-        for block in plane.blocks:
-            block.pe_cycles = 100
-        plane.blocks[5].pe_cycles = 1
-        assert unpack(ftl, ftl._place(0, plane_index=0)).block == 5
+        for block in range(ftl.config.blocks_per_plane):
+            ftl.pe_cycles[plane.first + block] = 100
+        ftl.pe_cycles[plane.first + 5] = 1
+        assert unpack(ftl, ftl._write(0, plane_index=0)).block == 5
 
     def test_needs_gc_threshold(self, ftl):
         plane = ftl.planes[0]
@@ -236,51 +237,56 @@ class TestPageAddressing:
             assert page_type == physical.page % len(PAGE_TYPE_ORDER)
 
 
-def _loop_preconditioned(config, pages, retention_months, pe_cycles):
+MAPPERS = {"block": FlashTranslationLayer, "page": DftlMapper}
+
+
+def _loop_preconditioned(mapping, pages, retention_months, pe_cycles):
     """The per-LPN reference: write each LPN in order, then age uniformly."""
-    ftl = FlashTranslationLayer(config)
+    mapper = MAPPERS[mapping](SsdConfig.tiny(mapping=mapping))
     for lpn in range(pages):
-        ftl._place(lpn, retention_months)
-    ftl.set_uniform_pe_cycles(pe_cycles)
-    return ftl
+        mapper._write(lpn, retention_months)
+    mapper.set_uniform_pe_cycles(pe_cycles)
+    return mapper
 
 
-def _assert_ftl_state_equal(filled, looped):
-    assert filled._mapping == looped._mapping
-    below = {index for index, plane in enumerate(filled.planes)
-             if plane.needs_gc()}
-    assert filled.planes_below_trigger == looped.planes_below_trigger == below
-    # Mapping *insertion order* feeds iteration downstream; compare it too.
-    assert list(filled._mapping) == list(looped._mapping)
-    assert filled._next_plane == looped._next_plane
-    for plane_fill, plane_loop in zip(filled.planes, looped.planes):
-        assert plane_fill._active_block == plane_loop._active_block
-        assert plane_fill._filled_blocks == plane_loop._filled_blocks
-        assert plane_fill._free_blocks == plane_loop._free_blocks
-        for block_fill, block_loop in zip(plane_fill.blocks,
-                                          plane_loop.blocks):
-            assert block_fill.page_lpns == block_loop.page_lpns
-            assert (block_fill.page_retention_months
-                    == block_loop.page_retention_months)
-            assert block_fill.next_free_page == block_loop.next_free_page
-            assert block_fill.valid_count == block_loop.valid_count
-            assert block_fill.pe_cycles == block_loop.pe_cycles
+def _store_state(mapper):
+    """Everything the block store holds: the map, the per-block and per-page
+    arrays, and each plane's pool, blocks in service and append blocks."""
+    return {
+        "mapping": list(mapper._mapping),
+        "mapped_pages": mapper.mapped_pages,
+        "next_plane": mapper._next_plane,
+        "below_trigger": mapper.planes_below_trigger,
+        "arrays": [list(getattr(mapper, name)) for name in (
+            "pe_cycles", "next_free_page", "valid_count", "last_write_us",
+            "stream", "page_lpn", "page_valid", "page_retention")],
+        "planes": [(plane.free, plane.opened, plane.retired, plane.active)
+                   for plane in mapper.planes],
+    }
 
 
 class TestPreconditionFillEquivalence:
+    @pytest.mark.parametrize("mapping", sorted(MAPPERS))
     @given(st.integers(min_value=0, max_value=1),
            st.sampled_from([0.0, 0.1, 0.5, 0.62, 0.85, 1.0]))
     @settings(max_examples=12, deadline=None)
-    def test_closed_form_matches_write_loop(self, aged, fill_fraction):
-        config = SsdConfig.tiny()
+    def test_closed_form_matches_write_loop(self, mapping, aged,
+                                            fill_fraction):
+        # Both mappers fill through the one closed form; the DFTL then
+        # writes its translation pages, which the loop does not.
+        config = SsdConfig.tiny(mapping=mapping)
         pages = int(config.logical_pages * fill_fraction)
         retention = 6.0 if aged else 0.0
         pe_cycles = 1000 if aged else 0
-        filled = FlashTranslationLayer(config)
-        filled.precondition_fill(pages, retention_months=retention,
-                                 pe_cycles=pe_cycles)
-        looped = _loop_preconditioned(config, pages, retention, pe_cycles)
-        _assert_ftl_state_equal(filled, looped)
+        filled = MAPPERS[mapping](config)
+        BlockStore.precondition_fill(filled, pages, retention_months=retention,
+                                     pe_cycles=pe_cycles)
+        looped = _loop_preconditioned(mapping, pages, retention, pe_cycles)
+        below = {index for index, plane in enumerate(filled.planes)
+                 if plane.needs_gc()}
+        assert filled.planes_below_trigger == below
+        assert _store_state(filled) == _store_state(looped)
+        filled.check_consistency()
 
     def test_non_fresh_ftl_falls_back_to_loop(self):
         config = SsdConfig.tiny()
@@ -290,6 +296,6 @@ class TestPreconditionFillEquivalence:
         looped = FlashTranslationLayer(config)
         looped.program(3)
         for lpn in range(16):
-            looped._place(lpn, 6.0)
+            looped._write(lpn, 6.0)
         looped.set_uniform_pe_cycles(500)
-        _assert_ftl_state_equal(filled, looped)
+        assert _store_state(filled) == _store_state(looped)

@@ -26,12 +26,12 @@ class TestBlockGarbageCollection:
     def test_collects_and_relocates_valid_pages(self, ftl):
         pages_per_block = ftl.config.pages_per_block
         for lpn in range(pages_per_block):
-            ftl._place(lpn, 6.0, plane_index=0)
+            ftl._write(lpn, 6.0, plane_index=0)
         # Invalidate half the block by rewriting elsewhere.
         for lpn in range(0, pages_per_block, 2):
-            ftl._place(lpn, plane_index=1)
+            ftl._write(lpn, plane_index=1)
         plane = ftl.planes[0]
-        operation = ftl.collect_block(0, plane.gc_victim())
+        operation = ftl.collect_block(0, ftl.gc_victim(0))
         assert_trigger_set(ftl)
         assert operation.relocated_pages == pages_per_block // 2
         assert operation.translation_ops == []
@@ -39,10 +39,10 @@ class TestBlockGarbageCollection:
         for destination in operation.destinations:
             assert ftl.read_condition_packed(destination)[1] == 6.0
         # The victim block is free again.
-        assert plane.blocks[operation.victim_block].valid_count == 0
+        assert ftl.valid_count[plane.first + operation.victim_block] == 0
 
     def test_plane_without_candidates_has_no_victim(self, ftl):
-        assert ftl.planes[0].gc_victim() is None
+        assert ftl.gc_victim(0) is None
 
     def test_collect_if_needed_only_when_below_threshold(self, ftl):
         assert ftl.collect_if_needed() == []
@@ -55,10 +55,10 @@ class TestBlockGarbageCollection:
         plane = ftl.planes[0]
         lpn = 0
         while not plane.needs_gc():
-            ftl._place(lpn, plane_index=0)
+            ftl._write(lpn, plane_index=0)
             lpn += 1
         for rewrite in range(ftl.config.pages_per_block):
-            ftl._place(rewrite, plane_index=1)
+            ftl._write(rewrite, plane_index=1)
         assert ftl.planes_below_trigger == {0}
         assert_trigger_set(ftl)
         operations = ftl.collect_if_needed()

@@ -7,11 +7,14 @@ mapping.
 
 import ast
 import gc
+from array import array
 import pathlib
 import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
@@ -62,11 +65,12 @@ def test_program_maps_fresh_data(mapping):
 def _collect_with_relocations(mapper):
     """Write seeded-random LPNs over half the logical space, collecting
     after each write, until a collection relocates pages; the OOB LPNs of
-    every page just before that collection, and its GC records."""
+    every page and their valid bits just before that collection, and its GC
+    records."""
     rng = random.Random(7)
     for _ in range(20000):
         mapper.program(rng.randrange(mapper.config.logical_pages // 2), now_us=0.0)
-        before = [[list(block.page_lpns) for block in plane.blocks] for plane in mapper.planes]
+        before = list(mapper.page_lpn), bytes(mapper.page_valid)
         operations = mapper.collect_if_needed(now_us=0.0)
         if any(operation.relocated_pages for operation in operations):
             return before, operations
@@ -80,7 +84,7 @@ def test_packed_gc_records_agree_with_the_physical_page_view(mapping):
     # relocated page held.
     mapper = _mapper(mapping)
     addressing = PageAddressing(mapper.config)
-    before, operations = _collect_with_relocations(mapper)
+    (lpns_before, valid_before), operations = _collect_with_relocations(mapper)
     for operation in operations:
         plane = mapper.planes[operation.plane_index]
         where = (plane.channel, plane.die, plane.plane)
@@ -93,9 +97,9 @@ def test_packed_gc_records_agree_with_the_physical_page_view(mapping):
             assert (read_from.channel, read_from.die, read_from.plane) == where
             assert (written_to.channel, written_to.die, written_to.plane) == where
             assert read_from.block == victim != written_to.block
-            moved = before[operation.plane_index][victim][read_from.page]
-            assert moved is not None
-            assert plane.blocks[written_to.block].page_lpns[written_to.page] == moved
+            assert valid_before[source]
+            assert mapper.page_valid[destination]
+            assert mapper.page_lpn[destination] == lpns_before[source]
 
 
 def test_controller_and_dftl_build_no_physical_page():
@@ -201,3 +205,177 @@ def test_out_of_range_lpns_raise(mapping):
     assert mapper.mapped_pages == FILL
     assert mapper.is_mapped(logical_pages - 1) is False
     assert mapper.is_mapped(0)
+
+
+# -- the rules each mapper keeps its own ------------------------------------------
+#: Among equally worn free blocks, the block FTL opens the one that joined the
+#: free pool first and the DFTL the lowest-numbered one.
+REOPENED = {"block": 2, "page": 1}
+#: Among the emptiest full blocks, the block FTL collects the one filled
+#: first and the DFTL the lowest-numbered one.
+COLLECTED = {"block": 2, "page": 1}
+
+
+def _program_planes(mapper, lpns):
+    """Program ``lpns`` in turn; each LPN's ``(plane index, block)``."""
+    addressing = PageAddressing(mapper.config)
+    placed = {}
+    for lpn in lpns:
+        packed, _ = mapper.program(lpn, now_us=0.0)
+        placed[lpn] = (packed // addressing.pages_per_plane,
+                       packed % addressing.pages_per_plane // addressing.pages_per_block)
+    return placed
+
+
+def _trim_blocks(mapper, placed, blocks, keep=0):
+    """Trim all but ``keep`` LPNs of each of plane 0's ``blocks``."""
+    for block in blocks:
+        lpns = [lpn for lpn, where in placed.items() if where == (0, block)]
+        for lpn in lpns[keep:]:
+            mapper.trim(lpn, now_us=0.0)
+
+
+def _fill_four_blocks_and_empty_two(mapping, **overrides):
+    """Blocks 0-3 of every plane full, then blocks 1 and 2 of plane 0 trimmed
+    empty: the mapper, and where the next LPN goes."""
+    mapper = MAPPERS[mapping](SsdConfig.tiny(mapping=mapping, **overrides))
+    config = mapper.config
+    lpns = range(4 * config.pages_per_block * len(mapper.planes))
+    _trim_blocks(mapper, _program_planes(mapper, lpns), (1, 2))
+    return mapper, len(lpns)
+
+
+def test_equally_worn_free_blocks_open_by_each_mappers_rule(mapping):
+    # Wear plane 0's other blocks, then erase 2 and then 1: both rejoin the
+    # pool at one erase each, 2 first.
+    mapper, next_lpn = _fill_four_blocks_and_empty_two(mapping)
+    plane = mapper.planes[0]
+    for block in range(4, mapper.config.blocks_per_plane):
+        plane.erase(block)
+        plane.erase(block)
+    plane.erase(2)
+    plane.erase(1)
+    assert _program_planes(mapper, [next_lpn])[next_lpn] == (0, REOPENED[mapping])
+
+
+def test_the_gc_victim_ties_by_each_mappers_rule(mapping):
+    # Wear makes both mappers reopen block 2 and then block 1 of plane 0;
+    # trimming the same number of pages in each leaves them tied as the
+    # emptiest full blocks when the plane falls below its GC trigger.
+    mapper, next_lpn = _fill_four_blocks_and_empty_two(mapping, blocks_per_plane=8)
+    plane = mapper.planes[0]
+    for block in range(4, 8):
+        for _ in range(3):
+            plane.erase(block)
+    plane.erase(2)
+    plane.erase(1)
+    plane.erase(1)
+    planes = len(mapper.planes)
+    pages_per_block = mapper.config.pages_per_block
+    placed = _program_planes(mapper, range(next_lpn, next_lpn + 2 * pages_per_block * planes + 1))
+    assert [placed[lpn][1] for lpn in sorted(placed) if placed[lpn][0] == 0][::pages_per_block] == [2, 1, 4]
+    assert plane.needs_gc()
+    _trim_blocks(mapper, placed, (1, 2), keep=4)
+    victims = [operation.victim_block for operation in mapper.collect_if_needed(now_us=0.0)
+               if operation.plane_index == 0]
+    assert victims[0] == COLLECTED[mapping]
+
+
+def test_only_the_block_ftl_collects_a_fully_valid_block(mapping):
+    # Five full blocks per plane and nothing invalid: the block FTL takes
+    # the first one filled, the DFTL finds no victim.
+    mapper = MAPPERS[mapping](SsdConfig.tiny(mapping=mapping, blocks_per_plane=8))
+    planes = len(mapper.planes)
+    _program_planes(mapper, range(5 * mapper.config.pages_per_block * planes + planes))
+    assert mapper.planes_below_trigger == set(range(planes))
+    operations = mapper.collect_if_needed(now_us=0.0)
+    if mapping == "block":
+        assert [(operation.plane_index, operation.victim_block) for operation in operations] == [
+            (index, 0) for index in range(planes)
+        ]
+    else:
+        assert operations == []
+
+
+# -- one consistency check over the store ------------------------------------------
+STEPS = st.lists(
+    st.tuples(st.sampled_from(["program", "trim", "read", "collect", "retire"]),
+              st.integers(min_value=0, max_value=2**20)),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("mapping", sorted(MAPPERS))
+@settings(max_examples=15, deadline=None)
+@given(fill=st.sampled_from([0.5, 0.85]), steps=STEPS)
+def test_every_step_keeps_the_store_consistent(mapping, fill, steps):
+    """Programs, trims, reads (of never-written LPNs too), collections and,
+    in page mode, retirements each leave the map, the OOB state, the valid
+    counts, the free pools and the trigger set agreeing.  A trim unmaps a
+    run of up to a block per plane, so collections can empty whole blocks
+    and lift a plane back over its trigger."""
+    config = SsdConfig.tiny(mapping=mapping)
+    mapper = MAPPERS[mapping](config)
+    mapper.precondition_fill(int(config.logical_pages * fill), retention_months=6.0, pe_cycles=1000)
+    mapper.check_consistency()
+    stripe = config.pages_per_block * len(mapper.planes)
+    for kind, number in steps:
+        lpn = number % config.logical_pages
+        if kind == "program":
+            mapper.program(lpn, now_us=0.0)
+        elif kind == "trim":
+            run = 1 + number // config.logical_pages % stripe
+            for trimmed in range(lpn, min(lpn + run, config.logical_pages)):
+                mapper.trim(trimmed, now_us=0.0)
+        elif kind == "read":
+            mapper.read_target_packed(lpn, now_us=0.0)
+        elif kind == "collect":
+            mapper.collect_if_needed(now_us=0.0)
+        elif mapping == "page":
+            # The fault injector's guard: a retirement must not starve GC.
+            plane_index = number % len(mapper.planes)
+            block = number // len(mapper.planes) % config.blocks_per_plane
+            plane = mapper.planes[plane_index]
+            if not plane.is_retired(block) and (
+                plane.free_block_count > config.gc_free_block_threshold + 1
+            ):
+                mapper.retire_block(plane_index, block, now_us=0.0)
+        mapper.check_consistency()
+
+
+def test_the_check_catches_a_map_the_oob_disagrees_with(mapping):
+    mapper = _mapper(mapping)
+    mapper._mapping[0], mapper._mapping[1] = mapper._mapping[1], mapper._mapping[0]
+    with pytest.raises(AssertionError, match="LPN 0"):
+        mapper.check_consistency()
+
+
+def test_the_check_catches_a_stale_valid_count(mapping):
+    mapper = _mapper(mapping)
+    mapper.valid_count[0] += 1
+    with pytest.raises(AssertionError):
+        mapper.check_consistency()
+
+
+# -- one block store, one plane class ----------------------------------------------
+def test_one_plane_class_over_one_block_store():
+    # Both mappers keep their block and page state in the flat arrays of one
+    # BlockStore, over one Plane class; the per-block object models and
+    # their per-mapper plane classes are gone.
+    classes = {}
+    for name in ("ftl.py", "dftl.py"):
+        path = SSD / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = name
+    assert [name for name in classes if "Plane" in name or "Block" in name] == ["Plane", "BlockStore"]
+    assert classes["Plane"] == classes["BlockStore"] == "ftl.py"
+    for mapper in MAPPERS.values():
+        assert mapper.__mro__[1].__name__ == "BlockStore"
+
+
+def test_both_mappers_keep_a_flat_lpn_map(mapping):
+    mapper = _mapper(mapping)
+    assert isinstance(mapper._mapping, array)
+    assert mapper._mapping.typecode == "q"
+    assert len(mapper._mapping) == mapper.config.logical_pages
