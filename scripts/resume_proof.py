@@ -10,16 +10,21 @@ The proof has three actors, all this one script:
 * the default orchestrator mode runs that search three times:
 
   1. *reference* — uninterrupted, in a fresh cache directory;
-  2. *victim* — in a second fresh cache directory, ``SIGKILL``ed from the
-     outside as soon as a few shard checkpoints exist on disk (a real kill
-     -9, not an exception — ``finally`` blocks never run);
+  2. *victim* — in a second fresh cache directory and its own session,
+     ``SIGKILL``ed from the outside, with its whole process group, as soon
+     as a few shard checkpoints exist on disk (a real kill -9, not an
+     exception — ``finally`` blocks never run);
   3. *resume* — same cache directory as the victim, run to completion.
 
-  The gate then asserts (a) the resume log reports shards **served from
-  checkpoint** — at least as many as had been checkpointed when the kill
-  landed — and (b) the resumed result JSON is byte-identical to the
-  uninterrupted reference.  Any mismatch fails loudly with a diff-sized
-  report;
+  The gate then asserts (a) no process of the victim's group, pool worker
+  or otherwise, outlives the kill, (b) the resume log reports shards
+  **served from checkpoint** — at least as many as had been checkpointed
+  when the kill landed — and (c) the resumed result JSON is
+  byte-identical to the uninterrupted reference.  Any mismatch fails
+  loudly with a diff-sized report.  With ``--processes N`` (N > 1) each
+  run fans its shards over N pool workers, one device per worker per
+  shard, and the kill waits until the victim's workers are up, so it
+  lands while the pool holds the shard submitted ahead of the fold;
 * ``--rss`` runs a 10,000-device fleet serially through bounded shards and
   asserts peak RSS stays under a fixed budget — the streaming fold's
   memory promise at rack scale.
@@ -41,10 +46,13 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Checkpoint files that must exist before the victim is killed.  With
-#: 1-device shards the search writes one file per simulated device, so the
-#: kill reliably lands mid-run.
-KILL_AFTER_CHECKPOINTS = 6
+#: Checkpoint files that must exist before the victim is killed.  Each
+#: probe's fleet has eight shards (one device per pool worker per shard),
+#: so the kill lands inside the first probe, six shards before its probe
+#: trail is saved.  A kill after the trail would leave the first probe's
+#: shards to a replay that never loads them, and the served-shard count
+#: below would hold only by luck.
+KILL_AFTER_CHECKPOINTS = 2
 
 #: How long the orchestrator waits for checkpoints / child exits.
 WAIT_TIMEOUT_S = 300.0
@@ -56,16 +64,16 @@ RSS_BUDGET_MIB = 256
 
 
 # -- the workload under proof (shared by every mode) ---------------------------
-def _build_search():
+def _build_search(processes: int):
     from repro.experiments.store import CheckpointStore
     from repro.sim.fleet import FleetRunner, FleetSpec, SloCapacitySearch
     from repro.sim.spec import Condition
     from repro.ssd.config import SsdConfig
 
-    spec = FleetSpec(devices=8, stripe_unit_pages=4,
+    spec = FleetSpec(devices=8 * processes, stripe_unit_pages=4,
                      config=SsdConfig.tiny(),
                      condition=Condition(1000, 6.0))
-    runner = FleetRunner(spec, processes=1, shard_devices=1,
+    runner = FleetRunner(spec, processes=processes, shard_devices=processes,
                          checkpoint=CheckpointStore())
     return SloCapacitySearch(runner, target_p99_us=4000.0, tolerance=0.1,
                              max_probes=5)
@@ -79,7 +87,7 @@ def _search_result_document(result) -> dict:
     }
 
 
-def run_search(out_path: str) -> int:
+def run_search(out_path: str, processes: int) -> int:
     """Child mode: run the capacity search, write canonical result JSON."""
     import logging
 
@@ -87,8 +95,8 @@ def run_search(out_path: str) -> int:
 
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(name)s: %(message)s")
-    search = _build_search()
-    workload = WorkloadSpec(name="usr_1", num_requests=200, seed=3,
+    search = _build_search(processes)
+    workload = WorkloadSpec(name="usr_1", num_requests=200 * processes, seed=3,
                             mean_interarrival_us=700.0)
     result = search.find(workload, policy="PnAR2")
     document = json.dumps(_search_result_document(result),
@@ -100,13 +108,14 @@ def run_search(out_path: str) -> int:
 
 
 # -- orchestrator --------------------------------------------------------------
-def _spawn_search(cache_dir: str, out_path: str) -> subprocess.Popen:
+def _spawn_search(cache_dir: str, out_path: str, processes: int,
+                  new_session: bool = False) -> subprocess.Popen:
     env = dict(os.environ, REPRO_CACHE_DIR=cache_dir,
                PYTHONPATH=str(REPO_ROOT / "src"))
     return subprocess.Popen(
         [sys.executable, str(Path(__file__).resolve()), "--search",
-         "--out", out_path],
-        env=env, cwd=REPO_ROOT,
+         "--out", out_path, "--processes", str(processes)],
+        env=env, cwd=REPO_ROOT, start_new_session=new_session,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
@@ -114,12 +123,44 @@ def _checkpoint_files(cache_dir: str):
     return glob.glob(os.path.join(cache_dir, "checkpoints", "*", "*.json"))
 
 
+def _live_group_members(pgid: int):
+    """Pids of the processes in group ``pgid`` that have not exited (Linux).
+
+    A killed worker whose new parent has not reaped it yet is a zombie: it
+    has exited, so it does not count.
+    """
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _, pgrp = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(pgrp) == pgid and state not in ("Z", "X"):
+            members.append(int(entry))
+    return members
+
+
+def _survivors_after(pgid: int, seconds: float = 10.0):
+    """The group's live members once they had ``seconds`` to die."""
+    deadline = time.monotonic() + seconds
+    while True:
+        survivors = _live_group_members(pgid)
+        if not survivors or time.monotonic() > deadline:
+            return survivors
+        time.sleep(0.05)
+
+
 def _fail(message: str) -> int:
     print(f"RESUME PROOF FAILED: {message}", file=sys.stderr)
     return 1
 
 
-def run_proof() -> int:
+def run_proof(processes: int = 1) -> int:
     with tempfile.TemporaryDirectory(prefix="resume_proof_") as workdir:
         reference_cache = os.path.join(workdir, "reference-cache")
         victim_cache = os.path.join(workdir, "victim-cache")
@@ -127,39 +168,50 @@ def run_proof() -> int:
         resumed_out = os.path.join(workdir, "resumed.json")
 
         # 1. Uninterrupted reference.
-        print("[1/3] reference run (uninterrupted) ...")
-        child = _spawn_search(reference_cache, reference_out)
+        print(f"[1/3] reference run (uninterrupted, {processes} process(es)) ...")
+        child = _spawn_search(reference_cache, reference_out, processes)
         _, stderr = child.communicate(timeout=WAIT_TIMEOUT_S)
         if child.returncode != 0:
             sys.stderr.write(stderr)
             return _fail(f"reference run exited {child.returncode}")
 
-        # 2. Victim: SIGKILL once enough shard checkpoints are on disk.
+        # 2. Victim: SIGKILL its process group once enough shard checkpoints
+        #    are on disk (and, pooled, while its workers are up).
         print("[2/3] victim run (SIGKILL mid-search) ...")
-        child = _spawn_search(victim_cache, os.path.join(workdir, "victim.json"))
+        child = _spawn_search(victim_cache, os.path.join(workdir, "victim.json"),
+                              processes, new_session=True)
         deadline = time.monotonic() + WAIT_TIMEOUT_S
         observed = 0
+        members = []
         while True:
             observed = len(_checkpoint_files(victim_cache))
             if observed >= KILL_AFTER_CHECKPOINTS:
-                break
+                members = _live_group_members(child.pid)
+                if processes == 1 or len(members) > 1:
+                    break
             if child.poll() is not None:
                 return _fail(
                     "victim finished before the kill landed "
                     f"(exit {child.returncode}); enlarge the search workload")
             if time.monotonic() > deadline:
-                child.kill()
+                os.killpg(child.pid, signal.SIGKILL)
                 return _fail("timed out waiting for the victim's checkpoints")
             time.sleep(0.02)
-        child.send_signal(signal.SIGKILL)
+        os.killpg(child.pid, signal.SIGKILL)
+        survivors = _survivors_after(child.pid)
+        if survivors:
+            for pid in survivors:
+                os.kill(pid, signal.SIGKILL)
+            return _fail(f"process(es) {survivors} of the victim's group outlived the kill")
         child.communicate(timeout=WAIT_TIMEOUT_S)
         if child.returncode != -signal.SIGKILL:
             return _fail(f"victim exited {child.returncode}, not SIGKILL")
-        print(f"      killed with {observed} shard checkpoint(s) on disk")
+        print(f"      killed with {observed} shard checkpoint(s) on disk and "
+              f"{len(members) - 1} pool worker(s) running; none outlived the kill")
 
         # 3. Resume in the victim's cache directory.
         print("[3/3] resume run (same cache directory) ...")
-        child = _spawn_search(victim_cache, resumed_out)
+        child = _spawn_search(victim_cache, resumed_out, processes)
         _, stderr = child.communicate(timeout=WAIT_TIMEOUT_S)
         if child.returncode != 0:
             sys.stderr.write(stderr)
@@ -227,12 +279,16 @@ def main(argv=None) -> int:
                         help="run the 10k-device bounded-memory proof instead")
     parser.add_argument("--devices", type=int, default=10_000,
                         help="--rss fleet size (default 10000)")
+    parser.add_argument("--processes", type=int, default=1,
+                        help="pool workers of each search run (default 1: serial)")
     args = parser.parse_args(argv)
+    if args.processes < 1:
+        parser.error("--processes must be at least 1")
     if args.search:
-        return run_search(args.out)
+        return run_search(args.out, args.processes)
     if args.rss:
         return run_rss_proof(args.devices)
-    return run_proof()
+    return run_proof(args.processes)
 
 
 if __name__ == "__main__":

@@ -235,18 +235,21 @@ class CheckpointStore:
         """Persist ``payload`` atomically under (kind, params)."""
         path = self.path(kind, params)
         path.parent.mkdir(parents=True, exist_ok=True)
+        payload = jsonify(payload)
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         document = {
             "kind": kind,
             "params": jsonify(dict(params)),
-            "payload": jsonify(payload),
-            "sha256": hashlib.sha256(
-                _canonical_json(payload).encode("utf-8")).hexdigest(),
+            "payload": payload,
+            "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         }
         handle = tempfile.NamedTemporaryFile(
             "w", dir=path.parent, suffix=".tmp", delete=False)
         try:
             with handle:
-                json.dump(document, handle)
+                # json.dumps encodes in C; json.dump would stream the same
+                # bytes through the pure-Python encoder.
+                handle.write(json.dumps(document))
             os.replace(handle.name, path)
         except BaseException:
             os.unlink(handle.name)

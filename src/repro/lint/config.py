@@ -13,7 +13,8 @@ The linter is configured from the ``[tool.repro-lint]`` table of
   package the ``experiment-registration-sync`` rule keeps in sync;
 * ``pool-entry-points`` — callable names treated as process-pool fan-out
   primitives by ``pickle-safe-pool`` and ``no-dict-order-across-pool``
-  (default ``pool_map`` and ``map``, the latter covering ``WorkerPool.map``);
+  (default ``pool_map``, ``map`` and ``submit``, the last two covering
+  ``WorkerPool.map`` and ``WorkerPool.submit``);
 * per-rule ``[tool.repro-lint.rules.<rule>]`` tables with an ``allow`` list
   of paths where that one rule is skipped.
 
@@ -68,7 +69,7 @@ class LintConfig:
     rule_allow: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
     experiments_doc: str = "EXPERIMENTS.md"
     experiments_package: str = "src/repro/experiments"
-    pool_entry_points: Tuple[str, ...] = ("pool_map", "map")
+    pool_entry_points: Tuple[str, ...] = ("pool_map", "map", "submit")
 
     @classmethod
     def load(cls, root: Path, pyproject: Optional[Path] = None) -> "LintConfig":

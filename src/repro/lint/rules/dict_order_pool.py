@@ -19,7 +19,8 @@ worker's dict-typed parameters:
 
 A *worker* is any callable handed as the first argument to a configured pool
 entry point (``pool-entry-points`` in ``[tool.repro-lint]``, default
-``pool_map`` and ``map``), directly or through ``functools.partial``.
+``pool_map``, ``map`` and ``submit``), directly or through
+``functools.partial``.
 Wrapping the iteration in ``sorted(...)`` — or any other order-insensitive
 consumer — is the canonical fix and is not flagged.
 """

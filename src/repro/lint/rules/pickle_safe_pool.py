@@ -6,9 +6,10 @@ either fail to pickle outright or drag a whole instance across the process
 boundary — and both failure modes appear only when ``processes > 1``, far
 from the code that introduced them.  The rule flags such callables at the
 call site of any configured pool entry point (``pool-entry-points`` in
-``[tool.repro-lint]``, default ``pool_map`` and ``map``, so
-``WorkerPool.map`` is covered too); ``functools.partial`` is
-allowed as long as the wrapped callable is itself module-level.
+``[tool.repro-lint]``, default ``pool_map``, ``map`` and ``submit``, so
+``WorkerPool.map`` and ``WorkerPool.submit`` are covered too);
+``functools.partial`` is allowed as long as the wrapped callable is itself
+module-level.
 """
 
 from __future__ import annotations

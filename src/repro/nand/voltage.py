@@ -16,6 +16,7 @@ between adjacent fresh states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -198,13 +199,20 @@ class ReadRetryTable:
         """The retry step whose shift is closest to ``target_shift_mv``.
 
         Useful for modelling techniques (such as PSO) that start the retry
-        sequence from previously successful reference values.
+        sequence from previously successful reference values.  Of equally
+        close steps the lowest wins, and a non-finite target gives step 1:
+        the answer of a scan of every step that keeps the first minimum.
         """
-        best_step = 1
-        best_distance = float("inf")
-        for step in self.steps():
-            distance = abs(self.shift_for_step(step) - target_shift_mv)
-            if distance < best_distance:
-                best_distance = distance
-                best_step = step
-        return best_step
+        step_mv, entries = self.step_mv, self.num_entries
+        if not math.isfinite(target_shift_mv):
+            return 1
+        if abs(target_shift_mv) + entries * step_mv < step_mv * 2.0 ** 40:
+            # Every shift and distance is then exact to far below a step, so
+            # the closest steps are the neighbours of -target / step_mv.
+            nearest = min(max(math.floor(-target_shift_mv / step_mv), 1), entries)
+            candidates = range(max(nearest - 1, 1), min(nearest + 2, entries) + 1)
+        else:
+            # Rounding can flatten the distances into ties: scan them all.
+            candidates = self.steps()
+        # min() keeps the first of equal distances, which is the lowest step.
+        return min(candidates, key=lambda step: abs(-step * step_mv - target_shift_mv))

@@ -38,8 +38,15 @@ tractable):
 
 * **Sharded streaming execution** — devices are dispatched in bounded
   shards (``shard_devices``, default :data:`DEFAULT_SHARD_DEVICES`) and each
-  device's metrics are folded into the running :class:`FleetResult` as they
-  land, so the per-device simulation state in flight follows the shard
+  device's metrics are folded into the running :class:`FleetResult` in
+  device order as they land.  The runner keeps exactly one shard ahead of
+  the fold: before it folds and checkpoints shard k, it loads shard k+1's
+  checkpoint and, on a miss, submits k+1's devices through
+  :meth:`~repro.sim.sweep.WorkerPool.submit`, so the workers simulate k+1
+  while the parent absorbs and saves k.  A shard reaches the pool as one
+  message per worker, a contiguous run of ⌈shard/processes⌉ devices.  No
+  more than two shards' payloads, results or restored checkpoints are held
+  at once, so the per-device simulation state in flight follows the shard
   size, not the fleet size.  The array stream is generated and routed once
   per run, at the first shard not served from checkpoint, and every later
   shard and policy reuses that routing: the parent's peak memory follows
@@ -72,7 +79,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.rpt import ReadTimingParameterTable
 from repro.experiments.store import CheckpointStore
@@ -261,14 +268,34 @@ def _run_fleet_device(payload: dict) -> Tuple[str, int, SimulationResult]:
     return policy, device, result
 
 
+@dataclass
+class _Shard:
+    """One shard between its dispatch and its fold."""
+
+    policy: str
+    index: int
+    devices: range
+    #: Its checkpoint parameters, when the run has a store.
+    params: Optional[dict] = None
+    #: The stored payload on a checkpoint hit ...
+    restored: Optional[dict] = None
+    #: ... or the pool's results for its devices, in device order.
+    results: Optional[Iterator[Tuple[str, int, SimulationResult]]] = None
+    started: float = 0.0
+
+
 @dataclass(frozen=True)
 class FleetShardTiming:
     """Wall-clock accounting of one dispatched shard.
 
     Recorded for later multi-host placement planning; deliberately kept out
     of checkpoints and result comparisons (timings are the one
-    non-deterministic output of a run).  The first shard not served from
-    checkpoint also carries the run's stream generation and routing.
+    non-deterministic output of a run).  ``elapsed_s`` runs from the
+    shard's dispatch (its checkpoint loaded, or its devices submitted) to
+    the end of its fold (its checkpoint saved).  The runner dispatches
+    each shard before it folds the one before it, so the timings of
+    consecutive shards overlap and do not sum to the run's wall time.  The first shard not served from checkpoint also carries the
+    run's stream generation and routing.
     """
 
     index: int
@@ -501,7 +528,8 @@ class FleetRunner:
         :func:`~repro.workloads.source.as_workload_source` (``num_requests``
         and ``seed`` override a spec's own), unless it is an explicit
         request list.  Devices go through the worker pool in bounded
-        shards.  At the first shard not served from checkpoint, the parent
+        shards, one shard in flight ahead of the fold (see the module
+        docstring).  At the first shard not served from checkpoint, the parent
         generates the array-level stream once (an explicit request list is
         sorted once, up front) and routes it in one pass into one compact
         :class:`~repro.workloads.router.RequestSpool` per device; every later
@@ -549,8 +577,7 @@ class FleetRunner:
             }
             if explicit:
                 base_params["requests_digest"] = _requests_digest(source)
-        checkpoint_hits = 0
-        checkpoint_stored = 0
+        checkpoints = {"hits": 0, "stored": 0}
         device_payload = dict(
             fleet=fleet_dict,
             rpt=self.rpt,
@@ -558,94 +585,108 @@ class FleetRunner:
             faults=fault_plan,
             track_tenants=bool(getattr(source, "tracks_tenants", False)),
         )
-        shard_ranges = self._shard_ranges()
         routed: Optional[List[Optional[RequestSpool]]] = None
-        with WorkerPool(self.processes) as pool:
-            for policy in policy_names:
-                collector = results[policy]
-                for shard_index, device_range in enumerate(shard_ranges):
-                    params = None
-                    restored = None
-                    if base_params is not None:
-                        params = dict(
-                            base_params,
-                            policy=policy,
-                            shard=shard_index,
-                            devices=[device_range.start, device_range.stop],
-                        )
-                        restored = self.checkpoint.load(FLEET_SHARD_KIND, params)
-                    started = time.perf_counter()  # repro-lint: disable=no-wall-clock
-                    if restored is not None:
-                        for device, state in zip(restored["devices"], restored["metrics"]):
-                            collector.absorb_device(
-                                int(device), SimulationMetrics.from_state(state)
-                            )
-                        checkpoint_hits += 1
-                        logger.info(
-                            "fleet shard %d (policy %s, devices %d..%d) served from checkpoint",
-                            shard_index,
-                            policy,
-                            device_range.start,
-                            device_range.stop - 1,
-                        )
-                    else:
-                        if routed is None:
-                            stream = source
-                            if not explicit:
-                                stream = source.iter_requests(
-                                    self.spec.config, footprint_pages=self.spec.array_logical_pages
-                                )
-                            routed = _route(self.spec, stream)
-                            # Before any device runs, so forked workers inherit
-                            # the slabs instead of each building them.
-                            rpt = self.rpt or ReadTimingParameterTable.default()
-                            conditions = self.spec.device_conditions or (self.spec.condition,)
-                            for condition in dict.fromkeys(conditions):
-                                prefill_device_slabs(
-                                    self.spec.config,
-                                    rpt,
-                                    condition.pe_cycles,
-                                    condition.retention_months,
-                                )
-                        payloads = [
-                            dict(
-                                device_payload,
-                                device=device,
-                                policy=policy,
-                                device_requests=routed[device],
-                            )
-                            for device in device_range
-                        ]
-                        if policy == policy_names[-1]:
-                            # The last policy's dispatch is a spool's last
-                            # use; dropping it keeps the routing from adding
-                            # to the rows the result accumulates.
-                            for device in device_range:
-                                routed[device] = None
-                        devices: List[int] = []
-                        states: List[dict] = []
-                        for _, device, result in pool.map(_run_fleet_device, payloads):
-                            if params is not None:
-                                devices.append(device)
-                                states.append(result.metrics.to_state())
-                            collector.absorb_device(device, result.metrics)
-                        if params is not None:
-                            self.checkpoint.save(
-                                FLEET_SHARD_KIND,
-                                params,
-                                {"devices": devices, "metrics": states},
-                            )
-                            checkpoint_stored += 1
-                    elapsed = time.perf_counter() - started  # repro-lint: disable=no-wall-clock
-                    collector.shard_timings.append(
-                        FleetShardTiming(
-                            index=shard_index,
-                            policy=policy,
-                            devices=len(device_range),
-                            elapsed_s=elapsed,
-                            from_checkpoint=restored is not None,
-                        )
+
+        def dispatch(
+            pool: WorkerPool, policy: str, shard_index: int, device_range: range
+        ) -> _Shard:
+            """Load one shard's checkpoint or, on a miss, submit its devices."""
+            nonlocal routed
+            shard = _Shard(policy, shard_index, device_range)
+            if base_params is not None:
+                shard.params = dict(
+                    base_params,
+                    policy=policy,
+                    shard=shard_index,
+                    devices=[device_range.start, device_range.stop],
+                )
+                shard.restored = self.checkpoint.load(FLEET_SHARD_KIND, shard.params)
+            shard.started = time.perf_counter()  # repro-lint: disable=no-wall-clock
+            if shard.restored is not None:
+                return shard
+            if routed is None:
+                stream = source
+                if not explicit:
+                    stream = source.iter_requests(
+                        self.spec.config, footprint_pages=self.spec.array_logical_pages
                     )
+                routed = _route(self.spec, stream)
+                # Before any device runs, so forked workers inherit the slabs
+                # instead of each building them.
+                rpt = self.rpt or ReadTimingParameterTable.default()
+                conditions = self.spec.device_conditions or (self.spec.condition,)
+                for condition in dict.fromkeys(conditions):
+                    prefill_device_slabs(
+                        self.spec.config, rpt, condition.pe_cycles, condition.retention_months
+                    )
+            payloads = [
+                dict(device_payload, device=device, policy=policy, device_requests=routed[device])
+                for device in device_range
+            ]
+            if policy == policy_names[-1]:
+                # The last policy's dispatch is a spool's last use; dropping
+                # it keeps the routing from adding to the rows the result
+                # accumulates.
+                for device in device_range:
+                    routed[device] = None
+            # Devices cost about the same, so each worker gets one message
+            # holding a contiguous run of them.
+            chunk = -(-len(payloads) // pool.processes)
+            shard.results = pool.submit(_run_fleet_device, payloads, chunksize=chunk)
+            return shard
+
+        def fold(shard: _Shard) -> None:
+            """Absorb one shard in device order and checkpoint it."""
+            collector = results[shard.policy]
+            device_range = shard.devices
+            if shard.restored is not None:
+                for device, state in zip(shard.restored["devices"], shard.restored["metrics"]):
+                    collector.absorb_device(int(device), SimulationMetrics.from_state(state))
+                checkpoints["hits"] += 1
+                logger.info(
+                    "fleet shard %d (policy %s, devices %d..%d) served from checkpoint",
+                    shard.index,
+                    shard.policy,
+                    device_range.start,
+                    device_range.stop - 1,
+                )
+            else:
+                devices: List[int] = []
+                states: List[dict] = []
+                for _, device, result in shard.results:
+                    if shard.params is not None:
+                        devices.append(device)
+                        states.append(result.metrics.to_state())
+                    collector.absorb_device(device, result.metrics)
+                if shard.params is not None:
+                    self.checkpoint.save(
+                        FLEET_SHARD_KIND, shard.params, {"devices": devices, "metrics": states}
+                    )
+                    checkpoints["stored"] += 1
+            elapsed = time.perf_counter() - shard.started  # repro-lint: disable=no-wall-clock
+            collector.shard_timings.append(
+                FleetShardTiming(
+                    index=shard.index,
+                    policy=shard.policy,
+                    devices=len(device_range),
+                    elapsed_s=elapsed,
+                    from_checkpoint=shard.restored is not None,
+                )
+            )
+
+        shard_ranges = self._shard_ranges()
+        with WorkerPool(self.processes) as pool:
+            # One shard ahead of the fold: shard k+1 is loaded or submitted
+            # before shard k is absorbed and saved, so the workers simulate
+            # k+1 while the parent folds k.
+            ahead = None
+            for policy in policy_names:
+                for shard_index, device_range in enumerate(shard_ranges):
+                    shard = dispatch(pool, policy, shard_index, device_range)
+                    if ahead is not None:
+                        fold(ahead)
+                    ahead = shard
+            fold(ahead)
         manifest = {
             "fleet": fleet_dict,
             "source": manifest_source,
@@ -655,7 +696,7 @@ class FleetRunner:
         if fault_plan:
             manifest["faults"] = fault_plan.to_dict()
         if self.checkpoint is not None:
-            manifest["checkpoints"] = {"hits": checkpoint_hits, "stored": checkpoint_stored}
+            manifest["checkpoints"] = checkpoints
         return FleetRunResult(spec=self.spec, results=results, manifest=manifest)
 
 

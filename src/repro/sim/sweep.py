@@ -38,9 +38,10 @@ first thing, which builds them only in a worker that started without them
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.rpt import ReadTimingParameterTable
 from repro.sim.registry import default_registry
@@ -69,17 +70,24 @@ _STREAM_CACHE_STATS = {"hits": 0, "misses": 0}
 class WorkerPool:
     """A reusable process pool that maps payloads in order.
 
-    The fan-out primitive of the sweep, fleet and suite runners.  One
-    pool stays alive across :meth:`map` calls, created lazily on the first
-    call that can use it, so a fleet streams all of its shards through the
-    same workers.  It prefers the ``fork`` start method so objects registered
-    at runtime (policies, experiments) remain resolvable inside workers; on
-    spawn-only platforms workers re-import the registering modules, so only
-    import-time registrations resolve.  A call maps serially when a pool
-    would not help (one payload) or is impossible (already inside a daemonic
-    pool worker, which may not spawn children).  Use as a context manager;
-    on a clean exit the pool is closed and joined, on an exception it is
-    terminated.
+    The fan-out primitive of the sweep, fleet and suite runners, with one
+    dispatch path: :meth:`submit` queues payloads and returns their results
+    in payload order without waiting for them, and :meth:`map` is
+    :meth:`submit` consumed to the end.  Because a call does not block,
+    a caller can keep the next batch in flight while it consumes the
+    current one, as the fleet does with its shards.  One pool stays alive
+    across calls, created lazily on the first call that can use it, so a
+    fleet streams all of its shards through the same workers.  It prefers
+    the ``fork`` start method so objects registered at runtime (policies,
+    experiments) remain resolvable inside workers, and forks between
+    :func:`gc.freeze` and :func:`gc.unfreeze`: the workers' cyclic garbage
+    collectors then never walk, and so never copy, the heap they inherit.
+    On spawn-only platforms workers re-import the registering modules, so
+    only import-time registrations resolve.  A call runs serially, as a
+    lazy generator, when a pool would not help (one payload) or is
+    impossible (already inside a daemonic pool worker, which may not spawn
+    children).  Use as a context manager; on a clean exit the pool is
+    closed and joined, on an exception it is terminated.
     """
 
     def __init__(self, processes: int):
@@ -88,24 +96,42 @@ class WorkerPool:
         self.processes = processes
         self._pool = None
 
+    def submit(self, func, payloads: Sequence, chunksize: int = 1) -> Iterator:
+        """Start ``func`` on every payload; iterate the results in payload order.
+
+        On a pool the call returns at once: every payload is already queued
+        to the workers, ``chunksize`` consecutive payloads to a message, and
+        payloads of a later call queue behind this one's.  Serially the
+        result is a lazy generator, so a payload runs only when its result
+        is asked for.  Either way a failing payload's exception is raised in
+        payload order; on a pool it takes the results of its whole message
+        with it.
+        """
+        if min(self.processes, len(payloads)) <= 1 or multiprocessing.current_process().daemon:
+            return (func(payload) for payload in payloads)
+        if self._pool is None:
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+            gc.freeze()
+            try:
+                self._pool = context.Pool(self.processes)
+            finally:
+                gc.unfreeze()
+        return self._pool.imap(func, payloads, chunksize)
+
     def map(self, func, payloads: Sequence, on_result=None) -> List:
         """``[func(p) for p in payloads]``, over the pool where it helps.
+
+        One payload to a message, since sweep cells and suite experiments
+        vary in cost.
 
         :param on_result: optional callback invoked in the parent, in payload
             order, as each result arrives.  Results completed before a later
             payload fails have already been delivered, which is what lets the
             suite runner persist partial progress.
         """
-        if min(self.processes, len(payloads)) <= 1 or multiprocessing.current_process().daemon:
-            results = (func(payload) for payload in payloads)
-        else:
-            if self._pool is None:
-                methods = multiprocessing.get_all_start_methods()
-                context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-                self._pool = context.Pool(self.processes)
-            results = self._pool.imap(func, payloads)
         collected = []
-        for result in results:
+        for result in self.submit(func, payloads):
             if on_result is not None:
                 on_result(result)
             collected.append(result)

@@ -45,7 +45,11 @@ _LAST_BUCKET = (_EXP_MAX - _EXP_MIN + 1) * SUBBUCKETS_PER_OCTAVE
 
 
 def _bucket_index(value: float) -> int:
-    """Map a non-negative latency to its histogram bucket."""
+    """Map a non-negative latency to its histogram bucket.
+
+    :meth:`LatencyHistogram.record` inlines this mapping; the tests keep
+    this function as the oracle that pins the inlined copy.
+    """
     if value < MIN_TRACKED_US:
         return 0
     if value >= MAX_TRACKED_US:
@@ -110,7 +114,18 @@ class LatencyHistogram:
             self.min_us = value
         if value > self.max_us:
             self.max_us = value
-        index = _bucket_index(value)
+        # _bucket_index, inlined for the same reason.
+        if value < MIN_TRACKED_US:
+            index = 0
+        elif value >= MAX_TRACKED_US:
+            index = _LAST_BUCKET
+        else:
+            mantissa, exponent = math.frexp(value)
+            index = (
+                1
+                + (exponent - _EXP_MIN) * SUBBUCKETS_PER_OCTAVE
+                + int((mantissa - 0.5) * _SUB_PER_OCTAVE_X2)
+            )
         self._counts[index] = self._counts.get(index, 0) + 1
 
     def _add_to_sum(self, value: float) -> None:

@@ -4,16 +4,21 @@ Covers the rack-scale execution path: sharded runs checkpoint per-shard
 device metrics and resume bitwise-identically; corrupted checkpoint entries
 are detected (payload digest) and recomputed rather than trusted; a sharded
 parallel run matches the serial run row for row, and a failing device
-worker fails the run; and every run routes its array stream once, handing
+worker fails the run; every run routes its array stream once, handing
 each device exactly the sub-stream the router's per-device filter yields,
-while a run whose shards are all checkpointed builds no retry-grid slab.
+while a run whose shards are all checkpointed builds no retry-grid slab;
+a pooled run keeps exactly one shard in flight ahead of the fold, in one
+message per worker, and still saves checkpoints byte for byte as a serial
+run does.
 """
 
+import hashlib
 import json
 import logging
 
 import pytest
 
+from repro.experiments.reporting import jsonify
 from repro.experiments.store import CheckpointStore
 from repro.sim.fleet import (
     FLEET_SHARD_KIND,
@@ -22,8 +27,10 @@ from repro.sim.fleet import (
     FleetSpec,
     SloCapacitySearch,
     _requests_digest,
+    _run_fleet_device,
 )
 from repro.sim.spec import Condition, WorkloadSpec
+from repro.sim.sweep import WorkerPool
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SsdSimulator
 from repro.ssd.request import HostRequest, RequestKind
@@ -294,3 +301,118 @@ class TestRouteOnce:
         sorted(store.entries(FLEET_SHARD_KIND))[0].unlink()
         assert generated_by_run() == length
         assert built
+
+
+# -- one shard ahead of the fold -------------------------------------------------
+def _fail_on_device_4(payload):
+    if payload["device"] == 4:
+        raise RuntimeError("device 4 failed")
+    return _run_fleet_device(payload)
+
+
+def _track_shards_in_flight(monkeypatch):
+    """Count fleet shards submitted to a pool but not yet checkpointed."""
+    state = {"in_flight": 0, "most": 0, "submitted": []}
+    submit = WorkerPool.submit
+    save = CheckpointStore.save
+
+    def submitting(self, func, payloads, chunksize=1):
+        state["in_flight"] += 1
+        state["most"] = max(state["most"], state["in_flight"])
+        state["submitted"].append((len(payloads), chunksize))
+        return submit(self, func, payloads, chunksize)
+
+    def saving(self, kind, params, payload):
+        if kind == FLEET_SHARD_KIND:
+            state["in_flight"] -= 1
+        return save(self, kind, params, payload)
+
+    monkeypatch.setattr(WorkerPool, "submit", submitting)
+    monkeypatch.setattr(CheckpointStore, "save", saving)
+    return state
+
+
+def _striped_fleet(devices):
+    # A 2-page stripe unit divides a tiny device into whole stripe groups.
+    return FleetSpec(devices=devices, stripe_unit_pages=2, config=CONFIG,
+                     condition=Condition(1000, 6.0))
+
+
+def _store_bytes(store):
+    return {path.name: path.read_bytes() for path in store.entries(FLEET_SHARD_KIND)}
+
+
+class TestShardLookAhead:
+    def test_at_most_two_shards_are_in_flight(self, tmp_path, monkeypatch):
+        state = _track_shards_in_flight(monkeypatch)
+        run = FleetRunner(_striped_fleet(18), processes=2, shard_devices=3,
+                          checkpoint=CheckpointStore(tmp_path)).run(_workload(180))
+        assert run.manifest["checkpoints"] == {"hits": 0, "stored": 6}
+        # Six shards, each one message of ceil(3 / 2) devices per worker.
+        assert state["submitted"] == [(3, 2)] * 6
+        # Shard k+1 was submitted before shard k was saved, never earlier.
+        assert state["most"] == 2
+        assert state["in_flight"] == 0
+
+    def test_a_failure_in_the_shard_ahead_fails_after_earlier_saves(
+        self, tmp_path, monkeypatch
+    ):
+        fleet = _striped_fleet(6)
+        reference = FleetRunner(fleet, shard_devices=2).run(_workload(90))
+        state = _track_shards_in_flight(monkeypatch)
+        monkeypatch.setattr("repro.sim.fleet._run_fleet_device", _fail_on_device_4)
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(RuntimeError, match="device 4 failed"):
+            FleetRunner(fleet, processes=2, shard_devices=2, checkpoint=store).run(_workload(90))
+        # Device 4's shard was submitted while shard 1 was still unsaved, yet
+        # both earlier shards reached the disk before the run failed.
+        assert state["most"] == 2
+        assert len(store.entries(FLEET_SHARD_KIND)) == 2
+        monkeypatch.setattr("repro.sim.fleet._run_fleet_device", _run_fleet_device)
+        resumed = FleetRunner(fleet, processes=2, shard_devices=2, checkpoint=store).run(
+            _workload(90))
+        assert resumed.manifest["checkpoints"] == {"hits": 2, "stored": 1}
+        assert _rows(resumed) == _rows(reference)
+
+    def test_a_pooled_partial_resume_matches_the_serial_run(self, tmp_path):
+        fleet = _striped_fleet(8)
+        policies = ("Baseline", "PnAR2")
+
+        def run(processes, store):
+            return FleetRunner(fleet, processes=processes, shard_devices=2,
+                               checkpoint=store).run(_workload(120), policies=policies)
+
+        serial_store = CheckpointStore(tmp_path / "serial")
+        serial = run(1, serial_store)
+        pooled_store = CheckpointStore(tmp_path / "pooled")
+        run(2, pooled_store)
+        for path in sorted(pooled_store.entries(FLEET_SHARD_KIND))[::2]:
+            path.unlink()
+        pooled = run(2, pooled_store)
+        assert pooled.manifest["checkpoints"] == {"hits": 4, "stored": 4}
+        assert pooled.rows() == serial.rows()
+        for policy in policies:
+            assert pooled[policy].summary() == serial[policy].summary()
+        assert _store_bytes(pooled_store) == _store_bytes(serial_store)
+        assert len(_store_bytes(serial_store)) == 8
+
+
+class TestCheckpointEncoding:
+    def test_saved_bytes_equal_a_streamed_json_dump(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        params = {"shard": 3, "devices": (0, 2), "policy": "PnAR2"}
+        payload = {"devices": [0, 1], "metrics": [{"mean": 0.1 + 0.2, "buckets": {7: 3}},
+                                                  {"mean": 1e-300, "name": "caf\u00e9"}]}
+        path = store.save(FLEET_SHARD_KIND, params, payload)
+        canonical = json.dumps(jsonify(payload), sort_keys=True, separators=(",", ":"))
+        document = {
+            "kind": FLEET_SHARD_KIND,
+            "params": jsonify(params),
+            "payload": jsonify(payload),
+            "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        }
+        streamed = tmp_path / "streamed.json"
+        with open(streamed, "w") as handle:
+            json.dump(document, handle)
+        assert path.read_bytes() == streamed.read_bytes()
+        assert store.load(FLEET_SHARD_KIND, params) == document["payload"]

@@ -1,6 +1,10 @@
 """Tests for threshold-voltage states, V_REF sets and the read-retry table."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.nand.geometry import PageType
 from repro.nand.voltage import (
@@ -114,6 +118,44 @@ class TestReadRetryTable:
         assert table.closest_step(-95.0) == 3
         assert table.closest_step(-1000.0) == 10
 
+    def test_closest_step_ties_and_non_finite_targets(self):
+        table = ReadRetryTable(step_mv=30.0, num_entries=10)
+        # Halfway between two steps the lower step wins.
+        assert table.closest_step(-45.0) == 1
+        assert table.closest_step(-75.0) == 2
+        assert table.closest_step(-285.0) == 9
+        for target in (math.nan, math.inf, -math.inf):
+            assert table.closest_step(target) == 1
+        assert table.closest_step(1e9) == 1
+        assert table.closest_step(-1e9) == 10
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        step_mv=st.one_of(
+            st.sampled_from([30.0, 0.1, 7.3, 1e-300, 1e10]),
+            st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+        ),
+        num_entries=st.integers(min_value=1, max_value=64),
+        target=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(min_value=-1e4, max_value=1e3),
+            st.integers(min_value=-140, max_value=20).map(lambda half: half * 0.5),
+        ),
+        scale_by_step=st.booleans(),
+    )
+    @example(step_mv=30.0, num_entries=40, target=-1e300, scale_by_step=False)
+    @example(step_mv=30.0, num_entries=40, target=-(2.0 ** 58), scale_by_step=False)
+    @example(step_mv=30.0, num_entries=40, target=-1.5, scale_by_step=True)
+    @example(step_mv=30.0, num_entries=40, target=-40.5, scale_by_step=True)
+    @example(step_mv=30.0, num_entries=40, target=-41.0, scale_by_step=True)
+    @example(step_mv=30.0, num_entries=40, target=5e-324, scale_by_step=False)
+    def test_closest_step_equals_the_linear_scan(self, step_mv, num_entries, target, scale_by_step):
+        if scale_by_step and math.isfinite(target):
+            # Targets on and halfway between steps, and past either end.
+            target *= step_mv
+        table = ReadRetryTable(step_mv=step_mv, num_entries=num_entries)
+        assert table.closest_step(target) == _closest_step_by_scan(table, target)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ReadRetryTable(step_mv=0.0)
@@ -126,3 +168,15 @@ class TestReadRetryTable:
         table = ReadRetryTable()
         worst_shift = vth_model.optimal_shift_mv(aged_condition)
         assert table.shift_for_step(table.num_entries) < worst_shift
+
+
+def _closest_step_by_scan(table, target_shift_mv):
+    """The oracle: every step's distance, keeping the first minimum."""
+    best_step = 1
+    best_distance = float("inf")
+    for step in table.steps():
+        distance = abs(table.shift_for_step(step) - target_shift_mv)
+        if distance < best_distance:
+            best_distance = distance
+            best_step = step
+    return best_step

@@ -281,6 +281,13 @@ class TestPickleSafePool:
         )
         assert rules_hit(engine, source) == ["pickle-safe-pool"]
 
+    def test_lambda_to_worker_pool_submit_flagged(self, engine):
+        source = (
+            "from repro.sim.sweep import WorkerPool\n"
+            "r = list(WorkerPool(2).submit(lambda p: p, [1, 2], chunksize=2))\n"
+        )
+        assert rules_hit(engine, source) == ["pickle-safe-pool"]
+
     def test_module_level_function_is_fine(self, engine):
         source = (
             "from functools import partial\n"
@@ -396,6 +403,19 @@ class TestNoDictOrderAcrossPool:
             "def run(payloads):\n"
             "    with WorkerPool(2) as pool:\n"
             "        return pool.map(worker, payloads)\n"
+        )
+        assert rules_hit(engine, source) == ["no-dict-order-across-pool"]
+
+    def test_worker_pool_submit_worker_flagged(self, engine):
+        source = (
+            "from repro.sim.sweep import WorkerPool\n"
+            "\n"
+            "def worker(payload):\n"
+            "    return [value for key, value in payload.items()]\n"
+            "\n"
+            "def run(payloads):\n"
+            "    with WorkerPool(2) as pool:\n"
+            "        return list(pool.submit(worker, payloads))\n"
         )
         assert rules_hit(engine, source) == ["no-dict-order-across-pool"]
 
@@ -590,7 +610,7 @@ class TestConfig:
         assert config.paths == ("src/repro",)
         assert config.sim_paths == ("src/repro",)
         assert config.experiments_doc == "EXPERIMENTS.md"
-        assert config.pool_entry_points == ("pool_map", "map")
+        assert config.pool_entry_points == ("pool_map", "map", "submit")
 
     def test_load_from_pyproject(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(

@@ -1,5 +1,6 @@
 """Tests for the parallel sweep runner and its worker pool."""
 
+import gc
 import multiprocessing
 
 import pytest
@@ -329,6 +330,10 @@ def _square(value):
     return value * value
 
 
+def _freeze_count(_):
+    return gc.get_freeze_count()
+
+
 class TestWorkerPool:
     def test_one_pool_serves_every_map_in_payload_order(self):
         delivered = []
@@ -345,6 +350,50 @@ class TestWorkerPool:
         delivered = []
         assert pool_map(_square, [7], 4, on_result=delivered.append) == [49]
         assert delivered == [49]
+
+    def test_chunked_submissions_deliver_in_payload_order(self):
+        with WorkerPool(2) as pool:
+            first = pool.submit(_square, list(range(7)), chunksize=4)
+            # A second call queues behind the first without waiting for it.
+            second = pool.submit(_square, [10, 11, 12], chunksize=2)
+            assert list(first) == [value * value for value in range(7)]
+            assert list(second) == [100, 121, 144]
+
+    def test_map_sends_one_payload_per_message(self, monkeypatch):
+        chunksizes = []
+        submit = WorkerPool.submit
+
+        def recording(self, func, payloads, chunksize=1):
+            chunksizes.append(chunksize)
+            return submit(self, func, payloads, chunksize)
+
+        monkeypatch.setattr(WorkerPool, "submit", recording)
+        with WorkerPool(2) as pool:
+            assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert chunksizes == [1]
+
+    def test_a_serial_submission_runs_nothing_until_iterated(self):
+        ran = []
+
+        def work(payload):
+            ran.append(payload)
+            return payload + 1
+
+        results = WorkerPool(1).submit(work, [1, 2, 3])
+        assert ran == []
+        assert next(results) == 2
+        assert ran == [1]
+        assert list(results) == [3, 4]
+
+    def test_workers_fork_from_a_frozen_heap_the_parent_unfreezes(self):
+        assert gc.get_freeze_count() == 0
+        with WorkerPool(2) as pool:
+            counts = pool.map(_freeze_count, [0, 1])
+            assert gc.get_freeze_count() == 0
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Each forked worker inherited the parent's objects frozen, so its
+            # collector never walks them.
+            assert min(counts) > 0
 
 
 class TestMainSmoke:

@@ -4,11 +4,17 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ssd.metrics import (
+    MAX_TRACKED_US,
+    MIN_TRACKED_US,
     LatencyHistogram,
     SUBBUCKETS_PER_OCTAVE,
     SimulationMetrics,
+    _bucket_bounds,
+    _bucket_index,
     improvement_over,
     normalized_response_times,
 )
@@ -162,6 +168,30 @@ class TestFixedMemoryContract:
         clone = pickle.loads(pickle.dumps(histogram))
         assert clone == histogram
         assert clone.mean() == histogram.mean()
+
+
+class TestInlinedBucketIndex:
+    """``record`` inlines ``_bucket_index``; the function stays the oracle."""
+
+    @staticmethod
+    def _recorded_bucket(value):
+        histogram = LatencyHistogram()
+        histogram.record(value)
+        return dict(histogram._counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False))
+    def test_record_buckets_like_the_oracle(self, value):
+        assert self._recorded_bucket(value) == {_bucket_index(value): 1}
+
+    def test_bucket_edges_and_clamps(self):
+        edges = [0.0, 5e-324, MIN_TRACKED_US, MAX_TRACKED_US, 1e300]
+        for index in (1, 2, 63, 64, 65, 1000, _bucket_index(MAX_TRACKED_US) - 1):
+            lower, upper = _bucket_bounds(index)
+            edges += [lower, upper, np.nextafter(lower, 0.0), np.nextafter(upper, 0.0)]
+        edges += [np.nextafter(MIN_TRACKED_US, 0.0), np.nextafter(MAX_TRACKED_US, 0.0)]
+        for value in edges:
+            assert self._recorded_bucket(float(value)) == {_bucket_index(float(value)): 1}
 
 
 class TestHistogramAccuracy:
