@@ -11,20 +11,23 @@ The proof has three actors, all this one script:
 
   1. *reference* — uninterrupted, in a fresh cache directory;
   2. *victim* — in a second fresh cache directory and its own session,
-     ``SIGKILL``ed from the outside, with its whole process group, as soon
-     as a few shard checkpoints exist on disk (a real kill -9, not an
-     exception — ``finally`` blocks never run);
+     its main process ``SIGKILL``ed from the outside, as the OOM killer
+     would, as soon as a few shard checkpoints exist on disk (a real kill
+     -9, not an exception — ``finally`` blocks never run).  A kill that
+     lands after the first probe's trail is saved proves less (the resume
+     replays that probe without loading its shards), so the victim is then
+     run again, in a fresh cache directory, up to three times;
   3. *resume* — same cache directory as the victim, run to completion.
 
-  The gate then asserts (a) no process of the victim's group, pool worker
-  or otherwise, outlives the kill, (b) the resume log reports shards
-  **served from checkpoint** — at least as many as had been checkpointed
-  when the kill landed — and (c) the resumed result JSON is
-  byte-identical to the uninterrupted reference.  Any mismatch fails
-  loudly with a diff-sized report.  With ``--processes N`` (N > 1) each
-  run fans its shards over N pool workers, one device per worker per
-  shard, and the kill waits until the victim's workers are up, so it
-  lands while the pool holds the shard submitted ahead of the fold;
+  The gate then asserts (a) every pool worker the kill orphans exits on
+  its own within seconds, (b) the resume log reports shards **served from
+  checkpoint** — at least as many as were on disk once the victim had
+  died — and (c) the resumed result JSON is byte-identical to the
+  uninterrupted reference.  Any mismatch fails loudly with a diff-sized
+  report.  With ``--processes N`` (N > 1) each run fans its shards over N
+  pool workers, one device per worker per shard, and the kill waits until
+  the victim's workers are up, so it lands while the pool holds the shard
+  submitted ahead of the fold;
 * ``--rss`` runs a 10,000-device fleet serially through bounded shards and
   asserts peak RSS stays under a fixed budget — the streaming fold's
   memory promise at rack scale.
@@ -49,10 +52,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Checkpoint files that must exist before the victim is killed.  Each
 #: probe's fleet has eight shards (one device per pool worker per shard),
 #: so the kill lands inside the first probe, six shards before its probe
-#: trail is saved.  A kill after the trail would leave the first probe's
-#: shards to a replay that never loads them, and the served-shard count
-#: below would hold only by luck.
+#: trail is saved.
 KILL_AFTER_CHECKPOINTS = 2
+
+#: Victim runs tried before the proof gives up on a kill that lands
+#: inside the first probe.
+VICTIM_ATTEMPTS = 3
 
 #: How long the orchestrator waits for checkpoints / child exits.
 WAIT_TIMEOUT_S = 300.0
@@ -119,15 +124,16 @@ def _spawn_search(cache_dir: str, out_path: str, processes: int,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
-def _checkpoint_files(cache_dir: str):
-    return glob.glob(os.path.join(cache_dir, "checkpoints", "*", "*.json"))
+def _checkpoint_files(cache_dir: str, kind: str = "*"):
+    return glob.glob(os.path.join(cache_dir, "checkpoints", kind, "*.json"))
 
 
 def _live_group_members(pgid: int):
     """Pids of the processes in group ``pgid`` that have not exited (Linux).
 
-    A killed worker whose new parent has not reaped it yet is a zombie: it
-    has exited, so it does not count.
+    A process that has exited but is not yet reaped (the killed main
+    process, or a worker its new parent has not waited for) is a zombie,
+    so it does not count.
     """
     members = []
     for entry in os.listdir("/proc"):
@@ -161,9 +167,10 @@ def _fail(message: str) -> int:
 
 
 def run_proof(processes: int = 1) -> int:
+    from repro.sim.fleet import FLEET_SHARD_KIND, PROBE_TRAIL_KIND
+
     with tempfile.TemporaryDirectory(prefix="resume_proof_") as workdir:
         reference_cache = os.path.join(workdir, "reference-cache")
-        victim_cache = os.path.join(workdir, "victim-cache")
         reference_out = os.path.join(workdir, "reference.json")
         resumed_out = os.path.join(workdir, "resumed.json")
 
@@ -175,39 +182,49 @@ def run_proof(processes: int = 1) -> int:
             sys.stderr.write(stderr)
             return _fail(f"reference run exited {child.returncode}")
 
-        # 2. Victim: SIGKILL its process group once enough shard checkpoints
+        # 2. Victim: SIGKILL its main process once enough shard checkpoints
         #    are on disk (and, pooled, while its workers are up).
-        print("[2/3] victim run (SIGKILL mid-search) ...")
-        child = _spawn_search(victim_cache, os.path.join(workdir, "victim.json"),
-                              processes, new_session=True)
-        deadline = time.monotonic() + WAIT_TIMEOUT_S
-        observed = 0
-        members = []
-        while True:
-            observed = len(_checkpoint_files(victim_cache))
-            if observed >= KILL_AFTER_CHECKPOINTS:
-                members = _live_group_members(child.pid)
-                if processes == 1 or len(members) > 1:
-                    break
-            if child.poll() is not None:
-                return _fail(
-                    "victim finished before the kill landed "
-                    f"(exit {child.returncode}); enlarge the search workload")
-            if time.monotonic() > deadline:
+        for attempt in range(1, VICTIM_ATTEMPTS + 1):
+            victim_cache = os.path.join(workdir, f"victim-cache-{attempt}")
+            print(f"[2/3] victim run {attempt} (SIGKILL mid-search) ...")
+            child = _spawn_search(victim_cache, os.path.join(workdir, "victim.json"),
+                                  processes, new_session=True)
+            deadline = time.monotonic() + WAIT_TIMEOUT_S
+            workers = 0
+            while True:
+                if len(_checkpoint_files(victim_cache)) >= KILL_AFTER_CHECKPOINTS:
+                    workers = len(_live_group_members(child.pid)) - 1
+                    if processes == 1 or workers > 0:
+                        break
+                if child.poll() is not None:
+                    return _fail(
+                        "victim finished before the kill landed "
+                        f"(exit {child.returncode}); enlarge the search workload")
+                if time.monotonic() > deadline:
+                    os.killpg(child.pid, signal.SIGKILL)
+                    return _fail("timed out waiting for the victim's checkpoints")
+                time.sleep(0.02)
+            child.kill()
+            # Orphaned, the workers see their task pipe close and must exit.
+            survivors = _survivors_after(child.pid)
+            if survivors:
                 os.killpg(child.pid, signal.SIGKILL)
-                return _fail("timed out waiting for the victim's checkpoints")
-            time.sleep(0.02)
-        os.killpg(child.pid, signal.SIGKILL)
-        survivors = _survivors_after(child.pid)
-        if survivors:
-            for pid in survivors:
-                os.kill(pid, signal.SIGKILL)
-            return _fail(f"process(es) {survivors} of the victim's group outlived the kill")
-        child.communicate(timeout=WAIT_TIMEOUT_S)
-        if child.returncode != -signal.SIGKILL:
-            return _fail(f"victim exited {child.returncode}, not SIGKILL")
-        print(f"      killed with {observed} shard checkpoint(s) on disk and "
-              f"{len(members) - 1} pool worker(s) running; none outlived the kill")
+                child.communicate(timeout=WAIT_TIMEOUT_S)
+                return _fail(f"pool worker(s) {survivors} outlived the victim's "
+                             "main process")
+            child.communicate(timeout=WAIT_TIMEOUT_S)
+            if child.returncode != -signal.SIGKILL:
+                return _fail(f"victim exited {child.returncode}, not SIGKILL")
+            observed = len(_checkpoint_files(victim_cache, FLEET_SHARD_KIND))
+            if not _checkpoint_files(victim_cache, PROBE_TRAIL_KIND):
+                break
+            print(f"      the kill landed after the first probe's trail was saved "
+                  f"({observed} shard checkpoint(s) on disk); running the victim again")
+        else:
+            return _fail(f"in {VICTIM_ATTEMPTS} victim runs no kill landed inside "
+                         "the first probe")
+        print(f"      killed with {observed} shard checkpoint(s) on disk; "
+              f"{workers} orphaned pool worker(s) exited on their own")
 
         # 3. Resume in the victim's cache directory.
         print("[3/3] resume run (same cache directory) ...")

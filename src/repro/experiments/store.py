@@ -161,8 +161,13 @@ class ArtifactStore:
         return f"ArtifactStore({str(self.root)!r})"
 
 
+def _canonical_dumps(value) -> str:
+    """The canonical encoding of an already-jsonified value."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _canonical_json(value) -> str:
-    return json.dumps(jsonify(value), sort_keys=True, separators=(",", ":"))
+    return _canonical_dumps(jsonify(value))
 
 
 class CheckpointStore:
@@ -236,12 +241,12 @@ class CheckpointStore:
         path = self.path(kind, params)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = jsonify(payload)
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         document = {
             "kind": kind,
             "params": jsonify(dict(params)),
             "payload": payload,
-            "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+            "sha256": hashlib.sha256(
+                _canonical_dumps(payload).encode("utf-8")).hexdigest(),
         }
         handle = tempfile.NamedTemporaryFile(
             "w", dir=path.parent, suffix=".tmp", delete=False)

@@ -200,19 +200,17 @@ class ReadRetryTable:
 
         Useful for modelling techniques (such as PSO) that start the retry
         sequence from previously successful reference values.  Of equally
-        close steps the lowest wins, and a non-finite target gives step 1:
-        the answer of a scan of every step that keeps the first minimum.
+        close steps the lowest wins, a target past either end of the table
+        gets that end's step, and a non-finite target gets step 1.
         """
         step_mv, entries = self.step_mv, self.num_entries
-        if not math.isfinite(target_shift_mv):
+        position = -target_shift_mv / step_mv
+        if not math.isfinite(target_shift_mv) or position <= 1:
             return 1
-        if abs(target_shift_mv) + entries * step_mv < step_mv * 2.0 ** 40:
-            # Every shift and distance is then exact to far below a step, so
-            # the closest steps are the neighbours of -target / step_mv.
-            nearest = min(max(math.floor(-target_shift_mv / step_mv), 1), entries)
-            candidates = range(max(nearest - 1, 1), min(nearest + 2, entries) + 1)
-        else:
-            # Rounding can flatten the distances into ties: scan them all.
-            candidates = self.steps()
-        # min() keeps the first of equal distances, which is the lowest step.
+        if position >= entries:
+            return entries
+        # Only the neighbours of -target / step_mv can be closest; min()
+        # keeps the first of equal distances, which is the lowest step.
+        nearest = math.floor(position)
+        candidates = range(max(nearest - 1, 1), min(nearest + 1, entries) + 1)
         return min(candidates, key=lambda step: abs(-step * step_mv - target_shift_mv))

@@ -281,7 +281,8 @@ class _Shard:
     restored: Optional[dict] = None
     #: ... or the pool's results for its devices, in device order.
     results: Optional[Iterator[Tuple[str, int, SimulationResult]]] = None
-    started: float = 0.0
+    #: The parent's wall time on it so far (its dispatch, then its fold).
+    elapsed_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -290,12 +291,15 @@ class FleetShardTiming:
 
     Recorded for later multi-host placement planning; deliberately kept out
     of checkpoints and result comparisons (timings are the one
-    non-deterministic output of a run).  ``elapsed_s`` runs from the
-    shard's dispatch (its checkpoint loaded, or its devices submitted) to
-    the end of its fold (its checkpoint saved).  The runner dispatches
-    each shard before it folds the one before it, so the timings of
-    consecutive shards overlap and do not sum to the run's wall time.  The first shard not served from checkpoint also carries the
-    run's stream generation and routing.
+    non-deterministic output of a run).  ``elapsed_s`` is the parent's
+    wall time on the shard, its checkpoint load aside: its dispatch
+    (building and submitting its device payloads) plus its fold (waiting
+    for its results, absorbing them and saving its checkpoint).  Serially
+    the fold runs the shard's whole simulation.  On a pool the workers
+    run a shard while the parent still folds the one before it, and that
+    stretch counts to the earlier shard, so the shards' times never add
+    up to more than the run's wall time.  The first shard not served from
+    checkpoint also carries the run's stream generation and routing.
     """
 
     index: int
@@ -601,9 +605,9 @@ class FleetRunner:
                     devices=[device_range.start, device_range.stop],
                 )
                 shard.restored = self.checkpoint.load(FLEET_SHARD_KIND, shard.params)
-            shard.started = time.perf_counter()  # repro-lint: disable=no-wall-clock
             if shard.restored is not None:
                 return shard
+            started = time.perf_counter()  # repro-lint: disable=no-wall-clock
             if routed is None:
                 stream = source
                 if not explicit:
@@ -633,10 +637,12 @@ class FleetRunner:
             # holding a contiguous run of them.
             chunk = -(-len(payloads) // pool.processes)
             shard.results = pool.submit(_run_fleet_device, payloads, chunksize=chunk)
+            shard.elapsed_s = time.perf_counter() - started  # repro-lint: disable=no-wall-clock
             return shard
 
         def fold(shard: _Shard) -> None:
             """Absorb one shard in device order and checkpoint it."""
+            started = time.perf_counter()  # repro-lint: disable=no-wall-clock
             collector = results[shard.policy]
             device_range = shard.devices
             if shard.restored is not None:
@@ -663,13 +669,13 @@ class FleetRunner:
                         FLEET_SHARD_KIND, shard.params, {"devices": devices, "metrics": states}
                     )
                     checkpoints["stored"] += 1
-            elapsed = time.perf_counter() - shard.started  # repro-lint: disable=no-wall-clock
+            shard.elapsed_s += time.perf_counter() - started  # repro-lint: disable=no-wall-clock
             collector.shard_timings.append(
                 FleetShardTiming(
                     index=shard.index,
                     policy=shard.policy,
                     devices=len(device_range),
-                    elapsed_s=elapsed,
+                    elapsed_s=shard.elapsed_s,
                     from_checkpoint=shard.restored is not None,
                 )
             )

@@ -44,21 +44,6 @@ _EXP_MAX = math.frexp(MAX_TRACKED_US)[1]  # 41
 _LAST_BUCKET = (_EXP_MAX - _EXP_MIN + 1) * SUBBUCKETS_PER_OCTAVE
 
 
-def _bucket_index(value: float) -> int:
-    """Map a non-negative latency to its histogram bucket.
-
-    :meth:`LatencyHistogram.record` inlines this mapping; the tests keep
-    this function as the oracle that pins the inlined copy.
-    """
-    if value < MIN_TRACKED_US:
-        return 0
-    if value >= MAX_TRACKED_US:
-        return _LAST_BUCKET
-    mantissa, exponent = math.frexp(value)  # value = m * 2**e, m in [0.5, 1)
-    sub = int((mantissa - 0.5) * _SUB_PER_OCTAVE_X2)
-    return 1 + (exponent - _EXP_MIN) * SUBBUCKETS_PER_OCTAVE + sub
-
-
 def _bucket_bounds(index: int) -> tuple:
     """The ``[lower, upper)`` value range of a bucket."""
     if index <= 0:
@@ -114,7 +99,8 @@ class LatencyHistogram:
             self.min_us = value
         if value > self.max_us:
             self.max_us = value
-        # _bucket_index, inlined for the same reason.
+        # The value's bucket, mapped inline for the same reason.  frexp
+        # gives value = mantissa * 2**exponent, mantissa in [0.5, 1).
         if value < MIN_TRACKED_US:
             index = 0
         elif value >= MAX_TRACKED_US:

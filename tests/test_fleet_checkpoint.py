@@ -9,12 +9,13 @@ each device exactly the sub-stream the router's per-device filter yields,
 while a run whose shards are all checkpointed builds no retry-grid slab;
 a pooled run keeps exactly one shard in flight ahead of the fold, in one
 message per worker, and still saves checkpoints byte for byte as a serial
-run does.
+run does; and shard timings never add up past the run's wall time.
 """
 
 import hashlib
 import json
 import logging
+import time
 
 import pytest
 
@@ -395,6 +396,19 @@ class TestShardLookAhead:
             assert pooled[policy].summary() == serial[policy].summary()
         assert _store_bytes(pooled_store) == _store_bytes(serial_store)
         assert len(_store_bytes(serial_store)) == 8
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_shard_times_add_up_to_at_most_the_run(self, tmp_path, processes):
+        # A shard dispatched ahead of the fold does not count the fold of
+        # the shard before it, which serially is that shard's simulation.
+        runner = FleetRunner(_striped_fleet(8), processes=processes, shard_devices=2,
+                             checkpoint=CheckpointStore(tmp_path))
+        started = time.perf_counter()
+        timings = runner.run(_workload(120)).result.shard_timings
+        wall_s = time.perf_counter() - started
+        assert len(timings) == 4
+        assert all(timing.elapsed_s > 0.0 for timing in timings)
+        assert sum(timing.elapsed_s for timing in timings) <= wall_s
 
 
 class TestCheckpointEncoding:

@@ -126,31 +126,33 @@ class TestReadRetryTable:
         assert table.closest_step(-285.0) == 9
         for target in (math.nan, math.inf, -math.inf):
             assert table.closest_step(target) == 1
-        assert table.closest_step(1e9) == 1
-        assert table.closest_step(-1e9) == 10
+        # Past either end, however far, the end's step.
+        for target in (1e9, 1e300, 5e-324, 0.0, -0.0):
+            assert table.closest_step(target) == 1
+        for target in (-1e9, -(2.0 ** 58), -1e300):
+            assert table.closest_step(target) == 10
 
     @settings(max_examples=400, deadline=None)
     @given(
         step_mv=st.one_of(
-            st.sampled_from([30.0, 0.1, 7.3, 1e-300, 1e10]),
-            st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+            st.sampled_from([30.0, 0.1, 7.3]),
+            st.floats(min_value=1e-3, max_value=1e3),
         ),
         num_entries=st.integers(min_value=1, max_value=64),
         target=st.one_of(
-            st.floats(allow_nan=True, allow_infinity=True),
             st.floats(min_value=-1e4, max_value=1e3),
             st.integers(min_value=-140, max_value=20).map(lambda half: half * 0.5),
         ),
         scale_by_step=st.booleans(),
     )
-    @example(step_mv=30.0, num_entries=40, target=-1e300, scale_by_step=False)
-    @example(step_mv=30.0, num_entries=40, target=-(2.0 ** 58), scale_by_step=False)
     @example(step_mv=30.0, num_entries=40, target=-1.5, scale_by_step=True)
     @example(step_mv=30.0, num_entries=40, target=-40.5, scale_by_step=True)
     @example(step_mv=30.0, num_entries=40, target=-41.0, scale_by_step=True)
     @example(step_mv=30.0, num_entries=40, target=5e-324, scale_by_step=False)
     def test_closest_step_equals_the_linear_scan(self, step_mv, num_entries, target, scale_by_step):
-        if scale_by_step and math.isfinite(target):
+        # Targets no further than 1e7 steps from the table, where every
+        # distance the scan compares is exact to far below a step.
+        if scale_by_step:
             # Targets on and halfway between steps, and past either end.
             target *= step_mv
         table = ReadRetryTable(step_mv=step_mv, num_entries=num_entries)

@@ -1,5 +1,6 @@
 """Tests for the fixed-memory simulation metrics."""
 
+import math
 import pickle
 
 import numpy as np
@@ -14,7 +15,6 @@ from repro.ssd.metrics import (
     SUBBUCKETS_PER_OCTAVE,
     SimulationMetrics,
     _bucket_bounds,
-    _bucket_index,
     improvement_over,
     normalized_response_times,
 )
@@ -170,8 +170,20 @@ class TestFixedMemoryContract:
         assert clone.mean() == histogram.mean()
 
 
+def _bucket_index(value):
+    """The oracle of the bucket mapping ``LatencyHistogram.record`` inlines."""
+    exp_min = math.frexp(MIN_TRACKED_US)[1]
+    if value < MIN_TRACKED_US:
+        return 0
+    if value >= MAX_TRACKED_US:
+        return (math.frexp(MAX_TRACKED_US)[1] - exp_min + 1) * SUBBUCKETS_PER_OCTAVE
+    mantissa, exponent = math.frexp(value)  # value = m * 2**e, m in [0.5, 1)
+    sub = int((mantissa - 0.5) * 2 * SUBBUCKETS_PER_OCTAVE)
+    return 1 + (exponent - exp_min) * SUBBUCKETS_PER_OCTAVE + sub
+
+
 class TestInlinedBucketIndex:
-    """``record`` inlines ``_bucket_index``; the function stays the oracle."""
+    """``record`` buckets every value as the oracle ``_bucket_index`` does."""
 
     @staticmethod
     def _recorded_bucket(value):
