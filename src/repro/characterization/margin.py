@@ -63,8 +63,7 @@ def final_step_error_sweep(
                 condition = OperatingCondition(pe_cycles=pec,
                                                retention_months=months,
                                                temperature_c=temperature)
-                values = [platform.final_step_errors(sample, condition)
-                          for sample in platform.pages()]
+                values = platform.final_step_errors(condition).tolist()
                 results[(temperature, pec, months)] = FinalStepErrors(
                     condition=condition,
                     max_errors=float(max(values)),

@@ -21,10 +21,11 @@ sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors.batch import BatchErrorModel, VariationArrays
 from repro.errors.condition import OperatingCondition
 from repro.errors.rber import CodewordErrorModel, RetryOutcome
 from repro.errors.retention import required_bake_hours
@@ -78,8 +79,10 @@ class VirtualTestPlatform:
                                 (PageType.LSB, PageType.CSB, PageType.MSB))
         self.error_model = error_model or CodewordErrorModel()
         self.retry_table = retry_table or ReadRetryTable()
+        self._batch = BatchErrorModel(self.error_model)
         self._variation = ProcessVariation(seed=seed)
         self._samples: Optional[List[PageSample]] = None
+        self._variation_arrays: Optional[VariationArrays] = None
 
     @classmethod
     def paper_scale(cls, seed: int = 0) -> "VirtualTestPlatform":
@@ -104,16 +107,18 @@ class VirtualTestPlatform:
         return self._samples
 
     def iter_pages(self) -> Iterator[PageSample]:
+        for chip, block, wordline, variation in self._wordlines():
+            for page_type in self.page_types:
+                yield PageSample(chip=chip, block=block, wordline=wordline,
+                                 page_type=page_type, variation=variation)
+
+    def _wordlines(self) -> Iterator[Tuple[int, int, int, VariationSample]]:
+        """``(chip, block, wordline, variation)`` of every sampled wordline."""
         for chip in range(self.num_chips):
             for block in range(self.blocks_per_chip):
                 for wordline in range(self.wordlines_per_block):
-                    variation = self._variation.sample(chip=chip, block=block,
-                                                       wordline=wordline)
-                    for page_type in self.page_types:
-                        yield PageSample(chip=chip, block=block,
-                                         wordline=wordline,
-                                         page_type=page_type,
-                                         variation=variation)
+                    yield chip, block, wordline, self._variation.sample(
+                        chip=chip, block=block, wordline=wordline)
 
     # -- measurement procedures ---------------------------------------------------
     def read_test(self, sample: PageSample, condition: OperatingCondition,
@@ -126,13 +131,28 @@ class VirtualTestPlatform:
             variation=sample.variation, timing_reduction=timing_reduction,
             retry_timing_reduction=retry_timing_reduction, rng=rng)
 
-    def final_step_errors(self, sample: PageSample,
-                          condition: OperatingCondition,
-                          timing_reduction: TimingReduction = None) -> float:
-        """Errors at the near-optimal (final) retry step for one page."""
-        return self.error_model.near_optimal_step_errors(
-            condition, sample.page_type, table=self.retry_table,
-            variation=sample.variation, timing_reduction=timing_reduction)
+    def final_step_errors(self, condition: OperatingCondition,
+                          timing_reduction: TimingReduction = None
+                          ) -> np.ndarray:
+        """Errors at the near-optimal (final) retry step of every page.
+
+        One value per page of :meth:`pages`, in that order, from one
+        batched evaluation per page type over the population's variation
+        (one corner per wordline, built once like :meth:`pages`); each
+        equals the scalar
+        :meth:`CodewordErrorModel.near_optimal_step_errors` of its page bit
+        for bit.
+        """
+        if self._variation_arrays is None:
+            self._variation_arrays = VariationArrays.from_samples(
+                variation for *_, variation in self._wordlines())
+        per_type = [self._batch.near_optimal_step_errors(
+                        condition, page_type, self._variation_arrays,
+                        table=self.retry_table,
+                        timing_reduction=timing_reduction)
+                    for page_type in self.page_types]
+        # Page order: every page type of a wordline, wordline by wordline.
+        return np.stack(per_type, axis=1).ravel()
 
     def retry_steps(self, sample: PageSample,
                     condition: OperatingCondition,
@@ -164,10 +184,9 @@ class VirtualTestPlatform:
         """
         if not 0.0 < quantile <= 1.0:
             raise ValueError("quantile must be in (0, 1]")
-        values = [self.final_step_errors(sample, condition, timing_reduction)
-                  for sample in self.pages()]
+        values = self.final_step_errors(condition, timing_reduction)
         if quantile >= 1.0:
-            return float(max(values))
+            return float(values.max())
         return float(np.quantile(values, quantile))
 
     def retry_step_counts(self, condition: OperatingCondition,

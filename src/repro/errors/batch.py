@@ -275,10 +275,13 @@ class BatchErrorModel:
     ) -> np.ndarray:
         """Expected errors of one page type, shape ``(corners, shifts)``.
 
-        ``means``/``sigmas`` are rows of :meth:`_boundary_parameters`.  Each
-        sensed boundary adds ``cells_per_state * (low_tail + high_tail)`` at
-        every V_REF shift, in the scalar model's iteration order, and the
-        temperature extra comes last, so every element reproduces the scalar
+        ``means``/``sigmas`` are rows of :meth:`_boundary_parameters`.
+        ``shifts_mv`` is either one row of V_REF shifts that every corner
+        reads at, or a ``(corners, shifts)`` array of each corner's own
+        shifts.  Each sensed boundary adds
+        ``cells_per_state * (low_tail + high_tail)`` at every V_REF shift, in
+        the scalar model's iteration order, and the temperature extra comes
+        last, so every element reproduces the scalar
         :meth:`CodewordErrorModel.expected_errors` float exactly (timing
         extras are the caller's to add).  Only the page type's own
         boundaries are evaluated, both tails of all of them in one
@@ -287,13 +290,13 @@ class BatchErrorModel:
         boundaries = np.array(page_type.sensed_boundaries)
         voltages = (
             self._default_refs[boundaries, None]
-            + shifts_mv[None, :] * self._shift_weights[boundaries, None]
+            + shifts_mv[..., None, :] * self._shift_weights[boundaries, None]
         )
         low_z = (voltages - means[:, boundaries, None]) / sigmas[:, boundaries, None]
         high_z = (means[:, boundaries + 1, None] - voltages) / sigmas[:, boundaries + 1, None]
         tails = 0.5 * _erfc(np.stack((low_z, high_z)) / _SQRT2)
         contributions = self._model.cells_per_state * (tails[0] + tails[1])
-        errors = np.zeros((len(means), len(shifts_mv)))
+        errors = np.zeros((len(means), shifts_mv.shape[-1]))
         for sensed in range(len(boundaries)):
             errors = errors + contributions[:, sensed]
         return errors + temperature_extra
@@ -442,6 +445,47 @@ class BatchErrorModel:
             best_step_errors=best,
             errors_per_step=errors,
         )
+
+    def near_optimal_step_errors(
+        self,
+        condition: OperatingCondition,
+        page_type: PageType,
+        variation: VariationArrays,
+        table: ReadRetryTable = None,
+        timing_reduction: TimingReduction = None,
+    ) -> np.ndarray:
+        """Vectorized :meth:`CodewordErrorModel.near_optimal_step_errors`.
+
+        Each corner reads at the retry-table entry closest to its own optimal
+        uniform V_REF shift; element ``i`` equals the scalar value of corner
+        ``i`` bit for bit.  The optimal shift repeats
+        :meth:`ThresholdVoltageModel.optimal_shift_mv`'s operations on the
+        rows of :meth:`_boundary_parameters`, and each corner's step comes
+        from the table's :meth:`~ReadRetryTable.closest_step`.
+        """
+        table = table or ReadRetryTable()
+        means, sigmas = self._boundary_parameters(condition, variation)
+        optimal = self._optimal_shifts(means, sigmas).tolist()
+        shifts = np.array([table.shift_for_step(table.closest_step(shift)) for shift in optimal])
+        temperature_extra = self._model.vth_model.temperature_extra_errors_per_kib(condition)
+        errors = self._page_errors(page_type, shifts[:, None], means, sigmas, temperature_extra)
+        timing_extra = self._timing_extra(timing_reduction, condition, variation)
+        if timing_extra is not None:
+            errors = errors + timing_extra[:, None]
+        return errors[:, 0]
+
+    def _optimal_shifts(self, means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+        """Per-corner :meth:`ThresholdVoltageModel.optimal_shift_mv`.
+
+        ``means``/``sigmas`` are rows of :meth:`_boundary_parameters`.  The
+        V_OPT of the programmed-state boundaries 1-6 comes from the scalar's
+        operations, and the mean over a C-contiguous array's rows sums each
+        row as the scalar's 1-D ``np.mean`` does.
+        """
+        low_means, high_means = means[:, 1:-1], means[:, 2:]
+        low_sigmas, high_sigmas = sigmas[:, 1:-1], sigmas[:, 2:]
+        optimal = (low_means * high_sigmas + high_means * low_sigmas) / (low_sigmas + high_sigmas)
+        return np.mean(optimal - self._default_refs[1:], axis=1)
 
     def read_behaviour_lattice(
         self,

@@ -227,8 +227,9 @@ class CheckpointStore:
         except (ValueError, KeyError, TypeError):
             self.misses += 1
             return None
+        # A decoded payload is JSON-native already: no jsonify walk.
         expected = hashlib.sha256(
-            _canonical_json(payload).encode("utf-8")).hexdigest()
+            _canonical_dumps(payload).encode("utf-8")).hexdigest()
         if digest != expected:
             self.misses += 1
             return None
@@ -237,16 +238,28 @@ class CheckpointStore:
 
     def save(self, kind: str, params: Mapping[str, object],
              payload) -> Path:
-        """Persist ``payload`` atomically under (kind, params)."""
+        """Persist ``payload`` atomically under (kind, params).
+
+        ``params`` may hold tuples and non-str keys, as :meth:`key` accepts
+        them; ``payload`` must be JSON-native already (str-keyed dicts,
+        lists, strings, Python numbers, booleans and None), as
+        :meth:`~repro.ssd.metrics.SimulationMetrics.to_state` emits it.  A
+        payload whose canonical JSON does not decode back to an equal value
+        (one holding a tuple, a non-str key or a NaN) raises
+        :class:`TypeError` instead of being saved reshaped.
+        """
+        canonical = _canonical_dumps(payload)
+        if json.loads(canonical) != payload:
+            raise TypeError(
+                f"{kind} checkpoint payload is not JSON-native: it does not "
+                "decode back to an equal value (a tuple, a non-str key or a NaN?)")
         path = self.path(kind, params)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = jsonify(payload)
         document = {
             "kind": kind,
             "params": jsonify(dict(params)),
             "payload": payload,
-            "sha256": hashlib.sha256(
-                _canonical_dumps(payload).encode("utf-8")).hexdigest(),
+            "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         }
         handle = tempfile.NamedTemporaryFile(
             "w", dir=path.parent, suffix=".tmp", delete=False)

@@ -1,5 +1,6 @@
 """Tests for the virtual characterization platform and figure sweeps."""
 
+import numpy as np
 import pytest
 
 from repro.characterization.margin import (
@@ -23,7 +24,17 @@ from repro.characterization.timing_sweep import (
     individual_parameter_sweep,
     temperature_sweep,
 )
+from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.condition import OperatingCondition
+from repro.errors.timing import TimingReduction
+
+
+def _scalar_final_step_errors(platform, condition, timing_reduction=None):
+    """The per-page scalar loop: the oracle of the batched platform."""
+    return [platform.error_model.near_optimal_step_errors(
+                condition, sample.page_type, table=platform.retry_table,
+                variation=sample.variation, timing_reduction=timing_reduction)
+            for sample in platform.pages()]
 
 
 class TestPlatform:
@@ -59,8 +70,22 @@ class TestPlatform:
         maximum = tiny_platform.max_final_step_errors(condition)
         median = tiny_platform.max_final_step_errors(condition, quantile=0.5)
         assert maximum >= median
+        scalar = _scalar_final_step_errors(tiny_platform, condition)
+        assert maximum == max(scalar)
+        assert median == float(np.quantile(scalar, 0.5))
         with pytest.raises(ValueError):
             tiny_platform.max_final_step_errors(condition, quantile=0.0)
+
+    @pytest.mark.parametrize("condition,reduction", [
+        (OperatingCondition(0, 0.0, 85.0), None),
+        (OperatingCondition(1000, 6.0, 30.0), TimingReduction(pre=0.47)),
+        (OperatingCondition(2000, 12.0, 55.0), TimingReduction(pre=0.2, disch=0.14)),
+    ])
+    def test_final_step_errors_equal_scalar_loop(self, tiny_platform,
+                                                 condition, reduction):
+        values = tiny_platform.final_step_errors(condition, reduction)
+        assert values.tolist() == _scalar_final_step_errors(
+            tiny_platform, condition, reduction)
 
 
 class TestRetryProfile:
@@ -109,6 +134,14 @@ class TestMarginSweeps:
         assert worst.max_errors > mild.max_errors
         assert worst.margin_bits < mild.margin_bits
         assert 0.0 < worst.margin_fraction < 1.0
+
+    def test_final_step_error_sweep_equals_scalar_loop(self, tiny_platform):
+        results = final_step_error_sweep(tiny_platform)
+        assert len(results) == 45
+        for stats in results.values():
+            scalar = _scalar_final_step_errors(tiny_platform, stats.condition)
+            assert stats.max_errors == max(scalar)
+            assert stats.mean_errors == sum(scalar) / len(scalar)
 
     def test_margin_rows(self, tiny_platform):
         rows = ecc_margin_sweep(tiny_platform, pe_cycles=(1000,),
@@ -174,6 +207,27 @@ class TestRptBuilder:
         for row in rows:
             assert row["min_t_pre_us"] == pytest.approx(
                 24.0 * (1.0 - row["max_pre_reduction_pct"] / 100.0), rel=1e-6)
+
+    def test_build_rpt_equals_scalar_profiling(self, monkeypatch):
+        """Every entry equals one profiled with the per-page scalar loop."""
+        batched = [build_rpt(), ReadTimingParameterTable.default()]
+
+        def scalar_max(platform, condition, timing_reduction=None,
+                       quantile=1.0):
+            return float(max(_scalar_final_step_errors(
+                platform, condition, timing_reduction)))
+
+        monkeypatch.setattr(VirtualTestPlatform, "max_final_step_errors",
+                            scalar_max)
+        scalar = list(build_rpt().iter_entries())
+        assert len(scalar) == 35
+        for rpt in batched:
+            entries = list(rpt.iter_entries())
+            assert [key for key, _ in entries] == [key for key, _ in scalar]
+            for (_, entry), (_, oracle) in zip(entries, scalar):
+                assert entry.pre_reduction == oracle.pre_reduction
+                assert entry.t_pre_us == oracle.t_pre_us
+                assert entry.margin_bits == oracle.margin_bits
 
     def test_build_rpt_reductions_monotonic_in_condition(self):
         rpt = build_rpt()

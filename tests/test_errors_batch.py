@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.rpt import DEFAULT_PEC_BIN_EDGES, DEFAULT_RETENTION_BIN_EDGES_MONTHS
 from repro.errors import CodewordErrorModel, OperatingCondition
 from repro.errors import batch as batch_module
 from repro.errors.batch import BatchErrorModel, VariationArrays
@@ -336,3 +337,50 @@ class TestMonotonicityProperties:
         worn = condition.with_pe_cycles(condition.pe_cycles + extra_pe)
         assert (_steps(condition, page_type, sample)
                 <= _steps(worn, page_type, sample))
+
+
+class TestNearOptimalStepErrorsProperty:
+    """The batched M_ERR against its scalar twin, element for element.
+
+    The optimal shift only picks the closest retry step, so an optimal
+    shift one ulp off would change an M_ERR only at a tie between two
+    steps; the property therefore also compares the optimal shifts, a row
+    mean of a 2-D array in the batch and a 1-D ``np.mean`` in the scalar.
+    """
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        condition=st.builds(
+            OperatingCondition,
+            pe_cycles=st.one_of(st.sampled_from(DEFAULT_PEC_BIN_EDGES),
+                                st.integers(min_value=0, max_value=3000)),
+            retention_months=st.one_of(
+                st.sampled_from(DEFAULT_RETENTION_BIN_EDGES_MONTHS),
+                st.floats(min_value=0.0, max_value=24.0)),
+            temperature_c=st.floats(min_value=0.0, max_value=85.0)),
+        page_type=page_types,
+        samples=st.lists(variation_samples, min_size=1, max_size=40),
+        reduction=st.one_of(st.none(), st.builds(
+            TimingReduction,
+            pre=st.floats(min_value=0.0, max_value=0.7),
+            disch=st.sampled_from([0.0, 0.2]))),
+    )
+    @example(condition=OperatingCondition(1000, 6.0, 30.0),
+             page_type=PageType.CSB, samples=[VariationSample.nominal()],
+             reduction=TimingReduction(pre=0.47))
+    def test_batched_equals_scalar(self, condition, page_type, samples,
+                                   reduction):
+        variation = VariationArrays.from_samples(samples)
+        batch = _BATCH.near_optimal_step_errors(
+            condition, page_type, variation, _TABLE,
+            timing_reduction=reduction)
+        optimal = _BATCH._optimal_shifts(
+            *_BATCH._boundary_parameters(condition, variation))
+        assert batch.shape == optimal.shape == (len(samples),)
+        for index, sample in enumerate(samples):
+            assert optimal[index] == _MODEL.vth_model.optimal_shift_mv(
+                condition, sample)
+            assert batch[index] == _MODEL.near_optimal_step_errors(
+                condition, page_type, table=_TABLE, variation=sample,
+                timing_reduction=reduction)

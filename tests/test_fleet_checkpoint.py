@@ -411,11 +411,23 @@ class TestShardLookAhead:
         assert sum(timing.elapsed_s for timing in timings) <= wall_s
 
 
+def _jsonified_document_bytes(kind, params, payload):
+    """A checkpoint file's bytes with the payload passed through ``jsonify``."""
+    payload = jsonify(payload)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps({
+        "kind": kind,
+        "params": jsonify(dict(params)),
+        "payload": payload,
+        "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+    }).encode("utf-8")
+
+
 class TestCheckpointEncoding:
     def test_saved_bytes_equal_a_streamed_json_dump(self, tmp_path):
         store = CheckpointStore(tmp_path)
         params = {"shard": 3, "devices": (0, 2), "policy": "PnAR2"}
-        payload = {"devices": [0, 1], "metrics": [{"mean": 0.1 + 0.2, "buckets": {7: 3}},
+        payload = {"devices": [0, 1], "metrics": [{"mean": 0.1 + 0.2, "buckets": [[7, 3]]},
                                                   {"mean": 1e-300, "name": "caf\u00e9"}]}
         path = store.save(FLEET_SHARD_KIND, params, payload)
         canonical = json.dumps(jsonify(payload), sort_keys=True, separators=(",", ":"))
@@ -430,3 +442,37 @@ class TestCheckpointEncoding:
             json.dump(document, handle)
         assert path.read_bytes() == streamed.read_bytes()
         assert store.load(FLEET_SHARD_KIND, params) == document["payload"]
+
+    @pytest.mark.parametrize("payload", [
+        {"devices": (0, 1)},
+        {"metrics": [{"buckets": {7: 3}}]},
+        {"probes": [{"rate_rps": 1.0, "p99_us": float("nan")}]},
+    ])
+    def test_a_payload_that_is_not_json_native_raises(self, tmp_path, payload):
+        """A tuple, an int key or a NaN does not decode back equal."""
+        store = CheckpointStore(tmp_path)
+        with pytest.raises(TypeError, match="not JSON-native"):
+            store.save(FLEET_SHARD_KIND, {"shard": 0}, payload)
+        assert store.entries() == []
+
+    def test_fleet_and_probe_trail_checkpoints_keep_their_bytes(
+            self, tmp_path, monkeypatch):
+        """Shard and trail files hold the bytes, digest included, that a
+        jsonified payload gives."""
+        saved = []
+        save = CheckpointStore.save
+
+        def recording_save(store, kind, params, payload):
+            path = save(store, kind, params, payload)
+            saved.append((kind, path.read_bytes(),
+                          _jsonified_document_bytes(kind, params, payload)))
+            return path
+
+        monkeypatch.setattr(CheckpointStore, "save", recording_save)
+        runner = FleetRunner(_fleet(2), shard_devices=1,
+                             checkpoint=CheckpointStore(tmp_path))
+        SloCapacitySearch(runner, target_p99_us=4000.0, tolerance=0.2,
+                          max_probes=3).find(_workload(60))
+        assert {kind for kind, _, _ in saved} == {FLEET_SHARD_KIND, PROBE_TRAIL_KIND}
+        for _, written, expected in saved:
+            assert written == expected
