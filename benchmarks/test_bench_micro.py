@@ -96,7 +96,13 @@ def test_bench_block_precondition_fill(benchmark):
 
 
 def test_bench_grid_cold_build(benchmark, bench_rpt):
-    """Grid construction plus the first (cold) slab build."""
+    """Grid construction plus keeping the first slab.
+
+    Rows fill as reads first need them, so the slab starts empty and this
+    times no row: it is the cost a device pays for its grid before its
+    first read.  The lattice micro-benchmarks above time the vectorized
+    whole-slab pass this once measured.
+    """
     config = SsdConfig.tiny()
 
     def build():

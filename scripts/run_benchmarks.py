@@ -19,6 +19,10 @@ Wraps ``pytest-benchmark`` so that performance tracking is one command:
 * runs the fast experiment suite (``run all --profile fast``, serial, no
   artifact store) in a child process and records each experiment's **wall
   seconds** as the snapshot's ``e2e`` section (recorded, not gated),
+* builds and preconditions the paper's own device (``SsdConfig.paper()``,
+  Section 7.1) once per mapping, each in a fresh child process, and records
+  the **wall seconds and peak RSS** before its first read as the
+  ``paper_device`` row (recorded, not gated),
 * compares the hot-path means against a committed baseline
   (``benchmarks/baseline.json``) and exits non-zero when any benchmark
   regressed by more than ``--max-regression`` (CI's perf gate),
@@ -31,6 +35,7 @@ Examples::
     python scripts/run_benchmarks.py
     python scripts/run_benchmarks.py --suite all --no-compare
     python scripts/run_benchmarks.py --no-memory   # skip the RSS micro
+    python scripts/run_benchmarks.py --paper-device-child block   # one paper-device probe
     python scripts/run_benchmarks.py --update-baseline
 """
 
@@ -73,6 +78,14 @@ MEMORY_MICRO_NAME = "stream_synthetic_200k"
 FLEET_SCALING_DEVICES = (8, 32, 128)
 FLEET_SCALING_REQUESTS_PER_DEVICE = 50
 FLEET_SCALING_SHARD_DEVICES = 16
+
+#: The paper-device probe: each mapping's device, built and preconditioned in
+#: a fresh child (no process-wide cache serves it warm) with this policy,
+#: condition (P/E cycles, retention months) and fill fraction.
+PAPER_DEVICE_MAPPINGS = ("block", "page")
+PAPER_DEVICE_POLICY = "PnAR2"
+PAPER_DEVICE_CONDITION = (1000, 6.0)
+PAPER_DEVICE_FILL = 0.85
 
 #: Body of the end-to-end child: ``run all --profile fast`` with one job and
 #: no artifact store, so every experiment runs, in a fresh interpreter, so no
@@ -307,6 +320,68 @@ def run_fleet_scaling() -> dict:
     return json.loads(completed.stdout)
 
 
+def _paper_device_child(mapping: str, size: str) -> int:
+    """Probe body: build and precondition one device, print JSON to stdout.
+
+    ``size`` names an :class:`~repro.ssd.config.SsdConfig` constructor
+    (``paper`` for the snapshot; a test uses a small one).  The wall time
+    covers :func:`~repro.sim.spec.preconditioned_simulator`, the builder
+    every runner uses, default RPT included; the peak RSS is the child's
+    whole peak, interpreter and imports included.
+    """
+    import resource
+    import time
+
+    from repro.sim.spec import Condition, preconditioned_simulator
+    from repro.ssd.config import SsdConfig
+
+    config = getattr(SsdConfig, size)(mapping=mapping)
+    pe_cycles, retention_months = PAPER_DEVICE_CONDITION
+    condition = Condition(pe_cycles, retention_months, fill_fraction=PAPER_DEVICE_FILL)
+    started = time.perf_counter()
+    preconditioned_simulator(config, PAPER_DEVICE_POLICY, condition)
+    wall_s = time.perf_counter() - started
+    # ru_maxrss is KiB on Linux, bytes on macOS; normalize to KiB.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":
+        peak //= 1024
+    print(
+        json.dumps(
+            {
+                "wall_s": wall_s,
+                "peak_rss_mib": peak / 1024.0,
+                "physical_pages": config.physical_pages,
+            }
+        )
+    )
+    return 0
+
+
+def run_paper_device(size: str = "paper") -> dict:
+    """Build and precondition ``SsdConfig.<size>()`` once per mapping, each in a child."""
+    pe_cycles, retention_months = PAPER_DEVICE_CONDITION
+    row = {
+        "config": size,
+        "policy": PAPER_DEVICE_POLICY,
+        "pe_cycles": pe_cycles,
+        "retention_months": retention_months,
+        "fill_fraction": PAPER_DEVICE_FILL,
+    }
+    for mapping in PAPER_DEVICE_MAPPINGS:
+        command = [sys.executable, str(Path(__file__).resolve())]
+        command += ["--paper-device-child", mapping, "--paper-device-config", size]
+        completed = subprocess.run(
+            command, cwd=REPO_ROOT, env=_subprocess_env(), capture_output=True, text=True
+        )
+        if completed.returncode != 0:
+            raise SystemExit(
+                f"error: the {mapping}-mode paper-device probe failed "
+                f"(exit {completed.returncode}); its stderr follows:\n{completed.stderr}"
+            )
+        row[mapping] = json.loads(completed.stdout)
+    return row
+
+
 def run_e2e() -> dict:
     """Time each experiment of the fast suite in a child process."""
     completed = subprocess.run(
@@ -466,6 +541,15 @@ def print_report(snapshot: dict, baseline: dict | None) -> None:
     for name, entry in sorted((snapshot.get("e2e") or {}).items()):
         label = f"e2e:{name}"
         print(f"{label.ljust(width)}  {entry['wall_s']:11.3f}s  {'not gated':>12}")
+    paper = snapshot.get("paper_device") or {}
+    for mapping in PAPER_DEVICE_MAPPINGS:
+        if mapping in paper:
+            label = f"paper_device:{mapping}"
+            entry = paper[mapping]
+            print(
+                f"{label.ljust(width)}  {entry['wall_s']:11.3f}s  {'not gated':>12}  "
+                f"(build and precondition, peak RSS {entry['peak_rss_mib']:.0f}MiB)"
+            )
 
 
 def write_job_summary(
@@ -620,6 +704,17 @@ def build_parser() -> argparse.ArgumentParser:
         help=argparse.SUPPRESS,  # internal: scaling-curve body run in a child process
     )
     parser.add_argument(
+        "--paper-device-child",
+        choices=PAPER_DEVICE_MAPPINGS,
+        default=None,
+        help=argparse.SUPPRESS,  # internal: paper-device probe run in a child process
+    )
+    parser.add_argument(
+        "--paper-device-config",
+        default="paper",
+        help=argparse.SUPPRESS,  # internal: the SsdConfig constructor the probe builds
+    )
+    parser.add_argument(
         "--update-baseline",
         action="store_true",
         help="write the snapshot as the new baseline",
@@ -638,6 +733,8 @@ def main(argv=None) -> int:
         return _memory_child()
     if args.fleet_scaling_child:
         return _fleet_scaling_child()
+    if args.paper_device_child:
+        return _paper_device_child(args.paper_device_child, args.paper_device_config)
 
     if not args.no_memory:
         # Fail fast, before the (minutes-long) pytest benchmark run, where
@@ -659,6 +756,8 @@ def main(argv=None) -> int:
     snapshot["fleet_scaling"] = run_fleet_scaling()
     print("timing each experiment of 'run all --profile fast' (serial, uncached) ...")
     snapshot["e2e"] = run_e2e()
+    print("building and preconditioning SsdConfig.paper() in block and page mode ...")
+    snapshot["paper_device"] = run_paper_device()
 
     output = args.output
     if output is None:

@@ -4,12 +4,18 @@ The simulator's read hot path asks one question over and over: *how many
 read-retry steps does a read need under a given operating condition, page
 type and process-variation corner?*  The scalar answer
 (:meth:`repro.errors.rber.CodewordErrorModel.walk_retry_table`) re-derives
-the threshold-voltage distributions for every retry step of every query,
-which makes it the throughput ceiling of every figure, sweep and suite run.
+the threshold-voltage distributions for every retry step of every query.
 
 This module evaluates the same model over *arrays* of variation corners and
 retry steps in one numpy pass, with results that are **bit-for-bit
-identical** to the scalar code.  Exactness is achieved by construction:
+identical** to the scalar code.  The characterization code (the default
+RPT's M_ERR profiling, the virtual test platform, Figure 7's sweep) uses it
+for whole page populations.  The simulator's retry grid does not: it needs
+only the rows its reads touch, and prices each with
+:class:`repro.ssd.retry_grid.RowWalk`, which repeats
+:meth:`BatchErrorModel.read_behaviour_lattice`'s operations on one row in
+Python floats.  The lattice stays the vectorized oracle those rows are
+tested against.  Exactness is achieved by construction:
 
 * per-condition scalars (retention shift, sigma widening, temperature
   extras, timing-error phase sums) are computed by the *scalar* model
@@ -498,9 +504,10 @@ class BatchErrorModel:
     ) -> Dict[PageType, BatchReadBehaviour]:
         """The retry grid's read behaviour across a corner lattice.
 
-        For each page type, reproduces the scalar walks of
-        :meth:`repro.ssd.retry_grid.RetryStepGrid.behaviour_at` for every
-        corner in one pass: the default-timing walk, the RPT-reduced
+        For each page type, reproduces for every corner in one pass the
+        behaviour :meth:`repro.ssd.retry_grid.RetryStepGrid.behaviour_at`
+        walks row by row (:class:`~repro.ssd.retry_grid.RowWalk`) and the
+        scalar recipe computes: the default-timing walk, the RPT-reduced
         retry walk (the per-corner timing extra added to the shared step
         errors, exactly the scalar operation order) and the reduced-timing
         fallback flag.  Like the scalar walks, it evaluates a corner's retry

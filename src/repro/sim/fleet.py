@@ -53,11 +53,16 @@ tractable):
   the run's sub-request count in compact form — typed spool columns of
   about 35 B a row, so about 35 MB at 1M sub-requests — never the trace as
   request objects, and each spool is dropped once the last policy has
-  dispatched its device.  Next to that one routing, the parent builds each
+  dispatched its device.  Next to that one routing, the parent keeps each
   distinct device condition's retry-grid slabs
-  (:func:`~repro.ssd.slab_transport.prefill_device_slabs`) so forked
-  workers inherit them; each device worker calls the same helper first
-  thing, which builds them only where the worker started without them.
+  (:func:`~repro.ssd.slab_transport.prefill_device_slabs`), whose rows fill
+  as reads first need them.  When the shards go to worker processes it
+  fills every row of them instead
+  (:func:`~repro.ssd.slab_transport.fill_device_slabs`), the one
+  whole-condition pass left, so the forked workers inherit the rows rather
+  than each computing the ones it reads; each device worker calls
+  ``prefill_device_slabs`` first thing, which keeps the slabs only where
+  the worker started without them.
   Per-shard wall-clock timings are recorded for later multi-host placement.
 * **Checkpoint/resume** — with a ``checkpoint`` store attached, every
   completed shard's per-device metric states (and every capacity-search
@@ -92,7 +97,7 @@ from repro.ssd.faults import FaultPlan
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import HostRequest
 from repro.ssd.retry_grid import rpt_fingerprint
-from repro.ssd.slab_transport import prefill_device_slabs
+from repro.ssd.slab_transport import fill_device_slabs, prefill_device_slabs
 from repro.workloads.router import RequestSpool, StripeRouter
 from repro.workloads.source import as_workload_source, source_to_dict
 from repro.workloads.tenants import TenantMix
@@ -615,14 +620,15 @@ class FleetRunner:
                         self.spec.config, footprint_pages=self.spec.array_logical_pages
                     )
                 routed = _route(self.spec, stream)
-                # Before any device runs, so forked workers inherit the slabs
-                # instead of each building them.
+                # Before any device runs.  When the shards go to workers, the
+                # pool forks after this, so the workers inherit every row of
+                # the slabs instead of each computing the rows it reads.
+                parallel = pool.parallel(len(device_range))
+                keep = fill_device_slabs if parallel else prefill_device_slabs
                 rpt = self.rpt or ReadTimingParameterTable.default()
                 conditions = self.spec.device_conditions or (self.spec.condition,)
                 for condition in dict.fromkeys(conditions):
-                    prefill_device_slabs(
-                        self.spec.config, rpt, condition.pe_cycles, condition.retention_months
-                    )
+                    keep(self.spec.config, rpt, condition.pe_cycles, condition.retention_months)
             payloads = [
                 dict(device_payload, device=device, policy=policy, device_requests=routed[device])
                 for device in device_range

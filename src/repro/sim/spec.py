@@ -256,10 +256,10 @@ def preconditioned_simulator(
     instance is used as it is.  ``rpt`` defaults to
     :meth:`ReadTimingParameterTable.default`.  The device is preconditioned
     with the condition's P/E cycles, retention age and fill fraction, and a
-    non-empty fault plan is armed after that.  It builds no retry-grid slab
-    beyond the cold-data one ``precondition`` builds; the runners that fan
-    devices out over a pool prefill a condition's slabs with
-    :func:`repro.ssd.slab_transport.prefill_device_slabs`.
+    non-empty fault plan is armed after that.  It keeps no retry-grid slab
+    beyond the cold-data one ``precondition`` keeps, and computes no row of
+    it; the runners that fan devices out over a pool keep a condition's
+    slabs with :func:`repro.ssd.slab_transport.prefill_device_slabs`.
     """
     if rpt is None:
         rpt = ReadTimingParameterTable.default()

@@ -299,10 +299,11 @@ class SsdSimulator:
                                       retention_months=retention_months,
                                       pe_cycles=pe_cycles)
         self._precondition = (pe_cycles, retention_months)
-        # Most reads of the run see the cold preconditioned data; vectorize
-        # its retry-step slab up front so the read hot path serves from the
-        # grid immediately.  The fresh-write condition and GC-created P/E
-        # levels fill lazily once their reads actually appear.
+        # Most reads of the run see the cold preconditioned data; keep a
+        # retry-grid slab for it up front so those reads count as grid hits
+        # from the first.  Its rows are computed as reads first need them;
+        # the fresh-write condition and GC-created P/E levels get their
+        # slabs once their reads actually appear.
         self.grid.prefill([self._precondition])
 
     # -- fault injection ------------------------------------------------------------

@@ -10,9 +10,9 @@ model:
   randomly drawn real block),
 * the number of retry steps a read needs — with the default timing
   parameters and with the AR2-reduced ones — is served from a
-  :class:`repro.ssd.retry_grid.RetryStepGrid`, which precomputes the full
-  (condition x page type x variation corner) lattice in vectorized passes
-  and falls back to exact scalar walks for cold conditions,
+  :class:`repro.ssd.retry_grid.RetryStepGrid`, which walks each
+  (condition, page type, variation corner) row exactly the first time a
+  read needs it and caches it,
 * AR2's rare fallback case (a page that no longer decodes with reduced
   timings) surfaces naturally: the reduced-timing walk may need one more
   step than the default-timing walk, or may fail entirely, in which case the

@@ -1,54 +1,71 @@
-"""Precomputed retry-step grid backing the simulator's read hot path.
+"""Retry-step grid behind the simulator's read hot path.
 
 Every simulated read needs a :class:`~repro.ssd.flash_backend.ReadBehaviour`
-for its (operating condition, page type, per-block variation corner).  The
-seed implementation walked the retry table twice per novel key and memoized
-into an unbounded dict that silently stopped caching at 500k entries.  This
-module replaces that with a *grid*:
+for its (operating condition, page type, per-block variation corner): how
+many retry steps the read takes with default and with RPT-reduced timings.
+A *row* is one such (condition, page type, corner) triple, and the grid
+computes each row the first time a read asks for it:
 
-* the variation corners of an SSD are a fixed, enumerable lattice (one
-  corner per physical block, derived deterministically from the config
-  seed), so for any operating condition the behaviours of **all** corners
-  and page types can be computed in one vectorized pass through
-  :class:`repro.errors.batch.BatchErrorModel` — bit-for-bit equal to the
-  scalar walks.  The pass costs what the reads need: like a read, each
-  corner's walk stops at the first retry step the ECC decodes (rounded up
-  to the walk's chunk of steps), so a fresh (P/E, 0) slab evaluates step 0
-  alone and an aged one never reaches the end of the table;
+* a :class:`RowWalk` per condition walks one row at a time through the
+  retry table in Python floats, with the operations of
+  :meth:`repro.errors.batch.BatchErrorModel.read_behaviour_lattice` in the
+  same order, so every row equals the lattice's entry bit for bit.  Like a
+  read, the walk stops at the first retry step the ECC decodes: a fresh row
+  evaluates step 0 alone, an aged one never reaches the end of the table.
+  A corner's variation sample (one per physical block, derived
+  deterministically from the config seed) is drawn when its block is first
+  read, so no whole-device pass runs on the read path;
 * conditions are discovered at run time (the preconditioned condition, the
-  fresh-write condition, and P/E levels GC creates), so the grid fills
-  per-condition *slabs* lazily: the first few queries of a novel condition
-  are served by exact scalar walks, and once a condition proves hot its
-  whole slab is built vectorized;
-* slabs and the scalar memo are bounded with **explicit** eviction policies
-  (LRU slabs, FIFO scalar memo — no silent stop-caching cliff).
+  fresh-write condition, and P/E levels GC creates).  The first few queries
+  of a novel condition keep their rows in a scalar memo; once a condition
+  proves hot it gets a *slab*, the cache of all its rows, which fills as
+  reads arrive.  Which of the two holds a row decides only how the read is
+  counted (a grid hit or a scalar fallback), since both compute it alike;
+* slabs, the scalar memo and the per-condition walk constants are bounded
+  with **explicit** eviction policies (LRU slabs, FIFO memo and constants);
+* :meth:`RetryStepGrid.fill` computes every row of given conditions at
+  once.  Its one caller is the fleet runner's parent, before its pool
+  forks, so that the workers inherit the rows.
 
 Grids are shared process-wide per (geometry, seed, temperature, RPT): every
 simulator of one configuration and RPT holds the same grid
 (:func:`shared_grid`), so repeated runs — benchmark rounds, per-policy runs
-of one sweep cell, suite experiments — pay the precompute once.
+of one sweep cell, suite experiments — compute each row once.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.rpt import ReadTimingParameterTable
-from repro.errors.batch import BatchErrorModel, VariationArrays
+from repro.errors.batch import VariationArrays
 from repro.errors.condition import OperatingCondition
 from repro.errors.rber import CodewordErrorModel
 from repro.errors.timing import TimingReduction
-from repro.errors.variation import ProcessVariation
-from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
-from repro.nand.voltage import ReadRetryTable
+from repro.errors.variation import ProcessVariation, VariationSample
+from repro.nand.geometry import PAGE_TYPE_ORDER
+from repro.nand.voltage import (
+    BOUNDARY_SHIFT_WEIGHTS,
+    ReadRetryTable,
+    default_read_references_mv,
+    fresh_state_means_mv,
+)
 from repro.ssd.config import SsdConfig
 from repro.ssd.flash_backend import ReadBehaviour
 
 #: A slab: behaviours of every (page type, corner) under one condition,
 #: indexed ``slab[page_type][corner]`` by the page type's position in
-#: ``PAGE_TYPE_ORDER``.
-Slab = Tuple[List[ReadBehaviour], ...]
+#: ``PAGE_TYPE_ORDER``; ``None`` marks a row no read has asked for yet.
+Slab = Tuple[List[Optional[ReadBehaviour]], ...]
+
+#: Per page type (by position in ``PAGE_TYPE_ORDER``), each sensed boundary
+#: with its V_REF at every column of the retry walk.
+SensedVoltages = Tuple[Tuple[Tuple[int, Tuple[float, ...]], ...], ...]
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def rpt_fingerprint(rpt: ReadTimingParameterTable) -> tuple:
@@ -67,14 +84,173 @@ def rpt_fingerprint(rpt: ReadTimingParameterTable) -> tuple:
     )
 
 
-class RetryStepGrid:
-    """Lazily filled (condition x page type x corner) behaviour lattice.
+@functools.lru_cache(maxsize=16)
+def _sensed_voltages(table: ReadRetryTable) -> SensedVoltages:
+    """Each page type's sensed boundaries with their V_REF at every walk column.
 
-    :param promote_threshold: scalar queries a novel condition absorbs
-        before its full slab is built vectorized.  ``None`` scales the
-        threshold with the corner count so small configs build immediately
-        and huge configs only vectorize conditions that are actually hot.
-    :param max_conditions: bound on cached slabs (LRU eviction).
+    Column 0 is the default read and column ``s`` retry step ``s``; each
+    voltage is the boundary's default reference plus the column's shift
+    times the boundary's weight, as the lattice forms it.
+    """
+    shifts = [0.0] + [table.shift_for_step(step) for step in table.steps()]
+    references = default_read_references_mv()
+
+    def sensed(boundary: int) -> Tuple[int, Tuple[float, ...]]:
+        weight = BOUNDARY_SHIFT_WEIGHTS[boundary]
+        return boundary, tuple(references[boundary] + shift * weight for shift in shifts)
+
+    return tuple(
+        tuple(sensed(boundary) for boundary in page_type.sensed_boundaries)
+        for page_type in PAGE_TYPE_ORDER
+    )
+
+
+class RowWalk:
+    """One condition's retry walk, evaluated one (page type, corner) row at a time.
+
+    :meth:`row` gives the entry of
+    :meth:`~repro.errors.batch.BatchErrorModel.read_behaviour_lattice` for
+    one page type and variation sample, bit for bit: it applies the
+    lattice's float operations in the lattice's order to Python floats,
+    which round like numpy's float64, and calls the same ``math.erfc``.
+    The condition-only terms are computed once, here, by the same scalar
+    model helpers the lattice calls.
+
+    :param pre_reduction: the RPT's tPRE reduction for the condition; the
+        reduced-timing walk runs only when it is positive.
+    :param capability: ECC capability override (defaults to the model's).
+    """
+
+    __slots__ = (
+        "_voltages",
+        "_columns",
+        "_num_entries",
+        "_capability",
+        "_cells",
+        "_fresh",
+        "_erased_fraction",
+        "_sigma_erased",
+        "_sigma_programmed",
+        "_base_shift",
+        "_base_multiplier",
+        "_temperature_extra",
+        "_timing",
+    )
+
+    def __init__(
+        self,
+        model: CodewordErrorModel,
+        condition: OperatingCondition,
+        pre_reduction: float,
+        table: ReadRetryTable = None,
+        capability: int = None,
+    ):
+        table = table or ReadRetryTable()
+        vth = model.vth_model
+        cal = vth.calibration
+        self._voltages = _sensed_voltages(table)
+        self._columns = table.num_entries + 1
+        self._num_entries = table.num_entries
+        self._capability = capability if capability is not None else model.ecc_capability
+        self._cells = model.cells_per_state
+        self._fresh = fresh_state_means_mv()
+        self._erased_fraction = cal.erased_shift_fraction
+        self._sigma_erased = cal.sigma_erased_fresh_mv
+        self._sigma_programmed = cal.sigma_programmed_fresh_mv
+        self._base_shift = vth.retention_shift_mv(condition)
+        self._base_multiplier = vth.sigma_multiplier(condition)
+        self._temperature_extra = vth.temperature_extra_errors_per_kib(condition)
+        #: (severity, phase error sum, temperature fraction, capped extra)
+        #: of the reduced-timing extra errors, or ``None`` without one.
+        self._timing = None
+        if pre_reduction > 0.0:
+            timing = model.timing_model
+            timing_cal = timing.calibration
+            fraction = max(0.0, timing.temperature_amplification(condition) - 1.0)
+            if timing_cal.temperature_amplification_at_30c > 0:
+                share = fraction / timing_cal.temperature_amplification_at_30c
+            else:
+                share = 0.0
+            self._timing = (
+                timing.severity(condition),
+                timing.phase_error_sum(TimingReduction(pre=pre_reduction)),
+                fraction,
+                timing_cal.temperature_extra_error_cap_at_30c * share,
+            )
+
+    def row(self, page_type: int, variation: VariationSample) -> Tuple[int, int, bool]:
+        """``(retry_steps, retry_steps_reduced, reduced_timing_fallback)`` of one row.
+
+        ``page_type`` indexes ``PAGE_TYPE_ORDER``.  A failed default walk
+        charges the whole table; a failed reduced walk falls back to the
+        default one.
+        """
+        # The corner's boundary means and sigmas, as _boundary_parameters
+        # forms them: only the states either side of a sensed boundary.
+        shift = self._base_shift * variation.shift_multiplier
+        multiplier = self._base_multiplier * variation.sigma_multiplier
+        sigma_programmed = self._sigma_programmed * multiplier
+        fresh = self._fresh
+        terms = []
+        for boundary, voltages in self._voltages[page_type]:
+            if boundary:
+                low_mean = fresh[boundary] - shift
+                low_sigma = sigma_programmed
+            else:
+                low_mean = fresh[0] - shift * self._erased_fraction
+                low_sigma = self._sigma_erased * multiplier
+            terms.append((voltages, low_mean, low_sigma, fresh[boundary + 1] - shift))
+        extra = None
+        if self._timing is not None:
+            severity, phase_sum, fraction, cap = self._timing
+            base = phase_sum * (severity * variation.timing_multiplier)
+            extra = base + min(base * fraction, cap)
+
+        erfc, sqrt2 = math.erfc, _SQRT2
+        capability = self._capability
+        cells = self._cells
+        temperature_extra = self._temperature_extra
+        default = reduced = -1
+        for column in range(self._columns):
+            errors = 0.0
+            for voltages, low_mean, low_sigma, high_mean in terms:
+                voltage = voltages[column]
+                low = 0.5 * erfc((voltage - low_mean) / low_sigma / sqrt2)
+                high = 0.5 * erfc((high_mean - voltage) / sigma_programmed / sqrt2)
+                errors = errors + cells * (low + high)
+            errors = errors + temperature_extra
+            if not column:
+                if errors <= capability:
+                    return 0, 0, False
+                continue
+            if default < 0 and errors <= capability:
+                default = column
+            if extra is None:
+                if default >= 0:
+                    break
+            else:
+                # The reduced-timing walk starts at retry step 1.
+                if reduced < 0 and errors + extra <= capability:
+                    reduced = column
+                if default >= 0 and reduced >= 0:
+                    break
+        steps = default if default >= 0 else self._num_entries
+        if extra is None:
+            return steps, steps, False
+        if reduced >= 0:
+            return steps, reduced, False
+        return steps, steps, True
+
+
+class RetryStepGrid:
+    """(condition x page type x corner) read behaviours, computed row by row.
+
+    :param promote_threshold: queries a novel condition answers from the
+        scalar memo before it gets a slab.  ``None`` scales the threshold
+        with the corner count, so a small config keeps a slab from the
+        first query and a huge one only for conditions that are hot.
+    :param max_conditions: bound on cached slabs (LRU eviction) and on the
+        per-condition walk constants (FIFO eviction).
     :param max_scalar_entries: bound on the scalar memo (FIFO eviction) —
         the explicit replacement of the seed's silent 500k stop-caching cap.
     """
@@ -93,7 +269,6 @@ class RetryStepGrid:
         self.error_model = error_model or CodewordErrorModel()
         self.retry_table = retry_table or ReadRetryTable()
         self._rpt = rpt
-        self._batch = BatchErrorModel(self.error_model)
         self._variation = ProcessVariation(seed=config.seed)
         self._variation_arrays: Optional[VariationArrays] = None
         self.max_conditions = max_conditions
@@ -108,6 +283,8 @@ class RetryStepGrid:
         self._pending_queries: Dict[tuple, int] = {}
         #: (condition key, page type index, corner) -> ReadBehaviour
         self._scalar_memo: "OrderedDict[tuple, ReadBehaviour]" = OrderedDict()
+        #: condition key -> its RowWalk (insertion-ordered for FIFO eviction).
+        self._walks: "OrderedDict[tuple, RowWalk]" = OrderedDict()
         #: (steps, reduced, fallback) -> the one shared ReadBehaviour object.
         self._interned: Dict[tuple, ReadBehaviour] = {}
         self.slab_builds = 0
@@ -136,11 +313,15 @@ class RetryStepGrid:
         return chip * self.blocks_per_chip + block
 
     def variation_arrays(self) -> VariationArrays:
-        """Per-corner variation multipliers, enumerated in corner order.
+        """Per-corner variation multipliers of the whole device, in corner order.
 
-        The sample population is a pure function of (seed, chips, blocks),
-        so the enumerated arrays are cached process-wide and shared by
-        every grid over the same silicon.
+        The read path never needs them: it draws a corner's sample when its
+        block is first read.  They are the input of
+        :meth:`~repro.errors.batch.BatchErrorModel.read_behaviour_lattice`,
+        the vectorized oracle the rows are checked against.  The sample
+        population is a pure function of (seed, chips, blocks), so the
+        enumerated arrays are cached process-wide and shared by every grid
+        over the same silicon.
         """
         if self._variation_arrays is None:
             key = (self.config.seed, self.chips, self.blocks_per_chip)
@@ -168,10 +349,15 @@ class RetryStepGrid:
         return len(self._scalar_memo)
 
     @property
+    def cached_walks(self) -> int:
+        """Conditions whose walk constants are cached."""
+        return len(self._walks)
+
+    @property
     def cache_size(self) -> int:
-        """Total cached behaviours (slab entries plus scalar memo)."""
-        per_slab = self.corner_count * len(PageType)
-        return len(self._slabs) * per_slab + len(self._scalar_memo)
+        """Cached behaviours: the slab rows filled so far plus the scalar memo."""
+        filled = sum(len(row) - row.count(None) for slab in self._slabs.values() for row in slab)
+        return filled + len(self._scalar_memo)
 
     # -- main query -----------------------------------------------------------
     def behaviour_at(
@@ -185,13 +371,12 @@ class RetryStepGrid:
 
         ``page_type`` indexes ``PAGE_TYPE_ORDER`` and ``corner`` is the
         block's variation corner (:meth:`corner_index`); the read path
-        derives both from a packed page index.  Slab lookups and scalar
-        fallbacks are computed from the *exact* per-block variation sample,
-        so results are independent of query order (the seed's rounded-key
-        memo could alias two nearby corners depending on which was read
-        first).  The simulator calls this once per page read, when the die
-        starts the read, so the query order, and with it promotion and
-        eviction, follows service order.
+        derives both from a packed page index.  Rows are computed from the
+        *exact* per-block variation sample, so results are independent of
+        query order (the seed's rounded-key memo could alias two nearby
+        corners depending on which was read first).  The simulator calls
+        this once per page read, when the die starts the read, so the query
+        order, and with it promotion and eviction, follows service order.
         """
         key = (pe_cycles, retention_months)
         slab = self._slabs.get(key)
@@ -200,51 +385,60 @@ class RetryStepGrid:
             # conditions, and without recency the hot preconditioned slab
             # would be the first one evicted.
             self._slabs.move_to_end(key)
-            return slab[page_type][corner], True
+            row = slab[page_type]
+            behaviour = row[corner]
+            if behaviour is None:
+                behaviour = row[corner] = self._row(key, page_type, corner)
+            return behaviour, True
 
         queries = self._pending_queries.get(key, 0) + 1
         if queries >= self.promote_threshold:
             slab = self._build_slab(key)
-            return slab[page_type][corner], True
+            behaviour = slab[page_type][corner] = self._row(key, page_type, corner)
+            return behaviour, True
         self._pending_queries[key] = queries
 
         memo_key = (key, page_type, corner)
         behaviour = self._scalar_memo.get(memo_key)
         if behaviour is None:
-            behaviour = self._scalar_behaviour(key, page_type, corner)
+            behaviour = self._row(key, page_type, corner)
             if len(self._scalar_memo) >= self.max_scalar_entries:
                 self._scalar_memo.popitem(last=False)
             self._scalar_memo[memo_key] = behaviour
         return behaviour, False
 
-    # -- slab construction ----------------------------------------------------
+    # -- slabs ----------------------------------------------------------------
     def prefill(self, conditions: Iterable[Tuple[int, float]]) -> None:
-        """Vectorize the slabs of known-upcoming conditions eagerly.
+        """Keep slabs for known-upcoming conditions, so their reads hit at once.
 
         The simulator calls this at precondition time with the aged-data
-        condition, which serves nearly every read of a run; the fresh-write
-        condition and GC-created P/E levels fill lazily.
+        condition, which serves nearly every read of a run.  A slab's rows
+        still fill as reads first need them; the fresh-write condition and
+        GC-created P/E levels get their slabs by promotion.
         """
         for pe_cycles, retention_months in conditions:
             key = (int(pe_cycles), float(retention_months))
             if key not in self._slabs:
                 self._build_slab(key)
 
+    def fill(self, conditions: Iterable[Tuple[int, float]]) -> None:
+        """Compute every row of the given conditions' slabs now.
+
+        The one whole-condition pass: a fleet parent whose shards go to
+        forked workers calls it before the pool forks, so the workers
+        inherit every row instead of each computing the rows it reads.
+        """
+        for pe_cycles, retention_months in conditions:
+            key = (int(pe_cycles), float(retention_months))
+            self.prefill([key])
+            for page_type, row in enumerate(self._slabs[key]):
+                for corner, behaviour in enumerate(row):
+                    if behaviour is None:
+                        row[corner] = self._row(key, page_type, corner)
+
     def _build_slab(self, key: tuple) -> Slab:
-        pe_cycles, retention_months = key
-        condition = OperatingCondition(
-            pe_cycles=pe_cycles,
-            retention_months=retention_months,
-            temperature_c=self.config.temperature_c,
-        )
-        entry = self.rpt.entry_for(pe_cycles, retention_months)
-        lattice = self._batch.read_behaviour_lattice(
-            condition,
-            self.variation_arrays(),
-            pre_reduction=entry.pre_reduction,
-            table=self.retry_table,
-        )
-        slab = tuple(self._intern_batch(lattice[page_type]) for page_type in PAGE_TYPE_ORDER)
+        """Keep an empty slab for ``key``, evicting the least recent one when full."""
+        slab = tuple([None] * self.corner_count for _ in PAGE_TYPE_ORDER)
         while len(self._slabs) >= self.max_conditions:
             self._slabs.popitem(last=False)
         self._slabs[key] = slab
@@ -252,70 +446,27 @@ class RetryStepGrid:
         self.slab_builds += 1
         return slab
 
-    def _intern_batch(self, batch) -> List[ReadBehaviour]:
-        """One page type's lattice pass as shared :class:`ReadBehaviour` objects."""
-        interned = self._interned
-        behaviours = []
-        signatures = zip(
-            batch.retry_steps.tolist(),
-            batch.retry_steps_reduced.tolist(),
-            batch.reduced_timing_fallback.tolist(),
-        )
-        for signature in signatures:
-            behaviour = interned.get(signature)
-            if behaviour is None:
-                behaviour = ReadBehaviour(
-                    retry_steps=signature[0],
-                    retry_steps_reduced=signature[1],
-                    reduced_timing_fallback=signature[2],
-                )
-                interned[signature] = behaviour
-            behaviours.append(behaviour)
-        return behaviours
-
-    # -- scalar fallback ------------------------------------------------------
-    def _scalar_behaviour(self, key: tuple, page_type: int, corner: int) -> ReadBehaviour:
-        """One exact scalar evaluation (cold conditions, pre-promotion)."""
-        pe_cycles, retention_months = key
-        condition = OperatingCondition(
-            pe_cycles=pe_cycles,
-            retention_months=retention_months,
-            temperature_c=self.config.temperature_c,
-        )
-        chip, block = divmod(corner, self.blocks_per_chip)
-        variation = self._variation.block_sample(chip=chip, block=block)
-        page_kind = PAGE_TYPE_ORDER[page_type]
-        default_walk = self.error_model.walk_retry_table(
-            condition,
-            page_kind,
-            table=self.retry_table,
-            variation=variation,
-        )
-        if default_walk.retry_steps is None:
-            default_steps = self.retry_table.num_entries
-        else:
-            default_steps = default_walk.retry_steps
-
-        entry = self.rpt.entry_for(pe_cycles, retention_months)
-        if entry.pre_reduction > 0.0 and default_steps > 0:
-            reduction = TimingReduction(pre=entry.pre_reduction)
-            reduced_walk = self.error_model.walk_retry_table(
-                condition,
-                page_kind,
-                table=self.retry_table,
-                variation=variation,
-                retry_timing_reduction=reduction,
+    # -- rows -----------------------------------------------------------------
+    def _row(self, key: tuple, page_type: int, corner: int) -> ReadBehaviour:
+        """One row, walked exactly; the grid caches it where the caller says."""
+        walk = self._walks.get(key)
+        if walk is None:
+            pe_cycles, retention_months = key
+            condition = OperatingCondition(
+                pe_cycles=pe_cycles,
+                retention_months=retention_months,
+                temperature_c=self.config.temperature_c,
             )
-            if reduced_walk.retry_steps is None:
-                signature = (default_steps, default_steps, True)
-            else:
-                signature = (default_steps, reduced_walk.retry_steps, False)
-        else:
-            signature = (default_steps, default_steps, False)
+            entry = self.rpt.entry_for(pe_cycles, retention_months)
+            walk = RowWalk(self.error_model, condition, entry.pre_reduction, self.retry_table)
+            while len(self._walks) >= self.max_conditions:
+                self._walks.popitem(last=False)
+            self._walks[key] = walk
+        chip, block = divmod(corner, self.blocks_per_chip)
+        signature = walk.row(page_type, self._variation.block_sample(chip=chip, block=block))
         behaviour = self._interned.get(signature)
         if behaviour is None:
-            behaviour = ReadBehaviour(*signature)
-            self._interned[signature] = behaviour
+            behaviour = self._interned[signature] = ReadBehaviour(*signature)
         return behaviour
 
 

@@ -1,14 +1,17 @@
-"""The retry-grid slabs a simulated device reads, built where it runs.
+"""The retry-grid slabs a simulated device reads, kept where it runs.
 
 Every read of a device preconditioned at (P/E, retention) is priced from one
 of two :class:`~repro.ssd.retry_grid.RetryStepGrid` slabs: its cold data at
-that pair, and data rewritten during the run at (P/E, 0).  The sweep and
-fleet runners call :func:`prefill_device_slabs` in two places.  The parent
-calls it for every condition before the pool forks, so fork-started workers
-inherit the slabs.  Each worker function calls it first thing for its own
-condition: after a fork it finds the slabs and does nothing, and it builds
-them where the worker started empty (spawn-only platforms build the slabs
-in each worker) or after the grid's LRU bound evicted them.
+that pair, and data rewritten during the run at (P/E, 0).  A slab's rows
+fill as reads first need them.  The sweep and fleet runners call
+:func:`prefill_device_slabs` in two places: the parent for every condition
+before the pool forks, and each worker function first thing for its own
+condition, which keeps the two slabs where the worker started without them
+(spawn-only platforms) or after the grid's LRU bound evicted them.  Either
+way the device's reads count as grid hits from the first.  A fleet parent
+whose shards go to forked workers calls :func:`fill_device_slabs` instead,
+which also computes every row of both slabs, so the workers inherit the rows
+rather than each computing the ones its reads need.
 """
 
 from __future__ import annotations
@@ -24,5 +27,15 @@ def prefill_device_slabs(
     pe_cycles: int,
     retention_months: float,
 ) -> None:
-    """Build, in this process, the slabs a device at (P/E, retention) reads."""
+    """Keep, in this process, the slabs a device at (P/E, retention) reads."""
     shared_grid(config, rpt).prefill([(pe_cycles, retention_months), (pe_cycles, 0.0)])
+
+
+def fill_device_slabs(
+    config: SsdConfig,
+    rpt: ReadTimingParameterTable,
+    pe_cycles: int,
+    retention_months: float,
+) -> None:
+    """Compute, in this process, every row of the slabs a device at (P/E, retention) reads."""
+    shared_grid(config, rpt).fill([(pe_cycles, retention_months), (pe_cycles, 0.0)])

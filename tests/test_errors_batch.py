@@ -20,10 +20,10 @@ from repro.errors import batch as batch_module
 from repro.errors.batch import BatchErrorModel, VariationArrays
 from repro.errors.timing import TimingReduction
 from repro.errors.variation import ProcessVariation, VariationSample
-from repro.nand.geometry import PageType
+from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
-from repro.ssd.retry_grid import RetryStepGrid
+from repro.ssd.retry_grid import RetryStepGrid, RowWalk
 
 _MODEL = CodewordErrorModel()
 _BATCH = BatchErrorModel(_MODEL)
@@ -255,11 +255,14 @@ def _lattice_queries(draw):
 
 
 class TestLatticeMatchesScalarRecipe:
-    """The early-exit lattice against the scalar recipe on any walk shape.
+    """The early-exit lattice and the retry grid's row walk against the
+    scalar recipe on any walk shape.
 
     Short tables exhaust the default walk and force the reduced-timing
     fallback; capability overrides move every stop step; corner and page
-    type subsets are what dispatch-time batches evaluate.
+    type subsets are what dispatch-time batches evaluate.  The row walk
+    (:class:`RowWalk`) prices the grid's rows one at a time and must agree
+    with both.
     """
 
     @settings(max_examples=80, deadline=None,
@@ -276,14 +279,19 @@ class TestLatticeMatchesScalarRecipe:
         lattice = _BATCH.read_behaviour_lattice(
             condition, variation, pre_reduction, page_types=page_types,
             table=table, capability=capability)
+        walk = RowWalk(_MODEL, condition, pre_reduction, table=table,
+                       capability=capability)
         assert tuple(lattice) == page_types
         for page_type, batch in lattice.items():
             assert len(batch) == len(variation)
             for index in range(len(variation)):
+                sample = variation.sample_at(index)
                 expected = _scalar_behaviour(
-                    condition, page_type, variation.sample_at(index),
-                    pre_reduction, table=table, capability=capability)
+                    condition, page_type, sample, pre_reduction, table=table,
+                    capability=capability)
                 assert _lattice_entry(batch, index) == expected
+                row = walk.row(PAGE_TYPE_ORDER.index(page_type), sample)
+                assert row == expected
 
 
 conditions = st.builds(

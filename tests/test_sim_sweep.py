@@ -236,9 +236,10 @@ class TestValidation:
 
 
 class TestSlabPrefill:
-    """Both runners build every device's slabs in the parent before any
+    """Both runners keep every device's slabs in the parent before any
     device runs, so forked workers inherit them; a worker that starts
-    without them (spawn, or an LRU eviction) builds its own."""
+    without them (spawn, or an LRU eviction) keeps its own.  A fleet parent
+    whose shards go to forked workers also fills every row of them."""
 
     CONDITIONS = (Condition(1000, 6.0), Condition(2000, 12.0))
     COLD_AND_REWRITTEN = [{(1000, 6.0), (1000, 0.0)}, {(2000, 12.0), (2000, 0.0)}]
@@ -298,6 +299,25 @@ class TestSlabPrefill:
             WorkloadSpec(name="usr_1", num_requests=40, seed=3), policies="Baseline")
         assert seen[0] == set.union(*self.COLD_AND_REWRITTEN)
 
+    @staticmethod
+    def _rows_after_a_fleet_run(config, processes):
+        spec = FleetSpec(devices=2, stripe_unit_pages=2, config=config,
+                         condition=Condition(1000, 6.0))
+        FleetRunner(spec, processes=processes).run(
+            WorkloadSpec(name="usr_1", num_requests=40, seed=3), policies="PnAR2")
+        slabs = shared_grid(config, ReadTimingParameterTable.default())._slabs
+        return [behaviour for key in ((1000, 6.0), (1000, 0.0))
+                for row in slabs[key] for behaviour in row]
+
+    def test_a_forking_fleet_parent_fills_every_row(self, tiny_config):
+        rows = self._rows_after_a_fleet_run(tiny_config, processes=2)
+        assert None not in rows
+
+    def test_a_serial_fleet_parent_fills_only_the_rows_it_reads(self, tiny_config):
+        rows = self._rows_after_a_fleet_run(tiny_config, processes=1)
+        assert None in rows
+        assert any(behaviour is not None for behaviour in rows)
+
     def test_a_sweep_cell_without_slabs_builds_its_own(self, tiny_config, monkeypatch):
         run_cell = sweep_module._run_cell
 
@@ -344,6 +364,13 @@ class TestWorkerPool:
             assert pool._pool is pool_process
         assert first == delivered == [9, 1, 4]
         assert second == [16, 25]
+
+    def test_parallel_reports_where_submit_runs(self):
+        with WorkerPool(2) as pool:
+            assert pool.parallel(2)
+            assert not pool.parallel(1)
+            assert pool._pool is None
+        assert not WorkerPool(1).parallel(8)
 
     def test_pool_map_maps_nothing_and_one_payload_serially(self):
         assert pool_map(_square, [], 4) == []

@@ -1,4 +1,4 @@
-"""The retry-step grid: slab building, lazy promotion, eviction, sharing."""
+"""The retry-step grid: rows on demand, lazy promotion, eviction, sharing."""
 
 import pickle
 from collections import OrderedDict
@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.rpt import ReadTimingParameterTable
+from repro.errors.batch import BatchErrorModel
+from repro.errors.condition import OperatingCondition
 from repro.errors.variation import ProcessVariation
 from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.nand.voltage import ReadRetryTable
@@ -21,7 +23,7 @@ from repro.ssd.retry_grid import (
     rpt_fingerprint,
     shared_grid,
 )
-from repro.ssd.slab_transport import prefill_device_slabs
+from repro.ssd.slab_transport import fill_device_slabs, prefill_device_slabs
 
 
 @pytest.fixture()
@@ -59,14 +61,84 @@ class TestGridGeometry:
             chip=chip, block=block)
 
 
-class TestSlabLifecycle:
-    def test_prefill_builds_vectorized_slab(self, grid):
+class TestRowsMatchTheLattice:
+    """Every row the read path computes equals the vectorized lattice's."""
+
+    @pytest.mark.parametrize("config", [SsdConfig.tiny(), SsdConfig.scaled()],
+                             ids=["tiny", "scaled"])
+    @pytest.mark.parametrize("condition", [(1000, 6.0), (2000, 12.0),
+                                           (1000, 0.0), (3000, 24.0)])
+    def test_every_row(self, config, condition, default_rpt):
+        grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=1)
+        pe_cycles, retention_months = condition
+        lattice = BatchErrorModel(grid.error_model).read_behaviour_lattice(
+            OperatingCondition(pe_cycles, retention_months, config.temperature_c),
+            grid.variation_arrays(),
+            default_rpt.entry_for(pe_cycles, retention_months).pre_reduction,
+            table=grid.retry_table)
+        for page_type, kind in enumerate(PAGE_TYPE_ORDER):
+            batch = lattice[kind]
+            for corner in range(grid.corner_count):
+                read, from_grid = grid.behaviour_at(page_type, pe_cycles,
+                                                    retention_months, corner)
+                assert from_grid
+                assert (read.retry_steps, read.retry_steps_reduced,
+                        read.reduced_timing_fallback) == (
+                    batch.retry_steps[corner],
+                    batch.retry_steps_reduced[corner],
+                    batch.reduced_timing_fallback[corner])
+        assert grid.cache_size == len(PAGE_TYPE_ORDER) * grid.corner_count
+
+
+class TestRowsOnDemand:
+    def test_one_read_fills_one_row(self, grid):
+        read, from_grid = behaviour(grid, PageType.CSB, 1000, 6.0, 0, 3)
+        assert from_grid and read.retry_steps > 0
+        assert (grid.cached_conditions, grid.cache_size) == (1, 1)
+        behaviour(grid, PageType.CSB, 1000, 6.0, 0, 3)
+        assert grid.cache_size == 1
+        behaviour(grid, PageType.MSB, 1000, 6.0, 0, 3)
+        assert grid.cache_size == 2
+
+    def test_one_scalar_read_fills_one_row(self, config, default_rpt):
+        grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=10_000)
+        _, from_grid = behaviour(grid, PageType.LSB, 2000, 12.0, 1, 9)
+        assert not from_grid
+        assert (grid.cached_conditions, grid.scalar_memo_size,
+                grid.cache_size) == (0, 1, 1)
+
+    def test_the_read_path_never_builds_a_whole_device_pass(
+            self, config, default_rpt, monkeypatch):
+        def whole_device(*args, **kwargs):
+            raise AssertionError("a whole-device pass on the read path")
+
+        monkeypatch.setattr(BatchErrorModel, "read_behaviour_lattice",
+                            whole_device)
+        monkeypatch.setattr(RetryStepGrid, "variation_arrays", whole_device)
+        clear_shared_grids()
+        try:
+            simulator = SsdSimulator(config, policy="PnAR2", rpt=default_rpt)
+            simulator.precondition(pe_cycles=1000, retention_months=6.0)
+            requests = [HostRequest(i * 50.0, RequestKind.READ, i * 5)
+                        for i in range(40)]
+            assert simulator.run(requests).metrics.pages_read == 40
+            grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=2)
+            for query in range(4):
+                behaviour(grid, PageType.MSB, 2000, 12.0, 0, query)
+            assert grid.cached_conditions == 1
+        finally:
+            clear_shared_grids()
+
+    def test_prefill_keeps_a_slab_that_fills_on_demand(self, grid):
         grid.prefill([(1000, 6.0)])
-        assert grid.cached_conditions == 1
-        assert grid.slab_builds == 1
+        assert (grid.cached_conditions, grid.slab_builds, grid.cache_size) == (1, 1, 0)
         read, from_grid = behaviour(grid, PageType.CSB, 1000, 6.0, 0, 3)
         assert from_grid
         assert read.retry_steps > 0
+        assert grid.cache_size == 1
+
+
+class TestSlabLifecycle:
 
     def test_grid_matches_scalar_fallback(self, config, default_rpt):
         """The slab and the scalar path must agree behaviour-for-behaviour."""
@@ -106,6 +178,17 @@ class TestSlabLifecycle:
         for block in range(8):
             behaviour(grid, PageType.CSB, 1000, 6.0, 0, block)
         assert grid.scalar_memo_size <= 5
+
+    @pytest.mark.parametrize("promote_threshold", [1, 10_000])
+    def test_walk_constants_are_bounded(self, config, default_rpt,
+                                        promote_threshold):
+        grid = RetryStepGrid(config, rpt=default_rpt,
+                             promote_threshold=promote_threshold,
+                             max_conditions=2)
+        for pe_cycles in (100, 200, 300, 400):
+            behaviour(grid, PageType.CSB, pe_cycles, 6.0, 0, 0)
+            assert grid.cached_walks <= 2
+        assert grid.cached_walks == 2
 
 
 class TestSlabRecency:
@@ -197,7 +280,8 @@ class TestSharedGrids:
 
 
 class TestDeviceSlabPrefill:
-    """prefill_device_slabs builds a device's two slabs in the shared grid."""
+    """prefill_device_slabs keeps a device's two slabs in the shared grid;
+    fill_device_slabs also computes their rows."""
 
     @pytest.fixture(autouse=True)
     def _no_shared_grids(self):
@@ -242,6 +326,16 @@ class TestDeviceSlabPrefill:
         # Worker payloads carry an unpickled copy of the runner's RPT.
         prefill_device_slabs(config, pickle.loads(pickle.dumps(default_rpt)), 1000, 6.0)
         assert shared_grid(config, default_rpt).cached_conditions == 2
+
+    def test_prefill_computes_no_row_and_fill_every_row(self, config, default_rpt):
+        prefill_device_slabs(config, default_rpt, 1000, 6.0)
+        grid = shared_grid(config, default_rpt)
+        assert grid.cache_size == 0
+        behaviour(grid, PageType.CSB, 1000, 6.0, 0, 3)
+        fill_device_slabs(config, default_rpt, 1000, 6.0)
+        assert set(grid._slabs) == {(1000, 6.0), (1000, 0.0)}
+        assert grid.slab_builds == 2
+        assert grid.cache_size == 2 * len(PAGE_TYPE_ORDER) * grid.corner_count
 
 
 class TestSimulatorIntegration:
