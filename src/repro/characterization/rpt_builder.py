@@ -9,7 +9,9 @@ to 54% under the best (Figure 11).
 
 This module performs that profiling against the calibrated error model and
 produces the :class:`repro.core.rpt.ReadTimingParameterTable` the SSD
-controller queries at run time.
+controller queries at run time.  The controller reads a shipped copy of it,
+:data:`repro.core.rpt.DEFAULT_RPT_PROFILE`, which
+``scripts/generate_default_rpt.py`` regenerates from :func:`build_rpt`.
 """
 
 from __future__ import annotations

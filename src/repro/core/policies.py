@@ -13,12 +13,18 @@ serves:
    reduced sensing latency enter, via :class:`repro.core.latency.ReadLatencyModel`.
 
 Policies are stateless strategy objects, so one instance can be shared by
-every die of a simulated SSD.
+every die of a simulated SSD.  A read's price is a pure function of the
+policy's :meth:`~ReadRetryPolicy.pricing_identity` and the read's steps,
+page type and condition, so every policy of one identity in a process
+shares one memo of prices (:meth:`~ReadRetryPolicy.shared_breakdown`):
+the devices of a sweep cell or of a fleet worker compute each price once
+between them.
 """
 
 from __future__ import annotations
 
 import abc
+from collections import OrderedDict
 from typing import Dict, Tuple
 
 from repro.core.latency import ReadLatencyBreakdown, ReadLatencyModel
@@ -27,6 +33,38 @@ from repro.errors.condition import OperatingCondition
 from repro.nand.geometry import PageType
 from repro.nand.timing import TimingParameters
 from repro.sim.registry import DEFAULT_REGISTRY, register_policy
+
+#: Bounds on the process-wide price memo: how many pricing identities it
+#: keeps (least recently used evicted first) and how many prices it keeps
+#: per identity (first in, first out).
+MAX_PRICING_IDENTITIES = 16
+MAX_PRICES_PER_IDENTITY = 4096
+
+#: pricing identity -> {(required steps, page type, condition): breakdown}.
+_SHARED_PRICES: "OrderedDict[tuple, Dict[tuple, ReadLatencyBreakdown]]" = OrderedDict()
+
+#: Instance attributes that are not pricing parameters: the latency model
+#: is derived from ``timing``, the RPT enters through its identity, and
+#: ``_prices`` is the policy's memo.
+_NOT_PRICING_PARAMETERS = ("latency_model", "_rpt", "_prices")
+
+
+def _prices_for(policy: "ReadRetryPolicy") -> Dict[tuple, ReadLatencyBreakdown]:
+    """The process-wide price memo of ``policy``'s pricing identity."""
+    identity = policy.pricing_identity()
+    try:
+        prices = _SHARED_PRICES.get(identity)
+    except TypeError:
+        # An unhashable parameter: this policy keeps its prices to itself.
+        return {}
+    if prices is None:
+        prices = {}
+        while len(_SHARED_PRICES) >= MAX_PRICING_IDENTITIES:
+            _SHARED_PRICES.popitem(last=False)
+        _SHARED_PRICES[identity] = prices
+    else:
+        _SHARED_PRICES.move_to_end(identity)
+    return prices
 
 
 class ReadRetryPolicy(abc.ABC):
@@ -40,6 +78,7 @@ class ReadRetryPolicy(abc.ABC):
         self.timing = timing or TimingParameters()
         self.latency_model = ReadLatencyModel(self.timing)
         self._rpt = rpt
+        self._prices = None
 
     # -- behaviour ---------------------------------------------------------------
     def effective_retry_steps(self, required_steps: int,
@@ -56,6 +95,45 @@ class ReadRetryPolicy(abc.ABC):
     def read_breakdown(self, required_steps: int, page_type: PageType,
                        condition: OperatingCondition) -> ReadLatencyBreakdown:
         """Latency/occupancy breakdown of one read under this policy."""
+
+    # -- shared prices -------------------------------------------------------------
+    def pricing_identity(self) -> tuple:
+        """Everything this policy's read prices depend on, as one hashable value.
+
+        The class, every instance attribute (the timing parameters, and
+        parameters such as PSO's ``mechanism``, ``step_fraction`` and
+        ``min_steps``) but the latency model derived from the timing, and
+        the RPT's :meth:`~repro.core.rpt.ReadTimingParameterTable.identity`
+        in place of the table: its bin edges, per-bin reductions and
+        default timing.  A read's steps, page type and condition (with its
+        temperature) complete a price's key.
+        """
+        parameters = tuple(sorted(
+            (name, value) for name, value in vars(self).items()
+            if name not in _NOT_PRICING_PARAMETERS))
+        return (type(self), parameters, self.rpt.identity())
+
+    def shared_breakdown(self, required_steps: int, page_type: PageType,
+                         condition: OperatingCondition) -> ReadLatencyBreakdown:
+        """:meth:`read_breakdown` through the process-wide price memo.
+
+        Computes each price once per process for each
+        :meth:`pricing_identity`; the memo is bounded by
+        :data:`MAX_PRICING_IDENTITIES` and :data:`MAX_PRICES_PER_IDENTITY`.
+        The policy looks its memo up at its first price and keeps it,
+        since its parameters do not change after construction.
+        """
+        prices = self._prices
+        if prices is None:
+            prices = self._prices = _prices_for(self)
+        key = (required_steps, page_type, condition)
+        breakdown = prices.get(key)
+        if breakdown is None:
+            breakdown = self.read_breakdown(required_steps, page_type, condition)
+            if len(prices) >= MAX_PRICES_PER_IDENTITY:
+                del prices[next(iter(prices))]
+            prices[key] = breakdown
+        return breakdown
 
     # -- AR2 helpers ----------------------------------------------------------------
     @property

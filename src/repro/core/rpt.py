@@ -8,9 +8,14 @@ table indexed by P/E-cycle count and retention age (Section 6.2,
 Figure 13); with 36 (PEC, retention) combinations the table costs only about
 144 bytes per chip.
 
-This module provides the table data structure and its default construction
-from the calibrated error model (the "offline profiling" step, implemented
-in :mod:`repro.characterization.rpt_builder`).
+This module provides the table data structure and ships the default table
+as data, :data:`DEFAULT_RPT_PROFILE`, the way a manufacturer ships the
+table it profiled offline with the controller.  No simulation profiles it:
+:func:`repro.characterization.rpt_builder.build_rpt` is the profiling step
+(Figure 11), run against the calibrated error model, and
+``scripts/generate_default_rpt.py`` prints its result in this module's
+format (``--check`` exits 1 when the shipped table differs from a fresh
+profile).
 """
 
 from __future__ import annotations
@@ -31,6 +36,65 @@ DEFAULT_PEC_BIN_EDGES = (250, 500, 1000, 1500, 2000)
 #: Upper edges of the default retention-age bins, in months (up to the
 #: one-year retention requirement of JESD218 the paper profiles against).
 DEFAULT_RETENTION_BIN_EDGES_MONTHS = (0.25, 1.0, 2.0, 3.0, 6.0, 9.0, 12.0)
+
+#: The shipped default table: ``(pre_reduction, margin_bits)`` of every
+#: retention bin, one row per P/E-cycle bin, as
+#: :func:`repro.characterization.rpt_builder.build_rpt` profiles it over the
+#: default bin edges and read timing (each bin at its upper edges, 30 degC).
+#: Generated by ``scripts/generate_default_rpt.py``; keep it in step with
+#: the error model by regenerating it, never by hand.
+DEFAULT_RPT_PROFILE = (
+    # P/E cycles up to 250
+    (
+        (0.54, 17.886210177826484),  # retention up to 0.25 months
+        (0.47, 37.13295236816614),  # 1 months
+        (0.47, 34.29098525809526),  # 2 months
+        (0.47, 31.19326438254388),  # 3 months
+        (0.47, 27.71470765414385),  # 6 months
+        (0.47, 23.851191037425167),  # 9 months
+        (0.47, 20.778739593621843),  # 12 months
+    ),
+    # P/E cycles up to 500
+    (
+        (0.47, 37.250551426459005),  # retention up to 0.25 months
+        (0.47, 33.747424443596444),  # 1 months
+        (0.47, 30.795249438981063),  # 2 months
+        (0.47, 28.96201502140621),  # 3 months
+        (0.47, 23.984781915313725),  # 6 months
+        (0.47, 20.257709619011433),  # 9 months
+        (0.47, 17.73368399700193),  # 12 months
+    ),
+    # P/E cycles up to 1000
+    (
+        (0.47, 33.29133972965612),  # retention up to 0.25 months
+        (0.47, 29.938831274285114),  # 1 months
+        (0.47, 25.250861365485008),  # 2 months
+        (0.47, 23.879327851977408),  # 3 months
+        (0.47, 17.45022663090053),  # 6 months
+        (0.47, 14.230467329728768),  # 9 months
+        (0.4, 27.64307166043953),  # 12 months
+    ),
+    # P/E cycles up to 1500
+    (
+        (0.47, 29.5410164132513),  # retention up to 0.25 months
+        (0.47, 24.621788750192543),  # 1 months
+        (0.47, 20.46653987744024),  # 2 months
+        (0.47, 18.33774515796339),  # 3 months
+        (0.4, 28.496282353626214),  # 6 months
+        (0.4, 26.088398673778638),  # 9 months
+        (0.4, 22.07650074740085),  # 12 months
+    ),
+    # P/E cycles up to 2000
+    (
+        (0.47, 25.81682372424536),  # retention up to 0.25 months
+        (0.47, 20.51784378073715),  # 1 months
+        (0.47, 15.883952029927425),  # 2 months
+        (0.4, 29.240362603834008),  # 3 months
+        (0.4, 24.863571476707687),  # 6 months
+        (0.4, 22.13497402074782),  # 9 months
+        (0.4, 19.088955596368212),  # 12 months
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -74,6 +138,13 @@ class ReadTimingParameterTable:
                 f"({len(self._pec_edges)} PEC bins x "
                 f"{len(self._retention_edges)} retention bins), "
                 f"got {len(self._entries)}")
+        timing = self._default_timing
+        self._identity = (
+            self._pec_edges,
+            self._retention_edges,
+            tuple((key, entry.pre_reduction) for key, entry in self.iter_entries()),
+            (timing.t_pre_us, timing.t_eval_us, timing.t_disch_us),
+        )
 
     # -- bin arithmetic -----------------------------------------------------------
     @property
@@ -83,6 +154,23 @@ class ReadTimingParameterTable:
     @property
     def retention_bin_edges_months(self) -> Tuple[float, ...]:
         return self._retention_edges
+
+    @property
+    def default_timing(self) -> ReadTimingParameters:
+        """The read timing the table's reductions apply to."""
+        return self._default_timing
+
+    def identity(self) -> tuple:
+        """Hashable value identity of everything a read takes from the table.
+
+        The bin edges, every bin's ``pre_reduction`` (in bin order) and the
+        default timing's three phases, which :meth:`reduced_timing_for`
+        reduces.  Two tables with the same identity price every read alike.
+        It is nested tuples of numbers, so a checkpoint key can hold it as
+        JSON.  The first three parts are all a retry-step grid depends on
+        (:func:`repro.ssd.retry_grid.rpt_fingerprint`).
+        """
+        return self._identity
 
     def pec_bin(self, pe_cycles: int) -> int:
         """Index of the P/E-cycle bin containing ``pe_cycles``."""
@@ -147,15 +235,25 @@ class ReadTimingParameterTable:
 
     @classmethod
     def default(cls) -> "ReadTimingParameterTable":
-        """The RPT built from the calibrated error model (cached).
+        """The shipped RPT, :data:`DEFAULT_RPT_PROFILE` (cached).
 
-        Equivalent to the offline profiling step an SSD manufacturer would
-        run per chip; see :mod:`repro.characterization.rpt_builder`.
+        The table the offline profiling step
+        (:func:`repro.characterization.rpt_builder.build_rpt`) gives over
+        the default bin edges and read timing, read from data: building it
+        imports nothing and profiles nothing.  Each entry's ``t_pre_us`` is
+        computed as the profiler computes it, so the table equals a fresh
+        ``build_rpt()`` entry for entry (``tests/test_characterization.py``).
         """
         if cls._default_cache is None:
-            from repro.characterization.rpt_builder import build_rpt
-
-            cls._default_cache = build_rpt()
+            timing = ReadTimingParameters()
+            entries = {}
+            for pec_bin, row in enumerate(DEFAULT_RPT_PROFILE):
+                for retention_bin, (reduction, margin) in enumerate(row):
+                    entries[(pec_bin, retention_bin)] = RptEntry(
+                        pre_reduction=reduction,
+                        t_pre_us=timing.t_pre_us * (1.0 - reduction),
+                        margin_bits=margin)
+            cls._default_cache = cls(entries, default_timing=timing)
         return cls._default_cache
 
     @classmethod

@@ -10,7 +10,7 @@ machine-checks them with a small AST rule engine:
 
 * :mod:`repro.lint.engine` — :class:`Rule` base class, :class:`Finding`,
   and the :class:`LintEngine` that walks the configured paths;
-* :mod:`repro.lint.rules` — the six project-specific rules;
+* :mod:`repro.lint.rules` — the nine project-specific rules;
 * :mod:`repro.lint.config` — ``[tool.repro-lint]`` in ``pyproject.toml``;
 * :mod:`repro.lint.pragmas` — inline ``# repro-lint: disable=<rule>``;
 * :mod:`repro.lint.cli` — the ``repro-lint`` console script

@@ -3,6 +3,7 @@
 from repro.lint.rules.counter_registration import CounterRegistrationRule
 from repro.lint.rules.dict_order_pool import NoDictOrderAcrossPoolRule
 from repro.lint.rules.global_random import NoGlobalRandomRule
+from repro.lint.rules.one_pool_primitive import OnePoolPrimitiveRule
 from repro.lint.rules.pickle_safe_pool import PickleSafePoolRule
 from repro.lint.rules.registration_sync import ExperimentRegistrationSyncRule
 from repro.lint.rules.seed_param import ExperimentSeedParamRule
@@ -17,6 +18,7 @@ RULE_CLASSES = (
     CounterRegistrationRule,
     PickleSafePoolRule,
     NoDictOrderAcrossPoolRule,
+    OnePoolPrimitiveRule,
     ExperimentRegistrationSyncRule,
     ExperimentSeedParamRule,
 )

@@ -70,7 +70,10 @@ tractable):
   :class:`~repro.experiments.store.CheckpointStore`, keyed by (schema
   version, fleet spec, source in its
   :func:`~repro.workloads.source.source_to_dict` form, policy, shard
-  index).  A killed run resumes mid-fleet — checkpointed shards are
+  index, and a given RPT's
+  :meth:`~repro.core.rpt.ReadTimingParameterTable.identity`: its bin
+  edges, per-bin reductions and default timing, everything a read's price
+  takes from it).  A killed run resumes mid-fleet — checkpointed shards are
   folded back in the original device order, which makes the resumed
   result *bitwise-identical* to an
   uninterrupted run (the fold is Neumaier-compensated and therefore not
@@ -96,7 +99,6 @@ from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SimulationResult
 from repro.ssd.faults import FaultPlan
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import HostRequest
-from repro.ssd.retry_grid import rpt_fingerprint
 from repro.ssd.slab_transport import fill_device_slabs, prefill_device_slabs
 from repro.workloads.router import RequestSpool, StripeRouter
 from repro.workloads.source import as_workload_source, source_to_dict
@@ -582,7 +584,7 @@ class FleetRunner:
                 "source": manifest_source,
                 "lookahead": lookahead,
                 "faults": fault_plan.to_dict() if fault_plan else None,
-                "rpt": rpt_fingerprint(self.rpt) if self.rpt is not None else None,
+                "rpt": self.rpt.identity() if self.rpt is not None else None,
             }
             if explicit:
                 base_params["requests_digest"] = _requests_digest(source)
@@ -839,7 +841,7 @@ class SloCapacitySearch:
             "max_probes": self.max_probes,
             "kind": self.kind,
             "start_rate_rps": start_rate_rps,
-            "rpt": rpt_fingerprint(runner.rpt) if runner.rpt is not None else None,
+            "rpt": runner.rpt.identity() if runner.rpt is not None else None,
         }
 
     def find(

@@ -120,7 +120,7 @@ class WorkerPool:
             context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
             gc.freeze()
             try:
-                self._pool = context.Pool(self.processes)
+                self._pool = context.Pool(self.processes)  # repro-lint: disable=one-pool-primitive
             finally:
                 gc.unfreeze()
         return self._pool.imap(func, payloads, chunksize)

@@ -787,11 +787,13 @@ class SsdSimulator:
             steps = behaviour.retry_steps_reduced
         else:
             steps = behaviour.retry_steps
-        # The one breakdown memo: a breakdown is a pure function of the
+        # The per-read fast path: a breakdown is a pure function of the
         # policy, the temperature (both fixed per simulator), the steps, the
-        # page type and the condition.  A first read under any new (P/E,
-        # retention) always misses here, so the condition-diversity counter
-        # (``len(self._condition_cache)``) still sees every distinct
+        # page type and the condition.  A miss asks the policy's
+        # process-wide price memo, which other simulators of the same
+        # pricing identity may already have filled.  A first read under any
+        # new (P/E, retention) always misses here, so the condition-diversity
+        # counter (``len(self._condition_cache)``) still sees every distinct
         # condition.
         breakdown_key = (steps, page_type, pe_cycles, retention)
         breakdown = self._breakdown_cache.get(breakdown_key)
@@ -803,7 +805,7 @@ class SsdSimulator:
                     pe_cycles=pe_cycles, retention_months=retention,
                     temperature_c=self.config.temperature_c)
                 self._condition_cache[condition_key] = condition
-            breakdown = self.policy.read_breakdown(
+            breakdown = self.policy.shared_breakdown(
                 steps, PAGE_TYPE_ORDER[page_type], condition)
             self._breakdown_cache[breakdown_key] = breakdown
         response_us = breakdown.response_us

@@ -72,16 +72,15 @@ def rpt_fingerprint(rpt: ReadTimingParameterTable) -> tuple:
     """Hashable value identity of an RPT's behaviour-relevant content.
 
     Two RPTs with the same fingerprint produce identical read behaviours
-    (only the per-bin ``pre_reduction`` enters the error model), so the
-    fingerprint — not object identity — keys the process-wide grid cache.
-    Object identity would go stale across pickling boundaries: sweep
-    workers unpickle a fresh RPT object per payload.
+    (only the bin edges and the per-bin ``pre_reduction`` enter the error
+    model), so the fingerprint — not object identity — keys the
+    process-wide grid cache.  Object identity would go stale across
+    pickling boundaries: sweep workers unpickle a fresh RPT object per
+    payload.  It is the table's :meth:`~ReadTimingParameterTable.identity`
+    without the default timing, which read prices depend on and read
+    behaviours do not.
     """
-    return (
-        rpt.pec_bin_edges,
-        rpt.retention_bin_edges_months,
-        tuple((key, entry.pre_reduction) for key, entry in rpt.iter_entries()),
-    )
+    return rpt.identity()[:3]
 
 
 @functools.lru_cache(maxsize=16)

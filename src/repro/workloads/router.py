@@ -27,6 +27,9 @@ spool across its shards and policies holds the run's sub-requests in
 compact form.  :meth:`StripeRouter.split` and ``route`` share one
 run-coalescing walk; :meth:`StripeRouter.shard` is the lazy single-device
 filter of the same split, and tests hold ``route`` to it as the reference.
+``route`` places a request that fits in one stripe unit of an unmirrored
+array directly, since it is one run on one device; most requests of a
+small-request workload take that path.
 
 Sub-requests preserve the parent's arrival time and ``queue_id`` (the
 tenant tag), so per-device arrival order — and therefore the simulator's
@@ -221,12 +224,34 @@ class StripeRouter:
         sub-request object built.  Iterating ``route(stream, devices)[d]``
         yields the requests of ``shard(stream, d)``, but the stream is read
         once for all of ``devices`` instead of once per device.
+
+        A request of an unmirrored array that fits in one stripe unit is
+        one run whatever its kind: it goes straight to the unit's device,
+        at the unit's local slot plus its offset, without the coalescing
+        walk of :meth:`_runs`.
         """
         spools: Dict[int, RequestSpool] = {}
         for device in devices:
             self._check_device(device)
             spools[device] = RequestSpool()
+        unit = self.stripe_unit_pages
+        fleet = self.devices
+        unmirrored = self.replication == 1
         for request in stream:
+            lpn = int(request.start_lpn)
+            offset = lpn % unit
+            if unmirrored and offset + request.page_count <= unit:
+                group, device = divmod(lpn // unit, fleet)
+                spool = spools.get(device)
+                if spool is not None:
+                    spool.append(
+                        request.arrival_us,
+                        request.kind,
+                        group * unit + offset,
+                        request.page_count,
+                        request.queue_id,
+                    )
+                continue
             for device, local_start, page_count in self._runs(request):
                 spool = spools.get(device)
                 if spool is not None:

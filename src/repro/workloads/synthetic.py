@@ -178,10 +178,13 @@ class SyntheticWorkload:
         read_ratio = shape.read_ratio
         sequential_fraction = shape.sequential_fraction
         geometric_p = 1.0 / max(1.0, shape.mean_request_pages)
+        cold_ratio = shape.cold_ratio
         kind_read = RequestKind.READ
         kind_write = RequestKind.WRITE
-        pick_start = self._pick_start
-        clamp = self._clamp
+        zipf_index = self._zipf_index
+        footprint_pages = self.footprint_pages
+        cold_pages = self._cold_pages
+        update_end = cold_pages + update_pages
 
         for _ in range(num_requests):
             time_us += float(rng_exponential(mean_interarrival_us))
@@ -194,10 +197,25 @@ class SyntheticWorkload:
                           and rng_random() < sequential_fraction)
             if sequential:
                 start_lpn = previous_end_lpn
+            elif is_read and rng_random() < cold_ratio:
+                # Cold region: pages written once (by preconditioning) and
+                # never updated, so they carry the experiment's long
+                # retention age.
+                start_lpn = zipf_index(rng, cold_pages)
             else:
-                start_lpn = pick_start(rng, is_read, update_pages)
-            start_lpn, page_count = clamp(start_lpn, page_count, is_read,
-                                          update_pages)
+                # Hot reads and all writes target the update set, which is
+                # sized so that its pages really are rewritten during the run.
+                start_lpn = cold_pages + zipf_index(rng, update_pages)
+            # Clamp into the footprint; writes stay inside the update set so
+            # cold pages remain cold (never updated), which is what defines
+            # the cold ratio.
+            if is_read:
+                limit = footprint_pages
+                start_lpn = max(0, min(start_lpn, limit - 1))
+            else:
+                limit = update_end
+                start_lpn = max(cold_pages, min(start_lpn, limit - 1))
+            page_count = max(1, min(page_count, limit - start_lpn))
 
             yield HostRequest(
                 arrival_us=time_us,
@@ -209,17 +227,6 @@ class SyntheticWorkload:
             previous_was_read = is_read
 
     # -- address selection -----------------------------------------------------------------
-    def _pick_start(self, rng: np.random.Generator, is_read: bool,
-                    update_pages: int) -> int:
-        shape = self.shape
-        if is_read and rng.random() < shape.cold_ratio:
-            # Cold region: pages written once (by preconditioning) and never
-            # updated, so they carry the experiment's long retention age.
-            return int(self._zipf_index(rng, self._cold_pages))
-        # Hot reads and all writes target the update set, which is sized so
-        # that its pages really are rewritten during the run.
-        return self._cold_pages + int(self._zipf_index(rng, update_pages))
-
     def _zipf_index(self, rng: np.random.Generator, region_pages: int) -> int:
         """Inverse-CDF sample of a bounded Zipf(theta) popularity law.
 
@@ -240,19 +247,6 @@ class SyntheticWorkload:
             rank = ((n ** exponent - 1.0) * u + 1.0) ** (1.0 / exponent)
         index = int(rank) - 1
         return max(0, min(region_pages - 1, index))
-
-    def _clamp(self, start_lpn: int, page_count: int, is_read: bool,
-               update_pages: int):
-        if is_read:
-            limit = self.footprint_pages
-            start_lpn = max(0, min(start_lpn, limit - 1))
-        else:
-            # Writes must stay inside the update set so cold pages remain
-            # cold (never updated), which is what defines the cold ratio.
-            limit = self._cold_pages + update_pages
-            start_lpn = max(self._cold_pages, min(start_lpn, limit - 1))
-        page_count = min(page_count, limit - start_lpn)
-        return start_lpn, max(1, page_count)
 
     # -- measured characteristics -------------------------------------------------------------
     def measured_ratios(self, requests: List[HostRequest]) -> dict:

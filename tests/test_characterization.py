@@ -1,5 +1,8 @@
 """Tests for the virtual characterization platform and figure sweeps."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,9 +27,27 @@ from repro.characterization.timing_sweep import (
     individual_parameter_sweep,
     temperature_sweep,
 )
+from repro.core import rpt as rpt_module
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.condition import OperatingCondition
 from repro.errors.timing import TimingReduction
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+GENERATOR = REPO_ROOT / "scripts" / "generate_default_rpt.py"
+RPT_SOURCE = REPO_ROOT / "src" / "repro" / "core" / "rpt.py"
+
+STALE_RPT = ("the shipped default RPT (DEFAULT_RPT_PROFILE in src/repro/core/rpt.py) "
+             "is not what build_rpt() profiles; regenerate it with "
+             "PYTHONPATH=src python scripts/generate_default_rpt.py")
+
+
+@pytest.fixture(scope="module")
+def generator():
+    spec = importlib.util.spec_from_file_location("generate_default_rpt", GENERATOR)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def _scalar_final_step_errors(platform, condition, timing_reduction=None):
@@ -209,8 +230,14 @@ class TestRptBuilder:
                 24.0 * (1.0 - row["max_pre_reduction_pct"] / 100.0), rel=1e-6)
 
     def test_build_rpt_equals_scalar_profiling(self, monkeypatch):
-        """Every entry equals one profiled with the per-page scalar loop."""
-        batched = [build_rpt(), ReadTimingParameterTable.default()]
+        """Every entry equals one profiled with the per-page scalar loop,
+        and the shipped default table is the one ``build_rpt()`` profiles."""
+        profiled = build_rpt()
+        shipped = ReadTimingParameterTable.default()
+        assert shipped.pec_bin_edges == profiled.pec_bin_edges, STALE_RPT
+        assert (shipped.retention_bin_edges_months
+                == profiled.retention_bin_edges_months), STALE_RPT
+        assert shipped.default_timing == profiled.default_timing, STALE_RPT
 
         def scalar_max(platform, condition, timing_reduction=None,
                        quantile=1.0):
@@ -221,13 +248,32 @@ class TestRptBuilder:
                             scalar_max)
         scalar = list(build_rpt().iter_entries())
         assert len(scalar) == 35
-        for rpt in batched:
+        for rpt, message in ((profiled, "batched profiling left the scalar loop"),
+                             (shipped, STALE_RPT)):
             entries = list(rpt.iter_entries())
             assert [key for key, _ in entries] == [key for key, _ in scalar]
             for (_, entry), (_, oracle) in zip(entries, scalar):
-                assert entry.pre_reduction == oracle.pre_reduction
-                assert entry.t_pre_us == oracle.t_pre_us
-                assert entry.margin_bits == oracle.margin_bits
+                assert entry.pre_reduction == oracle.pre_reduction, message
+                assert entry.t_pre_us == oracle.t_pre_us, message
+                assert entry.margin_bits == oracle.margin_bits, message
+
+    def test_generator_prints_the_shipped_data(self, generator):
+        printed = generator.render(build_rpt())
+        assert printed in RPT_SOURCE.read_text(), STALE_RPT
+        namespace = {}
+        exec(printed, namespace)
+        assert namespace["DEFAULT_RPT_PROFILE"] == rpt_module.DEFAULT_RPT_PROFILE
+
+    def test_generator_check_fails_on_a_stale_table(self, generator, capsys,
+                                                    monkeypatch):
+        assert generator.main(["--check"]) == 0
+        assert capsys.readouterr().out == ""
+        monkeypatch.setattr(ReadTimingParameterTable, "_default_cache",
+                            ReadTimingParameterTable.conservative(0.40))
+        assert generator.main(["--check"]) == 1
+        report = capsys.readouterr().out
+        assert "bin (0, 0)" in report
+        assert "scripts/generate_default_rpt.py" in report
 
     def test_build_rpt_reductions_monotonic_in_condition(self):
         rpt = build_rpt()

@@ -1,9 +1,37 @@
 """Tests for the Read-timing Parameter Table."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.rpt import ReadTimingParameterTable, RptEntry
 from repro.errors.condition import OperatingCondition
+from repro.nand.timing import ReadTimingParameters
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: A PnAR2 device, a two-cell sweep and a two-worker fleet on ``tiny()``;
+#: prints the ``repro.characterization`` modules they imported.
+RUNS_WITHOUT_PROFILING = """
+import sys
+from repro.sim.fleet import FleetRunner, FleetSpec
+from repro.sim.spec import Condition, WorkloadSpec, preconditioned_simulator
+from repro.sim.sweep import SweepRunner
+from repro.ssd.config import SsdConfig
+
+config = SsdConfig.tiny()
+aged = Condition(1000, 6.0)
+workload = WorkloadSpec(name="usr_1", num_requests=60, seed=1)
+preconditioned_simulator(config, "PnAR2", aged).run(workload.build_requests(config))
+SweepRunner(config=config).run(
+    policies=("Baseline", "PnAR2"), workloads=(workload,), conditions=((0, 0.0), (1000, 6.0)))
+fleet = FleetSpec(devices=4, config=config, condition=aged)
+FleetRunner(fleet, processes=2, shard_devices=2).run(workload, policies="PnAR2")
+print(sorted(name for name in sys.modules if name.startswith("repro.characterization")))
+"""
 
 
 class TestRptEntry:
@@ -62,6 +90,14 @@ class TestDefaultTable:
     def test_default_is_cached(self):
         assert ReadTimingParameterTable.default() is ReadTimingParameterTable.default()
 
+    def test_runs_never_import_the_profiler(self):
+        """The default table is shipped data: no run profiles it."""
+        completed = subprocess.run(
+            [sys.executable, "-c", RUNS_WITHOUT_PROFILING],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120, check=True)
+        assert completed.stdout.splitlines()[-1] == "[]"
+
     def test_entries_cover_all_bins(self, default_rpt):
         expected = (len(default_rpt.pec_bin_edges)
                     * len(default_rpt.retention_bin_edges_months))
@@ -96,3 +132,20 @@ class TestValidation:
     def test_entry_count_checked(self):
         with pytest.raises(ValueError):
             ReadTimingParameterTable({(0, 0): RptEntry(0.4, 14.4)})
+
+
+class TestIdentity:
+    def test_equal_content_gives_equal_identity(self, default_rpt):
+        rebuilt = ReadTimingParameterTable(
+            dict(default_rpt.iter_entries()),
+            default_timing=ReadTimingParameters())
+        assert rebuilt.identity() == default_rpt.identity()
+        assert hash(rebuilt.identity()) == hash(default_rpt.identity())
+
+    def test_default_timing_and_reductions_are_part_of_it(self):
+        flat = ReadTimingParameterTable.conservative(0.40)
+        assert flat.identity() != ReadTimingParameterTable.conservative(0.47).identity()
+        slower = ReadTimingParameterTable.conservative(
+            0.40, default_timing=ReadTimingParameters(t_pre_us=30.0))
+        assert slower.identity() != flat.identity()
+        assert slower.identity()[:3] == flat.identity()[:3]

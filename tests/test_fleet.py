@@ -55,12 +55,18 @@ def _scan_split(router, request):
 
 @st.composite
 def _routed_streams(draw):
-    """A router, an array-level stream for it, and the devices to route."""
+    """A router, an array-level stream for it, and the devices to route.
+
+    Half the routers are unmirrored and requests are often a few pages
+    against units of up to 16, so requests that fit in one stripe unit
+    (``route``'s direct path) are common next to multi-unit and mirrored
+    ones.
+    """
     devices = draw(st.integers(min_value=1, max_value=5))
     router = StripeRouter(
         devices=devices,
-        stripe_unit_pages=draw(st.integers(min_value=1, max_value=8)),
-        replication=draw(st.integers(min_value=1, max_value=devices)),
+        stripe_unit_pages=draw(st.integers(min_value=1, max_value=16)),
+        replication=draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=devices))),
     )
     # Arrivals are arbitrary doubles, not short decimals, so the float64
     # column has to keep every bit.
@@ -71,7 +77,8 @@ def _routed_streams(draw):
         HostRequest(arrival_us=arrival,
                     kind=draw(st.sampled_from(list(RequestKind))),
                     start_lpn=draw(st.integers(min_value=0, max_value=600)),
-                    page_count=draw(st.integers(min_value=1, max_value=64)),
+                    page_count=draw(st.one_of(st.integers(min_value=1, max_value=4),
+                                              st.integers(min_value=1, max_value=64))),
                     queue_id=draw(st.integers(min_value=0, max_value=1 << 40)))
         for arrival in arrivals
     ]

@@ -19,8 +19,10 @@ import time
 
 import pytest
 
+from repro.core.rpt import ReadTimingParameterTable
 from repro.experiments.reporting import jsonify
 from repro.experiments.store import CheckpointStore
+from repro.nand.timing import ReadTimingParameters
 from repro.sim.fleet import (
     FLEET_SHARD_KIND,
     PROBE_TRAIL_KIND,
@@ -35,7 +37,7 @@ from repro.sim.sweep import WorkerPool
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SsdSimulator
 from repro.ssd.request import HostRequest, RequestKind
-from repro.ssd.retry_grid import RetryStepGrid, clear_shared_grids
+from repro.ssd.retry_grid import RetryStepGrid, clear_shared_grids, rpt_fingerprint
 from repro.workloads.scenarios import HotColdZone
 from repro.workloads.tenants import TenantMix
 
@@ -117,6 +119,26 @@ class TestCheckpointResume:
         FleetRunner(_fleet(2), shard_devices=2, checkpoint=store).run(_workload(60, seed=1))
         other = FleetRunner(_fleet(2), shard_devices=2, checkpoint=store).run(_workload(60, seed=2))
         assert other.manifest["checkpoints"]["hits"] == 0
+
+    def test_an_rpt_with_another_default_timing_never_hits(self, tmp_path):
+        """AR2 prices reads from the RPT's default timing, so it keys checkpoints."""
+        store = CheckpointStore(tmp_path)
+        flat = ReadTimingParameterTable.conservative(0.4)
+        slower = ReadTimingParameterTable.conservative(
+            0.4, default_timing=ReadTimingParameters(t_pre_us=30.0))
+        assert rpt_fingerprint(slower) == rpt_fingerprint(flat)
+
+        def run(rpt, checkpoint):
+            runner = FleetRunner(_fleet(), rpt=rpt, shard_devices=2, checkpoint=checkpoint)
+            return runner.run(_workload(200), policies="AR2")
+
+        run(flat, store)
+        resumed = run(slower, store)
+        fresh = run(slower, None)
+        assert resumed.manifest["checkpoints"] == {"hits": 0, "stored": 2}
+        assert _rows(resumed) == _rows(fresh)
+        assert resumed.result.mean_response_us() == fresh.result.mean_response_us()
+        assert run(slower, store).manifest["checkpoints"] == {"hits": 2, "stored": 0}
 
 
 # -- capacity-search probe trail -----------------------------------------------

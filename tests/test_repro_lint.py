@@ -306,6 +306,60 @@ class TestPickleSafePool:
         assert lint(engine, source) == []
 
 
+# -- rule: one-pool-primitive -------------------------------------------------
+class TestOnePoolPrimitive:
+    BAD = (
+        "import multiprocessing\npool = multiprocessing.Pool(2)\n",
+        "import multiprocessing as mp\nwith mp.Pool(2) as pool:\n    pass\n",
+        "from multiprocessing import Pool\npool = Pool(processes=2)\n",
+        "from multiprocessing import pool\nworkers = pool.Pool(2)\n",
+        "import multiprocessing\npool = multiprocessing.get_context('spawn').Pool(2)\n",
+        (
+            "import multiprocessing\n"
+            "\n"
+            "def start(processes):\n"
+            "    context = multiprocessing.get_context('fork')\n"
+            "    return context.Pool(processes)\n"
+        ),
+        "from concurrent.futures import ProcessPoolExecutor\nex = ProcessPoolExecutor(2)\n",
+        "import concurrent.futures as cf\nwith cf.ProcessPoolExecutor() as ex:\n    pass\n",
+    )
+
+    @pytest.mark.parametrize("source", BAD)
+    def test_flags_pools_started_outside_the_primitive(self, engine, source):
+        assert rules_hit(engine, source) == ["one-pool-primitive"]
+
+    def test_the_primitive_and_thread_pools_are_fine(self, engine):
+        source = (
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "from multiprocessing.pool import ThreadPool\n"
+            "from repro.sim.sweep import WorkerPool, pool_map\n"
+            "\n"
+            "def worker(payload):\n"
+            "    return payload\n"
+            "\n"
+            "def run(payloads):\n"
+            "    with WorkerPool(2) as pool:\n"
+            "        pooled = pool.map(worker, payloads)\n"
+            "    with ThreadPoolExecutor(2) as threads:\n"
+            "        threaded = list(threads.map(worker, payloads))\n"
+            "    return pooled + threaded + ThreadPool(2).map(worker, payloads)\n"
+        )
+        assert lint(engine, source) == []
+
+    def test_the_pragma_exempts_the_one_call(self, engine):
+        source = (
+            "import multiprocessing\n"
+            "context = multiprocessing.get_context('fork')\n"
+            "pool = context.Pool(2)  # repro-lint: disable=one-pool-primitive\n"
+        )
+        assert lint(engine, source) == []
+
+    def test_outside_sim_paths_is_allowlisted(self, engine):
+        source = "import multiprocessing\npool = multiprocessing.Pool(2)\n"
+        assert lint(engine, source, relpath="scripts/resume_proof.py") == []
+
+
 # -- rule: no-dict-order-across-pool -------------------------------------------
 class TestNoDictOrderAcrossPool:
     PROLOGUE = "from repro.sim.sweep import pool_map\n\n"
@@ -826,4 +880,4 @@ class TestSelfLint:
         )
 
     def test_default_rule_set_is_complete(self):
-        assert len(default_rules()) == len(RULE_NAMES) == 8
+        assert len(default_rules()) == len(RULE_NAMES) == 9
