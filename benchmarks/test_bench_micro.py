@@ -96,7 +96,7 @@ def test_bench_block_precondition_fill(benchmark):
 
 
 def test_bench_grid_cold_build(benchmark, bench_rpt):
-    """Grid construction plus keeping the first slab.
+    """Grid construction plus keeping the first slab, with its condition's walk.
 
     Rows fill as reads first need them, so the slab starts empty and this
     times no row: it is the cost a device pays for its grid before its

@@ -10,7 +10,9 @@ The corpus is :func:`corpus`: about 40 small scenarios on ``SsdConfig.tiny()`` d
 covers both mappings, the paper's retry policies, garbage-collection storms, every fault kind, a
 tenant mix, closed loops, discard, barrier and mark events, an MSRC CSV that the script writes
 itself, ``suspension`` and ``read_priority`` off, and a ``SweepRunner`` and a ``FleetRunner``
-with two worker processes.  The scenarios use only public API that both checkouts have.
+with two worker processes.  One scenario runs both runners on a larger geometry, where the retry
+grid counts reads before a condition's promotion and evicts slabs.  The scenarios use only public
+API that both checkouts have.
 
 Each checkout runs the whole corpus in a fresh interpreter: this script with ``--emit`` and
 ``PYTHONPATH=<checkout>/src``.  It prints one JSON record per scenario: every host request's
@@ -43,6 +45,19 @@ EXPECTED_LIST = Path("scripts") / "equivalence_expected.txt"
 
 #: The retry policies every mapping runs under.
 PAPER_POLICIES = ("Baseline", "PR2", "AR2", "PnAR2")
+
+#: ``SsdConfig.tiny()`` overrides for a 320-block page-mapped device: its retry grid keeps a
+#: condition's slab from the condition's second read (``tiny()``'s 64 blocks keep one from the
+#: first), and garbage collection creates a new condition every few dozen writes.
+PROMOTING = {
+    "planes_per_die": 2,
+    "blocks_per_plane": 40,
+    "pages_per_block": 8,
+    "gc_free_block_threshold": 3,
+    "gc_stop_free_blocks": 5,
+    "cmt_capacity_entries": 128,
+    "translation_entries_per_page": 64,
+}
 
 
 # -- running one scenario ------------------------------------------------------------------------
@@ -183,6 +198,10 @@ def sweep(processes: int) -> dict:
     result = runner.run(
         policies=("Baseline", "PnAR2"), workloads=specs, conditions=((1000, 6.0), (2000, 12.0))
     )
+    return _sweep_record(result)
+
+
+def _sweep_record(result) -> dict:
     cells = {
         f"{key}/{policy}": _result_record(cell[policy])
         for key, cell in sorted(result.cells.items())
@@ -206,6 +225,10 @@ def fleet(processes: int) -> dict:
     run = FleetRunner(spec, processes=processes, shard_devices=2).run(
         source, policies=("Baseline", "PnAR2")
     )
+    return _fleet_record(run)
+
+
+def _fleet_record(run) -> dict:
     return {
         policy: {
             "summary": result.summary(),
@@ -214,6 +237,33 @@ def fleet(processes: int) -> dict:
         }
         for policy, result in run
     }
+
+
+def promoting_grid() -> dict:
+    """A serial sweep, then a fleet, on one :data:`PROMOTING` grid that promotes and evicts.
+
+    Each of the sweep's two cells reads about 40 conditions, so the grid passes its 64-slab bound
+    during the second.  The fleet's devices, at two conditions, read on the full grid the sweep
+    left, where the slab LRU decides which conditions a read finds and which it promotes again.
+    """
+    from repro.sim.fleet import FleetRunner, FleetSpec
+    from repro.sim.spec import Condition, WorkloadSpec
+    from repro.sim.sweep import SweepRunner
+
+    config = _config("page", PROMOTING)
+    workload = WorkloadSpec(name="hm_0", num_requests=3000, seed=1, mean_interarrival_us=400.0)
+    swept = SweepRunner(config=config).run(
+        policies=("PnAR2",), workloads=[workload], conditions=((1000, 6.0), (2000, 12.0))
+    )
+    spec = FleetSpec(
+        devices=2,
+        stripe_unit_pages=4,
+        config=config,
+        device_conditions=(Condition(1000, 6.0), Condition(3000, 24.0)),
+    )
+    source = WorkloadSpec(name="hm_0", num_requests=3000, seed=2, mean_interarrival_us=200.0)
+    run = FleetRunner(spec).run(source, policies=("PnAR2",))
+    return {"sweep": _sweep_record(swept), "fleet": _fleet_record(run)}
 
 
 def msrc_trace(path: str) -> None:
@@ -339,6 +389,7 @@ def corpus(workdir: str) -> dict:
             "page-repeated-runs": partial(device, mixed, "page", runs=3),
             "sweep-processes-2": partial(sweep, 2),
             "fleet-processes-2": partial(fleet, 2),
+            "page-promote-evict": promoting_grid,
         }
     )
     return scenarios

@@ -9,7 +9,7 @@ the ASPLOS 2021 paper by Park et al.:
   including the effect of retention loss, program/erase cycling, operating
   temperature, and reduced read-timing parameters.
 * :mod:`repro.ecc` — error-correcting-code substrate (capability-model engine
-  used by the simulator plus real BCH and LDPC codecs).
+  used by the simulator plus a real BCH codec).
 * :mod:`repro.characterization` — the virtual 160-chip characterization
   platform that regenerates the paper's Figures 4(b), 5, 7, 8, 9, 10 and 11
   and builds the Read-timing Parameter Table (RPT).

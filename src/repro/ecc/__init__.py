@@ -4,7 +4,7 @@ Modern SSDs protect every 1-KiB codeword with a strong ECC (BCH or LDPC) able to
 correct several tens of raw bit errors (Section 2.4 of the paper; the
 simulated SSD uses 72 bits per 1-KiB codeword with a 20 us decode latency).
 
-Three engines are provided:
+Two engines are provided:
 
 * :class:`repro.ecc.engine.CapabilityEccEngine` — the abstraction the SSD
   simulator and the characterization harness use: a codeword decodes iff its
@@ -14,14 +14,10 @@ Three engines are provided:
   GF(2^m) (syndrome computation, Berlekamp–Massey, Chien search), used by
   the unit tests and examples to demonstrate that the capability abstraction
   is faithful for bounded-distance decoding.
-* :class:`repro.ecc.ldpc.GallagerLdpcCode` — a regular LDPC code with a
-  bit-flipping decoder, representative of the soft-decision codes used in
-  recent SSDs.
 """
 
 from repro.ecc.engine import CapabilityEccEngine, DecodeOutcome, EccEngine
 from repro.ecc.bch import BchCode
-from repro.ecc.ldpc import GallagerLdpcCode
 from repro.ecc.codeword import PageLayout
 
 __all__ = [
@@ -29,6 +25,5 @@ __all__ = [
     "CapabilityEccEngine",
     "DecodeOutcome",
     "BchCode",
-    "GallagerLdpcCode",
     "PageLayout",
 ]

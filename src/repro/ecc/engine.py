@@ -5,9 +5,9 @@ in ``tECC`` = 20 us and corrects up to 72 raw bit errors (Section 7.1).  For
 system-level studies the only properties that matter are the *capability*
 (how many errors are correctable) and the *latency*; this module provides
 that abstraction, which both the characterization harness and the SSD
-simulator consume.  The real codecs in :mod:`repro.ecc.bch` and
-:mod:`repro.ecc.ldpc` demonstrate that the abstraction matches
-bounded-distance decoding behaviour.
+simulator consume.  The real BCH codec in :mod:`repro.ecc.bch`
+demonstrates that the abstraction matches bounded-distance decoding
+behaviour.
 """
 
 from __future__ import annotations

@@ -55,12 +55,9 @@ tractable):
   request objects, and each spool is dropped once the last policy has
   dispatched its device.  Next to that one routing, the parent keeps each
   distinct device condition's retry-grid slabs
-  (:func:`~repro.ssd.slab_transport.prefill_device_slabs`), whose rows fill
-  as reads first need them.  When the shards go to worker processes it
-  fills every row of them instead
-  (:func:`~repro.ssd.slab_transport.fill_device_slabs`), the one
-  whole-condition pass left, so the forked workers inherit the rows rather
-  than each computing the ones it reads; each device worker calls
+  (:func:`~repro.ssd.slab_transport.prefill_device_slabs`), empty, so the
+  forked workers inherit them; each worker computes the rows its own reads
+  need, as a serial run does.  Each device worker calls
   ``prefill_device_slabs`` first thing, which keeps the slabs only where
   the worker started without them.
   Per-shard wall-clock timings are recorded for later multi-host placement.
@@ -99,7 +96,7 @@ from repro.ssd.controller import DEFAULT_LOOKAHEAD_REQUESTS, SimulationResult
 from repro.ssd.faults import FaultPlan
 from repro.ssd.metrics import SimulationMetrics
 from repro.ssd.request import HostRequest
-from repro.ssd.slab_transport import fill_device_slabs, prefill_device_slabs
+from repro.ssd.slab_transport import prefill_device_slabs
 from repro.workloads.router import RequestSpool, StripeRouter
 from repro.workloads.source import as_workload_source, source_to_dict
 from repro.workloads.tenants import TenantMix
@@ -622,15 +619,13 @@ class FleetRunner:
                         self.spec.config, footprint_pages=self.spec.array_logical_pages
                     )
                 routed = _route(self.spec, stream)
-                # Before any device runs.  When the shards go to workers, the
-                # pool forks after this, so the workers inherit every row of
-                # the slabs instead of each computing the rows it reads.
-                parallel = pool.parallel(len(device_range))
-                keep = fill_device_slabs if parallel else prefill_device_slabs
+                # Before any device runs, so forked workers inherit the slabs.
                 rpt = self.rpt or ReadTimingParameterTable.default()
                 conditions = self.spec.device_conditions or (self.spec.condition,)
                 for condition in dict.fromkeys(conditions):
-                    keep(self.spec.config, rpt, condition.pe_cycles, condition.retention_months)
+                    prefill_device_slabs(
+                        self.spec.config, rpt, condition.pe_cycles, condition.retention_months
+                    )
             payloads = [
                 dict(device_payload, device=device, policy=policy, device_requests=routed[device])
                 for device in device_range

@@ -31,11 +31,12 @@ shares, and runs it to completion before the next device is built.  Its
 reads take their retry steps from the process-shared
 :func:`repro.ssd.retry_grid.shared_grid`, which computes each (condition,
 page type, block) row the first time a read needs it.  The parent keeps
-each condition's slabs with :func:`repro.ssd.slab_transport.prefill_device_slabs`
-before the pool forks, so workers inherit them; each cell calls it again
-first thing, which keeps them only in a worker that started without them
-(spawn) or after the grid's LRU bound evicted them.  Either way a worker
-computes the rows its own reads need.
+each condition's slabs, empty, with
+:func:`repro.ssd.slab_transport.prefill_device_slabs` before the pool
+forks, so workers inherit them; each cell calls it again first thing,
+which keeps them only in a worker that started without them (spawn) or
+after the grid's LRU bound evicted them.  Either way a worker computes the
+rows its own reads need.
 """
 
 from __future__ import annotations
@@ -98,10 +99,6 @@ class WorkerPool:
         self.processes = processes
         self._pool = None
 
-    def parallel(self, count: int) -> bool:
-        """Whether :meth:`submit` runs ``count`` payloads on worker processes."""
-        return min(self.processes, count) > 1 and not multiprocessing.current_process().daemon
-
     def submit(self, func, payloads: Sequence, chunksize: int = 1) -> Iterator:
         """Start ``func`` on every payload; iterate the results in payload order.
 
@@ -113,7 +110,7 @@ class WorkerPool:
         payload order; on a pool it takes the results of its whole message
         with it.
         """
-        if not self.parallel(len(payloads)):
+        if min(self.processes, len(payloads)) <= 1 or multiprocessing.current_process().daemon:
             return (func(payload) for payload in payloads)
         if self._pool is None:
             methods = multiprocessing.get_all_start_methods()

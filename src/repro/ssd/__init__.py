@@ -24,10 +24,11 @@ reproduces the read-retry behaviour of a real characterized block
 * :mod:`repro.ssd.flash_backend` — ``ReadBehaviour``, the retry steps one
   read needs, and the description of the per-block device model ("each
   simulated block behaves like a real characterized block").
-* :mod:`repro.ssd.retry_grid` — the vectorized, process-shared
+* :mod:`repro.ssd.retry_grid` — the process-shared
   (condition x page type x corner) retry-step grid serving the read hot
   path: the per-block read-retry profiles derived from the calibrated error
-  model, which ``SsdSimulator.grid`` queries once per page read.
+  model, computed row by row as ``SsdSimulator.grid`` queries them once
+  per page read.
 * :mod:`repro.ssd.scheduler` — per-die transaction scheduling with read
   priority (out-of-order I/O scheduling) and program/erase suspension.
 * :mod:`repro.ssd.controller` — the simulator that ties everything together.

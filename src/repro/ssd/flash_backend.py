@@ -12,7 +12,7 @@ model:
   parameters and with the AR2-reduced ones — is served from a
   :class:`repro.ssd.retry_grid.RetryStepGrid`, which walks each
   (condition, page type, variation corner) row exactly the first time a
-  read needs it and caches it,
+  read needs it and caches it in its condition's slab,
 * AR2's rare fallback case (a page that no longer decodes with reduced
   timings) surfaces naturally: the reduced-timing walk may need one more
   step than the default-timing walk, or may fail entirely, in which case the
@@ -23,8 +23,9 @@ This module holds the grid's answer for one read, :class:`ReadBehaviour`.
 The simulator holds one grid, ``SsdSimulator.grid``, and queries it
 (:meth:`~repro.ssd.retry_grid.RetryStepGrid.behaviour_at`) once per page
 read with the page type and corner its packed page index encodes, counting
-how each query was served (``grid_hits`` versus ``scalar_fallbacks``)
-straight into :class:`repro.ssd.metrics.SimulationMetrics`.
+how each query was served straight into
+:class:`repro.ssd.metrics.SimulationMetrics`: ``grid_hits`` from a slab,
+``scalar_fallbacks`` before the condition's promotion to one.
 """
 
 from __future__ import annotations

@@ -16,16 +16,13 @@ computes each row the first time a read asks for it:
   deterministically from the config seed) is drawn when its block is first
   read, so no whole-device pass runs on the read path;
 * conditions are discovered at run time (the preconditioned condition, the
-  fresh-write condition, and P/E levels GC creates).  The first few queries
-  of a novel condition keep their rows in a scalar memo; once a condition
-  proves hot it gets a *slab*, the cache of all its rows, which fills as
-  reads arrive.  Which of the two holds a row decides only how the read is
-  counted (a grid hit or a scalar fallback), since both compute it alike;
-* slabs, the scalar memo and the per-condition walk constants are bounded
-  with **explicit** eviction policies (LRU slabs, FIFO memo and constants);
-* :meth:`RetryStepGrid.fill` computes every row of given conditions at
-  once.  Its one caller is the fleet runner's parent, before its pool
-  forks, so that the workers inherit the rows.
+  fresh-write condition, and P/E levels GC creates).  The grid keeps one
+  store, an LRU of at most :data:`MAX_CONDITIONS` *slabs*: a slab holds one
+  condition's walk and every row of it that reads have asked for.  A novel
+  condition gets its slab on its ``promote_threshold``-th query; the
+  queries before that walk their row with a walk that is not kept, and
+  cache nothing.  Both paths compute a row alike, so the threshold decides
+  only how a read is counted (a grid hit or a scalar fallback).
 
 Grids are shared process-wide per (geometry, seed, temperature, RPT): every
 simulator of one configuration and RPT holds the same grid
@@ -38,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.batch import VariationArrays
@@ -56,10 +53,9 @@ from repro.nand.voltage import (
 from repro.ssd.config import SsdConfig
 from repro.ssd.flash_backend import ReadBehaviour
 
-#: A slab: behaviours of every (page type, corner) under one condition,
-#: indexed ``slab[page_type][corner]`` by the page type's position in
-#: ``PAGE_TYPE_ORDER``; ``None`` marks a row no read has asked for yet.
-Slab = Tuple[List[Optional[ReadBehaviour]], ...]
+#: Conditions a grid keeps slabs for; the least recently read one is
+#: evicted first.
+MAX_CONDITIONS = 64
 
 #: Per page type (by position in ``PAGE_TYPE_ORDER``), each sensed boundary
 #: with its V_REF at every column of the retry walk.
@@ -241,17 +237,27 @@ class RowWalk:
         return steps, steps, True
 
 
+class Slab:
+    """One condition's walk and the rows reads have asked for.
+
+    ``rows[page_type][corner]`` is indexed by the page type's position in
+    ``PAGE_TYPE_ORDER``; ``None`` marks a row no read has asked for yet.
+    """
+
+    __slots__ = ("walk", "rows")
+
+    def __init__(self, walk: RowWalk, corners: int):
+        self.walk = walk
+        self.rows = tuple([None] * corners for _ in PAGE_TYPE_ORDER)
+
+
 class RetryStepGrid:
     """(condition x page type x corner) read behaviours, computed row by row.
 
-    :param promote_threshold: queries a novel condition answers from the
-        scalar memo before it gets a slab.  ``None`` scales the threshold
-        with the corner count, so a small config keeps a slab from the
-        first query and a huge one only for conditions that are hot.
-    :param max_conditions: bound on cached slabs (LRU eviction) and on the
-        per-condition walk constants (FIFO eviction).
-    :param max_scalar_entries: bound on the scalar memo (FIFO eviction) —
-        the explicit replacement of the seed's silent 500k stop-caching cap.
+    A novel condition gets its slab on its ``promote_threshold``-th query.
+    The threshold scales with the corner count, so a small config keeps a
+    slab from the first query and a huge one only for conditions that are
+    hot.
     """
 
     def __init__(
@@ -260,9 +266,6 @@ class RetryStepGrid:
         rpt: ReadTimingParameterTable = None,
         error_model: CodewordErrorModel = None,
         retry_table: ReadRetryTable = None,
-        promote_threshold: Optional[int] = None,
-        max_conditions: int = 64,
-        max_scalar_entries: int = 262_144,
     ):
         self.config = config
         self.error_model = error_model or CodewordErrorModel()
@@ -270,20 +273,12 @@ class RetryStepGrid:
         self._rpt = rpt
         self._variation = ProcessVariation(seed=config.seed)
         self._variation_arrays: Optional[VariationArrays] = None
-        self.max_conditions = max_conditions
-        self.max_scalar_entries = max_scalar_entries
-        if promote_threshold is None:
-            promote_threshold = max(1, self.corner_count // 160)
-        self.promote_threshold = promote_threshold
+        self.promote_threshold = max(1, self.corner_count // 160)
 
         #: condition key -> slab (recency-ordered for LRU eviction).
         self._slabs: "OrderedDict[tuple, Slab]" = OrderedDict()
-        #: scalar queries seen per not-yet-promoted condition key.
+        #: queries seen per condition key that has no slab yet.
         self._pending_queries: Dict[tuple, int] = {}
-        #: (condition key, page type index, corner) -> ReadBehaviour
-        self._scalar_memo: "OrderedDict[tuple, ReadBehaviour]" = OrderedDict()
-        #: condition key -> its RowWalk (insertion-ordered for FIFO eviction).
-        self._walks: "OrderedDict[tuple, RowWalk]" = OrderedDict()
         #: (steps, reduced, fallback) -> the one shared ReadBehaviour object.
         self._interned: Dict[tuple, ReadBehaviour] = {}
         self.slab_builds = 0
@@ -344,19 +339,9 @@ class RetryStepGrid:
         return len(self._slabs)
 
     @property
-    def scalar_memo_size(self) -> int:
-        return len(self._scalar_memo)
-
-    @property
-    def cached_walks(self) -> int:
-        """Conditions whose walk constants are cached."""
-        return len(self._walks)
-
-    @property
     def cache_size(self) -> int:
-        """Cached behaviours: the slab rows filled so far plus the scalar memo."""
-        filled = sum(len(row) - row.count(None) for slab in self._slabs.values() for row in slab)
-        return filled + len(self._scalar_memo)
+        """Cached behaviours: the slab rows filled so far."""
+        return sum(len(row) - row.count(None) for slab in self._slabs.values() for row in slab.rows)
 
     # -- main query -----------------------------------------------------------
     def behaviour_at(
@@ -379,32 +364,22 @@ class RetryStepGrid:
         """
         key = (pe_cycles, retention_months)
         slab = self._slabs.get(key)
-        if slab is not None:
+        if slab is None:
+            queries = self._pending_queries.get(key, 0) + 1
+            if queries < self.promote_threshold:
+                self._pending_queries[key] = queries
+                return self._row(self._walk(key), page_type, corner), False
+            slab = self._build_slab(key)
+        else:
             # LRU touch: long GC-heavy runs create a stream of (pe, 0.0)
             # conditions, and without recency the hot preconditioned slab
             # would be the first one evicted.
             self._slabs.move_to_end(key)
-            row = slab[page_type]
-            behaviour = row[corner]
-            if behaviour is None:
-                behaviour = row[corner] = self._row(key, page_type, corner)
-            return behaviour, True
-
-        queries = self._pending_queries.get(key, 0) + 1
-        if queries >= self.promote_threshold:
-            slab = self._build_slab(key)
-            behaviour = slab[page_type][corner] = self._row(key, page_type, corner)
-            return behaviour, True
-        self._pending_queries[key] = queries
-
-        memo_key = (key, page_type, corner)
-        behaviour = self._scalar_memo.get(memo_key)
+        row = slab.rows[page_type]
+        behaviour = row[corner]
         if behaviour is None:
-            behaviour = self._row(key, page_type, corner)
-            if len(self._scalar_memo) >= self.max_scalar_entries:
-                self._scalar_memo.popitem(last=False)
-            self._scalar_memo[memo_key] = behaviour
-        return behaviour, False
+            behaviour = row[corner] = self._row(slab.walk, page_type, corner)
+        return behaviour, True
 
     # -- slabs ----------------------------------------------------------------
     def prefill(self, conditions: Iterable[Tuple[int, float]]) -> None:
@@ -420,25 +395,10 @@ class RetryStepGrid:
             if key not in self._slabs:
                 self._build_slab(key)
 
-    def fill(self, conditions: Iterable[Tuple[int, float]]) -> None:
-        """Compute every row of the given conditions' slabs now.
-
-        The one whole-condition pass: a fleet parent whose shards go to
-        forked workers calls it before the pool forks, so the workers
-        inherit every row instead of each computing the rows it reads.
-        """
-        for pe_cycles, retention_months in conditions:
-            key = (int(pe_cycles), float(retention_months))
-            self.prefill([key])
-            for page_type, row in enumerate(self._slabs[key]):
-                for corner, behaviour in enumerate(row):
-                    if behaviour is None:
-                        row[corner] = self._row(key, page_type, corner)
-
     def _build_slab(self, key: tuple) -> Slab:
         """Keep an empty slab for ``key``, evicting the least recent one when full."""
-        slab = tuple([None] * self.corner_count for _ in PAGE_TYPE_ORDER)
-        while len(self._slabs) >= self.max_conditions:
+        slab = Slab(self._walk(key), self.corner_count)
+        while len(self._slabs) >= MAX_CONDITIONS:
             self._slabs.popitem(last=False)
         self._slabs[key] = slab
         self._pending_queries.pop(key, None)
@@ -446,21 +406,19 @@ class RetryStepGrid:
         return slab
 
     # -- rows -----------------------------------------------------------------
-    def _row(self, key: tuple, page_type: int, corner: int) -> ReadBehaviour:
-        """One row, walked exactly; the grid caches it where the caller says."""
-        walk = self._walks.get(key)
-        if walk is None:
-            pe_cycles, retention_months = key
-            condition = OperatingCondition(
-                pe_cycles=pe_cycles,
-                retention_months=retention_months,
-                temperature_c=self.config.temperature_c,
-            )
-            entry = self.rpt.entry_for(pe_cycles, retention_months)
-            walk = RowWalk(self.error_model, condition, entry.pre_reduction, self.retry_table)
-            while len(self._walks) >= self.max_conditions:
-                self._walks.popitem(last=False)
-            self._walks[key] = walk
+    def _walk(self, key: tuple) -> RowWalk:
+        """The retry walk of the condition ``key``."""
+        pe_cycles, retention_months = key
+        condition = OperatingCondition(
+            pe_cycles=pe_cycles,
+            retention_months=retention_months,
+            temperature_c=self.config.temperature_c,
+        )
+        entry = self.rpt.entry_for(pe_cycles, retention_months)
+        return RowWalk(self.error_model, condition, entry.pre_reduction, self.retry_table)
+
+    def _row(self, walk: RowWalk, page_type: int, corner: int) -> ReadBehaviour:
+        """One row, walked exactly; the caller decides whether to cache it."""
         chip, block = divmod(corner, self.blocks_per_chip)
         signature = walk.row(page_type, self._variation.block_sample(chip=chip, block=block))
         behaviour = self._interned.get(signature)

@@ -3,15 +3,13 @@
 Every read of a device preconditioned at (P/E, retention) is priced from one
 of two :class:`~repro.ssd.retry_grid.RetryStepGrid` slabs: its cold data at
 that pair, and data rewritten during the run at (P/E, 0).  A slab's rows
-fill as reads first need them.  The sweep and fleet runners call
-:func:`prefill_device_slabs` in two places: the parent for every condition
-before the pool forks, and each worker function first thing for its own
-condition, which keeps the two slabs where the worker started without them
-(spawn-only platforms) or after the grid's LRU bound evicted them.  Either
-way the device's reads count as grid hits from the first.  A fleet parent
-whose shards go to forked workers calls :func:`fill_device_slabs` instead,
-which also computes every row of both slabs, so the workers inherit the rows
-rather than each computing the ones its reads need.
+fill as reads first need them, in the process that runs the reads.  The
+sweep and fleet runners call :func:`prefill_device_slabs` in two places: the
+parent for every condition before the pool forks, and each worker function
+first thing for its own condition, which keeps the two slabs where the
+worker started without them (spawn-only platforms) or after the grid's LRU
+bound evicted them.  Either way the device's reads count as grid hits from
+the first.
 """
 
 from __future__ import annotations
@@ -29,13 +27,3 @@ def prefill_device_slabs(
 ) -> None:
     """Keep, in this process, the slabs a device at (P/E, retention) reads."""
     shared_grid(config, rpt).prefill([(pe_cycles, retention_months), (pe_cycles, 0.0)])
-
-
-def fill_device_slabs(
-    config: SsdConfig,
-    rpt: ReadTimingParameterTable,
-    pe_cycles: int,
-    retention_months: float,
-) -> None:
-    """Compute, in this process, every row of the slabs a device at (P/E, retention) reads."""
-    shared_grid(config, rpt).fill([(pe_cycles, retention_months), (pe_cycles, 0.0)])

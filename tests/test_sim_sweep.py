@@ -238,8 +238,8 @@ class TestValidation:
 class TestSlabPrefill:
     """Both runners keep every device's slabs in the parent before any
     device runs, so forked workers inherit them; a worker that starts
-    without them (spawn, or an LRU eviction) keeps its own.  A fleet parent
-    whose shards go to forked workers also fills every row of them."""
+    without them (spawn, or an LRU eviction) keeps its own.  The rows fill
+    where the reads run."""
 
     CONDITIONS = (Condition(1000, 6.0), Condition(2000, 12.0))
     COLD_AND_REWRITTEN = [{(1000, 6.0), (1000, 0.0)}, {(2000, 12.0), (2000, 0.0)}]
@@ -300,21 +300,26 @@ class TestSlabPrefill:
         assert seen[0] == set.union(*self.COLD_AND_REWRITTEN)
 
     @staticmethod
-    def _rows_after_a_fleet_run(config, processes):
+    def _slabs_after_a_fleet_run(config, processes):
+        # Both devices form one shard, so processes=2 sends it to workers.
         spec = FleetSpec(devices=2, stripe_unit_pages=2, config=config,
                          condition=Condition(1000, 6.0))
         FleetRunner(spec, processes=processes).run(
             WorkloadSpec(name="usr_1", num_requests=40, seed=3), policies="PnAR2")
-        slabs = shared_grid(config, ReadTimingParameterTable.default())._slabs
-        return [behaviour for key in ((1000, 6.0), (1000, 0.0))
-                for row in slabs[key] for behaviour in row]
+        return shared_grid(config, ReadTimingParameterTable.default())._slabs
 
-    def test_a_forking_fleet_parent_fills_every_row(self, tiny_config):
-        rows = self._rows_after_a_fleet_run(tiny_config, processes=2)
-        assert None not in rows
+    @staticmethod
+    def _rows(slabs):
+        return [behaviour for slab in slabs.values()
+                for row in slab.rows for behaviour in row]
+
+    def test_a_forking_fleet_parent_computes_no_row(self, tiny_config):
+        slabs = self._slabs_after_a_fleet_run(tiny_config, processes=2)
+        assert set(slabs) == {(1000, 6.0), (1000, 0.0)}
+        assert set(self._rows(slabs)) == {None}
 
     def test_a_serial_fleet_parent_fills_only_the_rows_it_reads(self, tiny_config):
-        rows = self._rows_after_a_fleet_run(tiny_config, processes=1)
+        rows = self._rows(self._slabs_after_a_fleet_run(tiny_config, processes=1))
         assert None in rows
         assert any(behaviour is not None for behaviour in rows)
 
@@ -365,12 +370,15 @@ class TestWorkerPool:
         assert first == delivered == [9, 1, 4]
         assert second == [16, 25]
 
-    def test_parallel_reports_where_submit_runs(self):
+    def test_submit_forks_only_for_two_payloads_and_two_workers(self):
         with WorkerPool(2) as pool:
-            assert pool.parallel(2)
-            assert not pool.parallel(1)
+            assert list(pool.submit(_square, [3])) == [9]
             assert pool._pool is None
-        assert not WorkerPool(1).parallel(8)
+            assert list(pool.submit(_square, [3, 4])) == [9, 16]
+            assert pool._pool is not None
+        serial = WorkerPool(1)
+        assert list(serial.submit(_square, [1, 2, 3])) == [1, 4, 9]
+        assert serial._pool is None
 
     def test_pool_map_maps_nothing_and_one_payload_serially(self):
         assert pool_map(_square, [], 4) == []

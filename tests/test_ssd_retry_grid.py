@@ -1,7 +1,9 @@
 """The retry-step grid: rows on demand, lazy promotion, eviction, sharing."""
 
 import pickle
+import weakref
 from collections import OrderedDict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +18,20 @@ from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.ftl import PageAddressing, PhysicalPage
+from repro.ssd import retry_grid
 from repro.ssd.request import HostRequest, RequestKind
 from repro.ssd.retry_grid import (
     RetryStepGrid,
+    RowWalk,
     clear_shared_grids,
     rpt_fingerprint,
     shared_grid,
 )
-from repro.ssd.slab_transport import fill_device_slabs, prefill_device_slabs
+from repro.ssd.slab_transport import prefill_device_slabs
+
+#: 320 corners, so a condition gets its slab on its second query (``tiny()``
+#: has 64 and keeps one from the first).
+PROMOTING = SsdConfig.tiny(planes_per_die=2, blocks_per_plane=40)
 
 
 @pytest.fixture()
@@ -41,6 +49,26 @@ def behaviour(grid, page_type, pe_cycles, retention_months, chip, block):
     ``block`` of ``chip``."""
     return grid.behaviour_at(PAGE_TYPE_ORDER.index(page_type), pe_cycles,
                              retention_months, grid.corner_index(chip, block))
+
+
+def lattice(grid, condition, rpt):
+    """The vectorized lattice of ``grid``'s device at ``condition``, by page type."""
+    pe_cycles, retention_months = condition
+    return BatchErrorModel(grid.error_model).read_behaviour_lattice(
+        OperatingCondition(pe_cycles, retention_months, grid.config.temperature_c),
+        grid.variation_arrays(),
+        rpt.entry_for(pe_cycles, retention_months).pre_reduction,
+        table=grid.retry_table)
+
+
+def lattice_row(batch, corner):
+    return (batch.retry_steps[corner], batch.retry_steps_reduced[corner],
+            batch.reduced_timing_fallback[corner])
+
+
+def row_of(read):
+    return (read.retry_steps, read.retry_steps_reduced,
+            read.reduced_timing_fallback)
 
 
 class TestGridGeometry:
@@ -69,24 +97,15 @@ class TestRowsMatchTheLattice:
     @pytest.mark.parametrize("condition", [(1000, 6.0), (2000, 12.0),
                                            (1000, 0.0), (3000, 24.0)])
     def test_every_row(self, config, condition, default_rpt):
-        grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=1)
-        pe_cycles, retention_months = condition
-        lattice = BatchErrorModel(grid.error_model).read_behaviour_lattice(
-            OperatingCondition(pe_cycles, retention_months, config.temperature_c),
-            grid.variation_arrays(),
-            default_rpt.entry_for(pe_cycles, retention_months).pre_reduction,
-            table=grid.retry_table)
+        grid = RetryStepGrid(config, rpt=default_rpt)
+        grid.prefill([condition])
+        expected = lattice(grid, condition, default_rpt)
         for page_type, kind in enumerate(PAGE_TYPE_ORDER):
-            batch = lattice[kind]
+            batch = expected[kind]
             for corner in range(grid.corner_count):
-                read, from_grid = grid.behaviour_at(page_type, pe_cycles,
-                                                    retention_months, corner)
+                read, from_grid = grid.behaviour_at(page_type, *condition, corner)
                 assert from_grid
-                assert (read.retry_steps, read.retry_steps_reduced,
-                        read.reduced_timing_fallback) == (
-                    batch.retry_steps[corner],
-                    batch.retry_steps_reduced[corner],
-                    batch.reduced_timing_fallback[corner])
+                assert row_of(read) == lattice_row(batch, corner)
         assert grid.cache_size == len(PAGE_TYPE_ORDER) * grid.corner_count
 
 
@@ -100,12 +119,19 @@ class TestRowsOnDemand:
         behaviour(grid, PageType.MSB, 1000, 6.0, 0, 3)
         assert grid.cache_size == 2
 
-    def test_one_scalar_read_fills_one_row(self, config, default_rpt):
-        grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=10_000)
-        _, from_grid = behaviour(grid, PageType.LSB, 2000, 12.0, 1, 9)
-        assert not from_grid
-        assert (grid.cached_conditions, grid.scalar_memo_size,
-                grid.cache_size) == (0, 1, 1)
+    def test_a_read_before_promotion_is_a_fallback_that_caches_nothing(
+            self, default_rpt):
+        for condition in ((1000, 6.0), (2000, 12.0), (3000, 24.0)):
+            expected = lattice(RetryStepGrid(PROMOTING, rpt=default_rpt),
+                               condition, default_rpt)
+            for page_type, kind in enumerate(PAGE_TYPE_ORDER):
+                for corner in (0, 9, 317):
+                    grid = RetryStepGrid(PROMOTING, rpt=default_rpt)
+                    read, from_grid = grid.behaviour_at(page_type, *condition,
+                                                        corner)
+                    assert not from_grid
+                    assert (grid.cached_conditions, grid.cache_size) == (0, 0)
+                    assert row_of(read) == lattice_row(expected[kind], corner)
 
     def test_the_read_path_never_builds_a_whole_device_pass(
             self, config, default_rpt, monkeypatch):
@@ -122,7 +148,7 @@ class TestRowsOnDemand:
             requests = [HostRequest(i * 50.0, RequestKind.READ, i * 5)
                         for i in range(40)]
             assert simulator.run(requests).metrics.pages_read == 40
-            grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=2)
+            grid = RetryStepGrid(PROMOTING, rpt=default_rpt)
             for query in range(4):
                 behaviour(grid, PageType.MSB, 2000, 12.0, 0, query)
             assert grid.cached_conditions == 1
@@ -140,14 +166,15 @@ class TestRowsOnDemand:
 
 class TestSlabLifecycle:
 
-    def test_grid_matches_scalar_fallback(self, config, default_rpt):
+    def test_grid_matches_scalar_fallback(self, default_rpt):
         """The slab and the scalar path must agree behaviour-for-behaviour."""
-        eager = RetryStepGrid(config, rpt=default_rpt, promote_threshold=1)
-        lazy = RetryStepGrid(config, rpt=default_rpt,
-                             promote_threshold=10_000)
+        eager = RetryStepGrid(PROMOTING, rpt=default_rpt)
+        eager.prefill([(2000, 12.0)])
         for page_type in PageType:
             for chip in range(eager.chips):
-                for block in (0, 7, 15):
+                for block in (0, 7, 79):
+                    # A fresh grid's first query comes before promotion.
+                    lazy = RetryStepGrid(PROMOTING, rpt=default_rpt)
                     fast, from_grid = behaviour(eager, page_type, 2000, 12.0,
                                                 chip, block)
                     slow, from_slab = behaviour(lazy, page_type, 2000, 12.0,
@@ -155,9 +182,10 @@ class TestSlabLifecycle:
                     assert from_grid and not from_slab
                     assert fast == slow
 
-    def test_promotion_after_threshold(self, config, default_rpt):
-        grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=3)
-        for query in range(2):
+    def test_promotion_after_threshold(self, default_rpt):
+        grid = RetryStepGrid(SsdConfig.scaled(), rpt=default_rpt)
+        assert grid.promote_threshold == grid.corner_count // 160 == 8
+        for query in range(grid.promote_threshold - 1):
             _, from_grid = behaviour(grid, PageType.LSB, 500, 3.0, 0, query)
             assert not from_grid
         assert grid.cached_conditions == 0
@@ -165,30 +193,35 @@ class TestSlabLifecycle:
         assert from_grid
         assert grid.cached_conditions == 1
 
-    def test_slab_eviction_is_bounded(self, config, default_rpt):
-        grid = RetryStepGrid(config, rpt=default_rpt, promote_threshold=1,
-                             max_conditions=2)
+    def test_slab_eviction_is_bounded(self, config, default_rpt, monkeypatch):
+        monkeypatch.setattr(retry_grid, "MAX_CONDITIONS", 2)
+        grid = RetryStepGrid(config, rpt=default_rpt)
         for pe_cycles in (100, 200, 300, 400):
             behaviour(grid, PageType.CSB, pe_cycles, 0.0, 0, 0)
         assert grid.cached_conditions == 2
 
-    def test_scalar_memo_eviction_is_bounded(self, config, default_rpt):
-        grid = RetryStepGrid(config, rpt=default_rpt,
-                             promote_threshold=10_000, max_scalar_entries=5)
-        for block in range(8):
-            behaviour(grid, PageType.CSB, 1000, 6.0, 0, block)
-        assert grid.scalar_memo_size <= 5
+    def test_the_condition_bound_holds_for_walks_too(self, default_rpt,
+                                                     monkeypatch):
+        # Every walk the grid builds is counted while it lives: a slab's
+        # walk goes with its slab, and a read before promotion keeps none.
+        live = weakref.WeakSet()
 
-    @pytest.mark.parametrize("promote_threshold", [1, 10_000])
-    def test_walk_constants_are_bounded(self, config, default_rpt,
-                                        promote_threshold):
-        grid = RetryStepGrid(config, rpt=default_rpt,
-                             promote_threshold=promote_threshold,
-                             max_conditions=2)
+        class CountedWalk(RowWalk):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                live.add(self)
+
+        monkeypatch.setattr(retry_grid, "RowWalk", CountedWalk)
+        monkeypatch.setattr(retry_grid, "MAX_CONDITIONS", 2)
+        grid = RetryStepGrid(PROMOTING, rpt=default_rpt)
         for pe_cycles in (100, 200, 300, 400):
-            behaviour(grid, PageType.CSB, pe_cycles, 6.0, 0, 0)
-            assert grid.cached_walks <= 2
-        assert grid.cached_walks == 2
+            for query in range(grid.promote_threshold):
+                behaviour(grid, PageType.CSB, pe_cycles, 6.0, 0, query)
+                assert grid.cached_conditions <= 2
+                assert len(live) <= 2
+        assert sorted(map(id, live)) == sorted(
+            id(slab.walk) for slab in grid._slabs.values())
+        assert len(live) == 2
 
 
 class TestSlabRecency:
@@ -205,10 +238,13 @@ class TestSlabRecency:
                     min_size=1, max_size=24))
     @settings(max_examples=30, deadline=None)
     def test_slab_order_follows_an_lru_model(self, default_rpt, queries):
-        config = SsdConfig.tiny()
-        grid = RetryStepGrid(config, rpt=default_rpt,
-                             promote_threshold=self.PROMOTE,
-                             max_conditions=self.MAX_CONDITIONS)
+        with mock.patch.object(retry_grid, "MAX_CONDITIONS",
+                               self.MAX_CONDITIONS):
+            self._check(default_rpt, queries)
+
+    def _check(self, default_rpt, queries):
+        grid = RetryStepGrid(PROMOTING, rpt=default_rpt)
+        assert grid.promote_threshold == self.PROMOTE
         model = OrderedDict()
         pending = {}
         builds = 0
@@ -271,8 +307,7 @@ class TestSharedGrids:
                                     for i in range(10)])
             assert result.metrics.pages_read == 10
             assert private.cached_conditions == 1
-            assert (shared.slab_builds, shared.cached_conditions,
-                    shared.scalar_memo_size) == (0, 0, 0)
+            assert (shared.slab_builds, shared.cached_conditions) == (0, 0)
             assert shared_grid(config, default_rpt) is shared
             assert shared.retry_table == ReadRetryTable()
         finally:
@@ -280,8 +315,7 @@ class TestSharedGrids:
 
 
 class TestDeviceSlabPrefill:
-    """prefill_device_slabs keeps a device's two slabs in the shared grid;
-    fill_device_slabs also computes their rows."""
+    """prefill_device_slabs keeps a device's two slabs in the shared grid."""
 
     @pytest.fixture(autouse=True)
     def _no_shared_grids(self):
@@ -312,9 +346,10 @@ class TestDeviceSlabPrefill:
         assert list(grid._slabs) == [(2000, 0.0)]
         assert grid.slab_builds == 1
 
-    def test_rebuilds_the_slabs_the_lru_evicted(self, config, default_rpt):
+    def test_rebuilds_the_slabs_the_lru_evicted(self, config, default_rpt,
+                                                 monkeypatch):
+        monkeypatch.setattr(retry_grid, "MAX_CONDITIONS", 2)
         grid = shared_grid(config, default_rpt)
-        grid.max_conditions = 2
         prefill_device_slabs(config, default_rpt, 1000, 6.0)
         prefill_device_slabs(config, default_rpt, 2000, 12.0)
         assert list(grid._slabs) == [(2000, 12.0), (2000, 0.0)]
@@ -327,15 +362,14 @@ class TestDeviceSlabPrefill:
         prefill_device_slabs(config, pickle.loads(pickle.dumps(default_rpt)), 1000, 6.0)
         assert shared_grid(config, default_rpt).cached_conditions == 2
 
-    def test_prefill_computes_no_row_and_fill_every_row(self, config, default_rpt):
+    def test_prefill_computes_no_row(self, config, default_rpt):
         prefill_device_slabs(config, default_rpt, 1000, 6.0)
         grid = shared_grid(config, default_rpt)
         assert grid.cache_size == 0
         behaviour(grid, PageType.CSB, 1000, 6.0, 0, 3)
-        fill_device_slabs(config, default_rpt, 1000, 6.0)
+        prefill_device_slabs(config, default_rpt, 1000, 6.0)
         assert set(grid._slabs) == {(1000, 6.0), (1000, 0.0)}
-        assert grid.slab_builds == 2
-        assert grid.cache_size == 2 * len(PAGE_TYPE_ORDER) * grid.corner_count
+        assert (grid.slab_builds, grid.cache_size) == (2, 1)
 
 
 class TestSimulatorIntegration:
