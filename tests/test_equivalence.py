@@ -1,10 +1,12 @@
-"""Tests for ``scripts/equivalence.py``: two corpus scenarios run in-process."""
+"""Tests for ``scripts/equivalence.py``: corpus scenarios run in-process."""
 
 import copy
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from repro.ssd.retry_grid import MAX_CONDITIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "equivalence.py"
@@ -33,6 +35,21 @@ def test_scenarios_record_every_request_and_die(equivalence, records):
         assert len(record["dies"]) == 4
     assert records["page-discard"]["summary"]["control_discards"] > 0
     assert equivalence.compare(records, copy.deepcopy(records)) == {}
+
+
+def test_the_promoting_scenario_reads_before_promotion_and_evicts(equivalence):
+    # The one scenario whose grid counts reads before a condition's
+    # promotion: its sweep cells together read more conditions than the
+    # grid keeps slabs for, so the slab LRU evicts.
+    records = equivalence.emit(["page-promote-evict"])
+    assert equivalence.errors(records) == {}
+    record = records["page-promote-evict"]
+    cells = list(record["sweep"]["cells"].values())
+    assert len(cells) == 2
+    assert all(cell["summary"]["scalar_fallbacks"] > 0 for cell in cells)
+    assert sum(cell["distinct_read_conditions"] for cell in cells) > MAX_CONDITIONS
+    assert all(result["merged"]["scalar_fallbacks"] > 0
+               for result in record["fleet"].values())
 
 
 def test_a_planted_difference_is_named(equivalence, records):

@@ -318,6 +318,14 @@ class TestSlabPrefill:
         assert set(slabs) == {(1000, 6.0), (1000, 0.0)}
         assert set(self._rows(slabs)) == {None}
 
+    def test_a_forking_fleet_parent_keeps_every_device_condition_empty(
+            self, tiny_config):
+        FleetRunner(self._fleet(tiny_config), processes=2).run(
+            WorkloadSpec(name="usr_1", num_requests=40, seed=3), policies="PnAR2")
+        slabs = shared_grid(tiny_config, ReadTimingParameterTable.default())._slabs
+        assert set(slabs) == set.union(*self.COLD_AND_REWRITTEN)
+        assert set(self._rows(slabs)) == {None}
+
     def test_a_serial_fleet_parent_fills_only_the_rows_it_reads(self, tiny_config):
         rows = self._rows(self._slabs_after_a_fleet_run(tiny_config, processes=1))
         assert None in rows
@@ -379,6 +387,12 @@ class TestWorkerPool:
         serial = WorkerPool(1)
         assert list(serial.submit(_square, [1, 2, 3])) == [1, 4, 9]
         assert serial._pool is None
+
+    def test_submitting_no_payloads_forks_nothing(self):
+        with WorkerPool(2) as pool:
+            assert list(pool.submit(_square, [])) == []
+            assert pool.map(_square, []) == []
+            assert pool._pool is None
 
     def test_pool_map_maps_nothing_and_one_payload_serially(self):
         assert pool_map(_square, [], 4) == []

@@ -109,6 +109,57 @@ class TestRowsMatchTheLattice:
         assert grid.cache_size == len(PAGE_TYPE_ORDER) * grid.corner_count
 
 
+class TestRowWalk:
+    """A walk on its own, with the options the grid never passes: a short
+    retry table, an ECC capability override, and no RPT reduction."""
+
+    CONDITIONS = ((0, 0.0), (1000, 6.0), (3000, 24.0))
+
+    @staticmethod
+    def _walk(grid, condition, pre_reduction, table=None, capability=None):
+        return RowWalk(grid.error_model,
+                       OperatingCondition(*condition, grid.config.temperature_c),
+                       pre_reduction, table, capability=capability)
+
+    @staticmethod
+    def _rows(grid, walk):
+        arrays = grid.variation_arrays()
+        return [walk.row(page_type, arrays.sample_at(corner))
+                for page_type in range(len(PAGE_TYPE_ORDER))
+                for corner in range(grid.corner_count)]
+
+    @pytest.mark.parametrize("capability, entries", [(None, 4), (20, 40), (0, 40)],
+                             ids=["short-table", "weak-ecc", "no-ecc"])
+    def test_rows_match_the_lattice(self, grid, default_rpt, capability, entries):
+        table = ReadRetryTable(num_entries=entries)
+        arrays = grid.variation_arrays()
+        for condition in self.CONDITIONS:
+            pre_reduction = default_rpt.entry_for(*condition).pre_reduction
+            walk = self._walk(grid, condition, pre_reduction, table, capability)
+            expected = BatchErrorModel(grid.error_model).read_behaviour_lattice(
+                OperatingCondition(*condition, grid.config.temperature_c),
+                arrays, pre_reduction, table=table, capability=capability)
+            for page_type, kind in enumerate(PAGE_TYPE_ORDER):
+                for corner in range(grid.corner_count):
+                    assert walk.row(page_type, arrays.sample_at(corner)) == (
+                        lattice_row(expected[kind], corner))
+
+    def test_a_walk_without_a_reduction_never_falls_back(self, grid):
+        for condition in self.CONDITIONS[1:]:
+            rows = self._rows(grid, self._walk(grid, condition, 0.0))
+            assert all(steps == reduced and not fallback
+                       for steps, reduced, fallback in rows)
+            assert min(steps for steps, _, _ in rows) > 0
+
+    def test_a_walk_that_never_decodes_charges_the_whole_table(self, grid):
+        # With no correction capability no column decodes: the default walk
+        # charges every entry, and a reduced walk falls back to it.
+        table = ReadRetryTable(num_entries=6)
+        for pre_reduction, fallback in ((0.0, False), (0.4, True)):
+            walk = self._walk(grid, (1000, 6.0), pre_reduction, table, capability=0)
+            assert set(self._rows(grid, walk)) == {(6, 6, fallback)}
+
+
 class TestRowsOnDemand:
     def test_one_read_fills_one_row(self, grid):
         read, from_grid = behaviour(grid, PageType.CSB, 1000, 6.0, 0, 3)
@@ -132,6 +183,28 @@ class TestRowsOnDemand:
                     assert not from_grid
                     assert (grid.cached_conditions, grid.cache_size) == (0, 0)
                     assert row_of(read) == lattice_row(expected[kind], corner)
+
+    def test_equal_rows_share_one_behaviour_object(self, default_rpt):
+        # Every row of a fresh condition decodes at step 0: the read before
+        # promotion and the slab hit after it return the same object.
+        grid = RetryStepGrid(PROMOTING, rpt=default_rpt)
+        fallback, from_grid = grid.behaviour_at(0, 0, 0.0, 5)
+        assert not from_grid
+        hit, from_grid = grid.behaviour_at(2, 0, 0.0, 301)
+        assert from_grid and hit is fallback
+        grid.prefill([(2000, 12.0)])
+        reads = [grid.behaviour_at(page_type, 2000, 12.0, corner)[0]
+                 for page_type in range(len(PAGE_TYPE_ORDER))
+                 for corner in range(grid.corner_count)]
+        assert len({id(read) for read in reads}) == len(set(reads)) < len(reads)
+
+    def test_cache_size_counts_the_filled_rows_of_every_slab(self, grid):
+        behaviour(grid, PageType.CSB, 1000, 6.0, 0, 3)
+        behaviour(grid, PageType.LSB, 1000, 6.0, 1, 3)
+        behaviour(grid, PageType.CSB, 2000, 12.0, 0, 3)
+        assert (grid.cached_conditions, grid.cache_size) == (2, 3)
+        behaviour(grid, PageType.LSB, 1000, 6.0, 1, 3)
+        assert grid.cache_size == 3
 
     def test_the_read_path_never_builds_a_whole_device_pass(
             self, config, default_rpt, monkeypatch):
@@ -223,6 +296,59 @@ class TestSlabLifecycle:
             id(slab.walk) for slab in grid._slabs.values())
         assert len(live) == 2
 
+    def test_promotion_clears_the_pending_count(self, default_rpt):
+        grid = RetryStepGrid(PROMOTING, rpt=default_rpt)
+        behaviour(grid, PageType.LSB, 1000, 6.0, 0, 1)
+        assert grid._pending_queries == {(1000, 6.0): 1}
+        _, from_grid = behaviour(grid, PageType.LSB, 1000, 6.0, 0, 2)
+        assert from_grid
+        assert grid._pending_queries == {}
+        assert list(grid._slabs) == [(1000, 6.0)]
+
+    def test_prefill_drops_a_pending_count(self, default_rpt):
+        grid = RetryStepGrid(PROMOTING, rpt=default_rpt)
+        behaviour(grid, PageType.LSB, 1000, 6.0, 0, 1)
+        grid.prefill([(1000, 6)])
+        assert grid._pending_queries == {}
+        assert (list(grid._slabs), grid.slab_builds) == ([(1000, 6.0)], 1)
+        _, from_grid = behaviour(grid, PageType.LSB, 1000, 6.0, 0, 1)
+        assert from_grid
+
+    def test_an_evicted_condition_counts_its_queries_afresh(self, default_rpt,
+                                                           monkeypatch):
+        monkeypatch.setattr(retry_grid, "MAX_CONDITIONS", 1)
+        grid = RetryStepGrid(PROMOTING, rpt=default_rpt)
+        for pe_cycles in (1000, 2000):
+            for block in (0, 1):
+                behaviour(grid, PageType.CSB, pe_cycles, 6.0, 0, block)
+        assert list(grid._slabs) == [(2000, 6.0)]
+        _, from_grid = behaviour(grid, PageType.CSB, 1000, 6.0, 0, 0)
+        assert not from_grid
+        assert grid._pending_queries == {(1000, 6.0): 1}
+        _, from_grid = behaviour(grid, PageType.CSB, 1000, 6.0, 0, 0)
+        assert from_grid
+        assert (list(grid._slabs), grid.slab_builds) == ([(1000, 6.0)], 3)
+
+    def test_an_evicted_slab_takes_its_rows_with_it(self, config, default_rpt,
+                                                   monkeypatch):
+        monkeypatch.setattr(retry_grid, "MAX_CONDITIONS", 1)
+        grid = RetryStepGrid(config, rpt=default_rpt)
+        first = [behaviour(grid, PageType.MSB, 1000, 6.0, 0, block)[0]
+                 for block in range(4)]
+        assert grid.cache_size == 4
+        behaviour(grid, PageType.MSB, 2000, 12.0, 0, 0)
+        assert grid.cache_size == 1
+        again = [behaviour(grid, PageType.MSB, 1000, 6.0, 0, block)[0]
+                 for block in range(4)]
+        assert all(read is before for read, before in zip(again, first))
+        assert (grid.cache_size, grid.slab_builds) == (4, 3)
+
+    @pytest.mark.parametrize("option", ["promote_threshold", "max_conditions",
+                                        "max_scalar_entries"])
+    def test_the_constructor_takes_no_cache_option(self, config, option):
+        with pytest.raises(TypeError):
+            RetryStepGrid(config, **{option: 1})
+
 
 class TestSlabRecency:
     """Slab order is an LRU over the queries, promotions and evictions."""
@@ -312,6 +438,55 @@ class TestSharedGrids:
             assert shared.retry_table == ReadRetryTable()
         finally:
             clear_shared_grids()
+
+    def test_temperature_seed_and_rpt_each_key_a_grid(self, config,
+                                                     default_rpt):
+        clear_shared_grids()
+        try:
+            grids = [shared_grid(config, default_rpt),
+                     shared_grid(SsdConfig.tiny(temperature_c=55.0), default_rpt),
+                     shared_grid(SsdConfig.tiny(seed=config.seed + 1), default_rpt),
+                     shared_grid(config, ReadTimingParameterTable.conservative())]
+            assert len({id(grid) for grid in grids}) == len(grids)
+        finally:
+            clear_shared_grids()
+
+    def test_shared_grids_are_bounded_and_recency_ordered(self, default_rpt):
+        clear_shared_grids()
+        try:
+            configs = [SsdConfig.tiny(seed=seed)
+                       for seed in range(retry_grid._MAX_SHARED_GRIDS + 1)]
+            grids = [shared_grid(config, default_rpt) for config in configs[:-1]]
+            assert shared_grid(configs[0], default_rpt) is grids[0]
+            shared_grid(configs[-1], default_rpt)
+            # The touched first grid survives; the least recent one went.
+            assert shared_grid(configs[0], default_rpt) is grids[0]
+            assert shared_grid(configs[1], default_rpt) is not grids[1]
+        finally:
+            clear_shared_grids()
+
+    def test_grids_over_the_same_silicon_share_variation_arrays(
+            self, config, default_rpt):
+        clear_shared_grids()
+        try:
+            arrays = RetryStepGrid(config, rpt=default_rpt).variation_arrays()
+            for same_silicon in (
+                    RetryStepGrid(config, rpt=ReadTimingParameterTable.conservative()),
+                    RetryStepGrid(SsdConfig.tiny(temperature_c=55.0), rpt=default_rpt)):
+                assert same_silicon.variation_arrays() is arrays
+            other = RetryStepGrid(SsdConfig.tiny(seed=config.seed + 1),
+                                  rpt=default_rpt).variation_arrays()
+            assert other is not arrays
+            assert other.sample_at(0) != arrays.sample_at(0)
+        finally:
+            clear_shared_grids()
+
+    def test_a_grid_without_an_rpt_reads_the_default_table(self, config):
+        grid = RetryStepGrid(config)
+        assert (rpt_fingerprint(grid.rpt)
+                == rpt_fingerprint(ReadTimingParameterTable.default()))
+        _, from_grid = behaviour(grid, PageType.CSB, 1000, 6.0, 0, 3)
+        assert from_grid
 
 
 class TestDeviceSlabPrefill:
