@@ -11,7 +11,8 @@ import pytest
 from repro.ecc.bch import BchCode
 from repro.errors import CodewordErrorModel, OperatingCondition
 from repro.experiments.store import CheckpointStore
-from repro.errors.batch import BatchErrorModel
+from repro.errors.batch import BatchErrorModel, VariationArrays
+from repro.errors.variation import ProcessVariation
 from repro.nand.geometry import PageType
 from repro.sim.fleet import FleetRunner, FleetSpec
 from repro.sim.spec import Condition
@@ -54,11 +55,19 @@ def test_bench_bch_decode_8_errors(benchmark):
     assert result.success
 
 
-def test_bench_batch_walk_lattice(benchmark, model, bench_rpt):
+def _corner_variation(config):
+    """Every block's variation sample of ``config``'s device, in corner order."""
+    grid = RetryStepGrid(config)
+    variation = ProcessVariation(seed=config.seed)
+    return VariationArrays.from_samples(
+        variation.block_sample(chip=chip, block=block)
+        for chip in range(grid.chips) for block in range(grid.blocks_per_chip))
+
+
+def test_bench_batch_walk_lattice(benchmark, model):
     """One vectorized behaviour pass over a tiny SSD's full corner lattice."""
-    grid = RetryStepGrid(SsdConfig.tiny(), rpt=bench_rpt)
     batch = BatchErrorModel(model)
-    variation = grid.variation_arrays()
+    variation = _corner_variation(SsdConfig.tiny())
     condition = OperatingCondition(1000, 6.0, 30.0)
 
     lattice = benchmark(batch.read_behaviour_lattice, condition, variation,
@@ -68,9 +77,8 @@ def test_bench_batch_walk_lattice(benchmark, model, bench_rpt):
 
 def test_bench_batch_walk_lattice_fresh(benchmark, model):
     """The lattice of freshly written data: every walk stops at step 0."""
-    grid = RetryStepGrid(SsdConfig.tiny())
     batch = BatchErrorModel(model)
-    variation = grid.variation_arrays()
+    variation = _corner_variation(SsdConfig.tiny())
     condition = OperatingCondition(1000, 0.0, 30.0)
 
     lattice = benchmark(batch.read_behaviour_lattice, condition, variation,

@@ -20,7 +20,7 @@ Usage::
 import numpy as np
 
 from repro.core.rpt import ReadTimingParameterTable
-from repro.ecc import BchCode, CapabilityEccEngine
+from repro.ecc import BchCode
 from repro.nand.chip import NandChip
 from repro.nand.geometry import ChipGeometry
 
@@ -68,10 +68,9 @@ def main() -> None:
     # --- why the margin exists: decode the final step with a real BCH code ---
     print("ECC view of the final retry step (BCH(255, k, t=8) scaled down by "
           "the same capability-to-errors ratio):")
-    capability_engine = CapabilityEccEngine()
     code = BchCode(m=8, t=8)
     rng = np.random.default_rng(0)
-    scale = code.t / capability_engine.capability_bits
+    scale = code.t / chip.ecc_capability
     for label, errors in (("one step before the final", 3 * chip.ecc_capability),
                           ("final retry step", ar2_result.final_errors)):
         scaled_errors = int(round(errors * scale))

@@ -8,8 +8,9 @@ the ASPLOS 2021 paper by Park et al.:
 * :mod:`repro.errors` — threshold-voltage and raw-bit-error-rate models,
   including the effect of retention loss, program/erase cycling, operating
   temperature, and reduced read-timing parameters.
-* :mod:`repro.ecc` — error-correcting-code substrate (capability-model engine
-  used by the simulator plus a real BCH codec).
+* :mod:`repro.ecc` — a real BCH codec that shows the simulator's ECC rule
+  (a codeword decodes iff its raw bit errors are within a fixed capability)
+  is faithful to bounded-distance decoding.
 * :mod:`repro.characterization` — the virtual 160-chip characterization
   platform that regenerates the paper's Figures 4(b), 5, 7, 8, 9, 10 and 11
   and builds the Read-timing Parameter Table (RPT).

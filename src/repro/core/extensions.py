@@ -24,7 +24,6 @@ against PnAR2 in the ablation experiments:
 
 from __future__ import annotations
 
-
 from repro.core.latency import ReadLatencyBreakdown
 from repro.core.policies import PnAR2Policy, ReadRetryPolicy
 from repro.core.rpt import ReadTimingParameterTable
@@ -182,30 +181,3 @@ class SentinelPolicy(ReadRetryPolicy):
             return self.latency_model.baseline(steps, page_type)
         return self.latency_model.pnar2(steps, page_type,
                                         self.reduced_timing_for(condition))
-
-
-_EXTENSION_FACTORIES = {
-    "pnar2+regularreads": RegularReadSpeedupPolicy,
-    "pnar2+speculation": SpeculativeRetryPolicy,
-    "sentinel": lambda timing=None, rpt=None: SentinelPolicy(timing, rpt),
-    "sentinel+pnar2": lambda timing=None, rpt=None: SentinelPolicy(
-        timing, rpt, mechanism="pnar2"),
-}
-
-
-def available_extensions():
-    """Names of the extension policies implemented beyond the paper's core."""
-    return ("PnAR2+RegularReads", "PnAR2+Speculation", "Sentinel",
-            "Sentinel+PnAR2")
-
-
-def get_extension_policy(name: str, timing: TimingParameters = None,
-                         rpt: ReadTimingParameterTable = None,
-                         **kwargs) -> ReadRetryPolicy:
-    """Instantiate an extension policy by (case-insensitive) name."""
-    key = name.strip().lower()
-    factory = _EXTENSION_FACTORIES.get(key)
-    if factory is None:
-        raise ValueError(f"unknown extension policy {name!r}; "
-                         f"available: {available_extensions()}")
-    return factory(timing=timing, rpt=rpt, **kwargs)

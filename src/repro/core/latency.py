@@ -173,50 +173,3 @@ class ReadLatencyModel:
     def _check_steps(retry_steps: int) -> None:
         if retry_steps < 0:
             raise ValueError("retry_steps must be non-negative")
-
-    def retry_latency_us(self, retry_steps: int, page_type: PageType,
-                         mechanism: str = "baseline",
-                         reduced_timing: ReadTimingParameters = None) -> float:
-        """``tRETRY`` alone, exactly as Equations (3)-(5) define it."""
-        self._check_steps(retry_steps)
-        if retry_steps == 0:
-            return 0.0
-        t_r = self.sensing_latency_us(page_type)
-        tail = self.timing.t_dma_page_us + self.timing.t_ecc_us
-        mechanism = mechanism.lower()
-        if mechanism == "baseline":
-            return retry_steps * (t_r + tail)
-        if mechanism == "pr2":
-            return retry_steps * t_r + tail
-        if mechanism in ("ar2", "pnar2"):
-            if reduced_timing is None:
-                raise ValueError(f"{mechanism} requires reduced_timing")
-            reduced_t_r = self.sensing_latency_us(page_type, reduced_timing)
-            if mechanism == "ar2":
-                return (self.timing.t_set_feature_us
-                        + retry_steps * (reduced_t_r + tail))
-            return (self.timing.t_set_feature_us
-                    + retry_steps * reduced_t_r + tail)
-        if mechanism in ("norr", "no_retry"):
-            return 0.0
-        raise ValueError(f"unknown read mechanism: {mechanism}")
-
-    def dispatch(self, mechanism: str, retry_steps: int, page_type: PageType,
-                 reduced_timing: ReadTimingParameters = None) -> ReadLatencyBreakdown:
-        """Compute the breakdown for a mechanism selected by name."""
-        mechanism = mechanism.lower()
-        if mechanism == "baseline":
-            return self.baseline(retry_steps, page_type)
-        if mechanism == "pr2":
-            return self.pr2(retry_steps, page_type)
-        if mechanism == "ar2":
-            if reduced_timing is None:
-                raise ValueError("AR2 requires reduced_timing")
-            return self.ar2(retry_steps, page_type, reduced_timing)
-        if mechanism == "pnar2":
-            if reduced_timing is None:
-                raise ValueError("PnAR2 requires reduced_timing")
-            return self.pnar2(retry_steps, page_type, reduced_timing)
-        if mechanism in ("norr", "no_retry"):
-            return self.no_retry(page_type)
-        raise ValueError(f"unknown read mechanism: {mechanism}")

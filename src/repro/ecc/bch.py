@@ -11,9 +11,10 @@ The implementation covers the full pipeline:
 * decoding with syndrome computation, the Berlekamp–Massey algorithm and a
   Chien search.
 
-It is used by the test-suite and examples to validate the bounded-distance
-"capability" abstraction of :class:`repro.ecc.engine.CapabilityEccEngine`;
-the SSD simulator itself uses the capability model for speed.
+The test-suite and the chip-level example use it to validate the
+bounded-distance "capability" rule the simulator applies for speed: a
+codeword decodes iff it holds at most ``t`` raw bit errors
+(:attr:`repro.errors.rber.CodewordErrorModel.ecc_capability`).
 """
 
 from __future__ import annotations

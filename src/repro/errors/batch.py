@@ -1,21 +1,23 @@
 """Vectorized evaluation of the codeword error model.
 
-The simulator's read hot path asks one question over and over: *how many
-read-retry steps does a read need under a given operating condition, page
-type and process-variation corner?*  The scalar answer
-(:meth:`repro.errors.rber.CodewordErrorModel.walk_retry_table`) re-derives
-the threshold-voltage distributions for every retry step of every query.
+:class:`BatchErrorModel` evaluates the scalar
+:class:`repro.errors.rber.CodewordErrorModel` over *arrays* of variation
+corners and retry steps in one numpy pass, with results that are
+**bit-for-bit identical** to the scalar code.  It answers two questions:
 
-This module evaluates the same model over *arrays* of variation corners and
-retry steps in one numpy pass, with results that are **bit-for-bit
-identical** to the scalar code.  The characterization code (the default
-RPT's M_ERR profiling, the virtual test platform, Figure 7's sweep) uses it
-for whole page populations.  The simulator's retry grid does not: it needs
-only the rows its reads touch, and prices each with
-:class:`repro.ssd.retry_grid.RowWalk`, which repeats
-:meth:`BatchErrorModel.read_behaviour_lattice`'s operations on one row in
-Python floats.  The lattice stays the vectorized oracle those rows are
-tested against.  Exactness is achieved by construction:
+* :meth:`BatchErrorModel.near_optimal_step_errors` — each page's errors at
+  its near-optimal retry step, the M_ERR the RPT profiler
+  (:func:`repro.characterization.rpt_builder.build_rpt`) and Figure 7's
+  sweep take over whole page populations;
+* :meth:`BatchErrorModel.read_behaviour_lattice` — the retry steps of a
+  read of every corner, with default and with RPT-reduced timings.  No
+  simulator runs it: the retry grid computes only the rows its reads touch,
+  each with :class:`repro.ssd.retry_grid.RowWalk`, which repeats the
+  lattice's operations on one row in Python floats.  The lattice is the
+  vectorized oracle those rows are tested against.
+
+No simulator, sweep or fleet process imports this module.  Exactness is
+achieved by construction:
 
 * per-condition scalars (retention shift, sigma widening, temperature
   extras, timing-error phase sums) are computed by the *scalar* model
@@ -28,8 +30,9 @@ tested against.  Exactness is achieved by construction:
 * the complementary error function is evaluated elementwise through
   ``math.erfc`` (:func:`_erfc`), the exact function the scalar path calls.
 
-The payoff is structural, not transcendental.  The scalar walk rebuilds the
-boundary distributions for each of up to 41 steps; the batch kernel builds
+The payoff is structural, not transcendental.  The scalar walk
+(:meth:`CodewordErrorModel.walk_retry_table`) rebuilds the boundary
+distributions for each of up to 41 steps; the batch kernel builds
 them once per (condition, corner), and each page type evaluates only its own
 sensed boundaries.  The read-behaviour lattice also stops where the read
 does: like the scalar walk, it stops at the first retry step the ECC decodes.
@@ -126,11 +129,6 @@ class VariationArrays:
         return len(self.shift)
 
     @classmethod
-    def nominal(cls, count: int) -> "VariationArrays":
-        ones = np.ones(count)
-        return cls(shift=ones, sigma=ones.copy(), timing=ones.copy())
-
-    @classmethod
     def from_samples(cls, samples: Iterable[VariationSample]) -> "VariationArrays":
         samples = list(samples)
         return cls(
@@ -152,28 +150,6 @@ class VariationArrays:
             sigma=self.sigma[indices],
             timing=self.timing[indices],
         )
-
-
-@dataclass(frozen=True)
-class BatchRetryOutcome:
-    """Vectorized counterpart of :class:`repro.errors.rber.RetryOutcome`.
-
-    :param retry_steps: per-corner retry-step count; ``-1`` encodes the
-        scalar model's ``None`` (table exhausted, a read failure).
-    :param errors_per_step: full ``(corners, steps + 1)`` error matrix,
-        column 0 being the initial default-V_REF read.  Unlike the scalar
-        walk, the batch walk always evaluates every step; the scalar
-        ``errors_per_step`` tuple is the row prefix up to the stop step.
-    """
-
-    retry_steps: np.ndarray
-    final_errors: np.ndarray
-    best_step_errors: np.ndarray
-    errors_per_step: np.ndarray
-
-    @property
-    def succeeded(self) -> np.ndarray:
-        return self.retry_steps >= 0
 
 
 @dataclass(frozen=True)
@@ -201,10 +177,6 @@ class BatchErrorModel:
         self._fresh_means = np.asarray(fresh_state_means_mv(), dtype=float)
         self._default_refs = np.asarray(default_read_references_mv())
         self._shift_weights = np.asarray(BOUNDARY_SHIFT_WEIGHTS)
-
-    @property
-    def model(self) -> CodewordErrorModel:
-        return self._model
 
     # -- per-condition distribution parameters --------------------------------
     def _boundary_parameters(
@@ -308,150 +280,6 @@ class BatchErrorModel:
         return errors + temperature_extra
 
     # -- public API -----------------------------------------------------------
-    def expected_errors_grid(
-        self,
-        condition: OperatingCondition,
-        page_type: PageType,
-        shifts_mv: Sequence[float],
-        variation: VariationArrays,
-        timing_reduction: TimingReduction = None,
-    ) -> np.ndarray:
-        """Expected errors over a (corner x V_REF-shift) grid.
-
-        Returns shape ``(len(variation), len(shifts_mv))``; element
-        ``[i, s]`` equals the scalar
-        :meth:`CodewordErrorModel.expected_errors` bit for bit.
-        """
-        shifts = np.asarray(shifts_mv, dtype=float)
-        means, sigmas = self._boundary_parameters(condition, variation)
-        temperature_extra = self._model.vth_model.temperature_extra_errors_per_kib(condition)
-        errors = self._page_errors(page_type, shifts, means, sigmas, temperature_extra)
-        timing_extra = self._timing_extra(timing_reduction, condition, variation)
-        if timing_extra is not None:
-            errors = errors + timing_extra[:, None]
-        return errors
-
-    def expected_errors(
-        self,
-        pe_cycles,
-        retention_months,
-        temperature_c,
-        page_type: PageType,
-        reference_shift_mv=0.0,
-        variation: VariationArrays = None,
-        timing_reduction: TimingReduction = None,
-    ) -> np.ndarray:
-        """Elementwise expected errors over arrays of operating conditions.
-
-        All array arguments are broadcast to a common length ``N``; the
-        result is the ``(N,)`` array of per-item scalar
-        :meth:`CodewordErrorModel.expected_errors` values.  Items are
-        grouped by distinct condition so each group runs as one vector op.
-        """
-        pe = np.atleast_1d(np.asarray(pe_cycles))
-        ret = np.atleast_1d(np.asarray(retention_months, dtype=float))
-        temp = np.atleast_1d(np.asarray(temperature_c, dtype=float))
-        shift_mv = np.atleast_1d(np.asarray(reference_shift_mv, dtype=float))
-        count = max(
-            len(pe),
-            len(ret),
-            len(temp),
-            len(shift_mv),
-            len(variation) if variation is not None else 1,
-        )
-        pe = np.broadcast_to(pe, (count,))
-        ret = np.broadcast_to(ret, (count,))
-        temp = np.broadcast_to(temp, (count,))
-        shift_mv = np.broadcast_to(shift_mv, (count,))
-        if variation is None:
-            variation = VariationArrays.nominal(count)
-        elif len(variation) == 1 and count > 1:
-            variation = VariationArrays(
-                shift=np.broadcast_to(variation.shift, (count,)),
-                sigma=np.broadcast_to(variation.sigma, (count,)),
-                timing=np.broadcast_to(variation.timing, (count,)),
-            )
-        if len(variation) != count:
-            raise ValueError(
-                f"variation arrays of length {len(variation)} do not broadcast to {count} items"
-            )
-
-        result = np.empty(count)
-        item_keys = [
-            (int(p), float(r), float(t), float(s)) for p, r, t, s in zip(pe, ret, temp, shift_mv)
-        ]
-        groups: Dict[tuple, list] = {}
-        for index, key in enumerate(item_keys):
-            groups.setdefault(key, []).append(index)
-        for (p, r, t, s), indices in groups.items():
-            condition = OperatingCondition(pe_cycles=p, retention_months=r, temperature_c=t)
-            idx = np.asarray(indices)
-            grid = self.expected_errors_grid(
-                condition,
-                page_type,
-                [s],
-                variation.take(idx),
-                timing_reduction=timing_reduction,
-            )
-            result[idx] = grid[:, 0]
-        return result
-
-    def walk_retry_table(
-        self,
-        condition: OperatingCondition,
-        page_type: PageType,
-        variation: VariationArrays,
-        table: ReadRetryTable = None,
-        timing_reduction: TimingReduction = None,
-        retry_timing_reduction: TimingReduction = None,
-        capability: int = None,
-    ) -> BatchRetryOutcome:
-        """Vectorized :meth:`CodewordErrorModel.walk_retry_table`.
-
-        Walks every corner of ``variation`` through the retry table under
-        one operating condition; retry-step counts, final errors and
-        best-step errors match the scalar walk bit for bit (``-1`` stands
-        in for the scalar ``None``).  Only the deterministic expected-value
-        walk is vectorized; Poisson-sampled walks stay scalar.
-        """
-        table = table or ReadRetryTable()
-        capability = capability if capability is not None else self._model.ecc_capability
-        if retry_timing_reduction is None:
-            retry_timing_reduction = timing_reduction
-        shifts = _table_shifts(table)
-        means, sigmas = self._boundary_parameters(condition, variation)
-        temperature_extra = self._model.vth_model.temperature_extra_errors_per_kib(condition)
-        initial_extra = self._timing_extra(timing_reduction, condition, variation)
-        retry_extra = self._timing_extra(retry_timing_reduction, condition, variation)
-        base = self._page_errors(page_type, shifts, means, sigmas, temperature_extra)
-        errors = base.copy()
-        if initial_extra is not None:
-            errors[:, 0] = base[:, 0] + initial_extra
-        if retry_extra is not None:
-            errors[:, 1:] = base[:, 1:] + retry_extra[:, None]
-        return self._walk_from_errors(errors, capability)
-
-    @staticmethod
-    def _walk_from_errors(errors: np.ndarray, capability: float) -> BatchRetryOutcome:
-        success = errors <= capability
-        any_success = success.any(axis=1)
-        first = np.argmax(success, axis=1)
-        retry_steps = np.where(any_success, first, -1)
-
-        rows = np.arange(errors.shape[0])
-        # The scalar walk stops at the first success, so its running best
-        # only covers the attempted prefix; failed walks attempt everything.
-        stop = np.where(any_success, first, errors.shape[1] - 1)
-        running_best = np.minimum.accumulate(errors, axis=1)
-        best = running_best[rows, stop]
-        final = np.where(any_success, errors[rows, first], best)
-        return BatchRetryOutcome(
-            retry_steps=retry_steps,
-            final_errors=final,
-            best_step_errors=best,
-            errors_per_step=errors,
-        )
-
     def near_optimal_step_errors(
         self,
         condition: OperatingCondition,

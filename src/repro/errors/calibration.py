@@ -1,8 +1,8 @@
 """Calibration constants of the error models.
 
 Every constant is annotated with the paper observation it is meant to
-reproduce.  The values are fitted analytically (see DESIGN.md, "Calibration
-constants"); ``tests/test_calibration_targets.py`` checks that the headline
+reproduce.  The values are fitted analytically to those observations;
+``tests/test_calibration_targets.py`` checks that the headline
 characterization numbers come out of the full model within loose tolerances.
 
 All voltages are millivolts on the scale defined in

@@ -133,8 +133,9 @@ class ReadTimingErrorModel:
         the operating-condition severity and temperature scaling are applied;
         :meth:`additional_errors_per_codeword` multiplies it by the severity.
         It is exposed separately so that the vectorized kernel in
-        :mod:`repro.errors.batch` can evaluate it once per condition and
-        broadcast it across variation corners.
+        :mod:`repro.errors.batch` and the retry grid's
+        :class:`~repro.ssd.retry_grid.RowWalk` can evaluate it once per
+        condition and apply it to every variation corner.
         """
         cal = self._calibration
         # A shortened discharge phase leaves residual charge on the bitlines,

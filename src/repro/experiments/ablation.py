@@ -1,4 +1,4 @@
-"""Ablation studies of the design choices DESIGN.md calls out.
+"""Ablation studies of the design choices behind PnAR2.
 
 Not a paper figure, but the knobs the paper discusses qualitatively:
 
@@ -7,16 +7,15 @@ Not a paper figure, but the knobs the paper discusses qualitatively:
 * ``scheduling`` — the contribution of the baseline SSD's latency-hiding
   features (read priority and program/erase suspension), which the paper
   includes in every configuration.
-* ``extensions`` — the Section 8 follow-on ideas (reduced-timing regular
-  reads, speculative retry start) and the Sentinel prior work, stacked on
-  top of PnAR2.
+* ``extensions`` — the Section 8 speculative retry start, stacked on top
+  of PnAR2, and the Sentinel prior work, alone and with PnAR2.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from repro.core.extensions import get_extension_policy
+from repro.core.extensions import SentinelPolicy, SpeculativeRetryPolicy
 from repro.core.policies import get_policy
 from repro.core.rpt import ReadTimingParameterTable
 from repro.experiments.api import param, register_experiment
@@ -154,9 +153,9 @@ def extensions(workload: str = "usr_1",
     policies = [
         get_policy("Baseline", config.timing, rpt),
         get_policy("PnAR2", config.timing, rpt),
-        get_extension_policy("PnAR2+Speculation", config.timing, rpt),
-        get_extension_policy("Sentinel", config.timing, rpt),
-        get_extension_policy("Sentinel+PnAR2", config.timing, rpt),
+        SpeculativeRetryPolicy(config.timing, rpt),
+        SentinelPolicy(config.timing, rpt),
+        SentinelPolicy(config.timing, rpt, mechanism="pnar2"),
         get_policy("NoRR", config.timing, rpt),
     ]
     cell = _run_cell(policies, config, workload, condition, num_requests,

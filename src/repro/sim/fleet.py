@@ -138,6 +138,7 @@ class FleetSpec:
             raise ValueError("devices must be at least 1")
         if not 1 <= self.replication <= self.devices:
             raise ValueError("replication must be in [1, devices]")
+        object.__setattr__(self, "condition", Condition.coerce(self.condition))
         if self.device_conditions is not None:
             coerced = tuple(Condition.coerce(condition) for condition in self.device_conditions)
             if len(coerced) != self.devices:

@@ -31,7 +31,7 @@ class PolicyLookupError(ValueError):
 
 
 class DuplicatePolicyError(ValueError):
-    """Raised when a name (or alias) is registered twice without overwrite."""
+    """Raised when a name is registered twice without overwrite."""
 
 
 @dataclass
@@ -40,7 +40,6 @@ class PolicyRegistration:
 
     name: str
     factory: Callable
-    aliases: Tuple[str, ...] = ()
     tags: Tuple[str, ...] = ()
     order: int = 0
     doc: str = ""
@@ -61,7 +60,6 @@ class PolicyRegistry:
 
     def __init__(self):
         self._entries: Dict[str, PolicyRegistration] = {}
-        self._aliases: Dict[str, str] = {}
         self._order = 0
 
     # -- registration ---------------------------------------------------------
@@ -70,54 +68,44 @@ class PolicyRegistry:
         name: str,
         factory: Callable,
         *,
-        aliases: Iterable[str] = (),
         tags: Iterable[str] = (),
         doc: str = "",
         overwrite: bool = False,
     ) -> PolicyRegistration:
-        """Register ``factory`` under ``name`` (and optional aliases).
+        """Register ``factory`` under ``name``.
 
         :param factory: callable accepting ``timing=`` and ``rpt=`` keyword
             arguments (plus any policy-specific keywords) and returning a
             policy instance.
-        :raises DuplicatePolicyError: if the name or an alias is taken and
-            ``overwrite`` is False.
+        :raises DuplicatePolicyError: if the name is taken and ``overwrite``
+            is False.
         """
         if not name or not name.strip():
             raise ValueError("policy name must be a non-empty string")
         name = name.strip()
-        keys = [self._key(name)] + [self._key(alias) for alias in aliases]
-        if len(set(keys)) != len(keys):
-            raise DuplicatePolicyError(f"registration of {name!r} repeats a name/alias")
-        if not overwrite:
-            for key in keys:
-                if key in self._aliases:
-                    raise DuplicatePolicyError(
-                        f"policy name {key!r} already registered "
-                        f"(for {self._aliases[key]!r}); pass overwrite=True "
-                        "to replace it"
-                    )
-        previous = self._entries.get(self._key(name)) if overwrite else None
+        key = self._key(name)
+        previous = self._entries.get(key)
+        if previous is not None and not overwrite:
+            raise DuplicatePolicyError(
+                f"policy name {key!r} already registered "
+                f"(for {previous.name!r}); pass overwrite=True to replace it"
+            )
         registration = PolicyRegistration(
             name=name,
             factory=factory,
-            aliases=tuple(aliases),
             tags=tuple(tags),
             doc=doc,
             order=previous.order if previous is not None else self._order,
         )
         if previous is None:
             self._order += 1
-        self._entries[self._key(name)] = registration
-        for key in keys:
-            self._aliases[key] = name
+        self._entries[key] = registration
         return registration
 
     def register_policy(
         self,
         name: Optional[str] = None,
         *,
-        aliases: Iterable[str] = (),
         tags: Iterable[str] = (),
         overwrite: bool = False,
     ):
@@ -137,7 +125,6 @@ class PolicyRegistry:
             self.register(
                 policy_name,
                 _class_factory(policy_cls),
-                aliases=aliases,
                 tags=tags,
                 doc=(policy_cls.__doc__ or "").strip().splitlines()[0]
                 if policy_cls.__doc__
@@ -150,11 +137,7 @@ class PolicyRegistry:
 
     def unregister(self, name: str) -> None:
         """Remove a registration (mainly for tests)."""
-        entry = self.entry(name)
-        del self._entries[self._key(entry.name)]
-        self._aliases = {
-            key: target for key, target in self._aliases.items() if target != entry.name
-        }
+        del self._entries[self._key(self.entry(name).name)]
 
     # -- lookup ---------------------------------------------------------------
     @staticmethod
@@ -162,13 +145,13 @@ class PolicyRegistry:
         return name.strip().lower()
 
     def entry(self, name: str) -> PolicyRegistration:
-        target = self._aliases.get(self._key(name))
-        if target is None:
+        entry = self._entries.get(self._key(name))
+        if entry is None:
             raise PolicyLookupError(f"unknown policy {name!r}; available: {sorted(self.names())}")
-        return self._entries[self._key(target)]
+        return entry
 
     def canonical_name(self, name: str) -> str:
-        """The display name a (possibly aliased, differently-cased) name maps to."""
+        """The display name a differently-cased name maps to."""
         return self.entry(name).name
 
     def create(self, name: str, timing=None, rpt=None, **kwargs):
@@ -208,7 +191,7 @@ class PolicyRegistry:
 
     # -- dunder sugar ---------------------------------------------------------
     def __contains__(self, name: str) -> bool:
-        return self._key(str(name)) in self._aliases
+        return self._key(str(name)) in self._entries
 
     def __iter__(self):
         return iter(self.names())
@@ -228,12 +211,11 @@ DEFAULT_REGISTRY = PolicyRegistry()
 def register_policy(
     name: Optional[str] = None,
     *,
-    aliases: Iterable[str] = (),
     tags: Iterable[str] = (),
     overwrite: bool = False,
 ):
     """Decorator registering a policy class in the default registry."""
-    return DEFAULT_REGISTRY.register_policy(name, aliases=aliases, tags=tags, overwrite=overwrite)
+    return DEFAULT_REGISTRY.register_policy(name, tags=tags, overwrite=overwrite)
 
 
 def default_registry() -> PolicyRegistry:

@@ -595,8 +595,8 @@ class Simulation:
                     )
                 previous_stream = stream
                 result = simulator.run(stream, lookahead=lookahead)
-            # A finished simulator sits in reference cycles until a garbage
-            # collection; no local may keep it alive while the next is built.
+            # A local bound to the finished simulator would keep it (and its
+            # device state) alive while the next policy's simulator is built.
             del simulator
             results[result.policy_name] = result
         if self._stream is not None and len(results) > 1:

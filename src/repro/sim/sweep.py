@@ -196,8 +196,8 @@ def _run_cell(payload: dict) -> Tuple[str, Tuple[int, float], Dict[str, Simulati
     stream = _cached_stream(spec, config)
     results: Dict[str, SimulationResult] = {}
     for name in payload["policies"]:
-        # Built and run in one expression, so no local holds a finished
-        # simulator (which sits in reference cycles) while the next is built.
+        # Built and run in one expression, so no local keeps a finished
+        # simulator (and its device state) alive while the next is built.
         result = preconditioned_simulator(config, name, condition, rpt=rpt).run(stream)
         results[result.policy_name] = result
     return spec.label, condition.as_tuple(), results

@@ -67,8 +67,7 @@ contention between dies of the same channel is not modelled as a separate
 resource — per-step data transfer time is already part of each transaction's
 die-occupancy where the paper's mechanisms place it on the critical path,
 and with four dies per channel and ``tDMA`` = 16 us versus ``tR`` ~ 90 us
-plus retries, the bus is never the bottleneck in these workloads.  DESIGN.md
-documents this substitution.
+plus retries, the bus is never the bottleneck in these workloads.
 """
 
 from __future__ import annotations

@@ -35,10 +35,9 @@ from __future__ import annotations
 import functools
 import math
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.core.rpt import ReadTimingParameterTable
-from repro.errors.batch import VariationArrays
 from repro.errors.condition import OperatingCondition
 from repro.errors.rber import CodewordErrorModel
 from repro.errors.timing import TimingReduction
@@ -272,7 +271,6 @@ class RetryStepGrid:
         self.retry_table = retry_table or ReadRetryTable()
         self._rpt = rpt
         self._variation = ProcessVariation(seed=config.seed)
-        self._variation_arrays: Optional[VariationArrays] = None
         self.promote_threshold = max(1, self.corner_count // 160)
 
         #: condition key -> slab (recency-ordered for LRU eviction).
@@ -305,33 +303,6 @@ class RetryStepGrid:
 
     def corner_index(self, chip: int, block: int) -> int:
         return chip * self.blocks_per_chip + block
-
-    def variation_arrays(self) -> VariationArrays:
-        """Per-corner variation multipliers of the whole device, in corner order.
-
-        The read path never needs them: it draws a corner's sample when its
-        block is first read.  They are the input of
-        :meth:`~repro.errors.batch.BatchErrorModel.read_behaviour_lattice`,
-        the vectorized oracle the rows are checked against.  The sample
-        population is a pure function of (seed, chips, blocks), so the
-        enumerated arrays are cached process-wide and shared by every grid
-        over the same silicon.
-        """
-        if self._variation_arrays is None:
-            key = (self.config.seed, self.chips, self.blocks_per_chip)
-            arrays = _VARIATION_ARRAYS_CACHE.get(key)
-            if arrays is None:
-                samples = [
-                    self._variation.block_sample(chip=chip, block=block)
-                    for chip in range(self.chips)
-                    for block in range(self.blocks_per_chip)
-                ]
-                arrays = VariationArrays.from_samples(samples)
-                while len(_VARIATION_ARRAYS_CACHE) >= _MAX_SHARED_GRIDS:
-                    _VARIATION_ARRAYS_CACHE.popitem(last=False)
-                _VARIATION_ARRAYS_CACHE[key] = arrays
-            self._variation_arrays = arrays
-        return self._variation_arrays
 
     # -- statistics -----------------------------------------------------------
     @property
@@ -429,7 +400,6 @@ class RetryStepGrid:
 
 # -- process-wide sharing -----------------------------------------------------
 _SHARED_GRIDS: "OrderedDict[tuple, RetryStepGrid]" = OrderedDict()
-_VARIATION_ARRAYS_CACHE: "OrderedDict[tuple, VariationArrays]" = OrderedDict()
 _MAX_SHARED_GRIDS = 16
 
 
@@ -468,4 +438,3 @@ def shared_grid(config: SsdConfig, rpt: ReadTimingParameterTable) -> RetryStepGr
 def clear_shared_grids() -> None:
     """Drop all process-wide grids (test isolation hook)."""
     _SHARED_GRIDS.clear()
-    _VARIATION_ARRAYS_CACHE.clear()

@@ -8,9 +8,12 @@ exact values.
 
 import pytest
 
+from repro.errors.calibration import ECC_CALIBRATION
 from repro.errors.condition import OperatingCondition
+from repro.errors.rber import CodewordErrorModel
 from repro.errors.timing import TimingReduction
 from repro.nand.geometry import PageType
+from repro.nand.timing import TimingParameters
 
 
 def _max_over_page_types(fn):
@@ -53,6 +56,21 @@ class TestRetryStepTargets:
                  for page_type in PageType]
         mean_steps = sum(steps) / len(steps)
         assert 16 <= mean_steps <= 25
+
+
+class TestEccDefaults:
+    """Section 7.1: the simulated SSD's ECC."""
+
+    def test_defaults_match_simulated_ssd(self):
+        # 72 correctable bits per 1-KiB codeword, decoded in tECC = 20 us;
+        # every run takes its capability from the error model and its tECC
+        # from the timing parameters.
+        assert ECC_CALIBRATION.capability_bits == 72
+        assert ECC_CALIBRATION.codeword_bytes == 1024
+        assert ECC_CALIBRATION.decode_latency_us == 20.0
+        assert CodewordErrorModel().ecc_capability == 72
+        assert CodewordErrorModel().ecc_calibration is ECC_CALIBRATION
+        assert TimingParameters().t_ecc_us == ECC_CALIBRATION.decode_latency_us
 
 
 class TestEccMarginTargets:

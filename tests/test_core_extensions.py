@@ -6,8 +6,6 @@ from repro.core.extensions import (
     RegularReadSpeedupPolicy,
     SentinelPolicy,
     SpeculativeRetryPolicy,
-    available_extensions,
-    get_extension_policy,
 )
 from repro.core.policies import PnAR2Policy
 from repro.errors.condition import OperatingCondition
@@ -22,19 +20,6 @@ def fresh():
 @pytest.fixture(scope="module")
 def aged():
     return OperatingCondition(2000, 12.0, 30.0)
-
-
-class TestFactory:
-    def test_available_extensions(self):
-        assert set(available_extensions()) == {
-            "PnAR2+RegularReads", "PnAR2+Speculation", "Sentinel",
-            "Sentinel+PnAR2"}
-
-    def test_get_extension_policy(self, default_rpt):
-        policy = get_extension_policy("sentinel+pnar2", rpt=default_rpt)
-        assert policy.name == "Sentinel+PnAR2"
-        with pytest.raises(ValueError):
-            get_extension_policy("warp-drive")
 
 
 class TestRegularReadSpeedup(object):
@@ -112,8 +97,9 @@ class TestSentinel:
 
     def test_uses_reduced_timing_flag(self, default_rpt):
         assert not SentinelPolicy(rpt=default_rpt).uses_reduced_timing
-        assert SentinelPolicy(rpt=default_rpt,
-                              mechanism="pnar2").uses_reduced_timing
+        combined = SentinelPolicy(rpt=default_rpt, mechanism="pnar2")
+        assert combined.uses_reduced_timing
+        assert combined.name == "Sentinel+PnAR2"
 
 
 class TestAblationHarness:

@@ -93,10 +93,6 @@ class TestAR2:
         expected = (CSB_TR + TAIL) + 1.0 + steps * (reduced_tr + TAIL)
         assert ar2 == pytest.approx(expected)
 
-    def test_ar2_requires_reduced_timing_via_dispatch(self, model):
-        with pytest.raises(ValueError):
-            model.dispatch("ar2", 3, PageType.CSB)
-
 
 class TestEquation5PnAR2:
     def test_pnar2_combines_both_savings(self, model, reduced_timing):
@@ -122,21 +118,3 @@ class TestEquation5PnAR2:
             norr = model.no_retry(page_type).response_us
             assert norr < pnar2 < pr2 < baseline
             assert norr < ar2 < baseline
-
-
-class TestDispatchAndRetryLatency:
-    def test_dispatch_names(self, model, reduced_timing):
-        assert model.dispatch("baseline", 2, PageType.LSB).retry_steps == 2
-        assert model.dispatch("norr", 5, PageType.LSB).retry_steps == 0
-        assert (model.dispatch("pnar2", 2, PageType.LSB, reduced_timing).response_us
-                == model.pnar2(2, PageType.LSB, reduced_timing).response_us)
-        with pytest.raises(ValueError):
-            model.dispatch("bogus", 1, PageType.LSB)
-
-    def test_retry_latency_equations(self, model):
-        # Equation (3) vs Equation (4) for N_RR = 5, CSB pages.
-        baseline_retry = model.retry_latency_us(5, PageType.CSB, "baseline")
-        pr2_retry = model.retry_latency_us(5, PageType.CSB, "pr2")
-        assert baseline_retry == pytest.approx(5 * (CSB_TR + TAIL))
-        assert pr2_retry == pytest.approx(5 * CSB_TR + TAIL)
-        assert model.retry_latency_us(0, PageType.CSB) == 0.0

@@ -14,7 +14,8 @@ from repro.nand.timing import ReadTimingParameters
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: A PnAR2 device, a two-cell sweep and a two-worker fleet on ``tiny()``;
-#: prints the ``repro.characterization`` modules they imported.
+#: prints the modules they imported from ``repro.characterization``,
+#: ``repro.errors.batch`` and ``repro.ecc``.
 RUNS_WITHOUT_PROFILING = """
 import sys
 from repro.sim.fleet import FleetRunner, FleetSpec
@@ -30,7 +31,9 @@ SweepRunner(config=config).run(
     policies=("Baseline", "PnAR2"), workloads=(workload,), conditions=((0, 0.0), (1000, 6.0)))
 fleet = FleetSpec(devices=4, config=config, condition=aged)
 FleetRunner(fleet, processes=2, shard_devices=2).run(workload, policies="PnAR2")
-print(sorted(name for name in sys.modules if name.startswith("repro.characterization")))
+unused = ("repro.characterization", "repro.errors.batch", "repro.ecc")
+print(sorted(name for name in sys.modules
+             if any(name == root or name.startswith(root + ".") for root in unused)))
 """
 
 
@@ -91,7 +94,12 @@ class TestDefaultTable:
         assert ReadTimingParameterTable.default() is ReadTimingParameterTable.default()
 
     def test_runs_never_import_the_profiler(self):
-        """The default table is shipped data: no run profiles it."""
+        """The default table is shipped data: no run profiles it.
+
+        Nor does a run load the batch error model or the ECC package: the
+        retry grid walks its rows with ``RowWalk`` and every run takes its
+        ECC capability from the error model's calibration.
+        """
         completed = subprocess.run(
             [sys.executable, "-c", RUNS_WITHOUT_PROFILING],
             env=dict(os.environ, PYTHONPATH=str(SRC)),

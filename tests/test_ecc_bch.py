@@ -112,17 +112,19 @@ class TestBchCode:
         assert result.success
 
     def test_capability_abstraction_matches_bch(self):
-        """The capability-model engine is faithful to bounded-distance BCH."""
+        """The simulator's capability rule is faithful to bounded-distance BCH.
+
+        A codeword decodes iff it holds at most ``t`` raw bit errors: BCH
+        recovers the message up to ``t`` errors and never past them.
+        """
         code = BchCode(m=8, t=8)
         rng = np.random.default_rng(17)
         message = rng.integers(0, 2, code.k)
-        within = code.correct_random_errors(message, code.t, rng)
-        assert within.success
-        # The capability engine would also declare <= t errors correctable.
-        from repro.ecc import CapabilityEccEngine
-        engine = CapabilityEccEngine(capability_bits=code.t)
-        assert engine.decode(code.t).success
-        assert not engine.decode(code.t + 1).success
+        for errors in range(code.t + 3):
+            result = code.correct_random_errors(message, errors, rng)
+            recovered = result.success and np.array_equal(
+                code.extract_message(result.codeword), message)
+            assert recovered == (errors <= code.t)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

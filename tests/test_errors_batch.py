@@ -46,108 +46,6 @@ def _random_conditions(rng, count):
         for _ in range(count)]
 
 
-class TestExpectedErrorsEquivalence:
-    def test_grid_matches_scalar_bitwise(self, corners):
-        rng = np.random.default_rng(0)
-        shifts = [0.0, -90.0, -300.0, -750.0, -1200.0]
-        for condition in _random_conditions(rng, 6):
-            for page_type in PageType:
-                grid = _BATCH.expected_errors_grid(
-                    condition, page_type, shifts, corners)
-                for index in range(len(corners)):
-                    sample = corners.sample_at(index)
-                    for column, shift in enumerate(shifts):
-                        scalar = _MODEL.expected_errors(
-                            condition, page_type, reference_shift_mv=shift,
-                            variation=sample)
-                        assert grid[index, column] == scalar
-
-    def test_timing_reduction_matches_scalar_bitwise(self, corners):
-        rng = np.random.default_rng(1)
-        reduction = TimingReduction(pre=0.45, disch=0.1)
-        for condition in _random_conditions(rng, 4):
-            grid = _BATCH.expected_errors_grid(
-                condition, PageType.CSB, [-240.0], corners,
-                timing_reduction=reduction)
-            for index in range(len(corners)):
-                scalar = _MODEL.expected_errors(
-                    condition, PageType.CSB, reference_shift_mv=-240.0,
-                    variation=corners.sample_at(index),
-                    timing_reduction=reduction)
-                assert grid[index, 0] == scalar
-
-    def test_elementwise_api_broadcasts_conditions(self, corners):
-        rng = np.random.default_rng(2)
-        count = len(corners)
-        pe = rng.integers(0, 3001, size=count)
-        retention = rng.uniform(0.0, 13.0, size=count)
-        shifts = rng.uniform(-1200.0, 60.0, size=count)
-        batch = _BATCH.expected_errors(pe, retention, 30.0, PageType.MSB,
-                                       shifts, variation=corners)
-        for index in range(count):
-            scalar = _MODEL.expected_errors(
-                OperatingCondition(int(pe[index]), float(retention[index]),
-                                   30.0),
-                PageType.MSB, reference_shift_mv=float(shifts[index]),
-                variation=corners.sample_at(index))
-            assert batch[index] == scalar
-
-    def test_nominal_variation_is_default(self):
-        condition = OperatingCondition(1500, 9.0, 30.0)
-        batch = _BATCH.expected_errors_grid(
-            condition, PageType.LSB, [0.0], VariationArrays.nominal(1))
-        scalar = _MODEL.expected_errors(condition, PageType.LSB,
-                                        variation=VariationSample.nominal())
-        assert batch[0, 0] == scalar
-
-
-class TestWalkEquivalence:
-    def test_steps_fallback_and_errors_match_scalar(self, corners):
-        rng = np.random.default_rng(3)
-        for condition in _random_conditions(rng, 8):
-            page_type = list(PageType)[int(rng.integers(0, 3))]
-            reduction = (None if rng.random() < 0.4
-                         else TimingReduction(pre=float(rng.uniform(0.1, 0.6))))
-            outcome = _BATCH.walk_retry_table(
-                condition, page_type, corners, table=_TABLE,
-                retry_timing_reduction=reduction)
-            for index in range(len(corners)):
-                scalar = _MODEL.walk_retry_table(
-                    condition, page_type, table=_TABLE,
-                    variation=corners.sample_at(index),
-                    retry_timing_reduction=reduction)
-                expected_steps = (-1 if scalar.retry_steps is None
-                                  else scalar.retry_steps)
-                assert outcome.retry_steps[index] == expected_steps
-                assert outcome.succeeded[index] == scalar.succeeded
-                assert outcome.final_errors[index] == scalar.final_errors
-                assert (outcome.best_step_errors[index]
-                        == scalar.best_step_errors)
-                attempted = len(scalar.errors_per_step)
-                assert np.array_equal(
-                    outcome.errors_per_step[index, :attempted],
-                    np.asarray(scalar.errors_per_step))
-
-    def test_short_table_produces_failures(self, corners):
-        """A table too short for the V_TH shift fails in both paths."""
-        short = ReadRetryTable(num_entries=4)
-        condition = OperatingCondition(2000, 12.0, 30.0)
-        outcome = _BATCH.walk_retry_table(condition, PageType.CSB, corners,
-                                          table=short)
-        assert not outcome.succeeded.all()
-        for index in range(len(corners)):
-            scalar = _MODEL.walk_retry_table(
-                condition, PageType.CSB, table=short,
-                variation=corners.sample_at(index))
-            assert outcome.succeeded[index] == scalar.succeeded
-
-    def test_capability_override(self, corners):
-        condition = OperatingCondition(1000, 6.0, 30.0)
-        generous = _BATCH.walk_retry_table(condition, PageType.CSB, corners,
-                                           table=_TABLE, capability=10_000)
-        assert (generous.retry_steps == 0).all()
-
-
 def _scalar_behaviour(condition, page_type, sample, pre_reduction,
                       table=_TABLE, capability=None):
     """The FlashBackend recipe, computed with the scalar model (the oracle)."""
@@ -203,7 +101,12 @@ class TestReadBehaviourLattice:
         at step 0: 2 x 7 tails per corner in all, where a walk over the
         whole 40-step table would evaluate 41 times as many.
         """
-        variation = RetryStepGrid(SsdConfig.tiny()).variation_arrays()
+        grid = RetryStepGrid(SsdConfig.tiny())
+        samples = ProcessVariation(seed=grid.config.seed)
+        variation = VariationArrays.from_samples(
+            samples.block_sample(chip=chip, block=block)
+            for chip in range(grid.chips)
+            for block in range(grid.blocks_per_chip))
         fed = []
         erfc = batch_module._erfc
 
@@ -313,13 +216,11 @@ page_types = st.sampled_from(list(PageType))
 
 
 def _steps(condition, page_type, sample):
-    outcome = _BATCH.walk_retry_table(
-        condition, page_type, VariationArrays.from_samples([sample]),
-        table=_TABLE)
-    step = int(outcome.retry_steps[0])
+    step = _MODEL.walk_retry_table(condition, page_type, table=_TABLE,
+                                   variation=sample).retry_steps
     # Order failures after every successful count, like the backend does
     # when it charges the full table for an unreadable page.
-    return step if step >= 0 else _TABLE.num_entries + 1
+    return step if step is not None else _TABLE.num_entries + 1
 
 
 class TestMonotonicityProperties:

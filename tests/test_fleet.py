@@ -337,6 +337,20 @@ class TestFleetRunner:
         fresh, aged = result.result.device_rows()
         assert aged["mean_response_us"] > fresh["mean_response_us"]
 
+    def test_a_tuple_condition_runs_like_the_same_condition(self):
+        # The shared condition takes a (pec, months) pair, as
+        # device_conditions does.
+        pair = FleetSpec(devices=2, config=CONFIG, condition=(1000, 6.0))
+        named = FleetSpec(devices=2, config=CONFIG, condition=AGED)
+        assert pair.condition == AGED and pair == named
+        result = FleetRunner(pair).run("usr_1", num_requests=20).result
+        expected = FleetRunner(named).run("usr_1", num_requests=20).result
+        assert result.device_rows() == expected.device_rows()
+        assert (result.merged.latency("all").to_dict()
+                == expected.merged.latency("all").to_dict())
+        with pytest.raises(TypeError):
+            FleetSpec(devices=2, config=CONFIG, condition="aged")
+
     def test_explicit_request_list_source(self):
         requests = [HostRequest(arrival_us=i * 500.0, kind=RequestKind.READ,
                                 start_lpn=i * 8, page_count=1)

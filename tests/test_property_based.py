@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.latency import ReadLatencyModel
 from repro.ecc.bch import BchCode
-from repro.ecc.codeword import PageLayout
 from repro.errors import CodewordErrorModel, OperatingCondition
 from repro.errors.timing import ReadTimingErrorModel, TimingReduction
 from repro.nand.geometry import ChipGeometry, PageType
@@ -129,13 +128,6 @@ class TestEccProperties:
         result = _BCH.decode(corrupted)
         assert result.success
         assert np.array_equal(_BCH.extract_message(result.codeword), message)
-
-    @given(st.integers(min_value=0, max_value=2000))
-    def test_page_layout_split_preserves_total(self, total_errors):
-        layout = PageLayout()
-        split = layout.split_errors(total_errors)
-        assert sum(split) == total_errors
-        assert max(split) - min(split) <= 1
 
 
 class TestSimulatorPrimitivesProperties:

@@ -51,12 +51,6 @@ class TestRegistration:
         with pytest.raises(DuplicatePolicyError):
             registry.register("toy", _ToyPolicy)
 
-    def test_duplicate_alias_rejected(self):
-        registry = PolicyRegistry()
-        registry.register("Toy", _ToyPolicy, aliases=("plain",))
-        with pytest.raises(DuplicatePolicyError):
-            registry.register("Plain", _ToyPolicy)
-
     def test_overwrite_replaces(self):
         registry = PolicyRegistry()
         registry.register("Toy", _ToyPolicy)
@@ -66,8 +60,8 @@ class TestRegistration:
 
     def test_unregister(self):
         registry = PolicyRegistry()
-        registry.register("Toy", _ToyPolicy, aliases=("plain",))
-        registry.unregister("plain")
+        registry.register("Toy", _ToyPolicy)
+        registry.unregister("TOY")
         assert "toy" not in registry
         assert len(registry) == 0
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.rpt import ReadTimingParameterTable
+from repro.errors.variation import ProcessVariation
 from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import FlashTranslationLayer, PageAddressing, PhysicalPage
@@ -170,11 +171,11 @@ class TestRetryGridReads:
     def test_blocks_differ_by_process_variation(self, grid):
         addressing = PageAddressing(grid.config)
         pages_per_block = grid.config.pages_per_block
-        arrays = grid.variation_arrays()
-        first = arrays.sample_at(
-            addressing.pack(PhysicalPage(0, 0, 0, 1, 0)) // pages_per_block)
-        second = arrays.sample_at(
-            addressing.pack(PhysicalPage(1, 1, 0, 7, 0)) // pages_per_block)
+        variation = ProcessVariation(seed=grid.config.seed)
+        first, second = (
+            variation.block_sample(*divmod(addressing.pack(page) // pages_per_block,
+                                           grid.blocks_per_chip))
+            for page in (PhysicalPage(0, 0, 0, 1, 0), PhysicalPage(1, 1, 0, 7, 0)))
         assert first != second
 
     def test_monotonic_in_retention(self, grid, physical):

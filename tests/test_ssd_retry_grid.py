@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.rpt import ReadTimingParameterTable
-from repro.errors.batch import BatchErrorModel
+from repro.errors.batch import BatchErrorModel, VariationArrays
 from repro.errors.condition import OperatingCondition
 from repro.errors.variation import ProcessVariation
 from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
@@ -51,12 +51,20 @@ def behaviour(grid, page_type, pe_cycles, retention_months, chip, block):
                              retention_months, grid.corner_index(chip, block))
 
 
+def corner_arrays(grid):
+    """Every corner's variation sample of ``grid``'s device, in corner order."""
+    variation = ProcessVariation(seed=grid.config.seed)
+    return VariationArrays.from_samples(
+        variation.block_sample(chip=chip, block=block)
+        for chip in range(grid.chips) for block in range(grid.blocks_per_chip))
+
+
 def lattice(grid, condition, rpt):
     """The vectorized lattice of ``grid``'s device at ``condition``, by page type."""
     pe_cycles, retention_months = condition
     return BatchErrorModel(grid.error_model).read_behaviour_lattice(
         OperatingCondition(pe_cycles, retention_months, grid.config.temperature_c),
-        grid.variation_arrays(),
+        corner_arrays(grid),
         rpt.entry_for(pe_cycles, retention_months).pre_reduction,
         table=grid.retry_table)
 
@@ -77,16 +85,26 @@ class TestGridGeometry:
                                      * config.planes_per_die
                                      * config.blocks_per_plane)
 
-    def test_corner_variation_matches_the_scalar_sample(self, grid, config):
+    def test_corner_variation_matches_the_scalar_sample(self, grid, config,
+                                                        monkeypatch):
         # The (channel, die) pair is the chip and the (plane, block) pair the
         # block within it, so blocks of one die share a chip-level corner.
         physical = PhysicalPage(channel=1, die=0, plane=0, block=5, page=0)
         corner = PageAddressing(config).pack(physical) // config.pages_per_block
         chip = physical.channel * config.dies_per_channel + physical.die
         block = physical.plane * config.blocks_per_plane + physical.block
-        sample = grid.variation_arrays().sample_at(corner)
-        assert sample == ProcessVariation(seed=config.seed).block_sample(
-            chip=chip, block=block)
+        assert corner == grid.corner_index(chip, block)
+        drawn = []
+        block_sample = grid._variation.block_sample
+
+        def recording(**where):
+            drawn.append(block_sample(**where))
+            return drawn[-1]
+
+        monkeypatch.setattr(grid._variation, "block_sample", recording)
+        grid.behaviour_at(0, 2000, 12.0, corner)
+        assert drawn == [ProcessVariation(seed=config.seed).block_sample(
+            chip=chip, block=block)]
 
 
 class TestRowsMatchTheLattice:
@@ -123,7 +141,7 @@ class TestRowWalk:
 
     @staticmethod
     def _rows(grid, walk):
-        arrays = grid.variation_arrays()
+        arrays = corner_arrays(grid)
         return [walk.row(page_type, arrays.sample_at(corner))
                 for page_type in range(len(PAGE_TYPE_ORDER))
                 for corner in range(grid.corner_count)]
@@ -132,7 +150,7 @@ class TestRowWalk:
                              ids=["short-table", "weak-ecc", "no-ecc"])
     def test_rows_match_the_lattice(self, grid, default_rpt, capability, entries):
         table = ReadRetryTable(num_entries=entries)
-        arrays = grid.variation_arrays()
+        arrays = corner_arrays(grid)
         for condition in self.CONDITIONS:
             pre_reduction = default_rpt.entry_for(*condition).pre_reduction
             walk = self._walk(grid, condition, pre_reduction, table, capability)
@@ -213,7 +231,7 @@ class TestRowsOnDemand:
 
         monkeypatch.setattr(BatchErrorModel, "read_behaviour_lattice",
                             whole_device)
-        monkeypatch.setattr(RetryStepGrid, "variation_arrays", whole_device)
+        monkeypatch.setattr(VariationArrays, "from_samples", whole_device)
         clear_shared_grids()
         try:
             simulator = SsdSimulator(config, policy="PnAR2", rpt=default_rpt)
@@ -462,22 +480,6 @@ class TestSharedGrids:
             # The touched first grid survives; the least recent one went.
             assert shared_grid(configs[0], default_rpt) is grids[0]
             assert shared_grid(configs[1], default_rpt) is not grids[1]
-        finally:
-            clear_shared_grids()
-
-    def test_grids_over_the_same_silicon_share_variation_arrays(
-            self, config, default_rpt):
-        clear_shared_grids()
-        try:
-            arrays = RetryStepGrid(config, rpt=default_rpt).variation_arrays()
-            for same_silicon in (
-                    RetryStepGrid(config, rpt=ReadTimingParameterTable.conservative()),
-                    RetryStepGrid(SsdConfig.tiny(temperature_c=55.0), rpt=default_rpt)):
-                assert same_silicon.variation_arrays() is arrays
-            other = RetryStepGrid(SsdConfig.tiny(seed=config.seed + 1),
-                                  rpt=default_rpt).variation_arrays()
-            assert other is not arrays
-            assert other.sample_at(0) != arrays.sample_at(0)
         finally:
             clear_shared_grids()
 
