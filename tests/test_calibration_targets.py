@@ -8,6 +8,7 @@ exact values.
 
 import pytest
 
+from repro.core.extensions import RegularReadSpeedupPolicy
 from repro.errors.calibration import ECC_CALIBRATION
 from repro.errors.condition import OperatingCondition
 from repro.errors.rber import CodewordErrorModel
@@ -71,6 +72,31 @@ class TestEccDefaults:
         assert CodewordErrorModel().ecc_capability == 72
         assert CodewordErrorModel().ecc_calibration is ECC_CALIBRATION
         assert TimingParameters().t_ecc_us == ECC_CALIBRATION.decode_latency_us
+
+
+    def test_ar2_reserves_fourteen_bits(self, error_model, default_rpt):
+        # Section 5.2.3 / Figure 11: 7 bits for temperature plus 7 for
+        # outlier pages.  A regular read may use the RPT's reduced tPRE
+        # only with the margin left below the capability.
+        assert ECC_CALIBRATION.ar2_safety_margin_bits == 14
+        fresh = OperatingCondition(0, 0.0, 30.0)
+        entry = default_rpt.entry_for(fresh.pe_cycles, fresh.retention_months)
+        reserving = RegularReadSpeedupPolicy(rpt=default_rpt)
+        decisions = set()
+        for margin in (14, 34, 40):
+            policy = RegularReadSpeedupPolicy(rpt=default_rpt,
+                                              safety_margin_bits=margin)
+            for page_type in PageType:
+                errors = error_model.expected_errors(
+                    fresh, page_type,
+                    timing_reduction=TimingReduction(pre=entry.pre_reduction))
+                decision = policy.regular_read_can_be_reduced(page_type, fresh)
+                assert decision == (errors + margin <= 72)
+                decisions.add(decision)
+                if margin == 14:
+                    assert reserving.regular_read_can_be_reduced(
+                        page_type, fresh) is decision
+        assert decisions == {True, False}
 
 
 class TestEccMarginTargets:

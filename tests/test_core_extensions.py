@@ -102,6 +102,22 @@ class TestSentinel:
         assert combined.name == "Sentinel+PnAR2"
 
 
+class TestNames:
+    """The display names the ablation rows and result tables key by."""
+
+    @pytest.mark.parametrize("build, name, reduced_timing", [
+        (lambda rpt: RegularReadSpeedupPolicy(rpt=rpt), "PnAR2+RegularReads", True),
+        (lambda rpt: SpeculativeRetryPolicy(rpt=rpt), "PnAR2+Speculation", True),
+        (lambda rpt: SentinelPolicy(rpt=rpt), "Sentinel", False),
+        (lambda rpt: SentinelPolicy(rpt=rpt, mechanism="PnAR2"), "Sentinel+PnAR2", True),
+    ], ids=["regular-reads", "speculation", "sentinel", "sentinel-pnar2"])
+    def test_name_and_timing(self, default_rpt, build, name, reduced_timing):
+        policy = build(default_rpt)
+        assert policy.name == name
+        assert policy.uses_reduced_timing is reduced_timing
+        assert policy.rpt is default_rpt
+
+
 class TestAblationHarness:
     def test_extension_ablation_runs(self, default_rpt):
         from repro.experiments import ablation
@@ -111,6 +127,28 @@ class TestAblationHarness:
         assert "PnAR2" in policies and "Sentinel+PnAR2" in policies
         assert result.headline["best extension normalized"] <= \
             result.headline["PnAR2 normalized"] + 1e-9
+
+    def test_extension_ablation_builds_each_extension_itself(self, monkeypatch):
+        from repro.experiments import ablation
+
+        class Built(Exception):
+            pass
+
+        def capture(policies, config, workload, condition, num_requests, seed, rpt):
+            raise Built(policies, config, rpt)
+
+        monkeypatch.setattr(ablation, "_run_cell", capture)
+        with pytest.raises(Built) as built:
+            ablation.run("extensions", num_requests=80)
+        policies, config, rpt = built.value.args
+        assert [policy.name for policy in policies] == [
+            "Baseline", "PnAR2", "PnAR2+Speculation", "Sentinel",
+            "Sentinel+PnAR2", "NoRR"]
+        assert type(policies[2]) is SpeculativeRetryPolicy
+        assert {type(policy) for policy in policies[3:5]} == {SentinelPolicy}
+        for policy in policies:
+            assert policy.timing is config.timing
+            assert policy.rpt is rpt
 
     def test_rpt_ablation_runs(self):
         from repro.experiments import ablation

@@ -118,3 +118,65 @@ class TestEquation5PnAR2:
             norr = model.no_retry(page_type).response_us
             assert norr < pnar2 < pr2 < baseline
             assert norr < ar2 < baseline
+
+
+class TestRetryLatencyPerStep:
+    """Each mechanism's tRETRY term, read off consecutive step counts."""
+
+    def test_every_mechanism_costs_one_read_without_retries(self, model,
+                                                            reduced_timing):
+        for page_type in PageType:
+            single = model.baseline(0, page_type)
+            assert single.response_us == pytest.approx(
+                model.step_latency_us(page_type))
+            for breakdown in (model.pr2(0, page_type),
+                              model.ar2(0, page_type, reduced_timing),
+                              model.pnar2(0, page_type, reduced_timing),
+                              model.no_retry(page_type)):
+                assert breakdown == single
+
+    def test_each_retry_step_adds_its_equation_term(self, model,
+                                                    reduced_timing):
+        reduced_tr = model.sensing_latency_us(PageType.CSB, reduced_timing)
+        per_step = {
+            # Equation (3): a whole read step per retry.
+            "baseline": (lambda n: model.baseline(n, PageType.CSB),
+                         CSB_TR + TAIL),
+            # Equation (4): only the sensing of each retry.
+            "pr2": (lambda n: model.pr2(n, PageType.CSB), CSB_TR),
+            # AR2: a whole read step at the reduced tPRE.
+            "ar2": (lambda n: model.ar2(n, PageType.CSB, reduced_timing),
+                    reduced_tr + TAIL),
+            # Equation (5): only the reduced sensing of each retry.
+            "pnar2": (lambda n: model.pnar2(n, PageType.CSB, reduced_timing),
+                      reduced_tr),
+        }
+        for name, (read, term) in per_step.items():
+            for steps in (1, 4, 19):
+                added = read(steps + 1).response_us - read(steps).response_us
+                assert added == pytest.approx(term), name
+
+    def test_ar2_without_a_reduction_only_adds_set_feature(self, model):
+        default = ReadTimingParameters()
+        set_feature = model.timing.t_set_feature_us
+        for steps in (1, 5, 20):
+            ar2 = model.ar2(steps, PageType.MSB, default)
+            baseline = model.baseline(steps, PageType.MSB)
+            assert ar2.response_us == pytest.approx(
+                baseline.response_us + set_feature)
+            assert ar2.die_busy_us == pytest.approx(
+                baseline.die_busy_us + 2 * set_feature)
+
+    def test_pnar2_without_a_reduction_adds_the_first_decode(self, model):
+        # The initial read decodes (and fails) before SET FEATURE installs
+        # the RPT timing, so its tDMA + tECC stay on the critical path where
+        # PR2 pipelines them behind the first retry's sensing.
+        default = ReadTimingParameters()
+        set_feature = model.timing.t_set_feature_us
+        for steps in (1, 5, 20):
+            pnar2 = model.pnar2(steps, PageType.MSB, default)
+            pr2 = model.pr2(steps, PageType.MSB)
+            assert pnar2.response_us == pytest.approx(
+                pr2.response_us + TAIL + set_feature)
+            assert pnar2.die_busy_us == pytest.approx(
+                pr2.die_busy_us + TAIL + 2 * set_feature)

@@ -116,6 +116,37 @@ class TestFactory:
         assert suite["PnAR2"].rpt is default_rpt
 
 
+#: Each registered configuration and the latency equation it prices a read
+#: with, given the retry steps it performs and the RPT's reduced timing.
+MECHANISMS = {
+    "Baseline": lambda model, steps, page_type, reduced: model.baseline(steps, page_type),
+    "PR2": lambda model, steps, page_type, reduced: model.pr2(steps, page_type),
+    "AR2": lambda model, steps, page_type, reduced: model.ar2(steps, page_type, reduced),
+    "PnAR2": lambda model, steps, page_type, reduced: model.pnar2(steps, page_type, reduced),
+    "NoRR": lambda model, steps, page_type, reduced: model.no_retry(page_type),
+    "PSO": lambda model, steps, page_type, reduced: model.baseline(steps, page_type),
+    "PSO+PnAR2": lambda model, steps, page_type, reduced: model.pnar2(
+        steps, page_type, reduced),
+}
+
+
+class TestMechanisms:
+    """Every configuration prices its reads with its own latency equation."""
+
+    def test_every_registered_configuration_is_covered(self):
+        assert set(MECHANISMS) == set(available_policies())
+
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_prices_with_its_mechanism(self, name, aged, default_rpt):
+        policy = get_policy(name, rpt=default_rpt)
+        reduced = default_rpt.reduced_timing_for(aged.pe_cycles, aged.retention_months)
+        for required in (1, 7, 20):
+            steps = policy.effective_retry_steps(required, aged)
+            for page_type in PageType:
+                assert policy.read_breakdown(required, page_type, aged) == MECHANISMS[name](
+                    policy.latency_model, steps, page_type, reduced)
+
+
 class TestRetryStepBehaviour:
     def test_baseline_keeps_required_steps(self, aged):
         assert BaselinePolicy().effective_retry_steps(12, aged) == 12

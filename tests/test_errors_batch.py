@@ -70,6 +70,29 @@ def _lattice_entry(batch, index):
             bool(batch.reduced_timing_fallback[index]))
 
 
+class TestVariationArrays:
+    """The corner arrays the lattice and the near-optimal pass read."""
+
+    def test_from_samples_round_trips_through_sample_at(self):
+        variation = ProcessVariation(seed=3)
+        samples = [variation.block_sample(chip=chip, block=block)
+                   for chip in range(3) for block in range(5)]
+        arrays = VariationArrays.from_samples(iter(samples))
+        assert len(arrays) == len(samples)
+        assert [arrays.sample_at(index) for index in range(len(arrays))] == samples
+
+    def test_take_keeps_the_chosen_corners_in_order(self, corners):
+        indices = np.array([7, 0, 119, 7])
+        taken = corners.take(indices)
+        assert len(taken) == len(indices)
+        assert [taken.sample_at(index) for index in range(len(taken))] == [
+            corners.sample_at(int(index)) for index in indices]
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            VariationArrays(shift=np.ones(3), sigma=np.ones(3), timing=np.ones(2))
+
+
 class TestReadBehaviourLattice:
 
     @pytest.mark.parametrize("pre_reduction", [0.0, 0.35, 0.6])

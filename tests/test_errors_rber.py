@@ -1,9 +1,14 @@
 """Tests for the codeword raw-bit-error model and the retry walk."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from repro.errors.calibration import ECC_CALIBRATION
 from repro.errors.condition import OperatingCondition
+from repro.errors.rber import CodewordErrorModel
 from repro.errors.timing import TimingReduction
 from repro.errors.variation import VariationSample
 from repro.nand.geometry import PageType
@@ -133,3 +138,106 @@ class TestRetryWalk:
         steps = error_model.retry_steps_required(condition, PageType.CSB)
         outcome = error_model.walk_retry_table(condition, PageType.CSB)
         assert steps == outcome.retry_steps
+
+
+def _model_with_ecc(**ecc):
+    return CodewordErrorModel(
+        ecc_calibration=dataclasses.replace(ECC_CALIBRATION, **ecc))
+
+
+class TestCapabilityRule:
+    """Section 7.1: a read decodes iff its codeword's raw bit errors are
+    within the ECC capability, which every run takes from the calibration."""
+
+    AGED = OperatingCondition(1000, 6.0, 85.0)
+
+    def test_errors_at_the_capability_decode(self, error_model):
+        initial = error_model.expected_errors(self.AGED, PageType.CSB)
+        outcome = error_model.walk_retry_table(self.AGED, PageType.CSB,
+                                               capability=initial)
+        assert outcome.retry_steps == 0
+        assert outcome.final_errors == initial
+
+    def test_one_bit_past_the_capability_needs_a_retry(self, error_model):
+        initial = error_model.expected_errors(self.AGED, PageType.CSB)
+        capability = math.ceil(initial) - 1
+        assert initial > capability
+        outcome = error_model.walk_retry_table(self.AGED, PageType.CSB,
+                                               capability=capability)
+        assert outcome.retry_steps != 0
+        assert outcome.errors_per_step[0] == initial
+
+    def test_a_decoded_read_reports_the_step_that_decoded(self, error_model):
+        outcome = error_model.walk_retry_table(self.AGED, PageType.CSB)
+        assert outcome.retry_steps > 0
+        assert (outcome.final_errors
+                == outcome.errors_per_step[outcome.retry_steps]
+                == outcome.errors_per_step[-1])
+        assert outcome.best_step_errors == min(outcome.errors_per_step)
+        assert outcome.best_step_errors <= error_model.ecc_capability
+
+    def test_a_failed_read_tries_every_entry_and_reports_its_best(
+            self, error_model):
+        table = ReadRetryTable(num_entries=3)
+        outcome = error_model.walk_retry_table(
+            OperatingCondition(2000, 12.0, 30.0), PageType.CSB, table=table)
+        assert not outcome.succeeded
+        assert len(outcome.errors_per_step) == table.num_entries + 1
+        assert (outcome.final_errors == outcome.best_step_errors
+                == min(outcome.errors_per_step))
+        assert outcome.best_step_errors > error_model.ecc_capability
+
+    def test_the_capability_comes_from_the_ecc_calibration(self, error_model):
+        weak = _model_with_ecc(capability_bits=40)
+        assert weak.ecc_capability == 40
+        for page_type in PageType:
+            assert (weak.walk_retry_table(self.AGED, page_type)
+                    == error_model.walk_retry_table(self.AGED, page_type,
+                                                    capability=40))
+
+    def test_a_weaker_ecc_needs_at_least_as_many_steps(self, error_model):
+        weak = _model_with_ecc(capability_bits=40)
+        for condition in (OperatingCondition(0, 3.0, 30.0), self.AGED,
+                          OperatingCondition(2000, 12.0, 30.0)):
+            for page_type in PageType:
+                assert (weak.retry_steps_required(condition, page_type)
+                        >= error_model.retry_steps_required(condition,
+                                                            page_type))
+                assert (error_model.final_step_margin(condition, page_type)
+                        - weak.final_step_margin(condition, page_type)
+                        == pytest.approx(72 - 40))
+
+    def test_cells_per_state_fill_one_codeword(self, error_model):
+        assert error_model.cells_per_state == 1024
+        double = _model_with_ecc(codeword_bytes=2048)
+        assert double.cells_per_state == 2 * error_model.cells_per_state
+        extra = error_model.vth_model.temperature_extra_errors_per_kib(
+            self.AGED)
+        for page_type in PageType:
+            single = error_model.expected_errors(self.AGED, page_type) - extra
+            assert (double.expected_errors(self.AGED, page_type) - extra
+                    == pytest.approx(2 * single))
+
+    def test_the_nominal_sample_is_the_default_variation(self, error_model):
+        nominal = VariationSample.nominal()
+        for condition in (OperatingCondition(0, 0.0, 85.0), self.AGED,
+                          OperatingCondition(2000, 12.0, 30.0)):
+            for page_type in PageType:
+                for shift in (0.0, -240.0, -900.0):
+                    assert (error_model.expected_errors(
+                                condition, page_type, shift)
+                            == error_model.expected_errors(
+                                condition, page_type, shift,
+                                variation=nominal))
+
+    def test_a_sampled_walk_stops_at_its_first_decodable_count(
+            self, error_model):
+        for seed in range(5):
+            outcome = error_model.walk_retry_table(
+                self.AGED, PageType.CSB, rng=np.random.default_rng(seed))
+            counts = outcome.errors_per_step
+            assert all(float(count).is_integer() for count in counts)
+            assert all(count > error_model.ecc_capability
+                       for count in counts[:-1])
+            assert counts[-1] <= error_model.ecc_capability
+            assert outcome.retry_steps == len(counts) - 1

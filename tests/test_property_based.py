@@ -10,6 +10,7 @@ from repro.errors import CodewordErrorModel, OperatingCondition
 from repro.errors.timing import ReadTimingErrorModel, TimingReduction
 from repro.nand.geometry import ChipGeometry, PageType
 from repro.nand.timing import ReadTimingParameters
+from repro.nand.voltage import ReadRetryTable
 from repro.ssd.engine import EventQueue
 from repro.ssd.write_buffer import WriteBuffer
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadShape
@@ -128,6 +129,23 @@ class TestEccProperties:
         result = _BCH.decode(corrupted)
         assert result.success
         assert np.array_equal(_BCH.extract_message(result.codeword), message)
+
+    @given(conditions, page_types, st.integers(min_value=0, max_value=150),
+           st.integers(min_value=1, max_value=8))
+    @settings(max_examples=40, deadline=None)
+    def test_a_walk_stops_at_the_first_step_within_capability(
+            self, condition, page_type, capability, entries):
+        outcome = _MODEL.walk_retry_table(
+            condition, page_type, table=ReadRetryTable(num_entries=entries),
+            capability=capability)
+        within = [step for step, errors in enumerate(outcome.errors_per_step)
+                  if errors <= capability]
+        if outcome.succeeded:
+            assert within == [outcome.retry_steps]
+            assert len(outcome.errors_per_step) == outcome.retry_steps + 1
+        else:
+            assert within == []
+            assert len(outcome.errors_per_step) == entries + 1
 
 
 class TestSimulatorPrimitivesProperties:

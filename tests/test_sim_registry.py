@@ -66,6 +66,39 @@ class TestRegistration:
         assert len(registry) == 0
 
 
+    def test_registered_names_are_trimmed(self):
+        registry = PolicyRegistry()
+        registry.register("  Toy ", _ToyPolicy)
+        assert registry.names() == ("Toy",)
+        assert " TOY" in registry
+        assert isinstance(registry.create("toy  "), _ToyPolicy)
+        with pytest.raises(DuplicatePolicyError):
+            registry.register("toy", _ToyPolicy)
+
+    def test_blank_name_rejected(self):
+        registry = PolicyRegistry()
+        for blank in ("", "   "):
+            with pytest.raises(ValueError):
+                registry.register(blank, _ToyPolicy)
+        assert len(registry) == 0
+
+    def test_overwrite_keeps_the_registration_order(self):
+        registry = PolicyRegistry()
+        for name in ("First", "Second", "Third"):
+            registry.register(name, _ToyPolicy, tags=("old",))
+        registry.register("SECOND", BaselinePolicy, tags=("new",), overwrite=True)
+        assert registry.names() == ("First", "SECOND", "Third")
+        assert registry.names(tag="new") == ("SECOND",)
+        assert registry.names(tag="old") == ("First", "Third")
+
+    def test_unregister_unknown_name_raises(self):
+        registry = PolicyRegistry()
+        registry.register("Toy", _ToyPolicy)
+        with pytest.raises(PolicyLookupError):
+            registry.unregister("plain")
+        assert registry.names() == ("Toy",)
+
+
 class TestLookup:
     def test_unknown_name_raises_value_error(self):
         registry = PolicyRegistry()

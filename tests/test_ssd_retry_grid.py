@@ -1,5 +1,6 @@
 """The retry-step grid: rows on demand, lazy promotion, eviction, sharing."""
 
+import dataclasses
 import pickle
 import weakref
 from collections import OrderedDict
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.batch import BatchErrorModel, VariationArrays
+from repro.errors.calibration import ECC_CALIBRATION
 from repro.errors.condition import OperatingCondition
+from repro.errors.rber import CodewordErrorModel
 from repro.errors.variation import ProcessVariation
 from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.nand.voltage import ReadRetryTable
@@ -176,6 +179,29 @@ class TestRowWalk:
         for pre_reduction, fallback in ((0.0, False), (0.4, True)):
             walk = self._walk(grid, (1000, 6.0), pre_reduction, table, capability=0)
             assert set(self._rows(grid, walk)) == {(6, 6, fallback)}
+
+    def test_a_generous_capability_decodes_every_row_at_step_zero(self, grid):
+        for condition in self.CONDITIONS:
+            walk = self._walk(grid, condition, 0.4, capability=10_000)
+            assert set(self._rows(grid, walk)) == {(0, 0, False)}
+
+    def test_the_capability_defaults_to_the_models_calibration(self, grid):
+        weak = CodewordErrorModel(
+            ecc_calibration=dataclasses.replace(ECC_CALIBRATION, capability_bits=40))
+        for condition in self.CONDITIONS[1:]:
+            explicit = self._rows(grid, self._walk(grid, condition, 0.4, capability=40))
+            calibrated = RowWalk(weak, OperatingCondition(*condition, grid.config.temperature_c),
+                                 0.4)
+            assert self._rows(grid, calibrated) == explicit
+            assert explicit != self._rows(grid, self._walk(grid, condition, 0.4))
+
+    def test_a_weaker_capability_never_needs_fewer_steps(self, grid):
+        for condition in self.CONDITIONS:
+            strong = self._rows(grid, self._walk(grid, condition, 0.4))
+            weak = self._rows(grid, self._walk(grid, condition, 0.4, capability=40))
+            for (steps, reduced, _), (weak_steps, weak_reduced, _) in zip(strong, weak):
+                assert weak_steps >= steps
+                assert weak_reduced >= reduced
 
 
 class TestRowsOnDemand:
@@ -482,6 +508,21 @@ class TestSharedGrids:
             assert shared_grid(configs[1], default_rpt) is not grids[1]
         finally:
             clear_shared_grids()
+
+    def test_grids_over_the_same_silicon_draw_the_same_corners(self, config, default_rpt):
+        # The seed alone fixes the silicon: neither the RPT nor the
+        # temperature changes the variation sample a grid reads a block with.
+        def corners(grid):
+            return [grid._variation.block_sample(chip=chip, block=block)
+                    for chip in range(grid.chips) for block in range(grid.blocks_per_chip)]
+
+        reference = corners(RetryStepGrid(config, rpt=default_rpt))
+        for same_silicon in (
+                RetryStepGrid(config, rpt=ReadTimingParameterTable.conservative()),
+                RetryStepGrid(SsdConfig.tiny(temperature_c=55.0), rpt=default_rpt)):
+            assert corners(same_silicon) == reference
+        other = corners(RetryStepGrid(SsdConfig.tiny(seed=config.seed + 1), rpt=default_rpt))
+        assert other[0] != reference[0]
 
     def test_a_grid_without_an_rpt_reads_the_default_table(self, config):
         grid = RetryStepGrid(config)
