@@ -153,6 +153,15 @@ def test_bench_simulator_throughput(benchmark, bench_rpt):
     assert result.metrics.host_reads > 150
 
 
+def _block_reads(config):
+    """1000 multi-page reads spread over the preconditioned range."""
+    filled = int(config.logical_pages * 0.85)
+    return [HostRequest(arrival_us=index * 300.0, kind=RequestKind.READ,
+                        start_lpn=(index * 7919) % (filled - 8),
+                        page_count=2 + index % 7)
+            for index in range(1000)]
+
+
 def test_bench_block_read_path(benchmark, bench_rpt):
     """Multi-page reads of aged data on a block-mode ``scaled()`` device.
 
@@ -161,11 +170,7 @@ def test_bench_block_read_path(benchmark, bench_rpt):
     Building and preconditioning the device is per-round set-up.
     """
     config = SsdConfig.scaled()
-    filled = int(config.logical_pages * 0.85)
-    requests = [HostRequest(arrival_us=index * 300.0, kind=RequestKind.READ,
-                            start_lpn=(index * 7919) % (filled - 8),
-                            page_count=2 + index % 7)
-                for index in range(1000)]
+    requests = _block_reads(config)
 
     def aged_device():
         simulator = SsdSimulator(config, policy="PnAR2", rpt=bench_rpt)
@@ -179,6 +184,42 @@ def test_bench_block_read_path(benchmark, bench_rpt):
                                 rounds=5, warmup_rounds=1)
     assert result.metrics.host_reads == len(requests)
     assert result.metrics.scalar_fallbacks == 0
+
+
+def test_bench_block_read_path_mixed(benchmark, bench_rpt):
+    """The reads of ``test_bench_block_read_path``, alternating conditions.
+
+    The untimed set-up rewrites every other LPN the reads cover (rewriting
+    half the whole filled range would need garbage collection) and keeps a
+    slab for the rewritten data's fresh condition.  Page reads then mix the
+    aged and the fresh condition in service order: about half of them
+    follow a read of the other condition, where the read path's
+    last-condition shortcuts miss (1 in 5000 on the aged-only reads), and
+    every read is still a grid hit.
+    """
+    config = SsdConfig.scaled()
+    requests = _block_reads(config)
+    covered = sorted({lpn for request in requests
+                      for lpn in range(request.start_lpn,
+                                       request.start_lpn + request.page_count)})
+    fresh = (2000, 0.0)
+
+    def mixed_device():
+        simulator = SsdSimulator(config, policy="PnAR2", rpt=bench_rpt)
+        simulator.precondition(pe_cycles=2000, retention_months=12.0)
+        for lpn in covered[::2]:
+            simulator.mapper.program(lpn, 0.0)
+        simulator.grid.prefill([fresh])
+        return (simulator,), {}
+
+    def run(simulator):
+        return simulator.run(requests)
+
+    result = benchmark.pedantic(run, setup=mixed_device, iterations=1,
+                                rounds=5, warmup_rounds=1)
+    assert result.metrics.host_reads == len(requests)
+    assert result.metrics.scalar_fallbacks == 0
+    assert result.distinct_read_conditions == 2
 
 
 def test_bench_dftl_steady_state(benchmark, bench_rpt):

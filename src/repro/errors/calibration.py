@@ -155,8 +155,6 @@ class EccCalibration:
     capability_bits: int = 72
     #: Codeword payload size in bytes.
     codeword_bytes: int = 1024
-    #: Decode latency of the controller's ECC engine (microseconds).
-    decode_latency_us: float = 20.0
     #: Safety margin reserved by AR2 when selecting reduced tPRE values:
     #: 7 bits for temperature-induced errors plus 7 bits for outlier pages
     #: (Section 5.2.3 / Figure 11).

@@ -57,10 +57,11 @@ the fixed-memory metrics recorder, the simulator's peak memory is
 independent of the trace length, so million-request traces stream straight
 from a workload generator or a CSV reader without ever being materialized.
 
-The simulator does not mutate caller-owned requests: read completion state
-(pending page count, last-page-ready time) lives in simulator-local
-bookkeeping, so the same request objects can be replayed against several
-policies without a defensive copy.
+The simulator does not mutate caller-owned requests: a host read's
+completion state (pending page count, last-page-ready time) is a record that
+travels on the read's own page transactions, so the same request objects can
+be replayed against several policies without a defensive copy, and two reads
+in flight with one ``request_id`` complete independently.
 
 A deliberate simplification relative to a cycle-accurate model: channel-bus
 contention between dies of the same channel is not modelled as a separate
@@ -151,13 +152,38 @@ class SimulationResult:
 
 
 class _ReadProgress:
-    """Simulator-local completion state of one in-flight host read."""
+    """Completion state of one in-flight host read, carried by its pages.
 
-    __slots__ = ("pending_pages", "last_page_ready_us")
+    Every page transaction of the read holds it (``FlashTransaction.progress``),
+    so a page's completion finds its read without a lookup, and two reads
+    with one ``request_id`` never share a record.
+    """
 
-    def __init__(self, pending_pages: int):
-        self.pending_pages = pending_pages
+    __slots__ = ("request", "pending_pages", "last_page_ready_us")
+
+    def __init__(self, request: HostRequest):
+        self.request = request
+        self.pending_pages = request.page_count
         self.last_page_ready_us = 0.0
+
+
+class _ConditionPrices:
+    """One ``(pe_cycles, retention_months)`` reads have seen, and its prices.
+
+    ``prices`` maps ``steps * len(PAGE_TYPE_ORDER) + page_type`` to the
+    policy's breakdown of a read of that page type taking that many retry
+    steps at ``condition``.
+    """
+
+    __slots__ = ("pe_cycles", "retention_months", "condition", "prices")
+
+    def __init__(self, pe_cycles: Optional[int],
+                 retention_months: Optional[float],
+                 condition: Optional[OperatingCondition]):
+        self.pe_cycles = pe_cycles
+        self.retention_months = retention_months
+        self.condition = condition
+        self.prices: Dict[int, object] = {}
 
 
 class SsdSimulator:
@@ -243,17 +269,16 @@ class SsdSimulator:
         self._source_exhausted = True
         self._scheduled_arrivals = 0
         self._lookahead = DEFAULT_LOOKAHEAD_REQUESTS
-        # Completion bookkeeping for in-flight reads, keyed by request_id —
-        # the simulator never writes to caller-owned HostRequest objects.
-        # Finished trackers go back to a free list, so a streaming run
-        # allocates O(max in-flight reads) trackers, not O(trace).
-        self._read_progress: Dict[int, _ReadProgress] = {}
-        self._progress_pool: list = []
-        # Reads only ever see a handful of distinct (P/E, retention)
-        # conditions; interning the OperatingCondition objects keeps the
-        # per-read path free of dataclass construction and validation.
-        self._condition_cache: Dict[tuple, OperatingCondition] = {}
-        self._breakdown_cache: Dict[tuple, object] = {}
+        #: Host reads started and not yet finished.  Each one's completion
+        #: state rides on its page transactions (:class:`_ReadProgress`).
+        self._reads_in_flight = 0
+        #: Every ``(pe_cycles, retention_months)`` reads have seen, with its
+        #: interned OperatingCondition and its prices; reads see a handful.
+        self._conditions: Dict[tuple, _ConditionPrices] = {}
+        #: The record of the condition priced last: most reads repeat it,
+        #: and then price without a lookup.  It starts as a record that
+        #: matches no read.
+        self._last_condition = _ConditionPrices(None, None, None)
         #: Optional hook invoked as ``hook(request, now_us)`` whenever a host
         #: request completes (reads: last page ready; writes: buffer
         #: admission).  Closed-loop load generators use it to issue each
@@ -277,7 +302,7 @@ class SsdSimulator:
         uniformity, and this counter is how the wear_dynamics experiment
         shows the condition diversity GC creates.
         """
-        return len(self._condition_cache)
+        return len(self._conditions)
 
     # -- preconditioning ------------------------------------------------------------
     def precondition(self, pe_cycles: int = 0, retention_months: float = 0.0,
@@ -414,7 +439,7 @@ class SsdSimulator:
             raise RuntimeError(
                 "the event queue drained with "
                 f"{self._outstanding_requests} admitted requests still "
-                f"outstanding: {len(self._read_progress)} in-flight reads, "
+                f"outstanding: {self._reads_in_flight} in-flight reads, "
                 f"{self.write_buffer.waiting_count} waiting writes")
 
     def inject(self, request: HostRequest) -> None:
@@ -510,11 +535,13 @@ class SsdSimulator:
                 deficit -= 1
         finally:
             # Flush even when a mid-window pull raises: every admission
-            # counted above must own an event.
+            # counted above must own an event.  The loop above refused any
+            # arrival before the clock, so a single one is pushed as is.
             if len(admitted) == 1:
-                self.events.schedule_call(admitted[0][0],
-                                          self._on_request_arrival,
-                                          admitted[0][1])
+                arrival_us, request = admitted[0]
+                events = self.events
+                heappush(events.heap, (arrival_us, next(events.sequence),
+                                       self._on_request_arrival, request))
             elif admitted:
                 self.events.schedule_batch(self._on_request_arrival, admitted)
 
@@ -565,13 +592,8 @@ class SsdSimulator:
             self._pump()
 
     def _start_read_request(self, request: HostRequest) -> None:
-        if self._progress_pool:
-            progress = self._progress_pool.pop()
-            progress.pending_pages = request.page_count
-            progress.last_page_ready_us = 0.0
-        else:
-            progress = _ReadProgress(request.page_count)
-        self._read_progress[request.request_id] = progress
+        progress = _ReadProgress(request)
+        self._reads_in_flight += 1
         now_us = self.events.now_us
         enqueue = self._enqueue
         read_target = self.mapper.read_target_packed
@@ -584,7 +606,7 @@ class SsdSimulator:
                 self._issue_translation_ops(ops)
             enqueue(FlashTransaction(_READ, lpn, packed,
                                      packed // pages_per_die, now_us,
-                                     request))
+                                     progress))
 
     def _admit_or_defer_write(self, request: HostRequest) -> None:
         if self.write_buffer.try_admit(request.page_count):
@@ -607,13 +629,13 @@ class SsdSimulator:
         logical_pages = self.config.logical_pages
         for lpn in range(request.start_lpn,
                          request.start_lpn + request.page_count):
-            self._issue_program(lpn % logical_pages, request)
+            self._issue_program(lpn % logical_pages)
         self._run_gc_if_needed()
         if self.on_request_complete is not None:
             self.on_request_complete(request, now)
         self._maybe_resume_after_barrier()
 
-    def _issue_program(self, lpn: int, request: Optional[HostRequest]) -> None:
+    def _issue_program(self, lpn: int) -> None:
         now_us = self.events.now_us
         packed, ops = self.mapper.program(lpn, now_us)
         if ops:
@@ -621,7 +643,7 @@ class SsdSimulator:
         self.metrics.host_programs += 1
         self._enqueue(FlashTransaction(
             _PROGRAM, lpn, packed, packed // self._addressing.pages_per_die,
-            now_us, request))
+            now_us))
 
     def _issue_translation_ops(self, ops: Sequence[TranslationOp]) -> None:
         """Schedule DFTL translation-page traffic as real flash transactions."""
@@ -635,7 +657,7 @@ class SsdSimulator:
             else:
                 metrics.translation_writes += 1
             enqueue(FlashTransaction(kind, None, packed,
-                                     packed // pages_per_die, now_us, None))
+                                     packed // pages_per_die, now_us))
 
     # -- the flash-transaction lifecycle ----------------------------------------------------
     def _enqueue(self, transaction: FlashTransaction) -> None:
@@ -737,16 +759,15 @@ class SsdSimulator:
             counts = metrics.retry_step_counts
             counts[steps] = counts.get(steps, 0) + 1
             metrics.pages_read += 1
-            request = transaction.request
-            if request is not None:
-                progress = self._read_progress[request.request_id]
+            progress = transaction.progress
+            if progress is not None:
                 page_ready_us = (transaction.service_start_us
                                  + transaction.response_us)
                 if page_ready_us > progress.last_page_ready_us:
                     progress.last_page_ready_us = page_ready_us
                 progress.pending_pages -= 1
                 if progress.pending_pages == 0:
-                    self._finish_read(request, progress)
+                    self._finish_read(progress)
         elif kind is _PROGRAM:
             self._release_host_program()
         # GC reads/programs, erases and translation traffic need no
@@ -788,25 +809,22 @@ class SsdSimulator:
             steps = behaviour.retry_steps
         # The per-read fast path: a breakdown is a pure function of the
         # policy, the temperature (both fixed per simulator), the steps, the
-        # page type and the condition.  A miss asks the policy's
-        # process-wide price memo, which other simulators of the same
-        # pricing identity may already have filled.  A first read under any
-        # new (P/E, retention) always misses here, so the condition-diversity
-        # counter (``len(self._condition_cache)``) still sees every distinct
-        # condition.
-        breakdown_key = (steps, page_type, pe_cycles, retention)
-        breakdown = self._breakdown_cache.get(breakdown_key)
+        # page type and the condition.  A read that repeats the last read's
+        # condition finds its record without a lookup; a new condition gets
+        # its record here, so ``distinct_read_conditions`` sees every one.
+        # A price miss asks the policy's process-wide price memo, which
+        # other simulators of the same pricing identity may already have
+        # filled.
+        record = self._last_condition
+        if (pe_cycles != record.pe_cycles
+                or retention != record.retention_months):
+            record = self._condition_record(pe_cycles, retention)
+        prices = record.prices
+        price_key = steps * _PAGE_TYPES + page_type
+        breakdown = prices.get(price_key)
         if breakdown is None:
-            condition_key = (pe_cycles, retention)
-            condition = self._condition_cache.get(condition_key)
-            if condition is None:
-                condition = OperatingCondition(
-                    pe_cycles=pe_cycles, retention_months=retention,
-                    temperature_c=self.config.temperature_c)
-                self._condition_cache[condition_key] = condition
-            breakdown = self.policy.shared_breakdown(
-                steps, PAGE_TYPE_ORDER[page_type], condition)
-            self._breakdown_cache[breakdown_key] = breakdown
+            breakdown = prices[price_key] = self.policy.shared_breakdown(
+                steps, PAGE_TYPE_ORDER[page_type], record.condition)
         response_us = breakdown.response_us
         die_busy_us = breakdown.die_busy_us
 
@@ -832,19 +850,39 @@ class SsdSimulator:
         transaction.response_us = response_us
         return die_busy_us
 
+    def _condition_record(self, pe_cycles: int,
+                          retention: float) -> _ConditionPrices:
+        """The record of a condition the last read did not see, kept as
+        the last one; a condition no read has seen gets a new record."""
+        key = (pe_cycles, retention)
+        record = self._conditions.get(key)
+        if record is None:
+            record = self._conditions[key] = _ConditionPrices(
+                pe_cycles, retention,
+                OperatingCondition(pe_cycles=pe_cycles,
+                                   retention_months=retention,
+                                   temperature_c=self.config.temperature_c))
+        self._last_condition = record
+        return record
+
     # -- completions ----------------------------------------------------------------------------
-    def _finish_read(self, request: HostRequest,
-                     progress: _ReadProgress) -> None:
+    def _finish_read(self, progress: _ReadProgress) -> None:
         """Complete a host read whose last page is ready."""
-        del self._read_progress[request.request_id]
-        self._progress_pool.append(progress)
-        self.metrics.record_read(
-            progress.last_page_ready_us - request.arrival_us,
-            tenant=request.queue_id if self.track_tenants else None)
+        request = progress.request
+        response_us = progress.last_page_ready_us - request.arrival_us
+        metrics = self.metrics
+        if self.track_tenants:
+            metrics.record_read(response_us, tenant=request.queue_id)
+        else:
+            metrics.read_latency.record(response_us)
+            metrics.host_reads += 1
+        self._reads_in_flight -= 1
         self._outstanding_requests -= 1
         if self.on_request_complete is not None:
             self.on_request_complete(request, self.events.now_us)
-        self._maybe_resume_after_barrier()
+        if self._barrier_active and not self._outstanding_requests:
+            self._barrier_active = False
+            self._pump()
 
     def _release_host_program(self) -> None:
         """A host page is on flash: free its buffer slot for waiting writes."""

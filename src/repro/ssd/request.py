@@ -7,10 +7,11 @@ that are scheduled independently on the dies; the request completes when its
 last transaction completes (reads) or when its data is accepted by the write
 buffer (writes).
 
-Host requests are treated as *immutable inputs* by the simulator: per-run
-completion state lives in simulator-local bookkeeping, so the same request
-objects can be replayed against several policies (or shared by a sweep's
-stream cache) without defensive copies.  The ``completion_us`` /
+Host requests are treated as *immutable inputs* by the simulator: a read's
+completion state is a record of the simulator's own, carried by the read's
+page transactions, so the same request objects can be replayed against
+several policies (or shared by a sweep's stream cache) without defensive
+copies, and two requests may share a ``request_id``.  The ``completion_us`` /
 ``pending_pages`` fields remain for callers that track completion
 themselves, but the simulator no longer writes to them.
 
@@ -73,7 +74,6 @@ class TransactionKind(enum.Enum):
 
 
 _request_ids = itertools.count()
-_transaction_ids = itertools.count()
 
 
 class HostRequest:
@@ -152,6 +152,12 @@ class FlashTransaction:
     ``die`` is the die number ``channel * dies_per_channel + die`` that
     indexes the controller's die schedulers.
 
+    Each page of a host read carries ``progress``, the controller's
+    completion record of that read (it holds the :class:`HostRequest`); it
+    is ``None`` on every other transaction.  ``transaction_id`` is whatever
+    the caller passes: the simulator passes none, and tests that compare
+    two schedules number their transactions themselves.
+
     ``remaining_service_us`` / ``was_suspended`` are written by the die
     scheduler when a program or erase is suspended; ``retry_steps`` and
     ``response_us`` are written by the controller's read path when the die
@@ -164,7 +170,7 @@ class FlashTransaction:
         "packed",
         "die",
         "issue_us",
-        "request",
+        "progress",
         "transaction_id",
         "service_start_us",
         "completion_us",
@@ -181,7 +187,7 @@ class FlashTransaction:
         packed: int,
         die: int,
         issue_us: float,
-        request: Optional[HostRequest] = None,
+        progress: object = None,
         transaction_id: Optional[int] = None,
     ):
         self.kind = kind
@@ -189,8 +195,8 @@ class FlashTransaction:
         self.packed = packed
         self.die = die
         self.issue_us = issue_us
-        self.request = request
-        self.transaction_id = next(_transaction_ids) if transaction_id is None else transaction_id
+        self.progress = progress
+        self.transaction_id = transaction_id
         # Filled in when the transaction is serviced.
         self.service_start_us: Optional[float] = None
         self.completion_us: Optional[float] = None

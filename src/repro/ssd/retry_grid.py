@@ -22,7 +22,13 @@ computes each row the first time a read asks for it:
   condition gets its slab on its ``promote_threshold``-th query; the
   queries before that walk their row with a walk that is not kept, and
   cache nothing.  Both paths compute a row alike, so the threshold decides
-  only how a read is counted (a grid hit or a scalar fallback).
+  only how a read is counted (a grid hit or a scalar fallback);
+* consecutive reads mostly share a condition, so the grid keeps the slab
+  it served last: a read of that condition takes it without a lookup, and
+  since it is the newest slab in LRU order, skipping its LRU touch changes
+  nothing.  Every slab build (promotion, :meth:`RetryStepGrid.prefill`,
+  eviction) forgets it, so recency, eviction and the hit/fallback split are
+  exactly those of a lookup per read.
 
 Grids are shared process-wide per (geometry, seed, temperature, RPT): every
 simulator of one configuration and RPT holds the same grid
@@ -35,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import OrderedDict
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.rpt import ReadTimingParameterTable
 from repro.errors.condition import OperatingCondition
@@ -275,6 +281,11 @@ class RetryStepGrid:
 
         #: condition key -> slab (recency-ordered for LRU eviction).
         self._slabs: "OrderedDict[tuple, Slab]" = OrderedDict()
+        #: The slab ``behaviour_at`` served last and its condition: the
+        #: newest in LRU order until :meth:`_build_slab` forgets it.
+        self._last_slab: Optional[Slab] = None
+        self._last_pe_cycles: Optional[int] = None
+        self._last_retention: Optional[float] = None
         #: queries seen per condition key that has no slab yet.
         self._pending_queries: Dict[tuple, int] = {}
         #: (steps, reduced, fallback) -> the one shared ReadBehaviour object.
@@ -332,20 +343,33 @@ class RetryStepGrid:
         corners depending on which was read first).  The simulator calls
         this once per page read, when the die starts the read, so the query
         order, and with it promotion and eviction, follows service order.
+
+        Most reads repeat the condition of the slab served last, which is
+        the newest in LRU order: such a read takes that slab without a
+        lookup, since moving the newest key to the end changes nothing.
         """
-        key = (pe_cycles, retention_months)
-        slab = self._slabs.get(key)
-        if slab is None:
-            queries = self._pending_queries.get(key, 0) + 1
-            if queries < self.promote_threshold:
-                self._pending_queries[key] = queries
-                return self._row(self._walk(key), page_type, corner), False
-            slab = self._build_slab(key)
-        else:
-            # LRU touch: long GC-heavy runs create a stream of (pe, 0.0)
-            # conditions, and without recency the hot preconditioned slab
-            # would be the first one evicted.
-            self._slabs.move_to_end(key)
+        slab = self._last_slab
+        if (
+            slab is None
+            or pe_cycles != self._last_pe_cycles
+            or retention_months != self._last_retention
+        ):
+            key = (pe_cycles, retention_months)
+            slab = self._slabs.get(key)
+            if slab is None:
+                queries = self._pending_queries.get(key, 0) + 1
+                if queries < self.promote_threshold:
+                    self._pending_queries[key] = queries
+                    return self._row(self._walk(key), page_type, corner), False
+                slab = self._build_slab(key)
+            else:
+                # LRU touch: long GC-heavy runs create a stream of (pe, 0.0)
+                # conditions, and without recency the hot preconditioned
+                # slab would be the first one evicted.
+                self._slabs.move_to_end(key)
+            self._last_slab = slab
+            self._last_pe_cycles = pe_cycles
+            self._last_retention = retention_months
         row = slab.rows[page_type]
         behaviour = row[corner]
         if behaviour is None:
@@ -367,7 +391,13 @@ class RetryStepGrid:
                 self._build_slab(key)
 
     def _build_slab(self, key: tuple) -> Slab:
-        """Keep an empty slab for ``key``, evicting the least recent one when full."""
+        """Keep an empty slab for ``key``, evicting the least recent one when full.
+
+        The new slab goes to the end of the LRU order, so the slab
+        :meth:`behaviour_at` served last, if still kept, is no longer the
+        newest: it is forgotten, and its next read looks it up and moves it.
+        """
+        self._last_slab = None
         slab = Slab(self._walk(key), self.corner_count)
         while len(self._slabs) >= MAX_CONDITIONS:
             self._slabs.popitem(last=False)

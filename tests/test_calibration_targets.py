@@ -68,10 +68,9 @@ class TestEccDefaults:
         # from the timing parameters.
         assert ECC_CALIBRATION.capability_bits == 72
         assert ECC_CALIBRATION.codeword_bytes == 1024
-        assert ECC_CALIBRATION.decode_latency_us == 20.0
         assert CodewordErrorModel().ecc_capability == 72
         assert CodewordErrorModel().ecc_calibration is ECC_CALIBRATION
-        assert TimingParameters().t_ecc_us == ECC_CALIBRATION.decode_latency_us
+        assert TimingParameters().t_ecc_us == 20.0
 
 
     def test_ar2_reserves_fourteen_bits(self, error_model, default_rpt):

@@ -252,6 +252,38 @@ class TestNoRequestLeftBehind:
                 simulator.run(requests)
 
 
+class TestReadsSharingAnId:
+    """A read's completion state is its own, whatever its ``request_id``:
+    reads in flight together that share an id complete independently."""
+
+    @staticmethod
+    def _run(requests):
+        simulator = SsdSimulator(SsdConfig.tiny())
+        simulator.precondition(pe_cycles=1000, retention_months=6.0)
+        return simulator.run(iter(requests))
+
+    def test_one_request_read_twice_at_once(self):
+        request = read(0.0, 5, pages=4)
+        twice = self._run([request, request])
+        distinct = self._run([read(0.0, 5, pages=4), read(0.0, 5, pages=4)])
+        assert twice.metrics.host_reads == 2
+        assert twice.metrics.pages_read == 8
+        assert twice.summary() == distinct.summary()
+
+    def test_overlapping_reads_built_with_one_id(self):
+        def reads(first_id, second_id):
+            return [HostRequest(0.0, RequestKind.READ, 5, page_count=4,
+                                request_id=first_id),
+                    HostRequest(40.0, RequestKind.READ, 40, page_count=3,
+                                request_id=second_id)]
+
+        shared = self._run(reads(7, 7))
+        distinct = self._run(reads(7, 8))
+        assert shared.metrics.host_reads == 2
+        assert shared.metrics.pages_read == 7
+        assert shared.summary() == distinct.summary()
+
+
 class _Replay:
     """A closed-loop source that issues a fixed list of requests at once."""
 

@@ -320,7 +320,7 @@ def test_every_fast_adversarial_device_run_completes_every_request(
     finalize = SsdSimulator._finalize_run
 
     def recording(self):
-        left_over.append((self._outstanding_requests, len(self._read_progress)))
+        left_over.append((self._outstanding_requests, self._reads_in_flight))
         return finalize(self)
 
     monkeypatch.setattr(SsdSimulator, "_finalize_run", recording)

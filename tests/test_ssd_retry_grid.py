@@ -395,18 +395,22 @@ class TestSlabLifecycle:
 
 
 class TestSlabRecency:
-    """Slab order is an LRU over the queries, promotions and evictions."""
+    """Slab order is an LRU over the queries, prefills, promotions and
+    evictions, and a query is a grid hit exactly when its condition has a
+    slab once it is served."""
 
     CONDITIONS = [(100, 0.0), (500, 1.0), (1000, 6.0), (1500, 0.0),
                   (2000, 12.0)]
     PROMOTE = 2
     MAX_CONDITIONS = 3
+    #: A drawn page type of 3 prefills the condition instead of reading it.
+    PREFILL = 3
 
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=4),
-                              st.integers(min_value=0, max_value=2),
+                              st.integers(min_value=0, max_value=3),
                               st.integers(min_value=0, max_value=63)),
                     min_size=1, max_size=24))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_slab_order_follows_an_lru_model(self, default_rpt, queries):
         with mock.patch.object(retry_grid, "MAX_CONDITIONS",
                                self.MAX_CONDITIONS):
@@ -418,27 +422,104 @@ class TestSlabRecency:
         model = OrderedDict()
         pending = {}
         builds = 0
+
+        def build(key):
+            # A new slab goes to the recent end, evicting the least recent
+            # one when the grid is full.
+            nonlocal builds
+            pending.pop(key, None)
+            if len(model) == self.MAX_CONDITIONS:
+                model.popitem(last=False)
+            model[key] = True
+            builds += 1
+
         for condition, page_type, corner in queries:
             key = self.CONDITIONS[condition]
-            grid.behaviour_at(page_type, *key, corner)
-            # The model: a hit moves its condition to the recent end; the
-            # PROMOTE-th query of an uncached condition builds its slab,
-            # evicting the least recent one when the grid is full.
-            if key in model:
-                model.move_to_end(key)
+            # The model: a prefill builds a slab for an uncached condition
+            # and moves nothing; a hit moves its condition to the recent
+            # end, and the PROMOTE-th query of an uncached one builds its
+            # slab.
+            if page_type == self.PREFILL:
+                grid.prefill([key])
+                if key not in model:
+                    build(key)
             else:
+                _, from_grid = grid.behaviour_at(page_type, *key, corner)
                 seen = pending.get(key, 0) + 1
-                if seen >= self.PROMOTE:
-                    pending.pop(key, None)
-                    if len(model) == self.MAX_CONDITIONS:
-                        model.popitem(last=False)
-                    model[key] = True
-                    builds += 1
+                if key in model:
+                    model.move_to_end(key)
+                elif seen >= self.PROMOTE:
+                    build(key)
                 else:
                     pending[key] = seen
-            # Checked after every query, so recency and evictions both match.
+                assert from_grid == (key in model)
+            # Checked after every step, so recency and evictions both match.
             assert list(grid._slabs) == list(model)
+            assert grid._pending_queries == pending
         assert grid.slab_builds == builds
+
+
+class TestLastReadSlab:
+    """A read of the condition ``behaviour_at`` served last takes that slab
+    without a lookup; every slab build, by promotion, prefill or with an
+    eviction, forgets it, so recency and the hit/fallback split hold."""
+
+    A = (1000, 6.0)
+    B = (2000, 12.0)
+
+    @staticmethod
+    def _split(grid, conditions, rounds):
+        """Read ``conditions`` in turn, ``rounds`` times; each condition's
+        grid-hit flags in order."""
+        flags = {condition: [] for condition in conditions}
+        for query in range(rounds):
+            for condition in conditions:
+                _, from_grid = grid.behaviour_at(query % 3, *condition, query)
+                flags[condition].append(from_grid)
+        return [flags[condition] for condition in conditions]
+
+    @pytest.mark.parametrize("build", ["promotion", "prefill"])
+    def test_reading_the_last_condition_again_after_a_build_moves_it(
+            self, build, default_rpt, monkeypatch):
+        grid = RetryStepGrid(PROMOTING, rpt=default_rpt)
+        grid.prefill([self.A])
+        assert grid.behaviour_at(0, *self.A, 0)[1]
+        if build == "promotion":
+            for corner in range(grid.promote_threshold):
+                grid.behaviour_at(1, *self.B, corner)
+        else:
+            grid.prefill([self.B])
+        assert list(grid._slabs) == [self.A, self.B]
+        assert grid.behaviour_at(2, *self.A, 1)[1]
+        assert list(grid._slabs) == [self.B, self.A]
+        # So the next build evicts B, the least recently read.
+        monkeypatch.setattr(retry_grid, "MAX_CONDITIONS", 2)
+        grid.prefill([(3000, 0.0)])
+        assert list(grid._slabs) == [self.A, (3000, 0.0)]
+        assert grid.slab_builds == 3
+
+    def test_alternating_conditions_split_exactly(self, default_rpt):
+        grid = RetryStepGrid(SsdConfig.scaled(), rpt=default_rpt)
+        assert grid.promote_threshold == 8
+        expected = [False] * 7 + [True] * 13
+        assert self._split(grid, (self.A, self.B), 20) == [expected, expected]
+        assert (list(grid._slabs), grid.slab_builds) == ([self.A, self.B], 2)
+
+    def test_a_slab_evicted_after_its_read_is_not_served(self, default_rpt,
+                                                         monkeypatch):
+        # A's slab is the last served when B's prefill evicts it: A's next
+        # read is the first query of a condition without a slab.
+        monkeypatch.setattr(retry_grid, "MAX_CONDITIONS", 1)
+        grid = RetryStepGrid(SsdConfig.scaled(), rpt=default_rpt)
+        grid.prefill([self.A])
+        assert grid.behaviour_at(0, *self.A, 0)[1]
+        grid.prefill([self.B])
+        # A is promoted on its 8th query, evicting B, whose next query is
+        # its first again.
+        assert self._split(grid, (self.A, self.B), 10) == [
+            [False] * 7 + [True] * 3, [True] * 7 + [False] * 3]
+        assert (list(grid._slabs), grid.slab_builds) == ([self.A], 3)
+        assert grid._pending_queries == {self.B: 3}
 
 
 class TestSharedGrids:
