@@ -5,14 +5,21 @@ paper's evaluation:
 
 * host requests arrive at their trace timestamps, are split into page-sized
   flash transactions, and are scheduled per die with read priority and
-  program/erase suspension.  The simulator runs each transaction's
-  lifecycle itself, one frame per step, over the per-die records of
-  :mod:`repro.ssd.scheduler`: ``_enqueue`` queues it and may start it or
+  program/erase suspension.  A transaction is a plain tuple ``(kind,
+  packed, progress, remaining_us)`` that only this module builds or reads:
+  ``progress`` is a host read's completion record (``None`` on every other
+  kind) and ``remaining_us`` is ``None`` unless a read suspended the
+  transaction.  The simulator runs each transaction's lifecycle itself, one
+  frame per step, over the per-die records of :mod:`repro.ssd.scheduler`,
+  which also hold what matters only while a transaction runs:
+  ``_enqueue(die_index, transaction)`` queues it and may start it or
   suspend the die's running program or erase, ``_start`` prices it and
-  pushes ``(time, sequence, _complete, transaction)`` straight onto the
-  event heap (:mod:`repro.ssd.engine`), and ``_complete`` does its
-  bookkeeping and starts the die's next transaction.  A suspended program
-  or erase is cancelled by its completion's sequence number;
+  pushes ``(time, sequence, _complete, die)`` straight onto the event heap
+  (:mod:`repro.ssd.engine`), and ``_complete(die)`` does the bookkeeping of
+  the die's running transaction and starts its next one.  A suspended
+  program or erase is cancelled by its completion's sequence number and
+  goes back to the head of its queue as a new tuple carrying its remaining
+  time plus the suspend overhead;
 * read transactions query the simulator's retry-step grid
   (:func:`~repro.ssd.retry_grid.shared_grid`) for how many retry
   steps they need (each simulated block behaves like a characterized
@@ -21,8 +28,9 @@ paper's evaluation:
   PSO) translates that into latency and die-occupancy numbers.  The read
   path handles one address, the packed page index of
   :class:`~repro.ssd.ftl.PageAddressing`: each mapper resolves a read to it
-  and reports its block's condition from it, and every transaction carries
-  it with its die number, which indexes the list of per-die records.  The
+  and reports its block's condition from it, every transaction carries it,
+  and its die number ``packed // pages_per_die``, which indexes the list
+  of per-die records, is what each caller passes to ``_enqueue``.  The
   retry-grid corner and the page type are one division and one remainder
   of it away, and the fault injector keys its scopes by such divisions;
 * writes are absorbed by the write buffer and flushed to flash through one
@@ -36,8 +44,8 @@ paper's evaluation:
   arrives as packed page indices too: ``program`` returns one, a
   translation op is a ``(TransactionKind, packed)`` pair and a
   :class:`~repro.ssd.gc.GcOperation` lists them, so every transaction is
-  built straight from an int.  Program, erase and translation-read service
-  times are fixed per device and computed once at construction;
+  a tuple built straight from an int.  Program, erase and translation-read
+  service times are fixed per device and computed once at construction;
 * response times and utilization are collected in
   :class:`repro.ssd.metrics.SimulationMetrics`.
 
@@ -88,12 +96,7 @@ from repro.ssd.faults import FaultInjector, FaultPlan
 from repro.ssd.ftl import FlashTranslationLayer, Mapper, PageAddressing
 from repro.ssd.gc import GcOperation
 from repro.ssd.metrics import SimulationMetrics
-from repro.ssd.request import (
-    FlashTransaction,
-    HostRequest,
-    RequestKind,
-    TransactionKind,
-)
+from repro.ssd.request import HostRequest, RequestKind, TransactionKind
 from repro.ssd.retry_grid import shared_grid
 from repro.ssd.scheduler import DieState
 from repro.ssd.write_buffer import WriteBuffer
@@ -154,9 +157,9 @@ class SimulationResult:
 class _ReadProgress:
     """Completion state of one in-flight host read, carried by its pages.
 
-    Every page transaction of the read holds it (``FlashTransaction.progress``),
-    so a page's completion finds its read without a lookup, and two reads
-    with one ``request_id`` never share a record.
+    Every page transaction of the read holds it as its ``progress``, so a
+    page's completion finds its read without a lookup, and two reads with
+    one ``request_id`` never share a record.
     """
 
     __slots__ = ("request", "pending_pages", "last_page_ready_us")
@@ -189,10 +192,9 @@ class _ConditionPrices:
 class SsdSimulator:
     """An event-driven SSD with a pluggable read-retry policy.
 
-    Every host read takes one path: each of its pages becomes a
-    :class:`~repro.ssd.request.FlashTransaction` on its die, and the
-    simulator prices the page when the die starts it, from the block's
-    condition at that moment and one retry-grid query
+    Every host read takes one path: each of its pages becomes a transaction
+    tuple on its die, and the simulator prices the page when the die starts
+    it, from the block's condition at that moment and one retry-grid query
     (:meth:`_read_service_time`).
     """
 
@@ -244,7 +246,7 @@ class SsdSimulator:
             + timing.t_ecc_us
             for page_type in PAGE_TYPE_ORDER)
         #: Per-die state indexed by die number (``channel *
-        #: dies_per_channel + die``, what ``FlashTransaction.die`` holds).
+        #: dies_per_channel + die``, ``packed // pages_per_die``).
         #: The records hold no callback, so nothing the simulator owns
         #: points back at it once the event heap has drained.
         self._dies: List[DieState] = [
@@ -604,9 +606,7 @@ class SsdSimulator:
             packed, ops = read_target(lpn % logical_pages, now_us)
             if ops:
                 self._issue_translation_ops(ops)
-            enqueue(FlashTransaction(_READ, lpn, packed,
-                                     packed // pages_per_die, now_us,
-                                     progress))
+            enqueue(packed // pages_per_die, (_READ, packed, progress, None))
 
     def _admit_or_defer_write(self, request: HostRequest) -> None:
         if self.write_buffer.try_admit(request.page_count):
@@ -641,13 +641,11 @@ class SsdSimulator:
         if ops:
             self._issue_translation_ops(ops)
         self.metrics.host_programs += 1
-        self._enqueue(FlashTransaction(
-            _PROGRAM, lpn, packed, packed // self._addressing.pages_per_die,
-            now_us))
+        self._enqueue(packed // self._addressing.pages_per_die,
+                      (_PROGRAM, packed, None, None))
 
     def _issue_translation_ops(self, ops: Sequence[TranslationOp]) -> None:
         """Schedule DFTL translation-page traffic as real flash transactions."""
-        now_us = self.events.now_us
         enqueue = self._enqueue
         pages_per_die = self._addressing.pages_per_die
         metrics = self.metrics
@@ -656,14 +654,13 @@ class SsdSimulator:
                 metrics.translation_reads += 1
             else:
                 metrics.translation_writes += 1
-            enqueue(FlashTransaction(kind, None, packed,
-                                     packed // pages_per_die, now_us))
+            enqueue(packed // pages_per_die, (kind, packed, None, None))
 
     # -- the flash-transaction lifecycle ----------------------------------------------------
-    def _enqueue(self, transaction: FlashTransaction) -> None:
-        """Queue ``transaction`` on its die; it may start at once or
-        suspend the die's running program or erase."""
-        die = self._dies[transaction.die]
+    def _enqueue(self, die_index: int, transaction: tuple) -> None:
+        """Queue ``transaction`` on die ``die_index``; it may start at once
+        or suspend the die's running program or erase."""
+        die = self._dies[die_index]
         if (die.running is None and not die.read_queue
                 and not die.write_queue):
             # An idle die with nothing queued serves the newcomer at once.
@@ -671,7 +668,7 @@ class SsdSimulator:
             # the die restarts) must go first, so it takes the queue path.
             self._start(die, transaction)
             return
-        kind = transaction.kind
+        kind = transaction[0]
         is_read = kind is _READ or kind is _GC_READ or kind is _TRANS_READ
         if is_read and self.config.read_priority:
             die.read_queue.append(transaction)
@@ -685,26 +682,27 @@ class SsdSimulator:
         self._start(die, (die.read_queue or die.write_queue).popleft())
 
     def _suspend(self, die: DieState) -> None:
-        """Suspend the die's running program or erase so a read runs first."""
-        transaction = die.running
+        """Suspend the die's running program or erase so a read runs first:
+        it goes back to the head of the write queue with its remaining time
+        plus the suspend overhead."""
+        kind, packed, progress, _ = die.running
         events = self.events
         events.cancel(die.completion)
         elapsed = max(0.0, events.now_us - die.start_us)
         remaining = max(0.0, die.service_us - elapsed)
         timing = self.config.timing
-        if transaction.kind is _ERASE:
+        if kind is _ERASE:
             overhead = timing.erase_suspend_us
         else:
             overhead = timing.program_suspend_us
-        transaction.remaining_service_us = remaining + overhead
-        transaction.was_suspended = True
         die.total_busy_us += elapsed
-        die.write_queue.appendleft(transaction)
+        die.write_queue.appendleft((kind, packed, progress,
+                                    remaining + overhead))
         die.running = None
         die.suspensions += 1
 
-    def _start(self, die: DieState, transaction: FlashTransaction) -> None:
-        """Price ``transaction`` and push its completion onto the heap."""
+    def _start(self, die: DieState, transaction: tuple) -> None:
+        """Price ``transaction`` and push its die's completion onto the heap."""
         # The die is busy before the transaction is priced.  Pricing a read
         # polls the fault injector, and a fault it activates may retire a
         # block and enqueue the relocation onto this die: that work must
@@ -715,59 +713,51 @@ class SsdSimulator:
         die.completion = None
         events = self.events
         now = events.now_us
-        kind = transaction.kind
+        kind, packed, _, service = transaction
         # A suspended program or erase resumes with what it has left.
-        service = transaction.remaining_service_us
         if service is None:
             # Host and GC reads dominate every workload; what is left after
             # translation reads and erases is a host, GC or translation
             # program.
             if kind is _READ or kind is _GC_READ:
-                service = self._read_service_time(transaction)
+                service = self._read_service_time(die, packed)
             elif kind is _TRANS_READ:
                 service = self._trans_read_us[
-                    transaction.packed % self._addressing.pages_per_block
-                    % _PAGE_TYPES]
+                    packed % self._addressing.pages_per_block % _PAGE_TYPES]
             elif kind is _ERASE:
                 service = self._erase_us
             else:
                 service = self._program_us
-        if transaction.service_start_us is None:
-            transaction.service_start_us = now
         # The sequence is drawn after pricing, which may schedule events.
         sequence = next(events.sequence)
         if (kind is not _READ and kind is not _GC_READ
                 and kind is not _TRANS_READ and self.config.suspension):
             # Only an operation a read may suspend needs to be cancellable.
             die.completion = sequence
-        heappush(events.heap, (now + service, sequence, self._complete,
-                               transaction))
+        heappush(events.heap, (now + service, sequence, self._complete, die))
         die.start_us = now
         die.service_us = service
 
-    def _complete(self, transaction: FlashTransaction) -> None:
-        """Finish ``transaction`` and start its die's next one."""
-        die = self._dies[transaction.die]
+    def _complete(self, die: DieState) -> None:
+        """Finish the die's running transaction and start its next one."""
         die.total_busy_us += die.service_us
-        transaction.completion_us = self.events.now_us
+        transaction = die.running
         die.running = None
         die.completed_transactions += 1
-        kind = transaction.kind
+        kind = transaction[0]
         if kind is _READ:
-            steps = transaction.retry_steps
+            steps = die.retry_steps
             metrics = self.metrics
             counts = metrics.retry_step_counts
             counts[steps] = counts.get(steps, 0) + 1
             metrics.pages_read += 1
-            progress = transaction.progress
-            if progress is not None:
-                page_ready_us = (transaction.service_start_us
-                                 + transaction.response_us)
-                if page_ready_us > progress.last_page_ready_us:
-                    progress.last_page_ready_us = page_ready_us
-                progress.pending_pages -= 1
-                if progress.pending_pages == 0:
-                    self._finish_read(progress)
+            progress = transaction[2]
+            page_ready_us = die.page_ready_us
+            if page_ready_us > progress.last_page_ready_us:
+                progress.last_page_ready_us = page_ready_us
+            progress.pending_pages -= 1
+            if progress.pending_pages == 0:
+                self._finish_read(progress)
         elif kind is _PROGRAM:
             self._release_host_program()
         # GC reads/programs, erases and translation traffic need no
@@ -779,10 +769,10 @@ class SsdSimulator:
                 self._start(die, queue.popleft())
 
     # -- flash service times -----------------------------------------------------------------
-    def _read_service_time(self, transaction: FlashTransaction) -> float:
-        """Price one host or GC page read: set its retry steps and
-        response time, and return how long it occupies the die."""
-        packed = transaction.packed
+    def _read_service_time(self, die: DieState, packed: int) -> float:
+        """Price the host or GC read of page ``packed`` that ``die`` starts:
+        set the die's retry steps and page-ready time, and return how long
+        the read occupies the die."""
         now_us = self.events.now_us
         pe_cycles, retention = self.mapper.read_condition_packed(packed,
                                                                  now_us)
@@ -846,8 +836,8 @@ class SsdSimulator:
             die_busy_us *= fault_factor
             self.metrics.faulted_reads += 1
 
-        transaction.retry_steps = breakdown.retry_steps
-        transaction.response_us = response_us
+        die.retry_steps = breakdown.retry_steps
+        die.page_ready_us = now_us + response_us
         return die_busy_us
 
     def _condition_record(self, pe_cycles: int,
@@ -885,24 +875,22 @@ class SsdSimulator:
             self._pump()
 
     def _release_host_program(self) -> None:
-        """A host page is on flash: free its buffer slot for waiting writes."""
-        self.write_buffer.release(1)
-        self._admit_waiting_writes()
+        """A host page is on flash: free its buffer slot and admit waiting
+        writes in arrival order while the head of the queue fits."""
+        buffer = self.write_buffer
+        buffer.release(1)
+        waiter = buffer.admit_waiter()
+        while waiter is not None:
+            self._complete_write_admission(waiter)
+            waiter = buffer.admit_waiter()
         self._run_gc_if_needed()
-
-    def _admit_waiting_writes(self) -> None:
-        while True:
-            waiter = self.write_buffer.pop_waiter()
-            if waiter is None:
-                return
-            if self.write_buffer.try_admit(waiter.page_count):
-                self._complete_write_admission(waiter)
-            else:
-                self.write_buffer.requeue_waiter_front(waiter)
-                return
 
     # -- garbage collection ------------------------------------------------------------------------
     def _run_gc_if_needed(self) -> None:
+        # Every host page's completion lands here; while no plane is below
+        # its trigger, both mappers' collect_if_needed return [] at once.
+        if not self.mapper.planes_below_trigger:
+            return
         for operation in self.mapper.collect_if_needed(self.events.now_us):
             self._enqueue_block_work(operation)
             self.metrics.gc_programs += operation.relocated_pages
@@ -912,17 +900,14 @@ class SsdSimulator:
         """Schedule a collected or retired block's flash work, in order:
         each relocation's read and program, the batched translation
         updates, then the victim's erase."""
-        now_us = self.events.now_us
         enqueue = self._enqueue
         pages_per_die = self._addressing.pages_per_die
         for source, destination in zip(operation.relocations,
                                        operation.destinations):
-            enqueue(FlashTransaction(_GC_READ, None, source,
-                                     source // pages_per_die, now_us, None))
-            enqueue(FlashTransaction(_GC_PROGRAM, None, destination,
-                                     destination // pages_per_die, now_us,
-                                     None))
+            enqueue(source // pages_per_die, (_GC_READ, source, None, None))
+            enqueue(destination // pages_per_die,
+                    (_GC_PROGRAM, destination, None, None))
         self._issue_translation_ops(operation.translation_ops)
         erase_target = operation.erase_target
-        enqueue(FlashTransaction(_ERASE, None, erase_target,
-                                 erase_target // pages_per_die, now_us, None))
+        enqueue(erase_target // pages_per_die,
+                (_ERASE, erase_target, None, None))

@@ -9,12 +9,14 @@ pushes, :meth:`EventQueue.schedule_batch` included, so equal timestamps run
 in scheduling order and the comparison never reaches the callback.
 
 The controller pushes its flash-transaction completions straight onto
-:attr:`EventQueue.heap`, drawing their sequence from the same counter.  A
-program or erase that a read suspends is cancelled by its sequence number
-through :meth:`EventQueue.cancel`: the number goes into
+:attr:`EventQueue.heap` as ``(time, sequence, _complete, die)``, whose
+argument is the die record of the transaction that completes, drawing
+their sequence from the same counter.  A program or erase that a read
+suspends is cancelled by its sequence number through
+:meth:`EventQueue.cancel`: the number goes into
 :attr:`EventQueue.cancelled`, and :meth:`run` skips and forgets the entry
-when it pops it.  Only a pending event is ever
-cancelled, so ``len(events)`` is exactly ``len(heap) - len(cancelled)``.
+when it pops it.  Only a pending event is ever cancelled, so
+``len(events)`` is exactly ``len(heap) - len(cancelled)``.
 
 :meth:`EventQueue.schedule` keeps the no-argument form ``callback()`` for
 tests and benchmarks: it pushes the :func:`_call` trampoline as the

@@ -65,15 +65,14 @@ class WriteBuffer:
         """Remember a request waiting for buffer space (FIFO order)."""
         self._waiting.append(waiter)
 
-    def pop_waiter(self) -> Optional[object]:
-        """Next waiting request, or ``None``."""
-        if self._waiting:
-            return self._waiting.popleft()
+    def admit_waiter(self) -> Optional[object]:
+        """Admit the head waiter's ``page_count`` pages and return it, or
+        return ``None`` when no write waits or the head does not fit; a
+        head that does not fit keeps its place and blocks those behind it."""
+        waiting = self._waiting
+        if waiting and self.try_admit(waiting[0].page_count):
+            return waiting.popleft()
         return None
-
-    def requeue_waiter_front(self, waiter) -> None:
-        """Put a waiter back at the head (it still does not fit)."""
-        self._waiting.appendleft(waiter)
 
     @property
     def waiting_count(self) -> int:

@@ -7,6 +7,7 @@ import pytest
 from repro.core.policies import get_policy
 from repro.sim import Condition, Simulation, WorkloadSpec
 from repro.ssd.controller import SsdSimulator
+from repro.ssd.request import HostRequest
 from repro.workloads.catalog import catalog_workload
 from repro.workloads.synthetic import WorkloadShape
 
@@ -132,12 +133,19 @@ class TestSimulationBuilder:
     def test_explicit_requests_are_not_mutated(self, tiny_ssd_config):
         requests = list(catalog_workload("usr_1", 2000,
                                          seed=2).iter_requests(30))
+
+        def slots():
+            return [tuple(getattr(request, slot)
+                          for slot in HostRequest.__slots__)
+                    for request in requests]
+        before = slots()
         run = (Simulation(tiny_ssd_config)
                .policies("Baseline", "NoRR")
                .requests(requests)
                .run())
-        # The caller's stream stays pristine: both policies saw copies.
-        assert all(request.completion_us is None for request in requests)
+        # The caller's stream stays pristine: both policies ran the same
+        # request objects, and no slot of any of them changed.
+        assert slots() == before
         assert run["Baseline"].metrics.host_reads > 0
 
     def test_synthetic_shape_workload(self, tiny_ssd_config):

@@ -210,6 +210,22 @@ class TestPageAddressing:
             served.append((keys[id(die)], transaction))
             return start(die, transaction)
         simulator._start = record_start
+        enqueued = []
+        enqueue = simulator._enqueue
+
+        def record_enqueue(die_index, transaction):
+            if transaction[0] is TransactionKind.READ:
+                enqueued.append((die_index, transaction[1]))
+            enqueue(die_index, transaction)
+        simulator._enqueue = record_enqueue
+        targets = []
+        read_target = simulator.mapper.read_target_packed
+
+        def record_target(lpn, now_us):
+            packed, ops = read_target(lpn, now_us)
+            targets.append(packed)
+            return packed, ops
+        simulator.mapper.read_target_packed = record_target
         behaviour_at = RetryStepGrid.behaviour_at
         queried = []
 
@@ -221,17 +237,22 @@ class TestPageAddressing:
                                 (index * 37) % 300, page_count=1 + index % 5)
                     for index in range(40)]
         simulator.run(requests)
-        reads = [(key, transaction) for key, transaction in served
-                 if transaction.kind is TransactionKind.READ]
+        reads = [(key, transaction[1]) for key, transaction in served
+                 if transaction[0] is TransactionKind.READ]
         assert len(reads) == len(queried) == sum(r.page_count
                                                   for r in requests)
-        for (key, transaction), (page_type, corner) in zip(reads, queried):
-            assert transaction.packed == simulator.mapper.read_target_packed(
-                transaction.lpn, simulator.events.now_us)[0]
-            physical = addressing.unpack(transaction.packed)
+        # Each page read goes to the page its LPN maps to, on that page's
+        # die.
+        assert [packed for _, packed in enqueued] == targets
+        for die_index, packed in enqueued:
+            physical = addressing.unpack(packed)
+            assert die_index == (physical.channel * config.dies_per_channel
+                                 + physical.die)
+        assert sorted(packed for _, packed in reads) == sorted(targets)
+        for (key, packed), (page_type, corner) in zip(reads, queried):
+            physical = addressing.unpack(packed)
             chip = physical.channel * config.dies_per_channel + physical.die
             assert key == (physical.channel, physical.die)
-            assert transaction.die == chip
             assert corner == simulator.grid.corner_index(
                 chip, physical.plane * config.blocks_per_plane + physical.block)
             assert page_type == physical.page % len(PAGE_TYPE_ORDER)

@@ -9,6 +9,7 @@ from repro.errors.variation import ProcessVariation
 from repro.nand.geometry import PAGE_TYPE_ORDER, PageType
 from repro.ssd.config import SsdConfig
 from repro.ssd.ftl import FlashTranslationLayer, PageAddressing, PhysicalPage
+from repro.ssd.request import HostRequest, RequestKind
 from repro.ssd.retry_grid import RetryStepGrid
 from repro.ssd.write_buffer import WriteBuffer
 
@@ -102,15 +103,28 @@ class TestWriteBuffer:
             buffer.release(0)
 
     def test_waiter_queue_is_fifo(self):
-        buffer = WriteBuffer(capacity_pages=1)
-        buffer.enqueue_waiter("first")
-        buffer.enqueue_waiter("second")
+        buffer = WriteBuffer(capacity_pages=2)
+        assert buffer.try_admit(2)
+        first = HostRequest(0.0, RequestKind.WRITE, 0, page_count=2)
+        second = HostRequest(1.0, RequestKind.WRITE, 2)
+        buffer.enqueue_waiter(first)
+        buffer.enqueue_waiter(second)
         assert buffer.waiting_count == 2
-        assert buffer.pop_waiter() == "first"
-        buffer.requeue_waiter_front("first")
-        assert buffer.pop_waiter() == "first"
-        assert buffer.pop_waiter() == "second"
-        assert buffer.pop_waiter() is None
+        # Nothing fits: the head keeps its place.
+        assert buffer.admit_waiter() is None
+        buffer.release(1)
+        # The single-page second waiter would fit, but the head does not,
+        # and it blocks those behind it.
+        assert buffer.admit_waiter() is None
+        assert buffer.waiting_count == 2 and buffer.used_pages == 1
+        buffer.release(1)
+        assert buffer.admit_waiter() is first
+        assert buffer.used_pages == 2 and buffer.total_admitted == 4
+        assert buffer.admit_waiter() is None
+        buffer.release(2)
+        assert buffer.admit_waiter() is second
+        assert buffer.admit_waiter() is None
+        assert buffer.waiting_count == 0 and buffer.used_pages == 1
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -1,34 +1,34 @@
-"""Tests for host requests, flash transactions and failure-path behaviour."""
+"""Tests for host requests, transaction kinds, the read path's page-ready
+time and failure-path behaviour."""
 
 import pytest
 
+from repro.errors.condition import OperatingCondition
+from repro.nand.geometry import PAGE_TYPE_ORDER
 from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.ftl import PageAddressing, PhysicalPage
-from repro.ssd.request import (
-    FlashTransaction,
-    HostRequest,
-    RequestKind,
-    TransactionKind,
-)
+from repro.ssd.request import HostRequest, RequestKind, TransactionKind
 from repro.ssd.retry_grid import RetryStepGrid
 
 
 class TestHostRequest:
-    def test_lpns_and_pending_pages(self):
+    def test_lpns(self):
         request = HostRequest(arrival_us=10.0, kind=RequestKind.READ,
                               start_lpn=5, page_count=3)
         assert request.lpns == [5, 6, 7]
-        assert request.pending_pages == 3
+        assert request.page_count == 3
         assert request.is_read
 
-    def test_response_time(self):
-        request = HostRequest(arrival_us=10.0, kind=RequestKind.WRITE,
-                              start_lpn=0)
-        assert request.response_time_us is None
-        request.completion_us = 35.0
-        assert request.response_time_us == pytest.approx(25.0)
+    def test_a_request_holds_what_arrived_and_nothing_else(self):
+        # The simulator keeps every completion record itself, so a request
+        # carries no completion fields a caller could mistake for results.
+        assert HostRequest.__slots__ == (
+            "arrival_us", "kind", "start_lpn", "page_count", "queue_id",
+            "request_id")
+        with pytest.raises(TypeError):
+            HostRequest(10.0, RequestKind.WRITE, 0, completion_us=35.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,19 +45,66 @@ class TestHostRequest:
         assert first.request_id != second.request_id
 
 
-class TestFlashTransaction:
+class TestTransactionKind:
     def test_kind_classification(self):
         assert TransactionKind.GC_READ.is_read
         assert TransactionKind.GC_PROGRAM.is_background
         assert not TransactionKind.PROGRAM.is_background
 
-    def test_waiting_time(self):
-        transaction = FlashTransaction(kind=TransactionKind.READ, lpn=1,
-                                       packed=0, die=0, issue_us=100.0)
-        assert transaction.waiting_time_us is None
-        transaction.service_start_us = 160.0
-        assert transaction.waiting_time_us == pytest.approx(60.0)
-        assert transaction.die == 0
+
+class TestPageReadyTime:
+    """A read's die records when its page is ready: the read's start plus
+    its priced response, and its request completes from that time."""
+
+    def test_page_ready_is_the_start_plus_the_priced_response(
+            self, default_rpt):
+        # PnAR2 pipelines its retry steps, so a read's response is shorter
+        # than the time it holds the die.
+        config = SsdConfig.tiny()
+        simulator = SsdSimulator(config, policy="PnAR2", rpt=default_rpt)
+        simulator.precondition(pe_cycles=1000, retention_months=6.0)
+        priced = []
+        price = simulator._read_service_time
+
+        def record(die, packed):
+            die_busy_us = price(die, packed)
+            priced.append((simulator.events.now_us, packed, die.retry_steps,
+                           die.page_ready_us, die_busy_us))
+            return die_busy_us
+        simulator._read_service_time = record
+        # Two reads of one die and one of another, all arriving at once:
+        # the second read of the shared die starts after it arrived.
+        pages_per_die = PageAddressing(config).pages_per_die
+
+        def die_of(lpn):
+            packed, _ = simulator.mapper.read_target_packed(lpn, 0.0)
+            return packed // pages_per_die
+        same = next(lpn for lpn in range(1, 64) if die_of(lpn) == die_of(0))
+        other = next(lpn for lpn in range(1, 64) if die_of(lpn) != die_of(0))
+        requests = [HostRequest(0.0, RequestKind.READ, lpn)
+                    for lpn in (0, same, other)]
+        result = simulator.run(requests)
+        starts = [start for start, _, _, _, _ in priced]
+        assert len(starts) == 3
+        assert sorted(starts)[:2] == [0.0, 0.0] and max(starts) > 0.0
+        for start, packed, steps, page_ready_us, die_busy_us in priced:
+            pe_cycles, retention = simulator.mapper.read_condition_packed(
+                packed, start)
+            breakdown = simulator.policy.shared_breakdown(
+                steps, PAGE_TYPE_ORDER[packed % config.pages_per_block % 3],
+                OperatingCondition(pe_cycles=pe_cycles,
+                                   retention_months=retention,
+                                   temperature_c=config.temperature_c))
+            assert breakdown.response_us < breakdown.die_busy_us
+            assert page_ready_us == start + breakdown.response_us
+            assert die_busy_us == breakdown.die_busy_us
+        assert result.metrics.reduced_timing_fallbacks == 0
+        # Each one-page read arrived at 0.0, so its response time is its
+        # page-ready time.
+        latency = result.metrics.read_latency
+        assert latency.count == 3
+        assert latency.max_us == max(ready for _, _, _, ready, _ in priced)
+        assert latency.min_us == min(ready for _, _, _, ready, _ in priced)
 
 
 class TestReadFailurePath:

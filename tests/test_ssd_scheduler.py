@@ -3,10 +3,12 @@ program/erase suspension.
 
 The controller runs every die itself (``SsdSimulator._enqueue``,
 ``_start``, ``_suspend`` and ``_complete`` over
-:class:`repro.ssd.scheduler.DieState` records).  These tests drive that
-lifecycle on die 0 of a simulator whose read pricing is stubbed, and keep
-:class:`DieScheduler`, the callback-driven scheduler the lifecycle
-replaced, as the reference oracle of the hypothesis property at the end.
+:class:`repro.ssd.scheduler.DieState` records), and a transaction is the
+controller's plain tuple ``(kind, packed, progress, remaining_us)``.  These
+tests drive that lifecycle on die 0 of a simulator whose read pricing is
+stubbed, and keep :class:`DieScheduler`, the callback-driven scheduler the
+lifecycle replaced, as the reference oracle of the hypothesis property at
+the end.
 """
 
 import itertools
@@ -17,15 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ssd.config import SsdConfig
-from repro.ssd.controller import SsdSimulator
+from repro.ssd.controller import SsdSimulator, _ReadProgress
 from repro.ssd.engine import EventQueue
-from repro.ssd.request import FlashTransaction, TransactionKind
+from repro.ssd.request import HostRequest, RequestKind, TransactionKind
 
 READ = TransactionKind.READ
 GC_READ = TransactionKind.GC_READ
 PROGRAM = TransactionKind.PROGRAM
 GC_PROGRAM = TransactionKind.GC_PROGRAM
 ERASE = TransactionKind.ERASE
+TRANS_READ = TransactionKind.TRANS_READ
 
 READ_US = 100.0
 PROGRAM_US = 700.0
@@ -36,20 +39,31 @@ def idle(die):
     return die.running is None and not die.read_queue and not die.write_queue
 
 
-def make_transaction(kind, issue_us=0.0, transaction_id=None):
-    return FlashTransaction(kind=kind, lpn=0, packed=0, die=0,
-                            issue_us=issue_us, transaction_id=transaction_id)
+def operation(kind, op_id):
+    """The controller's transaction tuple, with ``op_id`` as its packed
+    index: the harness stubs read pricing, and a translation read's price
+    does not depend on its page.  A host read carries a one-page read's
+    completion record, as every host read page does."""
+    progress = (_ReadProgress(HostRequest(0.0, RequestKind.READ, 0))
+                if kind is READ else None)
+    return (kind, op_id, progress, None)
 
 
 class Lifecycle:
     """Die 0 of a simulator, its read pricing stubbed out.
 
-    Reads and GC reads cost ``read_us(transaction)``; programs, erases and
-    translation reads cost the controller's constants, set here.
-    ``completed`` lists transactions as they complete, and
-    ``on_program_complete(transaction)`` runs where a host program's
-    completion releases its write-buffer slot, the one completion that
-    enqueues flash work directly (waiting writes and garbage collection).
+    Reads and GC reads cost ``read_us(op_id)``; programs, erases and
+    translation reads cost the controller's constants, set here.  The
+    harness keeps its own record of the tuples it sees, by wrapping
+    ``_start``, ``_suspend`` and ``_complete``: ``started`` maps each id to
+    its first start, ``completed`` lists ``(id, start, completion)`` as
+    transactions complete, and ``suspended`` lists the tuple each
+    suspension puts back at the head of the write queue.
+    ``on_program_complete(op_id)`` runs where a host program's completion
+    releases its write-buffer slot, the one completion that enqueues flash
+    work directly (waiting writes and garbage collection).  A host read's
+    last page finishes its request through ``_finish_read``, which the
+    harness skips: its request is a stand-in.
     """
 
     def __init__(self, config=None, read_us=None, on_program_complete=None,
@@ -59,74 +73,90 @@ class Lifecycle:
         simulator._program_us = program_us
         simulator._erase_us = erase_us
         simulator._trans_read_us = (trans_read_us,) * 3
-        simulator._read_service_time = read_us or (lambda transaction: READ_US)
+        price = read_us or (lambda op_id: READ_US)
+        simulator._read_service_time = lambda die, packed: price(packed)
+        simulator._finish_read = lambda progress: None
+        self.started = {}
         self.completed = []
+        self.suspended = []
+        start = simulator._start
+        suspend = simulator._suspend
         complete = simulator._complete
 
-        def record(transaction):
-            self.completed.append(transaction)
-            complete(transaction)
+        def record_start(die, transaction):
+            self.started.setdefault(transaction[1], self.events.now_us)
+            start(die, transaction)
+
+        def record_suspend(die):
+            suspend(die)
+            self.suspended.append(die.write_queue[0])
+
+        def record_complete(die):
+            op_id = die.running[1]
+            self.completed.append(
+                (op_id, self.started[op_id], self.events.now_us))
+            complete(die)
 
         def release():
             if on_program_complete is not None:
-                on_program_complete(self.completed[-1])
+                on_program_complete(self.completed[-1][0])
 
-        simulator._complete = record
+        simulator._start = record_start
+        simulator._suspend = record_suspend
+        simulator._complete = record_complete
         simulator._release_host_program = release
         self.simulator = simulator
         self.events = simulator.events
         self.die = simulator._dies[0]
 
     def enqueue(self, transaction):
-        self.simulator._enqueue(transaction)
+        self.simulator._enqueue(0, transaction)
 
     def enqueue_at(self, time_us, transaction):
-        self.events.schedule_call(time_us, self.simulator._enqueue, transaction)
+        self.events.schedule_call(time_us, self.enqueue, transaction)
 
     def run(self):
         self.events.run()
+
+    def order(self):
+        """Ids in completion order."""
+        return [op_id for op_id, _, _ in self.completed]
+
+    def completion_us(self, op_id):
+        return next(end for done, _, end in self.completed if done == op_id)
 
 
 class TestBasicScheduling:
     def test_single_transaction_completes(self):
         die = Lifecycle()
-        read = make_transaction(READ)
-        die.enqueue(read)
+        die.enqueue(operation(READ, 1))
         die.run()
-        assert die.completed == [read]
-        assert read.service_start_us == 0.0
-        assert read.completion_us == pytest.approx(READ_US)
+        assert die.completed == [(1, 0.0, pytest.approx(READ_US))]
         assert idle(die.die)
 
     def test_reads_overtake_queued_programs(self):
         # Out-of-order I/O scheduling: a read enqueued behind programs is
         # served as soon as the die becomes free, before the programs.
         die = Lifecycle(SsdConfig.tiny(suspension=False))
-        first_program = make_transaction(PROGRAM)
-        second_program = make_transaction(PROGRAM)
-        read = make_transaction(READ)
-        die.enqueue(first_program)
-        die.enqueue(second_program)
-        die.enqueue_at(10.0, read)
+        die.enqueue(operation(PROGRAM, 1))
+        die.enqueue(operation(PROGRAM, 2))
+        die.enqueue_at(10.0, operation(READ, 3))
         die.run()
-        assert die.completed == [first_program, read, second_program]
+        assert die.order() == [1, 3, 2]
 
     def test_fifo_without_read_priority(self):
         die = Lifecycle(SsdConfig.tiny(read_priority=False, suspension=False))
-        first_program = make_transaction(PROGRAM)
-        second_program = make_transaction(PROGRAM)
-        read = make_transaction(READ)
-        die.enqueue(first_program)
-        die.enqueue(second_program)
-        die.enqueue_at(10.0, read)
+        die.enqueue(operation(PROGRAM, 1))
+        die.enqueue(operation(PROGRAM, 2))
+        die.enqueue_at(10.0, operation(READ, 3))
         die.run()
-        assert die.completed == [first_program, second_program, read]
+        assert die.order() == [1, 2, 3]
 
     def test_busy_time_accounting(self):
         die = Lifecycle()
-        die.enqueue(make_transaction(READ))
-        die.enqueue(make_transaction(READ))
-        die.enqueue(make_transaction(TransactionKind.TRANS_READ))
+        die.enqueue(operation(READ, 1))
+        die.enqueue(operation(READ, 2))
+        die.enqueue(operation(TRANS_READ, 3))
         die.run()
         assert die.die.total_busy_us == pytest.approx(3 * READ_US)
         assert die.die.completed_transactions == 3
@@ -137,20 +167,20 @@ class TestSuspension:
     @pytest.mark.parametrize("kind", [PROGRAM, GC_PROGRAM])
     def test_read_suspends_inflight_program(self, kind):
         die = Lifecycle()
-        program = make_transaction(kind)
-        read = make_transaction(READ)
-        die.enqueue(program)
-        die.enqueue_at(200.0, read)
+        die.enqueue(operation(kind, 1))
+        die.enqueue_at(200.0, operation(READ, 2))
         die.run()
         # The read finishes long before the program would have (at 700 us),
         # and the program's first completion never runs.
-        assert die.completed == [read, program]
-        assert read.completion_us == pytest.approx(300.0)
-        # The program pays the remaining time plus the suspension overhead.
+        assert die.order() == [2, 1]
+        assert die.completion_us(2) == pytest.approx(300.0)
+        # The program goes back to the head of the write queue once, with
+        # the remaining time plus the suspension overhead, and pays it.
         overhead = SsdConfig.tiny().timing.program_suspend_us
-        assert program.completion_us == pytest.approx(
+        assert die.suspended == [
+            (kind, 1, None, pytest.approx((PROGRAM_US - 200.0) + overhead))]
+        assert die.completion_us(1) == pytest.approx(
             300.0 + (PROGRAM_US - 200.0) + overhead)
-        assert program.was_suspended
         assert die.die.suspensions == 1
         assert die.die.total_busy_us == pytest.approx(
             PROGRAM_US + READ_US + overhead)
@@ -158,82 +188,77 @@ class TestSuspension:
 
     def test_erase_suspension_uses_erase_overhead(self):
         die = Lifecycle()
-        erase = make_transaction(ERASE)
-        read = make_transaction(READ)
-        die.enqueue(erase)
-        die.enqueue_at(1000.0, read)
+        die.enqueue(operation(ERASE, 1))
+        die.enqueue_at(1000.0, operation(READ, 2))
         die.run()
-        expected = (1000.0 + READ_US + (ERASE_US - 1000.0)
-                    + SsdConfig.tiny().timing.erase_suspend_us)
-        assert erase.completion_us == pytest.approx(expected)
-        assert die.completed == [read, erase]
+        overhead = SsdConfig.tiny().timing.erase_suspend_us
+        assert die.suspended == [
+            (ERASE, 1, None, pytest.approx((ERASE_US - 1000.0) + overhead))]
+        expected = 1000.0 + READ_US + (ERASE_US - 1000.0) + overhead
+        assert die.completion_us(1) == pytest.approx(expected)
+        assert die.order() == [2, 1]
 
     def test_program_suspended_only_once(self):
         die = Lifecycle()
-        program = make_transaction(PROGRAM)
-        die.enqueue(program)
-        die.enqueue_at(100.0, make_transaction(READ))
-        die.enqueue_at(150.0, make_transaction(READ))
+        die.enqueue(operation(PROGRAM, 1))
+        die.enqueue_at(100.0, operation(READ, 2))
+        die.enqueue_at(150.0, operation(READ, 3))
         die.run()
         assert die.die.suspensions == 1
+        assert [suspended[1] for suspended in die.suspended] == [1]
         assert len(die.completed) == 3
-        assert die.completed[-1] is program
+        assert die.order()[-1] == 1
 
     def test_no_suspension_when_disabled(self):
         die = Lifecycle(SsdConfig.tiny(suspension=False))
-        program = make_transaction(PROGRAM)
-        read = make_transaction(READ)
-        die.enqueue(program)
-        die.enqueue_at(100.0, read)
+        die.enqueue(operation(PROGRAM, 1))
+        die.enqueue_at(100.0, operation(READ, 2))
         die.run()
         # The read waits for the full program.
-        assert read.service_start_us == pytest.approx(PROGRAM_US)
+        assert die.started[2] == pytest.approx(PROGRAM_US)
         assert die.die.suspensions == 0
+        assert die.suspended == []
 
     def test_read_does_not_suspend_read(self):
         die = Lifecycle()
-        first = make_transaction(READ)
-        second = make_transaction(READ)
-        die.enqueue(first)
-        die.enqueue_at(10.0, second)
+        die.enqueue(operation(READ, 1))
+        die.enqueue_at(10.0, operation(READ, 2))
         die.run()
-        assert second.service_start_us == pytest.approx(READ_US)
+        assert die.started[2] == pytest.approx(READ_US)
         assert die.die.suspensions == 0
 
 
 class TestDirectStart:
     def test_idle_die_starts_a_newcomer_without_queueing_it(self):
         die = Lifecycle()
-        program = make_transaction(PROGRAM)
+        program = operation(PROGRAM, 1)
         die.enqueue(program)
         assert die.die.running is program
         assert not die.die.read_queue and not die.die.write_queue
-        assert program.service_start_us == 0.0
+        assert die.started == {1: 0.0}
 
     def test_completion_enqueue_waits_behind_queued_work(self):
         # A host program's completion enqueues onto its own die while
         # another transaction waits there: the die is idle but not empty,
         # and the waiting transaction must start first.
-        first = make_transaction(PROGRAM)
-        waiting, late = make_transaction(READ), make_transaction(READ)
         started = []
 
-        def read_us(transaction):
-            started.append(transaction)
+        def read_us(op_id):
+            started.append(op_id)
             return READ_US
 
-        def on_program_complete(transaction):
-            if transaction is first:
-                die.enqueue(late)
+        def on_program_complete(op_id):
+            if op_id == 1:
+                die.enqueue(operation(READ, 3))
 
         die = Lifecycle(SsdConfig.tiny(suspension=False), read_us=read_us,
                         on_program_complete=on_program_complete)
-        die.enqueue(first)
-        die.enqueue(waiting)
+        die.enqueue(operation(PROGRAM, 1))
+        die.enqueue(operation(READ, 2))
         die.run()
-        assert started == [waiting, late]
-        assert waiting.service_start_us == PROGRAM_US
-        assert late.service_start_us == PROGRAM_US + READ_US
+        assert started == [2, 3]
+        assert die.started[2] == PROGRAM_US
+        assert die.started[3] == PROGRAM_US + READ_US
 
 
 class TestReentrantStart:
@@ -245,28 +270,38 @@ class TestReentrantStart:
         # That work must wait for the read being started, whether the die
         # has other reads waiting or none: every transaction completes, and
         # the die never runs two at once.
-        opener, first = make_transaction(READ), make_transaction(READ)
-        waiting = [make_transaction(READ) for _ in range(waiting_reads)]
-        relocation = make_transaction(GC_READ)
+        relocation = 99
 
-        def read_us(transaction):
-            if transaction is first:
-                die.enqueue(relocation)
+        def read_us(op_id):
+            if op_id == 1:
+                die.enqueue(operation(GC_READ, relocation))
             return READ_US
 
         die = Lifecycle(read_us=read_us)
-        for transaction in [opener, first, *waiting]:
-            die.enqueue(transaction)
+        reads = [0, 1, *range(2, 2 + waiting_reads)]
+        for op_id in reads:
+            die.enqueue(operation(READ, op_id))
         die.run()
-        everything = [opener, first, *waiting, relocation]
-        assert sorted(map(id, die.completed)) == sorted(map(id, everything))
-        spans = sorted((transaction.service_start_us,
-                        transaction.completion_us)
-                       for transaction in die.completed)
+        assert sorted(die.order()) == sorted([*reads, relocation])
+        spans = sorted((start, end) for _, start, end in die.completed)
         for (_, end), (start, _) in zip(spans, spans[1:]):
             assert start >= end
-        assert die.die.completed_transactions == len(everything)
+        assert die.die.completed_transactions == len(reads) + 1
         assert idle(die.die)
+
+
+class OracleTransaction:
+    """The oracle's own record of one transaction."""
+
+    __slots__ = ("kind", "transaction_id", "service_start_us",
+                 "completion_us", "remaining_service_us")
+
+    def __init__(self, kind, transaction_id):
+        self.kind = kind
+        self.transaction_id = transaction_id
+        self.service_start_us = None
+        self.completion_us = None
+        self.remaining_service_us = None
 
 
 class DieScheduler:
@@ -274,7 +309,8 @@ class DieScheduler:
     the controller ran its dies itself.  It asks ``service_time_fn`` for
     every transaction's service time and reports each completion to
     ``on_complete``; every transaction passes through the queues before it
-    starts, even on an idle die with both queues empty."""
+    starts, even on an idle die with both queues empty.  ``suspended``
+    lists ``(transaction_id, remaining_service_us)`` per suspension."""
 
     def __init__(self, config, events, service_time_fn, on_complete):
         self.events = events
@@ -292,6 +328,7 @@ class DieScheduler:
         self.total_busy_us = 0.0
         self.completed_transactions = 0
         self.suspensions = 0
+        self.suspended = []
 
     def enqueue(self, transaction):
         is_read = transaction.kind.is_read
@@ -315,7 +352,8 @@ class DieScheduler:
         else:
             overhead = self.timing.program_suspend_us
         transaction.remaining_service_us = remaining + overhead
-        transaction.was_suspended = True
+        self.suspended.append((transaction.transaction_id,
+                               transaction.remaining_service_us))
         self.total_busy_us += elapsed
         self.write_queue.appendleft(transaction)
         self.current = None
@@ -367,59 +405,69 @@ def _replay(config, arrivals, constants, oracle):
 
     Reads and GC reads cost their drawn service time; every other kind
     costs the controller's constant for it, as the controller prices it.
+    Each side builds its own record of a ``(kind, id)`` arrival.
     """
     program_us, erase_us, trans_read_us = constants
     service_us = {}
     followups = {}
-    finished = []
     # Follow-ups are numbered as they are created, so two runs that
     # schedule alike number them alike.
     followup_ids = itertools.count(len(arrivals))
 
-    def service_of(transaction):
-        kind = transaction.kind
-        if kind is READ or kind is GC_READ:
-            return service_us[transaction]
-        if kind is TransactionKind.TRANS_READ:
-            return trans_read_us
-        return erase_us if kind is ERASE else program_us
-
-    def enqueue_followups(transaction):
-        for kind, service in followups.pop(transaction, ()):
-            child = make_transaction(kind, events.now_us, next(followup_ids))
+    def enqueue_followups(op_id):
+        for kind, service in followups.pop(op_id, ()):
+            child = next(followup_ids)
             service_us[child] = service
-            enqueue(child)
+            enqueue((kind, child))
 
     if oracle:
         events = EventQueue()
+        finished = []
+
+        def service_of(transaction):
+            kind = transaction.kind
+            if kind is READ or kind is GC_READ:
+                return service_us[transaction.transaction_id]
+            if kind is TRANS_READ:
+                return trans_read_us
+            return erase_us if kind is ERASE else program_us
 
         def on_complete(transaction):
-            finished.append(transaction)
+            finished.append((transaction.transaction_id,
+                             transaction.service_start_us,
+                             transaction.completion_us))
             if transaction.kind is PROGRAM:
-                enqueue_followups(transaction)
+                enqueue_followups(transaction.transaction_id)
 
         die = DieScheduler(config, events, service_of, on_complete)
-        enqueue = die.enqueue
+
+        def enqueue(arrival):
+            die.enqueue(OracleTransaction(*arrival))
     else:
-        lifecycle = Lifecycle(config, read_us=service_of,
+        lifecycle = Lifecycle(config, read_us=service_us.__getitem__,
                               on_program_complete=enqueue_followups,
                               program_us=program_us, erase_us=erase_us,
                               trans_read_us=trans_read_us)
         events = lifecycle.events
         finished = lifecycle.completed
-        enqueue = lifecycle.enqueue
         die = lifecycle.die
+
+        def enqueue(arrival):
+            lifecycle.enqueue(operation(*arrival))
     time_us = 0.0
     for index, (gap_us, kind, service, children) in enumerate(arrivals):
         time_us += gap_us
-        transaction = make_transaction(kind, time_us, index)
-        service_us[transaction] = service
-        followups[transaction] = children
-        events.schedule_call(time_us, enqueue, transaction)
+        service_us[index] = service
+        followups[index] = children
+        events.schedule_call(time_us, enqueue, (kind, index))
     events.run()
-    return ([(transaction.transaction_id, transaction.service_start_us,
-              transaction.completion_us) for transaction in finished],
-            die.total_busy_us, die.suspensions, die.completed_transactions)
+    if oracle:
+        suspended = die.suspended
+    else:
+        suspended = [(op_id, remaining_us)
+                     for _, op_id, _, remaining_us in lifecycle.suspended]
+    return (finished, suspended, die.total_busy_us, die.suspensions,
+            die.completed_transactions)
 
 
 class TestLifecycleMatchesTheOracle:
@@ -441,6 +489,6 @@ class TestLifecycleMatchesTheOracle:
         assert lifecycle == _replay(config, arrivals, constants, oracle=True)
         # Every arrival completes, and so does every follow-up of a host
         # program, the one kind whose completion enqueues them.
-        assert lifecycle[3] == len(arrivals) + sum(
+        assert lifecycle[4] == len(arrivals) + sum(
             len(children) for _, kind, _, children in arrivals
             if kind is PROGRAM)

@@ -162,12 +162,12 @@ class TestNoCallerMutation:
     def test_requests_unchanged_after_run(self, config, rpt):
         footprint = _footprint(config)
         requests = _requests("usr_1", 60, footprint, seed=5)
-        before = [(r.arrival_us, r.kind, r.start_lpn, r.page_count,
-                   r.completion_us, r.pending_pages) for r in requests]
+        def slots():
+            return [tuple(getattr(r, slot) for slot in HostRequest.__slots__)
+                    for r in requests]
+        before = slots()
         _run(config, rpt, requests)
-        after = [(r.arrival_us, r.kind, r.start_lpn, r.page_count,
-                  r.completion_us, r.pending_pages) for r in requests]
-        assert before == after
+        assert slots() == before
 
     def test_same_list_replays_identically(self, config, rpt):
         footprint = _footprint(config)
