@@ -186,10 +186,6 @@ def _memory_child() -> int:
         seed=1,
         mean_interarrival_us=1500.0,
     ).iter_requests(MEMORY_MICRO_REQUESTS)
-    # A run's first variation draw imports numpy.random, about 6 MiB that
-    # does not grow with the trace.  Import it before the window opens, so
-    # the delta measures trace-length state alone.
-    import numpy.random  # noqa: F401
     before_kib = _current_rss_kib()
     started = time.perf_counter()
     result = simulator.run(stream)

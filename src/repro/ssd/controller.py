@@ -887,8 +887,8 @@ class SsdSimulator:
 
     # -- garbage collection ------------------------------------------------------------------------
     def _run_gc_if_needed(self) -> None:
-        # Every host page's completion lands here; while no plane is below
-        # its trigger, both mappers' collect_if_needed return [] at once.
+        # Every host page's completion lands here: skip the plane scan
+        # while no plane is below its GC trigger.
         if not self.mapper.planes_below_trigger:
             return
         for operation in self.mapper.collect_if_needed(self.events.now_us):

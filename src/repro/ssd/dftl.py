@@ -39,8 +39,8 @@ Every address this module stores or returns is a packed page index
 and each plane's allocator returns one.  Two indexes keep per-event work
 off whole-table scans: the CMT's dirty entries are indexed by translation
 page, so persisting one clears just its entries, and the store keeps the
-set of planes below their GC trigger, so :meth:`DftlMapper.collect_if_needed`
-returns at once while it is empty.
+set of planes below their GC trigger, so the controller skips
+:meth:`DftlMapper.collect_if_needed` while it is empty.
 """
 
 from __future__ import annotations
@@ -250,8 +250,6 @@ class DftlMapper(BlockStore):
 
     def collect_if_needed(self, now_us: float = 0.0) -> List[GcOperation]:
         """Collect every plane below its trigger watermark up to the stop one."""
-        if not self.planes_below_trigger:
-            return []
         stop = self.config.gc_stop_free_blocks
         operations: List[GcOperation] = []
         for plane_index, plane in enumerate(self.planes):

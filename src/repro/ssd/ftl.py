@@ -19,9 +19,9 @@ writes the map and the page state with a few numpy slice assignments per
 plane.  A :class:`Plane` over the store holds a plane's free pool, its
 append blocks, the blocks in service and its retired blocks, and opens,
 allocates, erases and retires blocks; it keeps the store's set of planes
-below the GC trigger in step whenever its free pool changes, so
-``collect_if_needed`` on a device with free space to spare returns without
-visiting a plane.
+below the GC trigger in step whenever its free pool changes, so the
+controller skips garbage collection on a device with free space to spare
+without visiting a plane.
 
 This module's :class:`FlashTranslationLayer` (``mapping="block"``) is that
 store written through one stream, plus its greedy GC victim rule and the
@@ -138,6 +138,10 @@ class Mapper(Protocol):
     #: Per-plane state (``channel``/``die``/``plane``), indexed like
     #: :attr:`GcOperation.plane_index`.
     planes: Sequence
+    #: Indices of the planes below their GC trigger, kept in step with each
+    #: plane's free pool; while it is empty the controller makes no
+    #: ``collect_if_needed`` call.
+    planes_below_trigger: Set[int]
     #: Planes found below their GC trigger; mapping-cache hits and misses.
     gc_invocations: int
     cmt_hits: int
@@ -629,8 +633,6 @@ class FlashTranslationLayer(BlockStore):
     def collect_if_needed(self, now_us: float = 0.0) -> List[GcOperation]:
         """Collect one greedy victim per plane below its free-block threshold;
         each such plane counts one invocation, victim or not."""
-        if not self.planes_below_trigger:
-            return []
         operations = []
         for plane_index, plane in enumerate(self.planes):
             if not plane.needs_gc():

@@ -56,20 +56,6 @@ class TransactionKind(enum.Enum):
     TRANS_READ = "trans_read"
     TRANS_PROGRAM = "trans_program"
 
-    @property
-    def is_read(self) -> bool:
-        return self in (TransactionKind.READ, TransactionKind.GC_READ, TransactionKind.TRANS_READ)
-
-    @property
-    def is_background(self) -> bool:
-        return self in (
-            TransactionKind.GC_READ,
-            TransactionKind.GC_PROGRAM,
-            TransactionKind.ERASE,
-            TransactionKind.TRANS_READ,
-            TransactionKind.TRANS_PROGRAM,
-        )
-
 
 _request_ids = itertools.count()
 

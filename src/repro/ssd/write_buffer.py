@@ -30,14 +30,6 @@ class WriteBuffer:
         return self._in_flight
 
     @property
-    def free_pages(self) -> int:
-        return self.capacity_pages - self._in_flight
-
-    @property
-    def is_full(self) -> bool:
-        return self._in_flight >= self.capacity_pages
-
-    @property
     def total_admitted(self) -> int:
         return self._admitted
 

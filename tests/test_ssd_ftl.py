@@ -223,7 +223,7 @@ class TestPageAddressing:
 
         def record_target(lpn, now_us):
             packed, ops = read_target(lpn, now_us)
-            targets.append(packed)
+            targets.append((lpn, packed))
             return packed, ops
         simulator.mapper.read_target_packed = record_target
         behaviour_at = RetryStepGrid.behaviour_at
@@ -241,14 +241,22 @@ class TestPageAddressing:
                  if transaction[0] is TransactionKind.READ]
         assert len(reads) == len(queried) == sum(r.page_count
                                                   for r in requests)
-        # Each page read goes to the page its LPN maps to, on that page's
-        # die.
-        assert [packed for _, packed in enqueued] == targets
+        # Each page of each request is looked up by its own LPN, in arrival
+        # order, and its read goes to the page that LPN maps to, on that
+        # page's die.
+        assert [lpn for lpn, _ in targets] == [
+            lpn % config.logical_pages
+            for request in requests for lpn in request.lpns]
+        assert [packed for _, packed in enqueued] == [
+            packed for _, packed in targets]
+        for lpn, packed in targets:
+            assert packed == read_target(lpn, simulator.events.now_us)[0]
         for die_index, packed in enqueued:
             physical = addressing.unpack(packed)
             assert die_index == (physical.channel * config.dies_per_channel
                                  + physical.die)
-        assert sorted(packed for _, packed in reads) == sorted(targets)
+        assert sorted(packed for _, packed in reads) == sorted(
+            packed for _, packed in targets)
         for (key, packed), (page_type, corner) in zip(reads, queried):
             physical = addressing.unpack(packed)
             chip = physical.channel * config.dies_per_channel + physical.die

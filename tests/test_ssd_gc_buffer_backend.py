@@ -90,9 +90,9 @@ class TestWriteBuffer:
         buffer.release(2)
         assert buffer.try_admit(2)
         assert buffer.used_pages == 3
-        assert buffer.free_pages == 1
         assert buffer.try_admit(1)
-        assert buffer.is_full is True
+        assert buffer.used_pages == 4
+        assert not buffer.try_admit(1)
 
     def test_release_validation(self):
         buffer = WriteBuffer(capacity_pages=2)

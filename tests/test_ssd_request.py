@@ -1,5 +1,5 @@
-"""Tests for host requests, transaction kinds, the read path's page-ready
-time and failure-path behaviour."""
+"""Tests for host requests, the read path's page-ready time and
+failure-path behaviour."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.nand.voltage import ReadRetryTable
 from repro.ssd.config import SsdConfig
 from repro.ssd.controller import SsdSimulator
 from repro.ssd.ftl import PageAddressing, PhysicalPage
-from repro.ssd.request import HostRequest, RequestKind, TransactionKind
+from repro.ssd.request import HostRequest, RequestKind
 from repro.ssd.retry_grid import RetryStepGrid
 
 
@@ -43,13 +43,6 @@ class TestHostRequest:
         first = HostRequest(0.0, RequestKind.READ, 0)
         second = HostRequest(0.0, RequestKind.READ, 0)
         assert first.request_id != second.request_id
-
-
-class TestTransactionKind:
-    def test_kind_classification(self):
-        assert TransactionKind.GC_READ.is_read
-        assert TransactionKind.GC_PROGRAM.is_background
-        assert not TransactionKind.PROGRAM.is_background
 
 
 class TestPageReadyTime:

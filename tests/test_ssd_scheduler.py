@@ -29,6 +29,9 @@ PROGRAM = TransactionKind.PROGRAM
 GC_PROGRAM = TransactionKind.GC_PROGRAM
 ERASE = TransactionKind.ERASE
 TRANS_READ = TransactionKind.TRANS_READ
+#: The kinds the oracle gives read priority and lets suspend a program or
+#: erase.
+READ_KINDS = frozenset({READ, GC_READ, TRANS_READ})
 
 READ_US = 100.0
 PROGRAM_US = 700.0
@@ -331,7 +334,7 @@ class DieScheduler:
         self.suspended = []
 
     def enqueue(self, transaction):
-        is_read = transaction.kind.is_read
+        is_read = transaction.kind in READ_KINDS
         if is_read and self.read_priority:
             self.read_queue.append(transaction)
         else:
@@ -380,7 +383,7 @@ class DieScheduler:
             transaction.service_start_us = now
         sequence = self.events.schedule_call(now + service, self._complete,
                                              transaction)
-        if self.suspension and not transaction.kind.is_read:
+        if self.suspension and transaction.kind not in READ_KINDS:
             self.current_sequence = sequence
         self.current_start_us = now
         self.current_service_us = service
